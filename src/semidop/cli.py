@@ -25,16 +25,29 @@ _DISPLAY_DIGITS = 30
 
 
 def parse_tolerance(text: str) -> Fraction:
-    """Accept 2^-128 style, rationals like 1/1024, or decimal literals."""
-    text = text.strip()
-    m = re.fullmatch(r"2\^(-?\d+)", text)
-    if m:
-        exp = int(m.group(1))
-        return Fraction(2) ** exp
+    """Accept 2^-128 style, rationals like 1/1024, or decimal literals.
+
+    Raises ValueError unless the value is a positive finite number.
+    """
+    stripped = text.strip()
+    m = re.fullmatch(r"2\^(-?\d+)", stripped)
     try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(str(float(text)))
+        tol = Fraction(2) ** int(m.group(1)) if m else Fraction(stripped)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--tol {text!r} is not a number") from None
+    if tol <= 0:
+        raise ValueError(f"--tol {text!r} must be positive")
+    return tol
+
+
+def _tolerance(args, default: Fraction | None) -> Fraction | None:
+    """The --tol value, or ``default`` when absent; a bad value is a usage error."""
+    if args.tol is None:
+        return default
+    try:
+        return parse_tolerance(args.tol)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def _load_weight(args) -> HypergeometricWeight:
@@ -114,7 +127,7 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
         weight=w,
         size=args.size,
         mantissa_bits=args.bits,
-        tolerance=parse_tolerance(args.tol) if args.tol else None,
+        tolerance=_tolerance(args, None),
         checks=checks,
         **kwargs,
     )
@@ -154,8 +167,8 @@ def _cmd_psi(args) -> int:
     if w.deformed:
         raise PreconditionError("the structure matrix requires an undeformed weight")
     ctx = PrecisionContext(mantissa_bits=args.bits)
+    tol = _tolerance(args, ctx.default_tolerance())
     pipe = get_pipeline(w, args.size, ctx)
-    tol = parse_tolerance(args.tol) if args.tol else ctx.default_tolerance()
     psi, _, result, window = pipe.psi(tol)
     if not result.passed:
         print(f"error: structure-matrix routes disagree ({result.name})", file=sys.stderr)

@@ -1,10 +1,20 @@
 """Precision-controlled moment series, Hankel truncations and their Cholesky data.
 
-Moments are rho_m = sum_k k^m w(k). Truncations G[k] with entries rho_{n+m}
-factor as G = S^{-1} H S^{-T} (S unit lower triangular, H diagonal); S encodes
-the monic orthogonal polynomial coefficients and H their squared norms.
-Every public routine runs under an explicit PrecisionContext and is
-deterministic: fixed summation order, fixed pivoting, no randomness.
+Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
+sums every column rho_0 .. rho_{m_max} at once, with exact rational term
+ratios, and stops on a rigorous geometric tail bound; the floor-division
+error is bounded alongside, so each moment is certified to
+2^-(verify_bits - 32) relative before it is rounded to the working and the
+verify precision. Weights whose term ratio tends to 1 (the ``boundary``
+class) are refused before any summation: DivergentSeries when a requested
+moment diverges, TermBudgetExceeded when only a ratio-1 tail stands between
+the series and a certificate.
+
+Truncations G[k] with entries rho_{n+m} factor as G = S^{-1} H S^{-T} (S unit
+lower triangular, H diagonal); S encodes the monic orthogonal polynomial
+coefficients and H their squared norms. Every public routine runs under an
+explicit PrecisionContext and is deterministic: fixed summation order, fixed
+pivoting, no randomness.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .weights import (
     ConvergenceClass,
     HypergeometricWeight,
     classify_convergence,
-    term_ratio_limit,
+    term_ratio,
     to_mpf,
 )
 
@@ -44,9 +54,11 @@ def decimal_str(x, bits: int) -> str:
 class PrecisionContext:
     """Working precision plus series and confirmation policy.
 
-    series_tol defaults to 2^-(mantissa_bits - 32); verify_bits, used for the
-    precision-doubling confirmation of eliminations, defaults to twice the
-    working mantissa.
+    verify_bits, the precision at which moment series are certified and
+    eliminations confirmed, defaults to twice the working mantissa. series_tol,
+    the stop tolerance of the direct-summation orthogonality witness, defaults
+    to 2^-(mantissa_bits - 32). max_terms caps the lattice points any series
+    may visit.
     """
 
     mantissa_bits: int = 512
@@ -66,129 +78,219 @@ class PrecisionContext:
         if self.series_tol <= 0:
             raise ValueError("series_tol must be positive")
 
-    def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(
-            mantissa_bits=self.verify_bits,
-            max_terms=self.max_terms,
-        )
-
     def default_tolerance(self) -> Fraction:
         """Default residual tolerance for identity checks: 2^-(bits/4)."""
         return Fraction(1, 2 ** (self.mantissa_bits // 4))
 
 
-class _WeightTerms:
-    """Incrementally grown sequence w(0), w(1), ... for one weight.
+# Fixed-point guard over the certified precision. The floor divisions leave
+# about one unit of error per lattice point, and column m multiplies it by k^m
+# where the terms themselves are already tiny; widening by the measured
+# shortfall covers inputs this default does not.
+_GUARD_BITS = 64
+_GUARD_BITS_PER_COLUMN = 14
+_WIDENINGS = 4
 
-    The k-th term is produced from the (k-1)-th by an exact rational ratio
-    (times deformation powers), so extension order never changes values.
+
+@dataclass(frozen=True)
+class _LatticeSums:
+    """Columns sums[m] ~ rho_m 2^scale of one lattice pass.
+
+    Each column is within 2^-(bits - 32) |sums[m]| of the exact moment, tail
+    and rounding included.
     """
 
-    def __init__(self, w: HypergeometricWeight, bits: int):
-        self.weight = w
-        self.bits = bits
+    sums: tuple[int, ...]
+    scale: int
+    bits: int
+
+    def rounded(self, bits: int) -> list:
+        """The moments rounded once to a ``bits``-bit mantissa."""
         with workprec(bits):
-            self.values = [mpf(1)]
-            self._eta2 = to_mpf(w.eta2)
-            self._eta3 = to_mpf(w.eta3)
-
-    def ensure(self, count: int) -> None:
-        w = self.weight
-        with workprec(self.bits):
-            while len(self.values) < count:
-                k = len(self.values) - 1
-                num = w.eta
-                den = Fraction(k + 1)
-                for ai in w.a:
-                    num *= ai + k
-                for bj in w.b:
-                    den *= bj + k
-                term = self.values[-1] * to_mpf(num / den)
-                if w.eta2 != 1:
-                    term *= self._eta2 ** (2 * k + 1)
-                if w.eta3 != 1:
-                    term *= self._eta3 ** (3 * k * k + 3 * k + 1)
-                self.values.append(term)
+            return [mpf((s, -self.scale)) for s in self.sums]
 
 
-def _series_moment(
-    terms: _WeightTerms,
-    m: int,
-    ctx: PrecisionContext,
-    classification: ConvergenceClass,
-) -> mpf:
-    """Sum k^m w(k) in increasing k with a geometric tail-bound stop."""
+def _refuse_uncertifiable(w: HypergeometricWeight, classification: ConvergenceClass, m_max: int):
+    """Raise before any summation when no certified table of depth m_max exists."""
     if not classification.converges:
-        raise DivergentSeries(f"moments diverge for weight {terms.weight.spec_string()}")
-    with workprec(ctx.mantissa_bits):
-        if classification.kind == "finite_support":
-            q = classification.q
-            terms.ensure(q + 1)
-            total = mpf(0)
-            for k in range(q + 1):
-                total += terms.values[k] * (k**m)
-            return total
-
-        tol = to_mpf(ctx.series_tol)
-        ratio_limit = to_mpf(term_ratio_limit(terms.weight))
-        total = mpf(0)
-        prev_abs = None
-        recent_ratios: list = []
-        small_streak = 0
-        for k in range(ctx.max_terms):
-            terms.ensure(k + 1)
-            term = terms.values[k] * (k**m)
-            total += term
-            t_abs = abs(term)
-            if prev_abs is not None and prev_abs > 0:
-                recent_ratios.append(t_abs / prev_abs)
-                if len(recent_ratios) > 3:
-                    recent_ratios.pop(0)
-            prev_abs = t_abs
-            if k < 2 or not total:
-                continue
-            if t_abs <= tol * abs(total):
-                small_streak += 1
-            else:
-                small_streak = 0
-                continue
-            if small_streak < 2 or len(recent_ratios) < 3:
-                continue
-            r_eff = max(max(recent_ratios), ratio_limit)
-            if r_eff < 1:
-                tail = t_abs * r_eff / (1 - r_eff)
-                if tail <= tol * abs(total):
-                    return total
-        raise TermBudgetExceeded(
-            f"moment m={m} did not converge within {ctx.max_terms} terms "
-            f"for weight {terms.weight.spec_string()}"
+        raise DivergentSeries(f"moments diverge for weight {w.spec_string()}")
+    if classification.kind != "boundary":
+        return
+    # |eta| = 1 and M = N+1: w(k) ~ k^(sum a - sum b - 1), so rho_m converges
+    # only for m < sum b - sum a, or m < sum b - sum a + 1 when eta = -1
+    # makes the series alternate.
+    order = sum(w.b) - sum(w.a) + (1 if w.eta < 0 else 0)
+    if m_max >= order:
+        raise DivergentSeries(
+            f"moment rho_{m_max} diverges for weight {w.spec_string()}: "
+            f"the terms decay like k^(m - {sum(w.b) - sum(w.a) + 1})"
         )
+    raise TermBudgetExceeded(
+        f"weight {w.spec_string()} has term ratio tending to 1; a ratio-1 tail "
+        "cannot be certified by a geometric bound"
+    )
+
+
+def _ratio_sup(w: HypergeometricWeight, k: int) -> Fraction | None:
+    """A bound on |w(j+1)/w(j)| valid for every j >= k, or None while none is known.
+
+    Numerator factors a_i + j are paired with the denominator factors 1 + j,
+    b_1 + j, ...; each pair is monotone in j, so its supremum is its value at
+    k or its limit 1. Unpaired denominator factors decrease, and so do
+    |eta2|^(2j+1) and |eta3|^(3j^2+3j+1). Unpaired numerator factors (a
+    deformed weight with M > N + 1) are absorbed by the deformation once the
+    logarithmic derivative sum 1/(a_i+j) + 2 ln|eta2| + (6j+3) ln|eta3| is
+    nonpositive for all j >= k, bounded above with ln x <= x - 1.
+    """
+    if any(x + k <= 0 for x in w.a + w.b):
+        return None
+    dens = (Fraction(1),) + w.b
+    paired = min(len(w.a), len(dens))
+    eta2, eta3 = abs(w.eta2), abs(w.eta3)
+    bound = abs(w.eta) * eta2 ** (2 * k + 1) * eta3 ** (3 * k * k + 3 * k + 1)
+    for ai, bj in zip(w.a, dens):
+        bound *= max(Fraction(1), (ai + k) / (bj + k))
+    for bj in dens[paired:]:
+        bound /= bj + k
+    extra = w.a[paired:]
+    if extra:
+        slope = sum(1 / (ai + k) for ai in extra) + 2 * (eta2 - 1) + (6 * k + 3) * (eta3 - 1)
+        if slope > 0:
+            return None
+        for ai in extra:
+            bound *= ai + k
+    return bound
+
+
+def _tail_certified(w, k: int, magnitude: int, sums: list, shift: int) -> bool:
+    """Whether every column's tail past k is at most 2^-shift |sums[m]|.
+
+    magnitude bounds |w(k)| 2^scale (computed value plus its error). With
+    rho >= sup_{j >= k} |(j+1)^m w(j+1) / (j^m w(j))|, the tail is at most
+    k^m magnitude rho / (1 - rho).
+    """
+    sup = _ratio_sup(w, k)
+    if sup is None:
+        return False
+    sn, sd = sup.numerator, sup.denominator
+    for m in reversed(range(len(sums))):
+        km, k1m = k**m, (k + 1) ** m
+        room = sd * km - sn * k1m  # (1 - rho) sd k^m with rho = sn (k+1)^m / (sd k^m)
+        if room <= 0 or (magnitude * km * sn * k1m) << shift > abs(sums[m]) * room:
+            return False
+    return True
+
+
+def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int, max_terms: int):
+    """One pass over k accumulating every column k^m W_k, W_k ~ w(k) 2^scale.
+
+    W_{k+1} = floor(W_k num_k / den_k) with the exact term ratio; each column
+    then gains its term by repeated exact multiplication by k. Alongside, a
+    bound on |W_k - w(k) 2^scale| follows e_{k+1} <= e_k |num_k| / den_k + 1
+    (the 1 only for an inexact division), and each column sums k^m e_k.
+    Returns (sums, error bounds). Stops after k = last for finite support,
+    otherwise once every tail is below 2^-(bits - 31) of its column.
+    """
+    cols = m_max + 1
+    sums = [0] * cols
+    errors = [0] * cols
+    value, err = 1 << scale, 0
+    shift = bits - 31
+    for k in range(max_terms):
+        t, e = value, err
+        sums[0] += t
+        errors[0] += e
+        for m in range(1, cols):
+            t *= k
+            e *= k
+            sums[m] += t
+            errors[m] += e
+        if k == last:
+            return sums, errors
+        # The bit-length gate only skips the exact test while the last
+        # column's term is far from its stop threshold; skipping never stops
+        # early, it can only delay a stop by a few terms.
+        if (
+            last is None
+            and k
+            and (abs(t) + e).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
+            and _tail_certified(w, k, abs(value) + err, sums, shift)
+        ):
+            return sums, errors
+        num, den = term_ratio(w, k)
+        value, rem = divmod(value * num, den)
+        err = -(-err * abs(num) // den) + (1 if rem else 0)
+    raise TermBudgetExceeded(
+        f"moments up to m={m_max} did not converge within {max_terms} terms "
+        f"for weight {w.spec_string()}"
+    )
+
+
+def _lattice_sums(
+    w: HypergeometricWeight,
+    classification: ConvergenceClass,
+    m_max: int,
+    bits: int,
+    max_terms: int,
+) -> _LatticeSums:
+    """rho_0 .. rho_{m_max}, each certified to 2^-(bits - 32) relative, in one pass.
+
+    The tail and the accumulated floor-division error each get half the
+    budget. When the rounding half fails, the guard widens by the shortfall
+    and the pass reruns; nothing is returned uncertified.
+    """
+    _refuse_uncertifiable(w, classification, m_max)
+    guard = _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
+    shift = bits - 31
+    for _ in range(_WIDENINGS):
+        sums, errors = _fixed_point_pass(
+            w, classification.q, m_max, bits, bits + guard, max_terms
+        )
+        short = max(
+            (
+                (err << shift).bit_length() - abs(s).bit_length() + 1
+                for s, err in zip(sums, errors)
+                if err << shift > abs(s)
+            ),
+            default=0,
+        )
+        if short <= 0:
+            return _LatticeSums(tuple(sums), bits + guard, bits)
+        guard += short + 32
+    raise TermBudgetExceeded(
+        f"rounding error of the moment series for weight {w.spec_string()} "
+        f"could not be certified to {bits - 32} bits"
+    )
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
     """rho_m as a one-shot series evaluation."""
-    return _series_moment(_WeightTerms(w, ctx.mantissa_bits), m, ctx, classify_convergence(w))
+    sums = _lattice_sums(w, classify_convergence(w), m, ctx.verify_bits, ctx.max_terms)
+    return sums.rounded(ctx.mantissa_bits)[m]
 
 
 class MomentTable:
     """Immutable table rho_0 .. rho_{m_max} for one weight at one precision.
 
-    Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
-    the (sorted) row-index tuple; these are the building blocks of the exact
-    flow-derivative engine.
+    One certified lattice pass at ctx.verify_bits serves both this table
+    (rounded once to ctx.mantissa_bits) and its verify-precision twin
+    (``rebuilt``). Also memoizes generalized Hankel determinants
+    det[rho_{r_i + j}] keyed by the (sorted) row-index tuple; these are the
+    building blocks of the exact flow-derivative engine.
     """
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
+        classification = classify_convergence(w)
+        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits, ctx.max_terms)
+        self._fill(w, m_max, ctx, classification, sums)
+
+    def _fill(self, w, m_max, ctx, classification, sums: _LatticeSums) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
-        self.classification = classify_convergence(w)
-        if not self.classification.converges:
-            raise DivergentSeries(f"moments diverge for weight {w.spec_string()}")
-        terms = _WeightTerms(w, ctx.mantissa_bits)
-        self.values = [
-            _series_moment(terms, m, ctx, self.classification) for m in range(m_max + 1)
-        ]
+        self.classification = classification
+        self._sums = sums
+        self.values = sums.rounded(ctx.mantissa_bits)
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._rebuilt: dict[int, "MomentTable"] = {}
 
@@ -202,12 +304,22 @@ class MomentTable:
         return self.classification.support_cap
 
     def rebuilt(self, bits: int) -> "MomentTable":
-        """The same table recomputed from scratch at a different mantissa."""
+        """The same moments at another mantissa.
+
+        Up to the certified precision of this table's lattice pass, the values
+        are that pass rounded again and nothing is summed; beyond it, a new
+        pass runs.
+        """
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
             ctx = PrecisionContext(mantissa_bits=bits, max_terms=self.ctx.max_terms)
-            self._rebuilt[bits] = MomentTable(self.weight, self.m_max, ctx)
+            if bits > self._sums.bits:
+                table = MomentTable(self.weight, self.m_max, ctx)
+            else:
+                table = MomentTable.__new__(MomentTable)
+                table._fill(self.weight, self.m_max, ctx, self.classification, self._sums)
+            self._rebuilt[bits] = table
         return self._rebuilt[bits]
 
     def det_rows(self, rows: tuple[int, ...]) -> mpf:
@@ -311,9 +423,10 @@ class CholeskyFactorization:
     """G = S^{-1} H S^{-T} data for one truncation.
 
     s is dense unit lower triangular; h the diagonal. confirmed_bits measures
-    agreement with a full recomputation (series and elimination) at
-    ctx.verify_bits; the factorization is flagged low-confidence when fewer
-    than mantissa_bits - 64 bits agree.
+    agreement with the elimination redone at ctx.verify_bits on the verify
+    table of the same lattice pass (the moments themselves are certified by
+    their tail and rounding bounds); the factorization is flagged
+    low-confidence when fewer than mantissa_bits - 64 bits agree.
     """
 
     s: Matrix
@@ -358,7 +471,8 @@ def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:
 
 
 def cholesky(g: HankelTruncation, ctx: PrecisionContext) -> CholeskyFactorization:
-    """Factor the truncation, then confirm by recomputation at verify_bits.
+    """Factor the truncation, then confirm by redoing the elimination at
+    verify_bits on the table's verify-precision moments.
 
     No row exchanges: a small pivot raises SingularTruncation rather than
     permuting (permutation would sever the orthogonal-polynomial reading of S).

@@ -43,7 +43,7 @@ from .weights import (
     HypergeometricWeight,
     pearson_polynomials,
     to_mpf,
-    weight_value,
+    weight_sequence,
 )
 
 
@@ -413,7 +413,7 @@ def orthogonality_check(
         classification = classify_convergence(w)
         limit = to_mpf(term_ratio_limit(w))
         cap = classification.support_cap
-        wk = mpf(1)
+        weights = weight_sequence(w)
         prev_contrib = None
         streak = 0
         k = 0
@@ -423,7 +423,7 @@ def orthogonality_check(
                 break
             if k >= max_terms:
                 break
-            value = weight_value(w, k)
+            value = to_mpf(next(weights))
             pvec = polynomial_vector(jac, k, nmax + 1)
             contrib = mpf(0)
             for n in range(nmax + 1):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import count
+from typing import Iterable, Iterator, Sequence, Union
 
 from mpmath import mpf
 
@@ -283,6 +284,39 @@ def weight_value(w: HypergeometricWeight, k: int) -> mpf:
         num *= w.eta3 ** (k * k * k)
     den *= Fraction(_factorial(k))
     return to_mpf(num / den)
+
+
+def term_ratio(w: HypergeometricWeight, k: int) -> tuple[int, int]:
+    """w(k+1)/w(k) as an unreduced integer pair (numerator, positive denominator).
+
+    The ratio is eta (a_1+k)...(a_M+k) / ((k+1) (b_1+k)...(b_N+k)) times
+    eta2^(2k+1) eta3^(3k^2+3k+1), with every rational cleared exactly.
+    """
+    num = w.eta.numerator
+    den = w.eta.denominator * (k + 1)
+    for ai in w.a:
+        num *= ai.numerator + k * ai.denominator
+        den *= ai.denominator
+    for bj in w.b:
+        num *= bj.denominator
+        den *= bj.numerator + k * bj.denominator
+    if w.eta2 != 1:
+        e = 2 * k + 1
+        num *= w.eta2.numerator**e
+        den *= w.eta2.denominator**e
+    if w.eta3 != 1:
+        e = 3 * k * k + 3 * k + 1
+        num *= w.eta3.numerator**e
+        den *= w.eta3.denominator**e
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def weight_sequence(w: HypergeometricWeight) -> Iterator[Fraction]:
+    """Exact w(0), w(1), ..., each obtained from the last by the term ratio."""
+    value = Fraction(1)
+    for k in count():
+        yield value
+        value *= Fraction(*term_ratio(w, k))
 
 
 def _factorial(k: int) -> int:

@@ -2,7 +2,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf, polylog, workprec
 
 from semidop import (
     DivergentSeries,
@@ -20,15 +20,19 @@ from semidop import (
     moment_flow_shifted,
     moments_to_csv,
 )
+import semidop.moments as moments_module
 from semidop.flows import tau_derivative
-from semidop.weights import to_mpf
+from semidop.weights import parse_weight_spec, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, MEIXNER
 from oracles import (
     charlier_reduced_moments,
     hankel_determinant_reduced,
+    meixner_reduced_moments,
     recurrence_from_moments,
 )
+
+REF_BITS = 2048
 
 
 def test_moment_trivial_cases(ctx):
@@ -207,3 +211,101 @@ def test_csv_export(ctx):
     assert m == "0"
     with workprec(BITS):
         assert abs(mp.mpmathify(rho) - table.moment(0)) < mpf(2) ** -(BITS - 40)
+
+
+# -- the one-pass lattice kernel against independent oracles --------------------
+
+def _assert_both_tables(table, reference, ctx):
+    """Verify table to verify_bits - 32 bits; working table within one rounding."""
+    verify = table.rebuilt(ctx.verify_bits)
+    with workprec(REF_BITS):
+        for m, ref in enumerate(reference):
+            assert abs(verify.moment(m) - ref) <= mpf(2) ** -(ctx.verify_bits - 32) * abs(ref), m
+            assert abs(table.moment(m) - ref) <= mpf(2) ** -(ctx.mantissa_bits - 1) * abs(ref), m
+
+
+def _li(m: int, z: Fraction):
+    """Li_{-m}(z); a negative argument goes through the duplication formula
+    Li_s(-x) = 2^(1-s) Li_s(x^2) - Li_s(x), far faster in mpmath at 2048 bits."""
+    if z < 0:
+        return 2 ** (1 + m) * polylog(-m, to_mpf(z * z)) - polylog(-m, to_mpf(-z))
+    return polylog(-m, to_mpf(z))
+
+
+@pytest.mark.parametrize("eta", [Fraction(9, 10), Fraction(-9, 10)])
+def test_kernel_geometric_against_polylog(ctx, eta):
+    # a=1,1; b=1 is w(k) = eta^k, so rho_m = Li_{-m}(eta) plus the k=0 term 0^m
+    w = HypergeometricWeight(a=(1, 1), b=(1,), eta=eta)
+    table = MomentTable(w, 16, ctx)
+    with workprec(REF_BITS):
+        reference = [_li(m, eta) + (1 if m == 0 else 0) for m in range(17)]
+    _assert_both_tables(table, reference, ctx)
+
+
+def test_kernel_charlier_against_exact_oracle(ctx):
+    eta = Fraction(7, 10)
+    table = MomentTable(CHARLIER, 24, ctx)
+    with workprec(REF_BITS):
+        e_eta = mp.exp(to_mpf(eta))
+        reference = [to_mpf(r) * e_eta for r in charlier_reduced_moments(eta, 24)]
+    _assert_both_tables(table, reference, ctx)
+
+
+def test_kernel_rising_terms_against_exact_oracle(ctx):
+    # (5)_k 0.9^k / k! grows until k ~ 36 before it decays: the tail bound must
+    # hold for the supremum of later ratios, not the ratio at one point
+    eta = Fraction(9, 10)
+    w = HypergeometricWeight(a=(5,), eta=eta)
+    table = MomentTable(w, 16, ctx)
+    with workprec(REF_BITS):
+        prefactor = to_mpf(1 - eta) ** -5
+        reference = [to_mpf(r) * prefactor for r in meixner_reduced_moments(Fraction(5), eta, 16)]
+    _assert_both_tables(table, reference, ctx)
+
+
+def test_kernel_term_budget():
+    tight = PrecisionContext(mantissa_bits=256, max_terms=40)
+    with pytest.raises(TermBudgetExceeded):
+        MomentTable(HypergeometricWeight(a=(5,), eta=Fraction(9, 10)), 4, tight)
+
+
+def _count_passes(monkeypatch) -> list:
+    calls = []
+    real = moments_module._fixed_point_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", counted)
+    return calls
+
+
+def test_kernel_sums_lattice_once(ctx, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(MEIXNER, 20, ctx)
+    verify = table.rebuilt(ctx.verify_bits)
+    cholesky(gram_truncation(table, 8), ctx)
+    assert len(calls) == 1
+    assert verify is table.rebuilt(ctx.verify_bits)
+    assert verify.ctx.mantissa_bits == ctx.verify_bits
+    with workprec(ctx.mantissa_bits):
+        for m in range(21):
+            assert +verify.moment(m) == table.moment(m)
+
+
+BOUNDARY = parse_weight_spec("a=1,1; b=3; eta=1")  # w(k) ~ 2 / k^2
+
+
+def test_boundary_weight_refused_before_summing(ctx, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    # rho_0 converges, but only polynomially: no geometric tail certifies it
+    with pytest.raises(TermBudgetExceeded, match="geometric"):
+        MomentTable(BOUNDARY, 0, ctx)
+    with pytest.raises(TermBudgetExceeded, match="geometric"):
+        moment(BOUNDARY, 0, ctx)
+    # rho_1 = sum 2k / ((k+1)(k+2)) diverges
+    for depth in (1, 2, 24):
+        with pytest.raises(DivergentSeries):
+            MomentTable(BOUNDARY, depth, ctx)
+    assert calls == []

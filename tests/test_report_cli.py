@@ -140,7 +140,24 @@ def test_parse_tolerance_forms():
     assert parse_tolerance("0.25") == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage", "1/0", ""])
+def test_parse_tolerance_rejects_nonpositive_and_nonfinite(text):
+    with pytest.raises(ValueError, match="--tol"):
+        parse_tolerance(text)
+
+
 # -- command-line interface -----------------------------------------------------
+
+@pytest.mark.parametrize("command", ["verify", "lattice", "toda", "kp", "psi"])
+@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage"])
+def test_cli_bad_tol_is_usage_error(command, text, capsys):
+    argv = [command, "--weight", "eta=0.7", "--size", "6", "--bits", "128", "--tol", text]
+    if command != "psi":
+        argv += ["--checks", "pearson"]
+    code = cli_main(argv)
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+
 
 def test_cli_recurrence_charlier(capsys):
     code = cli_main(["recurrence", "--weight", "eta=0.7", "--size", "6", "--bits", "192"])

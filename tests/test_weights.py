@@ -18,9 +18,9 @@ from semidop import (
     shift_parameter,
     weight_value,
 )
-from semidop.weights import HypergeometricWeight, term_ratio_limit, to_mpf
+from semidop.weights import HypergeometricWeight, term_ratio_limit, to_mpf, weight_sequence
 
-from conftest import CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
+from conftest import CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER, MEIXNER
 
 
 def test_pochhammer_values():
@@ -84,6 +84,25 @@ def test_classification_cases():
     assert classify_convergence(HypergeometricWeight(eta=0)).kind == "finite_support"
     deformed = HypergeometricWeight(a=(Fraction(1, 2),), eta=2, eta2=Fraction(9, 10))
     assert classify_convergence(deformed).kind == "all_eta"
+
+
+@pytest.mark.parametrize(
+    "w, count",
+    [
+        (MEIXNER, 80),
+        (GEN_MEIXNER, 80),
+        # eta3^(k^3) makes exact values huge; 24 points reach below 2^-1000
+        (DEFORMED, 24),
+        (parse_weight_spec("a=-1/2,3; b=-3/2; eta=-2; eta2=-4/5"), 40),
+    ],
+)
+def test_weight_sequence_matches_weight_value(w, count):
+    # the orthogonality witness rounds this exact sequence; it must reproduce
+    # the Pochhammer definition bit for bit
+    with workprec(192):
+        values = weight_sequence(w)
+        for k in range(count):
+            assert to_mpf(next(values)) == weight_value(w, k)
 
 
 def test_term_ratio_limit():
