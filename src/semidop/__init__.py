@@ -34,7 +34,6 @@ from .moments import (
     gram_truncation,
     hankel_determinant,
     moment,
-    moment_flow_shifted,
     moments_to_csv,
 )
 from .pipeline import WeightPipeline, clear_cache, get_pipeline
@@ -43,10 +42,8 @@ from .result import CheckResult
 from .structure import (
     JacobiMatrix,
     jacobi_matrix,
-    laguerre_freud_matrix,
     pascal_matrix,
     pascal_subdiagonal,
-    polynomial_eval,
 )
 from .weights import (
     ConvergenceClass,

@@ -189,30 +189,6 @@ def lu_determinant(a: Matrix) -> mpf:
     return det
 
 
-# -- diagonal shift operators -------------------------------------------------
-
-def t_minus(values: list, steps: int = 1) -> list:
-    """Lowering shift on a diagonal vector: drop the first entries."""
-    return list(values[steps:])
-
-
-def t_plus(values: list, steps: int = 1) -> list:
-    """Raising shift: prepend zeros, keeping the length."""
-    return [mpf(0)] * steps + list(values[: len(values) - steps])
-
-
-def diag_mul(*vectors) -> list:
-    """Entrywise product of equal-length prefix of diagonal vectors."""
-    n = min(len(v) for v in vectors)
-    out = []
-    for i in range(n):
-        acc = vectors[0][i]
-        for v in vectors[1:]:
-            acc = acc * v[i]
-        out.append(acc)
-    return out
-
-
 # -- banded storage -----------------------------------------------------------
 
 @dataclass
@@ -240,28 +216,6 @@ class BandedMatrix:
             return [mpf(0)] * (self.size - abs(d))
         return self.diagonals[d]
 
-    def to_dense(self) -> Matrix:
-        out = zeros(self.size)
-        for d, vals in self.diagonals.items():
-            for idx, v in enumerate(vals):
-                i = idx + max(0, -d)
-                out[i][i + d] = v
-        return out
-
-    def entry(self, i: int, j: int):
-        d = j - i
-        if d < self.lo or d > self.hi:
-            return mpf(0)
-        return self.diagonals[d][min(i, j)]
-
-    def dump_lines(self, fmt) -> list[str]:
-        """Offset-indexed listing ``offset d: v_0 v_1 ...`` with fmt(x) -> str."""
-        lines = []
-        for d in range(self.lo, self.hi + 1):
-            vals = " ".join(fmt(v) for v in self.diagonals[d])
-            lines.append(f"offset {d}: {vals}")
-        return lines
-
 
 def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:
     """Largest |entry| at offsets outside [lo, hi], over the leading window."""
@@ -275,32 +229,3 @@ def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:
             if v > worst:
                 worst = v
     return worst
-
-
-@dataclass
-class LowerUnitriangular:
-    """Unit lower triangular matrix in subdiagonal-offset storage.
-
-    bands[d] (d >= 1) holds the d-th subdiagonal, entries A[n+d, n].
-    """
-
-    size: int
-    bands: dict
-
-    @classmethod
-    def from_dense(cls, a: Matrix) -> "LowerUnitriangular":
-        n = len(a)
-        bands = {d: [a[i + d][i] for i in range(n - d)] for d in range(1, n)}
-        return cls(n, bands)
-
-    def subdiagonal(self, d: int) -> list:
-        if d == 0:
-            return [mpf(1)] * self.size
-        return self.bands.get(d, [mpf(0)] * (self.size - d))
-
-    def to_dense(self) -> Matrix:
-        out = identity(self.size)
-        for d, vals in self.bands.items():
-            for i, v in enumerate(vals):
-                out[i + d][i] = v
-        return out

@@ -12,7 +12,9 @@ the series and a certificate.
 
 Truncations G[k] with entries rho_{n+m} factor as G = S^{-1} H S^{-T} (S unit
 lower triangular, H diagonal); S encodes the monic orthogonal polynomial
-coefficients and H their squared norms. Every public routine runs under an
+coefficients and H their squared norms. The factorization runs at the working
+precision only; its confirmation, the elimination redone at verify_bits, runs
+when ``confirmed_bits`` is first read. Every public routine runs under an
 explicit PrecisionContext and is deterministic: fixed summation order, fixed
 pivoting, no randomness.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
@@ -52,31 +55,24 @@ def decimal_str(x, bits: int) -> str:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus series and confirmation policy.
+    """Working precision and the term budget of every series.
 
-    verify_bits, the precision at which moment series are certified and
-    eliminations confirmed, defaults to twice the working mantissa. series_tol,
-    the stop tolerance of the direct-summation orthogonality witness, defaults
-    to 2^-(mantissa_bits - 32). max_terms caps the lattice points any series
-    may visit.
+    max_terms caps the lattice points any series may visit. verify_bits,
+    twice the working mantissa, is the precision at which moment series are
+    certified and at which a factorization's confirmation redoes the
+    elimination when its ``confirmed_bits`` is read; no report reads it yet.
     """
 
     mantissa_bits: int = 512
-    series_tol: Fraction | None = None
     max_terms: int = 100_000
-    verify_bits: int | None = None
 
     def __post_init__(self):
-        if self.series_tol is None:
-            object.__setattr__(self, "series_tol", Fraction(1, 2 ** (self.mantissa_bits - 32)))
-        if self.verify_bits is None:
-            object.__setattr__(self, "verify_bits", 2 * self.mantissa_bits)
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be at least 64")
-        if self.verify_bits <= self.mantissa_bits:
-            raise ValueError("verify_bits must exceed mantissa_bits")
-        if self.series_tol <= 0:
-            raise ValueError("series_tol must be positive")
+
+    @property
+    def verify_bits(self) -> int:
+        return 2 * self.mantissa_bits
 
     def default_tolerance(self) -> Fraction:
         """Default residual tolerance for identity checks: 2^-(bits/4)."""
@@ -299,10 +295,6 @@ class MomentTable:
             raise IndexOutOfTable(f"moment index {m} outside table depth {self.m_max}")
         return self.values[m]
 
-    @property
-    def support_cap(self) -> int | None:
-        return self.classification.support_cap
-
     def rebuilt(self, bits: int) -> "MomentTable":
         """The same moments at another mantissa.
 
@@ -358,17 +350,8 @@ class FlowMultiIndex:
     def total_shift(self) -> int:
         return self.o1 + 2 * self.o2 + 3 * self.o3
 
-    @property
-    def total_order(self) -> int:
-        return self.o1 + self.o2 + self.o3
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.o1, self.o2, self.o3)
-
-
-def moment_flow_shifted(table: MomentTable, m: int, d: FlowMultiIndex) -> mpf:
-    """Exact mixed flow derivative of rho_m: the moment at the shifted index."""
-    return table.moment(m + d.total_shift)
 
 
 @dataclass(frozen=True)
@@ -378,17 +361,19 @@ class HankelTruncation:
     table: MomentTable
     size: int
 
-    def entry(self, n: int, m: int) -> mpf:
-        return self.table.moment(n + m)
-
     def to_dense(self) -> Matrix:
         k = self.size
         vals = self.table.values
         return [[vals[n + m] for m in range(k)] for n in range(k)]
 
-    @property
-    def weight(self) -> HypergeometricWeight:
-        return self.table.weight
+
+def _check_support(table: MomentTable, k: int) -> None:
+    """Refuse a size-k window beyond a finite support's q + 1 points."""
+    cap = table.classification.support_cap
+    if cap is not None and k > cap:
+        raise TruncationTooLarge(
+            f"finite-support weight admits truncations up to {cap}, requested {k}"
+        )
 
 
 def gram_truncation(table: MomentTable, k: int) -> HankelTruncation:
@@ -396,11 +381,7 @@ def gram_truncation(table: MomentTable, k: int) -> HankelTruncation:
         raise ValueError("truncation size must be positive")
     if 2 * k - 2 > table.m_max:
         raise IndexOutOfTable(f"size {k} needs moment {2 * k - 2}, table depth {table.m_max}")
-    cap = table.support_cap
-    if cap is not None and k > cap:
-        raise TruncationTooLarge(
-            f"finite-support weight admits truncations up to {cap}, requested {k}"
-        )
+    _check_support(table, k)
     return HankelTruncation(table, k)
 
 
@@ -409,58 +390,9 @@ def hankel_determinant(table: MomentTable, k: int, shifted: bool = False) -> mpf
     indices raised by one (the first eta-flow derivative of the determinant)."""
     if k == 0:
         return mpf(1)
-    cap = table.support_cap
-    if cap is not None and k > cap:
-        raise TruncationTooLarge(
-            f"finite-support weight admits truncations up to {cap}, requested {k}"
-        )
+    _check_support(table, k)
     rows = tuple(range(k - 1)) + ((k,) if shifted else (k - 1,))
     return table.det_rows(rows)
-
-
-@dataclass
-class CholeskyFactorization:
-    """G = S^{-1} H S^{-T} data for one truncation.
-
-    s is dense unit lower triangular; h the diagonal. confirmed_bits measures
-    agreement with the elimination redone at ctx.verify_bits on the verify
-    table of the same lattice pass (the moments themselves are certified by
-    their tail and rounding bounds); the factorization is flagged
-    low-confidence when fewer than mantissa_bits - 64 bits agree.
-    """
-
-    s: Matrix
-    s_inv: Matrix
-    h: list
-    size: int
-    table: MomentTable
-    ctx: PrecisionContext
-    confirmed_bits: float
-    confident: bool
-
-    @property
-    def condition_estimate(self) -> mpf:
-        lost = max(0.0, self.ctx.mantissa_bits - self.confirmed_bits)
-        return mpf(2) ** lost
-
-    @property
-    def weight(self) -> HypergeometricWeight:
-        return self.table.weight
-
-    def p(self, j: int, n: int):
-        """Coefficient p^j_n of z^(n-j) in the monic polynomial of degree n."""
-        if j == 0:
-            return mpf(1)
-        if j > n:
-            return mpf(0)
-        return self.s[n][n - j]
-
-    def p1(self, n: int):
-        return self.p(1, n)
-
-    def h_floor(self) -> mpf:
-        """Smallest |H_n|, used as the scale floor in residual reports."""
-        return min(abs(x) for x in self.h)
 
 
 def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:
@@ -470,47 +402,69 @@ def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:
         return ldl_no_pivot(dense, floor)
 
 
+@dataclass
+class CholeskyFactorization:
+    """G = S^{-1} H S^{-T} data for one truncation.
+
+    s is dense unit lower triangular; h the diagonal. confirmed_bits measures
+    agreement with the elimination redone at ctx.verify_bits on the verify
+    table of the same lattice pass (the moments themselves are certified by
+    their tail and rounding bounds). It is computed the first time it is read;
+    no report reads it yet.
+    """
+
+    s: Matrix
+    s_inv: Matrix
+    h: list
+    size: int
+    table: MomentTable
+    ctx: PrecisionContext
+
+    @cached_property
+    def confirmed_bits(self) -> float:
+        vbits = self.ctx.verify_bits
+        dense = HankelTruncation(self.table.rebuilt(vbits), self.size).to_dense()
+        l2, d2 = _ldl_of_dense(dense, vbits)
+        with workprec(vbits):
+            worst = mpf(0)
+            for n in range(self.size):
+                err = abs(self.h[n] - d2[n]) / abs(d2[n])
+                if err > worst:
+                    worst = err
+                for j in range(n):
+                    ref = abs(l2[n][j])
+                    if ref > 0:
+                        err = abs(self.s_inv[n][j] - l2[n][j]) / ref
+                        if err > worst:
+                            worst = err
+            if worst == 0:
+                return float(vbits)
+            return float(-mp.log(worst, 2))
+
+    def p(self, j: int, n: int):
+        """Coefficient p^j_n of z^(n-j) in the monic polynomial of degree n."""
+        if j == 0:
+            return mpf(1)
+        if j > n:
+            return mpf(0)
+        return self.s[n][n - j]
+
+    def h_floor(self) -> mpf:
+        """Smallest |H_n|, used as the scale floor in residual reports."""
+        return min(abs(x) for x in self.h)
+
+
 def cholesky(g: HankelTruncation, ctx: PrecisionContext) -> CholeskyFactorization:
-    """Factor the truncation, then confirm by redoing the elimination at
-    verify_bits on the table's verify-precision moments.
+    """Factor the truncation at the working precision.
 
     No row exchanges: a small pivot raises SingularTruncation rather than
     permuting (permutation would sever the orthogonal-polynomial reading of S).
     """
-    cap = g.table.support_cap
-    if cap is not None and g.size > cap:
-        raise TruncationTooLarge(
-            f"finite-support weight admits truncations up to {cap}, requested {g.size}"
-        )
     bits = ctx.mantissa_bits
     l, d = _ldl_of_dense(g.to_dense(), bits)
     with workprec(bits):
         s = unit_lower_inverse(l)
-
-    vbits = ctx.verify_bits
-    table2 = g.table.rebuilt(vbits)
-    l2, d2 = _ldl_of_dense(HankelTruncation(table2, g.size).to_dense(), vbits)
-    with workprec(vbits):
-        worst = mpf(0)
-        for n in range(g.size):
-            err = abs(d[n] - d2[n]) / abs(d2[n])
-            if err > worst:
-                worst = err
-            for j in range(n):
-                ref = abs(l2[n][j])
-                if ref > 0:
-                    err = abs(l[n][j] - l2[n][j]) / ref
-                    if err > worst:
-                        worst = err
-        if worst == 0:
-            confirmed = float(vbits)
-        else:
-            confirmed = float(-mp.log(worst, 2))
-    confident = confirmed >= bits - 64
-    return CholeskyFactorization(
-        s=s, s_inv=l, h=list(d), size=g.size, table=g.table, ctx=ctx,
-        confirmed_bits=confirmed, confident=confident,
-    )
+    return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=g.size, table=g.table, ctx=ctx)
 
 
 def moments_to_csv(table: MomentTable, fileobj) -> None:

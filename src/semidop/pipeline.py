@@ -2,13 +2,16 @@
 
 A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table
-and factorization. Pipelines are cached per (weight, size, precision); the
-finite-difference witnesses obtain perturbed pipelines through the same cache.
+and factorization. Pipelines are cached per (weight, size, precision context);
+the finite-difference witnesses obtain perturbed pipelines through the same
+cache. The moment depth is a function of weight and size alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError
 from .flows import flow_scaled_weight
@@ -29,60 +32,52 @@ from .structure import (
 )
 from .weights import HypergeometricWeight, Shift, shift_parameter
 
-# Guard shift applied over the factorization size so recurrence data reaches
-# degree k; extra moment depth absorbs flow-index shifts of the engine.
+# Moment depth past rho_{2k}, the deepest entry of the size-(k+1)
+# factorization: it absorbs the flow-index shifts of the determinant engine.
 _DEPTH_SLACK = 8
 
 
+def moment_depth(weight: HypergeometricWeight, k: int) -> int:
+    """Moment-table depth of a size-k pipeline, rounded up to a multiple of 8.
+
+    The Pearson-symmetry assembly theta(shift) G on the k x k window reads
+    moments up to 2k + N - 1, so a weight with N > 8 needs more than the slack.
+    """
+    depth = 2 * k + max(_DEPTH_SLACK, weight.n_degree)
+    return (depth + 7) // 8 * 8
+
+
 class WeightPipeline:
-    def __init__(
-        self,
-        weight: HypergeometricWeight,
-        k: int,
-        ctx: PrecisionContext,
-        depth: int | None = None,
-    ):
+    def __init__(self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
         self.weight = weight
         self.k = k
         self.ctx = ctx
-        self.depth = max(depth or 0, 2 * (k + 1) - 2 + _DEPTH_SLACK)
+        self.depth = moment_depth(weight, k)
         self.table = MomentTable(weight, self.depth, ctx)
-        self._chol: CholeskyFactorization | None = None
-        self._jac: JacobiMatrix | None = None
-        self._pi: Matrix | None = None
-        self._pi_inv: Matrix | None = None
         self._psi: dict = {}
 
     @property
     def bits(self) -> int:
         return self.ctx.mantissa_bits
 
-    @property
+    @cached_property
     def chol(self) -> CholeskyFactorization:
-        if self._chol is None:
-            self._chol = cholesky(gram_truncation(self.table, self.k + 1), self.ctx)
-        return self._chol
+        return cholesky(gram_truncation(self.table, self.k + 1), self.ctx)
 
-    @property
+    @cached_property
     def jac(self) -> JacobiMatrix:
         """Recurrence data through degree k (validated against the direct route)."""
-        if self._jac is None:
-            self._jac = jacobi_matrix(self.chol, validate_tol=self.ctx.default_tolerance())
-        return self._jac
+        return jacobi_matrix(self.chol, validate_tol=self.ctx.default_tolerance())
 
-    @property
+    @cached_property
     def pi(self) -> Matrix:
-        if self._pi is None:
-            self._pi = dressed_pascal(self.chol.s, self.chol.s_inv, 1, self.bits)
-        return self._pi
+        return dressed_pascal(self.chol.s, self.chol.s_inv, 1, self.bits)
 
-    @property
+    @cached_property
     def pi_inv(self) -> Matrix:
-        if self._pi_inv is None:
-            self._pi_inv = dressed_pascal(self.chol.s, self.chol.s_inv, -1, self.bits)
-        return self._pi_inv
+        return dressed_pascal(self.chol.s, self.chol.s_inv, -1, self.bits)
 
     def psi(self, tolerance: Fraction):
         """(banded Psi, dense Psi, route CheckResult, valid window); cached per tolerance."""
@@ -108,14 +103,13 @@ class WeightPipeline:
         return self.chol.h[n]
 
     def shifted(self, shift: Shift) -> "WeightPipeline":
-        return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx, self.depth)
+        return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)
 
     def flow_scaled(self, l: int, mult: Fraction) -> "WeightPipeline":
-        return get_pipeline(flow_scaled_weight(self.weight, l, mult), self.k, self.ctx, self.depth)
+        return get_pipeline(flow_scaled_weight(self.weight, l, mult), self.k, self.ctx)
 
     def at_bits(self, bits: int) -> "WeightPipeline":
-        ctx = PrecisionContext(mantissa_bits=bits, max_terms=self.ctx.max_terms)
-        return get_pipeline(self.weight, self.k, ctx, self.depth)
+        return get_pipeline(self.weight, self.k, replace(self.ctx, mantissa_bits=bits))
 
     def provenance(self) -> dict:
         return {
@@ -129,18 +123,11 @@ class WeightPipeline:
 _CACHE: dict = {}
 
 
-def get_pipeline(
-    weight: HypergeometricWeight,
-    k: int,
-    ctx: PrecisionContext,
-    depth: int | None = None,
-) -> WeightPipeline:
-    depth = max(depth or 0, 2 * (k + 1) - 2 + _DEPTH_SLACK)
-    depth = ((depth + 7) // 8) * 8
-    key = (weight, k, ctx.mantissa_bits, depth)
+def get_pipeline(weight: HypergeometricWeight, k: int, ctx: PrecisionContext) -> WeightPipeline:
+    key = (weight, k, ctx)
     pipe = _CACHE.get(key)
     if pipe is None:
-        pipe = WeightPipeline(weight, k, ctx, depth)
+        pipe = WeightPipeline(weight, k, ctx)
         _CACHE[key] = pipe
     return pipe
 

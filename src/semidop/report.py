@@ -1,8 +1,8 @@
 """Suite orchestration: check registry, configuration, reports, serialization.
 
 The registry maps stable check names to runners; a suite builds one shared
-pipeline (one moment table sized for the most demanding selected check), runs
-the selected checks in registry order, and aggregates the results. Reports are
+pipeline (one moment table, its depth set by the weight and size), runs the
+selected checks in registry order, and aggregates the results. Reports are
 deterministic: same configuration, byte-identical JSON.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from mpmath import workprec
 
-from .errors import DivergentSeries, PreconditionError, SemidopError
+from .errors import PreconditionError, SemidopError
 from .flows import default_fd_step
 from .integrable import (
     contiguous_check,
@@ -49,7 +49,6 @@ from .structure import (
 from .weights import (
     HypergeometricWeight,
     Shift,
-    classify_convergence,
     pearson_polynomials,
     to_mpf,
     weight_value,
@@ -177,7 +176,6 @@ def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
         pipe.jac,
         pipe.chol.h,
         nmax,
-        pipe.ctx.series_tol,
         pipe.ctx.max_terms,
         cfg.tol(),
         provenance=pipe.provenance(),
@@ -480,14 +478,7 @@ def select_checks(cfg: SuiteConfig) -> list[str]:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Run the selected checks against one shared pipeline and aggregate."""
     selected = select_checks(cfg)
-    classification = classify_convergence(cfg.weight)
-    if not classification.converges:
-        raise DivergentSeries(f"moments diverge for weight {cfg.weight.spec_string()}")
-    ctx = cfg.context()
-    # one table serves the suite: the entrywise Pearson-symmetry assembly is
-    # the deepest consumer beyond the factorization itself
-    depth = 2 * (cfg.size - 1) + cfg.weight.n_degree + 2
-    pipe = get_pipeline(cfg.weight, cfg.size, ctx, depth=depth)
+    pipe = get_pipeline(cfg.weight, cfg.size, cfg.context())
     results: list[CheckResult] = []
     for name in selected:
         runner = REGISTRY[name].runner

@@ -41,7 +41,9 @@ from .moments import CholeskyFactorization, MomentTable
 from .result import CheckResult, ResidualAccumulator, make_result
 from .weights import (
     HypergeometricWeight,
+    classify_convergence,
     pearson_polynomials,
+    term_ratio_limit,
     to_mpf,
     weight_sequence,
 )
@@ -171,19 +173,6 @@ def jacobi_matrix(chol: CholeskyFactorization, validate_tol: Fraction | None = N
                     f"(residual {mp.nstr(max(worst, sym) / scale, 8)})"
                 )
     return jac
-
-
-def polynomial_eval(jac: JacobiMatrix, n: int, z) -> mpf:
-    """P_n(z) by the three-term recurrence, P_{-1} = 0, P_0 = 1."""
-    if n > jac.size:
-        raise PreconditionError(f"degree {n} exceeds available recurrence data {jac.size}")
-    with workprec(jac.bits):
-        zm = to_mpf(z) if isinstance(z, Fraction) else mpf(z)
-        p_prev, p = mpf(0), mpf(1)
-        for j in range(n):
-            gamma_j = jac.gamma[j - 1] if j >= 1 else mpf(0)
-            p_prev, p = p, (zm - jac.beta[j]) * p - gamma_j * p_prev
-        return p
 
 
 def polynomial_vector(jac: JacobiMatrix, z, count: int) -> list:
@@ -390,7 +379,6 @@ def orthogonality_check(
     jac: JacobiMatrix,
     h: list,
     nmax: int,
-    series_tol: Fraction,
     max_terms: int,
     tolerance: Fraction,
     provenance: dict | None = None,
@@ -399,17 +387,16 @@ def orthogonality_check(
 
     This is the independent witness for the whole Hankel/elimination path: the
     polynomials are evaluated pointwise by recurrence and summed against the
-    weight itself.
+    weight itself, until the terms stay below 2^-(bits - 32) of the smallest
+    norm.
     """
     bits = jac.bits
     if nmax + 1 > jac.size:
         raise PreconditionError("orthogonality range exceeds recurrence data")
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        tol_series = to_mpf(series_tol)
+        tol_series = mpf(2) ** -(bits - 32)
         sums = [[mpf(0)] * (nmax + 1) for _ in range(nmax + 1)]
-        from .weights import classify_convergence, term_ratio_limit
-
         classification = classify_convergence(w)
         limit = to_mpf(term_ratio_limit(w))
         cap = classification.support_cap
@@ -593,24 +580,6 @@ def psi_structure_check(
             provenance=provenance,
         )
         return psi, ref, result, window
-
-
-def laguerre_freud_matrix(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    pi_inv: Matrix,
-    w: HypergeometricWeight,
-    tolerance: Fraction,
-) -> BandedMatrix:
-    """Banded structure matrix; raises RouteMismatch when the six assembly
-    routes disagree beyond tolerance on the interior window."""
-    psi, _, result, _ = psi_structure_check(chol, jac, pi, pi_inv, w, tolerance)
-    if not result.passed:
-        raise RouteMismatch(
-            f"structure-matrix routes disagree: residual {mp.nstr(result.max_residual, 8)}"
-        )
-    return psi
 
 
 def psi_extreme_diagonals(

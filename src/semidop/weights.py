@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Sequence, Union
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import InvalidShift, PreconditionError, UndefinedWeight
 
@@ -39,7 +40,7 @@ def _frac(x) -> Fraction:
 def to_mpf(x) -> mpf:
     """Convert int/Fraction/mpf to mpf with a single rounding at current precision."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
+        return mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     return mpf(x)
 
 
@@ -98,9 +99,6 @@ class HypergeometricWeight:
     @property
     def deformed(self) -> bool:
         return self.eta2 != 1 or self.eta3 != 1
-
-    def undeformed(self) -> "HypergeometricWeight":
-        return HypergeometricWeight(self.a, self.b, self.eta)
 
     def spec_string(self) -> str:
         """Canonical form of the CLI weight grammar."""
@@ -215,14 +213,6 @@ class PearsonPolynomials:
 
     theta_coeffs: tuple[Fraction, ...]
     sigma_coeffs: tuple[Fraction, ...]
-
-    @property
-    def theta_degree(self) -> int:
-        return len(self.theta_coeffs) - 1
-
-    @property
-    def sigma_degree(self) -> int:
-        return len(self.sigma_coeffs) - 1
 
     def theta(self, z):
         return _poly_eval(self.theta_coeffs, z)

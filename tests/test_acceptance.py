@@ -98,7 +98,7 @@ def test_criterion_02_meixner_recurrence_oracle():
 def test_criterion_03_gram_pearson_symmetry():
     ok = True
     for w in FOUR_FAMILIES.values():
-        pipe = get_pipeline(w, 12, CTX, depth=2 * (12 + 2))
+        pipe = get_pipeline(w, 12, CTX)
         res = gram_pearson_residual(pipe.table, w, 12, TOL)
         ok = ok and res.passed
     report(3, ok, "moment-matrix Pearson symmetry, four families, k=12")

@@ -8,12 +8,15 @@ from mpmath import mpf
 
 from semidop import (
     DivergentSeries,
+    PrecisionContext,
     PreconditionError,
+    TermBudgetExceeded,
     parse_weight_spec,
 )
+from semidop import pipeline
 from semidop.cli import main as cli_main
 from semidop.cli import parse_tolerance
-from semidop.pipeline import clear_cache
+from semidop.pipeline import clear_cache, get_pipeline
 from semidop.report import (
     REGISTRY,
     Report,
@@ -25,7 +28,7 @@ from semidop.report import (
 )
 from semidop.result import make_result
 
-from conftest import BITS, CHARLIER, DEFORMED
+from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,6 +137,31 @@ def test_golden_default_charlier_suite():
     assert rep.to_json() == golden
 
 
+def test_suite_leaves_confirmation_unread():
+    clear_cache()
+    run_suite(SuiteConfig(weight=CHARLIER))
+    chols = [p.__dict__["chol"] for p in pipeline._CACHE.values() if "chol" in p.__dict__]
+    assert chols
+    assert all("confirmed_bits" not in chol.__dict__ for chol in chols)
+    # read afterwards, the golden pipeline's confirmation still runs
+    golden = get_pipeline(CHARLIER, 12, PrecisionContext(mantissa_bits=512)).chol
+    assert golden.confirmed_bits >= 512 - 64
+
+
+def test_confirmation_reads_low_on_ill_conditioned_truncation():
+    chol = get_pipeline(GEN_MEIXNER, 24, PrecisionContext(mantissa_bits=512)).chol
+    assert chol.confirmed_bits < 512 - 64
+
+
+def test_pipeline_cache_keys_on_whole_context():
+    # a cached pipeline built with the default term budget must not answer
+    # for a context whose budget is too small to certify the moments
+    clear_cache()
+    get_pipeline(CHARLIER, 8, PrecisionContext(mantissa_bits=BITS))
+    with pytest.raises(TermBudgetExceeded):
+        get_pipeline(CHARLIER, 8, PrecisionContext(mantissa_bits=BITS, max_terms=40))
+
+
 def test_parse_tolerance_forms():
     assert parse_tolerance("2^-128") == Fraction(1, 2**128)
     assert parse_tolerance("1/1024") == Fraction(1, 1024)
@@ -230,6 +258,14 @@ def test_cli_psi_dump(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("offset 0:")
     assert any(line.startswith("offset 1:") for line in out)
+
+
+def test_cli_psi_route_mismatch(capsys):
+    code = cli_main(
+        ["psi", "--weight", "eta=0.7", "--size", "8", "--bits", "192", "--tol", "2^-1000"]
+    )
+    assert code == 1
+    assert "structure-matrix routes disagree" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from semidop import (
     InvalidShift,
@@ -166,6 +167,18 @@ def test_weight_positive_for_positive_parameters(a, b, eta, k):
     w = HypergeometricWeight(a=(a,), b=(b,), eta=eta)
     with workprec(96):
         assert weight_value(w, k) > 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.binary(min_size=25, max_size=25), st.binary(min_size=19, max_size=19), st.booleans())
+def test_to_mpf_rounds_once(num_bytes, den_bytes, negative):
+    # a numerator wider than the mantissa must not be rounded before dividing;
+    # raw bytes give full-width 200/150-bit operands with random low bits
+    p = int.from_bytes(num_bytes, "big") | 1 << 199
+    q = int.from_bytes(den_bytes, "big") | 1 << 149
+    x = Fraction(-p if negative else p, q)
+    with workprec(64):
+        assert to_mpf(x) == mpf(from_rational(x.numerator, x.denominator, 64, round_nearest))
 
 
 def test_spec_grammar_roundtrip():
