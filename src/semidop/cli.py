@@ -16,9 +16,11 @@ from fractions import Fraction
 from mpmath import mp, workprec
 
 from .errors import PreconditionError, SemidopError
+from .linalg import diagonal_of
 from .moments import MomentTable, PrecisionContext, decimal_str, moments_to_csv
 from .pipeline import get_pipeline
 from .report import REGISTRY, SuiteConfig, applicable, emit_report, run_suite
+from .structure import psi_window
 from .weights import HypergeometricWeight, parse_weight_spec
 
 _DISPLAY_DIGITS = 30
@@ -50,15 +52,28 @@ def _tolerance(args, default: Fraction | None) -> Fraction | None:
         raise PreconditionError(str(exc)) from None
 
 
+def _context(args) -> PrecisionContext:
+    """The precision context of --bits; a value below the floor is a usage error."""
+    try:
+        return PrecisionContext(mantissa_bits=args.bits)
+    except ValueError as exc:
+        raise PreconditionError(f"--bits {args.bits}: {exc}") from None
+
+
 def _load_weight(args) -> HypergeometricWeight:
+    """The weight of --config or --weight; a malformed spec is a usage error."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             lines = [line.split("#", 1)[0].strip() for line in fh]
-        spec = "; ".join(line for line in lines if line)
+        flag, spec = "--config", "; ".join(line for line in lines if line)
+    elif getattr(args, "weight", None):
+        flag, spec = "--weight", args.weight
+    else:
+        raise PreconditionError("a weight is required (--weight or --config)")
+    try:
         return parse_weight_spec(spec)
-    if getattr(args, "weight", None):
-        return parse_weight_spec(args.weight)
-    raise PreconditionError("a weight is required (--weight or --config)")
+    except ValueError as exc:
+        raise PreconditionError(f"{flag}: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +141,7 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
     return SuiteConfig(
         weight=w,
         size=args.size,
-        mantissa_bits=args.bits,
+        mantissa_bits=_context(args).mantissa_bits,
         tolerance=_tolerance(args, None),
         checks=checks,
         **kwargs,
@@ -135,7 +150,11 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
 
 def _cmd_moments(args) -> int:
     w = _load_weight(args)
-    ctx = PrecisionContext(mantissa_bits=args.bits)
+    ctx = _context(args)
+    if args.max_m is not None and args.max_m < 0:
+        raise PreconditionError(f"--max-m {args.max_m} must be nonnegative")
+    if args.max_m is None and args.size < 1:
+        raise PreconditionError(f"--size {args.size} must be at least 1")
     m_max = args.max_m if args.max_m is not None else 2 * args.size - 2
     table = MomentTable(w, m_max, ctx)
     for m, value in enumerate(table.values):
@@ -148,8 +167,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_recurrence(args) -> int:
     w = _load_weight(args)
-    ctx = PrecisionContext(mantissa_bits=args.bits)
-    pipe = get_pipeline(w, args.size, ctx)
+    pipe = get_pipeline(w, args.size, _context(args))
     jac = pipe.jac
     print("n\tbeta_n\tgamma_n\tH_n\tp1_n")
     with workprec(args.bits):
@@ -166,15 +184,16 @@ def _cmd_psi(args) -> int:
     w = _load_weight(args)
     if w.deformed:
         raise PreconditionError("the structure matrix requires an undeformed weight")
-    ctx = PrecisionContext(mantissa_bits=args.bits)
+    ctx = _context(args)
     tol = _tolerance(args, ctx.default_tolerance())
     pipe = get_pipeline(w, args.size, ctx)
-    psi, _, result, window = pipe.psi(tol)
+    result = pipe.psi_check(tol)
     if not result.passed:
         print(f"error: structure-matrix routes disagree ({result.name})", file=sys.stderr)
         return 1
-    for d in range(psi.lo, psi.hi + 1):
-        vals = psi.diagonal(d)[: max(0, window - abs(d))]
+    window = psi_window(w, pipe.jac.size)
+    for d in range(-w.m_degree, w.n_degree + 2):
+        vals = diagonal_of(pipe.psi, d)[: max(0, window - abs(d))]
         print(f"offset {d}: " + " ".join(mp.nstr(v, 36) for v in vals))
     print(f"# valid window: {window}")
     return 0

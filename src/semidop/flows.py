@@ -81,11 +81,6 @@ def tau_derivative(table: MomentTable, k: int, d: FlowMultiIndex) -> mpf:
     return eval_expr(apply_multi(tau_expr(k), d), table)
 
 
-def expr_depth(k: int, d: FlowMultiIndex) -> int:
-    """Largest moment index touched by tau_derivative(table, k, d)."""
-    return 2 * k - 2 + d.total_shift
-
-
 def _downward_closure(alphas: Iterable[Alpha]) -> list[Alpha]:
     need = set()
     for a in alphas:

@@ -35,14 +35,16 @@ from .linalg import (
     mat_sub,
     mat_vec,
     max_abs,
+    strict_lower,
     transpose,
+    upper_with_diagonal,
     window_diff,
     zeros,
 )
 from .moments import FlowMultiIndex, hankel_determinant
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
-from .structure import pascal_matrix
+from .structure import pascal_matrix, psi_window
 from .weights import Shift, shift_parameter, to_mpf
 
 
@@ -562,10 +564,7 @@ def sato_wilson_check(
             if l in fd_flows:
                 size = pipe.k + 1
                 win = kj - l
-                jl_minus = zeros(kj)
-                for n in range(kj):
-                    for m in range(n):
-                        jl_minus[n][m] = jl[n][m]
+                jl_minus = strict_lower(jl)
                 fd_residuals = []
                 step = fd_step
                 for _ in range(halvings + 1):
@@ -590,11 +589,7 @@ def sato_wilson_check(
 
             # (c) Lax equation entrywise on the interior window
             win = kj - (l + 2)
-            jl_plus = zeros(kj)
-            for n in range(kj):
-                for m in range(n, kj):
-                    jl_plus[n][m] = jl[n][m]
-            lax_rhs = commutator(jl_plus, j)
+            lax_rhs = commutator(upper_with_diagonal(jl), j)
             worst = mpf(0)
             scale = max(max_abs(lax_rhs, win), mpf(1))
             for n in range(win):
@@ -611,12 +606,6 @@ def sato_wilson_check(
         # (d) zero-curvature for the (1, 2) pair
         if 1 in flows and 2 in flows:
             win = kj - 4
-            j2 = powers[2]
-            j_plus = pipe.jac.j_plus()
-            j2_plus = zeros(kj)
-            for n in range(kj):
-                for m in range(n, kj):
-                    j2_plus[n][m] = j2[n][m]
             d1_j2_plus = zeros(kj)
             d2_j_plus = zeros(kj)
             for n in range(win + 1):
@@ -628,7 +617,7 @@ def sato_wilson_check(
                 d2_j_plus[n][n] = _dbeta_at(jets, n, (1, 1, 0))
             zs = mat_sub(
                 mat_sub(d1_j2_plus, d2_j_plus),
-                mat_scale(commutator(j2_plus, j_plus), -1),
+                mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
             )
             worst = mpf(0)
             scale = max(max_abs(d1_j2_plus, win), mpf(1))
@@ -659,18 +648,15 @@ def pearson_toda_check(
         raise PreconditionError("Pearson/flow compatibility applies to undeformed weights")
     bits = pipe.bits
     kj = pipe.jac.size
-    mdeg, ndeg = w.m_degree, w.n_degree
-    win = kj - (ndeg + mdeg + 3)
+    win = psi_window(w, kj) - 1
     if win < 2:
         raise PreconditionError("truncation too small for the compatibility check")
 
     def matrices(p: WeightPipeline) -> dict:
-        kjp = p.jac.size
-        _, psi_dense, _, _ = p.psi(tolerance)
         with workprec(bits):
-            h_inv = diag([1 / x for x in p.chol.h[:kjp]])
-            a = mat_mul(psi_dense, h_inv)
-            at = mat_mul(transpose(psi_dense), h_inv)
+            h_inv = diag([1 / x for x in p.chol.h[: p.jac.size]])
+            a = mat_mul(p.psi, h_inv)
+            at = mat_mul(transpose(p.psi), h_inv)
             eta_inv = 1 / to_mpf(p.weight.eta)
             return {
                 "1a": mat_scale(at, eta_inv),
@@ -686,8 +672,9 @@ def pearson_toda_check(
         acc = ResidualAccumulator(bits)
         effective_tol = max(Fraction(tolerance), 10 * fd_step * fd_step)
         inv_2s = 1 / (2 * to_mpf(fd_step))
-        phi = mat_scale(pipe.jac.j_minus(), mpf(-1))
-        j_plus = pipe.jac.j_plus()
+        j = pipe.jac.to_dense()
+        phi = mat_scale(strict_lower(j), mpf(-1))
+        j_plus = upper_with_diagonal(j)
         gauges = {"1a": phi, "1b": phi, "2a": j_plus, "2b": j_plus}
         h_floor = pipe.chol.h_floor()
         for name in ("1a", "1b", "2a", "2b"):

@@ -1,14 +1,12 @@
-"""Small dense and banded linear algebra over mpmath numbers.
+"""Small dense linear algebra over mpmath numbers.
 
 Truncations in this package are tiny (k <= ~32), so dense row-major lists are
-the working representation; BandedMatrix adds diagonal-offset storage with
-structural band tracking for the objects that are banded by theorem.
+the only representation; matrices that are banded by theorem are read by
+diagonal offset (``diagonal_of``) and their band is checked, not stored.
 All elimination routines use fixed pivoting rules so results are bit-stable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from mpmath import mpf
 
@@ -189,32 +187,22 @@ def lu_determinant(a: Matrix) -> mpf:
     return det
 
 
-# -- banded storage -----------------------------------------------------------
+# -- diagonals and triangles ----------------------------------------------------
 
-@dataclass
-class BandedMatrix:
-    """Diagonal-offset storage: diagonals[d] holds entries A[i, i+d].
+def diagonal_of(a: Matrix, d: int) -> list:
+    """The entries a[i][i+d] in order of i; d < 0 reads a subdiagonal."""
+    n = len(a)
+    return [a[i][i + d] for i in range(max(0, -d), min(n, n - d))]
 
-    Offsets outside [lo, hi] are structurally zero. lo <= 0 <= hi.
-    """
 
-    size: int
-    lo: int
-    hi: int
-    diagonals: dict
+def strict_lower(a: Matrix) -> Matrix:
+    """The entries below the diagonal; zeros elsewhere."""
+    return [[x if j < i else mpf(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
 
-    @classmethod
-    def from_dense(cls, a: Matrix, lo: int, hi: int) -> "BandedMatrix":
-        n = len(a)
-        diags = {}
-        for d in range(lo, hi + 1):
-            diags[d] = [a[i][i + d] for i in range(max(0, -d), min(n, n - d))]
-        return cls(n, lo, hi, diags)
 
-    def diagonal(self, d: int) -> list:
-        if d < self.lo or d > self.hi:
-            return [mpf(0)] * (self.size - abs(d))
-        return self.diagonals[d]
+def upper_with_diagonal(a: Matrix) -> Matrix:
+    """The entries on and above the diagonal; zeros elsewhere."""
+    return [[x if j >= i else mpf(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
 
 
 def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:

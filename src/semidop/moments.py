@@ -385,14 +385,12 @@ def gram_truncation(table: MomentTable, k: int) -> HankelTruncation:
     return HankelTruncation(table, k)
 
 
-def hankel_determinant(table: MomentTable, k: int, shifted: bool = False) -> mpf:
-    """det G[k]; with shifted=True, the variant with the last row's moment
-    indices raised by one (the first eta-flow derivative of the determinant)."""
+def hankel_determinant(table: MomentTable, k: int) -> mpf:
+    """det G[k]."""
     if k == 0:
         return mpf(1)
     _check_support(table, k)
-    rows = tuple(range(k - 1)) + ((k,) if shifted else (k - 1,))
-    return table.det_rows(rows)
+    return table.det_rows(tuple(range(k)))
 
 
 def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:

@@ -1,15 +1,15 @@
 """Shared assembly line: weight -> moments -> factorization -> structure data.
 
 A pipeline owns one weight at one precision and truncation size and lazily
-builds the derived objects, so independent checks reuse the same moment table
-and factorization. Pipelines are cached per (weight, size, precision context);
-the finite-difference witnesses obtain perturbed pipelines through the same
-cache. The moment depth is a function of weight and size alone.
+builds the derived objects, so independent checks reuse the same moment table,
+factorization and structure matrix (built once, by its reference route; the
+six-route check runs only when asked for). Pipelines are cached per (weight,
+size, precision context); the finite-difference witnesses obtain perturbed
+pipelines through the same cache. Moment depth depends on weight and size alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,8 +28,10 @@ from .structure import (
     dressed_pascal,
     jacobi_matrix,
     polynomial_vector,
+    psi_matrix,
     psi_structure_check,
 )
+from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, shift_parameter
 
 # Moment depth past rho_{2k}, the deepest entry of the size-(k+1)
@@ -56,7 +58,6 @@ class WeightPipeline:
         self.ctx = ctx
         self.depth = moment_depth(weight, k)
         self.table = MomentTable(weight, self.depth, ctx)
-        self._psi: dict = {}
 
     @property
     def bits(self) -> int:
@@ -79,15 +80,17 @@ class WeightPipeline:
     def pi_inv(self) -> Matrix:
         return dressed_pascal(self.chol.s, self.chol.s_inv, -1, self.bits)
 
-    def psi(self, tolerance: Fraction):
-        """(banded Psi, dense Psi, route CheckResult, valid window); cached per tolerance."""
-        key = Fraction(tolerance)
-        if key not in self._psi:
-            self._psi[key] = psi_structure_check(
-                self.chol, self.jac, self.pi, self.pi_inv, self.weight, tolerance,
-                provenance=self.provenance(),
-            )
-        return self._psi[key]
+    @cached_property
+    def psi(self) -> Matrix:
+        """The structure matrix sigma(J) H Pi^T, dense, k x k."""
+        return psi_matrix(self.chol, self.jac, self.pi, self.weight)
+
+    def psi_check(self, tolerance: Fraction) -> CheckResult:
+        """Six-route agreement and band confinement of the structure matrix."""
+        return psi_structure_check(
+            self.chol, self.jac, self.pi, self.pi_inv, self.weight, tolerance,
+            provenance=self.provenance(),
+        )
 
     def p_vector(self, z, count: int | None = None) -> list:
         return polynomial_vector(self.jac, z, count or self.k)
@@ -107,9 +110,6 @@ class WeightPipeline:
 
     def flow_scaled(self, l: int, mult: Fraction) -> "WeightPipeline":
         return get_pipeline(flow_scaled_weight(self.weight, l, mult), self.k, self.ctx)
-
-    def at_bits(self, bits: int) -> "WeightPipeline":
-        return get_pipeline(self.weight, self.k, replace(self.ctx, mantissa_bits=bits))
 
     def provenance(self) -> dict:
         return {

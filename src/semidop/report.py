@@ -183,37 +183,31 @@ def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 
 def _run_psi_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    _, _, result, _ = pipe.psi(cfg.tol())
-    return result
+    return pipe.psi_check(cfg.tol())
 
 
 def _run_psi_diagonals(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    psi, _, _, window = pipe.psi(cfg.tol())
     return psi_extreme_diagonals(
-        psi, window, pipe.chol, pipe.jac, pipe.weight, cfg.tol(),
-        provenance=pipe.provenance(),
+        pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol(), provenance=pipe.provenance()
     )
 
 
 def _run_psi_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    _, dense, _, window = pipe.psi(cfg.tol())
     return structure_shift_residual(
-        dense, window, pipe.chol, pipe.jac, pipe.weight, _z_samples(cfg), cfg.tol(),
+        pipe.psi, pipe.chol, pipe.jac, pipe.weight, _z_samples(cfg), cfg.tol(),
         provenance=pipe.provenance(),
     )
 
 
 def _run_psi_jacobi(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    _, dense, _, _ = pipe.psi(cfg.tol())
     return psi_jacobi_identities(
-        dense, pipe.chol, pipe.jac, pipe.weight, cfg.tol(), provenance=pipe.provenance()
+        pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol(), provenance=pipe.provenance()
     )
 
 
 def _run_structure_cholesky(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    _, dense, _, _ = pipe.psi(cfg.tol())
     return structure_cholesky_check(
-        pipe.chol, pipe.jac, pipe.pi, dense, pipe.weight, cfg.tol(),
+        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, cfg.tol(),
         provenance=pipe.provenance(),
     )
 

@@ -5,7 +5,9 @@ recurrence matrix, the banded shift-structure matrix of a Pearson weight, and
 the residual checks tying them together. Identities that hold for semi-infinite
 matrices are verified on a leading window of the truncation; trimmed rows and
 columns absorb the artificial boundary, with the trim width set by the
-polynomial degrees involved.
+polynomial degrees involved. The structure matrix is kept dense, as its
+reference route sigma(J) H Pi^T builds it; its band, offsets -M .. N+1, is
+checked and read by diagonal, not stored.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from mpmath import mp, mpf, workprec
 
 from .errors import PreconditionError, RouteMismatch
 from .linalg import (
-    BandedMatrix,
     Matrix,
     commutator,
     diag,
+    diagonal_of,
     identity,
     ldl_no_pivot,
     mat_add,
@@ -90,10 +92,6 @@ def dressed_pascal(s: Matrix, s_inv: Matrix, sign: int, bits: int) -> Matrix:
         return mat_mul(mat_mul(s, b), s_inv)
 
 
-def subdiagonal_of(a: Matrix, d: int) -> list:
-    return [a[n + d][n] for n in range(len(a) - d)]
-
-
 # -- recurrence data ------------------------------------------------------------
 
 @dataclass
@@ -114,20 +112,6 @@ class JacobiMatrix:
                 j[n][n + 1] = mpf(1)
                 j[n + 1][n] = self.gamma[n]
         return j
-
-    def j_plus(self) -> Matrix:
-        out = zeros(self.size)
-        for n in range(self.size):
-            out[n][n] = self.beta[n]
-            if n + 1 < self.size:
-                out[n][n + 1] = mpf(1)
-        return out
-
-    def j_minus(self) -> Matrix:
-        out = zeros(self.size)
-        for n in range(self.size - 1):
-            out[n + 1][n] = self.gamma[n]
-        return out
 
 
 def jacobi_matrix(chol: CholeskyFactorization, validate_tol: Fraction | None = None) -> JacobiMatrix:
@@ -210,12 +194,12 @@ def pi_closed_form_check(
         p2 = [chol.p(2, n) for n in range(k)]
         beta = jac.beta
 
-        pi1 = subdiagonal_of(pi, 1)
-        pim1 = subdiagonal_of(pi_inv, 1)
-        pi2 = subdiagonal_of(pi, 2)
-        pim2 = subdiagonal_of(pi_inv, 2)
-        pi3 = subdiagonal_of(pi, 3)
-        pim3 = subdiagonal_of(pi_inv, 3)
+        pi1 = diagonal_of(pi, -1)
+        pim1 = diagonal_of(pi_inv, -1)
+        pi2 = diagonal_of(pi, -2)
+        pim2 = diagonal_of(pi_inv, -2)
+        pi3 = diagonal_of(pi, -3)
+        pim3 = diagonal_of(pi_inv, -3)
 
         def closed2(n: int, sgn: int):
             return mpf((n + 2) * (n + 1)) / 2 - sgn * (n + 1) * beta[n + 1] - sgn * p1[n + 1]
@@ -247,8 +231,8 @@ def pi_closed_form_check(
             acc.add(f"third_subdiag_inv[{n}]", abs(pim3[n] - closed3(n, -1)), scale3)
 
         # sum and difference identities against the integer diagonal profiles
-        s1 = subdiagonal_of(chol.s, 1)
-        s2 = subdiagonal_of(chol.s, 2)
+        s1 = diagonal_of(chol.s, -1)
+        s2 = diagonal_of(chol.s, -2)
         dv = [mpf(x) for x in d_vector(1, k)]
         d2 = [mpf(x) for x in d_vector(2, k)]
         for n in range(k - 1):
@@ -290,8 +274,8 @@ def s_inverse_expansion_check(
         raise PreconditionError("inverse-expansion check needs truncation size >= 6")
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        s = [subdiagonal_of(chol.s, d) for d in range(0, 5)]
-        si = [subdiagonal_of(chol.s_inv, d) for d in range(0, 5)]
+        s = [diagonal_of(chol.s, -d) for d in range(0, 5)]
+        si = [diagonal_of(chol.s_inv, -d) for d in range(0, 5)]
         scale = max(max_abs(chol.s), mpf(1))
 
         for n in range(k - 1):
@@ -507,6 +491,30 @@ ROUTE_NAMES = (
 )
 
 
+def psi_window(w: HypergeometricWeight, kj: int) -> int:
+    """Rows and columns of a size-kj structure matrix free of truncation
+    effects: kj less the trim M + N + 2."""
+    window = kj - (w.m_degree + w.n_degree + 2)
+    if window < 2:
+        raise PreconditionError(f"truncation too small for the structure check (window {window})")
+    return window
+
+
+def psi_matrix(
+    chol: CholeskyFactorization,
+    jac: JacobiMatrix,
+    pi: Matrix,
+    w: HypergeometricWeight,
+) -> Matrix:
+    """The structure matrix by its reference route sigma(J) H Pi^T, dense."""
+    kj = jac.size
+    with workprec(chol.ctx.mantissa_bits):
+        h = diag(chol.h[:kj])
+        pi_t = transpose([row[:kj] for row in pi[:kj]])
+        sigma_j = poly_of_matrix(pearson_polynomials(w).sigma_coeffs, jac.to_dense())
+        return mat_mul(sigma_j, mat_mul(h, pi_t))
+
+
 def psi_routes(
     chol: CholeskyFactorization,
     jac: JacobiMatrix,
@@ -531,7 +539,7 @@ def psi_routes(
         sigma_jm = poly_of_matrix(pp.sigma_coeffs, j_minus_i)
         return {
             ROUTE_NAMES[0]: mat_mul(pi_inv_k, mat_mul(h, transpose(theta_j))),
-            ROUTE_NAMES[1]: mat_mul(sigma_j, mat_mul(h, pi_t)),
+            ROUTE_NAMES[1]: psi_matrix(chol, jac, pi, w),
             ROUTE_NAMES[2]: mat_mul(pi_inv_k, mat_mul(theta_j, h)),
             ROUTE_NAMES[3]: mat_mul(h, mat_mul(transpose(sigma_j), pi_t)),
             ROUTE_NAMES[4]: mat_mul(theta_jp, mat_mul(pi_inv_k, h)),
@@ -547,14 +555,12 @@ def psi_structure_check(
     w: HypergeometricWeight,
     tolerance: Fraction,
     provenance: dict | None = None,
-) -> tuple[BandedMatrix, Matrix, CheckResult, int]:
-    """Pairwise route agreement and band confinement; returns the banded matrix
-    (subdiagonals M, superdiagonals N+1), its dense form, and the valid window."""
+) -> CheckResult:
+    """Pairwise agreement of the six routes and confinement of the reference
+    route to its band (subdiagonals M, superdiagonals N+1)."""
     mdeg, ndeg = w.m_degree, w.n_degree
     kj = jac.size
-    window = kj - (ndeg + mdeg + 2)
-    if window < 2:
-        raise PreconditionError(f"truncation too small for the structure check (window {window})")
+    window = psi_window(w, kj)
     bits = chol.ctx.mantissa_bits
     routes = psi_routes(chol, jac, pi, pi_inv, w)
     with workprec(bits):
@@ -572,19 +578,16 @@ def psi_structure_check(
             out_of_band_max(ref, -mdeg, ndeg + 1, window),
             band_scale,
         )
-        psi = BandedMatrix.from_dense(ref, -mdeg, ndeg + 1)
-        result = acc.result(
+        return acc.result(
             "psi_routes",
             tolerance,
             window=f"leading {window} of {kj} (trim {ndeg + mdeg + 2})",
             provenance=provenance,
         )
-        return psi, ref, result, window
 
 
 def psi_extreme_diagonals(
-    psi: BandedMatrix,
-    window: int,
+    psi: Matrix,
     chol: CholeskyFactorization,
     jac: JacobiMatrix,
     w: HypergeometricWeight,
@@ -594,13 +597,14 @@ def psi_extreme_diagonals(
     """Lowest subdiagonal and highest superdiagonal of the structure matrix
     against their product closed forms in the norms and recurrence data."""
     mdeg, ndeg = w.m_degree, w.n_degree
+    window = psi_window(w, jac.size)
     bits = chol.ctx.mantissa_bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         eta = to_mpf(w.eta)
         gamma = jac.gamma  # gamma[i] = gamma_{i+1}
-        low = psi.diagonal(-mdeg)
-        high = psi.diagonal(ndeg + 1)
+        low = diagonal_of(psi, -mdeg)
+        high = diagonal_of(psi, ndeg + 1)
         h_floor = chol.h_floor()
         scale_low = max(max(abs(x) for x in low[:window]), h_floor)
         scale_high = max(max(abs(x) for x in high[:window]), h_floor)
@@ -624,7 +628,6 @@ def psi_extreme_diagonals(
 
 def structure_shift_residual(
     psi_dense: Matrix,
-    window: int,
     chol: CholeskyFactorization,
     jac: JacobiMatrix,
     w: HypergeometricWeight,
@@ -636,6 +639,7 @@ def structure_shift_residual(
     at sample points, on the interior window."""
     bits = chol.ctx.mantissa_bits
     kj = jac.size
+    window = psi_window(w, kj)
     pp = pearson_polynomials(w)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
@@ -680,7 +684,7 @@ def psi_jacobi_identities(
     structure matrix with the recurrence matrix."""
     mdeg, ndeg = w.m_degree, w.n_degree
     kj = jac.size
-    window = kj - (ndeg + mdeg + 3)
+    window = psi_window(w, kj) - 1
     if window < 2:
         raise PreconditionError("truncation too small for the compatibility check")
     bits = chol.ctx.mantissa_bits
@@ -733,6 +737,7 @@ def structure_cholesky_check(
     dressed-Pascal factorization, and the structure-matrix factorization."""
     mdeg, ndeg = w.m_degree, w.n_degree
     kj = jac.size
+    psi_win = psi_window(w, kj)
     bits = chol.ctx.mantissa_bits
     pp = pearson_polynomials(w)
     with workprec(bits):
@@ -771,7 +776,7 @@ def structure_cholesky_check(
         acc.add("factor_band_theta", worst_theta, mpf(1))
         acc.add("factor_band_sigma", worst_sigma, mpf(1))
 
-        window = min(kf, kj - (ndeg + mdeg + 2))
+        window = min(kf, psi_win)
         # shared diagonal
         d_scale = max(max(abs(x) for x in d_theta[:window]), h_floor)
         for n in range(window):

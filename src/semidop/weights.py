@@ -119,7 +119,8 @@ def parse_weight_spec(text: str) -> HypergeometricWeight:
     """Parse the weight grammar, e.g. ``a=3/2,1; b=5/2; eta=1/3; eta2=0.9``.
 
     Values are rationals or decimals; lists are comma separated; every field
-    except ``eta`` is optional (eta defaults to 1 if omitted).
+    except ``eta`` is optional (eta defaults to 1 if omitted). A value that is
+    not a finite rational raises ValueError naming its field.
     """
     fields: dict[str, str] = {}
     for chunk in text.split(";"):
@@ -138,15 +139,21 @@ def parse_weight_spec(text: str) -> HypergeometricWeight:
     if unknown:
         raise ValueError(f"unknown weight fields: {sorted(unknown)}")
 
-    def frac_list(value: str) -> tuple[Fraction, ...]:
-        return tuple(Fraction(part.strip()) for part in value.split(",") if part.strip())
+    def value_of(key: str, text: str) -> Fraction:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"weight field {key!r}: {text!r} is not a rational number") from None
+
+    def frac_list(key: str) -> tuple[Fraction, ...]:
+        return tuple(value_of(key, p.strip()) for p in fields.get(key, "").split(",") if p.strip())
 
     return HypergeometricWeight(
-        a=frac_list(fields.get("a", "")),
-        b=frac_list(fields.get("b", "")),
-        eta=Fraction(fields["eta"]) if "eta" in fields else Fraction(1),
-        eta2=Fraction(fields.get("eta2", "1")),
-        eta3=Fraction(fields.get("eta3", "1")),
+        a=frac_list("a"),
+        b=frac_list("b"),
+        eta=value_of("eta", fields.get("eta", "1")),
+        eta2=value_of("eta2", fields.get("eta2", "1")),
+        eta3=value_of("eta3", fields.get("eta3", "1")),
     )
 
 

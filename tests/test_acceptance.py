@@ -110,9 +110,9 @@ def test_criterion_04_structure_matrix():
     ok = True
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 14, CTX)
-        psi, dense, routes, window = pipe.psi(TOL)
-        diag = psi_extreme_diagonals(psi, window, pipe.chol, pipe.jac, w, TOL)
-        shift = structure_shift_residual(dense, window, pipe.chol, pipe.jac, w, zs, TOL)
+        routes = pipe.psi_check(TOL)
+        diag = psi_extreme_diagonals(pipe.psi, pipe.chol, pipe.jac, w, TOL)
+        shift = structure_shift_residual(pipe.psi, pipe.chol, pipe.jac, w, zs, TOL)
         ok = ok and routes.passed and diag.passed and shift.passed
     report(4, ok, "six structure-matrix routes, band, extreme diagonals, shift equations, k=14")
 
@@ -131,8 +131,7 @@ def test_criterion_06_compatibility_and_products():
     ok = True
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 14, CTX)
-        _, dense, _, _ = pipe.psi(TOL)
-        res = psi_jacobi_identities(dense, pipe.chol, pipe.jac, w, TOL)
+        res = psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, w, TOL)
         ok = ok and res.passed
     report(6, ok, "compatibility commutators and product factorizations, k=14")
 
@@ -162,8 +161,7 @@ def test_criterion_09_toda_stack():
         ok = ok and toda_check(pipe, 8, [Fraction(1, 2)], STEP, TOL).passed
     for name in ("charlier", "gen_meixner"):
         pipe = get_pipeline(FOUR_FAMILIES[name], 12, CTX)
-        _, dense, _, _ = pipe.psi(TOL)
-        res = structure_cholesky_check(pipe.chol, pipe.jac, pipe.pi, dense, pipe.weight, TOL)
+        res = structure_cholesky_check(pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, TOL)
         ok = ok and res.passed
     report(9, ok, "tau-function cross-checks, first-flow system, bilinear form, structure factorizations")
 
@@ -201,7 +199,7 @@ def test_criterion_11_pearson_flow_compatibility():
 def test_criterion_12_kp_relation():
     pipe = get_pipeline(DEFORMED, 6, CTX)
     res = kp_check(pipe, [1, 2, 3, 4], STEP, TOL)
-    doubled = pipe.at_bits(CTX.verify_bits)
+    doubled = get_pipeline(DEFORMED, 6, PrecisionContext(mantissa_bits=CTX.verify_bits))
     res2 = kp_check(doubled, [1, 2, 3, 4], STEP, TOL)
     with workprec(BITS):
         stable = abs(res.max_residual - res2.max_residual) <= mpf(2) ** -64

@@ -22,3 +22,26 @@ def test_tracer_patches_every_target():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_traced_suite_reaches_every_span():
+    # a target that is imported where the tracer wraps it but called through
+    # another name records no span; its per-layer metrics would read zero
+    code = (
+        "import json, tracer\n"
+        "from semidop import SuiteConfig, clear_cache, parse_weight_spec, run_suite\n"
+        "t = tracer.Tracer(); t.install(); clear_cache()\n"
+        "w = parse_weight_spec('a=3/2; b=5/2; eta=1/3')\n"
+        "t.item('suite', run_suite, SuiteConfig(weight=w, size=8, mantissa_bits=256))\n"
+        "print(json.dumps(sorted({s[tracer.NAME] for s in t.spans})))\n"
+        "print(json.dumps(sorted({target[2] for target in tracer.TARGETS})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded, targets = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    # nothing in a default suite reads a factorization's confirmation
+    missing = set(targets) - set(recorded) - {"moments.confirm"}
+    assert not missing, sorted(missing)

@@ -10,7 +10,6 @@ from semidop.flows import (
     default_fd_step,
     derivative_fd_crosscheck,
     eval_expr,
-    expr_depth,
     fd_convergence_study,
     flow_scaled_weight,
     log_jet,
@@ -58,11 +57,6 @@ def test_tau_derivative_base_cases(ctx):
         expect = table.moment(0) * table.moment(3) - table.moment(1) * table.moment(2)
         got = tau_derivative(table, 2, FlowMultiIndex(1, 0, 0))
         assert abs(got - expect) <= mpf(2) ** -(BITS - 20) * abs(expect)
-
-
-def test_expr_depth():
-    assert expr_depth(3, FlowMultiIndex(1, 0, 0)) == 5
-    assert expr_depth(2, FlowMultiIndex(0, 1, 1)) == 7
 
 
 def test_log_jet_on_synthetic_exponential():

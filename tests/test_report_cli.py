@@ -148,6 +148,25 @@ def test_suite_leaves_confirmation_unread():
     assert golden.confirmed_bits >= 512 - 64
 
 
+def test_suite_runs_the_psi_route_check_once(monkeypatch):
+    # the six-route check runs where psi_routes reports it; the FD witnesses of
+    # pearson_toda read the cached structure matrix and never build Pi^-1
+    real = pipeline.psi_structure_check
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "psi_structure_check", counted)
+    clear_cache()
+    run_suite(SuiteConfig(weight=CHARLIER))
+    assert len(calls) == 1
+    witnesses = [p for p in pipeline._CACHE.values() if p.weight != CHARLIER]
+    assert any("psi" in p.__dict__ for p in witnesses)
+    assert all("pi_inv" not in p.__dict__ for p in witnesses)
+
+
 def test_confirmation_reads_low_on_ill_conditioned_truncation():
     chol = get_pipeline(GEN_MEIXNER, 24, PrecisionContext(mantissa_bits=512)).chol
     assert chol.confirmed_bits < 512 - 64
@@ -185,6 +204,24 @@ def test_cli_bad_tol_is_usage_error(command, text, capsys):
     code = cli_main(argv)
     assert code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["moments", "--weight", "eta=1/2", "--size", "0"], "--size"),
+        (["moments", "--weight", "eta=1/2", "--max-m", "-1"], "--max-m"),
+        (["moments", "--weight", "a=1/0; eta=1/2"], "'a'"),
+        (["moments", "--weight", "eta="], "'eta'"),
+        (["moments", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
+        (["verify", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
+        (["psi", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
+    ],
+)
+def test_cli_bad_input_is_usage_error(argv, names, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and names in err
 
 
 def test_cli_recurrence_charlier(capsys):

@@ -4,8 +4,9 @@ import pytest
 from mpmath import mpf, workprec
 
 from semidop import MomentTable, pascal_matrix, pascal_subdiagonal
-from semidop.linalg import mat_mul, mat_vec
+from semidop.linalg import diag, diagonal_of, mat_mul, mat_vec, poly_of_matrix, transpose
 from semidop.structure import (
+    ROUTE_NAMES,
     coefficient_sum_check,
     d_vector,
     gram_pearson_residual,
@@ -15,12 +16,13 @@ from semidop.structure import (
     polynomial_vector,
     psi_extreme_diagonals,
     psi_jacobi_identities,
+    psi_routes,
+    psi_window,
     s_inverse_expansion_check,
     structure_cholesky_check,
     structure_shift_residual,
-    subdiagonal_of,
 )
-from semidop.weights import HypergeometricWeight, to_mpf
+from semidop.weights import HypergeometricWeight, pearson_polynomials, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import meixner_reduced_moments, recurrence_from_moments
@@ -63,8 +65,8 @@ def test_dressed_pascal_first_subdiagonals(charlier_pipe):
     with workprec(BITS):
         tol = mpf(2) ** -(BITS - 60)
         for n in range(8):
-            assert abs(subdiagonal_of(pi, 1)[n] - (n + 1)) < tol
-            assert abs(subdiagonal_of(pi_inv, 1)[n] + (n + 1)) < tol
+            assert abs(diagonal_of(pi, -1)[n] - (n + 1)) < tol
+            assert abs(diagonal_of(pi_inv, -1)[n] + (n + 1)) < tol
 
 
 def test_dressed_pascal_action(meixner_pipe):
@@ -255,20 +257,51 @@ def test_gram_pearson_all_families(ctx, tol):
 
 
 def test_psi_structure_and_diagonals(ctx, tol, gen_meixner_pipe):
-    psi, dense, res, window = gen_meixner_pipe.psi(tol)
+    res = gen_meixner_pipe.psi_check(tol)
     assert res.passed
-    assert psi.lo == -1 and psi.hi == 2  # M = 1 subdiagonal, N+1 = 2 superdiagonals
-    res2 = psi_extreme_diagonals(psi, window, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER, tol)
+    psi = gen_meixner_pipe.psi
+    window = psi_window(GEN_MEIXNER, gen_meixner_pipe.jac.size)
+    with workprec(BITS):
+        # M = 1 subdiagonal and N+1 = 2 superdiagonals; the next ones are round-off
+        scale = max(abs(x) for row in psi[:window] for x in row[:window])
+        for d in (-1, 2):
+            assert min(abs(x) for x in diagonal_of(psi, d)[: window - abs(d)]) > scale * 2**-64
+        for d in (-2, 3):
+            assert max(abs(x) for x in diagonal_of(psi, d)[: window - abs(d)]) < scale * 2**-(BITS - 64)
+    res2 = psi_extreme_diagonals(psi, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER, tol)
     assert res2.passed, res2.components
 
 
+def test_psi_is_the_reference_route_bit_for_bit(gen_meixner_pipe):
+    # M = N = 1, outside the golden Charlier report: the cached matrix is
+    # route 1 of the six-route check and sigma(J) H Pi^T in that order
+    pipe = gen_meixner_pipe
+    routes = psi_routes(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, GEN_MEIXNER)
+    assert pipe.psi == routes[ROUTE_NAMES[1]]
+    kj = pipe.jac.size
+    with workprec(BITS):
+        sigma_j = poly_of_matrix(pearson_polynomials(GEN_MEIXNER).sigma_coeffs, pipe.jac.to_dense())
+        h = diag(pipe.chol.h[:kj])
+        pi_t = transpose([row[:kj] for row in pipe.pi[:kj]])
+        assert pipe.psi == mat_mul(sigma_j, mat_mul(h, pi_t))
+
+
+def test_psi_window_trims_the_band(ctx):
+    from semidop import PreconditionError
+
+    assert psi_window(GEN_MEIXNER, 12) == 8
+    assert psi_window(CHARLIER, 4) == 2
+    with pytest.raises(PreconditionError, match=r"structure check \(window 1\)"):
+        psi_window(GEN_MEIXNER, 5)
+
+
 def test_psi_charlier_diagonal_closed_forms(ctx, tol, charlier_pipe):
-    psi, dense, res, window = charlier_pipe.psi(tol)
-    assert res.passed
+    assert charlier_pipe.psi_check(tol).passed
+    window = psi_window(CHARLIER, charlier_pipe.jac.size)
     with workprec(BITS):
         eta = to_mpf(Fraction(7, 10))
-        d0 = psi.diagonal(0)
-        d1 = psi.diagonal(1)
+        d0 = diagonal_of(charlier_pipe.psi, 0)
+        d1 = diagonal_of(charlier_pipe.psi, 1)
         for n in range(window - 1):
             assert abs(d0[n] - eta * charlier_pipe.chol.h[n]) < mpf(2) ** -(BITS - 60) * abs(d0[n])
             # psi^(1)_n = H_n gamma_{n+1} = H_{n+1}
@@ -276,9 +309,8 @@ def test_psi_charlier_diagonal_closed_forms(ctx, tol, charlier_pipe):
 
 
 def test_structure_shift_equations(ctx, tol, gen_meixner_pipe):
-    _, dense, _, window = gen_meixner_pipe.psi(tol)
     res = structure_shift_residual(
-        dense, window, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER,
+        gen_meixner_pipe.psi, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER,
         [Fraction(0), Fraction(1), Fraction(7, 5)], tol,
     )
     assert res.passed, res.components
@@ -286,7 +318,8 @@ def test_structure_shift_equations(ctx, tol, gen_meixner_pipe):
 
 def test_structure_shift_at_zero_annihilates(ctx, tol, charlier_pipe):
     # theta(0) = 0 forces Psi H^{-1} P(0) ~ 0
-    _, dense, _, window = charlier_pipe.psi(tol)
+    dense = charlier_pipe.psi
+    window = psi_window(CHARLIER, charlier_pipe.jac.size)
     with workprec(BITS):
         kj = charlier_pipe.jac.size
         p0 = polynomial_vector(charlier_pipe.jac, mpf(0), kj)
@@ -304,15 +337,14 @@ def test_psi_jacobi_identities(ctx, tol):
         from semidop import parse_weight_spec
 
         pipe = get_pipeline(parse_weight_spec(spec), 12, ctx)
-        _, dense, _, _ = pipe.psi(tol)
-        res = psi_jacobi_identities(dense, pipe.chol, pipe.jac, pipe.weight, tol)
+        res = psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, pipe.weight, tol)
         assert res.passed, (spec, res.components)
 
 
 def test_structure_cholesky_identities(ctx, tol, gen_meixner_pipe):
-    _, dense, _, _ = gen_meixner_pipe.psi(tol)
     res = structure_cholesky_check(
-        gen_meixner_pipe.chol, gen_meixner_pipe.jac, gen_meixner_pipe.pi, dense, GEN_MEIXNER, tol
+        gen_meixner_pipe.chol, gen_meixner_pipe.jac, gen_meixner_pipe.pi, gen_meixner_pipe.psi,
+        GEN_MEIXNER, tol,
     )
     assert res.passed, res.components
 
@@ -320,9 +352,8 @@ def test_structure_cholesky_identities(ctx, tol, gen_meixner_pipe):
 def test_structure_cholesky_charlier_sigma_factor_trivial(ctx, tol, charlier_pipe):
     # with constant sigma the second factor is the identity, so the dressed
     # Pascal matrix coincides with the inverse of the first factor
-    _, dense, _, _ = charlier_pipe.psi(tol)
     res = structure_cholesky_check(
-        charlier_pipe.chol, charlier_pipe.jac, charlier_pipe.pi, dense, CHARLIER, tol
+        charlier_pipe.chol, charlier_pipe.jac, charlier_pipe.pi, charlier_pipe.psi, CHARLIER, tol
     )
     assert res.passed, res.components
 
@@ -332,7 +363,6 @@ def test_window_monotonicity(ctx, tol):
     # grow the interior residual: edge effects stay confined to trimmed rows
     from semidop.linalg import window_diff
     from semidop.pipeline import get_pipeline
-    from semidop.structure import ROUTE_NAMES, psi_routes
 
     small = get_pipeline(GEN_MEIXNER, 8, ctx)
     large = get_pipeline(GEN_MEIXNER, 12, ctx)
