@@ -37,12 +37,12 @@ class TruncationTooLarge(SemidopError):
 class SingularTruncation(SemidopError):
     """A pivot underflowed during triangular elimination.
 
-    Carries the pivot index in ``args[0]`` when known.
+    Carries the pivot index in ``index``.
     """
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"singular or near-singular pivot at index {index}")
+        super().__init__(f"singular or near-singular pivot at index {index}")
 
 
 class RouteMismatch(SemidopError):

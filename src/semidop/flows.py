@@ -209,10 +209,9 @@ def derivative_fd_crosscheck(
     engine_value: mpf,
     step: Fraction,
     bits: int,
-    order: int = 1,
 ) -> mpf:
     """|engine - central FD| / scale, the second witness for engine derivatives."""
-    fd = fd_flow_derivative(quantity, step, bits, order)
+    fd = fd_flow_derivative(quantity, step, bits)
     with workprec(bits):
         scale = max(abs(engine_value), abs(fd), mpf(1))
         return abs(engine_value - fd) / scale
@@ -224,12 +223,11 @@ def fd_convergence_study(
     step0: Fraction,
     halvings: int,
     bits: int,
-    order: int = 1,
 ) -> list:
     """Residuals against the engine value under successive step halving."""
     out = []
     step = step0
     for _ in range(halvings + 1):
-        out.append(derivative_fd_crosscheck(quantity, engine_value, step, bits, order))
+        out.append(derivative_fd_crosscheck(quantity, engine_value, step, bits))
         step = step / 2
     return out

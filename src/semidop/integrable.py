@@ -45,7 +45,7 @@ from .moments import FlowMultiIndex, hankel_determinant
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
 from .structure import pascal_matrix, psi_window
-from .weights import Shift, shift_parameter, to_mpf
+from .weights import HypergeometricWeight, Shift, shift_parameter, to_mpf
 
 
 def _shift_constant(pipe: WeightPipeline, shift: Shift) -> Fraction:
@@ -58,14 +58,15 @@ def _shift_constant(pipe: WeightPipeline, shift: Shift) -> Fraction:
     raise InvalidShift("lattice shifts select a single a or b parameter")
 
 
-def valid_single_shifts(pipe: WeightPipeline) -> list[Shift]:
-    """All A(i)/B(j) shifts that keep the weight defined and convergent."""
+def valid_single_shifts(w: HypergeometricWeight) -> list[Shift]:
+    """All A(i)/B(j) shifts that keep the weight defined: a b_j already at 1
+    has no contiguous companion."""
     out = []
-    for i in range(1, pipe.weight.m_degree + 1):
+    for i in range(1, w.m_degree + 1):
         out.append(Shift.a(i))
-    for j in range(1, pipe.weight.n_degree + 1):
+    for j in range(1, w.n_degree + 1):
         try:
-            shift_parameter(pipe.weight, Shift.b(j))
+            shift_parameter(w, Shift.b(j))
         except InvalidShift:
             continue
         out.append(Shift.b(j))
@@ -77,7 +78,6 @@ def valid_single_shifts(pipe: WeightPipeline) -> list[Shift]:
 def contiguous_check(
     pipe: WeightPipeline,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Single-parameter and total-shift relations between the moment matrix and
     its contiguous companions, on the leading (k-1) window.
@@ -97,7 +97,7 @@ def contiguous_check(
         acc = ResidualAccumulator(bits)
         rho = pipe.table.moment
 
-        for sh in valid_single_shifts(pipe):
+        for sh in valid_single_shifts(w):
             try:
                 sp = pipe.shifted(sh)
             except DivergentSeries:
@@ -139,7 +139,6 @@ def contiguous_check(
             "contiguous",
             tolerance,
             window=f"leading {win}x{win} window",
-            provenance=provenance,
         )
 
 
@@ -150,7 +149,6 @@ def omega_connection_check(
     shift: Shift,
     z_samples: list,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """The connection matrix S (S_shifted)^{-1}: bidiagonality, the closed form
     of its subdiagonal in norm ratios, and its action gluing the shifted
@@ -195,7 +193,6 @@ def omega_connection_check(
             "omega",
             tolerance,
             window=f"full {size} truncation, shift {shift.label()}",
-            provenance=provenance,
         )
 
 
@@ -207,7 +204,6 @@ def nijhoff_capel_check(
     s: Shift,
     n_values: list[int],
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Squared norms under two distinct parameter shifts satisfy the octahedral
     lattice equation; all ingredients come from independent factorizations at
@@ -245,7 +241,6 @@ def nijhoff_capel_check(
             "nijhoff_capel",
             tolerance,
             window=f"n in {n_values}, shifts ({r.label()}, {s.label()})",
-            provenance=provenance,
         )
 
 
@@ -256,7 +251,6 @@ def uv_system_check(
     tolerance: Fraction,
     fd_step: Fraction,
     halvings: int,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """The coupled difference system for squared norms and recurrence diagonal
     under one parameter shift, the boundary identity, and the flow derivative
@@ -321,7 +315,6 @@ def uv_system_check(
             "uv_system",
             tolerance,
             window=f"n in {n_values}, shift {r.label()}",
-            provenance=provenance,
         )
 
 
@@ -338,7 +331,6 @@ def tau_route_check(
     pipe: WeightPipeline,
     nmax: int,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Factorization data against determinant data: norms as determinant ratios,
     subleading coefficients as logarithmic derivatives, the recurrence
@@ -386,7 +378,6 @@ def tau_route_check(
             "tau_routes",
             tolerance,
             window=f"n <= {nmax}",
-            provenance=provenance,
         )
 
 
@@ -396,7 +387,6 @@ def toda_check(
     z_samples: list,
     fd_step: Fraction,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """First-flow Toda system and equation for the recurrence data, with engine
     derivatives on one side and factorization data on the other; the polynomial
@@ -471,7 +461,6 @@ def toda_check(
             "toda",
             tolerance,
             window=f"n <= {nmax}",
-            provenance=provenance,
         )
 
 
@@ -515,12 +504,9 @@ def fd_feasible_flows(pipe: WeightPipeline, flows: tuple[int, ...]) -> tuple[int
 
 def sato_wilson_check(
     pipe: WeightPipeline,
-    flows: tuple[int, ...],
     fd_step: Fraction,
     halvings: int,
     tolerance: Fraction,
-    provenance: dict | None = None,
-    fd_flows: tuple[int, ...] | None = None,
 ) -> CheckResult:
     """Factorization-level, operator-level, and compatibility-level forms of the
     flow equations: diagonal norm derivatives against powers of the recurrence
@@ -528,14 +514,14 @@ def sato_wilson_check(
     triangular factor, the Lax equation entrywise, and the (1,2) zero-curvature
     equation assembled by the chain rule on engine derivatives.
 
-    Engine parts run for every requested flow (the derivative at a unit
-    deformation parameter is still an index shift); the FD witness runs only
-    for flows whose parameter can actually be perturbed (fd_flows).
+    Engine parts run for flows 1 and 2 (the derivative at a unit deformation
+    parameter is still an index shift); the FD witness runs only for flows
+    whose parameter can actually be perturbed.
     """
     bits = pipe.bits
     kj = pipe.jac.size
-    if fd_flows is None:
-        fd_flows = fd_feasible_flows(pipe, flows)
+    flows = (1, 2)
+    fd_flows = fd_feasible_flows(pipe, flows)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         j = pipe.jac.to_dense()
@@ -604,33 +590,31 @@ def sato_wilson_check(
             acc.add(f"lax_{l}", worst, scale)
 
         # (d) zero-curvature for the (1, 2) pair
-        if 1 in flows and 2 in flows:
-            win = kj - 4
-            d1_j2_plus = zeros(kj)
-            d2_j_plus = zeros(kj)
-            for n in range(win + 1):
-                db1 = _dbeta_at(jets, n, (2, 0, 0))
-                d1_gamma_n = _dgamma_at(pipe, jets, n, (1, 0, 0)) if n >= 1 else mpf(0)
-                d1_gamma_next = _dgamma_at(pipe, jets, n + 1, (1, 0, 0))
-                d1_j2_plus[n][n] = 2 * pipe.jac.beta[n] * db1 + d1_gamma_n + d1_gamma_next
-                d1_j2_plus[n][n + 1] = db1 + _dbeta_at(jets, n + 1, (2, 0, 0))
-                d2_j_plus[n][n] = _dbeta_at(jets, n, (1, 1, 0))
-            zs = mat_sub(
-                mat_sub(d1_j2_plus, d2_j_plus),
-                mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
-            )
-            worst = mpf(0)
-            scale = max(max_abs(d1_j2_plus, win), mpf(1))
-            for n in range(win):
-                for m in range(win):
-                    worst = max(worst, abs(zs[n][m]))
-            acc.add("zero_curvature_12", worst, scale)
+        win = kj - 4
+        d1_j2_plus = zeros(kj)
+        d2_j_plus = zeros(kj)
+        for n in range(win + 1):
+            db1 = _dbeta_at(jets, n, (2, 0, 0))
+            d1_gamma_n = _dgamma_at(pipe, jets, n, (1, 0, 0)) if n >= 1 else mpf(0)
+            d1_gamma_next = _dgamma_at(pipe, jets, n + 1, (1, 0, 0))
+            d1_j2_plus[n][n] = 2 * pipe.jac.beta[n] * db1 + d1_gamma_n + d1_gamma_next
+            d1_j2_plus[n][n + 1] = db1 + _dbeta_at(jets, n + 1, (2, 0, 0))
+            d2_j_plus[n][n] = _dbeta_at(jets, n, (1, 1, 0))
+        zs = mat_sub(
+            mat_sub(d1_j2_plus, d2_j_plus),
+            mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
+        )
+        worst = mpf(0)
+        scale = max(max_abs(d1_j2_plus, win), mpf(1))
+        for n in range(win):
+            for m in range(win):
+                worst = max(worst, abs(zs[n][m]))
+        acc.add("zero_curvature_12", worst, scale)
 
         return acc.result(
             "sato_wilson",
             tolerance,
             window=f"flows {flows}, matrix size {kj}",
-            provenance=provenance,
         )
 
 
@@ -638,7 +622,6 @@ def pearson_toda_check(
     pipe: WeightPipeline,
     fd_step: Fraction,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Compatibility of the structure matrix with the first flow: the four
     commutator equations, with matrix flow derivatives taken by central finite
@@ -689,7 +672,6 @@ def pearson_toda_check(
             "pearson_toda",
             effective_tol,
             window=f"leading {win} of {kj}; fd step 2^{fd_step.denominator.bit_length() - 1}",
-            provenance=provenance,
         )
 
 
@@ -698,7 +680,6 @@ def kp_check(
     n_values: list[int],
     fd_step: Fraction,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """The KP relation for the subleading coefficient of a triply deformed
     weight, with every mixed derivative taken by the exact determinant engine
@@ -740,5 +721,4 @@ def kp_check(
             "kp",
             tolerance,
             window=f"n in {n_values}",
-            provenance=provenance,
         )

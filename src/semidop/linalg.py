@@ -16,9 +16,8 @@ from .weights import to_mpf
 Matrix = list  # list[list[number]]
 
 
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[mpf(0)] * m for _ in range(n)]
+def zeros(n: int) -> Matrix:
+    return [[mpf(0)] * n for _ in range(n)]
 
 
 def identity(n: int) -> Matrix:

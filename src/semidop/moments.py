@@ -346,10 +346,6 @@ class FlowMultiIndex:
         if min(self.o1, self.o2, self.o3) < 0:
             raise ValueError("derivative orders must be nonnegative")
 
-    @property
-    def total_shift(self) -> int:
-        return self.o1 + 2 * self.o2 + 3 * self.o3
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.o1, self.o2, self.o3)
 
@@ -452,15 +448,15 @@ class CholeskyFactorization:
         return min(abs(x) for x in self.h)
 
 
-def cholesky(g: HankelTruncation, ctx: PrecisionContext) -> CholeskyFactorization:
-    """Factor the truncation at the working precision.
+def cholesky(g: HankelTruncation) -> CholeskyFactorization:
+    """Factor the truncation at the working precision of its moment table.
 
     No row exchanges: a small pivot raises SingularTruncation rather than
     permuting (permutation would sever the orthogonal-polynomial reading of S).
     """
-    bits = ctx.mantissa_bits
-    l, d = _ldl_of_dense(g.to_dense(), bits)
-    with workprec(bits):
+    ctx = g.table.ctx
+    l, d = _ldl_of_dense(g.to_dense(), ctx.mantissa_bits)
+    with workprec(ctx.mantissa_bits):
         s = unit_lower_inverse(l)
     return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=g.size, table=g.table, ctx=ctx)
 

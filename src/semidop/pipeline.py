@@ -65,12 +65,12 @@ class WeightPipeline:
 
     @cached_property
     def chol(self) -> CholeskyFactorization:
-        return cholesky(gram_truncation(self.table, self.k + 1), self.ctx)
+        return cholesky(gram_truncation(self.table, self.k + 1))
 
     @cached_property
     def jac(self) -> JacobiMatrix:
         """Recurrence data through degree k (validated against the direct route)."""
-        return jacobi_matrix(self.chol, validate_tol=self.ctx.default_tolerance())
+        return jacobi_matrix(self.chol)
 
     @cached_property
     def pi(self) -> Matrix:
@@ -88,22 +88,15 @@ class WeightPipeline:
     def psi_check(self, tolerance: Fraction) -> CheckResult:
         """Six-route agreement and band confinement of the structure matrix."""
         return psi_structure_check(
-            self.chol, self.jac, self.pi, self.pi_inv, self.weight, tolerance,
-            provenance=self.provenance(),
+            self.chol, self.jac, self.pi, self.pi_inv, self.weight, tolerance
         )
 
-    def p_vector(self, z, count: int | None = None) -> list:
-        return polynomial_vector(self.jac, z, count or self.k)
-
-    def beta(self, n: int):
-        return self.jac.beta[n]
+    def p_vector(self, z, count: int) -> list:
+        return polynomial_vector(self.jac, z, count)
 
     def gamma(self, n: int):
         """gamma_n for n >= 1."""
         return self.jac.gamma[n - 1]
-
-    def h(self, n: int):
-        return self.chol.h[n]
 
     def shifted(self, shift: Shift) -> "WeightPipeline":
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)

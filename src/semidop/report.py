@@ -2,7 +2,8 @@
 
 The registry maps stable check names to runners; a suite builds one shared
 pipeline (one moment table, its depth set by the weight and size), runs the
-selected checks in registry order, and aggregates the results. Reports are
+selected checks in registry order, stamps every result with that pipeline's
+provenance and the seed, and aggregates the results. Reports are
 deterministic: same configuration, byte-identical JSON.
 """
 
@@ -55,23 +56,26 @@ from .weights import (
 )
 
 DEFAULT_SEED = 20260808
+# Lattice indices n of the octahedral, u-v and KP checks (each keeps those its
+# truncation admits), and the step halvings of the FD convergence studies.
+LATTICE_N = (1, 2, 3, 4, 5, 6)
+FD_HALVINGS = 3
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """What to verify: weight, truncation size, precision, tolerance, and the
-    selected checks (None selects every check applicable to the weight)."""
+    """What to verify: weight, truncation size, precision, tolerance (None
+    for the precision's default), the selected checks (None selects every
+    check applicable to the weight) and the seed of the sample points.
+
+    The FD step follows from the precision; series use the default term
+    budget."""
 
     weight: HypergeometricWeight
     size: int = 12
     mantissa_bits: int = 512
     tolerance: Fraction | None = None
     checks: tuple[str, ...] | None = None
-    lattice_n: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    flows: tuple[int, ...] = (1, 2)
-    fd_step: Fraction | None = None
-    fd_halvings: int = 3
-    max_terms: int = 100_000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -81,13 +85,13 @@ class SuiteConfig:
             raise PreconditionError("selected checks must be nonempty")
 
     def context(self) -> PrecisionContext:
-        return PrecisionContext(mantissa_bits=self.mantissa_bits, max_terms=self.max_terms)
+        return PrecisionContext(mantissa_bits=self.mantissa_bits)
 
     def tol(self) -> Fraction:
         return self.tolerance if self.tolerance is not None else self.context().default_tolerance()
 
     def step(self) -> Fraction:
-        return self.fd_step if self.fd_step is not None else default_fd_step(self.mantissa_bits)
+        return default_fd_step(self.mantissa_bits)
 
 
 @dataclass
@@ -122,10 +126,6 @@ class Report:
         return buf.getvalue()
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 # -- individual check runners ----------------------------------------------------
 
 def _z_samples(cfg: SuiteConfig, count: int = 10) -> list[Fraction]:
@@ -143,42 +143,29 @@ def _run_pearson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
             lhs = to_mpf(pp.theta(Fraction(k + 1))) * weight_value(w, k + 1)
             rhs = to_mpf(pp.sigma(Fraction(k))) * weight_value(w, k)
             acc.add(f"k={k}", abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-        return acc.result(
-            "pearson", cfg.tol(), window="lattice points k <= 50",
-            provenance=pipe.provenance(),
-        )
+        return acc.result("pearson", cfg.tol(), window="lattice points k <= 50")
 
 
 def _run_gram_pearson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return gram_pearson_residual(
-        pipe.table, pipe.weight, cfg.size, cfg.tol(), provenance=pipe.provenance()
-    )
+    return gram_pearson_residual(pipe.table, pipe.weight, cfg.size, cfg.tol())
 
 
 def _run_pascal_forms(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return pi_closed_form_check(
-        pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, cfg.tol(), provenance=pipe.provenance()
-    )
+    return pi_closed_form_check(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, cfg.tol())
 
 
 def _run_s_inverse(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return s_inverse_expansion_check(pipe.chol, cfg.tol(), provenance=pipe.provenance())
+    return s_inverse_expansion_check(pipe.chol, cfg.tol())
 
 
 def _run_coefficient_sums(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return coefficient_sum_check(pipe.chol, pipe.jac, cfg.tol(), provenance=pipe.provenance())
+    return coefficient_sum_check(pipe.chol, pipe.jac, cfg.tol())
 
 
 def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.jac.size - 1)
     return orthogonality_check(
-        pipe.weight,
-        pipe.jac,
-        pipe.chol.h,
-        nmax,
-        pipe.ctx.max_terms,
-        cfg.tol(),
-        provenance=pipe.provenance(),
+        pipe.weight, pipe.jac, pipe.chol.h, nmax, pipe.ctx.max_terms, cfg.tol()
     )
 
 
@@ -187,28 +174,22 @@ def _run_psi_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 
 def _run_psi_diagonals(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return psi_extreme_diagonals(
-        pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol(), provenance=pipe.provenance()
-    )
+    return psi_extreme_diagonals(pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol())
 
 
 def _run_psi_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     return structure_shift_residual(
-        pipe.psi, pipe.chol, pipe.jac, pipe.weight, _z_samples(cfg), cfg.tol(),
-        provenance=pipe.provenance(),
+        pipe.psi, pipe.chol, pipe.jac, pipe.weight, _z_samples(cfg), cfg.tol()
     )
 
 
 def _run_psi_jacobi(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return psi_jacobi_identities(
-        pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol(), provenance=pipe.provenance()
-    )
+    return psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol())
 
 
 def _run_structure_cholesky(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     return structure_cholesky_check(
-        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, cfg.tol(),
-        provenance=pipe.provenance(),
+        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, cfg.tol()
     )
 
 
@@ -220,39 +201,36 @@ def _run_poly_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]
         ((Fraction(0), Fraction(0), Fraction(1)), "quadratic"),
     ):
         res = polynomial_shift_identity(
-            pipe.jac, pipe.pi, pipe.pi_inv, coeffs, cfg.tol(),
-            provenance=pipe.provenance(), label=f"poly_shift_{tag}",
+            pipe.jac, pipe.pi, pipe.pi_inv, coeffs, cfg.tol(), label=f"poly_shift_{tag}"
         )
         out.append(res)
     return out
 
 
 def _run_contiguous(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return contiguous_check(pipe, cfg.tol(), provenance=pipe.provenance())
+    return contiguous_check(pipe, cfg.tol())
 
 
 def _run_omega(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     zs = _z_samples(cfg, 3)
-    for sh in valid_single_shifts(pipe):
-        res = omega_connection_check(pipe, sh, zs, cfg.tol(), provenance=pipe.provenance())
+    for sh in valid_single_shifts(pipe.weight):
+        res = omega_connection_check(pipe, sh, zs, cfg.tol())
         res.name = f"omega_{sh.label()}"
         out.append(res)
     return out
 
 
 def _lattice_pairs(pipe: WeightPipeline) -> list[tuple[Shift, Shift]]:
-    shifts = valid_single_shifts(pipe)
+    shifts = valid_single_shifts(pipe.weight)
     return [(shifts[i], shifts[j]) for i in range(len(shifts)) for j in range(i + 1, len(shifts))]
 
 
 def _run_nijhoff_capel(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
-    n_values = [n for n in cfg.lattice_n if n + 1 <= pipe.k]
+    n_values = [n for n in LATTICE_N if n + 1 <= pipe.k]
     for r, s in _lattice_pairs(pipe):
-        res = nijhoff_capel_check(
-            pipe, r, s, n_values, cfg.tol(), provenance=pipe.provenance()
-        )
+        res = nijhoff_capel_check(pipe, r, s, n_values, cfg.tol())
         res.name = f"nijhoff_capel_{r.label()}_{s.label()}"
         out.append(res)
     return out
@@ -260,12 +238,9 @@ def _run_nijhoff_capel(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResu
 
 def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
-    n_values = [n for n in cfg.lattice_n if n + 2 <= pipe.k]
-    for sh in valid_single_shifts(pipe)[:2]:
-        res = uv_system_check(
-            pipe, sh, n_values, cfg.tol(), cfg.step(), cfg.fd_halvings,
-            provenance=pipe.provenance(),
-        )
+    n_values = [n for n in LATTICE_N if n + 2 <= pipe.k]
+    for sh in valid_single_shifts(pipe.weight)[:2]:
+        res = uv_system_check(pipe, sh, n_values, cfg.tol(), cfg.step(), FD_HALVINGS)
         res.name = f"uv_system_{sh.label()}"
         out.append(res)
     return out
@@ -273,32 +248,26 @@ def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
 
 def _run_tau_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.k - 1)
-    return tau_route_check(pipe, nmax, cfg.tol(), provenance=pipe.provenance())
+    return tau_route_check(pipe, nmax, cfg.tol())
 
 
 def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.k - 2)
-    return toda_check(
-        pipe, nmax, _z_samples(cfg, 2), cfg.step(), cfg.tol(), provenance=pipe.provenance()
-    )
+    return toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.step(), cfg.tol())
 
 
 def _run_sato_wilson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    flows = tuple(l for l in cfg.flows if l in (1, 2))
-    return sato_wilson_check(
-        pipe, flows, cfg.step(), cfg.fd_halvings, cfg.tol(), provenance=pipe.provenance()
-    )
+    return sato_wilson_check(pipe, cfg.step(), FD_HALVINGS, cfg.tol())
 
 
 def _run_pearson_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return pearson_toda_check(pipe, cfg.step(), cfg.tol(), provenance=pipe.provenance())
+    return pearson_toda_check(pipe, cfg.step(), cfg.tol())
 
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    n_values = [n for n in cfg.lattice_n if n <= 4 and 2 * n + 3 <= pipe.depth]
-    if not n_values:
-        n_values = [1, 2]
-    return kp_check(pipe, n_values, cfg.step(), cfg.tol(), provenance=pipe.provenance())
+    # the fifth-order jets read moments up to 2n + 3 <= 11; every depth is >= 16
+    n_values = [n for n in LATTICE_N if n <= 4]
+    return kp_check(pipe, n_values, cfg.step(), cfg.tol())
 
 
 @dataclass(frozen=True)
@@ -447,8 +416,7 @@ def applicable(spec: CheckSpec, w: HypergeometricWeight) -> tuple[bool, str]:
     if spec.needs_deformation and not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
         return False, "requires an active deformation"
     if spec.min_single_shifts:
-        count = w.m_degree + w.n_degree
-        if count < spec.min_single_shifts:
+        if len(valid_single_shifts(w)) < spec.min_single_shifts:
             return False, f"requires at least {spec.min_single_shifts} shiftable parameters"
     return True, ""
 
@@ -485,16 +453,16 @@ def run_suite(cfg: SuiteConfig) -> Report:
         else:
             results.append(outcome)
     for res in results:
-        res.provenance.setdefault("seed", str(cfg.seed))
+        res.provenance = {**pipe.provenance(), "seed": str(cfg.seed)}
     config_echo = {
         "weight": cfg.weight.spec_string(),
         "size": str(cfg.size),
         "mantissa_bits": str(cfg.mantissa_bits),
         "tolerance": decimal_str(to_mpf(cfg.tol()), 64),
         "checks": list(selected),
-        "lattice_n": [str(n) for n in cfg.lattice_n],
+        "lattice_n": [str(n) for n in LATTICE_N],
         "fd_step": decimal_str(to_mpf(cfg.step()), 64),
-        "fd_halvings": str(cfg.fd_halvings),
+        "fd_halvings": str(FD_HALVINGS),
         "seed": str(cfg.seed),
     }
     passed = all(r.passed for r in results)

@@ -14,10 +14,11 @@ from .weights import to_mpf
 @dataclass
 class CheckResult:
     """One verified identity: its worst residual, the scale it is relative to,
-    the tolerance it was judged against, and where/how it was computed.
+    the tolerance it was judged against, and the window it was computed on.
 
     components holds named sub-residuals (decimal strings) for multi-part
-    checks; pass is true iff max_residual <= tolerance.
+    checks; pass is true iff max_residual <= tolerance. provenance (the base
+    pipeline and the seed) is stamped by the suite that ran the check.
     """
 
     name: str
@@ -48,7 +49,6 @@ def make_result(
     scale,
     tolerance,
     window: str,
-    provenance: dict | None = None,
     components: dict | None = None,
 ) -> CheckResult:
     residual = mpf(residual) if not isinstance(residual, mpf) else residual
@@ -63,7 +63,6 @@ def make_result(
         tolerance=tol_m,
         passed=bool(residual <= tol_m),
         window=window,
-        provenance=provenance or {},
         components=components or {},
     )
 
@@ -87,19 +86,5 @@ class ResidualAccumulator:
             self.worst = rel
             self.worst_scale = scale
 
-    def result(
-        self,
-        name: str,
-        tolerance,
-        window: str,
-        provenance: dict | None = None,
-    ) -> CheckResult:
-        return make_result(
-            name,
-            self.worst,
-            self.worst_scale,
-            tolerance,
-            window,
-            provenance,
-            self.parts,
-        )
+    def result(self, name: str, tolerance, window: str) -> CheckResult:
+        return make_result(name, self.worst, self.worst_scale, tolerance, window, self.parts)

@@ -114,12 +114,13 @@ class JacobiMatrix:
         return j
 
 
-def jacobi_matrix(chol: CholeskyFactorization, validate_tol: Fraction | None = None) -> JacobiMatrix:
+def jacobi_matrix(chol: CholeskyFactorization) -> JacobiMatrix:
     """Recurrence coefficients from the factorization: beta_n as the difference
     of consecutive first-subdiagonal coefficients of S, gamma_n as H_n/H_{n-1}.
 
-    Validates against the direct conjugation route S Lambda S^{-1} (which must
-    be tridiagonal with unit superdiagonal) and the symmetry of J H.
+    Validates, at the context's default tolerance, against the direct
+    conjugation route S Lambda S^{-1} (which must be tridiagonal with unit
+    superdiagonal) and the symmetry of J H.
     """
     k = chol.size
     bits = chol.ctx.mantissa_bits
@@ -131,31 +132,30 @@ def jacobi_matrix(chol: CholeskyFactorization, validate_tol: Fraction | None = N
         gamma = [chol.h[n] / chol.h[n - 1] for n in range(1, k - 1)]
         jac = JacobiMatrix(beta=beta, gamma=gamma, size=k - 1, bits=bits)
 
-        if validate_tol is not None:
-            direct = mat_mul(mat_mul(chol.s, shift_matrix(k)), chol.s_inv)
-            tol = to_mpf(validate_tol)
-            h_floor = chol.h_floor()
-            scale = max(max_abs(direct, k - 1), h_floor)
-            worst = mpf(0)
-            for n in range(k - 1):
-                for m in range(k - 1):
-                    expected = mpf(0)
-                    if m == n:
-                        expected = beta[n]
-                    elif m == n + 1:
-                        expected = mpf(1)
-                    elif m == n - 1:
-                        expected = gamma[n - 1]
-                    worst = max(worst, abs(direct[n][m] - expected))
-            jh = mat_mul(jac.to_dense(), diag(chol.h[: k - 1]))
-            sym = max(
-                abs(jh[n][m] - jh[m][n]) for n in range(k - 1) for m in range(k - 1)
+        direct = mat_mul(mat_mul(chol.s, shift_matrix(k)), chol.s_inv)
+        tol = to_mpf(chol.ctx.default_tolerance())
+        h_floor = chol.h_floor()
+        scale = max(max_abs(direct, k - 1), h_floor)
+        worst = mpf(0)
+        for n in range(k - 1):
+            for m in range(k - 1):
+                expected = mpf(0)
+                if m == n:
+                    expected = beta[n]
+                elif m == n + 1:
+                    expected = mpf(1)
+                elif m == n - 1:
+                    expected = gamma[n - 1]
+                worst = max(worst, abs(direct[n][m] - expected))
+        jh = mat_mul(jac.to_dense(), diag(chol.h[: k - 1]))
+        sym = max(
+            abs(jh[n][m] - jh[m][n]) for n in range(k - 1) for m in range(k - 1)
+        )
+        if max(worst, sym) > tol * scale:
+            raise RouteMismatch(
+                "recurrence data disagrees with the direct conjugation route "
+                f"(residual {mp.nstr(max(worst, sym) / scale, 8)})"
             )
-            if max(worst, sym) > tol * scale:
-                raise RouteMismatch(
-                    "recurrence data disagrees with the direct conjugation route "
-                    f"(residual {mp.nstr(max(worst, sym) / scale, 8)})"
-                )
     return jac
 
 
@@ -179,7 +179,6 @@ def pi_closed_form_check(
     pi: Matrix,
     pi_inv: Matrix,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Subdiagonals of the dressed Pascal pair against their closed forms in
     polynomial coefficients and recurrence data, plus the sum/difference
@@ -258,14 +257,12 @@ def pi_closed_form_check(
             "pascal_forms",
             tolerance,
             window=f"subdiagonals 1..3 over n < {k - 4}",
-            provenance=provenance,
         )
 
 
 def s_inverse_expansion_check(
     chol: CholeskyFactorization,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Subdiagonals of S^{-1} against their expansion in subdiagonals of S."""
     k = chol.size
@@ -308,7 +305,6 @@ def s_inverse_expansion_check(
             "s_inverse",
             tolerance,
             window=f"subdiagonals 1..4 over n < {k - 4}",
-            provenance=provenance,
         )
 
 
@@ -316,7 +312,6 @@ def coefficient_sum_check(
     chol: CholeskyFactorization,
     jac: JacobiMatrix,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Nonlocal expressions for polynomial coefficients in recurrence data:
     the telescoped sums for p^1 and p^2 and the third-coefficient recursion."""
@@ -352,7 +347,6 @@ def coefficient_sum_check(
             "coefficient_sums",
             tolerance,
             window=f"coefficients up to degree {k - 1}",
-            provenance=provenance,
         )
 
 
@@ -365,7 +359,6 @@ def orthogonality_check(
     nmax: int,
     max_terms: int,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Direct weighted lattice sums of P_n P_m w against the factorization norms.
 
@@ -426,7 +419,6 @@ def orthogonality_check(
             "orthogonality",
             tolerance,
             window=f"degrees up to {nmax}, {k} lattice points",
-            provenance=provenance,
         )
 
 
@@ -437,7 +429,6 @@ def gram_pearson_residual(
     w: HypergeometricWeight,
     k: int,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """theta(shift) G versus B sigma(shift) G B^T on the leading k x k window.
 
@@ -475,7 +466,6 @@ def gram_pearson_residual(
             max(scale, mpf(1)),
             tolerance,
             window=f"leading {k}x{k} window (entrywise exact construction)",
-            provenance=provenance,
         )
 
 
@@ -554,7 +544,6 @@ def psi_structure_check(
     pi_inv: Matrix,
     w: HypergeometricWeight,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Pairwise agreement of the six routes and confinement of the reference
     route to its band (subdiagonals M, superdiagonals N+1)."""
@@ -582,7 +571,6 @@ def psi_structure_check(
             "psi_routes",
             tolerance,
             window=f"leading {window} of {kj} (trim {ndeg + mdeg + 2})",
-            provenance=provenance,
         )
 
 
@@ -592,7 +580,6 @@ def psi_extreme_diagonals(
     jac: JacobiMatrix,
     w: HypergeometricWeight,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Lowest subdiagonal and highest superdiagonal of the structure matrix
     against their product closed forms in the norms and recurrence data."""
@@ -622,7 +609,6 @@ def psi_extreme_diagonals(
             "psi_diagonals",
             tolerance,
             window=f"extreme diagonals over n < {window}",
-            provenance=provenance,
         )
 
 
@@ -633,7 +619,6 @@ def structure_shift_residual(
     w: HypergeometricWeight,
     z_samples: list,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """theta(z) P(z-1) = Psi H^{-1} P(z) and sigma(z) P(z+1) = Psi^T H^{-1} P(z)
     at sample points, on the interior window."""
@@ -668,7 +653,6 @@ def structure_shift_residual(
             "psi_shift",
             tolerance,
             window=f"entries 0..{window - 1} at {len(z_samples)} sample points",
-            provenance=provenance,
         )
 
 
@@ -678,7 +662,6 @@ def psi_jacobi_identities(
     jac: JacobiMatrix,
     w: HypergeometricWeight,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Compatibility commutators and the two product factorizations linking the
     structure matrix with the recurrence matrix."""
@@ -719,7 +702,6 @@ def psi_jacobi_identities(
             "psi_jacobi",
             tolerance,
             window=f"leading {window} of {kj} (trim {ndeg + mdeg + 3})",
-            provenance=provenance,
         )
 
 
@@ -730,7 +712,6 @@ def structure_cholesky_check(
     psi_dense: Matrix,
     w: HypergeometricWeight,
     tolerance: Fraction,
-    provenance: dict | None = None,
 ) -> CheckResult:
     """Triangular factorizations of H theta(J^T) and sigma(J) H: symmetry
     prechecks, band confinement of the factors, the shared diagonal, the
@@ -797,7 +778,6 @@ def structure_cholesky_check(
             "structure_cholesky",
             tolerance,
             window=f"factored block {kf}, identity window {window}",
-            provenance=provenance,
         )
 
 
@@ -807,7 +787,6 @@ def polynomial_shift_identity(
     pi_inv: Matrix,
     r_coeffs: tuple,
     tolerance: Fraction,
-    provenance: dict | None = None,
     label: str = "poly_shift",
 ) -> CheckResult:
     """R(J) Pi^{+-1} = Pi^{+-1} R(J +- I) for a small polynomial R."""
@@ -833,5 +812,4 @@ def polynomial_shift_identity(
             label,
             tolerance,
             window=f"leading {window} of {kj} (degree {deg})",
-            provenance=provenance,
         )

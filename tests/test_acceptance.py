@@ -170,7 +170,7 @@ def test_criterion_10_flow_equations_with_fd_convergence():
     ok = True
     for w, flows in ((FOUR_FAMILIES["charlier"], (1,)), (DEFORMED, (1, 2))):
         pipe = get_pipeline(w, 8, CTX)
-        res = sato_wilson_check(pipe, (1, 2), STEP, 3, TOL)
+        res = sato_wilson_check(pipe, STEP, 3, TOL)
         ok = ok and res.passed
         for l in flows:
             steps = [

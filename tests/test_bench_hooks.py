@@ -1,8 +1,9 @@
-"""The benchmark tracer must find every entry point it wraps.
+"""The benchmark tracer must find every entry point it wraps, and the
+benchmark must time every registry check.
 
 ``perfbench/tracer.py`` patches functions and methods by name from outside
 the package; a renamed or deleted target is skipped with a warning and its
-per-layer metrics silently read zero. This test fails instead.
+per-layer metrics silently read zero. These tests fail instead.
 """
 
 import json
@@ -45,3 +46,14 @@ def test_traced_suite_reaches_every_span():
     # nothing in a default suite reads a factorization's confirmation
     missing = set(targets) - set(recorded) - {"moments.confirm"}
     assert not missing, sorted(missing)
+
+
+def test_benchmark_times_every_registry_check():
+    # a check missing from BENCHMARK.json's per-layer metrics is never timed;
+    # a metric naming no check reads zero on every run
+    from semidop.report import REGISTRY
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    prefix = "report.check_s."
+    timed = {m["name"][len(prefix):] for m in bench["per_layer"] if m["name"].startswith(prefix)}
+    assert timed == set(REGISTRY)

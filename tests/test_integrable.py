@@ -65,7 +65,7 @@ def test_contiguous_all_families(ctx, tol):
 
 
 def test_omega_connection(ctx, tol, gen_meixner_pipe):
-    for sh in valid_single_shifts(gen_meixner_pipe):
+    for sh in valid_single_shifts(gen_meixner_pipe.weight):
         res = omega_connection_check(
             gen_meixner_pipe, sh, [Fraction(1, 2), Fraction(2)], tol
         )
@@ -167,7 +167,7 @@ def test_toda_all_families(ctx, tol):
 
 
 def test_sato_wilson_engine_and_fd(ctx, tol, deformed_pipe):
-    res = sato_wilson_check(deformed_pipe, (1, 2), STEP, 3, tol)
+    res = sato_wilson_check(deformed_pipe, STEP, 3, tol)
     assert res.passed, res.components
     # the FD witness of the dressing factor converges at second order
     for flow in (1, 2):
@@ -200,7 +200,7 @@ def test_fd_feasible_flows(ctx, deformed_pipe, charlier_pipe):
 
 def test_sato_wilson_undeformed_engine_flows(ctx, tol, charlier_pipe):
     # flow-2 engine identities hold at unit deformation; only the FD part is skipped
-    res = sato_wilson_check(charlier_pipe, (1, 2), STEP, 2, tol)
+    res = sato_wilson_check(charlier_pipe, STEP, 2, tol)
     assert res.passed
     assert "phi_fd_1" in res.components and "phi_fd_2" not in res.components
     assert "lax_2" in res.components and "zero_curvature_12" in res.components

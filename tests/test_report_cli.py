@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,11 +19,11 @@ from semidop.cli import main as cli_main
 from semidop.cli import parse_tolerance
 from semidop.pipeline import clear_cache, get_pipeline
 from semidop.report import (
+    DEFAULT_SEED,
     REGISTRY,
     Report,
     SuiteConfig,
     emit_report,
-    parse_report,
     run_suite,
     select_checks,
 )
@@ -32,7 +33,7 @@ from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER
 
 DATA = Path(__file__).parent / "data"
 
-SMALL = dict(size=8, mantissa_bits=BITS, fd_halvings=2)
+SMALL = dict(size=8, mantissa_bits=BITS)
 
 
 def test_check_result_invariant():
@@ -66,6 +67,25 @@ def test_explicit_inapplicable_check_is_config_error():
         select_checks(cfg)
 
 
+@pytest.mark.parametrize(
+    "spec, check",
+    [
+        ("b=1; eta=1/2", "omega"),
+        ("b=1; eta=1/2", "uv_system"),
+        ("a=1/2; b=1; eta=1/2", "nijhoff_capel"),
+    ],
+)
+def test_check_needing_unavailable_shifts_is_not_applicable(spec, check, capsys):
+    # b = 1 cannot be lowered, so its B(1) shift does not count
+    w = parse_weight_spec(spec)
+    assert check not in select_checks(SuiteConfig(weight=w, **SMALL))
+    with pytest.raises(PreconditionError, match="shiftable"):
+        select_checks(SuiteConfig(weight=w, checks=(check,), **SMALL))
+    argv = ["verify", "--weight", spec, "--size", "8", "--bits", "128", "--checks", check]
+    assert cli_main(argv) == 2
+    assert "shiftable" in capsys.readouterr().err
+
+
 def test_empty_selection_rejected():
     with pytest.raises(PreconditionError):
         SuiteConfig(weight=CHARLIER, checks=(), **SMALL)
@@ -83,12 +103,12 @@ def test_run_suite_and_roundtrip(tmp_path):
     assert rep.passed and len(rep.checks) == 2
     out = tmp_path / "r.json"
     emit_report(rep, "json", out)
-    parsed = parse_report(out.read_text())
+    parsed = json.loads(out.read_text())
     assert parsed["pass"] is True
     assert [c["name"] for c in parsed["checks"]] == ["pearson", "tau_routes"]
     # numbers serialize as decimal strings and survive the round trip verbatim
     emitted = rep.to_json()
-    assert parse_report(emitted)["checks"][0]["max_residual"] == parsed["checks"][0]["max_residual"]
+    assert json.loads(emitted)["checks"][0]["max_residual"] == parsed["checks"][0]["max_residual"]
     for c in parsed["checks"]:
         assert isinstance(c["max_residual"], str)
         assert isinstance(c["tolerance"], str)
@@ -106,7 +126,7 @@ def test_report_csv_shape(tmp_path):
 
 def test_empty_report_serializes():
     rep = Report({}, [], True, BITS)
-    parsed = parse_report(rep.to_json())
+    parsed = json.loads(rep.to_json())
     assert parsed["checks"] == [] and parsed["pass"] is True
 
 
@@ -122,6 +142,25 @@ def test_kp_only_suite_on_deformed():
     cfg = SuiteConfig(weight=DEFORMED, size=6, mantissa_bits=BITS, checks=("kp",))
     rep = run_suite(cfg)
     assert rep.passed and rep.checks[0].name == "kp"
+
+
+def test_suite_stamps_base_provenance_on_every_result():
+    # multi-result checks build shifted and FD pipelines; every result still
+    # names the base pipeline the suite ran on
+    checks = ("psi_routes", "omega", "nijhoff_capel", "uv_system")
+    rep = run_suite(SuiteConfig(weight=GEN_MEIXNER, checks=checks, **SMALL))
+    assert [c.name for c in rep.checks] == [
+        "psi_routes", "omega_A(1)", "omega_B(1)", "nijhoff_capel_A(1)_B(1)",
+        "uv_system_A(1)", "uv_system_B(1)",
+    ]
+    base = {
+        "weight": "a=3/2; b=5/2; eta=1/3",
+        "size": "8",
+        "mantissa_bits": str(BITS),
+        "depth": "24",
+        "seed": str(DEFAULT_SEED),
+    }
+    assert all(c.provenance == base for c in rep.checks)
 
 
 def test_cli_verify_spec_example():
@@ -252,7 +291,7 @@ def test_cli_verify_small(capsys, tmp_path):
     assert code == 0
     text = capsys.readouterr().out
     assert "overall: PASS" in text
-    parsed = parse_report(out.read_text())
+    parsed = json.loads(out.read_text())
     assert parsed["pass"] is True and len(parsed["checks"]) == 3
 
 
