@@ -480,25 +480,19 @@ def _dgamma_at(pipe: WeightPipeline, jets: list[dict], n: int, alpha) -> mpf:
     return pipe.gamma(n) * dlog_gamma
 
 
-def fd_feasible_flows(pipe: WeightPipeline, flows: tuple[int, ...]) -> tuple[int, ...]:
-    """Flows whose parameter can be nudged by (1 +- step) without losing
-    convergence: the first flow away from the unit circle, higher flows only
-    when the corresponding deformation is strictly inside it."""
+def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
+    """The flows among 1 and 2 whose parameter can be nudged by (1 +- step)
+    without losing convergence: flow 1 away from the unit circle, flow 2 only
+    when its deformation is strictly inside it."""
     from .weights import classify_convergence
 
     w = pipe.weight
+    kind = classify_convergence(w).kind
     out = []
-    for l in flows:
-        if l == 1:
-            kind = classify_convergence(w).kind
-            if kind in ("all_eta", "finite_support") or (
-                kind == "unit_disk" and abs(w.eta) < 1
-            ):
-                out.append(1)
-        elif l == 2 and abs(w.eta2) < 1:
-            out.append(2)
-        elif l == 3 and abs(w.eta3) < 1:
-            out.append(3)
+    if kind in ("all_eta", "finite_support") or (kind == "unit_disk" and abs(w.eta) < 1):
+        out.append(1)
+    if abs(w.eta2) < 1:
+        out.append(2)
     return tuple(out)
 
 
@@ -521,7 +515,7 @@ def sato_wilson_check(
     bits = pipe.bits
     kj = pipe.jac.size
     flows = (1, 2)
-    fd_flows = fd_feasible_flows(pipe, flows)
+    fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         j = pipe.jac.to_dense()

@@ -3,17 +3,23 @@
 Truncations in this package are tiny (k <= ~32), so dense row-major lists are
 the only representation; matrices that are banded by theorem are read by
 diagonal offset (``diagonal_of``) and their band is checked, not stored.
-All elimination routines use fixed pivoting rules so results are bit-stable.
+Products skip exact zeros, which J (tridiagonal), S and Pi (triangular) hold
+by theorem, and keep the bits of the dense sum; a factor with a non-finite
+entry, or with both int and mpf entries, takes the dense sum. Maxima keep a
+nan, so a nan residual fails its check. All elimination routines use fixed
+pivoting rules so results are bit-stable.
 """
 
 from __future__ import annotations
 
 from mpmath import mpf
+from mpmath.libmp import finf, fnan, fninf
 
 from .errors import SingularTruncation
 from .weights import to_mpf
 
 Matrix = list  # list[list[number]]
+_NON_FINITE = (fnan, finf, fninf)
 
 
 def zeros(n: int) -> Matrix:
@@ -47,13 +53,51 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def exceeds(v, best) -> bool:
+    """Whether v replaces the running maximum best: v is larger, or v is nan.
+
+    A nan maximum stays, since no value compares larger than nan.
+    """
+    return v > best or v != v
+
+
+def _entry_type(a: Matrix):
+    """int or mpf when every entry of a is a finite value of that one type, else None."""
+    types = {type(x) for row in a for x in row}
+    if types == {int}:
+        return int
+    if types == {mpf} and not any(x._mpf_ in _NON_FINITE for row in a for x in row):
+        return mpf
+    return None
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
+    """a b, multiplying only the pairs of nonzero entries.
+
+    Each entry starts from its first nonzero product and adds the others in
+    ascending inner index. Adding an exact zero returns the other operand
+    unchanged, so every entry has the bits and the type of the dense sum
+    ``sum(a[i][l] * b[l][j] for l)``; one with no nonzero product is ``0``
+    when a and b hold only ints and ``mpf(0)`` otherwise. When either factor
+    holds a non-finite entry or mixes types, the dense sum itself is taken:
+    ``nan * 0`` is ``nan``, and the type of a sum follows its products.
+    """
+    k, m = len(b), len(b[0])
+    type_a, type_b = _entry_type(a), _entry_type(b)
+    if type_a is None or type_b is None:
+        bt = list(zip(*b))
+        return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
+    zero = mpf(0) if mpf in (type_a, type_b) else 0
+    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        row_a = a[i]
-        out.append([sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt])
+    for row_a in a:
+        acc = [zero] * m
+        for x, row_b in zip(row_a, rows_b):
+            if x:
+                for j, y in row_b:
+                    p = x * y
+                    acc[j] = p if acc[j] is zero else acc[j] + p
+        out.append(acc)
     return out
 
 
@@ -83,7 +127,7 @@ def max_abs(a: Matrix, window: int | None = None) -> mpf:
     for i in range(n):
         for j in range(n if window is not None else len(a[i])):
             v = abs(a[i][j])
-            if v > best:
+            if exceeds(v, best):
                 best = v
     return best
 
@@ -96,9 +140,9 @@ def window_diff(a: Matrix, b: Matrix, window: int):
         for j in range(window):
             d = abs(a[i][j] - b[i][j])
             s = max(abs(a[i][j]), abs(b[i][j]))
-            if d > diff:
+            if exceeds(d, diff):
                 diff = d
-            if s > scale:
+            if exceeds(s, scale):
                 scale = s
     return diff, scale
 
@@ -213,6 +257,6 @@ def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:
             if lo <= d <= hi:
                 continue
             v = abs(a[i][j])
-            if v > worst:
+            if exceeds(v, worst):
                 worst = v
     return worst

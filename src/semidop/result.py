@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mpf
+from mpmath import isfinite, mpf
 
+from .linalg import exceeds
 from .moments import decimal_str
 from .weights import to_mpf
 
@@ -68,7 +69,8 @@ def make_result(
 
 
 class ResidualAccumulator:
-    """Collects named relative residuals and reports the worst one."""
+    """Collects named relative residuals and reports the worst one; a nan
+    residual, or any residual against a non-finite scale, is the worst."""
 
     def __init__(self, bits: int):
         self.bits = bits
@@ -80,9 +82,10 @@ class ResidualAccumulator:
         scale = mpf(scale)
         if scale <= 0:
             scale = mpf(1)
-        rel = mpf(abs_diff) / scale
+        # against a non-finite scale a residual measures nothing: it reads nan and fails
+        rel = mpf(abs_diff) / scale if isfinite(scale) else mpf("nan")
         self.parts[label] = decimal_str(rel, 64)
-        if rel > self.worst:
+        if exceeds(rel, self.worst):
             self.worst = rel
             self.worst_scale = scale
 

@@ -1,0 +1,103 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import inf, isnan, ldexp, mpf, nan, workprec
+
+from semidop import pascal_matrix
+from semidop.linalg import identity, mat_mul, max_abs, out_of_band_max, window_diff
+from semidop.result import ResidualAccumulator
+
+TOL = mpf(2) ** -100
+
+
+def dense_mat_mul(a, b):
+    """The dense kernel mat_mul replaced: every product, summed by ``sum``."""
+    k = len(b)
+    bt = list(zip(*b))
+    return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
+
+
+def bits(m):
+    """Each entry as (type, exact value): mpf by its raw tuple, so 0 != mpf(0)."""
+    return [[(type(x), x._mpf_ if isinstance(x, mpf) else x) for x in row] for row in m]
+
+
+@st.composite
+def matrices(draw, rows: int, cols: int):
+    """Mostly exact zeros; ints, 512-bit mpfs or both; now and then a nan or inf."""
+    kind = draw(st.sampled_from(["int", "mpf", "mixed"]))
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            t = draw(st.sampled_from(["int", "mpf"])) if kind == "mixed" else kind
+            if draw(st.integers(0, 2)):
+                row.append(0 if t == "int" else mpf(0))
+            elif t == "int":
+                row.append(draw(st.integers(-(2**600), 2**600)))
+            else:
+                man = draw(st.integers(-(2**512) + 1, 2**512 - 1))
+                with workprec(512):
+                    row.append(ldexp(mpf(man), draw(st.integers(-600, 600))))
+        out.append(row)
+    if draw(st.integers(0, 9)) == 0:
+        out[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from([nan, inf, -inf])
+        )
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_sum_bit_for_bit(data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(matrices(n, k))
+    b = data.draw(matrices(k, m))
+    with workprec(256):
+        assert bits(mat_mul(a, b)) == bits(dense_mat_mul(a, b))
+
+
+def test_mat_mul_entry_types():
+    # int factors give exact ints, zeros included; an mpf factor makes every entry an mpf
+    prod = mat_mul(pascal_matrix(4), pascal_matrix(4, -1))
+    assert bits(prod) == bits([[int(i == j) for j in range(4)] for i in range(4)])
+    prod = mat_mul(pascal_matrix(3), identity(3))
+    assert all(type(x) is mpf for row in prod for x in row)
+
+
+def test_mat_mul_spreads_nan_through_zeros():
+    # nan * 0 is nan: a non-finite entry reaches every entry its row or column meets
+    a = [[nan, mpf(0)], [mpf(0), mpf(1)]]
+    prod = mat_mul(a, identity(2))
+    assert isnan(prod[0][0]) and isnan(prod[0][1])
+    assert prod[1] == [mpf(0), mpf(1)]
+    prod = mat_mul(identity(2), [[inf, mpf(0)], [mpf(0), mpf(1)]])
+    assert prod[0][0] == inf and isnan(prod[1][0])
+
+
+def test_nan_residual_fails_its_check():
+    all_nan = [[nan] * 3 for _ in range(3)]
+    diff, scale = window_diff(all_nan, identity(3), 3)
+    assert isnan(diff)
+    acc = ResidualAccumulator(64)
+    acc.add("x", diff, scale)
+    res = acc.result("x", TOL, "3x3")
+    assert not res.passed and isnan(res.max_residual)
+    # a nan stays the worst whatever comes after it
+    acc = ResidualAccumulator(64)
+    acc.add("ok", 0, 1)
+    acc.add("y", nan, 1)
+    acc.add("later", TOL / 2, 1)
+    assert not acc.result("y", TOL, "1x1").passed
+
+
+def test_residual_against_infinite_scale_fails():
+    acc = ResidualAccumulator(64)
+    acc.add("x", mpf(0), inf)
+    assert not acc.result("x", TOL, "1x1").passed
+
+
+def test_maxima_keep_nan():
+    m = [[mpf(1), mpf(0)], [nan, mpf(2)]]
+    assert isnan(max_abs(m))
+    assert isnan(out_of_band_max(m, 0, 0, 2))
+    assert max_abs([[mpf(1), mpf(-3)], [mpf(2), mpf(0)]]) == 3

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,23 @@ def test_golden_default_charlier_suite():
     rep = run_suite(cfg)
     golden = (DATA / "golden_charlier.json").read_text()
     assert rep.to_json() == golden
+
+
+@pytest.mark.parametrize(
+    ("spec", "size", "digest"),
+    [
+        ("a=2; eta=1/2", 12, "5a4d1d4b62bd6b02"),
+        ("b=3/2; eta=1/2", 12, "93da21e9e8f75083"),
+        ("a=3/2; b=5/2; eta=1/3", 12, "947f27c6883d2587"),
+        ("eta=1/2; eta2=9/10; eta3=9/10", 8, "0927033eb27d5ebb"),
+    ],
+)
+def test_contract_reports_byte_identical(spec, size, digest):
+    # the golden file pins Charlier, where sigma and theta are trivial; these
+    # weights carry nontrivial Pearson polynomials through every product
+    cfg = SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512)
+    emitted = run_suite(cfg).to_json().encode()
+    assert hashlib.sha256(emitted).hexdigest()[:16] == digest
 
 
 def test_suite_leaves_confirmation_unread():
