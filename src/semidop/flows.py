@@ -218,16 +218,16 @@ def derivative_fd_crosscheck(
 
 
 def fd_convergence_study(
-    quantity: Callable[[Fraction], mpf],
-    engine_value: mpf,
+    residual: Callable[[Fraction], mpf],
     step0: Fraction,
     halvings: int,
-    bits: int,
 ) -> list:
-    """Residuals against the engine value under successive step halving."""
-    out = []
-    step = step0
-    for _ in range(halvings + 1):
-        out.append(derivative_fd_crosscheck(quantity, engine_value, step, bits))
-        step = step / 2
-    return out
+    """``residual(step)`` at step0 and under each of ``halvings`` successive halvings."""
+    return [residual(step0 / 2**i) for i in range(halvings + 1)]
+
+
+def central_difference(plus: list, minus: list, step: Fraction) -> list:
+    """Entrywise central difference (plus - minus) * (1 / (2 step)) of two
+    matrices, at the working precision."""
+    inv_2s = 1 / (2 * to_mpf(step))
+    return [[(x - y) * inv_2s for x, y in zip(rp, rm)] for rp, rm in zip(plus, minus)]

@@ -21,6 +21,7 @@ from mpmath import mp, mpf, workprec
 
 from .errors import DivergentSeries, InvalidShift, PreconditionError
 from .flows import (
+    central_difference,
     derivative_fd_crosscheck,
     fd_convergence_study,
     fd_flow_derivative,
@@ -30,11 +31,14 @@ from .flows import (
 from .linalg import (
     commutator,
     diag,
+    diagonal_of,
+    mat_add,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
     max_abs,
+    out_of_band_max,
     strict_lower,
     transpose,
     upper_with_diagonal,
@@ -97,6 +101,9 @@ def contiguous_check(
         acc = ResidualAccumulator(bits)
         rho = pipe.table.moment
 
+        def hankel(entry):
+            return [[entry(n + m) for m in range(win)] for n in range(win)]
+
         for sh in valid_single_shifts(w):
             try:
                 sp = pipe.shifted(sh)
@@ -104,15 +111,11 @@ def contiguous_check(
                 continue
             c = to_mpf(_shift_constant(pipe, sh))
             rho_s = sp.table.moment
-            scale = max(abs(rho(2 * win)), abs(c) * abs(rho_s(2 * win)), mpf(1))
-            worst = mpf(0)
-            for n in range(win):
-                for m in range(win):
-                    lhs = rho(n + m + 1) + c * rho(n + m)
-                    rhs = c * rho_s(n + m)
-                    worst = max(worst, abs(lhs - rhs))
-                    scale = max(scale, abs(lhs), abs(rhs))
-            acc.add(f"shift {sh.label()}", worst, scale)
+            edge = max(abs(rho(2 * win)), abs(c) * abs(rho_s(2 * win)), mpf(1))
+            diff, scale = window_diff(
+                hankel(lambda i: rho(i + 1) + c * rho(i)), hankel(lambda i: c * rho_s(i)), win
+            )
+            acc.add(f"shift {sh.label()}", diff, max(edge, scale))
 
         total = shift_parameter(w, Shift.total())
         tp = get_pipeline(total, k, pipe.ctx)
@@ -123,17 +126,9 @@ def contiguous_check(
             kappa /= bj
         factor = to_mpf(w.eta * kappa)
         b = pascal_matrix(win, 1)
-        g_hat = [[tp.table.moment(n + m) for m in range(win)] for n in range(win)]
-        rhs_mat = mat_mul(mat_mul(b, g_hat), transpose(b))
-        worst = mpf(0)
-        scale = mpf(1)
-        for n in range(win):
-            for m in range(win):
-                lhs = rho(n + m + 1)
-                rhs = factor * rhs_mat[n][m]
-                worst = max(worst, abs(lhs - rhs))
-                scale = max(scale, abs(lhs), abs(rhs))
-        acc.add("shift T", worst, scale)
+        rhs = mat_scale(mat_mul(mat_mul(b, hankel(tp.table.moment)), transpose(b)), factor)
+        diff, scale = window_diff(hankel(lambda i: rho(i + 1)), rhs, win)
+        acc.add("shift T", diff, max(scale, mpf(1)))
 
         return acc.result(
             "contiguous",
@@ -165,29 +160,21 @@ def omega_connection_check(
         c = to_mpf(c_frac)
         omega = mat_mul(pipe.chol.s, sp.chol.s_inv)
         scale = max(max_abs(omega), mpf(1))
-        worst = mpf(0)
-        for n in range(size):
-            for m in range(n - 1):
-                worst = max(worst, abs(omega[n][m]))
-        acc.add("off_bidiagonal", worst, scale)
+        acc.add("off_bidiagonal", out_of_band_max(omega, -1, size, size), scale)
 
-        worst = mpf(0)
-        entry_scale = scale
-        for n in range(size - 1):
-            expected = pipe.chol.h[n + 1] / (c * sp.chol.h[n])
-            worst = max(worst, abs(omega[n + 1][n] - expected))
-            entry_scale = max(entry_scale, abs(expected))
-        acc.add("subdiagonal_closed_form", worst, entry_scale)
+        expected = [pipe.chol.h[n + 1] / (c * sp.chol.h[n]) for n in range(size - 1)]
+        errors = [x - e for x, e in zip(diagonal_of(omega, -1), expected)]
+        acc.add("subdiagonal_closed_form", max_abs([errors]), max(scale, max_abs([expected])))
 
         for z in z_samples:
             p_base = pipe.p_vector(z, size)
-            p_shift = sp.p_vector(z, size)
-            glued = mat_vec(omega, p_shift)
-            vec_scale = max(max(abs(x) for x in p_base), mpf(1))
-            worst = mpf(0)
-            for n in range(size):
-                worst = max(worst, abs(glued[n] - p_base[n]))
-            acc.add(f"action[z={mp.nstr(to_mpf(z), 6)}]", worst, vec_scale)
+            glued = mat_vec(omega, sp.p_vector(z, size))
+            errors = [g - p for g, p in zip(glued, p_base)]
+            acc.add(
+                f"action[z={mp.nstr(to_mpf(z), 6)}]",
+                max_abs([errors]),
+                max(max_abs([p_base]), mpf(1)),
+            )
 
         return acc.result(
             "omega",
@@ -306,7 +293,11 @@ def uv_system_check(
             return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
 
         engine0 = (h[n0] / (a_hat * hr[n0 - 1])) * (_dlog_h(pipe, n0) - _dlog_h(rp, n0 - 1))
-        residuals = fd_convergence_study(ratio_quantity, engine0, fd_step, halvings, bits)
+        residuals = fd_convergence_study(
+            lambda step: derivative_fd_crosscheck(ratio_quantity, engine0, step, bits),
+            fd_step,
+            halvings,
+        )
         for i, res in enumerate(residuals):
             acc.parts[f"fd_step_{i}"] = mp.nstr(res, 8)
         acc.add("fd_final", residuals[-1], mpf(1))
@@ -532,37 +523,26 @@ def sato_wilson_check(
             up_alpha = (alpha[0] + 1, alpha[1], alpha[2])
 
             # (a) diagonal norm derivatives
-            worst = mpf(0)
-            scale = h_floor
-            for n in range(kj - l):
-                engine = dlog_h(n, alpha)
-                worst = max(worst, abs(engine - jl[n][n]))
-                scale = max(scale, abs(jl[n][n]), mpf(1))
-            acc.add(f"diag_flow_{l}", worst, scale)
+            jl_diag = diagonal_of(jl, 0)[: kj - l]
+            errors = [dlog_h(n, alpha) - x for n, x in enumerate(jl_diag)]
+            acc.add(f"diag_flow_{l}", max_abs([errors]), max(h_floor, max_abs([jl_diag]), mpf(1)))
 
             # (b) dressing factor against FD of the triangular factor
             if l in fd_flows:
-                size = pipe.k + 1
                 win = kj - l
                 jl_minus = strict_lower(jl)
-                fd_residuals = []
-                step = fd_step
-                for _ in range(halvings + 1):
-                    s_plus = pipe.flow_scaled(l, 1 + step).chol.s
-                    s_minus = pipe.flow_scaled(l, 1 - step).chol.s
-                    inv_2s = 1 / (2 * to_mpf(step))
-                    ds = [
-                        [(s_plus[i][j2] - s_minus[i][j2]) * inv_2s for j2 in range(size)]
-                        for i in range(size)
-                    ]
+                scale = max(max_abs(jl_minus, win), mpf(1))
+
+                def phi_residual(step: Fraction) -> mpf:
+                    ds = central_difference(
+                        pipe.flow_scaled(l, 1 + step).chol.s,
+                        pipe.flow_scaled(l, 1 - step).chol.s,
+                        step,
+                    )
                     phi = mat_mul(ds, pipe.chol.s_inv)
-                    worst = mpf(0)
-                    scale = max(max_abs(jl_minus, win), mpf(1))
-                    for n in range(win):
-                        for m in range(n):
-                            worst = max(worst, abs(phi[n][m] + jl_minus[n][m]))
-                    fd_residuals.append(worst / scale)
-                    step = step / 2
+                    return out_of_band_max(mat_add(phi, jl_minus), 0, win, win) / scale
+
+                fd_residuals = fd_convergence_study(phi_residual, fd_step, halvings)
                 for i, res in enumerate(fd_residuals):
                     acc.parts[f"phi_fd_{l}_step_{i}"] = mp.nstr(res, 8)
                 acc.add(f"phi_fd_{l}", fd_residuals[-1], mpf(1))
@@ -570,18 +550,13 @@ def sato_wilson_check(
             # (c) Lax equation entrywise on the interior window
             win = kj - (l + 2)
             lax_rhs = commutator(upper_with_diagonal(jl), j)
-            worst = mpf(0)
-            scale = max(max_abs(lax_rhs, win), mpf(1))
+            engine = zeros(win)
             for n in range(win):
-                for m in range(win):
-                    if m == n:
-                        engine = _dbeta_at(jets, n, up_alpha)
-                    elif m == n - 1:
-                        engine = _dgamma_at(pipe, jets, n, alpha)
-                    else:
-                        engine = mpf(0)
-                    worst = max(worst, abs(engine - lax_rhs[n][m]))
-            acc.add(f"lax_{l}", worst, scale)
+                engine[n][n] = _dbeta_at(jets, n, up_alpha)
+                if n:
+                    engine[n][n - 1] = _dgamma_at(pipe, jets, n, alpha)
+            diff, _ = window_diff(engine, lax_rhs, win)
+            acc.add(f"lax_{l}", diff, max(max_abs(lax_rhs, win), mpf(1)))
 
         # (d) zero-curvature for the (1, 2) pair
         win = kj - 4
@@ -598,12 +573,7 @@ def sato_wilson_check(
             mat_sub(d1_j2_plus, d2_j_plus),
             mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
         )
-        worst = mpf(0)
-        scale = max(max_abs(d1_j2_plus, win), mpf(1))
-        for n in range(win):
-            for m in range(win):
-                worst = max(worst, abs(zs[n][m]))
-        acc.add("zero_curvature_12", worst, scale)
+        acc.add("zero_curvature_12", max_abs(zs, win), max(max_abs(d1_j2_plus, win), mpf(1)))
 
         return acc.result(
             "sato_wilson",
@@ -648,17 +618,13 @@ def pearson_toda_check(
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         effective_tol = max(Fraction(tolerance), 10 * fd_step * fd_step)
-        inv_2s = 1 / (2 * to_mpf(fd_step))
         j = pipe.jac.to_dense()
         phi = mat_scale(strict_lower(j), mpf(-1))
         j_plus = upper_with_diagonal(j)
         gauges = {"1a": phi, "1b": phi, "2a": j_plus, "2b": j_plus}
         h_floor = pipe.chol.h_floor()
         for name in ("1a", "1b", "2a", "2b"):
-            dm = [
-                [(plus[name][i][j2] - minus[name][i][j2]) * inv_2s for j2 in range(kj)]
-                for i in range(kj)
-            ]
+            dm = central_difference(plus[name], minus[name], fd_step)
             rhs = commutator(gauges[name], base[name])
             diff, scale = window_diff(dm, rhs, win)
             acc.add(f"compat_{name}", diff, max(scale, h_floor))

@@ -5,9 +5,13 @@ the only representation; matrices that are banded by theorem are read by
 diagonal offset (``diagonal_of``) and their band is checked, not stored.
 Products skip exact zeros, which J (tridiagonal), S and Pi (triangular) hold
 by theorem, and keep the bits of the dense sum; a factor with a non-finite
-entry, or with both int and mpf entries, takes the dense sum. Maxima keep a
-nan, so a nan residual fails its check. All elimination routines use fixed
-pivoting rules so results are bit-stable.
+entry, or with both int and mpf entries, takes the dense sum. All elimination
+routines use fixed pivoting rules so results are bit-stable.
+
+Every check takes the maximum of its residuals through ``max_abs``,
+``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
+``ResidualAccumulator`` uses for named parts). These maxima keep a nan, where
+Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its check.
 """
 
 from __future__ import annotations
@@ -134,17 +138,8 @@ def max_abs(a: Matrix, window: int | None = None) -> mpf:
 
 def window_diff(a: Matrix, b: Matrix, window: int):
     """(max |a-b|, max(|a|,|b|)) over the leading window x window block."""
-    diff = mpf(0)
-    scale = mpf(0)
-    for i in range(window):
-        for j in range(window):
-            d = abs(a[i][j] - b[i][j])
-            s = max(abs(a[i][j]), abs(b[i][j]))
-            if exceeds(d, diff):
-                diff = d
-            if exceeds(s, scale):
-                scale = s
-    return diff, scale
+    scale = max_abs([[max_abs(a, window), max_abs(b, window)]])
+    return max_abs(mat_sub(a, b), window), scale
 
 
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:

@@ -34,7 +34,7 @@ from .errors import (
     TermBudgetExceeded,
     TruncationTooLarge,
 )
-from .linalg import Matrix, ldl_no_pivot, lu_determinant, unit_lower_inverse
+from .linalg import Matrix, exceeds, ldl_no_pivot, lu_determinant, unit_lower_inverse
 from .weights import (
     ConvergenceClass,
     HypergeometricWeight,
@@ -403,8 +403,8 @@ class CholeskyFactorization:
     s is dense unit lower triangular; h the diagonal. confirmed_bits measures
     agreement with the elimination redone at ctx.verify_bits on the verify
     table of the same lattice pass (the moments themselves are certified by
-    their tail and rounding bounds). It is computed the first time it is read;
-    no report reads it yet.
+    their tail and rounding bounds); a nan error ranks worst and reads as nan
+    bits. It is computed the first time it is read; no report reads it yet.
     """
 
     s: Matrix
@@ -423,13 +423,13 @@ class CholeskyFactorization:
             worst = mpf(0)
             for n in range(self.size):
                 err = abs(self.h[n] - d2[n]) / abs(d2[n])
-                if err > worst:
+                if exceeds(err, worst):
                     worst = err
                 for j in range(n):
                     ref = abs(l2[n][j])
                     if ref > 0:
                         err = abs(self.s_inv[n][j] - l2[n][j]) / ref
-                        if err > worst:
+                        if exceeds(err, worst):
                             worst = err
             if worst == 0:
                 return float(vbits)

@@ -136,25 +136,15 @@ def jacobi_matrix(chol: CholeskyFactorization) -> JacobiMatrix:
         tol = to_mpf(chol.ctx.default_tolerance())
         h_floor = chol.h_floor()
         scale = max(max_abs(direct, k - 1), h_floor)
-        worst = mpf(0)
-        for n in range(k - 1):
-            for m in range(k - 1):
-                expected = mpf(0)
-                if m == n:
-                    expected = beta[n]
-                elif m == n + 1:
-                    expected = mpf(1)
-                elif m == n - 1:
-                    expected = gamma[n - 1]
-                worst = max(worst, abs(direct[n][m] - expected))
-        jh = mat_mul(jac.to_dense(), diag(chol.h[: k - 1]))
-        sym = max(
-            abs(jh[n][m] - jh[m][n]) for n in range(k - 1) for m in range(k - 1)
-        )
-        if max(worst, sym) > tol * scale:
+        j = jac.to_dense()
+        jh = mat_mul(j, diag(chol.h[: k - 1]))
+        route, _ = window_diff(direct, j, k - 1)
+        sym, _ = window_diff(jh, transpose(jh), k - 1)
+        worst = max_abs([[route, sym]])
+        if not worst <= tol * scale:
             raise RouteMismatch(
                 "recurrence data disagrees with the direct conjugation route "
-                f"(residual {mp.nstr(max(worst, sym) / scale, 8)})"
+                f"(residual {mp.nstr(worst / scale, 8)})"
             )
     return jac
 
@@ -734,9 +724,7 @@ def structure_cholesky_check(
         win_theta = kj - (ndeg + 2)
         win_sigma = kj - (mdeg + 1)
         for name, mat, win in (("theta", a_theta, win_theta), ("sigma", a_sigma, win_sigma)):
-            sym = max(
-                abs(mat[n][m] - mat[m][n]) for n in range(win) for m in range(win)
-            )
+            sym, _ = window_diff(mat, transpose(mat), win)
             acc.add(f"symmetry_{name}", sym, max(max_abs(mat, win), h_floor))
 
         kf = min(win_theta, win_sigma)
@@ -746,16 +734,8 @@ def structure_cholesky_check(
         l_sigma, d_sigma = ldl_no_pivot([row[:kf] for row in a_sigma[:kf]], floor)
 
         # band confinement of the factors
-        worst_theta = mpf(0)
-        worst_sigma = mpf(0)
-        for n in range(kf):
-            for m in range(n):
-                if n - m > ndeg + 1:
-                    worst_theta = max(worst_theta, abs(l_theta[n][m]))
-                if n - m > mdeg:
-                    worst_sigma = max(worst_sigma, abs(l_sigma[n][m]))
-        acc.add("factor_band_theta", worst_theta, mpf(1))
-        acc.add("factor_band_sigma", worst_sigma, mpf(1))
+        acc.add("factor_band_theta", out_of_band_max(l_theta, -(ndeg + 1), kf, kf), mpf(1))
+        acc.add("factor_band_sigma", out_of_band_max(l_sigma, -mdeg, kf, kf), mpf(1))
 
         window = min(kf, psi_win)
         # shared diagonal

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mpf, nan, workprec
 
 from semidop import (
     InvalidShift,
+    RouteMismatch,
     MomentTable,
     PreconditionError,
     Shift,
@@ -24,7 +25,8 @@ from semidop.integrable import (
     uv_system_check,
     valid_single_shifts,
 )
-from semidop.pipeline import get_pipeline
+from semidop import structure
+from semidop.pipeline import clear_cache, get_pipeline
 from semidop.weights import to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER
@@ -230,3 +232,77 @@ def test_kp_trivial_and_deformed(ctx, tol, deformed_pipe):
 def test_kp_rejects_undeformed(ctx, tol, charlier_pipe):
     with pytest.raises(PreconditionError):
         kp_check(charlier_pipe, [1], STEP, tol)
+
+
+# -- a nan residual fails wherever a check takes its maximum -------------------
+
+
+def _nan_in_shifted_table(pipe, tol, monkeypatch):
+    # the A(1)-shifted moments are read only by the single-shift block
+    pipe.shifted(Shift.a(1)).table.values[0] = nan
+    return contiguous_check(pipe, tol)
+
+
+def _nan_in_s_for_the_route_guard(pipe, tol, monkeypatch):
+    # S[k-2][0] reaches only the direct route S Lambda S^-1 inside the window
+    chol = pipe.chol
+    chol.s[chol.size - 2][0] = nan
+    with pytest.raises(RouteMismatch):
+        structure.jacobi_matrix(chol)
+
+
+def _nan_in_last_norm_for_omega(pipe, tol, monkeypatch):
+    # once both J are built, H_k is read only by the subdiagonal closed form
+    assert pipe.jac and pipe.shifted(Shift.a(1)).jac
+    pipe.chol.h[pipe.k] = nan
+    return omega_connection_check(pipe, Shift.a(1), [Fraction(1, 2)], tol)
+
+
+def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
+    # once J is built, S^-1 is read only by the dressing factor phi = dS S^-1
+    assert pipe.jac
+    pipe.chol.s_inv[pipe.k][0] = nan
+    return sato_wilson_check(pipe, STEP, 1, tol)
+
+
+def _nan_in_theta_factor_band(pipe, tol, monkeypatch):
+    # the corner of the theta factor lies outside both factorization windows
+    real = structure.ldl_no_pivot
+    calls = []
+
+    def planted(a, floor):
+        l, d = real(a, floor)
+        if not calls:
+            l[-1][0] = nan
+        calls.append(a)
+        return l, d
+
+    monkeypatch.setattr(structure, "ldl_no_pivot", planted)
+    return structure.structure_cholesky_check(
+        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, tol
+    )
+
+
+@pytest.fixture
+def fresh_pipelines():
+    # planted nans must not reach the cached pipelines of other tests
+    clear_cache()
+    yield
+    clear_cache()
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        _nan_in_shifted_table,
+        _nan_in_s_for_the_route_guard,
+        _nan_in_last_norm_for_omega,
+        _nan_in_s_inverse_for_sato_wilson,
+        _nan_in_theta_factor_band,
+    ],
+)
+def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
+    # each plant is read by one rewritten maximum only; the route guard raises
+    res = plant(get_pipeline(GEN_MEIXNER, 8, ctx), tol, monkeypatch)
+    if res is not None:
+        assert not res.passed, res.components

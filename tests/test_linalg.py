@@ -101,3 +101,42 @@ def test_maxima_keep_nan():
     assert isnan(max_abs(m))
     assert isnan(out_of_band_max(m, 0, 0, 2))
     assert max_abs([[mpf(1), mpf(-3)], [mpf(2), mpf(0)]]) == 3
+
+
+@st.composite
+def with_nan(draw, n: int):
+    """An n x n matrix of small mpf values, with a nan at a random position half the time."""
+    a = [[mpf(draw(st.integers(-1000, 1000))) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = nan
+    return a
+
+
+def brute_max_abs(values):
+    """nan if any value is nan, else the builtin maximum of |value| (0 when empty)."""
+    values = list(values)
+    if any(isnan(v) for v in values):
+        return nan
+    return max((abs(v) for v in values), default=mpf(0))
+
+
+def same(x, y):
+    return (isnan(x) and isnan(y)) or x == y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_maxima_match_brute_force_with_a_nan_anywhere(data):
+    n = data.draw(st.integers(1, 5))
+    a, b = data.draw(with_nan(n)), data.draw(with_nan(n))
+    w = data.draw(st.integers(0, n))
+    lo = data.draw(st.integers(-n, n))
+    hi = data.draw(st.integers(lo, n))
+    block = [(i, j) for i in range(w) for j in range(w)]
+    assert same(max_abs(a), brute_max_abs(x for row in a for x in row))
+    assert same(max_abs(a, w), brute_max_abs(a[i][j] for i, j in block))
+    diff, scale = window_diff(a, b, w)
+    assert same(diff, brute_max_abs(a[i][j] - b[i][j] for i, j in block))
+    assert same(scale, brute_max_abs([a[i][j] for i, j in block] + [b[i][j] for i, j in block]))
+    band = brute_max_abs(a[i][j] for i, j in block if not lo <= j - i <= hi)
+    assert same(out_of_band_max(a, lo, hi, w), band)

@@ -1,4 +1,5 @@
 import io
+from math import isnan
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,13 @@ def test_cholesky_reconstruction(ctx):
         diff, scale = window_diff(ldlt, g.to_dense(), 8)
         assert diff / scale < mpf(2) ** -(BITS - 60)
     assert ch.confirmed_bits >= BITS - 64
+
+
+def test_confirmed_bits_keep_a_nan_error(ctx):
+    # a nan norm agrees with nothing: its error ranks above every finite one
+    ch = cholesky(gram_truncation(MomentTable(CHARLIER, 20, ctx), 8))
+    ch.h[3] = mpf("nan")
+    assert isnan(ch.confirmed_bits)
 
 
 def test_cholesky_h_against_determinant_ratios(ctx):

@@ -10,6 +10,7 @@ from mpmath import mpf
 
 from semidop import (
     DivergentSeries,
+    MomentTable,
     PrecisionContext,
     PreconditionError,
     TermBudgetExceeded,
@@ -17,7 +18,7 @@ from semidop import (
 )
 from semidop import pipeline
 from semidop.cli import main as cli_main
-from semidop.cli import parse_tolerance
+from semidop.cli import MAX_BITS, MAX_SIZE, parse_tolerance
 from semidop.pipeline import clear_cache, get_pipeline
 from semidop.report import (
     DEFAULT_SEED,
@@ -184,6 +185,8 @@ def test_golden_default_charlier_suite():
         ("b=3/2; eta=1/2", 12, "93da21e9e8f75083"),
         ("a=3/2; b=5/2; eta=1/3", 12, "947f27c6883d2587"),
         ("eta=1/2; eta2=9/10; eta3=9/10", 8, "0927033eb27d5ebb"),
+        # two b parameters: contiguous and omega run through B(1) and B(2)
+        ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "4cf311a2a660d34d"),
     ],
 )
 def test_contract_reports_byte_identical(spec, size, digest):
@@ -279,6 +282,18 @@ def test_cli_bad_input_is_usage_error(argv, names, capsys):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and names in err
+
+
+@pytest.mark.parametrize("command", ["moments", "recurrence", "psi", "verify"])
+@pytest.mark.parametrize(("flag", "cap"), [("--size", MAX_SIZE), ("--bits", MAX_BITS)])
+def test_cli_caps_refuse_before_building(command, flag, cap, monkeypatch, capsys):
+    def built(*args, **kwargs):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(MomentTable, "__init__", built)
+    assert cli_main([command, "--weight", "eta=1/2", flag, str(cap + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and flag in err
 
 
 def test_cli_recurrence_charlier(capsys):
