@@ -21,12 +21,10 @@ from .errors import (
 from .flows import (
     derivative_fd_crosscheck,
     fd_flow_derivative,
-    log_tau_derivative,
     tau_derivative,
 )
 from .moments import (
     CholeskyFactorization,
-    FlowMultiIndex,
     HankelTruncation,
     MomentTable,
     PrecisionContext,

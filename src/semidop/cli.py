@@ -3,7 +3,8 @@
 Subcommands: moments, recurrence, psi (structure-matrix diagonals), verify
 (run the residual suite), lattice, toda, kp (suite subsets). Exit codes:
 0 all selected checks pass, 1 computational failure or failing check,
-2 usage/configuration error, including a --size or --bits above its cap.
+2 usage/configuration error, including a --size, --bits or --max-m above its
+cap.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .weights import HypergeometricWeight, parse_weight_spec
 
 _DISPLAY_DIGITS = 30
 
-# Caps on --size and --bits, refused as usage errors before anything is built.
+# Caps on --size and --bits, refused as usage errors before anything is built;
+# --max-m is capped at 2 * MAX_SIZE - 2, the depth of `moments --size 64`.
 # The checks are meant for truncations k <= ~32, and 8192 bits is sixteen times
 # the default. Cost grows fast past them: on a 2-vCPU Xeon, recurrence took
 # 17 s at size 64 and 8192 bits, and 38 s at size 128 and 4096 bits.
@@ -158,8 +160,8 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
 def _cmd_moments(args) -> int:
     w = _load_weight(args)
     ctx = _context(args)
-    if args.max_m is not None and args.max_m < 0:
-        raise PreconditionError(f"--max-m {args.max_m} must be nonnegative")
+    if args.max_m is not None and not 0 <= args.max_m <= 2 * MAX_SIZE - 2:
+        raise PreconditionError(f"--max-m {args.max_m} must be between 0 and {2 * MAX_SIZE - 2}")
     if args.max_m is None and args.size < 1:
         raise PreconditionError(f"--size {args.size} must be at least 1")
     m_max = args.max_m if args.max_m is not None else 2 * args.size - 2

@@ -1,11 +1,19 @@
 """Exact flow-derivative engine for Hankel determinants, plus FD witnesses.
 
-A flow derivative of order l maps rho_m to rho_{m+l}, so by multilinearity a
-mixed derivative of tau_k = det[rho_{i+j}] is a finite signed sum of
-generalized Hankel determinants det[rho_{r_i + j}]. Expressions are kept as
-integer combinations keyed by sorted row-index tuples; rows are canonicalized
-with the permutation sign and dropped when two coincide. Evaluation order is
-fixed, so mixed partials agree bit-for-bit regardless of application order.
+A flow multi-index is a tuple (o1, o2, o3) of derivative orders in the first
+three flows. A flow derivative of order l maps rho_m to rho_{m+l}, so by
+multilinearity a mixed derivative of tau_k = det[rho_{i+j}] is a finite signed
+sum of generalized Hankel determinants det[rho_{r_i + j}]. Expressions are
+kept as integer combinations keyed by sorted row-index tuples; rows are
+canonicalized with the permutation sign and dropped when two coincide. The
+flows commute, so the canonical expression does not depend on the order in
+which they are applied, and evaluation sums it in sorted key order.
+
+``tau_jet`` is the one expression builder: it walks the downward closure of
+the requested orders, each expression one flow away from a lower one.
+``tau_derivative`` reads one entry of it, ``log_tau_jet`` the jet of
+log tau_k, from which every derivative of log H_n = log tau_{n+1} - log tau_n
+is a difference.
 
 Finite differences in the flow parameters serve as an independent second
 witness: central differences at exact rational multipliers eta_l (1 +- step).
@@ -20,7 +28,7 @@ from typing import Callable, Iterable
 from mpmath import mp, mpf, workprec
 
 from .errors import PreconditionError
-from .moments import FlowMultiIndex, MomentTable
+from .moments import MomentTable
 from .weights import HypergeometricWeight, to_mpf
 
 DetExpr = dict  # dict[tuple[int, ...], int]
@@ -60,13 +68,6 @@ def apply_flow(expr: DetExpr, l: int) -> DetExpr:
     return {rows: c for rows, c in out.items() if c != 0}
 
 
-def apply_multi(expr: DetExpr, d: FlowMultiIndex) -> DetExpr:
-    for l, order in ((1, d.o1), (2, d.o2), (3, d.o3)):
-        for _ in range(order):
-            expr = apply_flow(expr, l)
-    return expr
-
-
 def eval_expr(expr: DetExpr, table: MomentTable) -> mpf:
     """Evaluate an expression against one moment table, summing in sorted key order."""
     with workprec(table.ctx.mantissa_bits):
@@ -76,18 +77,20 @@ def eval_expr(expr: DetExpr, table: MomentTable) -> mpf:
         return total
 
 
-def tau_derivative(table: MomentTable, k: int, d: FlowMultiIndex) -> mpf:
+def tau_derivative(table: MomentTable, k: int, alpha: Alpha) -> mpf:
     """Mixed flow derivative of the k-th Hankel determinant, engine-exact."""
-    return eval_expr(apply_multi(tau_expr(k), d), table)
+    return tau_jet(table, k, [alpha])[alpha]
+
+
+def _sub_indices(beta: Alpha):
+    for i in range(beta[0] + 1):
+        for j in range(beta[1] + 1):
+            for l in range(beta[2] + 1):
+                yield (i, j, l)
 
 
 def _downward_closure(alphas: Iterable[Alpha]) -> list[Alpha]:
-    need = set()
-    for a in alphas:
-        for i in range(a[0] + 1):
-            for j in range(a[1] + 1):
-                for l in range(a[2] + 1):
-                    need.add((i, j, l))
+    need = {d for a in alphas for d in _sub_indices(a)}
     return sorted(need, key=lambda t: (sum(t), t))
 
 
@@ -113,13 +116,6 @@ def _multinom(beta: Alpha, delta: Alpha) -> int:
     for b, d in zip(beta, delta):
         out *= comb(b, d)
     return out
-
-
-def _sub_indices(beta: Alpha):
-    for i in range(beta[0] + 1):
-        for j in range(beta[1] + 1):
-            for l in range(beta[2] + 1):
-                yield (i, j, l)
 
 
 def log_jet(tjet: dict, bits: int) -> dict:
@@ -156,10 +152,6 @@ def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
     if k == 0:
         return {a: mpf(0) for a in _downward_closure(alphas)}
     return log_jet(tau_jet(table, k, alphas), table.ctx.mantissa_bits)
-
-
-def log_tau_derivative(table: MomentTable, k: int, d: FlowMultiIndex) -> mpf:
-    return log_tau_jet(table, k, [d.as_tuple()])[d.as_tuple()]
 
 
 # -- finite-difference witnesses ----------------------------------------------

@@ -45,7 +45,7 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import FlowMultiIndex, hankel_determinant
+from .moments import hankel_determinant
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
 from .structure import pascal_matrix, psi_window
@@ -248,14 +248,18 @@ def uv_system_check(
     if a_hat_frac == 0:
         raise InvalidShift(f"shift constant vanishes for {r.label()}")
     a_hat = to_mpf(a_hat_frac)
+    for n in n_values:
+        if n < 1 or n + 2 > pipe.k:
+            raise PreconditionError(f"lattice index {n} outside truncation")
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         h, hr = pipe.chol.h, rp.chol.h
         beta, beta_r = pipe.jac.beta, rp.jac.beta
+        jets = _log_jets(pipe, max(n_values) + 2, [(1, 0, 0)])
+        jets_r = _log_jets(rp, max(n_values) + 1, [(1, 0, 0)])
+        engines = {}
 
         for n in n_values:
-            if n < 1 or n + 2 > pipe.k:
-                raise PreconditionError(f"lattice index {n} outside truncation")
             res1 = (beta_r[n] - beta[n]) - (
                 h[n + 1] / (a_hat * hr[n]) - h[n] / (a_hat * hr[n - 1])
             )
@@ -271,10 +275,10 @@ def uv_system_check(
             # flow derivative of the norm ratio: engine via log-tau jets.
             # The commutator derivation gives gamma_shifted - gamma, i.e.
             # u-hat-bar/u-hat - u-bar/u (FD witness below confirms the sign).
-            dlog_h_n = _dlog_h(pipe, n)
-            dlog_hr_prev = _dlog_h(rp, n - 1)
             ratio = h[n] / (a_hat * hr[n - 1])
-            engine = ratio * (dlog_h_n - dlog_hr_prev)
+            engine = engines[n] = ratio * (
+                _dlog_h(jets, n, (1, 0, 0)) - _dlog_h(jets_r, n - 1, (1, 0, 0))
+            )
             rhs = hr[n] / hr[n - 1] - h[n] / h[n - 1]
             scale3 = max(abs(engine), abs(h[n] / h[n - 1]), abs(hr[n] / hr[n - 1]), mpf(1))
             acc.add(f"ratio_flow[n={n}]", abs(engine - rhs), scale3)
@@ -292,9 +296,8 @@ def uv_system_check(
             pr = rp.flow_scaled(1, mult)
             return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
 
-        engine0 = (h[n0] / (a_hat * hr[n0 - 1])) * (_dlog_h(pipe, n0) - _dlog_h(rp, n0 - 1))
         residuals = fd_convergence_study(
-            lambda step: derivative_fd_crosscheck(ratio_quantity, engine0, step, bits),
+            lambda step: derivative_fd_crosscheck(ratio_quantity, engines[n0], step, bits),
             fd_step,
             halvings,
         )
@@ -309,11 +312,20 @@ def uv_system_check(
         )
 
 
-def _dlog_h(pipe: WeightPipeline, n: int) -> mpf:
-    """First-flow derivative of log H_n, engine-exact from determinant jets."""
-    up = log_tau_jet(pipe.table, n + 1, [(1, 0, 0)])[(1, 0, 0)]
-    dn = log_tau_jet(pipe.table, n, [(1, 0, 0)])[(1, 0, 0)]
-    return up - dn
+def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
+    """The log-tau jets of tau_0 .. tau_{count-1}, each over the closure of alphas."""
+    return [log_tau_jet(pipe.table, n, alphas) for n in range(count)]
+
+
+def _dlog_h(jets: list[dict], n: int, alpha) -> mpf:
+    """d^alpha log H_n, with H_n = tau_{n+1} / tau_n; since beta_n = d/dt1 log H_n,
+    alpha + (1, 0, 0) gives d^alpha beta_n."""
+    return jets[n + 1][alpha] - jets[n][alpha]
+
+
+def _dlog_gamma(jets: list[dict], n: int, alpha) -> mpf:
+    """d^alpha log gamma_n (n >= 1), with gamma_n = H_n / H_{n-1}."""
+    return jets[n + 1][alpha] + jets[n - 1][alpha] - 2 * jets[n][alpha]
 
 
 # -- tau-function cross-checks and the Toda stack --------------------------------
@@ -333,7 +345,7 @@ def tau_route_check(
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         taus = [hankel_determinant(table, n) for n in range(nmax + 2)]
-        jets = [log_tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 2)]
+        jets = _log_jets(pipe, nmax + 2, [(2, 0, 0)])
         h = pipe.chol.h
         for n in range(nmax + 1):
             acc.add(
@@ -341,14 +353,14 @@ def tau_route_check(
                 abs(h[n] - taus[n + 1] / taus[n]),
                 abs(h[n]),
             )
-            dtau = tau_derivative(table, n, FlowMultiIndex(1, 0, 0))
+            dtau = tau_derivative(table, n, (1, 0, 0))
             p1 = pipe.chol.p(1, n)
             acc.add(
                 f"subleading[{n}]",
                 abs(p1 + dtau / taus[n]),
                 max(abs(p1), mpf(1)),
             )
-            dlog = jets[n + 1][(1, 0, 0)] - jets[n][(1, 0, 0)]
+            dlog = _dlog_h(jets, n, (1, 0, 0))
             beta_n = pipe.jac.beta[n] if n < len(pipe.jac.beta) else None
             if beta_n is not None:
                 acc.add(f"beta[{n}]", abs(beta_n - dlog), max(abs(beta_n), mpf(1)))
@@ -385,31 +397,22 @@ def toda_check(
     if nmax + 2 > pipe.k:
         raise PreconditionError("Toda range exceeds truncation")
     bits = pipe.bits
-    table = pipe.table
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        jets = [log_tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 3)]
+        jets = _log_jets(pipe, nmax + 3, [(2, 0, 0)])
         h = pipe.chol.h
         beta = pipe.jac.beta
 
-        def d2q(n: int) -> mpf:
-            # second flow derivative of log H_n, which is also the flow
-            # derivative of beta_n (beta being the first derivative of log H)
-            return jets[n + 1][(2, 0, 0)] - jets[n][(2, 0, 0)]
-
         for n in range(nmax + 1):
             gamma_next = pipe.gamma(n + 1)
-            gamma_n = pipe.gamma(n) if n >= 1 else mpf(0)
+            gamma_n = pipe.gamma(n)
+            d2q = _dlog_h(jets, n, (2, 0, 0))
             scale = max(abs(gamma_next), abs(gamma_n), mpf(1))
-            acc.add(f"system_beta[{n}]", abs(d2q(n) - (gamma_next - gamma_n)), scale)
+            acc.add(f"system_beta[{n}]", abs(d2q - (gamma_next - gamma_n)), scale)
 
             if n >= 1:
-                dlog_gamma = (
-                    jets[n + 1][(1, 0, 0)] + jets[n - 1][(1, 0, 0)] - 2 * jets[n][(1, 0, 0)]
-                )
-                d2log_gamma = (
-                    jets[n + 1][(2, 0, 0)] + jets[n - 1][(2, 0, 0)] - 2 * jets[n][(2, 0, 0)]
-                )
+                dlog_gamma = _dlog_gamma(jets, n, (1, 0, 0))
+                d2log_gamma = _dlog_gamma(jets, n, (2, 0, 0))
                 beta_prev = beta[n - 1]
                 acc.add(
                     f"system_gamma[{n}]",
@@ -418,12 +421,12 @@ def toda_check(
                 )
                 acc.add(
                     f"equation_q[{n}]",
-                    abs(d2q(n) - (h[n + 1] / h[n] - h[n] / h[n - 1])),
+                    abs(d2q - (h[n + 1] / h[n] - h[n] / h[n - 1])),
                     max(abs(h[n + 1] / h[n]), abs(h[n] / h[n - 1])),
                 )
                 acc.add(
                     f"equation_gamma[{n}]",
-                    abs(d2log_gamma + 2 * gamma_n - gamma_next - (pipe.gamma(n - 1) if n >= 2 else mpf(0))),
+                    abs(d2log_gamma + 2 * gamma_n - gamma_next - pipe.gamma(n - 1)),
                     max(abs(gamma_n), abs(gamma_next), mpf(1)),
                 )
 
@@ -431,7 +434,7 @@ def toda_check(
             dp1 = -jets[n][(2, 0, 0)]
             acc.add(
                 f"subleading_flow[{n}]",
-                abs(dp1 + (pipe.gamma(n) if n >= 1 else mpf(0))),
+                abs(dp1 + gamma_n),
                 max(abs(dp1), mpf(1)),
             )
 
@@ -453,22 +456,6 @@ def toda_check(
             tolerance,
             window=f"n <= {nmax}",
         )
-
-
-def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
-    return [log_tau_jet(pipe.table, n, alphas) for n in range(count)]
-
-
-def _dbeta_at(jets: list[dict], n: int, up_alpha) -> mpf:
-    """Flow derivative of beta_n = d/dt1 log H_n; up_alpha is the mixed order
-    on log tau including the extra first-flow derivative carried by beta."""
-    return jets[n + 1][up_alpha] - jets[n][up_alpha]
-
-
-def _dgamma_at(pipe: WeightPipeline, jets: list[dict], n: int, alpha) -> mpf:
-    """Flow derivative of gamma_n (n >= 1) via its logarithm."""
-    dlog_gamma = jets[n + 1][alpha] + jets[n - 1][alpha] - 2 * jets[n][alpha]
-    return pipe.gamma(n) * dlog_gamma
 
 
 def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
@@ -514,9 +501,6 @@ def sato_wilson_check(
         jets = _log_jets(pipe, kj + 1, [(2, 1, 0)])
         h_floor = pipe.chol.h_floor()
 
-        def dlog_h(n: int, alpha) -> mpf:
-            return jets[n + 1][alpha] - jets[n][alpha]
-
         for l in flows:
             jl = powers[l]
             alpha = (1, 0, 0) if l == 1 else (0, 1, 0)
@@ -524,7 +508,7 @@ def sato_wilson_check(
 
             # (a) diagonal norm derivatives
             jl_diag = diagonal_of(jl, 0)[: kj - l]
-            errors = [dlog_h(n, alpha) - x for n, x in enumerate(jl_diag)]
+            errors = [_dlog_h(jets, n, alpha) - x for n, x in enumerate(jl_diag)]
             acc.add(f"diag_flow_{l}", max_abs([errors]), max(h_floor, max_abs([jl_diag]), mpf(1)))
 
             # (b) dressing factor against FD of the triangular factor
@@ -552,9 +536,9 @@ def sato_wilson_check(
             lax_rhs = commutator(upper_with_diagonal(jl), j)
             engine = zeros(win)
             for n in range(win):
-                engine[n][n] = _dbeta_at(jets, n, up_alpha)
+                engine[n][n] = _dlog_h(jets, n, up_alpha)
                 if n:
-                    engine[n][n - 1] = _dgamma_at(pipe, jets, n, alpha)
+                    engine[n][n - 1] = pipe.gamma(n) * _dlog_gamma(jets, n, alpha)
             diff, _ = window_diff(engine, lax_rhs, win)
             acc.add(f"lax_{l}", diff, max(max_abs(lax_rhs, win), mpf(1)))
 
@@ -563,12 +547,12 @@ def sato_wilson_check(
         d1_j2_plus = zeros(kj)
         d2_j_plus = zeros(kj)
         for n in range(win + 1):
-            db1 = _dbeta_at(jets, n, (2, 0, 0))
-            d1_gamma_n = _dgamma_at(pipe, jets, n, (1, 0, 0)) if n >= 1 else mpf(0)
-            d1_gamma_next = _dgamma_at(pipe, jets, n + 1, (1, 0, 0))
+            db1 = _dlog_h(jets, n, (2, 0, 0))
+            d1_gamma_n = pipe.gamma(n) * _dlog_gamma(jets, n, (1, 0, 0)) if n else mpf(0)
+            d1_gamma_next = pipe.gamma(n + 1) * _dlog_gamma(jets, n + 1, (1, 0, 0))
             d1_j2_plus[n][n] = 2 * pipe.jac.beta[n] * db1 + d1_gamma_n + d1_gamma_next
-            d1_j2_plus[n][n + 1] = db1 + _dbeta_at(jets, n + 1, (2, 0, 0))
-            d2_j_plus[n][n] = _dbeta_at(jets, n, (1, 1, 0))
+            d1_j2_plus[n][n + 1] = db1 + _dlog_h(jets, n + 1, (2, 0, 0))
+            d2_j_plus[n][n] = _dlog_h(jets, n, (1, 1, 0))
         zs = mat_sub(
             mat_sub(d1_j2_plus, d2_j_plus),
             mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
@@ -648,12 +632,12 @@ def kp_check(
     if not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
         raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
     bits = pipe.bits
-    table = pipe.table
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
     with workprec(bits):
         acc = ResidualAccumulator(bits)
+        jets = _log_jets(pipe, max(n_values) + 1, needed)
         for n in n_values:
-            jet = log_tau_jet(table, n, needed)
+            jet = jets[n]
             d1p = -jet[(2, 0, 0)]
             d11p = -jet[(3, 0, 0)]
             d1111p = -jet[(5, 0, 0)]

@@ -53,18 +53,21 @@ def decimal_str(x, bits: int) -> str:
     return mp.nstr(x, digits)
 
 
+# The lattice points a moment series may visit before it is refused; the
+# direct sums of the orthogonality check stop there too.
+MAX_TERMS = 100_000
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and the term budget of every series.
+    """Working precision.
 
-    max_terms caps the lattice points any series may visit. verify_bits,
-    twice the working mantissa, is the precision at which moment series are
-    certified and at which a factorization's confirmation redoes the
-    elimination when its ``confirmed_bits`` is read; no report reads it yet.
+    verify_bits, twice the working mantissa, is the precision at which moment
+    series are certified and at which a factorization's confirmation redoes
+    the elimination when its ``confirmed_bits`` is read; no report reads it yet.
     """
 
     mantissa_bits: int = 512
-    max_terms: int = 100_000
 
     def __post_init__(self):
         if self.mantissa_bits < 64:
@@ -177,7 +180,7 @@ def _tail_certified(w, k: int, magnitude: int, sums: list, shift: int) -> bool:
     return True
 
 
-def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int, max_terms: int):
+def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     """One pass over k accumulating every column k^m W_k, W_k ~ w(k) 2^scale.
 
     W_{k+1} = floor(W_k num_k / den_k) with the exact term ratio; each column
@@ -192,7 +195,7 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int, max_terms: int
     errors = [0] * cols
     value, err = 1 << scale, 0
     shift = bits - 31
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         t, e = value, err
         sums[0] += t
         errors[0] += e
@@ -217,17 +220,13 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int, max_terms: int
         value, rem = divmod(value * num, den)
         err = -(-err * abs(num) // den) + (1 if rem else 0)
     raise TermBudgetExceeded(
-        f"moments up to m={m_max} did not converge within {max_terms} terms "
+        f"moments up to m={m_max} did not converge within {MAX_TERMS} terms "
         f"for weight {w.spec_string()}"
     )
 
 
 def _lattice_sums(
-    w: HypergeometricWeight,
-    classification: ConvergenceClass,
-    m_max: int,
-    bits: int,
-    max_terms: int,
+    w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, bits: int
 ) -> _LatticeSums:
     """rho_0 .. rho_{m_max}, each certified to 2^-(bits - 32) relative, in one pass.
 
@@ -239,9 +238,7 @@ def _lattice_sums(
     guard = _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
     shift = bits - 31
     for _ in range(_WIDENINGS):
-        sums, errors = _fixed_point_pass(
-            w, classification.q, m_max, bits, bits + guard, max_terms
-        )
+        sums, errors = _fixed_point_pass(w, classification.q, m_max, bits, bits + guard)
         short = max(
             (
                 (err << shift).bit_length() - abs(s).bit_length() + 1
@@ -261,7 +258,7 @@ def _lattice_sums(
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
     """rho_m as a one-shot series evaluation."""
-    sums = _lattice_sums(w, classify_convergence(w), m, ctx.verify_bits, ctx.max_terms)
+    sums = _lattice_sums(w, classify_convergence(w), m, ctx.verify_bits)
     return sums.rounded(ctx.mantissa_bits)[m]
 
 
@@ -277,7 +274,7 @@ class MomentTable:
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
         classification = classify_convergence(w)
-        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits, ctx.max_terms)
+        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
         self._fill(w, m_max, ctx, classification, sums)
 
     def _fill(self, w, m_max, ctx, classification, sums: _LatticeSums) -> None:
@@ -305,7 +302,7 @@ class MomentTable:
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
-            ctx = PrecisionContext(mantissa_bits=bits, max_terms=self.ctx.max_terms)
+            ctx = PrecisionContext(mantissa_bits=bits)
             if bits > self._sums.bits:
                 table = MomentTable(self.weight, self.m_max, ctx)
             else:
@@ -329,25 +326,6 @@ class MomentTable:
             value = lu_determinant(dense)
         self._det_cache[rows] = value
         return value
-
-
-@dataclass(frozen=True)
-class FlowMultiIndex:
-    """Mixed derivative orders in the first three flows.
-
-    Acting on a moment, the flows shift its index by o1 + 2 o2 + 3 o3.
-    """
-
-    o1: int = 0
-    o2: int = 0
-    o3: int = 0
-
-    def __post_init__(self):
-        if min(self.o1, self.o2, self.o3) < 0:
-            raise ValueError("derivative orders must be nonnegative")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.o1, self.o2, self.o3)
 
 
 @dataclass(frozen=True)

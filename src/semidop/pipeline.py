@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError
+from mpmath import mpf
+
+from .errors import IndexOutOfTable, PreconditionError
 from .flows import flow_scaled_weight
 from .linalg import Matrix
 from .moments import (
@@ -95,8 +97,10 @@ class WeightPipeline:
         return polynomial_vector(self.jac, z, count)
 
     def gamma(self, n: int):
-        """gamma_n for n >= 1."""
-        return self.jac.gamma[n - 1]
+        """gamma_n, with gamma_0 = 0."""
+        if n < 0:
+            raise IndexOutOfTable(f"gamma index {n} is negative")
+        return self.jac.gamma[n - 1] if n else mpf(0)
 
     def shifted(self, shift: Shift) -> "WeightPipeline":
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)

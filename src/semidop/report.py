@@ -164,9 +164,7 @@ def _run_coefficient_sums(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult
 
 def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.jac.size - 1)
-    return orthogonality_check(
-        pipe.weight, pipe.jac, pipe.chol.h, nmax, pipe.ctx.max_terms, cfg.tol()
-    )
+    return orthogonality_check(pipe.weight, pipe.jac, pipe.chol.h, nmax, cfg.tol())
 
 
 def _run_psi_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:

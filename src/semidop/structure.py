@@ -39,7 +39,7 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import CholeskyFactorization, MomentTable
+from .moments import MAX_TERMS, CholeskyFactorization, MomentTable
 from .result import CheckResult, ResidualAccumulator, make_result
 from .weights import (
     HypergeometricWeight,
@@ -347,7 +347,6 @@ def orthogonality_check(
     jac: JacobiMatrix,
     h: list,
     nmax: int,
-    max_terms: int,
     tolerance: Fraction,
 ) -> CheckResult:
     """Direct weighted lattice sums of P_n P_m w against the factorization norms.
@@ -375,7 +374,7 @@ def orthogonality_check(
         while True:
             if cap is not None and k >= cap:
                 break
-            if k >= max_terms:
+            if k >= MAX_TERMS:
                 break
             value = to_mpf(next(weights))
             pvec = polynomial_vector(jac, k, nmax + 1)

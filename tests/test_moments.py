@@ -7,11 +7,9 @@ from mpmath import mp, mpf, polylog, workprec
 
 from semidop import (
     DivergentSeries,
-    FlowMultiIndex,
     HypergeometricWeight,
     IndexOutOfTable,
     MomentTable,
-    PrecisionContext,
     TermBudgetExceeded,
     TruncationTooLarge,
     cholesky,
@@ -50,27 +48,27 @@ def test_moment_charlier_exponential(ctx):
         assert abs(val - mp.e) < mpf(2) ** -(BITS - 40)
 
 
-def test_moment_errors(ctx):
+def test_moment_errors(ctx, monkeypatch):
     with pytest.raises(DivergentSeries):
         moment(HypergeometricWeight(a=(Fraction(1, 2),), eta=2), 0, ctx)
-    tight = PrecisionContext(mantissa_bits=256, max_terms=40)
+    monkeypatch.setattr(moments_module, "MAX_TERMS", 40)
     with pytest.raises(TermBudgetExceeded):
-        moment(HypergeometricWeight(a=(2,), eta=Fraction(99, 100)), 0, tight)
+        moment(HypergeometricWeight(a=(2,), eta=Fraction(99, 100)), 0, ctx)
 
 
 def test_flow_shifted_moments(ctx):
     # the mixed flow derivative of rho_m is the moment at the shifted index
     # (flow l shifts the index by l), read within the table's depth
     table = MomentTable(CHARLIER, 12, ctx)
-    assert tau_derivative(table, 1, FlowMultiIndex(0, 1, 0)) == table.moment(2)
-    assert tau_derivative(table, 1, FlowMultiIndex(1, 1, 1)) == table.moment(6)
+    assert tau_derivative(table, 1, (0, 1, 0)) == table.moment(2)
+    assert tau_derivative(table, 1, (1, 1, 1)) == table.moment(6)
     with pytest.raises(IndexOutOfTable):
         table.moment(13)
     # first flow derivative of the zeroth moment at eta = 1 is e
     w = HypergeometricWeight(eta=1)
     t1 = MomentTable(w, 4, ctx)
     with workprec(BITS):
-        d1 = tau_derivative(t1, 1, FlowMultiIndex(1, 0, 0))
+        d1 = tau_derivative(t1, 1, (1, 0, 0))
         assert abs(d1 - mp.e) < mpf(2) ** -(BITS - 40)
 
 
@@ -141,7 +139,7 @@ def test_shifted_determinant_matches_flow_derivative(ctx):
     for k in range(1, 6):
         # det G[k] with the last row's moment indices raised by one
         assert table.det_rows(tuple(range(k - 1)) + (k,)) == tau_derivative(
-            table, k, FlowMultiIndex(1, 0, 0)
+            table, k, (1, 0, 0)
         )
 
 
@@ -273,10 +271,10 @@ def test_kernel_rising_terms_against_exact_oracle(ctx):
     _assert_both_tables(table, reference, ctx)
 
 
-def test_kernel_term_budget():
-    tight = PrecisionContext(mantissa_bits=256, max_terms=40)
+def test_kernel_term_budget(ctx, monkeypatch):
+    monkeypatch.setattr(moments_module, "MAX_TERMS", 40)
     with pytest.raises(TermBudgetExceeded):
-        MomentTable(HypergeometricWeight(a=(5,), eta=Fraction(9, 10)), 4, tight)
+        MomentTable(HypergeometricWeight(a=(5,), eta=Fraction(9, 10)), 4, ctx)
 
 
 def _count_passes(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,6 @@ from semidop import (
     MomentTable,
     PrecisionContext,
     PreconditionError,
-    TermBudgetExceeded,
     parse_weight_spec,
 )
 from semidop import pipeline
@@ -232,15 +232,6 @@ def test_confirmation_reads_low_on_ill_conditioned_truncation():
     assert chol.confirmed_bits < 512 - 64
 
 
-def test_pipeline_cache_keys_on_whole_context():
-    # a cached pipeline built with the default term budget must not answer
-    # for a context whose budget is too small to certify the moments
-    clear_cache()
-    get_pipeline(CHARLIER, 8, PrecisionContext(mantissa_bits=BITS))
-    with pytest.raises(TermBudgetExceeded):
-        get_pipeline(CHARLIER, 8, PrecisionContext(mantissa_bits=BITS, max_terms=40))
-
-
 def test_parse_tolerance_forms():
     assert parse_tolerance("2^-128") == Fraction(1, 2**128)
     assert parse_tolerance("1/1024") == Fraction(1, 1024)
@@ -294,6 +285,18 @@ def test_cli_caps_refuse_before_building(command, flag, cap, monkeypatch, capsys
     assert cli_main([command, "--weight", "eta=1/2", flag, str(cap + 1)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and flag in err
+
+
+def test_cli_max_m_cap_refuses_before_building(monkeypatch, capsys):
+    # the cap is the depth that `moments --size MAX_SIZE` prints
+    def built(*args, **kwargs):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(MomentTable, "__init__", built)
+    argv = ["moments", "--weight", "eta=1/2", "--max-m", str(2 * MAX_SIZE - 1)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--max-m" in err
 
 
 def test_cli_recurrence_charlier(capsys):
@@ -378,10 +381,12 @@ def test_cli_psi_route_mismatch(capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child finds the package in src/ with or without an install
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "semidop.cli", "recurrence", "--weight", "eta=1/2",
          "--size", "4", "--bits", "128"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n\tbeta_n")

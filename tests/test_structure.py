@@ -130,6 +130,17 @@ def test_jacobi_closed_forms_charlier(charlier_pipe):
                 assert abs(charlier_pipe.gamma(n) - n * eta) < tol * (n + 1)
 
 
+def test_gamma_index_zero_and_below(ctx):
+    # gamma_0 = 0 by convention, not the last entry of the recurrence data
+    from semidop import IndexOutOfTable
+    from semidop.pipeline import get_pipeline
+
+    pipe = get_pipeline(CHARLIER, 6, ctx)
+    assert pipe.gamma(0) == 0
+    with pytest.raises(IndexOutOfTable):
+        pipe.gamma(-1)
+
+
 def test_jacobi_closed_forms_meixner(meixner_pipe):
     a, eta = mpf(2), mpf(1) / 2
     with workprec(BITS):
@@ -185,9 +196,7 @@ def test_three_term_recurrence_residual(gen_meixner_pipe):
 
 
 def test_orthogonality_direct_sums(ctx, tol, meixner_pipe):
-    res = orthogonality_check(
-        MEIXNER, meixner_pipe.jac, meixner_pipe.chol.h, 6, ctx.max_terms, tol,
-    )
+    res = orthogonality_check(MEIXNER, meixner_pipe.jac, meixner_pipe.chol.h, 6, tol)
     assert res.passed, res.components
 
 
