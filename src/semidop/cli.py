@@ -30,9 +30,14 @@ _DISPLAY_DIGITS = 30
 # --max-m is capped at 2 * MAX_SIZE - 2, the depth of `moments --size 64`.
 # The checks are meant for truncations k <= ~32, and 8192 bits is sixteen times
 # the default. Cost grows fast past them: on a 2-vCPU Xeon, recurrence took
-# 17 s at size 64 and 8192 bits, and 38 s at size 128 and 4096 bits.
+# 17 s at size 64 and 8192 bits, and 38 s at size 128 and 4096 bits. The
+# dense kernels cost about size^3 operations on bits-wide numbers, so the flags
+# are also capped jointly: size^3 * bits may not pass MAX_WORK, its value at
+# --size 64 and the default 512 bits. Each flag at its cap with the other at
+# its default stays accepted.
 MAX_SIZE = 64
 MAX_BITS = 8192
+MAX_WORK = MAX_SIZE**3 * 512
 
 
 def parse_tolerance(text: str) -> Fraction:
@@ -241,6 +246,11 @@ def main(argv=None) -> int:
         for flag, value, cap in (("--size", args.size, MAX_SIZE), ("--bits", args.bits, MAX_BITS)):
             if value > cap:
                 raise PreconditionError(f"{flag} {value} exceeds the cap {cap}")
+        if args.size**3 * args.bits > MAX_WORK:
+            raise PreconditionError(
+                f"--size {args.size} with --bits {args.bits} exceeds the joint cap "
+                f"size^3 * bits <= {MAX_SIZE}^3 * 512"
+            )
         return handlers[args.command](args)
     except PreconditionError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

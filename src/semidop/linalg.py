@@ -5,8 +5,21 @@ the only representation; matrices that are banded by theorem are read by
 diagonal offset (``diagonal_of``) and their band is checked, not stored.
 Products skip exact zeros, which J (tridiagonal), S and Pi (triangular) hold
 by theorem, and keep the bits of the dense sum; a factor with a non-finite
-entry, or with both int and mpf entries, takes the dense sum. All elimination
-routines use fixed pivoting rules so results are bit-stable.
+entry, or with both int and mpf entries, takes the dense sum, and so do two
+int factors, whose sum is exact. All elimination routines use fixed pivoting
+rules so results are bit-stable.
+
+The hot kernels (``mat_mul``, ``ldl_no_pivot``, ``unit_lower_inverse``,
+``lu_determinant``, the maxima and ``GramSums``) run on raw ``libmp`` values:
+they read each entry's ``_mpf_`` tuple once, loop with ``mpf_add``,
+``mpf_mul`` and the rest at ``mp._prec_rounding`` read at call time, and wrap
+each result once with ``mp.make_mpf``. The bit-identity rule: every libmp call
+is the one the ``mpf`` operator would make, with the same arguments, precision
+and rounding, in the same order, so the results are the operators' bits without
+their per-operation dispatch and allocation. Comparisons use ``mpf_gt`` and
+``mpf_lt``, as the operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is
+1, so a nan maximum or a nan pivot would be replaced where the operators keep
+it. No other module does arithmetic on raw values.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
@@ -16,14 +29,42 @@ Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its check.
 
 from __future__ import annotations
 
-from mpmath import mpf
-from mpmath.libmp import finf, fnan, fninf
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    fnan,
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_sub,
+    normalize,
+)
 
 from .errors import SingularTruncation
 from .weights import to_mpf
 
 Matrix = list  # list[list[number]]
-_NON_FINITE = (fnan, finf, fninf)
+
+
+def _raw(x) -> tuple:
+    """x's value as an ``_mpf_`` tuple, read as an mpf operator reads its operand."""
+    return x._mpf_ if type(x) is mpf else mpf.mpf_convert_rhs(x)
+
+
+def _wrapped(rows) -> Matrix:
+    make = mp.make_mpf
+    return [[make(v) for v in row] for row in rows]
+
+
+def _unit_lower(n: int) -> list:
+    """The raw identity, rows of fone on the diagonal and fzero elsewhere."""
+    return [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
 
 def zeros(n: int) -> Matrix:
@@ -65,14 +106,32 @@ def exceeds(v, best) -> bool:
     return v > best or v != v
 
 
-def _entry_type(a: Matrix):
-    """int or mpf when every entry of a is a finite value of that one type, else None."""
-    types = {type(x) for row in a for x in row}
-    if types == {int}:
-        return int
-    if types == {mpf} and not any(x._mpf_ in _NON_FINITE for row in a for x in row):
-        return mpf
-    return None
+def _nonzero_rows(a):
+    """(type, rows) when every entry of a is a finite value of one type, int or mpf.
+
+    Each row lists (column, value) for its nonzero entries, an mpf as its
+    ``_mpf_`` tuple; (None, None) when a mixes types or holds a nan or an
+    infinity.
+    """
+    kind, rows = None, []
+    for row in a:
+        out = []
+        for j, x in enumerate(row):
+            kind = kind or type(x)
+            if type(x) is not kind or kind not in (int, mpf):
+                return None, None
+            if kind is mpf:
+                x = x._mpf_
+                if not x[1] and x[2]:  # nan or an infinity
+                    return None, None
+            if x not in (0, fzero):
+                out.append((j, x))
+        rows.append(out)
+    return kind, rows
+
+
+def _int_times_mpf(x, y, prec, rnd):
+    return mpf_mul_int(y, x, prec, rnd)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -81,27 +140,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     Each entry starts from its first nonzero product and adds the others in
     ascending inner index. Adding an exact zero returns the other operand
     unchanged, so every entry has the bits and the type of the dense sum
-    ``sum(a[i][l] * b[l][j] for l)``; one with no nonzero product is ``0``
-    when a and b hold only ints and ``mpf(0)`` otherwise. When either factor
-    holds a non-finite entry or mixes types, the dense sum itself is taken:
-    ``nan * 0`` is ``nan``, and the type of a sum follows its products.
+    ``sum(a[i][l] * b[l][j] for l)``; one with no nonzero product is
+    ``mpf(0)``. An mpf times an int is ``mpf_mul_int``, as the operator
+    computes it. When either factor holds a non-finite entry or mixes types,
+    the dense sum itself is taken: ``nan * 0`` is ``nan``, and the type of a
+    sum follows its products. Two int factors take it too: their sum is exact.
     """
     k, m = len(b), len(b[0])
-    type_a, type_b = _entry_type(a), _entry_type(b)
-    if type_a is None or type_b is None:
+    kind_a, rows_a = _nonzero_rows(a)
+    kind_b, rows_b = _nonzero_rows(b)
+    if mpf not in (kind_a, kind_b) or None in (kind_a, kind_b):
         bt = list(zip(*b))
         return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
-    zero = mpf(0) if mpf in (type_a, type_b) else 0
-    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    if kind_a is int:
+        mul = _int_times_mpf
+    else:
+        mul = mpf_mul_int if kind_b is int else mpf_mul
+    prec, rnd = mp._prec_rounding
+    zero, make = mpf(0), mp.make_mpf
     out = []
-    for row_a in a:
-        acc = [zero] * m
-        for x, row_b in zip(row_a, rows_b):
-            if x:
-                for j, y in row_b:
-                    p = x * y
-                    acc[j] = p if acc[j] is zero else acc[j] + p
-        out.append(acc)
+    for row_a in rows_a:
+        acc = [None] * m
+        for l, x in row_a:
+            for j, y in rows_b[l]:
+                p = mul(x, y, prec, rnd)
+                acc[j] = p if acc[j] is None else mpf_add(acc[j], p, prec, rnd)
+        out.append([zero if v is None else make(v) for v in acc])
     return out
 
 
@@ -125,15 +189,25 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _max_abs(entries):
+    """The largest |x| over entries, a nan once met staying, by the operators' bits.
+
+    The winner's |x| is taken again at the end, so an int maximum stays an int.
+    """
+    prec, rnd = mp._prec_rounding
+    best, winner = fzero, mpf(0)
+    for x in entries:
+        v = mpf_abs(x._mpf_, prec, rnd) if type(x) is mpf else _raw(abs(x))
+        if mpf_gt(v, best) or v == fnan:
+            best, winner = v, x
+    return abs(winner)
+
+
 def max_abs(a: Matrix, window: int | None = None) -> mpf:
-    n = len(a) if window is None else min(window, len(a))
-    best = mpf(0)
-    for i in range(n):
-        for j in range(n if window is not None else len(a[i])):
-            v = abs(a[i][j])
-            if exceeds(v, best):
-                best = v
-    return best
+    if window is None:
+        return _max_abs(x for row in a for x in row)
+    n = min(window, len(a))
+    return _max_abs(a[i][j] for i in range(n) for j in range(n))
 
 
 def window_diff(a: Matrix, b: Matrix, window: int):
@@ -157,15 +231,16 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
 def unit_lower_inverse(l: Matrix) -> Matrix:
     """Invert a unit lower triangular matrix by forward substitution."""
     n = len(l)
-    inv = identity(n)
+    prec, rnd = mp._prec_rounding
+    low = [[_raw(x) for x in row[:i]] for i, row in enumerate(l)]
+    inv = _unit_lower(n)
     for j in range(n):
-        col = inv  # solve L x = e_j in place
-        for i in range(j + 1, n):
-            s = mpf(0)
+        for i in range(j + 1, n):  # solve L x = e_j in place
+            s, row = fzero, low[i]
             for p in range(j, i):
-                s += l[i][p] * col[p][j]
-            col[i][j] = -s
-    return inv
+                s = mpf_add(s, mpf_mul(row[p], inv[p][j], prec, rnd), prec, rnd)
+            inv[i][j] = mpf_neg(s, prec, rnd)
+    return _wrapped(inv)
 
 
 def ldl_no_pivot(a: Matrix, pivot_floor) -> tuple[Matrix, list]:
@@ -176,21 +251,36 @@ def ldl_no_pivot(a: Matrix, pivot_floor) -> tuple[Matrix, list]:
     triangular correspondence this factorization exists to expose.
     """
     n = len(a)
-    l = identity(n)
-    d = [mpf(0)] * n
+    prec, rnd = mp._prec_rounding
+    low = [[_raw(x) for x in row[: i + 1]] for i, row in enumerate(a)]
+    floor = _raw(pivot_floor)
+    l = _unit_lower(n)
+    d = [fzero] * n
     for j in range(n):
-        acc = a[j][j]
+        row_j = l[j]
+        acc = low[j][j]
         for p in range(j):
-            acc = acc - l[j][p] * l[j][p] * d[p]
-        if abs(acc) < pivot_floor:
+            t = mpf_mul(mpf_mul(row_j[p], row_j[p], prec, rnd), d[p], prec, rnd)
+            acc = mpf_sub(acc, t, prec, rnd)
+        if mpf_lt(mpf_abs(acc, prec, rnd), floor):
             raise SingularTruncation(j)
         d[j] = acc
         for i in range(j + 1, n):
-            s = a[i][j]
+            row_i = l[i]
+            s = low[i][j]
             for p in range(j):
-                s = s - l[i][p] * l[j][p] * d[p]
-            l[i][j] = s / d[j]
-    return l, d
+                t = mpf_mul(mpf_mul(row_i[p], row_j[p], prec, rnd), d[p], prec, rnd)
+                s = mpf_sub(s, t, prec, rnd)
+            row_i[j] = mpf_div(s, acc, prec, rnd)
+    return _wrapped(l), [mp.make_mpf(x) for x in d]
+
+
+def _rounded(x, prec: int, rnd: str) -> tuple:
+    """mpf(x)'s ``_mpf_``: x rounded to prec as the constructor rounds it."""
+    if type(x) is not mpf:
+        return mpf(x)._mpf_
+    v = x._mpf_
+    return v if not v[1] and v[2] else normalize(*v, prec, rnd)
 
 
 def lu_determinant(a: Matrix) -> mpf:
@@ -198,31 +288,65 @@ def lu_determinant(a: Matrix) -> mpf:
     n = len(a)
     if n == 0:
         return mpf(1)
-    work = [list(map(mpf, row)) for row in a]
-    det = mpf(1)
+    prec, rnd = mp._prec_rounding
+    work = [[_rounded(x, prec, rnd) for x in row] for row in a]
+    det = fone
     for j in range(n):
         pivot_row = j
-        best = abs(work[j][j])
+        best = mpf_abs(work[j][j], prec, rnd)
         for i in range(j + 1, n):
-            v = abs(work[i][j])
-            if v > best:
+            v = mpf_abs(work[i][j], prec, rnd)
+            if mpf_gt(v, best):
                 best = v
                 pivot_row = i
-        if best == 0:
+        if best == fzero:
             return mpf(0)
         if pivot_row != j:
             work[j], work[pivot_row] = work[pivot_row], work[j]
-            det = -det
-        pivot = work[j][j]
-        det *= pivot
+            det = mpf_neg(det, prec, rnd)
+        row_j = work[j]
+        pivot = row_j[j]
+        det = mpf_mul(det, pivot, prec, rnd)
         for i in range(j + 1, n):
-            factor = work[i][j] / pivot
-            if factor:
-                row_i = work[i]
-                row_j = work[j]
+            row_i = work[i]
+            factor = mpf_div(row_i[j], pivot, prec, rnd)
+            if factor != fzero:
                 for p in range(j + 1, n):
-                    row_i[p] = row_i[p] - factor * row_j[p]
-    return det
+                    row_i[p] = mpf_sub(row_i[p], mpf_mul(factor, row_j[p], prec, rnd), prec, rnd)
+    return mp.make_mpf(det)
+
+
+class GramSums:
+    """Running sums S[n][m] of p_n p_m w over lattice points, for m <= n < count.
+
+    The sums stay raw between points; ``lower()`` wraps them once.
+    """
+
+    def __init__(self, count: int):
+        self._sums = [[fzero] * (n + 1) for n in range(count)]
+
+    def add(self, pvec: list, weight) -> mpf:
+        """Add the point's terms p_n p_m weight; returns the largest |term|.
+
+        As the operator loop it replaces, a nan term is summed but not counted.
+        """
+        prec, rnd = mp._prec_rounding
+        p = [_raw(x) for x in pvec]
+        w = _raw(weight)
+        contrib = fzero
+        for n, row in enumerate(self._sums):
+            pn = p[n]
+            for m in range(n + 1):
+                term = mpf_mul(mpf_mul(pn, p[m], prec, rnd), w, prec, rnd)
+                row[m] = mpf_add(row[m], term, prec, rnd)
+                v = mpf_abs(term, prec, rnd)
+                if mpf_gt(v, contrib):
+                    contrib = v
+        return mp.make_mpf(contrib)
+
+    def lower(self) -> Matrix:
+        """Row n holds S[n][0..n]."""
+        return _wrapped(self._sums)
 
 
 # -- diagonals and triangles ----------------------------------------------------
@@ -245,13 +369,6 @@ def upper_with_diagonal(a: Matrix) -> Matrix:
 
 def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:
     """Largest |entry| at offsets outside [lo, hi], over the leading window."""
-    worst = mpf(0)
-    for i in range(window):
-        for j in range(window):
-            d = j - i
-            if lo <= d <= hi:
-                continue
-            v = abs(a[i][j])
-            if exceeds(v, worst):
-                worst = v
-    return worst
+    return _max_abs(
+        a[i][j] for i in range(window) for j in range(window) if not lo <= j - i <= hi
+    )

@@ -20,6 +20,7 @@ from mpmath import mp, mpf, workprec
 
 from .errors import PreconditionError, RouteMismatch
 from .linalg import (
+    GramSums,
     Matrix,
     commutator,
     diag,
@@ -362,7 +363,7 @@ def orthogonality_check(
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         tol_series = mpf(2) ** -(bits - 32)
-        sums = [[mpf(0)] * (nmax + 1) for _ in range(nmax + 1)]
+        gram = GramSums(nmax + 1)
         classification = classify_convergence(w)
         limit = to_mpf(term_ratio_limit(w))
         cap = classification.support_cap
@@ -376,15 +377,7 @@ def orthogonality_check(
                 break
             if k >= MAX_TERMS:
                 break
-            value = to_mpf(next(weights))
-            pvec = polynomial_vector(jac, k, nmax + 1)
-            contrib = mpf(0)
-            for n in range(nmax + 1):
-                for m in range(n + 1):
-                    term = pvec[n] * pvec[m] * value
-                    sums[n][m] += term
-                    if abs(term) > contrib:
-                        contrib = abs(term)
+            contrib = gram.add(polynomial_vector(jac, k, nmax + 1), to_mpf(next(weights)))
             if k > 2 * nmax + 2 and contrib <= tol_series * floor:
                 streak += 1
                 ratio_ok = prev_contrib is not None and (
@@ -397,6 +390,7 @@ def orthogonality_check(
             prev_contrib = contrib
             k += 1
 
+        sums = gram.lower()
         for n in range(nmax + 1):
             for m in range(n + 1):
                 if n == m:

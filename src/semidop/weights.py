@@ -357,12 +357,13 @@ class ConvergenceClass:
 def classify_convergence(w: HypergeometricWeight) -> ConvergenceClass:
     """Classify the weight by the standard convergence cases.
 
-    Finite support wins whenever some a_i is a nonpositive integer (or eta = 0).
-    A deformation with |eta2| < 1 or |eta3| < 1 forces superexponential decay,
-    so those weights converge for every eta.
+    Finite support wins whenever some a_i is a nonpositive integer, or when
+    eta, eta2 or eta3 is 0: then w(k) = 0 for every k >= 1, so the support is
+    {0}. A deformation with |eta2| < 1 or |eta3| < 1 forces superexponential
+    decay, so those weights converge for every eta.
     """
     qs = [int(-ai) for ai in w.a if is_nonpositive_integer(ai)]
-    if w.eta == 0:
+    if 0 in (w.eta, w.eta2, w.eta3):
         qs.append(0)
     if qs:
         return ConvergenceClass("finite_support", min(qs))

@@ -2,8 +2,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import inf, isnan, ldexp, mpf, nan, workprec
 
-from semidop import pascal_matrix
-from semidop.linalg import identity, mat_mul, max_abs, out_of_band_max, window_diff
+from semidop import SingularTruncation, pascal_matrix
+from semidop.linalg import (
+    GramSums,
+    exceeds,
+    identity,
+    ldl_no_pivot,
+    lu_determinant,
+    mat_mul,
+    max_abs,
+    out_of_band_max,
+    unit_lower_inverse,
+    window_diff,
+)
 from semidop.result import ResidualAccumulator
 
 TOL = mpf(2) ** -100
@@ -52,7 +63,7 @@ def test_mat_mul_matches_dense_sum_bit_for_bit(data):
     n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
     a = data.draw(matrices(n, k))
     b = data.draw(matrices(k, m))
-    with workprec(256):
+    with workprec(data.draw(st.sampled_from([53, 256, 512, 600]))):
         assert bits(mat_mul(a, b)) == bits(dense_mat_mul(a, b))
 
 
@@ -140,3 +151,184 @@ def test_maxima_match_brute_force_with_a_nan_anywhere(data):
     assert same(scale, brute_max_abs([a[i][j] for i, j in block] + [b[i][j] for i, j in block]))
     band = brute_max_abs(a[i][j] for i, j in block if not lo <= j - i <= hi)
     assert same(out_of_band_max(a, lo, hi, w), band)
+
+
+# -- the operator kernels the raw-value ones replaced, kept as oracles -----------
+# (mat_mul's oracle is dense_mat_mul above)
+
+def op_max_abs(entries):
+    best = mpf(0)
+    for x in entries:
+        v = abs(x)
+        if exceeds(v, best):
+            best = v
+    return best
+
+
+def op_unit_lower_inverse(l):
+    n = len(l)
+    inv = identity(n)
+    for j in range(n):
+        for i in range(j + 1, n):
+            s = mpf(0)
+            for p in range(j, i):
+                s += l[i][p] * inv[p][j]
+            inv[i][j] = -s
+    return inv
+
+
+def op_ldl_no_pivot(a, pivot_floor):
+    n = len(a)
+    l = identity(n)
+    d = [mpf(0)] * n
+    for j in range(n):
+        acc = a[j][j]
+        for p in range(j):
+            acc = acc - l[j][p] * l[j][p] * d[p]
+        if abs(acc) < pivot_floor:
+            raise SingularTruncation(j)
+        d[j] = acc
+        for i in range(j + 1, n):
+            s = a[i][j]
+            for p in range(j):
+                s = s - l[i][p] * l[j][p] * d[p]
+            l[i][j] = s / d[j]
+    return l, d
+
+
+def op_lu_determinant(a):
+    n = len(a)
+    if n == 0:
+        return mpf(1)
+    work = [list(map(mpf, row)) for row in a]
+    det = mpf(1)
+    for j in range(n):
+        pivot_row = j
+        best = abs(work[j][j])
+        for i in range(j + 1, n):
+            v = abs(work[i][j])
+            if v > best:
+                best = v
+                pivot_row = i
+        if best == 0:
+            return mpf(0)
+        if pivot_row != j:
+            work[j], work[pivot_row] = work[pivot_row], work[j]
+            det = -det
+        pivot = work[j][j]
+        det *= pivot
+        for i in range(j + 1, n):
+            factor = work[i][j] / pivot
+            if factor:
+                for p in range(j + 1, n):
+                    work[i][p] = work[i][p] - factor * work[j][p]
+    return det
+
+
+def op_gram_sums(points, count):
+    """The orthogonality walk's per-point loop: lower sums and each point's max |term|."""
+    sums = [[mpf(0)] * count for _ in range(count)]
+    contribs = []
+    for pvec, value in points:
+        contrib = mpf(0)
+        for n in range(count):
+            for m in range(n + 1):
+                term = pvec[n] * pvec[m] * value
+                sums[n][m] += term
+                if abs(term) > contrib:
+                    contrib = abs(term)
+        contribs.append(contrib)
+    return [row[: n + 1] for n, row in enumerate(sums)], contribs
+
+
+def raw(x):
+    return bits([[x]])[0][0]
+
+
+def outcome(kernel, *args):
+    """The kernel's result in bits, or the error it raised (a zero pivot above a zero floor divides)."""
+    try:
+        l, d = kernel(*args)
+    except SingularTruncation as exc:
+        return ("singular", exc.index)
+    except ZeroDivisionError:
+        return ("zero division",)
+    return bits(l), bits([d])
+
+
+@st.composite
+def wide_matrices(draw, n: int):
+    """n x n, about half exact zeros, the rest 512-bit mpfs between 2^-8 and 2^12.
+
+    Now and then a nan, inf or -inf is planted: at a random position, at the
+    first pivot, or at the first pivot with row 2 twice row 1, whose remainder
+    is singular once row 2 pivots the first column.
+    """
+    out = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if draw(st.booleans()):
+                row.append(mpf(0))
+            else:
+                man = draw(st.integers(-(2**512) + 1, 2**512 - 1))
+                with workprec(512):
+                    row.append(ldexp(mpf(man), draw(st.integers(-520, -500))))
+        out.append(row)
+    plant = draw(st.sampled_from(["none", "none", "anywhere", "pivot", "singular_pivot"]))
+    if plant == "none":
+        return out
+    bad = draw(st.sampled_from([nan, nan, inf, -inf]))
+    if plant == "anywhere":
+        out[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = bad
+        return out
+    out[0][0] = bad
+    if plant == "singular_pivot" and n >= 3:
+        out[2] = [ldexp(x, 1) for x in out[1]]
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_raw_kernels_match_operator_kernels_bit_for_bit(data):
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(wide_matrices(n))
+    lo = data.draw(st.integers(-n, n))
+    hi = data.draw(st.integers(lo, n))
+    w = data.draw(st.integers(0, n))
+    floor = data.draw(st.sampled_from([mpf(0), mpf(2) ** -8, mpf(1), mpf(2) ** 10]))
+    with workprec(prec):
+        assert raw(lu_determinant(a)) == raw(op_lu_determinant(a))
+        assert outcome(ldl_no_pivot, a, floor) == outcome(op_ldl_no_pivot, a, floor)
+        assert bits(unit_lower_inverse(a)) == bits(op_unit_lower_inverse(a))
+        assert raw(max_abs(a)) == raw(op_max_abs(x for row in a for x in row))
+        block = [a[i][j] for i in range(w) for j in range(w)]
+        assert raw(max_abs(a, w)) == raw(op_max_abs(block))
+        band = [a[i][j] for i in range(w) for j in range(w) if not lo <= j - i <= hi]
+        assert raw(out_of_band_max(a, lo, hi, w)) == raw(op_max_abs(band))
+        # each row of a as one lattice point's polynomial values, weighted by its last entry
+        points = [(row, row[-1]) for row in a]
+        gram = GramSums(n)
+        contribs = [gram.add(pvec, value) for pvec, value in points]
+        want_sums, want_contribs = op_gram_sums(points, n)
+        assert bits(gram.lower()) == bits(want_sums)
+        assert bits([contribs]) == bits([want_contribs])
+
+
+def test_raw_kernels_keep_a_nan_as_the_operators_do():
+    # the operators compare by mpf_gt and mpf_lt, which keep a nan; mpf_cmp(1, nan) is 1
+    with workprec(128):
+        # a nan after a finite maximum stays the maximum
+        assert isnan(max_abs([[mpf(1), nan, mpf(2)]]))
+        # a nan pivot stays the pivot: nan, where pivoting on the 2 would give 0
+        a = [[nan, mpf(1), mpf(1)], [mpf(1), mpf(1), mpf(0)], [mpf(2), mpf(2), mpf(0)]]
+        assert isnan(op_lu_determinant(a)) and isnan(lu_determinant(a))
+        # a nan pivot is not below the floor
+        assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
+
+
+def test_int_maximum_stays_int():
+    # as max(|x|) on the operators: the winning entry's own abs
+    assert type(max_abs([[mpf(1), -3]])) is int
+    assert type(max_abs([[mpf(5), -3]])) is mpf

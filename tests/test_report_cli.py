@@ -187,6 +187,8 @@ def test_golden_default_charlier_suite():
         ("eta=1/2; eta2=9/10; eta3=9/10", 8, "0927033eb27d5ebb"),
         # two b parameters: contiguous and omega run through B(1) and B(2)
         ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "4cf311a2a660d34d"),
+        # the only recorded case whose determinants are 25 x 25 LUs
+        ("a=3/2; b=5/2; eta=1/3", 24, "17630ed5902904c6"),
     ],
 )
 def test_contract_reports_byte_identical(spec, size, digest):
@@ -287,6 +289,25 @@ def test_cli_caps_refuse_before_building(command, flag, cap, monkeypatch, capsys
     assert err.startswith("configuration error:") and flag in err
 
 
+def test_cli_joint_cap_refuses_before_building(monkeypatch, capsys):
+    # size^3 * bits is capped at its value for --size MAX_SIZE at the default 512 bits;
+    # 32^3 * 4096 is that value, so 4097 bits at size 32 is one past it
+    def built(*args, **kwargs):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(MomentTable, "__init__", built)
+    for command in ("moments", "recurrence", "psi", "verify"):
+        for size, bits in ((MAX_SIZE, MAX_BITS), (MAX_SIZE, 513), (32, 4097)):
+            argv = [command, "--weight", "eta=7/10", "--size", str(size), "--bits", str(bits)]
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "--size" in err and "--bits" in err
+    # each flag at its cap with the other at its default gets as far as building
+    for flags in (["--size", str(MAX_SIZE)], ["--bits", str(MAX_BITS)]):
+        with pytest.raises(AssertionError, match="built"):
+            cli_main(["verify", "--weight", "eta=7/10", *flags])
+
+
 def test_cli_max_m_cap_refuses_before_building(monkeypatch, capsys):
     # the cap is the depth that `moments --size MAX_SIZE` prints
     def built(*args, **kwargs):
@@ -297,6 +318,17 @@ def test_cli_max_m_cap_refuses_before_building(monkeypatch, capsys):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "--max-m" in err
+
+
+@pytest.mark.parametrize("field", ["eta2", "eta3"])
+def test_cli_zero_deformation_is_one_point_support(field, capsys):
+    # w(k) = 0 for k >= 1: moments are exact and a size-4 window is refused
+    weight = f"eta=1/2; {field}=0"
+    assert cli_main(["moments", "--weight", weight, "--max-m", "3"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert [float(row.split("\t")[1]) for row in rows] == [1, 0, 0, 0]
+    assert cli_main(["recurrence", "--weight", weight, "--size", "4"]) == 1
+    assert "TruncationTooLarge" in capsys.readouterr().err
 
 
 def test_cli_recurrence_charlier(capsys):

@@ -83,6 +83,10 @@ def test_classification_cases():
     bound2 = HypergeometricWeight(a=(Fraction(1, 2), Fraction(1, 3)), b=(3,), eta=-1)
     assert classify_convergence(bound2).kind == "boundary"
     assert classify_convergence(HypergeometricWeight(eta=0)).kind == "finite_support"
+    # eta2 = 0 or eta3 = 0 makes w(k) = 0 for k >= 1, as eta = 0 does
+    for field in ("eta2", "eta3"):
+        cls = classify_convergence(HypergeometricWeight(eta=Fraction(1, 2), **{field: 0}))
+        assert cls.kind == "finite_support" and cls.q == 0
     deformed = HypergeometricWeight(a=(Fraction(1, 2),), eta=2, eta2=Fraction(9, 10))
     assert classify_convergence(deformed).kind == "all_eta"
 
