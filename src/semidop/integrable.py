@@ -30,7 +30,6 @@ from .flows import (
 )
 from .linalg import (
     commutator,
-    diag,
     diagonal_of,
     mat_add,
     mat_mul,
@@ -496,7 +495,7 @@ def sato_wilson_check(
     fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        j = pipe.jac.to_dense()
+        j = pipe.jac.dense
         powers = {1: j, 2: mat_mul(j, j)}
         jets = _log_jets(pipe, kj + 1, [(2, 1, 0)])
         h_floor = pipe.chol.h_floor()
@@ -584,10 +583,8 @@ def pearson_toda_check(
         raise PreconditionError("truncation too small for the compatibility check")
 
     def matrices(p: WeightPipeline) -> dict:
+        a, at = p.psi_h_inv
         with workprec(bits):
-            h_inv = diag([1 / x for x in p.chol.h[: p.jac.size]])
-            a = mat_mul(p.psi, h_inv)
-            at = mat_mul(transpose(p.psi), h_inv)
             eta_inv = 1 / to_mpf(p.weight.eta)
             return {
                 "1a": mat_scale(at, eta_inv),
@@ -602,7 +599,7 @@ def pearson_toda_check(
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         effective_tol = max(Fraction(tolerance), 10 * fd_step * fd_step)
-        j = pipe.jac.to_dense()
+        j = pipe.jac.dense
         phi = mat_scale(strict_lower(j), mpf(-1))
         j_plus = upper_with_diagonal(j)
         gauges = {"1a": phi, "1b": phi, "2a": j_plus, "2b": j_plus}

@@ -246,9 +246,10 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
 def ldl_no_pivot(a: Matrix, pivot_floor) -> tuple[Matrix, list]:
     """A = L D L^T for symmetric A, unit lower L, no row exchanges.
 
-    Raises SingularTruncation at the first pivot with |pivot| < pivot_floor.
-    Row exchanges are deliberately not attempted: they would break the
-    triangular correspondence this factorization exists to expose.
+    Raises SingularTruncation at the first pivot that is an exact zero or has
+    |pivot| < pivot_floor. Row exchanges are deliberately not attempted: they
+    would break the triangular correspondence this factorization exists to
+    expose.
     """
     n = len(a)
     prec, rnd = mp._prec_rounding
@@ -262,7 +263,7 @@ def ldl_no_pivot(a: Matrix, pivot_floor) -> tuple[Matrix, list]:
         for p in range(j):
             t = mpf_mul(mpf_mul(row_j[p], row_j[p], prec, rnd), d[p], prec, rnd)
             acc = mpf_sub(acc, t, prec, rnd)
-        if mpf_lt(mpf_abs(acc, prec, rnd), floor):
+        if acc == fzero or mpf_lt(mpf_abs(acc, prec, rnd), floor):
             raise SingularTruncation(j)
         d[j] = acc
         for i in range(j + 1, n):
@@ -284,7 +285,12 @@ def _rounded(x, prec: int, rnd: str) -> tuple:
 
 
 def lu_determinant(a: Matrix) -> mpf:
-    """Determinant by LU with partial pivoting (first maximal pivot)."""
+    """Determinant by LU with partial pivoting (first maximal pivot).
+
+    A zero pivot column gives 0, or nan while a nan is left in the remaining
+    block: a nan never wins the pivot search, so it can sit beside a column
+    that is zero in the finite rows.
+    """
     n = len(a)
     if n == 0:
         return mpf(1)
@@ -300,7 +306,8 @@ def lu_determinant(a: Matrix) -> mpf:
                 best = v
                 pivot_row = i
         if best == fzero:
-            return mpf(0)
+            nan_left = any(v == fnan for row in work[j:] for v in row[j:])
+            return mp.make_mpf(fnan if nan_left else fzero)
         if pivot_row != j:
             work[j], work[pivot_row] = work[pivot_row], work[j]
             det = mpf_neg(det, prec, rnd)

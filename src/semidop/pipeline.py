@@ -6,6 +6,21 @@ factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
 size, precision context); the finite-difference witnesses obtain perturbed
 pipelines through the same cache. Moment depth depends on weight and size alone.
+
+Every identity check takes the pipeline as its first argument and reads each
+shared ingredient from the one property that owns it. The moment table
+(``table``) and the factorization S, S^-1, H (``chol``) come from
+``moments``; the rest is built once, on first use, by a builder in
+``structure``:
+
+- ``jac``: the recurrence data, with dense J as ``jac.dense``;
+- ``pi`` and ``pi_inv``: the dressed Pascal pair S B^(+-1) S^-1;
+- ``sigma_j``, ``theta_j``, ``theta_j_plus``, ``sigma_j_minus``: sigma(J),
+  theta(J), theta(J+I) and sigma(J-I);
+- ``psi``: the structure matrix sigma(J) H Pi^T;
+- ``psi_h_inv``: the pair Psi H^-1, Psi^T H^-1.
+
+Checks only read these objects; none writes into them.
 """
 
 from __future__ import annotations
@@ -29,12 +44,14 @@ from .structure import (
     JacobiMatrix,
     dressed_pascal,
     jacobi_matrix,
+    poly_of_jacobi,
     polynomial_vector,
+    psi_h_inverse,
     psi_matrix,
     psi_structure_check,
 )
 from .result import CheckResult
-from .weights import HypergeometricWeight, Shift, shift_parameter
+from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
 # Moment depth past rho_{2k}, the deepest entry of the size-(k+1)
 # factorization: it absorbs the flow-index shifts of the determinant engine.
@@ -83,15 +100,36 @@ class WeightPipeline:
         return dressed_pascal(self.chol.s, self.chol.s_inv, -1, self.bits)
 
     @cached_property
+    def sigma_j(self) -> Matrix:
+        return poly_of_jacobi(pearson_polynomials(self.weight).sigma_coeffs, self.jac)
+
+    @cached_property
+    def theta_j(self) -> Matrix:
+        return poly_of_jacobi(pearson_polynomials(self.weight).theta_coeffs, self.jac)
+
+    @cached_property
+    def theta_j_plus(self) -> Matrix:
+        """theta(J + I)."""
+        return poly_of_jacobi(pearson_polynomials(self.weight).theta_coeffs, self.jac, 1)
+
+    @cached_property
+    def sigma_j_minus(self) -> Matrix:
+        """sigma(J - I)."""
+        return poly_of_jacobi(pearson_polynomials(self.weight).sigma_coeffs, self.jac, -1)
+
+    @cached_property
     def psi(self) -> Matrix:
         """The structure matrix sigma(J) H Pi^T, dense, k x k."""
-        return psi_matrix(self.chol, self.jac, self.pi, self.weight)
+        return psi_matrix(self)
+
+    @cached_property
+    def psi_h_inv(self) -> tuple[Matrix, Matrix]:
+        """(Psi H^-1, Psi^T H^-1)."""
+        return psi_h_inverse(self)
 
     def psi_check(self, tolerance: Fraction) -> CheckResult:
         """Six-route agreement and band confinement of the structure matrix."""
-        return psi_structure_check(
-            self.chol, self.jac, self.pi, self.pi_inv, self.weight, tolerance
-        )
+        return psi_structure_check(self, tolerance)
 
     def p_vector(self, z, count: int) -> list:
         return polynomial_vector(self.jac, z, count)

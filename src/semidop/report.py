@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import workprec
-
 from .errors import PreconditionError, SemidopError
 from .flows import default_fd_step
 from .integrable import (
@@ -34,11 +32,12 @@ from .integrable import (
 )
 from .moments import PrecisionContext, decimal_str
 from .pipeline import WeightPipeline, get_pipeline
-from .result import CheckResult, ResidualAccumulator
+from .result import CheckResult
 from .structure import (
     coefficient_sum_check,
     gram_pearson_residual,
     orthogonality_check,
+    pearson_check,
     pi_closed_form_check,
     polynomial_shift_identity,
     psi_extreme_diagonals,
@@ -47,13 +46,7 @@ from .structure import (
     structure_cholesky_check,
     structure_shift_residual,
 )
-from .weights import (
-    HypergeometricWeight,
-    Shift,
-    pearson_polynomials,
-    to_mpf,
-    weight_value,
-)
+from .weights import HypergeometricWeight, Shift, to_mpf
 
 DEFAULT_SEED = 20260808
 # Lattice indices n of the octahedral, u-v and KP checks (each keeps those its
@@ -133,80 +126,28 @@ def _z_samples(cfg: SuiteConfig, count: int = 10) -> list[Fraction]:
     return [Fraction(rng.randint(0, 5_000_000), 1_000_000) for _ in range(count)]
 
 
-def _run_pearson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    w = pipe.weight
-    bits = pipe.bits
-    pp = pearson_polynomials(w)
-    with workprec(bits):
-        acc = ResidualAccumulator(bits)
-        for k in range(51):
-            lhs = to_mpf(pp.theta(Fraction(k + 1))) * weight_value(w, k + 1)
-            rhs = to_mpf(pp.sigma(Fraction(k))) * weight_value(w, k)
-            acc.add(f"k={k}", abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-        return acc.result("pearson", cfg.tol(), window="lattice points k <= 50")
-
-
-def _run_gram_pearson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return gram_pearson_residual(pipe.table, pipe.weight, cfg.size, cfg.tol())
-
-
-def _run_pascal_forms(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return pi_closed_form_check(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, cfg.tol())
-
-
-def _run_s_inverse(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return s_inverse_expansion_check(pipe.chol, cfg.tol())
-
-
-def _run_coefficient_sums(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return coefficient_sum_check(pipe.chol, pipe.jac, cfg.tol())
+def _tolerance_only(check):
+    """The runner of a check whose one varying argument is the tolerance."""
+    return lambda pipe, cfg: check(pipe, cfg.tol())
 
 
 def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    nmax = min(8, pipe.jac.size - 1)
-    return orthogonality_check(pipe.weight, pipe.jac, pipe.chol.h, nmax, cfg.tol())
-
-
-def _run_psi_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return pipe.psi_check(cfg.tol())
-
-
-def _run_psi_diagonals(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return psi_extreme_diagonals(pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol())
+    return orthogonality_check(pipe, min(8, pipe.jac.size - 1), cfg.tol())
 
 
 def _run_psi_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return structure_shift_residual(
-        pipe.psi, pipe.chol, pipe.jac, pipe.weight, _z_samples(cfg), cfg.tol()
-    )
-
-
-def _run_psi_jacobi(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, pipe.weight, cfg.tol())
-
-
-def _run_structure_cholesky(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return structure_cholesky_check(
-        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, cfg.tol()
-    )
+    return structure_shift_residual(pipe, _z_samples(cfg), cfg.tol())
 
 
 def _run_poly_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for coeffs, tag in (
-        ((Fraction(1),), "const"),
-        ((Fraction(0), Fraction(1)), "linear"),
-        ((Fraction(0), Fraction(0), Fraction(1)), "quadratic"),
-    ):
-        res = polynomial_shift_identity(
-            pipe.jac, pipe.pi, pipe.pi_inv, coeffs, cfg.tol(), label=f"poly_shift_{tag}"
+    return [
+        polynomial_shift_identity(pipe, coeffs, cfg.tol(), label=f"poly_shift_{tag}")
+        for coeffs, tag in (
+            ((Fraction(1),), "const"),
+            ((Fraction(0), Fraction(1)), "linear"),
+            ((Fraction(0), Fraction(0), Fraction(1)), "quadratic"),
         )
-        out.append(res)
-    return out
-
-
-def _run_contiguous(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return contiguous_check(pipe, cfg.tol())
+    ]
 
 
 def _run_omega(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
@@ -284,29 +225,29 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "pearson",
             "difference equation theta(k+1) w(k+1) = sigma(k) w(k) on the lattice",
-            _run_pearson,
+            _tolerance_only(pearson_check),
             needs_pearson=True,
         ),
         CheckSpec(
             "gram_pearson",
             "moment-matrix symmetry theta(shift) G = B sigma(shift) G B^T",
-            _run_gram_pearson,
+            _tolerance_only(gram_pearson_residual),
             needs_pearson=True,
         ),
         CheckSpec(
             "pascal_forms",
             "dressed Pascal subdiagonals: closed forms and sum/difference identities",
-            _run_pascal_forms,
+            _tolerance_only(pi_closed_form_check),
         ),
         CheckSpec(
             "s_inverse",
             "subdiagonal expansion of the inverse triangular factor",
-            _run_s_inverse,
+            _tolerance_only(s_inverse_expansion_check),
         ),
         CheckSpec(
             "coefficient_sums",
             "nonlocal sums for polynomial coefficients in recurrence data",
-            _run_coefficient_sums,
+            _tolerance_only(coefficient_sum_check),
         ),
         CheckSpec(
             "orthogonality",
@@ -316,13 +257,13 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "psi_routes",
             "six assembly routes and band confinement of the shift-structure matrix",
-            _run_psi_routes,
+            _tolerance_only(WeightPipeline.psi_check),
             needs_pearson=True,
         ),
         CheckSpec(
             "psi_diagonals",
             "extreme diagonals of the structure matrix as norm/recurrence products",
-            _run_psi_diagonals,
+            _tolerance_only(psi_extreme_diagonals),
             needs_pearson=True,
         ),
         CheckSpec(
@@ -334,13 +275,13 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "psi_jacobi",
             "compatibility commutators and product factorizations with the recurrence matrix",
-            _run_psi_jacobi,
+            _tolerance_only(psi_jacobi_identities),
             needs_pearson=True,
         ),
         CheckSpec(
             "structure_cholesky",
             "triangular factorizations of H theta(J^T) and sigma(J) H and their identities",
-            _run_structure_cholesky,
+            _tolerance_only(structure_cholesky_check),
             needs_pearson=True,
         ),
         CheckSpec(
@@ -351,7 +292,7 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "contiguous",
             "contiguous-parameter relations of the moment matrix",
-            _run_contiguous,
+            _tolerance_only(contiguous_check),
             needs_pearson=True,
         ),
         CheckSpec(

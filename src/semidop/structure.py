@@ -8,13 +8,26 @@ columns absorb the artificial boundary, with the trim width set by the
 polynomial degrees involved. The structure matrix is kept dense, as its
 reference route sigma(J) H Pi^T builds it; its band, offsets -M .. N+1, is
 checked and read by diagonal, not stored.
+
+Every check has one signature, ``check(pipe, ..., tolerance)``: the
+``WeightPipeline`` first, then only what callers vary (``nmax``,
+``z_samples`` or ``r_coeffs``), then the tolerance, which only
+``polynomial_shift_identity``'s ``label`` follows. The dense ingredients
+are built here, once per pipeline, and read from the pipeline's
+properties: J from ``pipe.jac.dense``; sigma(J), theta(J), theta(J+I) and
+sigma(J-I) from ``pipe.sigma_j``, ``pipe.theta_j``, ``pipe.theta_j_plus``
+and ``pipe.sigma_j_minus`` (``poly_of_jacobi``); Psi from ``pipe.psi``
+(``psi_matrix``); Psi H^-1 and Psi^T H^-1 from ``pipe.psi_h_inv``
+(``psi_h_inverse``). No check writes into them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
+from typing import TYPE_CHECKING
 
 from mpmath import mp, mpf, workprec
 
@@ -40,7 +53,7 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import MAX_TERMS, CholeskyFactorization, MomentTable
+from .moments import MAX_TERMS, CholeskyFactorization
 from .result import CheckResult, ResidualAccumulator, make_result
 from .weights import (
     HypergeometricWeight,
@@ -50,6 +63,9 @@ from .weights import (
     to_mpf,
     weight_sequence,
 )
+
+if TYPE_CHECKING:
+    from .pipeline import WeightPipeline
 
 
 # -- Pascal matrices and falling-factorial diagonals ---------------------------
@@ -105,7 +121,9 @@ class JacobiMatrix:
     size: int
     bits: int
 
-    def to_dense(self) -> Matrix:
+    @cached_property
+    def dense(self) -> Matrix:
+        """J as a dense size x size matrix, built once and only read."""
         j = zeros(self.size)
         for n in range(self.size):
             j[n][n] = self.beta[n]
@@ -137,7 +155,7 @@ def jacobi_matrix(chol: CholeskyFactorization) -> JacobiMatrix:
         tol = to_mpf(chol.ctx.default_tolerance())
         h_floor = chol.h_floor()
         scale = max(max_abs(direct, k - 1), h_floor)
-        j = jac.to_dense()
+        j = jac.dense
         jh = mat_mul(j, diag(chol.h[: k - 1]))
         route, _ = window_diff(direct, j, k - 1)
         sym, _ = window_diff(jh, transpose(jh), k - 1)
@@ -148,6 +166,17 @@ def jacobi_matrix(chol: CholeskyFactorization) -> JacobiMatrix:
                 f"(residual {mp.nstr(worst / scale, 8)})"
             )
     return jac
+
+
+def poly_of_jacobi(coeffs, jac: JacobiMatrix, shift: int = 0) -> Matrix:
+    """The polynomial with ascending coefficients coeffs at J + shift I, dense;
+    shift is -1, 0 or 1."""
+    with workprec(jac.bits):
+        j = jac.dense
+        if shift:
+            eye = identity(jac.size)
+            j = mat_add(j, eye) if shift > 0 else mat_sub(j, eye)
+        return poly_of_matrix(coeffs, j)
 
 
 def polynomial_vector(jac: JacobiMatrix, z, count: int) -> list:
@@ -164,25 +193,20 @@ def polynomial_vector(jac: JacobiMatrix, z, count: int) -> list:
 
 # -- dressed-Pascal subdiagonal closed forms ------------------------------------
 
-def pi_closed_form_check(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    pi_inv: Matrix,
-    tolerance: Fraction,
-) -> CheckResult:
+def pi_closed_form_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Subdiagonals of the dressed Pascal pair against their closed forms in
     polynomial coefficients and recurrence data, plus the sum/difference
     identities relating them to the integer diagonals."""
+    chol, pi, pi_inv = pipe.chol, pipe.pi, pipe.pi_inv
     k = len(pi)
-    bits = chol.ctx.mantissa_bits
+    bits = pipe.bits
     if k < 6:
         raise PreconditionError("closed-form check needs truncation size >= 6")
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         p1 = [chol.p(1, n) for n in range(k)]
         p2 = [chol.p(2, n) for n in range(k)]
-        beta = jac.beta
+        beta = pipe.jac.beta
 
         pi1 = diagonal_of(pi, -1)
         pim1 = diagonal_of(pi_inv, -1)
@@ -251,13 +275,11 @@ def pi_closed_form_check(
         )
 
 
-def s_inverse_expansion_check(
-    chol: CholeskyFactorization,
-    tolerance: Fraction,
-) -> CheckResult:
+def s_inverse_expansion_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Subdiagonals of S^{-1} against their expansion in subdiagonals of S."""
+    chol = pipe.chol
     k = chol.size
-    bits = chol.ctx.mantissa_bits
+    bits = pipe.bits
     if k < 6:
         raise PreconditionError("inverse-expansion check needs truncation size >= 6")
     with workprec(bits):
@@ -299,21 +321,17 @@ def s_inverse_expansion_check(
         )
 
 
-def coefficient_sum_check(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    tolerance: Fraction,
-) -> CheckResult:
+def coefficient_sum_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Nonlocal expressions for polynomial coefficients in recurrence data:
     the telescoped sums for p^1 and p^2 and the third-coefficient recursion."""
-    k = chol.size
-    bits = chol.ctx.mantissa_bits
+    k = pipe.chol.size
+    bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        beta = jac.beta
-        gamma = jac.gamma  # gamma[i] = gamma_{i+1}
-        p = chol.p
-        scale = max(max_abs(chol.s), mpf(1))
+        beta = pipe.jac.beta
+        gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
+        p = pipe.chol.p
+        scale = max(max_abs(pipe.chol.s), mpf(1))
 
         for n in range(min(k - 1, len(beta))):
             expect = -sum(beta[: n + 1], mpf(0))
@@ -343,13 +361,7 @@ def coefficient_sum_check(
 
 # -- orthogonality by direct summation ------------------------------------------
 
-def orthogonality_check(
-    w: HypergeometricWeight,
-    jac: JacobiMatrix,
-    h: list,
-    nmax: int,
-    tolerance: Fraction,
-) -> CheckResult:
+def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) -> CheckResult:
     """Direct weighted lattice sums of P_n P_m w against the factorization norms.
 
     This is the independent witness for the whole Hankel/elimination path: the
@@ -357,7 +369,8 @@ def orthogonality_check(
     weight itself, until the terms stay below 2^-(bits - 32) of the smallest
     norm.
     """
-    bits = jac.bits
+    w, jac, h = pipe.weight, pipe.jac, pipe.chol.h
+    bits = pipe.bits
     if nmax + 1 > jac.size:
         raise PreconditionError("orthogonality range exceeds recurrence data")
     with workprec(bits):
@@ -405,23 +418,38 @@ def orthogonality_check(
         )
 
 
-# -- the Pearson symmetry of the moment matrix -----------------------------------
+# -- the Pearson equation and the Pearson symmetry of the moment matrix ----------
 
-def gram_pearson_residual(
-    table: MomentTable,
-    w: HypergeometricWeight,
-    k: int,
-    tolerance: Fraction,
-) -> CheckResult:
+def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
+    """The difference equation theta(k+1) w(k+1) = sigma(k) w(k) at the lattice
+    points k <= 50, with the exact weights of one walk down the lattice."""
+    w = pipe.weight
+    bits = pipe.bits
+    pp = pearson_polynomials(w)
+    with workprec(bits):
+        acc = ResidualAccumulator(bits)
+        weights = weight_sequence(w)
+        w_k = to_mpf(next(weights))
+        for k in range(51):
+            w_next = to_mpf(next(weights))
+            lhs = to_mpf(pp.theta(Fraction(k + 1))) * w_next
+            rhs = to_mpf(pp.sigma(Fraction(k))) * w_k
+            acc.add(f"k={k}", abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+            w_k = w_next
+        return acc.result("pearson", tolerance, window="lattice points k <= 50")
+
+
+def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """theta(shift) G versus B sigma(shift) G B^T on the leading k x k window.
 
     Both sides are assembled entrywise from the shared moment table (the left
     side consumes deg theta extra indices), so the residual reflects round-off
     and the Pearson property only, not truncation artifacts.
     """
+    w, table, k = pipe.weight, pipe.table, pipe.k
     if w.deformed:
         raise PreconditionError("the Pearson symmetry applies to undeformed weights only")
-    bits = table.ctx.mantissa_bits
+    bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
         theta_c = [to_mpf(c) for c in pp.theta_coeffs]
@@ -473,73 +501,55 @@ def psi_window(w: HypergeometricWeight, kj: int) -> int:
     return window
 
 
-def psi_matrix(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    w: HypergeometricWeight,
-) -> Matrix:
+def psi_matrix(pipe: WeightPipeline) -> Matrix:
     """The structure matrix by its reference route sigma(J) H Pi^T, dense."""
-    kj = jac.size
-    with workprec(chol.ctx.mantissa_bits):
-        h = diag(chol.h[:kj])
-        pi_t = transpose([row[:kj] for row in pi[:kj]])
-        sigma_j = poly_of_matrix(pearson_polynomials(w).sigma_coeffs, jac.to_dense())
-        return mat_mul(sigma_j, mat_mul(h, pi_t))
+    kj = pipe.jac.size
+    with workprec(pipe.bits):
+        h = diag(pipe.chol.h[:kj])
+        pi_t = transpose([row[:kj] for row in pipe.pi[:kj]])
+        return mat_mul(pipe.sigma_j, mat_mul(h, pi_t))
 
 
-def psi_routes(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    pi_inv: Matrix,
-    w: HypergeometricWeight,
-) -> dict:
-    """The six assembly routes for the shift-structure matrix, dense."""
-    bits = chol.ctx.mantissa_bits
-    pp = pearson_polynomials(w)
-    kj = jac.size
-    with workprec(bits):
-        j = jac.to_dense()
-        h = diag(chol.h[:kj])
-        pi_t = transpose([row[:kj] for row in pi[:kj]])
-        pi_inv_k = [row[:kj] for row in pi_inv[:kj]]
-        theta_j = poly_of_matrix(pp.theta_coeffs, j)
-        sigma_j = poly_of_matrix(pp.sigma_coeffs, j)
-        j_plus_i = mat_add(j, identity(kj))
-        j_minus_i = mat_sub(j, identity(kj))
-        theta_jp = poly_of_matrix(pp.theta_coeffs, j_plus_i)
-        sigma_jm = poly_of_matrix(pp.sigma_coeffs, j_minus_i)
+def psi_h_inverse(pipe: WeightPipeline) -> tuple[Matrix, Matrix]:
+    """A = Psi H^{-1} and its mate Psi^T H^{-1}, dense."""
+    kj = pipe.jac.size
+    with workprec(pipe.bits):
+        h_inv = diag([1 / x for x in pipe.chol.h[:kj]])
+        return mat_mul(pipe.psi, h_inv), mat_mul(transpose(pipe.psi), h_inv)
+
+
+def psi_routes(pipe: WeightPipeline) -> dict:
+    """The six assembly routes for the shift-structure matrix, dense; the
+    reference route is the pipeline's own Psi."""
+    kj = pipe.jac.size
+    with workprec(pipe.bits):
+        h = diag(pipe.chol.h[:kj])
+        pi_t = transpose([row[:kj] for row in pipe.pi[:kj]])
+        pi_inv_k = [row[:kj] for row in pipe.pi_inv[:kj]]
+        theta_j = pipe.theta_j
         return {
             ROUTE_NAMES[0]: mat_mul(pi_inv_k, mat_mul(h, transpose(theta_j))),
-            ROUTE_NAMES[1]: psi_matrix(chol, jac, pi, w),
+            ROUTE_NAMES[1]: pipe.psi,
             ROUTE_NAMES[2]: mat_mul(pi_inv_k, mat_mul(theta_j, h)),
-            ROUTE_NAMES[3]: mat_mul(h, mat_mul(transpose(sigma_j), pi_t)),
-            ROUTE_NAMES[4]: mat_mul(theta_jp, mat_mul(pi_inv_k, h)),
-            ROUTE_NAMES[5]: mat_mul(h, mat_mul(pi_t, transpose(sigma_jm))),
+            ROUTE_NAMES[3]: mat_mul(h, mat_mul(transpose(pipe.sigma_j), pi_t)),
+            ROUTE_NAMES[4]: mat_mul(pipe.theta_j_plus, mat_mul(pi_inv_k, h)),
+            ROUTE_NAMES[5]: mat_mul(h, mat_mul(pi_t, transpose(pipe.sigma_j_minus))),
         }
 
 
-def psi_structure_check(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    pi_inv: Matrix,
-    w: HypergeometricWeight,
-    tolerance: Fraction,
-) -> CheckResult:
+def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Pairwise agreement of the six routes and confinement of the reference
     route to its band (subdiagonals M, superdiagonals N+1)."""
-    mdeg, ndeg = w.m_degree, w.n_degree
-    kj = jac.size
-    window = psi_window(w, kj)
-    bits = chol.ctx.mantissa_bits
-    routes = psi_routes(chol, jac, pi, pi_inv, w)
+    mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
+    kj = pipe.jac.size
+    window = psi_window(pipe.weight, kj)
+    bits = pipe.bits
+    routes = psi_routes(pipe)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         names = list(routes)
         ref = routes[ROUTE_NAMES[1]]
-        h_floor = chol.h_floor()
+        h_floor = pipe.chol.h_floor()
         for i in range(len(names)):
             for j_idx in range(i + 1, len(names)):
                 diff, scale = window_diff(routes[names[i]], routes[names[j_idx]], window)
@@ -557,24 +567,19 @@ def psi_structure_check(
         )
 
 
-def psi_extreme_diagonals(
-    psi: Matrix,
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    w: HypergeometricWeight,
-    tolerance: Fraction,
-) -> CheckResult:
+def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Lowest subdiagonal and highest superdiagonal of the structure matrix
     against their product closed forms in the norms and recurrence data."""
+    w, chol = pipe.weight, pipe.chol
     mdeg, ndeg = w.m_degree, w.n_degree
-    window = psi_window(w, jac.size)
-    bits = chol.ctx.mantissa_bits
+    window = psi_window(w, pipe.jac.size)
+    bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
         eta = to_mpf(w.eta)
-        gamma = jac.gamma  # gamma[i] = gamma_{i+1}
-        low = diagonal_of(psi, -mdeg)
-        high = diagonal_of(psi, ndeg + 1)
+        gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
+        low = diagonal_of(pipe.psi, -mdeg)
+        high = diagonal_of(pipe.psi, ndeg + 1)
         h_floor = chol.h_floor()
         scale_low = max(max(abs(x) for x in low[:window]), h_floor)
         scale_high = max(max(abs(x) for x in high[:window]), h_floor)
@@ -596,24 +601,23 @@ def psi_extreme_diagonals(
 
 
 def structure_shift_residual(
-    psi_dense: Matrix,
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    w: HypergeometricWeight,
-    z_samples: list,
-    tolerance: Fraction,
+    pipe: WeightPipeline, z_samples: list, tolerance: Fraction
 ) -> CheckResult:
     """theta(z) P(z-1) = Psi H^{-1} P(z) and sigma(z) P(z+1) = Psi^T H^{-1} P(z)
     at sample points, on the interior window."""
-    bits = chol.ctx.mantissa_bits
+    bits = pipe.bits
+    jac = pipe.jac
     kj = jac.size
-    window = psi_window(w, kj)
-    pp = pearson_polynomials(w)
+    window = psi_window(pipe.weight, kj)
+    pp = pearson_polynomials(pipe.weight)
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        h_inv = [1 / x for x in chol.h[:kj]]
-        psi_t = transpose(psi_dense)
-        h_floor = chol.h_floor()
+        # H^-1 P(z) as a vector, then Psi and Psi^T applied to it: the
+        # products of psi_h_inv would round in another order
+        h_inv = [1 / x for x in pipe.chol.h[:kj]]
+        psi = pipe.psi
+        psi_t = transpose(psi)
+        h_floor = pipe.chol.h_floor()
         for z in z_samples:
             zf = to_mpf(z) if isinstance(z, Fraction) else mpf(z)
             p_at = polynomial_vector(jac, zf, kj)
@@ -622,7 +626,7 @@ def structure_shift_residual(
             scaled = [h_inv[i] * p_at[i] for i in range(kj)]
             theta_z = pp.theta(zf)
             sigma_z = pp.sigma(zf)
-            down = mat_vec(psi_dense, scaled)
+            down = mat_vec(psi, scaled)
             up = mat_vec(psi_t, scaled)
             scale = max(
                 max(abs(theta_z * p_dn[i]) for i in range(window)),
@@ -639,29 +643,20 @@ def structure_shift_residual(
         )
 
 
-def psi_jacobi_identities(
-    psi_dense: Matrix,
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    w: HypergeometricWeight,
-    tolerance: Fraction,
-) -> CheckResult:
+def psi_jacobi_identities(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Compatibility commutators and the two product factorizations linking the
     structure matrix with the recurrence matrix."""
-    mdeg, ndeg = w.m_degree, w.n_degree
-    kj = jac.size
-    window = psi_window(w, kj) - 1
+    mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
+    kj = pipe.jac.size
+    window = psi_window(pipe.weight, kj) - 1
     if window < 2:
         raise PreconditionError("truncation too small for the compatibility check")
-    bits = chol.ctx.mantissa_bits
-    pp = pearson_polynomials(w)
+    bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        j = jac.to_dense()
-        h_inv = diag([1 / x for x in chol.h[:kj]])
-        a = mat_mul(psi_dense, h_inv)
-        at = mat_mul(transpose(psi_dense), h_inv)
-        h_floor = chol.h_floor()
+        j = pipe.jac.dense
+        a, at = pipe.psi_h_inv
+        h_floor = pipe.chol.h_floor()
 
         lhs = commutator(a, j)
         diff, scale = window_diff(lhs, a, window)
@@ -671,14 +666,11 @@ def psi_jacobi_identities(
         diff, scale = window_diff(lhs, at, window)
         acc.add("commutator_up", diff, max(scale, h_floor))
 
-        sigma_j = poly_of_matrix(pp.sigma_coeffs, j)
-        theta_jp = poly_of_matrix(pp.theta_coeffs, mat_add(j, identity(kj)))
-        theta_j = poly_of_matrix(pp.theta_coeffs, j)
-        sigma_jm = poly_of_matrix(pp.sigma_coeffs, mat_sub(j, identity(kj)))
-
-        diff, scale = window_diff(mat_mul(sigma_j, theta_jp), mat_mul(a, at), window)
+        up_down = mat_mul(pipe.sigma_j, pipe.theta_j_plus)
+        diff, scale = window_diff(up_down, mat_mul(a, at), window)
         acc.add("product_up_down", diff, max(scale, h_floor))
-        diff, scale = window_diff(mat_mul(theta_j, sigma_jm), mat_mul(at, a), window)
+        down_up = mat_mul(pipe.theta_j, pipe.sigma_j_minus)
+        diff, scale = window_diff(down_up, mat_mul(at, a), window)
         acc.add("product_down_up", diff, max(scale, h_floor))
 
         return acc.result(
@@ -688,31 +680,20 @@ def psi_jacobi_identities(
         )
 
 
-def structure_cholesky_check(
-    chol: CholeskyFactorization,
-    jac: JacobiMatrix,
-    pi: Matrix,
-    psi_dense: Matrix,
-    w: HypergeometricWeight,
-    tolerance: Fraction,
-) -> CheckResult:
+def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Triangular factorizations of H theta(J^T) and sigma(J) H: symmetry
     prechecks, band confinement of the factors, the shared diagonal, the
     dressed-Pascal factorization, and the structure-matrix factorization."""
-    mdeg, ndeg = w.m_degree, w.n_degree
-    kj = jac.size
-    psi_win = psi_window(w, kj)
-    bits = chol.ctx.mantissa_bits
-    pp = pearson_polynomials(w)
+    mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
+    kj = pipe.jac.size
+    psi_win = psi_window(pipe.weight, kj)
+    bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        j = jac.to_dense()
-        h = diag(chol.h[:kj])
-        theta_j = poly_of_matrix(pp.theta_coeffs, j)
-        sigma_j = poly_of_matrix(pp.sigma_coeffs, j)
-        a_theta = mat_mul(h, transpose(theta_j))
-        a_sigma = mat_mul(sigma_j, h)
-        h_floor = chol.h_floor()
+        h = diag(pipe.chol.h[:kj])
+        a_theta = mat_mul(h, transpose(pipe.theta_j))
+        a_sigma = mat_mul(pipe.sigma_j, h)
+        h_floor = pipe.chol.h_floor()
 
         win_theta = kj - (ndeg + 2)
         win_sigma = kj - (mdeg + 1)
@@ -739,12 +720,12 @@ def structure_cholesky_check(
         # dressed Pascal factorization
         sigma_factor = unit_lower_inverse([row[:kf] for row in l_sigma[:kf]])
         pi_fact = mat_mul(l_theta, sigma_factor)
-        diff, scale = window_diff([row[:kf] for row in pi[:kf]], pi_fact, window)
+        diff, scale = window_diff([row[:kf] for row in pipe.pi[:kf]], pi_fact, window)
         acc.add("pascal_factorization", diff, max(scale, mpf(1)))
 
         # structure-matrix factorization
         psi_fact = mat_mul(l_sigma, mat_mul(diag(d_theta), transpose(l_theta)))
-        diff, scale = window_diff([row[:kf] for row in psi_dense[:kf]], psi_fact, window)
+        diff, scale = window_diff([row[:kf] for row in pipe.psi[:kf]], psi_fact, window)
         acc.add("psi_factorization", diff, max(scale, h_floor))
 
         return acc.result(
@@ -755,28 +736,23 @@ def structure_cholesky_check(
 
 
 def polynomial_shift_identity(
-    jac: JacobiMatrix,
-    pi: Matrix,
-    pi_inv: Matrix,
-    r_coeffs: tuple,
-    tolerance: Fraction,
-    label: str = "poly_shift",
+    pipe: WeightPipeline, r_coeffs: tuple, tolerance: Fraction, label: str = "poly_shift"
 ) -> CheckResult:
     """R(J) Pi^{+-1} = Pi^{+-1} R(J +- I) for a small polynomial R."""
     deg = len(r_coeffs) - 1
+    jac = pipe.jac
     kj = jac.size
     window = kj - (deg + 2)
     if window < 2:
         raise PreconditionError("truncation too small for the polynomial shift identity")
-    bits = jac.bits
+    bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        j = jac.to_dense()
-        pi_k = [row[:kj] for row in pi[:kj]]
-        pi_inv_k = [row[:kj] for row in pi_inv[:kj]]
-        r_j = poly_of_matrix(r_coeffs, j)
-        r_jp = poly_of_matrix(r_coeffs, mat_add(j, identity(kj)))
-        r_jm = poly_of_matrix(r_coeffs, mat_sub(j, identity(kj)))
+        pi_k = [row[:kj] for row in pipe.pi[:kj]]
+        pi_inv_k = [row[:kj] for row in pipe.pi_inv[:kj]]
+        r_j = poly_of_jacobi(r_coeffs, jac)
+        r_jp = poly_of_jacobi(r_coeffs, jac, 1)
+        r_jm = poly_of_jacobi(r_coeffs, jac, -1)
         diff, scale = window_diff(mat_mul(r_j, pi_k), mat_mul(pi_k, r_jp), window)
         acc.add("plus", diff, max(scale, mpf(1)))
         diff, scale = window_diff(mat_mul(r_j, pi_inv_k), mat_mul(pi_inv_k, r_jm), window)

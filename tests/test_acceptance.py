@@ -99,7 +99,7 @@ def test_criterion_03_gram_pearson_symmetry():
     ok = True
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 12, CTX)
-        res = gram_pearson_residual(pipe.table, w, 12, TOL)
+        res = gram_pearson_residual(pipe, TOL)
         ok = ok and res.passed
     report(3, ok, "moment-matrix Pearson symmetry, four families, k=12")
 
@@ -111,8 +111,8 @@ def test_criterion_04_structure_matrix():
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 14, CTX)
         routes = pipe.psi_check(TOL)
-        diag = psi_extreme_diagonals(pipe.psi, pipe.chol, pipe.jac, w, TOL)
-        shift = structure_shift_residual(pipe.psi, pipe.chol, pipe.jac, w, zs, TOL)
+        diag = psi_extreme_diagonals(pipe, TOL)
+        shift = structure_shift_residual(pipe, zs, TOL)
         ok = ok and routes.passed and diag.passed and shift.passed
     report(4, ok, "six structure-matrix routes, band, extreme diagonals, shift equations, k=14")
 
@@ -121,8 +121,8 @@ def test_criterion_05_pascal_forms_and_inverse_expansion():
     ok = True
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 12, CTX)
-        res1 = pi_closed_form_check(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, TOL)
-        res2 = s_inverse_expansion_check(pipe.chol, TOL)
+        res1 = pi_closed_form_check(pipe, TOL)
+        res2 = s_inverse_expansion_check(pipe, TOL)
         ok = ok and res1.passed and res2.passed
     report(5, ok, "dressed-Pascal closed forms and inverse-factor expansion, k=12")
 
@@ -131,7 +131,7 @@ def test_criterion_06_compatibility_and_products():
     ok = True
     for w in FOUR_FAMILIES.values():
         pipe = get_pipeline(w, 14, CTX)
-        res = psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, w, TOL)
+        res = psi_jacobi_identities(pipe, TOL)
         ok = ok and res.passed
     report(6, ok, "compatibility commutators and product factorizations, k=14")
 
@@ -161,7 +161,7 @@ def test_criterion_09_toda_stack():
         ok = ok and toda_check(pipe, 8, [Fraction(1, 2)], STEP, TOL).passed
     for name in ("charlier", "gen_meixner"):
         pipe = get_pipeline(FOUR_FAMILIES[name], 12, CTX)
-        res = structure_cholesky_check(pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, TOL)
+        res = structure_cholesky_check(pipe, TOL)
         ok = ok and res.passed
     report(9, ok, "tau-function cross-checks, first-flow system, bilinear form, structure factorizations")
 

@@ -188,7 +188,7 @@ def test_sato_wilson_j_squared_diagonal(ctx, deformed_pipe):
 
     jac = deformed_pipe.jac
     with workprec(BITS):
-        j = jac.to_dense()
+        j = jac.dense
         j2 = mat_mul(j, j)
         for n in range(1, jac.size - 1):
             expect = jac.beta[n] ** 2 + deformed_pipe.gamma(n) + deformed_pipe.gamma(n + 1)
@@ -278,9 +278,7 @@ def _nan_in_theta_factor_band(pipe, tol, monkeypatch):
         return l, d
 
     monkeypatch.setattr(structure, "ldl_no_pivot", planted)
-    return structure.structure_cholesky_check(
-        pipe.chol, pipe.jac, pipe.pi, pipe.psi, pipe.weight, tol
-    )
+    return structure.structure_cholesky_check(pipe, tol)
 
 
 @pytest.fixture

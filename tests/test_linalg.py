@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import inf, isnan, ldexp, mpf, nan, workprec
@@ -185,7 +186,7 @@ def op_ldl_no_pivot(a, pivot_floor):
         acc = a[j][j]
         for p in range(j):
             acc = acc - l[j][p] * l[j][p] * d[p]
-        if abs(acc) < pivot_floor:
+        if acc == 0 or abs(acc) < pivot_floor:
             raise SingularTruncation(j)
         d[j] = acc
         for i in range(j + 1, n):
@@ -211,7 +212,7 @@ def op_lu_determinant(a):
                 best = v
                 pivot_row = i
         if best == 0:
-            return mpf(0)
+            return nan if any(isnan(v) for row in work[j:] for v in row[j:]) else mpf(0)
         if pivot_row != j:
             work[j], work[pivot_row] = work[pivot_row], work[j]
             det = -det
@@ -246,13 +247,11 @@ def raw(x):
 
 
 def outcome(kernel, *args):
-    """The kernel's result in bits, or the error it raised (a zero pivot above a zero floor divides)."""
+    """The kernel's result in bits, or the index of the singular pivot it raised."""
     try:
         l, d = kernel(*args)
     except SingularTruncation as exc:
         return ("singular", exc.index)
-    except ZeroDivisionError:
-        return ("zero division",)
     return bits(l), bits([d])
 
 
@@ -326,6 +325,31 @@ def test_raw_kernels_keep_a_nan_as_the_operators_do():
         assert isnan(op_lu_determinant(a)) and isnan(lu_determinant(a))
         # a nan pivot is not below the floor
         assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
+
+
+def test_lu_determinant_is_nan_beside_a_zero_column():
+    # column 1 is zero in the finite rows once row 0 pivots; the nan row is left
+    with workprec(128):
+        for a in (
+            [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [nan, mpf(1), mpf(1)]],
+            [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [mpf(0), mpf(0), nan]],
+        ):
+            assert isnan(lu_determinant(a))
+        finite = [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [mpf(5), mpf(1), mpf(1)]]
+        assert raw(lu_determinant(finite)) == raw(mpf(0))
+
+
+def test_ldl_exact_zero_pivot_is_singular_at_zero_floor():
+    # a zero floor admits every pivot but an exact zero, which nothing can divide by
+    with workprec(128):
+        for a, index in (
+            ([[mpf(0), mpf(0)], [mpf(0), mpf(0)]], 0),
+            ([[mpf(0)]], 0),
+            ([[mpf(1), mpf(1)], [mpf(1), mpf(1)]], 1),
+        ):
+            with pytest.raises(SingularTruncation) as err:
+                ldl_no_pivot(a, mpf(0))
+            assert err.value.index == index
 
 
 def test_int_maximum_stays_int():

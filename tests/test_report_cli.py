@@ -229,6 +229,37 @@ def test_suite_runs_the_psi_route_check_once(monkeypatch):
     assert all("pi_inv" not in p.__dict__ for p in witnesses)
 
 
+# the dense matrices a pipeline builds once and every check reads
+SHARED = ("pi", "pi_inv", "sigma_j", "theta_j", "theta_j_plus", "sigma_j_minus", "psi", "psi_h_inv")
+
+
+def _entry_bits(value):
+    if isinstance(value, tuple):
+        return tuple(_entry_bits(m) for m in value)
+    return [[getattr(x, "_mpf_", x) for x in row] for row in value]
+
+
+def test_suite_leaves_every_shared_matrix_as_built():
+    # a check that wrote into J, sigma(J), Psi H^-1 or the like would hand
+    # every later check a wrong matrix; each must equal a fresh build's bits
+    clear_cache()
+    run_suite(SuiteConfig(weight=GEN_MEIXNER))
+    base = get_pipeline(GEN_MEIXNER, 12, PrecisionContext(mantissa_bits=512))
+    assert all(name in base.__dict__ for name in SHARED) and "dense" in base.jac.__dict__
+    compared = 0
+    for pipe in list(pipeline._CACHE.values()):
+        fresh = pipeline.WeightPipeline(pipe.weight, pipe.k, pipe.ctx)
+        if "jac" in pipe.__dict__ and "dense" in pipe.jac.__dict__:
+            assert _entry_bits(pipe.jac.dense) == _entry_bits(fresh.jac.dense)
+            compared += 1
+        for name in SHARED:
+            if name in pipe.__dict__:
+                assert _entry_bits(getattr(pipe, name)) == _entry_bits(getattr(fresh, name)), name
+                compared += 1
+    # the FD witnesses of pearson_toda share Psi and Psi H^-1 too
+    assert compared > len(SHARED) + 1
+
+
 def test_confirmation_reads_low_on_ill_conditioned_truncation():
     chol = get_pipeline(GEN_MEIXNER, 24, PrecisionContext(mantissa_bits=512)).chol
     assert chol.confirmed_bits < 512 - 64

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mpf, workprec
@@ -92,7 +93,7 @@ def test_pi_closed_forms_all_families(ctx, tol):
 
     for w in FAMILIES.values():
         pipe = get_pipeline(w, 12, ctx)
-        res = pi_closed_form_check(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, tol)
+        res = pi_closed_form_check(pipe, tol)
         assert res.passed, (w.spec_string(), res.components)
 
 
@@ -100,12 +101,13 @@ def test_s_inverse_expansion(ctx, tol):
     from semidop.pipeline import get_pipeline
 
     pipe = get_pipeline(MEIXNER, 10, ctx)
-    res = s_inverse_expansion_check(pipe.chol, tol)
+    res = s_inverse_expansion_check(pipe, tol)
     assert res.passed
 
 
 def test_s_inverse_trivial_identity(ctx, tol):
-    # a synthetic factorization with S = I has all expansion terms zero
+    # a pipeline holding a synthetic factorization with S = I has all
+    # expansion terms zero
     from semidop.moments import CholeskyFactorization
 
     n = 6
@@ -114,7 +116,8 @@ def test_s_inverse_trivial_identity(ctx, tol):
     fake = CholeskyFactorization(
         s=eye, s_inv=eye, h=[mpf(1)] * n, size=n, table=table, ctx=ctx,
     )
-    res = s_inverse_expansion_check(fake, tol)
+    fake_pipe = SimpleNamespace(chol=fake, bits=ctx.mantissa_bits)
+    res = s_inverse_expansion_check(fake_pipe, tol)
     assert res.passed and res.max_residual == 0
 
 
@@ -196,7 +199,7 @@ def test_three_term_recurrence_residual(gen_meixner_pipe):
 
 
 def test_orthogonality_direct_sums(ctx, tol, meixner_pipe):
-    res = orthogonality_check(MEIXNER, meixner_pipe.jac, meixner_pipe.chol.h, 6, tol)
+    res = orthogonality_check(meixner_pipe, 6, tol)
     assert res.passed, res.components
 
 
@@ -205,7 +208,7 @@ def test_coefficient_sums(ctx, tol):
 
     gen_charlier = HypergeometricWeight(b=(Fraction(3, 2),), eta=Fraction(1, 2))
     pipe = get_pipeline(gen_charlier, 12, ctx)
-    res = coefficient_sum_check(pipe.chol, pipe.jac, tol)
+    res = coefficient_sum_check(pipe, tol)
     assert res.passed, res.components
     # explicit small cases: p1_1 = -beta_0 = -rho_1/rho_0 and the Charlier
     # constant coefficient p2_2 = eta^2 (= -gamma_1 + beta_1 beta_0)
@@ -222,8 +225,11 @@ def test_coefficient_sums(ctx, tol):
 
 def test_gram_pearson_entrywise_charlier(ctx, tol):
     # theta = z, sigma = eta: the symmetry reads rho_{n+m+1} = eta (B G B^T)_{nm}
-    table = MomentTable(CHARLIER, 20, ctx)
-    res = gram_pearson_residual(table, CHARLIER, 6, tol)
+    from semidop.pipeline import get_pipeline
+
+    pipe = get_pipeline(CHARLIER, 6, ctx)
+    table = pipe.table
+    res = gram_pearson_residual(pipe, tol)
     assert res.passed
     b = pascal_matrix(6)
     with workprec(BITS):
@@ -252,16 +258,17 @@ def test_gram_pearson_scalar_window(ctx, tol):
 def test_gram_pearson_rejects_deformed(ctx, tol):
     from conftest import DEFORMED
     from semidop import PreconditionError
+    from semidop.pipeline import get_pipeline
 
-    table = MomentTable(DEFORMED, 12, ctx)
     with pytest.raises(PreconditionError):
-        gram_pearson_residual(table, DEFORMED, 4, tol)
+        gram_pearson_residual(get_pipeline(DEFORMED, 4, ctx), tol)
 
 
 def test_gram_pearson_all_families(ctx, tol):
+    from semidop.pipeline import get_pipeline
+
     for w in FAMILIES.values():
-        table = MomentTable(w, 30, ctx)
-        res = gram_pearson_residual(table, w, 12, tol)
+        res = gram_pearson_residual(get_pipeline(w, 12, ctx), tol)
         assert res.passed, w.spec_string()
 
 
@@ -277,7 +284,7 @@ def test_psi_structure_and_diagonals(ctx, tol, gen_meixner_pipe):
             assert min(abs(x) for x in diagonal_of(psi, d)[: window - abs(d)]) > scale * 2**-64
         for d in (-2, 3):
             assert max(abs(x) for x in diagonal_of(psi, d)[: window - abs(d)]) < scale * 2**-(BITS - 64)
-    res2 = psi_extreme_diagonals(psi, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER, tol)
+    res2 = psi_extreme_diagonals(gen_meixner_pipe, tol)
     assert res2.passed, res2.components
 
 
@@ -285,11 +292,11 @@ def test_psi_is_the_reference_route_bit_for_bit(gen_meixner_pipe):
     # M = N = 1, outside the golden Charlier report: the cached matrix is
     # route 1 of the six-route check and sigma(J) H Pi^T in that order
     pipe = gen_meixner_pipe
-    routes = psi_routes(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, GEN_MEIXNER)
+    routes = psi_routes(pipe)
     assert pipe.psi == routes[ROUTE_NAMES[1]]
     kj = pipe.jac.size
     with workprec(BITS):
-        sigma_j = poly_of_matrix(pearson_polynomials(GEN_MEIXNER).sigma_coeffs, pipe.jac.to_dense())
+        sigma_j = poly_of_matrix(pearson_polynomials(GEN_MEIXNER).sigma_coeffs, pipe.jac.dense)
         h = diag(pipe.chol.h[:kj])
         pi_t = transpose([row[:kj] for row in pipe.pi[:kj]])
         assert pipe.psi == mat_mul(sigma_j, mat_mul(h, pi_t))
@@ -319,8 +326,7 @@ def test_psi_charlier_diagonal_closed_forms(ctx, tol, charlier_pipe):
 
 def test_structure_shift_equations(ctx, tol, gen_meixner_pipe):
     res = structure_shift_residual(
-        gen_meixner_pipe.psi, gen_meixner_pipe.chol, gen_meixner_pipe.jac, GEN_MEIXNER,
-        [Fraction(0), Fraction(1), Fraction(7, 5)], tol,
+        gen_meixner_pipe, [Fraction(0), Fraction(1), Fraction(7, 5)], tol
     )
     assert res.passed, res.components
 
@@ -346,24 +352,19 @@ def test_psi_jacobi_identities(ctx, tol):
         from semidop import parse_weight_spec
 
         pipe = get_pipeline(parse_weight_spec(spec), 12, ctx)
-        res = psi_jacobi_identities(pipe.psi, pipe.chol, pipe.jac, pipe.weight, tol)
+        res = psi_jacobi_identities(pipe, tol)
         assert res.passed, (spec, res.components)
 
 
 def test_structure_cholesky_identities(ctx, tol, gen_meixner_pipe):
-    res = structure_cholesky_check(
-        gen_meixner_pipe.chol, gen_meixner_pipe.jac, gen_meixner_pipe.pi, gen_meixner_pipe.psi,
-        GEN_MEIXNER, tol,
-    )
+    res = structure_cholesky_check(gen_meixner_pipe, tol)
     assert res.passed, res.components
 
 
 def test_structure_cholesky_charlier_sigma_factor_trivial(ctx, tol, charlier_pipe):
     # with constant sigma the second factor is the identity, so the dressed
     # Pascal matrix coincides with the inverse of the first factor
-    res = structure_cholesky_check(
-        charlier_pipe.chol, charlier_pipe.jac, charlier_pipe.pi, charlier_pipe.psi, CHARLIER, tol
-    )
+    res = structure_cholesky_check(charlier_pipe, tol)
     assert res.passed, res.components
 
 
@@ -379,17 +380,15 @@ def test_window_monotonicity(ctx, tol):
     with workprec(BITS):
         res = []
         for pipe in (small, large):
-            routes = psi_routes(pipe.chol, pipe.jac, pipe.pi, pipe.pi_inv, GEN_MEIXNER)
+            routes = psi_routes(pipe)
             diff, scale = window_diff(routes[ROUTE_NAMES[0]], routes[ROUTE_NAMES[1]], window)
             res.append(diff / scale)
         assert res[1] <= res[0] * 4  # no growth beyond round-off wiggle
 
 
 def test_polynomial_shift_identity(ctx, tol, meixner_pipe):
-    res = polynomial_shift_identity(
-        meixner_pipe.jac, meixner_pipe.pi, meixner_pipe.pi_inv, (Fraction(1),), tol
-    )
+    res = polynomial_shift_identity(meixner_pipe, (Fraction(1),), tol)
     assert res.passed and res.max_residual == 0
     for coeffs in ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0), Fraction(1))):
-        res = polynomial_shift_identity(meixner_pipe.jac, meixner_pipe.pi, meixner_pipe.pi_inv, coeffs, tol)
+        res = polynomial_shift_identity(meixner_pipe, coeffs, tol)
         assert res.passed
