@@ -287,12 +287,13 @@ def uv_system_check(
         rhs = beta[0] * (a_hat * hr[0] / h[0]) + h[1] / h[0]
         acc.add("boundary", abs(lhs - rhs), max(abs(lhs), abs(rhs), mpf(1)))
 
-        # FD witness with step halving for the first requested index
+        # FD witness with step halving for the first requested index; it reads
+        # only h[n0] and h[n0 - 1], so its pipelines are built at size n0 + 1
         n0 = n_values[0]
 
         def ratio_quantity(mult: Fraction):
-            pb = pipe.flow_scaled(1, mult)
-            pr = rp.flow_scaled(1, mult)
+            pb = pipe.flow_scaled(1, mult, n0 + 1)
+            pr = rp.flow_scaled(1, mult, n0 + 1)
             return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
 
         residuals = fd_convergence_study(

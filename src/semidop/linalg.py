@@ -217,11 +217,18 @@ def window_diff(a: Matrix, b: Matrix, window: int):
 
 
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
-    """Evaluate a polynomial (ascending coefficients) at a square matrix by Horner."""
+    """Evaluate a polynomial (ascending coefficients) at a square matrix by Horner.
+
+    Horner starts from c_n A, whose entries are the single products c_n a_ij
+    that (c_n I) A would round to.
+    """
     n = len(a)
-    acc = mat_scale(identity(n), to_mpf(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        acc = mat_mul(acc, a)
+    if len(coeffs) == 1:
+        return mat_scale(identity(n), to_mpf(coeffs[0]))
+    acc = mat_scale(a, to_mpf(coeffs[-1]))
+    for step, c in enumerate(reversed(coeffs[:-1])):
+        if step:
+            acc = mat_mul(acc, a)
         cm = to_mpf(c)
         for i in range(n):
             acc[i][i] = acc[i][i] + cm

@@ -3,20 +3,25 @@
 Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
 sums every column rho_0 .. rho_{m_max} at once, with exact rational term
 ratios, and stops on a rigorous geometric tail bound; the floor-division
-error is bounded alongside, so each moment is certified to
-2^-(verify_bits - 32) relative before it is rounded to the working and the
-verify precision. Weights whose term ratio tends to 1 (the ``boundary``
-class) are refused before any summation: DivergentSeries when a requested
-moment diverges, TermBudgetExceeded when only a ratio-1 tail stands between
-the series and a certificate.
+error is bounded alongside, so a pass at ``bits`` certifies each moment to
+2^-(bits - 32) relative. A table's pass runs at the working mantissa plus 96
+bits. A rounding test in the style of Ziv (ACM TOMS 17, 1991) then proves,
+column by column, that both ends of the certified interval round to the same
+working-precision value, which is therefore the correctly rounded moment; if
+any column fails, one pass at verify_bits runs and is rounded as it stands.
+Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
+before any summation: DivergentSeries when a requested moment diverges,
+TermBudgetExceeded when only a ratio-1 tail stands between the series and a
+certificate.
 
 Truncations G[k] with entries rho_{n+m} factor as G = S^{-1} H S^{-T} (S unit
 lower triangular, H diagonal); S encodes the monic orthogonal polynomial
 coefficients and H their squared norms. The factorization runs at the working
-precision only; its confirmation, the elimination redone at verify_bits, runs
-when ``confirmed_bits`` is first read. Every public routine runs under an
-explicit PrecisionContext and is deterministic: fixed summation order, fixed
-pivoting, no randomness.
+precision only. Its confirmation, the elimination redone at verify_bits on a
+verify-precision table with its own lattice pass, runs when
+``confirmed_bits`` is first read, and only then. Every public routine runs
+under an explicit PrecisionContext and is deterministic: fixed summation
+order, fixed pivoting, no randomness.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import (
     DivergentSeries,
@@ -62,9 +68,12 @@ MAX_TERMS = 100_000
 class PrecisionContext:
     """Working precision.
 
-    verify_bits, twice the working mantissa, is the precision at which moment
-    series are certified and at which a factorization's confirmation redoes
-    the elimination when its ``confirmed_bits`` is read; no report reads it yet.
+    Moment tables sum their lattice pass at mantissa_bits + 96 bits and are
+    correctly rounded to mantissa_bits. verify_bits, twice the working
+    mantissa, is the precision of the fallback pass when that rounding cannot
+    be proven, and the precision at which a factorization's confirmation
+    redoes the elimination when its ``confirmed_bits`` is read; no report
+    reads it yet.
     """
 
     mantissa_bits: int = 512
@@ -89,6 +98,10 @@ class PrecisionContext:
 _GUARD_BITS = 64
 _GUARD_BITS_PER_COLUMN = 14
 _WIDENINGS = 4
+# Bits a table's lattice pass sums beyond its mantissa. The pass certifies all
+# but 32 of them, so each column's interval is 2^-(mantissa + 64) relative
+# wide when it meets the rounding test.
+_ROUNDING_GUARD_BITS = 96
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,22 @@ class _LatticeSums:
         """The moments rounded once to a ``bits``-bit mantissa."""
         with workprec(bits):
             return [mpf((s, -self.scale)) for s in self.sums]
+
+    def correctly_rounded(self, bits: int) -> list | None:
+        """The moments rounded to ``bits``, or None unless every rounding is proven.
+
+        Column m's certified interval s +- ((|s| >> (self.bits - 32)) + 1)
+        holds the exact moment. Rounding to nearest is monotone, so when both
+        ends round to the same value, the exact moment rounds to it too.
+        """
+        values = []
+        for s in self.sums:
+            radius = (abs(s) >> (self.bits - 32)) + 1
+            low = from_man_exp(s - radius, -self.scale, bits, round_nearest)
+            if low != from_man_exp(s + radius, -self.scale, bits, round_nearest):
+                return None
+            values.append(mp.make_mpf(low))
+        return values
 
 
 def _refuse_uncertifiable(w: HypergeometricWeight, classification: ConvergenceClass, m_max: int):
@@ -256,34 +285,52 @@ def _lattice_sums(
     )
 
 
+def _rounded_moments(
+    w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext
+) -> tuple[_LatticeSums, list]:
+    """A lattice pass and rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits.
+
+    The pass runs at mantissa_bits + _ROUNDING_GUARD_BITS. When the rounding
+    test proves every column, the values are the correctly rounded moments;
+    otherwise one pass at ctx.verify_bits runs and is rounded as it stands.
+    """
+    sums = _lattice_sums(w, classification, m_max, ctx.mantissa_bits + _ROUNDING_GUARD_BITS)
+    values = sums.correctly_rounded(ctx.mantissa_bits)
+    if values is None:
+        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
+        values = sums.rounded(ctx.mantissa_bits)
+    return sums, values
+
+
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
     """rho_m as a one-shot series evaluation."""
-    sums = _lattice_sums(w, classify_convergence(w), m, ctx.verify_bits)
-    return sums.rounded(ctx.mantissa_bits)[m]
+    return _rounded_moments(w, classify_convergence(w), m, ctx)[1][m]
 
 
 class MomentTable:
     """Immutable table rho_0 .. rho_{m_max} for one weight at one precision.
 
-    One certified lattice pass at ctx.verify_bits serves both this table
-    (rounded once to ctx.mantissa_bits) and its verify-precision twin
-    (``rebuilt``). Also memoizes generalized Hankel determinants
-    det[rho_{r_i + j}] keyed by the (sorted) row-index tuple; these are the
-    building blocks of the exact flow-derivative engine.
+    One lattice pass at ctx.mantissa_bits + 96 bits, rounded once after the
+    rounding test proves every column, so each value is the correctly rounded
+    moment and depends on the weight alone, not on the depth or the pass
+    precision (if the test fails, the values are a verify_bits pass rounded).
+    ``rebuilt`` serves other mantissas. Also memoizes generalized Hankel
+    determinants det[rho_{r_i + j}] keyed by the (sorted) row-index tuple;
+    these are the building blocks of the exact flow-derivative engine.
     """
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
         classification = classify_convergence(w)
-        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
-        self._fill(w, m_max, ctx, classification, sums)
+        sums, values = _rounded_moments(w, classification, m_max, ctx)
+        self._fill(w, m_max, ctx, classification, sums, values)
 
-    def _fill(self, w, m_max, ctx, classification, sums: _LatticeSums) -> None:
+    def _fill(self, w, m_max, ctx, classification, sums: _LatticeSums, values: list) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
         self.classification = classification
         self._sums = sums
-        self.values = sums.rounded(ctx.mantissa_bits)
+        self.values = values
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._rebuilt: dict[int, "MomentTable"] = {}
 
@@ -293,21 +340,23 @@ class MomentTable:
         return self.values[m]
 
     def rebuilt(self, bits: int) -> "MomentTable":
-        """The same moments at another mantissa.
+        """The same moments at another mantissa, built once per mantissa.
 
-        Up to the certified precision of this table's lattice pass, the values
-        are that pass rounded again and nothing is summed; beyond it, a new
-        pass runs.
+        When the rounding test proves this table's lattice pass at ``bits``,
+        the values are that pass rounded again and nothing is summed;
+        otherwise, as for any mantissa beyond the pass's certified bits, a new
+        table with its own pass is built.
         """
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
             ctx = PrecisionContext(mantissa_bits=bits)
-            if bits > self._sums.bits:
+            values = self._sums.correctly_rounded(bits)
+            if values is None:
                 table = MomentTable(self.weight, self.m_max, ctx)
             else:
                 table = MomentTable.__new__(MomentTable)
-                table._fill(self.weight, self.m_max, ctx, self.classification, self._sums)
+                table._fill(self.weight, self.m_max, ctx, self.classification, self._sums, values)
             self._rebuilt[bits] = table
         return self._rebuilt[bits]
 
@@ -380,9 +429,11 @@ class CholeskyFactorization:
 
     s is dense unit lower triangular; h the diagonal. confirmed_bits measures
     agreement with the elimination redone at ctx.verify_bits on the verify
-    table of the same lattice pass (the moments themselves are certified by
+    table ``table.rebuilt(verify_bits)``, whose moments are correctly rounded
+    from a lattice pass of their own (the moments themselves are certified by
     their tail and rounding bounds); a nan error ranks worst and reads as nan
-    bits. It is computed the first time it is read; no report reads it yet.
+    bits. It is computed the first time it is read, and that read pays for
+    the doubled-precision pass; no report reads it yet.
     """
 
     s: Matrix

@@ -5,7 +5,9 @@ builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
 size, precision context); the finite-difference witnesses obtain perturbed
-pipelines through the same cache. Moment depth depends on weight and size alone.
+pipelines through the same cache. Moment depth depends on weight and size alone;
+moment values, correctly rounded, on the weight alone, so a witness built at
+the size it reads sees the same moments as a full-size one.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -143,8 +145,9 @@ class WeightPipeline:
     def shifted(self, shift: Shift) -> "WeightPipeline":
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)
 
-    def flow_scaled(self, l: int, mult: Fraction) -> "WeightPipeline":
-        return get_pipeline(flow_scaled_weight(self.weight, l, mult), self.k, self.ctx)
+    def flow_scaled(self, l: int, mult: Fraction, k: int | None = None) -> "WeightPipeline":
+        """The pipeline of the flow-scaled weight, at size k (this pipeline's by default)."""
+        return get_pipeline(flow_scaled_weight(self.weight, l, mult), k or self.k, self.ctx)
 
     def provenance(self) -> dict:
         return {

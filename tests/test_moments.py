@@ -3,6 +3,8 @@ from math import isnan
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, polylog, workprec
 
 from semidop import (
@@ -10,6 +12,7 @@ from semidop import (
     HypergeometricWeight,
     IndexOutOfTable,
     MomentTable,
+    PrecisionContext,
     TermBudgetExceeded,
     TruncationTooLarge,
     cholesky,
@@ -290,16 +293,83 @@ def _count_passes(monkeypatch) -> list:
 
 
 def test_kernel_sums_lattice_once(ctx, monkeypatch):
+    # a table sums the lattice once, at its working precision; reading
+    # confirmed_bits adds exactly one pass, that of the verify table
     calls = _count_passes(monkeypatch)
     table = MomentTable(MEIXNER, 20, ctx)
-    verify = table.rebuilt(ctx.verify_bits)
-    assert cholesky(gram_truncation(table, 8)).confirmed_bits > 0
+    chol = cholesky(gram_truncation(table, 8))
     assert len(calls) == 1
+    assert chol.confirmed_bits > 0
+    assert len(calls) == 2
+    verify = table.rebuilt(ctx.verify_bits)
     assert verify is table.rebuilt(ctx.verify_bits)
+    assert len(calls) == 2
     assert verify.ctx.mantissa_bits == ctx.verify_bits
     with workprec(ctx.mantissa_bits):
         for m in range(21):
             assert +verify.moment(m) == table.moment(m)
+
+
+def _raw(values) -> list:
+    return [v._mpf_ for v in values]
+
+
+@pytest.mark.parametrize("bits", [1000, 1024])
+def test_rebuilt_table_equals_a_fresh_table(bits):
+    # a rebuilt table is the table a fresh pass gives at its mantissa, bit for
+    # bit, however few bits the working pass certified
+    for spec in ("a=2; eta=1/2", "eta=7/10", "a=3/2; b=5/2; eta=1/3"):
+        w = parse_weight_spec(spec)
+        table = MomentTable(w, 16, PrecisionContext(mantissa_bits=512))
+        fresh = MomentTable(w, 16, PrecisionContext(mantissa_bits=bits))
+        assert _raw(table.rebuilt(bits).values) == _raw(fresh.values), spec
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    a=st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+    b=st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+    eta=st.fractions(min_value=Fraction(-7, 8), max_value=Fraction(7, 8), max_denominator=16),
+)
+def test_tables_are_correctly_rounded_at_any_depth(a, b, eta):
+    # each entry is the moment correctly rounded: a 2048-bit pass rounded to
+    # 512 bits, whatever the depth of the table that holds it
+    w = HypergeometricWeight(a=(a,), b=(b,), eta=eta)
+    ctx = PrecisionContext(mantissa_bits=512)
+    shallow, deep = MomentTable(w, 6, ctx), MomentTable(w, 14, ctx)
+    reference = moments_module._lattice_sums(w, deep.classification, 14, 2048).rounded(512)
+    assert _raw(deep.values) == _raw(reference)
+    assert _raw(shallow.values) == _raw(reference[:7])
+
+
+def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
+    # column 1 sits on a 512-bit midpoint, so its certified interval holds
+    # values that round both ways: the table must sum again at verify_bits
+    ctx = PrecisionContext(mantissa_bits=512)
+    midpoint = (2 * (2**511 + 12345) + 1) << 187
+    straddled = moments_module._LatticeSums((1 << 700, midpoint), 700, 608)
+    assert straddled.correctly_rounded(512) is None
+    # an offset past the interval radius 2^124 decides the rounding
+    decided = moments_module._LatticeSums((1 << 700, midpoint + (1 << 150)), 700, 608)
+    assert decided.correctly_rounded(512) is not None
+    real = moments_module._lattice_sums
+    requested = []
+
+    def first_pass_straddles(w, classification, m_max, bits):
+        requested.append(bits)
+        if len(requested) == 1:
+            return straddled
+        return real(w, classification, m_max, bits)
+
+    monkeypatch.setattr(moments_module, "_lattice_sums", first_pass_straddles)
+    table = MomentTable(MEIXNER, 1, ctx)
+    assert requested == [608, ctx.verify_bits]
+    fallback = real(MEIXNER, table.classification, 1, ctx.verify_bits)
+    assert table._sums == fallback
+    assert _raw(table.values) == _raw(fallback.rounded(512))
+    requested.clear()
+    assert moment(MEIXNER, 1, ctx) == table.moment(1)
+    assert requested == [608, ctx.verify_bits]
 
 
 BOUNDARY = parse_weight_spec("a=1,1; b=3; eta=1")  # w(k) ~ 2 / k^2
