@@ -9,6 +9,13 @@ canonicalized with the permutation sign and dropped when two coincide. The
 flows commute, so the canonical expression does not depend on the order in
 which they are applied, and evaluation sums it in sorted key order.
 
+Each derivative of order alpha moves at most s = o1 + 2 o2 + 3 o3 rows of
+tau_k off (0, ..., k-1), so every key is (0, ..., p-1) followed by a tail of
+at most s rows, p >= k - s. ``MomentTable.det_rows`` evaluates such a key as
+tau_p times an s x s Schur complement over the leading block G_p, whose
+pivoted LU it factors once per table and p; a whole jet, and the jets of
+every tau_k on one table, share those factorizations.
+
 ``tau_jet`` is the one expression builder: it walks the downward closure of
 the requested orders, each expression one flow away from a lower one.
 ``tau_derivative`` reads one entry of it, ``log_tau_jet`` the jet of
@@ -69,7 +76,10 @@ def apply_flow(expr: DetExpr, l: int) -> DetExpr:
 
 
 def eval_expr(expr: DetExpr, table: MomentTable) -> mpf:
-    """Evaluate an expression against one moment table, summing in sorted key order."""
+    """Evaluate an expression against one moment table, summing in sorted key order.
+
+    Each key's determinant comes from ``table.det_rows``, memoized per table.
+    """
     with workprec(table.ctx.mantissa_bits):
         total = mpf(0)
         for rows in sorted(expr):

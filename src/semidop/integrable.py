@@ -19,14 +19,16 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
 
+from . import flows
 from .errors import DivergentSeries, InvalidShift, PreconditionError
 from .flows import (
     central_difference,
     derivative_fd_crosscheck,
     fd_convergence_study,
     fd_flow_derivative,
+    log_jet,
     log_tau_jet,
-    tau_derivative,
+    tau_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
 )
 from .linalg import (
     commutator,
@@ -44,7 +46,6 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import hankel_determinant
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
 from .structure import pascal_matrix, psi_window
@@ -344,8 +345,11 @@ def tau_route_check(
     table = pipe.table
     with workprec(bits):
         acc = ResidualAccumulator(bits)
-        taus = [hankel_determinant(table, n) for n in range(nmax + 2)]
-        jets = _log_jets(pipe, nmax + 2, [(2, 0, 0)])
+        # one tau jet per n gives tau_n, its first derivative and its log jet;
+        # flows.tau_jet is read at call time, so a tracer patching it sees it
+        tau_jets = [flows.tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 2)]
+        taus = [t[(0, 0, 0)] for t in tau_jets]
+        jets = [log_jet(t, bits) for t in tau_jets]
         h = pipe.chol.h
         for n in range(nmax + 1):
             acc.add(
@@ -353,7 +357,7 @@ def tau_route_check(
                 abs(h[n] - taus[n + 1] / taus[n]),
                 abs(h[n]),
             )
-            dtau = tau_derivative(table, n, (1, 0, 0))
+            dtau = tau_jets[n][(1, 0, 0)]
             p1 = pipe.chol.p(1, n)
             acc.add(
                 f"subleading[{n}]",

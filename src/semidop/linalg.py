@@ -10,10 +10,12 @@ int factors, whose sum is exact. All elimination routines use fixed pivoting
 rules so results are bit-stable.
 
 The hot kernels (``mat_mul``, ``ldl_no_pivot``, ``unit_lower_inverse``,
-``lu_determinant``, the maxima and ``GramSums``) run on raw ``libmp`` values:
-they read each entry's ``_mpf_`` tuple once, loop with ``mpf_add``,
-``mpf_mul`` and the rest at ``mp._prec_rounding`` read at call time, and wrap
-each result once with ``mp.make_mpf``. The bit-identity rule: every libmp call
+``lu_factor`` with its solves and ``schur_complement``, the maxima and
+``GramSums``) run on raw ``libmp`` values: they read each entry's ``_mpf_``
+tuple once, loop with ``mpf_add``, ``mpf_mul`` and the rest at
+``mp._prec_rounding`` read at call time, and wrap each result once with
+``mp.make_mpf``; the LU factors and the solves stay raw, for the solves and
+``schur_complement`` to read. The bit-identity rule: every libmp call
 is the one the ``mpf`` operator would make, with the same arguments, precision
 and rounding, in the same order, so the results are the operators' bits without
 their per-operation dispatch and allocation. Comparisons use ``mpf_gt`` and
@@ -28,6 +30,8 @@ Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its check.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -291,19 +295,33 @@ def _rounded(x, prec: int, rnd: str) -> tuple:
     return v if not v[1] and v[2] else normalize(*v, prec, rnd)
 
 
-def lu_determinant(a: Matrix) -> mpf:
-    """Determinant by LU with partial pivoting (first maximal pivot).
+@dataclass
+class LUFactors:
+    """P A = L U of a square matrix by partial pivoting, on raw ``libmp`` values.
 
-    A zero pivot column gives 0, or nan while a nan is left in the remaining
-    block: a nan never wins the pivot search, so it can sit beside a column
-    that is zero in the finite rows.
+    Column j pivots on the first entry of largest magnitude on or below the
+    diagonal. ``rows`` holds U on and above the diagonal and the multipliers
+    of L below it, in pivoted order; ``perm[i]`` is the row of A that became
+    row i. ``det`` is the product of the pivots, negated at each row
+    exchange, in step order. A pivot column that is zero stops the
+    elimination: ``complete`` is False and ``det`` is 0, or nan while a nan is
+    left in the remaining block, since a nan never wins the pivot search and
+    can sit beside a column that is zero in the finite rows.
     """
-    n = len(a)
-    if n == 0:
-        return mpf(1)
+
+    rows: list
+    perm: list
+    complete: bool
+    det: mpf
+
+
+def lu_factor(a: Matrix) -> LUFactors:
+    """The partially pivoted LU of a, at the precision of the call."""
     prec, rnd = mp._prec_rounding
     work = [[_rounded(x, prec, rnd) for x in row] for row in a]
-    det = fone
+    n = len(work)
+    perm = list(range(n))
+    exchanged = []
     for j in range(n):
         pivot_row = j
         best = mpf_abs(work[j][j], prec, rnd)
@@ -314,20 +332,77 @@ def lu_determinant(a: Matrix) -> mpf:
                 pivot_row = i
         if best == fzero:
             nan_left = any(v == fnan for row in work[j:] for v in row[j:])
-            return mp.make_mpf(fnan if nan_left else fzero)
+            return LUFactors(work, perm, False, mp.make_mpf(fnan if nan_left else fzero))
+        exchanged.append(pivot_row != j)
         if pivot_row != j:
             work[j], work[pivot_row] = work[pivot_row], work[j]
-            det = mpf_neg(det, prec, rnd)
+            perm[j], perm[pivot_row] = perm[pivot_row], perm[j]
         row_j = work[j]
         pivot = row_j[j]
-        det = mpf_mul(det, pivot, prec, rnd)
         for i in range(j + 1, n):
             row_i = work[i]
             factor = mpf_div(row_i[j], pivot, prec, rnd)
+            row_i[j] = factor
             if factor != fzero:
                 for p in range(j + 1, n):
                     row_i[p] = mpf_sub(row_i[p], mpf_mul(factor, row_j[p], prec, rnd), prec, rnd)
-    return mp.make_mpf(det)
+    det = fone
+    for j, swapped in enumerate(exchanged):
+        if swapped:
+            det = mpf_neg(det, prec, rnd)
+        det = mpf_mul(det, work[j][j], prec, rnd)
+    return LUFactors(work, perm, True, mp.make_mpf(det))
+
+
+def lu_determinant(a: Matrix) -> mpf:
+    """Determinant by LU with partial pivoting: ``lu_factor(a).det``."""
+    return lu_factor(a).det
+
+
+def lu_row_solve(f: LUFactors, b: list) -> list:
+    """The raw row vector y with y U = b, U the upper factor of a complete f."""
+    prec, rnd = mp._prec_rounding
+    u = f.rows
+    y = []
+    for j, x in enumerate(b):
+        s = _rounded(x, prec, rnd)
+        for i in range(j):
+            s = mpf_sub(s, mpf_mul(y[i], u[i][j], prec, rnd), prec, rnd)
+        y.append(mpf_div(s, u[j][j], prec, rnd))
+    return y
+
+
+def lu_column_solve(f: LUFactors, a: list) -> list:
+    """The raw column z = L^-1 P a, L and P the lower factor and row order of f."""
+    prec, rnd = mp._prec_rounding
+    z = []
+    for i, r in enumerate(f.perm):
+        s = _rounded(a[r], prec, rnd)
+        row = f.rows[i]
+        for l in range(i):
+            s = mpf_sub(s, mpf_mul(row[l], z[l], prec, rnd), prec, rnd)
+        z.append(s)
+    return z
+
+
+def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
+    """Entries b[i][j] - ys[i] . zs[j], each product subtracted in ascending order.
+
+    With ys from ``lu_row_solve`` and zs from ``lu_column_solve`` of G = P^T L U,
+    this is B - C G^-1 A for the rows C and columns A those solves read.
+    """
+    prec, rnd = mp._prec_rounding
+    make = mp.make_mpf
+    out = []
+    for row, y in zip(b, ys):
+        out_row = []
+        for x, z in zip(row, zs):
+            s = _rounded(x, prec, rnd)
+            for yi, zi in zip(y, z):
+                s = mpf_sub(s, mpf_mul(yi, zi, prec, rnd), prec, rnd)
+            out_row.append(make(s))
+        out.append(out_row)
+    return out
 
 
 class GramSums:

@@ -4,11 +4,14 @@ Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
 sums every column rho_0 .. rho_{m_max} at once, with exact rational term
 ratios, and stops on a rigorous geometric tail bound; the floor-division
 error is bounded alongside, so a pass at ``bits`` certifies each moment to
-2^-(bits - 32) relative. A table's pass runs at the working mantissa plus 96
-bits. A rounding test in the style of Ziv (ACM TOMS 17, 1991) then proves,
+2^-(bits - 32) relative (a column of a finite support with every division
+exact is the moment itself). A table's pass runs at the working mantissa plus
+96 bits. A rounding test in the style of Ziv (ACM TOMS 17, 1991) then proves,
 column by column, that both ends of the certified interval round to the same
 working-precision value, which is therefore the correctly rounded moment; if
-any column fails, one pass at verify_bits runs and is rounded as it stands.
+any column fails, a pass at the mantissa plus 224 bits is tested the same
+way, and if that fails too, one pass at verify_bits runs and is rounded as it
+stands.
 Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
 before any summation: DivergentSeries when a requested moment diverges,
 TermBudgetExceeded when only a ratio-1 tail stands between the series and a
@@ -19,7 +22,11 @@ lower triangular, H diagonal); S encodes the monic orthogonal polynomial
 coefficients and H their squared norms. The factorization runs at the working
 precision only. Its confirmation, the elimination redone at verify_bits on a
 verify-precision table with its own lattice pass, runs when
-``confirmed_bits`` is first read, and only then. Every public routine runs
+``confirmed_bits`` is first read, and only then. Generalized Hankel
+determinants det[rho_{r_i + j}] whose rows start (0, ..., p-1) are tau_p
+times a small Schur complement, from one partially pivoted LU of the leading
+block G_p per table and p; they never read the factorization, so the
+determinant route stays independent of it. Every public routine runs
 under an explicit PrecisionContext and is deterministic: fixed summation
 order, fixed pivoting, no randomness.
 """
@@ -40,7 +47,18 @@ from .errors import (
     TermBudgetExceeded,
     TruncationTooLarge,
 )
-from .linalg import Matrix, exceeds, ldl_no_pivot, lu_determinant, unit_lower_inverse
+from .linalg import (
+    LUFactors,
+    Matrix,
+    exceeds,
+    ldl_no_pivot,
+    lu_column_solve,
+    lu_determinant,
+    lu_factor,
+    lu_row_solve,
+    schur_complement,
+    unit_lower_inverse,
+)
 from .weights import (
     ConvergenceClass,
     HypergeometricWeight,
@@ -68,12 +86,12 @@ MAX_TERMS = 100_000
 class PrecisionContext:
     """Working precision.
 
-    Moment tables sum their lattice pass at mantissa_bits + 96 bits and are
-    correctly rounded to mantissa_bits. verify_bits, twice the working
-    mantissa, is the precision of the fallback pass when that rounding cannot
-    be proven, and the precision at which a factorization's confirmation
-    redoes the elimination when its ``confirmed_bits`` is read; no report
-    reads it yet.
+    Moment tables sum their lattice pass at mantissa_bits + 96 bits, or + 224
+    when that cannot prove the rounding, and are correctly rounded to
+    mantissa_bits. verify_bits, twice the working mantissa, is the precision
+    of the fallback pass when neither proves the rounding, and the precision
+    at which a factorization's confirmation redoes the elimination when its
+    ``confirmed_bits`` is read; no report reads it yet.
     """
 
     mantissa_bits: int = 512
@@ -98,10 +116,13 @@ class PrecisionContext:
 _GUARD_BITS = 64
 _GUARD_BITS_PER_COLUMN = 14
 _WIDENINGS = 4
-# Bits a table's lattice pass sums beyond its mantissa. The pass certifies all
-# but 32 of them, so each column's interval is 2^-(mantissa + 64) relative
-# wide when it meets the rounding test.
-_ROUNDING_GUARD_BITS = 96
+# Bits beyond its mantissa at which a table's lattice pass sums, tier by tier,
+# until the rounding test proves every column. A pass certifies all but 32 of
+# them, so a column's interval is 2^-(mantissa + 64) relative wide at the first
+# tier. The moments of a weight perturbed by a dyadic step, as the flow
+# witnesses at eta (1 + 2^-128) are, can sit within 2^-128 ulp of a rounding
+# midpoint; the second tier proves them for less than a verify_bits pass.
+_ROUNDING_GUARD_BITS = (96, 224)
 
 
 @dataclass(frozen=True)
@@ -109,12 +130,14 @@ class _LatticeSums:
     """Columns sums[m] ~ rho_m 2^scale of one lattice pass.
 
     Each column is within 2^-(bits - 32) |sums[m]| of the exact moment, tail
-    and rounding included.
+    and rounding included; a column marked ``exact`` (finite support, every
+    division exact) is the moment itself.
     """
 
     sums: tuple[int, ...]
     scale: int
     bits: int
+    exact: tuple[bool, ...]
 
     def rounded(self, bits: int) -> list:
         """The moments rounded once to a ``bits``-bit mantissa."""
@@ -125,12 +148,13 @@ class _LatticeSums:
         """The moments rounded to ``bits``, or None unless every rounding is proven.
 
         Column m's certified interval s +- ((|s| >> (self.bits - 32)) + 1)
-        holds the exact moment. Rounding to nearest is monotone, so when both
-        ends round to the same value, the exact moment rounds to it too.
+        holds the exact moment, and an exact column's radius is 0, so an
+        exactly zero moment is proven too. Rounding to nearest is monotone, so
+        when both ends round to the same value, the exact moment rounds to it.
         """
         values = []
-        for s in self.sums:
-            radius = (abs(s) >> (self.bits - 32)) + 1
+        for s, exact in zip(self.sums, self.exact):
+            radius = 0 if exact else (abs(s) >> (self.bits - 32)) + 1
             low = from_man_exp(s - radius, -self.scale, bits, round_nearest)
             if low != from_man_exp(s + radius, -self.scale, bits, round_nearest):
                 return None
@@ -277,7 +301,8 @@ def _lattice_sums(
             default=0,
         )
         if short <= 0:
-            return _LatticeSums(tuple(sums), bits + guard, bits)
+            exact = tuple(classification.q is not None and err == 0 for err in errors)
+            return _LatticeSums(tuple(sums), bits + guard, bits, exact)
         guard += short + 32
     raise TermBudgetExceeded(
         f"rounding error of the moment series for weight {w.spec_string()} "
@@ -290,16 +315,18 @@ def _rounded_moments(
 ) -> tuple[_LatticeSums, list]:
     """A lattice pass and rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits.
 
-    The pass runs at mantissa_bits + _ROUNDING_GUARD_BITS. When the rounding
-    test proves every column, the values are the correctly rounded moments;
-    otherwise one pass at ctx.verify_bits runs and is rounded as it stands.
+    Passes run at mantissa_bits + each of _ROUNDING_GUARD_BITS in turn. When
+    the rounding test proves every column of one, the values are the
+    correctly rounded moments; if none is proven, one pass at ctx.verify_bits
+    runs and is rounded as it stands.
     """
-    sums = _lattice_sums(w, classification, m_max, ctx.mantissa_bits + _ROUNDING_GUARD_BITS)
-    values = sums.correctly_rounded(ctx.mantissa_bits)
-    if values is None:
-        sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
-        values = sums.rounded(ctx.mantissa_bits)
-    return sums, values
+    for guard in _ROUNDING_GUARD_BITS:
+        sums = _lattice_sums(w, classification, m_max, ctx.mantissa_bits + guard)
+        values = sums.correctly_rounded(ctx.mantissa_bits)
+        if values is not None:
+            return sums, values
+    sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
+    return sums, sums.rounded(ctx.mantissa_bits)
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -310,13 +337,19 @@ def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
 class MomentTable:
     """Immutable table rho_0 .. rho_{m_max} for one weight at one precision.
 
-    One lattice pass at ctx.mantissa_bits + 96 bits, rounded once after the
-    rounding test proves every column, so each value is the correctly rounded
-    moment and depends on the weight alone, not on the depth or the pass
-    precision (if the test fails, the values are a verify_bits pass rounded).
-    ``rebuilt`` serves other mantissas. Also memoizes generalized Hankel
-    determinants det[rho_{r_i + j}] keyed by the (sorted) row-index tuple;
-    these are the building blocks of the exact flow-derivative engine.
+    One lattice pass at ctx.mantissa_bits + 96 bits (+ 224 when that cannot
+    prove the rounding), rounded once after the rounding test proves every
+    column, so each value is the correctly rounded moment and depends on the
+    weight alone, not on the depth or the pass precision (if both tests fail,
+    the values are a verify_bits pass rounded). ``rebuilt`` serves other
+    mantissas.
+
+    Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
+    the (sorted) row-index tuple; these are the building blocks of the exact
+    flow-derivative engine. Beside them it keeps, per p, the pivoted LU of the
+    leading p x p block G_p, and per (p, x) the solves of the moment slice
+    rho_x .. rho_{x+p-1} against it, as a tail row and as a column: every
+    determinant whose rows start (0, ..., p-1) reads them (see ``det_rows``).
     """
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
@@ -332,6 +365,9 @@ class MomentTable:
         self._sums = sums
         self.values = values
         self._det_cache: dict[tuple[int, ...], mpf] = {}
+        self._leading: dict[int, LUFactors] = {}
+        self._row_solves: dict[tuple[int, int], list] = {}
+        self._column_solves: dict[tuple[int, int], list] = {}
         self._rebuilt: dict[int, "MomentTable"] = {}
 
     def moment(self, m: int) -> mpf:
@@ -361,7 +397,21 @@ class MomentTable:
         return self._rebuilt[bits]
 
     def det_rows(self, rows: tuple[int, ...]) -> mpf:
-        """det of the square matrix with entries rho_{rows[i] + j}."""
+        """det of the square matrix M with entries rho_{rows[i] + j}.
+
+        With rows = (0, ..., p-1) + tail, p the longest such prefix, M is
+        bordered by the leading Hankel block G_p, whose determinant is tau_p:
+
+            M = [[G_p, A], [B, C]],  det M = tau_p det(C - B G_p^-1 A),
+
+        with A = rho_{i+j} (i < p <= j < k) and B, C the tail rows. G_p gets
+        one partially pivoted LU, P G_p = L U, per table and p; it gives tau_p
+        as the product of its pivots, bit for bit ``lu_determinant`` of G_p.
+        Each tail row t is solved once per p as y_t = B_t U^-1 and each column
+        j as z_j = L^-1 P A_j, so a determinant costs one s x s LU (s the tail
+        length) of entries rho_{t+j} - y_t . z_j. Without a leading block
+        (p = 0), or when G_p has a zero pivot column, M takes one full LU.
+        """
         if rows in self._det_cache:
             return self._det_cache[rows]
         k = len(rows)
@@ -370,11 +420,39 @@ class MomentTable:
                 f"determinant rows {rows} need moment {rows[-1] + k - 1}, "
                 f"table depth is {self.m_max}"
             )
+        p = 0
+        while p < k and rows[p] == p:
+            p += 1
+        vals = self.values
         with workprec(self.ctx.mantissa_bits):
-            dense = [[self.values[r + j] for j in range(k)] for r in rows]
-            value = lu_determinant(dense)
+            lead = self._leading_lu(p) if p else None
+            if lead is not None and p == k:
+                value = lead.det
+            elif lead is None or not lead.complete:
+                value = lu_determinant([[vals[r + j] for j in range(k)] for r in rows])
+            else:
+                tail, cols = rows[p:], range(p, k)
+                ys = [self._solve(self._row_solves, lu_row_solve, lead, p, t) for t in tail]
+                zs = [self._solve(self._column_solves, lu_column_solve, lead, p, j) for j in cols]
+                corner = [[vals[t + j] for j in cols] for t in tail]
+                value = lead.det * lu_determinant(schur_complement(corner, ys, zs))
         self._det_cache[rows] = value
         return value
+
+    def _leading_lu(self, p: int) -> LUFactors:
+        """The pivoted LU of G_p, factored once per table."""
+        if p not in self._leading:
+            vals = self.values
+            self._leading[p] = lu_factor([vals[i : i + p] for i in range(p)])
+        return self._leading[p]
+
+    def _solve(self, cache: dict, solve, lead: LUFactors, p: int, x: int) -> list:
+        """``solve(lead, rho_x .. rho_{x+p-1})``, once per (p, x): G_p is a
+        Hankel block, so tail row x and column x both read that slice."""
+        key = (p, x)
+        if key not in cache:
+            cache[key] = solve(lead, self.values[x : x + p])
+        return cache[key]
 
 
 @dataclass(frozen=True)

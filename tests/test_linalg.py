@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import inf, isnan, ldexp, mpf, nan, workprec
 
-from semidop import SingularTruncation, pascal_matrix
+from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
     GramSums,
     exceeds,
@@ -17,6 +17,8 @@ from semidop.linalg import (
     window_diff,
 )
 from semidop.result import ResidualAccumulator
+
+from conftest import FAMILIES
 
 TOL = mpf(2) ** -100
 
@@ -325,6 +327,18 @@ def test_raw_kernels_keep_a_nan_as_the_operators_do():
         assert isnan(op_lu_determinant(a)) and isnan(lu_determinant(a))
         # a nan pivot is not below the floor
         assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
+
+
+def test_leading_hankel_determinants_match_the_operator_lu_bit_for_bit():
+    # tau_p = det_rows(range(p)) is the pivot product of the table's cached
+    # factorization of G_p, the bits the operator LU gives for G_p
+    for w in FAMILIES.values():
+        table = MomentTable(w, 30, PrecisionContext(mantissa_bits=512))
+        for p in range(1, 16):
+            dense = [table.values[i : i + p] for i in range(p)]
+            with workprec(512):
+                want = op_lu_determinant(dense)
+            assert raw(table.det_rows(tuple(range(p)))) == raw(want)
 
 
 def test_lu_determinant_is_nan_beside_a_zero_column():

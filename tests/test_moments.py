@@ -13,19 +13,23 @@ from semidop import (
     IndexOutOfTable,
     MomentTable,
     PrecisionContext,
+    SuiteConfig,
     TermBudgetExceeded,
     TruncationTooLarge,
     cholesky,
+    clear_cache,
     gram_truncation,
     hankel_determinant,
     moment,
     moments_to_csv,
+    run_suite,
 )
 import semidop.moments as moments_module
-from semidop.flows import tau_derivative
+from semidop.flows import flow_scaled_weight, tau_derivative
+from semidop.linalg import lu_determinant
 from semidop.weights import parse_weight_spec, to_mpf
 
-from conftest import BITS, CHARLIER, FAMILIES, MEIXNER
+from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
     charlier_reduced_moments,
     hankel_determinant_reduced,
@@ -344,32 +348,48 @@ def test_tables_are_correctly_rounded_at_any_depth(a, b, eta):
 
 def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
     # column 1 sits on a 512-bit midpoint, so its certified interval holds
-    # values that round both ways: the table must sum again at verify_bits
+    # values that round both ways: the table must sum again, first at the
+    # middle tier and, when that straddles too, at verify_bits
     ctx = PrecisionContext(mantissa_bits=512)
     midpoint = (2 * (2**511 + 12345) + 1) << 187
-    straddled = moments_module._LatticeSums((1 << 700, midpoint), 700, 608)
+    inexact = (False, False)
+    straddled = moments_module._LatticeSums((1 << 700, midpoint), 700, 608, inexact)
     assert straddled.correctly_rounded(512) is None
     # an offset past the interval radius 2^124 decides the rounding
-    decided = moments_module._LatticeSums((1 << 700, midpoint + (1 << 150)), 700, 608)
+    decided = moments_module._LatticeSums((1 << 700, midpoint + (1 << 150)), 700, 608, inexact)
     assert decided.correctly_rounded(512) is not None
+    # an exact column has no radius: the midpoint itself rounds (to even)
+    exact = moments_module._LatticeSums((1 << 700, midpoint), 700, 608, (True, True))
+    assert exact.correctly_rounded(512) is not None
     real = moments_module._lattice_sums
     requested = []
 
-    def first_pass_straddles(w, classification, m_max, bits):
-        requested.append(bits)
-        if len(requested) == 1:
-            return straddled
-        return real(w, classification, m_max, bits)
+    def straddles(passes):
+        def lattice_sums(w, classification, m_max, bits):
+            requested.append(bits)
+            if len(requested) <= passes:
+                return straddled
+            return real(w, classification, m_max, bits)
 
-    monkeypatch.setattr(moments_module, "_lattice_sums", first_pass_straddles)
+        return lattice_sums
+
+    monkeypatch.setattr(moments_module, "_lattice_sums", straddles(1))
     table = MomentTable(MEIXNER, 1, ctx)
-    assert requested == [608, ctx.verify_bits]
+    assert requested == [608, 736]
+    middle = real(MEIXNER, table.classification, 1, 736)
+    assert table._sums == middle
+    assert _raw(table.values) == _raw(middle.correctly_rounded(512))
+
+    requested.clear()
+    monkeypatch.setattr(moments_module, "_lattice_sums", straddles(2))
+    table = MomentTable(MEIXNER, 1, ctx)
+    assert requested == [608, 736, ctx.verify_bits]
     fallback = real(MEIXNER, table.classification, 1, ctx.verify_bits)
     assert table._sums == fallback
     assert _raw(table.values) == _raw(fallback.rounded(512))
     requested.clear()
     assert moment(MEIXNER, 1, ctx) == table.moment(1)
-    assert requested == [608, ctx.verify_bits]
+    assert requested == [608, 736, ctx.verify_bits]
 
 
 BOUNDARY = parse_weight_spec("a=1,1; b=3; eta=1")  # w(k) ~ 2 / k^2
@@ -387,3 +407,104 @@ def test_boundary_weight_refused_before_summing(ctx, monkeypatch):
         with pytest.raises(DivergentSeries):
             MomentTable(BOUNDARY, depth, ctx)
     assert calls == []
+
+
+# eta (1 + 2^-128): a flow-1 witness of the finite-difference checks
+WITNESS = flow_scaled_weight(MEIXNER, 1, 1 + Fraction(1, 2**128))
+
+
+@pytest.mark.parametrize("depth", [16, 32])
+def test_flow_witness_moments_round_below_verify_bits(monkeypatch, depth):
+    # the witness moments sit within 2^-128 ulp of a 512-bit rounding midpoint:
+    # the first tier's interval straddles it, the middle tier's does not
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(WITNESS, depth, PrecisionContext(mantissa_bits=512))
+    assert [args[3] for args in calls] == [608, 736]
+    reference = moments_module._lattice_sums(WITNESS, table.classification, depth, 2048)
+    assert _raw(table.values) == _raw(reference.rounded(512))
+
+
+def test_exactly_zero_moments_sum_once(monkeypatch):
+    # eta = 0 puts the whole weight at k = 0, so rho_m = 0 for m >= 1; an exact
+    # column has no interval around zero to straddle it
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(HypergeometricWeight(eta=0), 6, PrecisionContext(mantissa_bits=512))
+    assert len(calls) == 1
+    assert table.values[0] == 1 and all(v == 0 for v in table.values[1:])
+
+
+@st.composite
+def bordered_rows(draw):
+    """(0, ..., p-1) followed by a tail of s rows past p, as a flow derivative leaves them."""
+    p = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 4))
+    tail = draw(st.sets(st.integers(p + 1, p + 8), min_size=s, max_size=s))
+    return tuple(range(p)) + tuple(sorted(tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+    b=st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+    eta=st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16), max_denominator=16),
+    rows=bordered_rows(),
+)
+def test_schur_determinants_are_as_accurate_as_a_full_lu(a, b, eta, rows):
+    # against a 2048-bit LU of the same 512-bit entries, tau_p times the Schur
+    # complement loses at most a few bits more than one 512-bit LU of the matrix
+    k = len(rows)
+    ctx = PrecisionContext(mantissa_bits=512)
+    table = MomentTable(HypergeometricWeight(a=(a,), b=(b,), eta=eta), rows[-1] + k - 1, ctx)
+    dense = [[table.values[r + j] for j in range(k)] for r in rows]
+    got = table.det_rows(rows)
+    with workprec(512):
+        full = lu_determinant(dense)
+    with workprec(REF_BITS):
+        ref = lu_determinant(dense)
+        floor = mpf(2) ** -512
+        assert abs(got - ref) / abs(ref) <= 2**10 * max(abs(full - ref) / abs(ref), floor)
+
+
+def test_singular_leading_block_takes_the_full_lu(monkeypatch):
+    # rho_0 = rho_1 = rho_2 = 1 makes G_2 singular: rows (0, 1, 3) take one
+    # 3 x 3 LU, while (0, 3) borders the regular G_1 with a 1 x 1 complement
+    values = [mpf(v) for v in (1, 1, 1, 2, 3, 5, 8)]
+    table = MomentTable.__new__(MomentTable)
+    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, None, values)
+    sizes = []
+    real = moments_module.lu_determinant
+
+    def counted(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(moments_module, "lu_determinant", counted)
+    assert table.det_rows((0, 1)) == 0
+    assert table.det_rows((0, 1, 3)) == -1
+    assert sizes == [3]
+    assert table.det_rows((0, 3)) == 1
+    assert sizes == [3, 1]
+
+
+def test_one_leading_factorization_per_table_and_size(monkeypatch):
+    # across a whole suite, each table factors each leading block G_p once
+    tables, factored = [], []
+    real_fill, real_factor = MomentTable._fill, moments_module.lu_factor
+
+    def fill(self, *args):
+        tables.append(self)
+        real_fill(self, *args)
+
+    def factor(a):
+        factored.append(len(a))
+        return real_factor(a)
+
+    monkeypatch.setattr(MomentTable, "_fill", fill)
+    monkeypatch.setattr(moments_module, "lu_factor", factor)
+    clear_cache()
+    run_suite(SuiteConfig(weight=GEN_MEIXNER, size=8, mantissa_bits=BITS))
+    clear_cache()
+    assert factored
+    assert len(factored) == sum(len(t._leading) for t in tables)
+    # and the determinants bordering them outnumber the factorizations
+    assert sum(len(t._det_cache) for t in tables) > 2 * len(factored)
