@@ -10,9 +10,10 @@ int factors, whose sum is exact. All elimination routines use fixed pivoting
 rules so results are bit-stable.
 
 The hot kernels (``mat_mul``, ``ldl_no_pivot``, ``unit_lower_inverse``,
-``lu_factor`` with its solves and ``schur_complement``, the maxima and
-``GramSums``) run on raw ``libmp`` values: they read each entry's ``_mpf_``
-tuple once, loop with ``mpf_add``, ``mpf_mul`` and the rest at
+``lu_factor`` with its solves and ``schur_complement``, the maxima, the
+polynomial recurrence ``three_term_values`` and ``GramSums``) run on raw
+``libmp`` values: they read each entry's ``_mpf_`` tuple once, loop with
+``mpf_add``, ``mpf_mul`` and the rest at
 ``mp._prec_rounding`` read at call time, and wrap each result once with
 ``mp.make_mpf``; the LU factors and the solves stay raw, for the solves and
 ``schur_complement`` to read. The bit-identity rule: every libmp call
@@ -405,6 +406,26 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
     return out
 
 
+def three_term_values(z, beta: list, gamma: list, count: int) -> list:
+    """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs.
+
+    p_0 = 1 and p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1} with gamma_0 = 0
+    (``gamma[i]`` is gamma_{i+1}); the bits of that operator expression, from
+    p_{-1} = 0 and gamma_0 the mpf 0.
+    """
+    prec, rnd = mp._prec_rounding
+    zr = _raw(z)
+    make = mp.make_mpf
+    out = [make(fone)]
+    p_prev, p = fzero, fone
+    for j in range(count - 1):
+        g = _raw(gamma[j - 1]) if j else fzero
+        lead = mpf_mul(mpf_sub(zr, _raw(beta[j]), prec, rnd), p, prec, rnd)
+        p_prev, p = p, mpf_sub(lead, mpf_mul(g, p_prev, prec, rnd), prec, rnd)
+        out.append(make(p))
+    return out
+
+
 class GramSums:
     """Running sums S[n][m] of p_n p_m w over lattice points, for m <= n < count.
 
@@ -417,7 +438,11 @@ class GramSums:
     def add(self, pvec: list, weight) -> mpf:
         """Add the point's terms p_n p_m weight; returns the largest |term|.
 
-        As the operator loop it replaces, a nan term is summed but not counted.
+        The maximum is taken over the terms n = m only: |p_n p_m| is at most
+        max(p_n^2, p_m^2), and rounding to nearest is monotone, so no term
+        with n != m is larger than both of its diagonal terms, and the maximum
+        is the one over all terms, bit for bit. As the operator loop it
+        replaces, a nan term is summed but not counted.
         """
         prec, rnd = mp._prec_rounding
         p = [_raw(x) for x in pvec]
@@ -428,9 +453,9 @@ class GramSums:
             for m in range(n + 1):
                 term = mpf_mul(mpf_mul(pn, p[m], prec, rnd), w, prec, rnd)
                 row[m] = mpf_add(row[m], term, prec, rnd)
-                v = mpf_abs(term, prec, rnd)
-                if mpf_gt(v, contrib):
-                    contrib = v
+            v = mpf_abs(term, prec, rnd)
+            if mpf_gt(v, contrib):
+                contrib = v
         return mp.make_mpf(contrib)
 
     def lower(self) -> Matrix:

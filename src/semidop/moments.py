@@ -1,9 +1,12 @@
 """Precision-controlled moment series, Hankel truncations and their Cholesky data.
 
 Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
-sums every column rho_0 .. rho_{m_max} at once, with exact rational term
-ratios, and stops on a rigorous geometric tail bound; the floor-division
-error is bounded alongside, so a pass at ``bits`` certifies each moment to
+sums every column rho_0 .. rho_{m_max} at once, with the exact term ratio in
+the weight's cleared integer factors, and stops on a rigorous geometric tail
+bound. The exact tail test runs only near the stop: a bit-length gate opens
+it within 64 bits of the threshold, and a failed test names the terms to sum
+before the next. The floor-division error gets one bound per pass, from the
+largest error of any term, so a pass at ``bits`` certifies each moment to
 2^-(bits - 32) relative (a column of a finite support with every division
 exact is the moment itself). A table's pass runs at the working mantissa plus
 96 bits. A rounding test in the style of Ziv (ACM TOMS 17, 1991) then proves,
@@ -37,6 +40,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import ceil, log, log1p
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, round_nearest
@@ -214,23 +218,35 @@ def _ratio_sup(w: HypergeometricWeight, k: int) -> Fraction | None:
     return bound
 
 
-def _tail_certified(w, k: int, magnitude: int, sums: list, shift: int) -> bool:
-    """Whether every column's tail past k is at most 2^-shift |sums[m]|.
+def _tail_shortfall(w, k: int, magnitude: int, sums: list, shift: int) -> int:
+    """The exact tail test: 0 when every column's tail past k is at most
+    2^-shift |sums[m]|, otherwise how many more terms to sum before testing again.
 
     magnitude bounds |w(k)| 2^scale (computed value plus its error). With
     rho >= sup_{j >= k} |(j+1)^m w(j+1) / (j^m w(j))|, the tail is at most
-    k^m magnitude rho / (1 - rho).
+    k^m magnitude rho / (1 - rho). Column m's terms fall at least by rho per
+    further term, so a column whose bound is short by a factor F is certified
+    about log(F) / log(1/rho) terms later; that count is returned for the
+    first column found short (1 while no rho < 1 is known). The count only
+    spaces the tests: the pass stops only where this test returns 0.
     """
     sup = _ratio_sup(w, k)
     if sup is None:
-        return False
+        return 1
     sn, sd = sup.numerator, sup.denominator
     for m in reversed(range(len(sums))):
         km, k1m = k**m, (k + 1) ** m
         room = sd * km - sn * k1m  # (1 - rho) sd k^m with rho = sn (k+1)^m / (sd k^m)
-        if room <= 0 or (magnitude * km * sn * k1m) << shift > abs(sums[m]) * room:
-            return False
-    return True
+        if room <= 0:
+            return 1
+        bound, budget = (magnitude * km * sn * k1m) << shift, abs(sums[m]) * room
+        if bound > budget:
+            if not budget:
+                return 1
+            rate = log1p(room / (sn * k1m))  # ln(1 / rho), 0 when it underflows
+            terms = (log(bound) - log(budget)) / rate if rate else MAX_TERMS
+            return max(1, ceil(min(terms, MAX_TERMS)))
+    return 0
 
 
 def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
@@ -239,43 +255,55 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     W_{k+1} = floor(W_k num_k / den_k) with the exact term ratio; each column
     then gains its term by repeated exact multiplication by k. Alongside, a
     bound on |W_k - w(k) 2^scale| follows e_{k+1} <= e_k |num_k| / den_k + 1
-    (the 1 only for an inexact division), and each column sums k^m e_k.
-    Returns (sums, error bounds). Stops after k = last for finite support,
-    otherwise once every tail is below 2^-(bits - 31) of its column.
+    (the 1 only for an inexact division). Only the largest e_k is kept: with
+    K the last point summed, column m's error sum_{k <= K} k^m e_k is at most
+    e_max (K + 1) K^m, one bound per pass rather than a second running sum per
+    column; it is 0 exactly when every division was exact.
+
+    Stops after k = last for finite support, otherwise at the first k where
+    the exact tail test ``_tail_shortfall`` certifies every tail below
+    2^-(bits - 31) of its column. A bit-length gate keeps the test closed
+    until the last column's term is within 64 bits of that threshold, and
+    after a failed test the pass sums the terms the test asks for before
+    testing again, never waiting past the last point of the budget. Neither
+    can stop the pass, only delay a stop, and a later stop leaves every
+    correctly rounded moment as it is.
+    Returns (sums, error bounds, K).
     """
     cols = m_max + 1
     sums = [0] * cols
-    errors = [0] * cols
-    value, err = 1 << scale, 0
+    value, err, err_max = 1 << scale, 0, 0
     shift = bits - 31
+    test_at = 1
     for k in range(MAX_TERMS):
-        t, e = value, err
+        t = value
         sums[0] += t
-        errors[0] += e
         for m in range(1, cols):
             t *= k
-            e *= k
             sums[m] += t
-            errors[m] += e
+        if err > err_max:
+            err_max = err
         if k == last:
-            return sums, errors
-        # The bit-length gate only skips the exact test while the last
-        # column's term is far from its stop threshold; skipping never stops
-        # early, it can only delay a stop by a few terms.
+            break
         if (
             last is None
-            and k
-            and (abs(t) + e).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
-            and _tail_certified(w, k, abs(value) + err, sums, shift)
+            and k >= test_at
+            and abs(t).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
         ):
-            return sums, errors
+            wait = _tail_shortfall(w, k, abs(value) + err, sums, shift)
+            if not wait:
+                break
+            test_at = min(k + wait, MAX_TERMS - 1)
         num, den = term_ratio(w, k)
         value, rem = divmod(value * num, den)
         err = -(-err * abs(num) // den) + (1 if rem else 0)
-    raise TermBudgetExceeded(
-        f"moments up to m={m_max} did not converge within {MAX_TERMS} terms "
-        f"for weight {w.spec_string()}"
-    )
+    else:
+        raise TermBudgetExceeded(
+            f"moments up to m={m_max} did not converge within {MAX_TERMS} terms "
+            f"for weight {w.spec_string()}"
+        )
+    bound = err_max * (k + 1)
+    return sums, [bound * k**m for m in range(cols)], k
 
 
 def _lattice_sums(
@@ -291,7 +319,7 @@ def _lattice_sums(
     guard = _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
     shift = bits - 31
     for _ in range(_WIDENINGS):
-        sums, errors = _fixed_point_pass(w, classification.q, m_max, bits, bits + guard)
+        sums, errors, _ = _fixed_point_pass(w, classification.q, m_max, bits, bits + guard)
         short = max(
             (
                 (err << shift).bit_length() - abs(s).bit_length() + 1

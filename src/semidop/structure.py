@@ -48,6 +48,7 @@ from .linalg import (
     out_of_band_max,
     poly_of_matrix,
     shift_matrix,
+    three_term_values,
     transpose,
     unit_lower_inverse,
     window_diff,
@@ -180,15 +181,10 @@ def poly_of_jacobi(coeffs, jac: JacobiMatrix, shift: int = 0) -> Matrix:
 
 
 def polynomial_vector(jac: JacobiMatrix, z, count: int) -> list:
+    """P_0(z) .. P_{count-1}(z) by the three-term recurrence of J."""
     with workprec(jac.bits):
         zm = to_mpf(z) if isinstance(z, Fraction) else mpf(z)
-        out = [mpf(1)]
-        p_prev, p = mpf(0), mpf(1)
-        for j in range(count - 1):
-            gamma_j = jac.gamma[j - 1] if j >= 1 else mpf(0)
-            p_prev, p = p, (zm - jac.beta[j]) * p - gamma_j * p_prev
-            out.append(p)
-        return out
+        return three_term_values(zm, jac.beta, jac.gamma, count)
 
 
 # -- dressed-Pascal subdiagonal closed forms ------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -62,6 +63,27 @@ def pochhammer(alpha, k: int):
 
 
 @dataclass(frozen=True)
+class RatioFactors:
+    """The term ratio w(k+1)/w(k) of one weight with every rational cleared.
+
+    num(k) = num prod(c + k d for (c, d) in rising) n2^(2k+1) n3^(3k^2+3k+1)
+    den(k) = den (k + 1) prod(c + k d for (c, d) in falling) d2^(2k+1) d3^(3k^2+3k+1)
+
+    (c, d) are the numerator and denominator of each a_i (rising) and b_j
+    (falling); num is eta's numerator times the b_j denominators, den is
+    eta's denominator times the a_i denominators; eta2 = (n2, d2) and
+    eta3 = (n3, d3), or None where that parameter is 1.
+    """
+
+    num: int
+    den: int
+    rising: tuple[tuple[int, int], ...]
+    falling: tuple[tuple[int, int], ...]
+    eta2: tuple[int, int] | None
+    eta3: tuple[int, int] | None
+
+
+@dataclass(frozen=True)
 class HypergeometricWeight:
     """Parameters of a hypergeometric Pearson weight, all exact rationals.
 
@@ -85,6 +107,27 @@ class HypergeometricWeight:
                 raise UndefinedWeight(f"b parameter {bj} is a nonpositive integer")
         if abs(self.eta2) > 1 or abs(self.eta3) > 1:
             raise PreconditionError("deformation parameters must satisfy |eta2|, |eta3| <= 1")
+
+    @cached_property
+    def ratio_factors(self) -> RatioFactors:
+        """The cleared integer factors of ``term_ratio``, computed once per weight."""
+        num, den = self.eta.numerator, self.eta.denominator
+        for bj in self.b:
+            num *= bj.denominator
+        for ai in self.a:
+            den *= ai.denominator
+
+        def pair(x: Fraction):
+            return None if x == 1 else (x.numerator, x.denominator)
+
+        return RatioFactors(
+            num,
+            den,
+            tuple((ai.numerator, ai.denominator) for ai in self.a),
+            tuple((bj.numerator, bj.denominator) for bj in self.b),
+            pair(self.eta2),
+            pair(self.eta3),
+        )
 
     @property
     def m_degree(self) -> int:
@@ -287,24 +330,23 @@ def term_ratio(w: HypergeometricWeight, k: int) -> tuple[int, int]:
     """w(k+1)/w(k) as an unreduced integer pair (numerator, positive denominator).
 
     The ratio is eta (a_1+k)...(a_M+k) / ((k+1) (b_1+k)...(b_N+k)) times
-    eta2^(2k+1) eta3^(3k^2+3k+1), with every rational cleared exactly.
+    eta2^(2k+1) eta3^(3k^2+3k+1), read from the weight's cleared integer
+    factors (``ratio_factors``).
     """
-    num = w.eta.numerator
-    den = w.eta.denominator * (k + 1)
-    for ai in w.a:
-        num *= ai.numerator + k * ai.denominator
-        den *= ai.denominator
-    for bj in w.b:
-        num *= bj.denominator
-        den *= bj.numerator + k * bj.denominator
-    if w.eta2 != 1:
+    f = w.ratio_factors
+    num, den = f.num, f.den * (k + 1)
+    for c, d in f.rising:
+        num *= c + k * d
+    for c, d in f.falling:
+        den *= c + k * d
+    if f.eta2:
         e = 2 * k + 1
-        num *= w.eta2.numerator**e
-        den *= w.eta2.denominator**e
-    if w.eta3 != 1:
+        num *= f.eta2[0] ** e
+        den *= f.eta2[1] ** e
+    if f.eta3:
         e = 3 * k * k + 3 * k + 1
-        num *= w.eta3.numerator**e
-        den *= w.eta3.denominator**e
+        num *= f.eta3[0] ** e
+        den *= f.eta3[1] ** e
     return (-num, -den) if den < 0 else (num, den)
 
 

@@ -6,11 +6,18 @@ sum_k k^m x^k / k! into a polynomial in x, and the same transform with a rising
 factorial handles the geometric-type family. Recurrence data then follows from
 Fraction-exact elimination of the reduced Hankel matrix (the cancelled
 prefactor scales every norm equally and drops out of beta and gamma).
+
+``per_column_pass`` keeps the lattice pass as it stood with one running error
+sum per column, its term ratios taken from Fractions of the parameters, as the
+oracle of the pass that keeps one error bound per pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from semidop.errors import TermBudgetExceeded
+from semidop.moments import MAX_TERMS, _ratio_sup
 
 
 def stirling2_table(m_max: int) -> list[list[int]]:
@@ -95,3 +102,65 @@ def hankel_determinant_reduced(moments: list[Fraction], k: int) -> Fraction:
     for x in d:
         out *= x
     return out
+
+
+def exact_term_ratio(w, k: int) -> Fraction:
+    """w(k+1)/w(k) = eta prod(a_i+k) / ((k+1) prod(b_j+k)) eta2^(2k+1) eta3^(3k^2+3k+1)."""
+    ratio = w.eta / (k + 1) * w.eta2 ** (2 * k + 1) * w.eta3 ** (3 * k * k + 3 * k + 1)
+    for ai in w.a:
+        ratio *= ai + k
+    for bj in w.b:
+        ratio /= bj + k
+    return ratio
+
+
+def _tail_certified(w, k: int, magnitude: int, sums: list, shift: int) -> bool:
+    """Whether every column's tail past k is at most 2^-shift |sums[m]|."""
+    sup = _ratio_sup(w, k)
+    if sup is None:
+        return False
+    sn, sd = sup.numerator, sup.denominator
+    for m in reversed(range(len(sums))):
+        km, k1m = k**m, (k + 1) ** m
+        room = sd * km - sn * k1m
+        if room <= 0 or (magnitude * km * sn * k1m) << shift > abs(sums[m]) * room:
+            return False
+    return True
+
+
+def per_column_pass(w, last, m_max: int, bits: int, scale: int):
+    """(sums, errors, K): the lattice pass with errors[m] = sum_{k <= K} k^m e_k exactly.
+
+    Each column gains k^m W_k and k^m e_k term by term. Stops after k = last
+    when last is given; otherwise at the first k past 0 where the last
+    column's term is within 64 bits of its threshold and the exact tail test
+    passes.
+    """
+    cols = m_max + 1
+    sums = [0] * cols
+    errors = [0] * cols
+    value, err = 1 << scale, 0
+    shift = bits - 31
+    for k in range(MAX_TERMS):
+        t, e = value, err
+        sums[0] += t
+        errors[0] += e
+        for m in range(1, cols):
+            t *= k
+            e *= k
+            sums[m] += t
+            errors[m] += e
+        if k == last:
+            return sums, errors, k
+        if (
+            last is None
+            and k
+            and (abs(t) + e).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
+            and _tail_certified(w, k, abs(value) + err, sums, shift)
+        ):
+            return sums, errors, k
+        ratio = exact_term_ratio(w, k)
+        num, den = ratio.numerator, ratio.denominator
+        value, rem = divmod(value * num, den)
+        err = -(-err * abs(num) // den) + (1 if rem else 0)
+    raise TermBudgetExceeded(f"no stop within {MAX_TERMS} terms for {w.spec_string()}")

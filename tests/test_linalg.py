@@ -13,6 +13,7 @@ from semidop.linalg import (
     mat_mul,
     max_abs,
     out_of_band_max,
+    three_term_values,
     unit_lower_inverse,
     window_diff,
 )
@@ -244,6 +245,17 @@ def op_gram_sums(points, count):
     return [row[: n + 1] for n, row in enumerate(sums)], contribs
 
 
+def op_polynomial_vector(z, beta, gamma, count):
+    """The recurrence loop of ``structure.polynomial_vector`` on the operators."""
+    out = [mpf(1)]
+    p_prev, p = mpf(0), mpf(1)
+    for j in range(count - 1):
+        gamma_j = gamma[j - 1] if j >= 1 else mpf(0)
+        p_prev, p = p, (z - beta[j]) * p - gamma_j * p_prev
+        out.append(p)
+    return out
+
+
 def raw(x):
     return bits([[x]])[0][0]
 
@@ -370,3 +382,56 @@ def test_int_maximum_stays_int():
     # as max(|x|) on the operators: the winning entry's own abs
     assert type(max_abs([[mpf(1), -3]])) is int
     assert type(max_abs([[mpf(5), -3]])) is mpf
+
+
+@st.composite
+def lattice_points(draw, count: int):
+    """(p_0 .. p_{count-1}, w): 512-bit mpfs over a wide range of binades, about a
+    third of them exact zeros, and now and then a nan planted in p or in w."""
+
+    def entry():
+        if not draw(st.integers(0, 2)):
+            return mpf(0)
+        man = draw(st.integers(-(2**512) + 1, 2**512 - 1))
+        with workprec(512):
+            return ldexp(mpf(man), draw(st.integers(-700, -300)))
+
+    pvec, weight = [entry() for _ in range(count)], entry()
+    plant = draw(st.sampled_from(["none", "none", "p", "w"]))
+    if plant == "p":
+        pvec[draw(st.integers(0, count - 1))] = nan
+    elif plant == "w":
+        weight = nan
+    return pvec, weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gram_diagonal_maximum_is_the_all_pairs_maximum(data):
+    # |p_n p_m| <= max(p_n^2, p_m^2) and rounding is monotone, so the n = m terms
+    # hold the largest |term|; a nan term is summed but never the maximum
+    prec = data.draw(st.sampled_from([53, 256, 512]))
+    count = data.draw(st.integers(1, 9))
+    points = data.draw(st.lists(lattice_points(count), min_size=1, max_size=4))
+    with workprec(prec):
+        gram = GramSums(count)
+        contribs = [gram.add(pvec, weight) for pvec, weight in points]
+        want_sums, want_contribs = op_gram_sums(points, count)
+    assert bits(gram.lower()) == bits(want_sums)
+    assert bits([contribs]) == bits([want_contribs])
+    assert not any(isnan(c) for c in contribs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_raw_recurrence_matches_operator_recurrence_bit_for_bit(data):
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    count = data.draw(st.integers(1, 9))
+    # beta and gamma as vectors of lattice_points, zeros and a planted nan included
+    beta, _ = data.draw(lattice_points(count))
+    gamma, _ = data.draw(lattice_points(count))
+    z = data.draw(st.sampled_from([mpf(0), mpf(3), mpf(-2), ldexp(mpf(5), -600), nan]))
+    with workprec(prec):
+        got = three_term_values(z, beta, gamma, count)
+        want = op_polynomial_vector(z, beta, gamma, count)
+    assert bits([got]) == bits([want])

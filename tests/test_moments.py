@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from math import isnan
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, polylog, workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 from semidop import (
     DivergentSeries,
@@ -27,13 +29,14 @@ from semidop import (
 import semidop.moments as moments_module
 from semidop.flows import flow_scaled_weight, tau_derivative
 from semidop.linalg import lu_determinant
-from semidop.weights import parse_weight_spec, to_mpf
+from semidop.weights import classify_convergence, parse_weight_spec, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
     charlier_reduced_moments,
     hankel_determinant_reduced,
     meixner_reduced_moments,
+    per_column_pass,
     recurrence_from_moments,
 )
 
@@ -422,6 +425,125 @@ def test_flow_witness_moments_round_below_verify_bits(monkeypatch, depth):
     assert [args[3] for args in calls] == [608, 736]
     reference = moments_module._lattice_sums(WITNESS, table.classification, depth, 2048)
     assert _raw(table.values) == _raw(reference.rounded(512))
+
+
+positive_params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+
+
+@st.composite
+def lattice_weights(draw):
+    """Convergent weights: a series with |eta| < 1, a finite support or a deformation."""
+    kind = draw(st.sampled_from(["series", "finite", "deformed"]))
+    b = tuple(draw(st.lists(positive_params, max_size=2)))
+    a = tuple(draw(st.lists(positive_params, max_size=len(b) + 1)))
+    eta = draw(
+        st.fractions(min_value=Fraction(-7, 8), max_value=Fraction(7, 8), max_denominator=16)
+        .filter(bool)
+    )
+    eta2 = eta3 = Fraction(1)
+    if kind == "finite":
+        a += (-draw(st.integers(0, 12)),)
+        eta = draw(st.fractions(min_value=-4, max_value=4, max_denominator=8).filter(bool))
+    elif kind == "deformed":
+        deformation = st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=16)
+        eta2, eta3 = draw(deformation), draw(deformation)
+        eta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=8).filter(bool))
+        if eta2 == eta3 == 1:
+            eta2 = Fraction(15, 16)
+    return HypergeometricWeight(a=a, b=b, eta=eta, eta2=eta2, eta3=eta3)
+
+
+def _decided(sums, errors, scale: int, bits: int, target: int) -> list:
+    """Each column rounded to ``target`` bits where its certified interval decides it.
+
+    Column m of a pass at ``bits`` is within its error bound plus the tail
+    bound 2^-(bits - 31) |sums[m]| of rho_m 2^scale; None where the ends of
+    that interval round apart.
+    """
+    out = []
+    for s, e in zip(sums, errors):
+        radius = e + (abs(s) >> (bits - 31)) + 1
+        low = from_man_exp(s - radius, -scale, target, round_nearest)
+        out.append(low if low == from_man_exp(s + radius, -scale, target, round_nearest) else None)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=lattice_weights(), m_max=st.integers(0, 8), bits=st.sampled_from([96, 160]))
+def test_pass_matches_the_per_column_oracle(w, m_max, bits):
+    # one error bound per pass against the pass with an error sum per column:
+    # the same sums at the same stop, a bound no smaller than the exact error
+    # sums, the same exact columns, and the same moments where the stop moved
+    q = classify_convergence(w).q
+    scale = bits + 64 + 14 * m_max
+    sums, errors, stop = moments_module._fixed_point_pass(w, q, m_max, bits, scale)
+    o_sums, o_errors, o_stop = per_column_pass(w, stop, m_max, bits, scale)
+    assert o_stop == stop
+    assert sums == o_sums
+    assert all(e >= o for e, o in zip(errors, o_errors))
+    assert [e == 0 for e in errors] == [o == 0 for o in o_errors]
+    p_sums, p_errors, p_stop = per_column_pass(w, q, m_max, bits, scale)
+    if p_stop == stop:
+        assert p_sums == sums
+    target = bits - 64
+    for new, old in zip(
+        _decided(sums, errors, scale, bits, target),
+        _decided(p_sums, p_errors, scale, bits, target),
+    ):
+        assert new is None or old is None or new == old
+
+
+SLOW_DECAY = ("a=1,1; b=1; eta=9/10", "a=1; eta=9/10", "a=1,1; b=1; eta=-9/10")
+
+
+def test_exact_tail_test_runs_only_near_the_stop(monkeypatch):
+    # the exact test opens within 64 bits of the stop and then waits the terms
+    # it predicts: a handful of calls per pass, not one per term of the last
+    # 64 bits (468-472 for these weights at depth 24)
+    per_pass = []
+    real_pass, real_test = moments_module._fixed_point_pass, moments_module._tail_shortfall
+
+    def counted_pass(*args):
+        per_pass.append(0)
+        return real_pass(*args)
+
+    def counted_test(*args):
+        per_pass[-1] += 1
+        return real_test(*args)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", counted_pass)
+    monkeypatch.setattr(moments_module, "_tail_shortfall", counted_test)
+    for spec in SLOW_DECAY:
+        MomentTable(parse_weight_spec(spec), 24, PrecisionContext(mantissa_bits=512))
+    assert len(per_pass) == len(SLOW_DECAY)
+    assert all(1 <= calls <= 100 for calls in per_pass), per_pass
+
+
+CONTRACT_MIX = (
+    ("eta=7/10", 12),
+    ("a=2; eta=1/2", 12),
+    ("b=3/2; eta=1/2", 12),
+    ("a=3/2; b=5/2; eta=1/3", 12),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8),
+)
+
+
+def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
+    # the per-pass error bound certifies every column at the base guard: one
+    # contract mix at 512 bits sums 116 passes at 608 bits and 3 at 736
+    passes = []
+    real = moments_module._fixed_point_pass
+
+    def recorded(w, last, m_max, bits, scale):
+        passes.append((bits, scale - bits - 64 - 14 * m_max))
+        return real(w, last, m_max, bits, scale)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", recorded)
+    for spec, size in CONTRACT_MIX:
+        clear_cache()
+        run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
+    clear_cache()
+    assert Counter(passes) == {(608, 0): 116, (736, 0): 3}
 
 
 def test_exactly_zero_moments_sum_once(monkeypatch):
