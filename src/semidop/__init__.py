@@ -51,7 +51,6 @@ from .weights import (
     classify_convergence,
     parse_weight_spec,
     pearson_polynomials,
-    pearson_residual,
     pochhammer,
     shift_parameter,
     weight_value,

@@ -49,7 +49,13 @@ from .linalg import (
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
 from .structure import pascal_matrix, psi_window
-from .weights import HypergeometricWeight, Shift, shift_parameter, to_mpf
+from .weights import (
+    HypergeometricWeight,
+    Shift,
+    classify_convergence,
+    shift_parameter,
+    to_mpf,
+)
 
 
 def _shift_constant(pipe: WeightPipeline, shift: Shift) -> Fraction:
@@ -466,8 +472,6 @@ def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
     """The flows among 1 and 2 whose parameter can be nudged by (1 +- step)
     without losing convergence: flow 1 away from the unit circle, flow 2 only
     when its deformation is strictly inside it."""
-    from .weights import classify_convergence
-
     w = pipe.weight
     kind = classify_convergence(w).kind
     out = []

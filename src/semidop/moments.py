@@ -6,15 +6,15 @@ the weight's cleared integer factors, and stops on a rigorous geometric tail
 bound. The exact tail test runs only near the stop: a bit-length gate opens
 it within 64 bits of the threshold, and a failed test names the terms to sum
 before the next. The floor-division error gets one bound per pass, from the
-largest error of any term, so a pass at ``bits`` certifies each moment to
-2^-(bits - 32) relative (a column of a finite support with every division
-exact is the moment itself). A table's pass runs at the working mantissa plus
-96 bits. A rounding test in the style of Ziv (ACM TOMS 17, 1991) then proves,
-column by column, that both ends of the certified interval round to the same
-working-precision value, which is therefore the correctly rounded moment; if
-any column fails, a pass at the mantissa plus 224 bits is tested the same
-way, and if that fails too, one pass at verify_bits runs and is rounded as it
-stands.
+largest error of any term. So a pass leaves each column as one certified
+interval: its sum, plus or minus that error bound and, for an infinite series,
+the tail bound; a finite support has no tail, and a column whose divisions
+were all exact has radius 0. One function climbs the precision ladder: passes
+at the working mantissa plus 96 bits, plus 224 bits and at verify_bits, in
+increasing order, until a rounding test in the style of Ziv (ACM TOMS 17,
+1991) proves that both ends of every interval round to the same
+working-precision value, which is therefore the correctly rounded moment. If
+no rung proves it, the last pass is rounded as it stands.
 Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
 before any summation: DivergentSeries when a requested moment diverges,
 TermBudgetExceeded when only a ratio-1 tail stands between the series and a
@@ -90,11 +90,11 @@ MAX_TERMS = 100_000
 class PrecisionContext:
     """Working precision.
 
-    Moment tables sum their lattice pass at mantissa_bits + 96 bits, or + 224
-    when that cannot prove the rounding, and are correctly rounded to
-    mantissa_bits. verify_bits, twice the working mantissa, is the precision
-    of the fallback pass when neither proves the rounding, and the precision
-    at which a factorization's confirmation redoes the elimination when its
+    Moment tables are correctly rounded to mantissa_bits from the first
+    lattice pass that proves the rounding, on the ladder mantissa_bits + 96,
+    mantissa_bits + 224 and verify_bits taken in increasing order.
+    verify_bits, twice the working mantissa, is also the precision at which a
+    factorization's confirmation redoes the elimination when its
     ``confirmed_bits`` is read; no report reads it yet.
     """
 
@@ -120,50 +120,13 @@ class PrecisionContext:
 _GUARD_BITS = 64
 _GUARD_BITS_PER_COLUMN = 14
 _WIDENINGS = 4
-# Bits beyond its mantissa at which a table's lattice pass sums, tier by tier,
-# until the rounding test proves every column. A pass certifies all but 32 of
-# them, so a column's interval is 2^-(mantissa + 64) relative wide at the first
-# tier. The moments of a weight perturbed by a dyadic step, as the flow
-# witnesses at eta (1 + 2^-128) are, can sit within 2^-128 ulp of a rounding
-# midpoint; the second tier proves them for less than a verify_bits pass.
+# Bits beyond its mantissa of the two lower rungs of a table's precision
+# ladder; verify_bits is the third. A pass certifies all but 32 of them, so a
+# column's interval is 2^-(mantissa + 64) relative wide at the first rung. The
+# moments of a weight perturbed by a dyadic step, as the flow witnesses at
+# eta (1 + 2^-128) are, can sit within 2^-128 ulp of a rounding midpoint; the
+# second rung proves them for less than a verify_bits pass.
 _ROUNDING_GUARD_BITS = (96, 224)
-
-
-@dataclass(frozen=True)
-class _LatticeSums:
-    """Columns sums[m] ~ rho_m 2^scale of one lattice pass.
-
-    Each column is within 2^-(bits - 32) |sums[m]| of the exact moment, tail
-    and rounding included; a column marked ``exact`` (finite support, every
-    division exact) is the moment itself.
-    """
-
-    sums: tuple[int, ...]
-    scale: int
-    bits: int
-    exact: tuple[bool, ...]
-
-    def rounded(self, bits: int) -> list:
-        """The moments rounded once to a ``bits``-bit mantissa."""
-        with workprec(bits):
-            return [mpf((s, -self.scale)) for s in self.sums]
-
-    def correctly_rounded(self, bits: int) -> list | None:
-        """The moments rounded to ``bits``, or None unless every rounding is proven.
-
-        Column m's certified interval s +- ((|s| >> (self.bits - 32)) + 1)
-        holds the exact moment, and an exact column's radius is 0, so an
-        exactly zero moment is proven too. Rounding to nearest is monotone, so
-        when both ends round to the same value, the exact moment rounds to it.
-        """
-        values = []
-        for s, exact in zip(self.sums, self.exact):
-            radius = 0 if exact else (abs(s) >> (self.bits - 32)) + 1
-            low = from_man_exp(s - radius, -self.scale, bits, round_nearest)
-            if low != from_man_exp(s + radius, -self.scale, bits, round_nearest):
-                return None
-            values.append(mp.make_mpf(low))
-        return values
 
 
 def _refuse_uncertifiable(w: HypergeometricWeight, classification: ConvergenceClass, m_max: int):
@@ -306,70 +269,73 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     return sums, [bound * k**m for m in range(cols)], k
 
 
-def _lattice_sums(
-    w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, bits: int
-) -> _LatticeSums:
-    """rho_0 .. rho_{m_max}, each certified to 2^-(bits - 32) relative, in one pass.
-
-    The tail and the accumulated floor-division error each get half the
-    budget. When the rounding half fails, the guard widens by the shortfall
-    and the pass reruns; nothing is returned uncertified.
-    """
-    _refuse_uncertifiable(w, classification, m_max)
-    guard = _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
-    shift = bits - 31
-    for _ in range(_WIDENINGS):
-        sums, errors, _ = _fixed_point_pass(w, classification.q, m_max, bits, bits + guard)
-        short = max(
-            (
-                (err << shift).bit_length() - abs(s).bit_length() + 1
-                for s, err in zip(sums, errors)
-                if err << shift > abs(s)
-            ),
-            default=0,
-        )
-        if short <= 0:
-            exact = tuple(classification.q is not None and err == 0 for err in errors)
-            return _LatticeSums(tuple(sums), bits + guard, bits, exact)
-        guard += short + 32
-    raise TermBudgetExceeded(
-        f"rounding error of the moment series for weight {w.spec_string()} "
-        f"could not be certified to {bits - 32} bits"
-    )
-
-
 def _rounded_moments(
     w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext
-) -> tuple[_LatticeSums, list]:
-    """A lattice pass and rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits.
+) -> list:
+    """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass that proves it.
 
-    Passes run at mantissa_bits + each of _ROUNDING_GUARD_BITS in turn. When
-    the rounding test proves every column of one, the values are the
-    correctly rounded moments; if none is proven, one pass at ctx.verify_bits
-    runs and is rounded as it stands.
+    The passes climb one precision ladder: the mantissa plus each of
+    _ROUNDING_GUARD_BITS, and verify_bits, in increasing order. A pass at
+    ``bits`` leaves column m as the interval sums[m] +- r_m (units of
+    2^-scale): r_m is the floor-division bound errors[m], plus the tail bound
+    (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall`` certified when the
+    series is infinite. Within a rung, the guard widens by the measured
+    shortfall until every errors[m] is at most 2^-(bits - 31) |sums[m]|.
+    Rounding to nearest is monotone, so when both ends of every interval round
+    to the same value, those values are the correctly rounded moments (a
+    Ziv-style test; an exact column, r_m = 0, always passes). If no rung
+    proves them, the last pass is rounded as it stands.
     """
-    for guard in _ROUNDING_GUARD_BITS:
-        sums = _lattice_sums(w, classification, m_max, ctx.mantissa_bits + guard)
-        values = sums.correctly_rounded(ctx.mantissa_bits)
-        if values is not None:
-            return sums, values
-    sums = _lattice_sums(w, classification, m_max, ctx.verify_bits)
-    return sums, sums.rounded(ctx.mantissa_bits)
+    _refuse_uncertifiable(w, classification, m_max)
+    target = ctx.mantissa_bits
+    tail = classification.q is None
+    rungs = {target + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits}
+    for bits in sorted(rungs):
+        shift = bits - 31
+        scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
+        for _ in range(_WIDENINGS):
+            sums, errors, _ = _fixed_point_pass(w, classification.q, m_max, bits, scale)
+            short = max(
+                (
+                    (err << shift).bit_length() - abs(s).bit_length() + 1
+                    for s, err in zip(sums, errors)
+                    if err << shift > abs(s)
+                ),
+                default=0,
+            )
+            if short <= 0:
+                break
+            scale += short + 32
+        else:
+            raise TermBudgetExceeded(
+                f"rounding error of the moment series for weight {w.spec_string()} "
+                f"could not be certified to {bits - 32} bits"
+            )
+        values = []
+        for s, err in zip(sums, errors):
+            radius = err + ((abs(s) >> shift) + 1 if tail else 0)
+            low = from_man_exp(s - radius, -scale, target, round_nearest)
+            if low != from_man_exp(s + radius, -scale, target, round_nearest):
+                break
+            values.append(mp.make_mpf(low))
+        else:
+            return values
+    with workprec(target):
+        return [mpf((s, -scale)) for s in sums]
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
     """rho_m as a one-shot series evaluation."""
-    return _rounded_moments(w, classify_convergence(w), m, ctx)[1][m]
+    return _rounded_moments(w, classify_convergence(w), m, ctx)[m]
 
 
 class MomentTable:
     """Immutable table rho_0 .. rho_{m_max} for one weight at one precision.
 
-    One lattice pass at ctx.mantissa_bits + 96 bits (+ 224 when that cannot
-    prove the rounding), rounded once after the rounding test proves every
-    column, so each value is the correctly rounded moment and depends on the
-    weight alone, not on the depth or the pass precision (if both tests fail,
-    the values are a verify_bits pass rounded). ``rebuilt`` serves other
+    The values are the correctly rounded moments, from the first pass of the
+    precision ladder that proves every column's rounding, so they depend on
+    the weight alone, not on the depth or the pass precision (if no rung proves
+    them, they are the verify_bits pass rounded). ``rebuilt`` serves other
     mantissas.
 
     Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
@@ -382,15 +348,13 @@ class MomentTable:
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
         classification = classify_convergence(w)
-        sums, values = _rounded_moments(w, classification, m_max, ctx)
-        self._fill(w, m_max, ctx, classification, sums, values)
+        self._fill(w, m_max, ctx, classification, _rounded_moments(w, classification, m_max, ctx))
 
-    def _fill(self, w, m_max, ctx, classification, sums: _LatticeSums, values: list) -> None:
+    def _fill(self, w, m_max, ctx, classification, values: list) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
         self.classification = classification
-        self._sums = sums
         self.values = values
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._leading: dict[int, LUFactors] = {}
@@ -404,24 +368,11 @@ class MomentTable:
         return self.values[m]
 
     def rebuilt(self, bits: int) -> "MomentTable":
-        """The same moments at another mantissa, built once per mantissa.
-
-        When the rounding test proves this table's lattice pass at ``bits``,
-        the values are that pass rounded again and nothing is summed;
-        otherwise, as for any mantissa beyond the pass's certified bits, a new
-        table with its own pass is built.
-        """
+        """The same moments at another mantissa: a fresh table, built once per mantissa."""
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
-            ctx = PrecisionContext(mantissa_bits=bits)
-            values = self._sums.correctly_rounded(bits)
-            if values is None:
-                table = MomentTable(self.weight, self.m_max, ctx)
-            else:
-                table = MomentTable.__new__(MomentTable)
-                table._fill(self.weight, self.m_max, ctx, self.classification, self._sums, values)
-            self._rebuilt[bits] = table
+            self._rebuilt[bits] = MomentTable(self.weight, self.m_max, PrecisionContext(bits))
         return self._rebuilt[bits]
 
     def det_rows(self, rows: tuple[int, ...]) -> mpf:
@@ -522,11 +473,16 @@ def hankel_determinant(table: MomentTable, k: int) -> mpf:
     return table.det_rows(tuple(range(k)))
 
 
+def ldl_pivot_floor(scale, bits: int) -> mpf:
+    """The smallest pivot an LDL at ``bits`` accepts: 2^-(bits/2) of the
+    matrix scale. Call under workprec(bits)."""
+    return mpf(2) ** (-(bits // 2)) * scale
+
+
 def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:
     with workprec(bits):
         scale = max(abs(dense[i][j]) for i in range(len(dense)) for j in range(len(dense)))
-        floor = mpf(2) ** (-(bits // 2)) * scale
-        return ldl_no_pivot(dense, floor)
+        return ldl_no_pivot(dense, ldl_pivot_floor(scale, bits))
 
 
 @dataclass
@@ -535,11 +491,12 @@ class CholeskyFactorization:
 
     s is dense unit lower triangular; h the diagonal. confirmed_bits measures
     agreement with the elimination redone at ctx.verify_bits on the verify
-    table ``table.rebuilt(verify_bits)``, whose moments are correctly rounded
-    from a lattice pass of their own (the moments themselves are certified by
-    their tail and rounding bounds); a nan error ranks worst and reads as nan
-    bits. It is computed the first time it is read, and that read pays for
-    the doubled-precision pass; no report reads it yet.
+    table ``table.rebuilt(verify_bits)``, a fresh table whose moments are
+    correctly rounded to verify_bits by a precision ladder of their own (the
+    moments themselves are certified by their intervals); both eliminations
+    take their pivot floor from ``ldl_pivot_floor``. A nan error ranks worst
+    and reads as nan bits. It is computed the first time it is read, and that
+    read pays for the doubled-precision passes; no report reads it yet.
     """
 
     s: Matrix

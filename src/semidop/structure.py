@@ -54,7 +54,7 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import MAX_TERMS, CholeskyFactorization
+from .moments import MAX_TERMS, CholeskyFactorization, ldl_pivot_floor
 from .result import CheckResult, ResidualAccumulator, make_result
 from .weights import (
     HypergeometricWeight,
@@ -699,7 +699,7 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
 
         kf = min(win_theta, win_sigma)
         scale_pivot = max(max_abs(a_theta, kf), max_abs(a_sigma, kf))
-        floor = mpf(2) ** (-(bits // 2)) * scale_pivot
+        floor = ldl_pivot_floor(scale_pivot, bits)
         l_theta, d_theta = ldl_no_pivot([row[:kf] for row in a_theta[:kf]], floor)
         l_sigma, d_sigma = ldl_no_pivot([row[:kf] for row in a_sigma[:kf]], floor)
 

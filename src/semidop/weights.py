@@ -365,16 +365,6 @@ def _factorial(k: int) -> int:
     return out
 
 
-def pearson_residual(w: HypergeometricWeight, k: int) -> mpf:
-    """theta(k+1) w(k+1) - sigma(k) w(k); identically ~0 for undeformed weights."""
-    if w.deformed:
-        raise PreconditionError("Pearson residual is defined for undeformed weights only")
-    pp = pearson_polynomials(w)
-    return to_mpf(pp.theta(Fraction(k + 1))) * weight_value(w, k + 1) - to_mpf(
-        pp.sigma(Fraction(k))
-    ) * weight_value(w, k)
-
-
 @dataclass(frozen=True)
 class ConvergenceClass:
     """Moment-convergence classification.

@@ -1,13 +1,13 @@
 import io
 from collections import Counter
-from math import isnan
+from math import comb, isnan
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, polylog, workprec
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_down, round_nearest, round_up, to_int
 
 from semidop import (
     DivergentSeries,
@@ -321,6 +321,11 @@ def _raw(values) -> list:
     return [v._mpf_ for v in values]
 
 
+def _rounded(values, bits: int) -> list:
+    with workprec(bits):
+        return [+v for v in values]
+
+
 @pytest.mark.parametrize("bits", [1000, 1024])
 def test_rebuilt_table_equals_a_fresh_table(bits):
     # a rebuilt table is the table a fresh pass gives at its mantissa, bit for
@@ -344,55 +349,73 @@ def test_tables_are_correctly_rounded_at_any_depth(a, b, eta):
     w = HypergeometricWeight(a=(a,), b=(b,), eta=eta)
     ctx = PrecisionContext(mantissa_bits=512)
     shallow, deep = MomentTable(w, 6, ctx), MomentTable(w, 14, ctx)
-    reference = moments_module._lattice_sums(w, deep.classification, 14, 2048).rounded(512)
+    reference = _rounded(deep.rebuilt(REF_BITS).values, 512)
     assert _raw(deep.values) == _raw(reference)
     assert _raw(shallow.values) == _raw(reference[:7])
+
+
+def _planted_passes(monkeypatch, planted: int, columns) -> list:
+    """Record the bits of every pass; the first ``planted`` passes return
+    ``columns(scale)`` as their sums, with no floor-division error."""
+    requested = []
+    real = moments_module._fixed_point_pass
+
+    def fixed_point_pass(w, last, m_max, bits, scale):
+        requested.append(bits)
+        if len(requested) <= planted:
+            sums = columns(scale)
+            return sums, [0] * len(sums), 1
+        return real(w, last, m_max, bits, scale)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", fixed_point_pass)
+    return requested
+
+
+# an odd 513-bit mantissa: the midpoint between two 512-bit values
+MIDPOINT = 2 * (2**511 + 12345) + 1
 
 
 def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
     # column 1 sits on a 512-bit midpoint, so its certified interval holds
     # values that round both ways: the table must sum again, first at the
-    # middle tier and, when that straddles too, at verify_bits
+    # middle rung and, when that straddles too, at verify_bits
     ctx = PrecisionContext(mantissa_bits=512)
-    midpoint = (2 * (2**511 + 12345) + 1) << 187
-    inexact = (False, False)
-    straddled = moments_module._LatticeSums((1 << 700, midpoint), 700, 608, inexact)
-    assert straddled.correctly_rounded(512) is None
-    # an offset past the interval radius 2^124 decides the rounding
-    decided = moments_module._LatticeSums((1 << 700, midpoint + (1 << 150)), 700, 608, inexact)
-    assert decided.correctly_rounded(512) is not None
-    # an exact column has no radius: the midpoint itself rounds (to even)
-    exact = moments_module._LatticeSums((1 << 700, midpoint), 700, 608, (True, True))
-    assert exact.correctly_rounded(512) is not None
-    real = moments_module._lattice_sums
-    requested = []
 
-    def straddles(passes):
-        def lattice_sums(w, classification, m_max, bits):
-            requested.append(bits)
-            if len(requested) <= passes:
-                return straddled
-            return real(w, classification, m_max, bits)
+    def straddled(scale):
+        return [1 << scale, MIDPOINT << (scale - 514)]
 
-        return lattice_sums
-
-    monkeypatch.setattr(moments_module, "_lattice_sums", straddles(1))
+    requested = _planted_passes(monkeypatch, 1, straddled)
     table = MomentTable(MEIXNER, 1, ctx)
     assert requested == [608, 736]
-    middle = real(MEIXNER, table.classification, 1, 736)
-    assert table._sums == middle
-    assert _raw(table.values) == _raw(middle.correctly_rounded(512))
+    fresh = MomentTable(MEIXNER, 1, PrecisionContext(mantissa_bits=512))
+    assert _raw(table.values) == _raw(fresh.values)
 
-    requested.clear()
-    monkeypatch.setattr(moments_module, "_lattice_sums", straddles(2))
+    requested = _planted_passes(monkeypatch, 3, straddled)
     table = MomentTable(MEIXNER, 1, ctx)
     assert requested == [608, 736, ctx.verify_bits]
-    fallback = real(MEIXNER, table.classification, 1, ctx.verify_bits)
-    assert table._sums == fallback
-    assert _raw(table.values) == _raw(fallback.rounded(512))
+    # no rung proves it: the verify_bits pass is rounded as it stands (to even)
+    with workprec(512):
+        assert _raw(table.values) == _raw([mpf(1), mpf((MIDPOINT, -514))])
     requested.clear()
     assert moment(MEIXNER, 1, ctx) == table.moment(1)
     assert requested == [608, 736, ctx.verify_bits]
+
+    # an offset past the interval radius, about 2^-(608 - 31) of the column,
+    # decides the rounding at the first rung
+    def decided(scale):
+        return [1 << scale, (MIDPOINT << (scale - 514)) + (1 << (scale - 560))]
+
+    requested = _planted_passes(monkeypatch, 1, decided)
+    MomentTable(MEIXNER, 1, ctx)
+    assert requested == [608]
+
+    # a finite support has no tail, and a column with every division exact
+    # has radius 0: the midpoint itself rounds (to even)
+    requested = _planted_passes(monkeypatch, 1, straddled)
+    table = MomentTable(HypergeometricWeight(a=(-3,), eta=Fraction(1, 2)), 1, ctx)
+    assert requested == [608]
+    with workprec(512):
+        assert _raw(table.values) == _raw([mpf(1), mpf((MIDPOINT, -514))])
 
 
 BOUNDARY = parse_weight_spec("a=1,1; b=3; eta=1")  # w(k) ~ 2 / k^2
@@ -423,8 +446,7 @@ def test_flow_witness_moments_round_below_verify_bits(monkeypatch, depth):
     calls = _count_passes(monkeypatch)
     table = MomentTable(WITNESS, depth, PrecisionContext(mantissa_bits=512))
     assert [args[3] for args in calls] == [608, 736]
-    reference = moments_module._lattice_sums(WITNESS, table.classification, depth, 2048)
-    assert _raw(table.values) == _raw(reference.rounded(512))
+    assert _raw(table.values) == _raw(_rounded(table.rebuilt(REF_BITS).values, 512))
 
 
 positive_params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
@@ -546,6 +568,46 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     assert Counter(passes) == {(608, 0): 116, (736, 0): 3}
 
 
+def test_tiny_moments_widen_the_guard(monkeypatch):
+    # eta = -2^-300 makes rho_m ~ -2^-300 for m >= 1, far below the
+    # floor-division error the base guard allows for: the first rung widens
+    # its guard once by the measured shortfall, and the widened pass proves
+    # every rounding
+    w = HypergeometricWeight(eta=Fraction(-1, 2**300))
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(w, 16, PrecisionContext(mantissa_bits=512))
+    widened = [(bits, scale - bits - 64 - 14 * m_max) for _, _, m_max, bits, scale in calls]
+    assert widened == [(608, 0), (608, 42)]
+    assert _raw(table.values) == _raw(_rounded(table.rebuilt(REF_BITS).values, 512))
+
+
+def _fubini(n: int) -> int:
+    """Ordered Bell number: a(n) = sum_{k=1}^n C(n, k) a(n - k), a(0) = 1."""
+    a = [1]
+    for j in range(1, n + 1):
+        a.append(sum(comb(j, k) * a[j - k] for k in range(1, j + 1)))
+    return a[n]
+
+
+def test_unprovable_midpoint_rounds_the_top_rung(monkeypatch):
+    # w(k) = 2^-k: rho_31 = 2 Fubini(31) is an exact 128-bit rounding midpoint,
+    # so no interval of an infinite series proves it. The rungs run in
+    # increasing order, mantissa + 96, verify_bits, mantissa + 224, and the
+    # last pass is rounded as it stands. This is
+    # `semidop moments --weight "a=1; eta=1/2" --bits 128 --max-m 31`.
+    exact = 2 * _fubini(31)
+    lower, upper = (from_man_exp(exact, 0, 128, rnd) for rnd in (round_down, round_up))
+    assert to_int(upper) - exact == exact - to_int(lower) > 0
+    real = moments_module._fixed_point_pass
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(parse_weight_spec("a=1; eta=1/2"), 31, PrecisionContext(mantissa_bits=128))
+    assert [args[3] for args in calls] == [224, 256, 352]
+    assert table.values[31]._mpf_ in (lower, upper)
+    sums, _, _ = real(*calls[-1])
+    scale = calls[-1][4]
+    assert table.values[31]._mpf_ == from_man_exp(sums[31], -scale, 128, round_nearest)
+
+
 def test_exactly_zero_moments_sum_once(monkeypatch):
     # eta = 0 puts the whole weight at k = 0, so rho_m = 0 for m >= 1; an exact
     # column has no interval around zero to straddle it
@@ -592,7 +654,7 @@ def test_singular_leading_block_takes_the_full_lu(monkeypatch):
     # 3 x 3 LU, while (0, 3) borders the regular G_1 with a 1 x 1 complement
     values = [mpf(v) for v in (1, 1, 1, 2, 3, 5, 8)]
     table = MomentTable.__new__(MomentTable)
-    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, None, values)
+    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, values)
     sizes = []
     real = moments_module.lu_determinant
 

@@ -8,13 +8,11 @@ from mpmath.libmp import from_rational, round_nearest
 
 from semidop import (
     InvalidShift,
-    PreconditionError,
     Shift,
     UndefinedWeight,
     classify_convergence,
     parse_weight_spec,
     pearson_polynomials,
-    pearson_residual,
     pochhammer,
     shift_parameter,
     weight_value,
@@ -52,19 +50,6 @@ def test_weight_rejects_bad_b():
         HypergeometricWeight(b=(0,), eta=1)
     with pytest.raises(UndefinedWeight):
         HypergeometricWeight(b=(-3,), eta=1)
-
-
-def test_pearson_residual_vanishes():
-    with workprec(192):
-        for w in FAMILIES.values():
-            for k in range(25):
-                assert abs(pearson_residual(w, k)) < mpf(2) ** -150
-
-
-def test_pearson_residual_rejects_deformed():
-    w = HypergeometricWeight(eta=Fraction(1, 2), eta2=Fraction(9, 10))
-    with pytest.raises(PreconditionError):
-        pearson_residual(w, 3)
 
 
 def test_classification_cases():
