@@ -23,7 +23,10 @@ log tau_k, from which every derivative of log H_n = log tau_{n+1} - log tau_n
 is a difference.
 
 Finite differences in the flow parameters serve as an independent second
-witness: central differences at exact rational multipliers eta_l (1 +- step).
+witness: central differences at exact rational multipliers eta_l (1 +- step),
+of a scalar or, entrywise, of a matrix. This module owns their policy: the
+step 2^-(bits/4) follows from the working precision (``default_fd_step``), and
+a convergence study halves it FD_HALVINGS times.
 """
 
 from __future__ import annotations
@@ -177,20 +180,33 @@ def flow_scaled_weight(w: HypergeometricWeight, l: int, mult: Fraction) -> Hyper
     raise PreconditionError(f"flows beyond the third are not supported (got {l})")
 
 
+# Successive step halvings of an FD convergence study.
+FD_HALVINGS = 3
+
+
 def default_fd_step(bits: int) -> Fraction:
+    """The FD step at a working precision: 2^-(bits/4), an exact power of two."""
     return Fraction(1, 2 ** (bits // 4))
 
 
+def _entrywise(op, *args):
+    """op over corresponding scalars of equally nested lists (or of scalars)."""
+    if isinstance(args[0], list):
+        return [_entrywise(op, *xs) for xs in zip(*args)]
+    return op(*args)
+
+
 def fd_flow_derivative(
-    quantity: Callable[[Fraction], mpf],
+    quantity: Callable[[Fraction], mpf | list],
     step: Fraction,
     bits: int,
     order: int = 1,
-) -> mpf:
+) -> mpf | list:
     """Central finite difference of (eta d/d eta) applied ``order`` times.
 
     ``quantity(mult)`` must evaluate the target with eta_l scaled by the exact
-    rational ``mult``. Both orders are second-order accurate in ``step``.
+    rational ``mult``: a scalar, or a matrix (nested lists) differenced
+    entrywise. Both orders are second-order accurate in ``step``.
     """
     if order not in (1, 2):
         raise ValueError("only first and second flow derivatives are supported")
@@ -198,12 +214,14 @@ def fd_flow_derivative(
     f_minus = quantity(1 - step)
     with workprec(bits):
         s = to_mpf(step)
-        first = (f_plus - f_minus) / (2 * s)
+        two_s, s_squared = 2 * s, s * s
+        first = _entrywise(lambda p, m: (p - m) / two_s, f_plus, f_minus)
         if order == 1:
             return first
         f_mid = quantity(Fraction(1))
-        second = (f_plus - 2 * f_mid + f_minus) / (s * s)
-        return second + first
+        return _entrywise(
+            lambda p, c, m, d: (p - 2 * c + m) / s_squared + d, f_plus, f_mid, f_minus, first
+        )
 
 
 def derivative_fd_crosscheck(
@@ -219,17 +237,8 @@ def derivative_fd_crosscheck(
         return abs(engine_value - fd) / scale
 
 
-def fd_convergence_study(
-    residual: Callable[[Fraction], mpf],
-    step0: Fraction,
-    halvings: int,
-) -> list:
-    """``residual(step)`` at step0 and under each of ``halvings`` successive halvings."""
-    return [residual(step0 / 2**i) for i in range(halvings + 1)]
-
-
-def central_difference(plus: list, minus: list, step: Fraction) -> list:
-    """Entrywise central difference (plus - minus) * (1 / (2 step)) of two
-    matrices, at the working precision."""
-    inv_2s = 1 / (2 * to_mpf(step))
-    return [[(x - y) * inv_2s for x, y in zip(rp, rm)] for rp, rm in zip(plus, minus)]
+def fd_convergence_study(residual: Callable[[Fraction], mpf], bits: int) -> list:
+    """``residual(step)`` at ``default_fd_step(bits)`` and under each of
+    FD_HALVINGS successive halvings."""
+    step = default_fd_step(bits)
+    return [residual(step / 2**i) for i in range(FD_HALVINGS + 1)]

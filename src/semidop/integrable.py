@@ -10,7 +10,9 @@ deformed weights.
 
 Engine derivatives (exact moment-index shifts) carry the identities; central
 finite differences at rational steps act as the independent second witness
-wherever the triangular factor itself is differentiated.
+wherever the triangular factor itself is differentiated. Each check takes the
+FD step and the halvings of its convergence studies from ``flows``, at the
+precision of its pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from mpmath import mp, mpf, workprec
 from . import flows
 from .errors import DivergentSeries, InvalidShift, PreconditionError
 from .flows import (
-    central_difference,
+    default_fd_step,
     derivative_fd_crosscheck,
     fd_convergence_study,
     fd_flow_derivative,
@@ -104,7 +106,7 @@ def contiguous_check(
     win = k - 1
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         rho = pipe.table.moment
 
         def hankel(entry):
@@ -154,7 +156,6 @@ def omega_connection_check(
     """The connection matrix S (S_shifted)^{-1}: bidiagonality, the closed form
     of its subdiagonal in norm ratios, and its action gluing the shifted
     polynomial vector back to the original."""
-    w = pipe.weight
     c_frac = _shift_constant(pipe, shift)
     if c_frac == 0:
         raise InvalidShift(f"shift constant vanishes for {shift.label()}")
@@ -162,7 +163,7 @@ def omega_connection_check(
     bits = pipe.bits
     size = pipe.k + 1
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         c = to_mpf(c_frac)
         omega = mat_mul(pipe.chol.s, sp.chol.s_inv)
         scale = max(max_abs(omega), mpf(1))
@@ -210,7 +211,7 @@ def nijhoff_capel_check(
     a_hat = to_mpf(_shift_constant(pipe, r))
     a_til = to_mpf(_shift_constant(pipe, s))
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         h, hr, hs, hrs = pipe.chol.h, rp.chol.h, sp.chol.h, rs.chol.h
         for n in n_values:
             if n < 1 or n + 1 > pipe.k:
@@ -242,12 +243,11 @@ def uv_system_check(
     r: Shift,
     n_values: list[int],
     tolerance: Fraction,
-    fd_step: Fraction,
-    halvings: int,
 ) -> CheckResult:
     """The coupled difference system for squared norms and recurrence diagonal
     under one parameter shift, the boundary identity, and the flow derivative
-    of the norm ratio (engine value with a finite-difference witness)."""
+    of the norm ratio (engine value with a finite-difference witness, studied
+    over the ``flows`` step halvings at the pipeline's precision)."""
     bits = pipe.bits
     rp = pipe.shifted(r)
     a_hat_frac = _shift_constant(pipe, r)
@@ -258,7 +258,7 @@ def uv_system_check(
         if n < 1 or n + 2 > pipe.k:
             raise PreconditionError(f"lattice index {n} outside truncation")
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         h, hr = pipe.chol.h, rp.chol.h
         beta, beta_r = pipe.jac.beta, rp.jac.beta
         jets = _log_jets(pipe, max(n_values) + 2, [(1, 0, 0)])
@@ -303,20 +303,28 @@ def uv_system_check(
             pr = rp.flow_scaled(1, mult, n0 + 1)
             return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
 
-        residuals = fd_convergence_study(
+        _record_study(
+            acc,
             lambda step: derivative_fd_crosscheck(ratio_quantity, engines[n0], step, bits),
-            fd_step,
-            halvings,
+            bits,
+            "fd_step",
+            "fd_final",
         )
-        for i, res in enumerate(residuals):
-            acc.parts[f"fd_step_{i}"] = mp.nstr(res, 8)
-        acc.add("fd_final", residuals[-1], mpf(1))
 
         return acc.result(
             "uv_system",
             tolerance,
             window=f"n in {n_values}, shift {r.label()}",
         )
+
+
+def _record_study(acc: ResidualAccumulator, residual, bits: int, step_label: str, label: str):
+    """Run an FD convergence study; each step's residual becomes component
+    ``{step_label}_{i}`` and the last one the residual ``label``."""
+    residuals = fd_convergence_study(residual, bits)
+    for i, res in enumerate(residuals):
+        acc.parts[f"{step_label}_{i}"] = mp.nstr(res, 8)
+    acc.add(label, residuals[-1], mpf(1))
 
 
 def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
@@ -350,7 +358,7 @@ def tau_route_check(
     bits = pipe.bits
     table = pipe.table
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         # one tau jet per n gives tau_n, its first derivative and its log jet;
         # flows.tau_jet is read at call time, so a tracer patching it sees it
         tau_jets = [flows.tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 2)]
@@ -398,17 +406,17 @@ def toda_check(
     pipe: WeightPipeline,
     nmax: int,
     z_samples: list,
-    fd_step: Fraction,
     tolerance: Fraction,
 ) -> CheckResult:
     """First-flow Toda system and equation for the recurrence data, with engine
     derivatives on one side and factorization data on the other; the polynomial
-    flow relation is witnessed by finite differences."""
+    flow relation is witnessed by finite differences at the ``flows`` step."""
     if nmax + 2 > pipe.k:
         raise PreconditionError("Toda range exceeds truncation")
     bits = pipe.bits
+    step = default_fd_step(bits)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         jets = _log_jets(pipe, nmax + 3, [(2, 0, 0)])
         h = pipe.chol.h
         beta = pipe.jac.beta
@@ -458,7 +466,7 @@ def toda_check(
                     return pipe.flow_scaled(1, mult).p_vector(z, n + 1)[n]
 
                 engine = -pipe.gamma(n) * pipe.p_vector(z, n)[n - 1]
-                res = derivative_fd_crosscheck(poly_quantity, engine, fd_step, bits)
+                res = derivative_fd_crosscheck(poly_quantity, engine, step, bits)
                 acc.add(f"poly_flow[n={n},z={mp.nstr(to_mpf(z), 6)}]", res, mpf(1))
 
         return acc.result(
@@ -482,12 +490,7 @@ def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sato_wilson_check(
-    pipe: WeightPipeline,
-    fd_step: Fraction,
-    halvings: int,
-    tolerance: Fraction,
-) -> CheckResult:
+def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Factorization-level, operator-level, and compatibility-level forms of the
     flow equations: diagonal norm derivatives against powers of the recurrence
     matrix, the strictly-lower dressing factor against the FD-differentiated
@@ -495,15 +498,16 @@ def sato_wilson_check(
     equation assembled by the chain rule on engine derivatives.
 
     Engine parts run for flows 1 and 2 (the derivative at a unit deformation
-    parameter is still an index shift); the FD witness runs only for flows
-    whose parameter can actually be perturbed.
+    parameter is still an index shift); the FD witness, a convergence study
+    over the ``flows`` step halvings, runs only for flows whose parameter can
+    actually be perturbed.
     """
     bits = pipe.bits
     kj = pipe.jac.size
     flows = (1, 2)
     fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         j = pipe.jac.dense
         powers = {1: j, 2: mat_mul(j, j)}
         jets = _log_jets(pipe, kj + 1, [(2, 1, 0)])
@@ -526,18 +530,13 @@ def sato_wilson_check(
                 scale = max(max_abs(jl_minus, win), mpf(1))
 
                 def phi_residual(step: Fraction) -> mpf:
-                    ds = central_difference(
-                        pipe.flow_scaled(l, 1 + step).chol.s,
-                        pipe.flow_scaled(l, 1 - step).chol.s,
-                        step,
+                    ds = fd_flow_derivative(
+                        lambda mult: pipe.flow_scaled(l, mult).chol.s, step, bits
                     )
                     phi = mat_mul(ds, pipe.chol.s_inv)
                     return out_of_band_max(mat_add(phi, jl_minus), 0, win, win) / scale
 
-                fd_residuals = fd_convergence_study(phi_residual, fd_step, halvings)
-                for i, res in enumerate(fd_residuals):
-                    acc.parts[f"phi_fd_{l}_step_{i}"] = mp.nstr(res, 8)
-                acc.add(f"phi_fd_{l}", fd_residuals[-1], mpf(1))
+                _record_study(acc, phi_residual, bits, f"phi_fd_{l}_step", f"phi_fd_{l}")
 
             # (c) Lax equation entrywise on the interior window
             win = kj - (l + 2)
@@ -574,14 +573,11 @@ def sato_wilson_check(
         )
 
 
-def pearson_toda_check(
-    pipe: WeightPipeline,
-    fd_step: Fraction,
-    tolerance: Fraction,
-) -> CheckResult:
+def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Compatibility of the structure matrix with the first flow: the four
     commutator equations, with matrix flow derivatives taken by central finite
-    differences of the full pipeline and the dressing factors taken exactly."""
+    differences of the full pipeline at the ``flows`` step and the dressing
+    factors taken exactly."""
     w = pipe.weight
     if w.deformed:
         raise PreconditionError("Pearson/flow compatibility applies to undeformed weights")
@@ -591,56 +587,52 @@ def pearson_toda_check(
     if win < 2:
         raise PreconditionError("truncation too small for the compatibility check")
 
-    def matrices(p: WeightPipeline) -> dict:
+    step = default_fd_step(bits)
+
+    def matrices(p: WeightPipeline) -> list:
+        """The matrices of equations 1a, 1b, 2a, 2b."""
         a, at = p.psi_h_inv
         with workprec(bits):
             eta_inv = 1 / to_mpf(p.weight.eta)
-            return {
-                "1a": mat_scale(at, eta_inv),
-                "1b": a,
-                "2a": at,
-                "2b": mat_scale(a, eta_inv),
-            }
+            return [mat_scale(at, eta_inv), a, at, mat_scale(a, eta_inv)]
 
     base = matrices(pipe)
-    plus = matrices(pipe.flow_scaled(1, 1 + fd_step))
-    minus = matrices(pipe.flow_scaled(1, 1 - fd_step))
+    derivatives = fd_flow_derivative(lambda mult: matrices(pipe.flow_scaled(1, mult)), step, bits)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
-        effective_tol = max(Fraction(tolerance), 10 * fd_step * fd_step)
+        acc = ResidualAccumulator()
+        effective_tol = max(Fraction(tolerance), 10 * step * step)
         j = pipe.jac.dense
         phi = mat_scale(strict_lower(j), mpf(-1))
         j_plus = upper_with_diagonal(j)
-        gauges = {"1a": phi, "1b": phi, "2a": j_plus, "2b": j_plus}
         h_floor = pipe.chol.h_floor()
-        for name in ("1a", "1b", "2a", "2b"):
-            dm = central_difference(plus[name], minus[name], fd_step)
-            rhs = commutator(gauges[name], base[name])
-            diff, scale = window_diff(dm, rhs, win)
+        for name, dm, mat, gauge in zip(
+            ("1a", "1b", "2a", "2b"), derivatives, base, (phi, phi, j_plus, j_plus)
+        ):
+            diff, scale = window_diff(dm, commutator(gauge, mat), win)
             acc.add(f"compat_{name}", diff, max(scale, h_floor))
         return acc.result(
             "pearson_toda",
             effective_tol,
-            window=f"leading {win} of {kj}; fd step 2^{fd_step.denominator.bit_length() - 1}",
+            window=f"leading {win} of {kj}; fd step 2^{step.denominator.bit_length() - 1}",
         )
 
 
 def kp_check(
     pipe: WeightPipeline,
     n_values: list[int],
-    fd_step: Fraction,
     tolerance: Fraction,
 ) -> CheckResult:
     """The KP relation for the subleading coefficient of a triply deformed
     weight, with every mixed derivative taken by the exact determinant engine
-    and the second-flow second derivative witnessed by finite differences."""
+    and the second-flow second derivative witnessed by finite differences at
+    the ``flows`` step."""
     w = pipe.weight
     if not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
         raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         jets = _log_jets(pipe, max(n_values) + 1, needed)
         for n in n_values:
             jet = jets[n]
@@ -661,7 +653,7 @@ def kp_check(
                     scaled = pipe.flow_scaled(2, mult)
                     return -log_tau_jet(scaled.table, n, [(1, 0, 0)])[(1, 0, 0)]
 
-                fd = fd_flow_derivative(p_quantity, fd_step, bits, order=2)
+                fd = fd_flow_derivative(p_quantity, default_fd_step(bits), bits, order=2)
                 acc.add(
                     f"fd_witness_d22p[n={n}]",
                     abs(fd - d22p),

@@ -216,9 +216,11 @@ def max_abs(a: Matrix, window: int | None = None) -> mpf:
 
 
 def window_diff(a: Matrix, b: Matrix, window: int):
-    """(max |a-b|, max(|a|,|b|)) over the leading window x window block."""
+    """(max |a-b|, max(|a|,|b|)) over the leading window x window block; only
+    that block of a - b is formed."""
     scale = max_abs([[max_abs(a, window), max_abs(b, window)]])
-    return max_abs(mat_sub(a, b), window), scale
+    n = min(window, len(a), len(b))
+    return _max_abs(a[i][j] - b[i][j] for i in range(n) for j in range(n)), scale
 
 
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:

@@ -4,9 +4,10 @@ Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
 sums every column rho_0 .. rho_{m_max} at once, with the exact term ratio in
 the weight's cleared integer factors, and stops on a rigorous geometric tail
 bound. The exact tail test runs only near the stop: a bit-length gate opens
-it within 64 bits of the threshold, and a failed test names the terms to sum
-before the next. The floor-division error gets one bound per pass, from the
-largest error of any term. So a pass leaves each column as one certified
+it within 64 bits of the threshold or once the term has underflowed into its
+own error bound, and a failed test names the terms to sum before the next.
+The floor-division error gets one bound per pass, from the largest error of
+any term. So a pass leaves each column as one certified
 interval: its sum, plus or minus that error bound and, for an infinite series,
 the tail bound; a finite support has no tail, and a column whose divisions
 were all exact has radius 0. One function climbs the precision ladder: passes
@@ -226,8 +227,10 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     Stops after k = last for finite support, otherwise at the first k where
     the exact tail test ``_tail_shortfall`` certifies every tail below
     2^-(bits - 31) of its column. A bit-length gate keeps the test closed
-    until the last column's term is within 64 bits of that threshold, and
-    after a failed test the pass sums the terms the test asks for before
+    until the last column's term is within 64 bits of that threshold, or the
+    term W_k is no larger than its own error bound (it has underflowed to 0
+    or stuck at -1, and no later term can bring the gate closer), and after
+    a failed test the pass sums the terms the test asks for before
     testing again, never waiting past the last point of the budget. Neither
     can stop the pass, only delay a stop, and a later stop leaves every
     correctly rounded moment as it is.
@@ -251,7 +254,10 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
         if (
             last is None
             and k >= test_at
-            and abs(t).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
+            and (
+                abs(t).bit_length() + shift <= abs(sums[-1]).bit_length() + 64
+                or abs(value) <= err
+            )
         ):
             wait = _tail_shortfall(w, k, abs(value) + err, sums, shift)
             if not wait:

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import flows
 from .errors import PreconditionError, SemidopError
-from .flows import default_fd_step
 from .integrable import (
     contiguous_check,
     kp_check,
@@ -50,9 +50,8 @@ from .weights import HypergeometricWeight, Shift, to_mpf
 
 DEFAULT_SEED = 20260808
 # Lattice indices n of the octahedral, u-v and KP checks (each keeps those its
-# truncation admits), and the step halvings of the FD convergence studies.
+# truncation admits).
 LATTICE_N = (1, 2, 3, 4, 5, 6)
-FD_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class SuiteConfig:
     for the precision's default), the selected checks (None selects every
     check applicable to the weight) and the seed of the sample points.
 
-    The FD step follows from the precision; series use the default term
-    budget."""
+    The FD step and its halvings follow from the precision inside ``flows``,
+    which the report echoes; series use the default term budget."""
 
     weight: HypergeometricWeight
     size: int = 12
@@ -82,9 +81,6 @@ class SuiteConfig:
 
     def tol(self) -> Fraction:
         return self.tolerance if self.tolerance is not None else self.context().default_tolerance()
-
-    def step(self) -> Fraction:
-        return default_fd_step(self.mantissa_bits)
 
 
 @dataclass
@@ -179,7 +175,7 @@ def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     n_values = [n for n in LATTICE_N if n + 2 <= pipe.k]
     for sh in valid_single_shifts(pipe.weight)[:2]:
-        res = uv_system_check(pipe, sh, n_values, cfg.tol(), cfg.step(), FD_HALVINGS)
+        res = uv_system_check(pipe, sh, n_values, cfg.tol())
         res.name = f"uv_system_{sh.label()}"
         out.append(res)
     return out
@@ -192,21 +188,13 @@ def _run_tau_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.k - 2)
-    return toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.step(), cfg.tol())
-
-
-def _run_sato_wilson(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return sato_wilson_check(pipe, cfg.step(), FD_HALVINGS, cfg.tol())
-
-
-def _run_pearson_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return pearson_toda_check(pipe, cfg.step(), cfg.tol())
+    return toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.tol())
 
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     # the fifth-order jets read moments up to 2n + 3 <= 11; every depth is >= 16
     n_values = [n for n in LATTICE_N if n <= 4]
-    return kp_check(pipe, n_values, cfg.step(), cfg.tol())
+    return kp_check(pipe, n_values, cfg.tol())
 
 
 @dataclass(frozen=True)
@@ -329,12 +317,12 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "sato_wilson",
             "dressing-factor, Lax, and zero-curvature forms of the flow equations",
-            _run_sato_wilson,
+            _tolerance_only(sato_wilson_check),
         ),
         CheckSpec(
             "pearson_toda",
             "compatibility of the structure matrix with the first flow",
-            _run_pearson_toda,
+            _tolerance_only(pearson_toda_check),
             needs_pearson=True,
         ),
         CheckSpec(
@@ -400,8 +388,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
         "tolerance": decimal_str(to_mpf(cfg.tol()), 64),
         "checks": list(selected),
         "lattice_n": [str(n) for n in LATTICE_N],
-        "fd_step": decimal_str(to_mpf(cfg.step()), 64),
-        "fd_halvings": str(FD_HALVINGS),
+        "fd_step": decimal_str(to_mpf(flows.default_fd_step(cfg.mantissa_bits)), 64),
+        "fd_halvings": str(flows.FD_HALVINGS),
         "seed": str(cfg.seed),
     }
     passed = all(r.passed for r in results)

@@ -72,8 +72,7 @@ class ResidualAccumulator:
     """Collects named relative residuals and reports the worst one; a nan
     residual, or any residual against a non-finite scale, is the worst."""
 
-    def __init__(self, bits: int):
-        self.bits = bits
+    def __init__(self):
         self.worst = mpf(0)
         self.worst_scale = mpf(1)
         self.parts: dict[str, str] = {}

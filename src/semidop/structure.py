@@ -199,7 +199,7 @@ def pi_closed_form_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResu
     if k < 6:
         raise PreconditionError("closed-form check needs truncation size >= 6")
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         p1 = [chol.p(1, n) for n in range(k)]
         p2 = [chol.p(2, n) for n in range(k)]
         beta = pipe.jac.beta
@@ -279,7 +279,7 @@ def s_inverse_expansion_check(pipe: WeightPipeline, tolerance: Fraction) -> Chec
     if k < 6:
         raise PreconditionError("inverse-expansion check needs truncation size >= 6")
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         s = [diagonal_of(chol.s, -d) for d in range(0, 5)]
         si = [diagonal_of(chol.s_inv, -d) for d in range(0, 5)]
         scale = max(max_abs(chol.s), mpf(1))
@@ -323,7 +323,7 @@ def coefficient_sum_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
     k = pipe.chol.size
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         beta = pipe.jac.beta
         gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
         p = pipe.chol.p
@@ -370,7 +370,7 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     if nmax + 1 > jac.size:
         raise PreconditionError("orthogonality range exceeds recurrence data")
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         tol_series = mpf(2) ** -(bits - 32)
         gram = GramSums(nmax + 1)
         classification = classify_convergence(w)
@@ -423,7 +423,7 @@ def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         weights = weight_sequence(w)
         w_k = to_mpf(next(weights))
         for k in range(51):
@@ -542,7 +542,7 @@ def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResul
     bits = pipe.bits
     routes = psi_routes(pipe)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         names = list(routes)
         ref = routes[ROUTE_NAMES[1]]
         h_floor = pipe.chol.h_floor()
@@ -571,7 +571,7 @@ def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
     window = psi_window(w, pipe.jac.size)
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         eta = to_mpf(w.eta)
         gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
         low = diagonal_of(pipe.psi, -mdeg)
@@ -607,7 +607,7 @@ def structure_shift_residual(
     window = psi_window(pipe.weight, kj)
     pp = pearson_polynomials(pipe.weight)
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         # H^-1 P(z) as a vector, then Psi and Psi^T applied to it: the
         # products of psi_h_inv would round in another order
         h_inv = [1 / x for x in pipe.chol.h[:kj]]
@@ -649,7 +649,7 @@ def psi_jacobi_identities(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         raise PreconditionError("truncation too small for the compatibility check")
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         j = pipe.jac.dense
         a, at = pipe.psi_h_inv
         h_floor = pipe.chol.h_floor()
@@ -685,7 +685,7 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
     psi_win = psi_window(pipe.weight, kj)
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         h = diag(pipe.chol.h[:kj])
         a_theta = mat_mul(h, transpose(pipe.theta_j))
         a_sigma = mat_mul(pipe.sigma_j, h)
@@ -743,7 +743,7 @@ def polynomial_shift_identity(
         raise PreconditionError("truncation too small for the polynomial shift identity")
     bits = pipe.bits
     with workprec(bits):
-        acc = ResidualAccumulator(bits)
+        acc = ResidualAccumulator()
         pi_k = [row[:kj] for row in pipe.pi[:kj]]
         pi_inv_k = [row[:kj] for row in pipe.pi_inv[:kj]]
         r_j = poly_of_jacobi(r_coeffs, jac)

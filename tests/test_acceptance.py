@@ -158,7 +158,7 @@ def test_criterion_09_toda_stack():
     for name in ("charlier", "gen_meixner"):
         pipe = get_pipeline(FOUR_FAMILIES[name], 10, CTX)
         ok = ok and tau_route_check(pipe, 8, TOL).passed
-        ok = ok and toda_check(pipe, 8, [Fraction(1, 2)], STEP, TOL).passed
+        ok = ok and toda_check(pipe, 8, [Fraction(1, 2)], TOL).passed
     for name in ("charlier", "gen_meixner"):
         pipe = get_pipeline(FOUR_FAMILIES[name], 12, CTX)
         res = structure_cholesky_check(pipe, TOL)
@@ -170,7 +170,7 @@ def test_criterion_10_flow_equations_with_fd_convergence():
     ok = True
     for w, flows in ((FOUR_FAMILIES["charlier"], (1,)), (DEFORMED, (1, 2))):
         pipe = get_pipeline(w, 8, CTX)
-        res = sato_wilson_check(pipe, STEP, 3, TOL)
+        res = sato_wilson_check(pipe, TOL)
         ok = ok and res.passed
         for l in flows:
             steps = [
@@ -188,7 +188,7 @@ def test_criterion_11_pearson_flow_compatibility():
     ok = True
     for name in ("charlier", "gen_meixner"):
         pipe = get_pipeline(FOUR_FAMILIES[name], 12, CTX)
-        res = pearson_toda_check(pipe, STEP, TOL)
+        res = pearson_toda_check(pipe, TOL)
         ok = ok and res.passed
         # the stated constant: residual <= max(tol, 10 step^2) relative
         with workprec(BITS):
@@ -198,9 +198,9 @@ def test_criterion_11_pearson_flow_compatibility():
 
 def test_criterion_12_kp_relation():
     pipe = get_pipeline(DEFORMED, 6, CTX)
-    res = kp_check(pipe, [1, 2, 3, 4], STEP, TOL)
+    res = kp_check(pipe, [1, 2, 3, 4], TOL)
     doubled = get_pipeline(DEFORMED, 6, PrecisionContext(mantissa_bits=CTX.verify_bits))
-    res2 = kp_check(doubled, [1, 2, 3, 4], STEP, TOL)
+    res2 = kp_check(doubled, [1, 2, 3, 4], TOL)
     with workprec(BITS):
         stable = abs(res.max_residual - res2.max_residual) <= mpf(2) ** -64
     report(12, res.passed and res2.passed and stable,

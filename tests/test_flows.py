@@ -7,11 +7,13 @@ from mpmath import mp, mpf, workprec
 
 from semidop import MomentTable, tau_derivative
 from semidop.flows import (
+    FD_HALVINGS,
     apply_flow,
     default_fd_step,
     derivative_fd_crosscheck,
     eval_expr,
     fd_convergence_study,
+    fd_flow_derivative,
     flow_scaled_weight,
     log_jet,
     log_tau_jet,
@@ -135,10 +137,49 @@ def test_fd_second_order_convergence(ctx):
         - log_tau_jet(table, 2, [(1, 0, 0)])[(1, 0, 0)]
     )
     residuals = fd_convergence_study(
-        lambda step: derivative_fd_crosscheck(log_h2, engine, step, BITS), Fraction(1, 2**40), 3
+        lambda step: derivative_fd_crosscheck(log_h2, engine, step, BITS), BITS
     )
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a * mpf("0.3")
+
+
+def _hankel_quantity(ctx, size: int):
+    """The size x size moment matrix of Meixner with eta scaled by mult, built once per mult."""
+    tables = {}
+
+    def quantity(mult):
+        if mult not in tables:
+            tables[mult] = MomentTable(flow_scaled_weight(MEIXNER, 1, mult), 2 * size - 2, ctx)
+        vals = tables[mult].values
+        return [[vals[i + j] for j in range(size)] for i in range(size)]
+
+    return quantity
+
+
+def test_fd_of_a_matrix_is_the_entrywise_scalar_difference(ctx):
+    size = 4
+    quantity = _hankel_quantity(ctx, size)
+    step = default_fd_step(BITS)
+    for order in (1, 2):
+        matrix = fd_flow_derivative(quantity, step, BITS, order)
+        for i in range(size):
+            for j in range(size):
+                scalar = fd_flow_derivative(lambda m: quantity(m)[i][j], step, BITS, order)
+                assert matrix[i][j]._mpf_ == scalar._mpf_
+
+
+def test_fd_of_a_matrix_scales_by_the_reciprocal_step_bit_for_bit(ctx):
+    # at a power-of-two step, (x - y) / (2 s) and (x - y) (1 / (2 s)) round alike
+    quantity = _hankel_quantity(ctx, 4)
+    assert default_fd_step(BITS) == Fraction(1, 2**64)
+    for i in range(FD_HALVINGS + 1):
+        step = Fraction(1, 2**64) / 2**i
+        plus, minus = quantity(1 + step), quantity(1 - step)
+        with workprec(BITS):
+            inv_2s = 1 / (2 * to_mpf(step))
+            expect = [[(x - y) * inv_2s for x, y in zip(rp, rm)] for rp, rm in zip(plus, minus)]
+        got = fd_flow_derivative(quantity, step, BITS)
+        assert [[x._mpf_ for x in row] for row in got] == [[x._mpf_ for x in row] for row in expect]
 
 
 def test_third_flow_fd_on_deformed(ctx):

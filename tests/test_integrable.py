@@ -11,6 +11,7 @@ from semidop import (
     Shift,
     parse_weight_spec,
 )
+from semidop import flows
 from semidop.flows import log_tau_jet
 from semidop.integrable import (
     contiguous_check,
@@ -30,8 +31,6 @@ from semidop.pipeline import clear_cache, get_pipeline
 from semidop.weights import to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER
-
-STEP = Fraction(1, 2 ** (BITS // 4))
 
 
 def test_contiguous_meixner_entry_zero(ctx):
@@ -110,9 +109,7 @@ def test_nijhoff_capel_rejects_equal_directions(ctx, tol, gen_meixner_pipe):
 
 
 def test_uv_system(ctx, tol, gen_meixner_pipe):
-    res = uv_system_check(
-        gen_meixner_pipe, Shift.a(1), [1, 2, 3, 4], tol, STEP, 2
-    )
+    res = uv_system_check(gen_meixner_pipe, Shift.a(1), [1, 2, 3, 4], tol)
     assert res.passed, res.components
     # second-order convergence of the FD witness
     steps = [float(v) for k, v in res.components.items() if k.startswith("fd_step_")]
@@ -164,12 +161,12 @@ def test_toda_closed_form_charlier(ctx, charlier_pipe):
 def test_toda_all_families(ctx, tol):
     for spec in ("eta=7/10", "a=3/2; b=5/2; eta=1/3"):
         pipe = get_pipeline(parse_weight_spec(spec), 10, ctx)
-        res = toda_check(pipe, 6, [Fraction(1, 2)], STEP, tol)
+        res = toda_check(pipe, 6, [Fraction(1, 2)], tol)
         assert res.passed, (spec, res.components)
 
 
 def test_sato_wilson_engine_and_fd(ctx, tol, deformed_pipe):
-    res = sato_wilson_check(deformed_pipe, STEP, 3, tol)
+    res = sato_wilson_check(deformed_pipe, tol)
     assert res.passed, res.components
     # the FD witness of the dressing factor converges at second order
     for flow in (1, 2):
@@ -180,6 +177,21 @@ def test_sato_wilson_engine_and_fd(ctx, tol, deformed_pipe):
         assert len(steps) == 4
         for a, b in zip(steps, steps[1:]):
             assert b <= 0.3 * a or b < 1e-60
+
+
+def test_fd_studies_report_every_halving(ctx, tol, gen_meixner_pipe, deformed_pipe):
+    # both studies take their step count from flows, one component per step
+    steps = [str(i) for i in range(flows.FD_HALVINGS + 1)]
+
+    def study(res, prefix):
+        return sorted(k[len(prefix):] for k in res.components if k.startswith(prefix))
+
+    uv = uv_system_check(gen_meixner_pipe, Shift.a(1), [1], tol)
+    assert study(uv, "fd_step_") == steps and "fd_final" in uv.components
+    sw = sato_wilson_check(deformed_pipe, tol)
+    for flow in (1, 2):
+        assert study(sw, f"phi_fd_{flow}_step_") == steps
+        assert f"phi_fd_{flow}" in sw.components
 
 
 def test_sato_wilson_j_squared_diagonal(ctx, deformed_pipe):
@@ -202,7 +214,7 @@ def test_fd_feasible_flows(ctx, deformed_pipe, charlier_pipe):
 
 def test_sato_wilson_undeformed_engine_flows(ctx, tol, charlier_pipe):
     # flow-2 engine identities hold at unit deformation; only the FD part is skipped
-    res = sato_wilson_check(charlier_pipe, STEP, 2, tol)
+    res = sato_wilson_check(charlier_pipe, tol)
     assert res.passed
     assert "phi_fd_1" in res.components and "phi_fd_2" not in res.components
     assert "lax_2" in res.components and "zero_curvature_12" in res.components
@@ -211,7 +223,7 @@ def test_sato_wilson_undeformed_engine_flows(ctx, tol, charlier_pipe):
 def test_pearson_toda(ctx, tol):
     for spec in ("eta=7/10", "a=3/2; b=5/2; eta=1/3"):
         pipe = get_pipeline(parse_weight_spec(spec), 12, ctx)
-        res = pearson_toda_check(pipe, STEP, tol)
+        res = pearson_toda_check(pipe, tol)
         assert res.passed, (spec, res.components)
         gap = abs(float(res.components["compat_1a"]) - float(res.components["compat_1b"]))
         assert gap <= float(to_mpf(tol))
@@ -219,19 +231,19 @@ def test_pearson_toda(ctx, tol):
 
 def test_pearson_toda_rejects_deformed(ctx, tol, deformed_pipe):
     with pytest.raises(PreconditionError):
-        pearson_toda_check(deformed_pipe, STEP, tol)
+        pearson_toda_check(deformed_pipe, tol)
 
 
 def test_kp_trivial_and_deformed(ctx, tol, deformed_pipe):
-    res = kp_check(deformed_pipe, [0], STEP, tol)
+    res = kp_check(deformed_pipe, [0], tol)
     assert res.passed and res.max_residual == 0
-    res = kp_check(deformed_pipe, [1, 2], STEP, tol)
+    res = kp_check(deformed_pipe, [1, 2], tol)
     assert res.passed, res.components
 
 
 def test_kp_rejects_undeformed(ctx, tol, charlier_pipe):
     with pytest.raises(PreconditionError):
-        kp_check(charlier_pipe, [1], STEP, tol)
+        kp_check(charlier_pipe, [1], tol)
 
 
 # -- a nan residual fails wherever a check takes its maximum -------------------
@@ -262,7 +274,7 @@ def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
     # once J is built, S^-1 is read only by the dressing factor phi = dS S^-1
     assert pipe.jac
     pipe.chol.s_inv[pipe.k][0] = nan
-    return sato_wilson_check(pipe, STEP, 1, tol)
+    return sato_wilson_check(pipe, tol)
 
 
 def _nan_in_theta_factor_band(pipe, tol, monkeypatch):

@@ -93,12 +93,12 @@ def test_nan_residual_fails_its_check():
     all_nan = [[nan] * 3 for _ in range(3)]
     diff, scale = window_diff(all_nan, identity(3), 3)
     assert isnan(diff)
-    acc = ResidualAccumulator(64)
+    acc = ResidualAccumulator()
     acc.add("x", diff, scale)
     res = acc.result("x", TOL, "3x3")
     assert not res.passed and isnan(res.max_residual)
     # a nan stays the worst whatever comes after it
-    acc = ResidualAccumulator(64)
+    acc = ResidualAccumulator()
     acc.add("ok", 0, 1)
     acc.add("y", nan, 1)
     acc.add("later", TOL / 2, 1)
@@ -106,7 +106,7 @@ def test_nan_residual_fails_its_check():
 
 
 def test_residual_against_infinite_scale_fails():
-    acc = ResidualAccumulator(64)
+    acc = ResidualAccumulator()
     acc.add("x", mpf(0), inf)
     assert not acc.result("x", TOL, "1x1").passed
 

@@ -1,10 +1,13 @@
-"""The repo's lint step: every import in ``src/semidop`` is used by its module.
+"""The repo's lint step: every import in ``src/semidop`` is used by its module,
+and the modules import one another in one layer order.
 
 No linter ships with the toolchain, so this test parses each module with
 ``ast``. A name imported but never read fails it, with one exception: a name
 that ``perfbench/tracer.py`` wraps in that module (its ``TARGETS``) may stay
-imported unused, because the tracer patches it there. The package's
-``__init__`` imports to export, so it is not checked.
+imported unused, because the tracer patches it there. A module that imports a
+module of a later layer fails it too, unless the import sits under
+``if TYPE_CHECKING:`` (annotations only). The package's ``__init__`` imports
+to export, so it is not checked.
 """
 
 import ast
@@ -13,6 +16,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semidop"
+# Each module imports only from modules of earlier layers (or its own layer).
+LAYERS = (
+    ("errors",),
+    ("weights",),
+    ("linalg",),
+    ("moments",),
+    ("flows", "result"),
+    ("structure",),
+    ("pipeline",),
+    ("integrable",),
+    ("report",),
+    ("cli",),
+)
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 
 def _tracer_targets() -> set[tuple[str, str]]:
@@ -54,3 +71,61 @@ def test_no_unused_imports():
             if (module, name) not in allowed:
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules a module imports, outside ``if TYPE_CHECKING:`` blocks."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and _is_type_checking(block.test)
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semidop."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            out.update(name.split(".")[1] for name in names if name.startswith("semidop."))
+    return out
+
+
+def _later_imports(module: str, source: str) -> list[str]:
+    return sorted(name for name in _package_imports(source) if RANK[name] > RANK[module])
+
+
+def test_later_layer_imports_flagged():
+    assert _later_imports("integrable", "from .report import FD_HALVINGS\n") == ["report"]
+    assert _later_imports("flows", "from . import result, pipeline\nimport semidop.cli\n") == [
+        "cli",
+        "pipeline",
+    ]
+    guarded = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .pipeline import P\n"
+    assert _later_imports("structure", guarded) == []
+
+
+def test_imports_follow_the_layer_order():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    assert set(modules) == set(RANK)
+    violations = [
+        f"{module} imports {name}"
+        for module, path in sorted(modules.items())
+        for name in _later_imports(module, path.read_text())
+    ]
+    assert violations == []

@@ -581,6 +581,19 @@ def test_tiny_moments_widen_the_guard(monkeypatch):
     assert _raw(table.values) == _raw(_rounded(table.rebuilt(REF_BITS).values, 512))
 
 
+@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize(
+    "eta", [Fraction(1, 2**280), Fraction(1, 2**292), Fraction(1, 2**300), Fraction(-1, 2**280)]
+)
+def test_underflowed_terms_open_the_tail_test(eta, depth):
+    # a tiny eta underflows the fixed-point term W_k to 0 after a few points,
+    # while the last column stays below the bit-length gate's threshold; the
+    # gate opens once the term is within its own error bound, the exact tail
+    # test certifies the tail, and the widened guard proves every rounding
+    table = MomentTable(HypergeometricWeight(eta=eta), depth, PrecisionContext(mantissa_bits=512))
+    assert _raw(table.values) == _raw(_rounded(table.rebuilt(REF_BITS).values, 512))
+
+
 def _fubini(n: int) -> int:
     """Ordered Bell number: a(n) = sum_{k=1}^n C(n, k) a(n - k), a(0) = 1."""
     a = [1]
