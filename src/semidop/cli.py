@@ -43,7 +43,8 @@ MAX_WORK = MAX_SIZE**3 * 512
 def parse_tolerance(text: str) -> Fraction:
     """Accept 2^-128 style, rationals like 1/1024, or decimal literals.
 
-    Raises ValueError unless the value is a positive finite number.
+    Raises ValueError unless the value is a finite number in (0, 1): a
+    relative tolerance of 1 or more passes every residual.
     """
     stripped = text.strip()
     m = re.fullmatch(r"2\^(-?\d+)", stripped)
@@ -51,8 +52,8 @@ def parse_tolerance(text: str) -> Fraction:
         tol = Fraction(2) ** int(m.group(1)) if m else Fraction(stripped)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--tol {text!r} is not a number") from None
-    if tol <= 0:
-        raise ValueError(f"--tol {text!r} must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"--tol {text!r} must be positive and below 1")
     return tol
 
 

@@ -295,11 +295,13 @@ def uv_system_check(
         acc.add("boundary", abs(lhs - rhs), max(abs(lhs), abs(rhs), mpf(1)))
 
         # FD witness with step halving for the first requested index; it reads
-        # only h[n0] and h[n0 - 1], so its pipelines are built at size n0 + 1
+        # only h[n0] and h[n0 - 1]. The base weight's witnesses are the
+        # base-size ones the other flow checks build; the shifted weight's are
+        # built at size n0 + 1
         n0 = n_values[0]
 
         def ratio_quantity(mult: Fraction):
-            pb = pipe.flow_scaled(1, mult, n0 + 1)
+            pb = pipe.flow_scaled(1, mult)
             pr = rp.flow_scaled(1, mult, n0 + 1)
             return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
 
@@ -631,6 +633,9 @@ def kp_check(
         raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
+    # the witnesses' first-order jet of tau_n reads moments up to rho_{2n-1},
+    # inside the table of a witness of size n or more
+    fd_size = max(pipe.k, max(n_values))
     with workprec(bits):
         acc = ResidualAccumulator()
         jets = _log_jets(pipe, max(n_values) + 1, needed)
@@ -650,7 +655,7 @@ def kp_check(
 
             if n >= 1:
                 def p_quantity(mult: Fraction, n=n):
-                    scaled = pipe.flow_scaled(2, mult)
+                    scaled = pipe.flow_scaled(2, mult, fd_size)
                     return -log_tau_jet(scaled.table, n, [(1, 0, 0)])[(1, 0, 0)]
 
                 fd = fd_flow_derivative(p_quantity, default_fd_step(bits), bits, order=2)

@@ -10,19 +10,24 @@ int factors, whose sum is exact. All elimination routines use fixed pivoting
 rules so results are bit-stable.
 
 The hot kernels (``mat_mul``, ``ldl_no_pivot``, ``unit_lower_inverse``,
-``lu_factor`` with its solves and ``schur_complement``, the maxima, the
-polynomial recurrence ``three_term_values`` and ``GramSums``) run on raw
-``libmp`` values: they read each entry's ``_mpf_`` tuple once, loop with
-``mpf_add``, ``mpf_mul`` and the rest at
-``mp._prec_rounding`` read at call time, and wrap each result once with
-``mp.make_mpf``; the LU factors and the solves stay raw, for the solves and
-``schur_complement`` to read. The bit-identity rule: every libmp call
+``lu_factor`` with its solves and ``schur_complement``, the maxima and the
+polynomial recurrence ``three_term_values``) run on raw ``libmp`` values:
+they read each entry's ``_mpf_`` tuple once, loop with ``mpf_add``,
+``mpf_mul`` and the rest at ``mp._prec_rounding`` read at call time, and
+wrap each result once with ``mp.make_mpf``; the LU factors and the solves
+stay raw, for the solves and ``schur_complement`` to read. The bit-identity rule: every libmp call
 is the one the ``mpf`` operator would make, with the same arguments, precision
 and rounding, in the same order, so the results are the operators' bits without
 their per-operation dispatch and allocation. Comparisons use ``mpf_gt`` and
 ``mpf_lt``, as the operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is
 1, so a nan maximum or a nan pivot would be replaced where the operators keep
 it. No other module does arithmetic on raw values.
+
+``GramSums``, the accumulator of the orthogonality sums, reads raw values too
+but keeps a different contract: it sums the products p_n p_m w exactly, as
+integers, and rounds each sum once, where the operator loop rounds each
+product twice and each addition once. Only the maximum it returns for the
+stop rule, and its nan and infinite sums, are the operators' bits.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
@@ -38,6 +43,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     fnan,
     fone,
+    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
@@ -429,40 +435,98 @@ def three_term_values(z, beta: list, gamma: list, count: int) -> list:
 
 
 class GramSums:
-    """Running sums S[n][m] of p_n p_m w over lattice points, for m <= n < count.
+    """Sums S[n][m] of p_n p_m w over lattice points, for m <= n < count, each
+    rounded once.
 
-    The sums stay raw between points; ``lower()`` wraps them once.
+    Every product p_n p_m w is exact: a point's finite values are read as
+    signed integers, the p_n at their smallest binary exponent, so the point's
+    terms share one exponent, and each sum accumulates them as an integer at
+    the exponent common to all sums, lowered (with 64 bits to spare) whenever
+    a point's exponent falls below it. ``lower()`` rounds each sum once, at
+    the precision in effect when it is called. A term with a nan or infinite
+    factor is formed, and summed into its pair's non-finite total, as the
+    ``mpf`` operators would: the sums the operator loop leaves nan or
+    infinite are nan or infinite here, with the same bits.
     """
 
     def __init__(self, count: int):
-        self._sums = [[fzero] * (n + 1) for n in range(count)]
+        self._exact = [[0] * (n + 1) for n in range(count)]
+        self._exp = None
+        self._special = {}
 
     def add(self, pvec: list, weight) -> mpf:
         """Add the point's terms p_n p_m weight; returns the largest |term|.
 
-        The maximum is taken over the terms n = m only: |p_n p_m| is at most
-        max(p_n^2, p_m^2), and rounding to nearest is monotone, so no term
-        with n != m is larger than both of its diagonal terms, and the maximum
-        is the one over all terms, bit for bit. As the operator loop it
-        replaces, a nan term is summed but not counted.
+        The maximum is that of the terms the ``mpf`` operators would form,
+        p_n p_m rounded and then times weight rounded, bit for bit. Rounding
+        to nearest is monotone and |p_n p_m| <= max(p_n^2, p_m^2), so the
+        largest is the term of the largest |p_n| with itself. A nan term is
+        summed but not counted.
         """
         prec, rnd = mp._prec_rounding
-        p = [_raw(x) for x in pvec]
+        count = len(self._exact)
+        p = [_raw(x) for x in pvec[:count]]
         w = _raw(weight)
-        contrib = fzero
-        for n, row in enumerate(self._sums):
-            pn = p[n]
-            for m in range(n + 1):
-                term = mpf_mul(mpf_mul(pn, p[m], prec, rnd), w, prec, rnd)
-                row[m] = mpf_add(row[m], term, prec, rnd)
-            v = mpf_abs(term, prec, rnd)
-            if mpf_gt(v, contrib):
-                contrib = v
+        big = fzero
+        for x in p:
+            a = mpf_abs(x)
+            if mpf_gt(a, big):
+                big = a
+        v = mpf_abs(mpf_mul(mpf_mul(big, big, prec, rnd), w, prec, rnd))
+        contrib = v if mpf_gt(v, fzero) else fzero
+        bad = [n for n, x in enumerate(p) if _non_finite(x)]
+        if bad or _non_finite(w):
+            self._add_non_finite(p, w, bad, prec, rnd)
+        exps = [x[2] for x in p if x[1]]
+        if exps and w[1]:
+            self._add_exact(p, w, min(exps))
         return mp.make_mpf(contrib)
 
+    def _add_exact(self, p: list, w: tuple, low: int) -> None:
+        """Add the exact terms of the finite nonzero factors, the p_n at exponent low."""
+        ints = [((-x[1] if x[0] else x[1]) << (x[2] - low)) if x[1] else 0 for x in p]
+        point_exp = 2 * low + w[2]
+        if self._exp is None or point_exp < self._exp:
+            target = point_exp - 64
+            if self._exp is not None:
+                up = self._exp - target
+                self._exact = [[s << up for s in row] for row in self._exact]
+            self._exp = target
+        wq = (-w[1] if w[0] else w[1]) << (point_exp - self._exp)
+        q = [x * wq for x in ints]
+        for pn, row in zip(ints, self._exact):
+            if pn:
+                for m in range(len(row)):
+                    row[m] += pn * q[m]
+
+    def _add_non_finite(self, p: list, w: tuple, bad: list, prec: int, rnd: str) -> None:
+        """Sum the terms with a nan or infinite factor into their pairs' totals."""
+        special = self._special
+        every = _non_finite(w)
+        for n in range(len(self._exact)):
+            for m in range(n + 1):
+                if every or n in bad or m in bad:
+                    term = mpf_mul(mpf_mul(p[n], p[m], prec, rnd), w, prec, rnd)
+                    held = special.get((n, m))
+                    special[(n, m)] = term if held is None else mpf_add(held, term, prec, rnd)
+
     def lower(self) -> Matrix:
-        """Row n holds S[n][0..n]."""
-        return _wrapped(self._sums)
+        """Row n holds S[n][0..n], each sum rounded once."""
+        prec, rnd = mp._prec_rounding
+        make = mp.make_mpf
+        exp = self._exp or 0
+        return [
+            [
+                make(self._special.get((n, m)) or from_man_exp(s, exp, prec, rnd))
+                for m, s in enumerate(row)
+            ]
+            for n, row in enumerate(self._exact)
+        ]
+
+
+def _non_finite(x: tuple) -> bool:
+    """Whether a raw value is nan or infinite: no mantissa and a nonzero exponent."""
+    return not x[1] and x[2] != 0
 
 
 # -- diagonals and triangles ----------------------------------------------------

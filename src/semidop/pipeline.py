@@ -4,10 +4,16 @@ A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
-size, precision context); the finite-difference witnesses obtain perturbed
-pipelines through the same cache. Moment depth depends on weight and size alone;
-moment values, correctly rounded, on the weight alone, so a witness built at
-the size it reads sees the same moments as a full-size one.
+size, precision context), and the finite-difference (FD) witnesses obtain
+their flow-scaled pipelines through the same cache, keyed apart from a
+full-depth pipeline of the same weight and size. This module alone sets the
+depth of a moment table (``moment_depth``). A full pipeline, base or shifted,
+keeps slack past rho_{2k} for the determinant engine. A witness is read only
+through its factorization, chol -> jac -> psi, and its table stops at rho_{2k}.
+The one other read of a witness table, ``kp``'s first-order jets of tau_n,
+reaches rho_{2n-1}, inside the table of a witness of size n or more. Moment
+values, correctly rounded, depend on the weight alone, so a witness sees the
+same moments as a full-depth table.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -60,24 +66,31 @@ from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_par
 _DEPTH_SLACK = 8
 
 
-def moment_depth(weight: HypergeometricWeight, k: int) -> int:
-    """Moment-table depth of a size-k pipeline, rounded up to a multiple of 8.
+def moment_depth(weight: HypergeometricWeight, k: int, witness: bool = False) -> int:
+    """Moment-table depth of a size-k pipeline.
 
-    The Pearson-symmetry assembly theta(shift) G on the k x k window reads
-    moments up to 2k + N - 1, so a weight with N > 8 needs more than the slack.
+    An FD witness reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
+    factorization, and its table stops there. A full pipeline's depth is
+    rounded up to a multiple of 8 past the slack; the Pearson-symmetry
+    assembly theta(shift) G on the k x k window reads moments up to
+    2k + N - 1, so a weight with N > 8 needs more than the slack.
     """
+    if witness:
+        return 2 * k
     depth = 2 * k + max(_DEPTH_SLACK, weight.n_degree)
     return (depth + 7) // 8 * 8
 
 
 class WeightPipeline:
-    def __init__(self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext):
+    def __init__(
+        self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext, witness: bool = False
+    ):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
         self.weight = weight
         self.k = k
         self.ctx = ctx
-        self.depth = moment_depth(weight, k)
+        self.depth = moment_depth(weight, k, witness)
         self.table = MomentTable(weight, self.depth, ctx)
 
     @property
@@ -146,8 +159,12 @@ class WeightPipeline:
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)
 
     def flow_scaled(self, l: int, mult: Fraction, k: int | None = None) -> "WeightPipeline":
-        """The pipeline of the flow-scaled weight, at size k (this pipeline's by default)."""
-        return get_pipeline(flow_scaled_weight(self.weight, l, mult), k or self.k, self.ctx)
+        """The FD witness of the flow-scaled weight, at size k (this pipeline's
+        by default); at mult 1 and this size, this pipeline itself."""
+        weight, k = flow_scaled_weight(self.weight, l, mult), k or self.k
+        if weight == self.weight and k == self.k:
+            return self
+        return get_pipeline(weight, k, self.ctx, witness=True)
 
     def provenance(self) -> dict:
         return {
@@ -161,11 +178,15 @@ class WeightPipeline:
 _CACHE: dict = {}
 
 
-def get_pipeline(weight: HypergeometricWeight, k: int, ctx: PrecisionContext) -> WeightPipeline:
-    key = (weight, k, ctx)
+def get_pipeline(
+    weight: HypergeometricWeight, k: int, ctx: PrecisionContext, witness: bool = False
+) -> WeightPipeline:
+    """The cached pipeline of the weight at size k; an FD witness (``flow_scaled``
+    asks for one) is cached apart from the full-depth pipeline."""
+    key = (weight, k, ctx, witness)
     pipe = _CACHE.get(key)
     if pipe is None:
-        pipe = WeightPipeline(weight, k, ctx)
+        pipe = WeightPipeline(weight, k, ctx, witness)
         _CACHE[key] = pipe
     return pipe
 

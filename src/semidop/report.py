@@ -192,7 +192,8 @@ def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    # the fifth-order jets read moments up to 2n + 3 <= 11; every depth is >= 16
+    # the fifth-order jets read moments up to 2n + 3 <= 11 of the base table,
+    # and every base depth is >= 16; the witnesses' tables are sized by kp_check
     n_values = [n for n in LATTICE_N if n <= 4]
     return kp_check(pipe, n_values, cfg.tol())
 
@@ -374,7 +375,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
         try:
             outcome = runner(pipe, cfg)
         except SemidopError as exc:
-            raise type(exc)(f"[{name}] {exc}") from exc
+            # the same exception, its type and fields kept, its message prefixed once
+            exc.args = (f"[{name}] {exc}",)
+            raise
         if isinstance(outcome, list):
             results.extend(outcome)
         else:

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import inf, isnan, ldexp, mpf, nan, workprec
+from mpmath import inf, isfinite, isnan, ldexp, mpf, nan, workprec
 
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
@@ -18,6 +20,7 @@ from semidop.linalg import (
     window_diff,
 )
 from semidop.result import ResidualAccumulator
+from semidop.weights import to_mpf
 
 from conftest import FAMILIES
 
@@ -245,6 +248,28 @@ def op_gram_sums(points, count):
     return [row[: n + 1] for n, row in enumerate(sums)], contribs
 
 
+def exact_gram_sums(points, count):
+    """``GramSums.lower()``'s contract: each sum of the exact products p_n p_m w,
+    as a Fraction, rounded once at the working precision. A sum the operator
+    loop leaves nan or infinite keeps the operators' bits."""
+    op_sums, _ = op_gram_sums(points, count)
+
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    out = []
+    for n in range(count):
+        row = []
+        for m in range(n + 1):
+            if isfinite(op_sums[n][m]):
+                row.append(to_mpf(sum(exact(p[n]) * exact(p[m]) * exact(w) for p, w in points)))
+            else:
+                row.append(op_sums[n][m])
+        out.append(row)
+    return out
+
+
 def op_polynomial_vector(z, beta, gamma, count):
     """The recurrence loop of ``structure.polynomial_vector`` on the operators."""
     out = [mpf(1)]
@@ -324,8 +349,8 @@ def test_raw_kernels_match_operator_kernels_bit_for_bit(data):
         points = [(row, row[-1]) for row in a]
         gram = GramSums(n)
         contribs = [gram.add(pvec, value) for pvec, value in points]
-        want_sums, want_contribs = op_gram_sums(points, n)
-        assert bits(gram.lower()) == bits(want_sums)
+        _, want_contribs = op_gram_sums(points, n)
+        assert bits(gram.lower()) == bits(exact_gram_sums(points, n))
         assert bits([contribs]) == bits([want_contribs])
 
 
@@ -409,15 +434,20 @@ def lattice_points(draw, count: int):
 @given(st.data())
 def test_gram_diagonal_maximum_is_the_all_pairs_maximum(data):
     # |p_n p_m| <= max(p_n^2, p_m^2) and rounding is monotone, so the n = m terms
-    # hold the largest |term|; a nan term is summed but never the maximum
+    # hold the largest |term|; a nan term is summed but never the maximum. The
+    # sums are exact and rounded once, and a nan p_n or w leaves nan in exactly
+    # the sums the operator loop makes nan
     prec = data.draw(st.sampled_from([53, 256, 512]))
     count = data.draw(st.integers(1, 9))
     points = data.draw(st.lists(lattice_points(count), min_size=1, max_size=4))
     with workprec(prec):
         gram = GramSums(count)
         contribs = [gram.add(pvec, weight) for pvec, weight in points]
-        want_sums, want_contribs = op_gram_sums(points, count)
-    assert bits(gram.lower()) == bits(want_sums)
+        sums = gram.lower()
+        want_sums = exact_gram_sums(points, count)
+        op_sums, want_contribs = op_gram_sums(points, count)
+    assert bits(sums) == bits(want_sums)
+    assert [[isnan(x) for x in row] for row in sums] == [[isnan(x) for x in row] for row in op_sums]
     assert bits([contribs]) == bits([want_contribs])
     assert not any(isnan(c) for c in contribs)
 

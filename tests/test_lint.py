@@ -7,7 +7,10 @@ that ``perfbench/tracer.py`` wraps in that module (its ``TARGETS``) may stay
 imported unused, because the tracer patches it there. A module that imports a
 module of a later layer fails it too, unless the import sits under
 ``if TYPE_CHECKING:`` (annotations only). The package's ``__init__`` imports
-to export, so it is not checked.
+to export, so it is not checked. One module owns the depth of the moment
+tables the checks read, so a ``MomentTable`` is built only there
+(``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
+(``moments``).
 """
 
 import ast
@@ -129,3 +132,37 @@ def test_imports_follow_the_layer_order():
         for name in _later_imports(module, path.read_text())
     ]
     assert violations == []
+
+
+# The modules that may build a MomentTable: the pipeline, which sets every
+# checked table's depth; the `moments` command; and `MomentTable.rebuilt`.
+TABLE_BUILDERS = {"pipeline", "cli", "moments"}
+
+
+def _table_builds(source: str) -> list[int]:
+    """The lines of a module that call ``MomentTable(...)``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "MomentTable")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "MomentTable")
+        )
+    )
+
+
+def test_table_builds_flagged():
+    source = "from . import moments\nt = MomentTable(w, 8, ctx)\nu = moments.MomentTable(w, 4, c)\n"
+    assert _table_builds(source) == [2, 3]
+    assert _table_builds("def f(t: MomentTable) -> MomentTable:\n    return t\n") == []
+
+
+def test_only_the_depth_owner_builds_moment_tables():
+    builds = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in TABLE_BUILDERS
+        for line in _table_builds(path.read_text())
+    ]
+    assert builds == []

@@ -11,14 +11,17 @@ from mpmath import mpf
 
 from semidop import (
     DivergentSeries,
+    IndexOutOfTable,
     MomentTable,
     PrecisionContext,
     PreconditionError,
+    SingularTruncation,
     parse_weight_spec,
 )
 from semidop import pipeline
 from semidop.cli import main as cli_main
 from semidop.cli import MAX_BITS, MAX_SIZE, parse_tolerance
+from semidop.flows import tau_derivative
 from semidop.pipeline import clear_cache, get_pipeline
 from semidop.report import (
     DEFAULT_SEED,
@@ -31,7 +34,7 @@ from semidop.report import (
 )
 from semidop.result import make_result
 
-from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER
+from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +100,28 @@ def test_run_suite_divergent_weight():
     cfg = SuiteConfig(weight=parse_weight_spec("a=1; eta=2"), **SMALL)
     with pytest.raises(DivergentSeries):
         run_suite(cfg)
+
+
+def test_run_suite_names_the_check_of_a_builder_error(monkeypatch, capsys):
+    # the builder's exception comes back with its type and fields, its message
+    # prefixed once with the check that read the builder
+    def singular(chol):
+        raise SingularTruncation(3)
+
+    monkeypatch.setattr(pipeline, "jacobi_matrix", singular)
+    clear_cache()
+    with pytest.raises(SingularTruncation) as err:
+        run_suite(SuiteConfig(weight=CHARLIER, checks=("orthogonality",), **SMALL))
+    assert err.value.index == 3
+    assert str(err.value) == "[orthogonality] singular or near-singular pivot at index 3"
+    clear_cache()
+    argv = ["verify", "--weight", "eta=7/10", "--size", "8", "--bits", str(BITS)]
+    assert cli_main(argv + ["--checks", "orthogonality"]) == 1
+    err_text = capsys.readouterr().err
+    assert err_text == (
+        "error: SingularTruncation: [orthogonality] singular or near-singular pivot at index 3\n"
+    )
+    clear_cache()
 
 
 def test_run_suite_and_roundtrip(tmp_path):
@@ -179,14 +204,14 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "f869b6ae17429a3f"),
-    ("b=3/2; eta=1/2", 12, "dd4eb9c327fa14ba"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "a112158d901a17b6"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "1db26eb56153d010"),
+    ("a=2; eta=1/2", 12, "e948a69132aaf979"),
+    ("b=3/2; eta=1/2", 12, "cdc0227216c63750"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "145eb0d05f194628"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "9bf0cf96eda71ffd"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "f0cb5d500240e8a1"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "df6eea9013b1bf74"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "80e4db8c44563893"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "868c8e28ce4a80bf"),
 ]
 
 
@@ -265,6 +290,41 @@ def test_suite_leaves_every_shared_matrix_as_built():
     assert compared > len(SHARED) + 1
 
 
+@pytest.mark.parametrize(
+    ("weight", "flow", "size"),
+    [(MEIXNER, 1, 12), (MEIXNER, 1, 2), (DEFORMED, 2, 8)],
+    ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
+)
+def test_witness_table_stops_at_rho_2k(weight, flow, size):
+    # an FD witness is read through its factorization: its table holds exactly
+    # rho_0 .. rho_2k, the bits of its weight's full-depth table, and is cached
+    # apart from that table's pipeline
+    clear_cache()
+    ctx = PrecisionContext(mantissa_bits=BITS)
+    base = get_pipeline(weight, 8, ctx)
+    assert base.flow_scaled(flow, Fraction(1)) is base
+    witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64), size)
+    full = get_pipeline(witness.weight, size, ctx)
+    assert full is not witness and full.table.m_max > 2 * size
+    assert base.flow_scaled(flow, 1 + Fraction(1, 2**64), size) is witness
+    assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
+    assert [x._mpf_ for x in witness.table.values] == [
+        x._mpf_ for x in full.table.values[: 2 * size + 1]
+    ]
+    assert witness.chol.h[size] == full.chol.h[size]
+    # the determinant engine reads rho_{2k+1} for d tau_{k+1}: past the table
+    with pytest.raises(IndexOutOfTable):
+        tau_derivative(witness.table, size + 1, (1, 0, 0))
+    assert tau_derivative(full.table, size + 1, (1, 0, 0)) != 0
+
+
+def test_kp_builds_witnesses_at_the_size_its_jets_read():
+    # at size 3 the first-order jet of tau_4 reads rho_7, past a size-3
+    # witness's rho_6: kp builds its witnesses at size 4
+    rep = run_suite(SuiteConfig(weight=DEFORMED, size=3, mantissa_bits=BITS, checks=("kp",)))
+    assert rep.passed
+
+
 def test_confirmation_reads_low_on_ill_conditioned_truncation():
     chol = get_pipeline(GEN_MEIXNER, 24, PrecisionContext(mantissa_bits=512)).chol
     assert chol.confirmed_bits < 512 - 64
@@ -276,7 +336,7 @@ def test_parse_tolerance_forms():
     assert parse_tolerance("0.25") == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage", "1/0", ""])
+@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage", "1/0", "", "1", "2", "1e400"])
 def test_parse_tolerance_rejects_nonpositive_and_nonfinite(text):
     with pytest.raises(ValueError, match="--tol"):
         parse_tolerance(text)
@@ -285,7 +345,7 @@ def test_parse_tolerance_rejects_nonpositive_and_nonfinite(text):
 # -- command-line interface -----------------------------------------------------
 
 @pytest.mark.parametrize("command", ["verify", "lattice", "toda", "kp", "psi"])
-@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage"])
+@pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "garbage", "1", "2", "1e400"])
 def test_cli_bad_tol_is_usage_error(command, text, capsys):
     argv = [command, "--weight", "eta=0.7", "--size", "6", "--bits", "128", "--tol", text]
     if command != "psi":
