@@ -438,21 +438,22 @@ class GramSums:
     """Sums S[n][m] of p_n p_m w over lattice points, for m <= n < count, each
     rounded once.
 
-    Every product p_n p_m w is exact: a point's finite values are read as
-    signed integers, the p_n at their smallest binary exponent, so the point's
-    terms share one exponent, and each sum accumulates them as an integer at
-    the exponent common to all sums, lowered (with 64 bits to spare) whenever
-    a point's exponent falls below it. ``lower()`` rounds each sum once, at
-    the precision in effect when it is called. A term with a nan or infinite
-    factor is formed, and summed into its pair's non-finite total, as the
-    ``mpf`` operators would: the sums the operator loop leaves nan or
-    infinite are nan or infinite here, with the same bits.
+    The sums stay exact between points. A point whose values are all finite
+    adds its terms as integers: the p_n are read at their smallest binary
+    exponent, so the point's terms share one exponent, and the sums are kept
+    at the exponent common to all points, lowered with 64 bits to spare when
+    a point's falls below it. A point with a nan or infinite value adds its
+    terms with libmp at precision 0, which does not round, to a second set of
+    raw sums. ``lower()`` rounds each total once, at the precision in effect
+    when it is called. libmp's nan and infinities do not depend on precision,
+    so the sums the operator loop leaves nan or infinite are nan or infinite
+    here, with the same bits.
     """
 
     def __init__(self, count: int):
-        self._exact = [[0] * (n + 1) for n in range(count)]
+        self._ints = [[0] * (n + 1) for n in range(count)]
         self._exp = None
-        self._special = {}
+        self._raw = None
 
     def add(self, pvec: list, weight) -> mpf:
         """Add the point's terms p_n p_m weight; returns the largest |term|.
@@ -464,8 +465,7 @@ class GramSums:
         summed but not counted.
         """
         prec, rnd = mp._prec_rounding
-        count = len(self._exact)
-        p = [_raw(x) for x in pvec[:count]]
+        p = [_raw(x) for x in pvec[: len(self._ints)]]
         w = _raw(weight)
         big = fzero
         for x in p:
@@ -473,60 +473,50 @@ class GramSums:
             if mpf_gt(a, big):
                 big = a
         v = mpf_abs(mpf_mul(mpf_mul(big, big, prec, rnd), w, prec, rnd))
-        contrib = v if mpf_gt(v, fzero) else fzero
-        bad = [n for n, x in enumerate(p) if _non_finite(x)]
-        if bad or _non_finite(w):
-            self._add_non_finite(p, w, bad, prec, rnd)
-        exps = [x[2] for x in p if x[1]]
-        if exps and w[1]:
-            self._add_exact(p, w, min(exps))
-        return mp.make_mpf(contrib)
+        if any(not x[1] and x[2] for x in p) or (not w[1] and w[2]):
+            self._add_raw(p, w)
+        elif w[1]:
+            self._add_ints(p, w)
+        return mp.make_mpf(v if mpf_gt(v, fzero) else fzero)
 
-    def _add_exact(self, p: list, w: tuple, low: int) -> None:
-        """Add the exact terms of the finite nonzero factors, the p_n at exponent low."""
-        ints = [((-x[1] if x[0] else x[1]) << (x[2] - low)) if x[1] else 0 for x in p]
+    def _add_ints(self, p: list, w: tuple) -> None:
+        """Add the exact terms of a point whose values are all finite."""
+        low = min((x[2] for x in p if x[1]), default=None)
+        if low is None:
+            return
         point_exp = 2 * low + w[2]
         if self._exp is None or point_exp < self._exp:
             target = point_exp - 64
             if self._exp is not None:
                 up = self._exp - target
-                self._exact = [[s << up for s in row] for row in self._exact]
+                self._ints = [[s << up for s in row] for row in self._ints]
             self._exp = target
+        ints = [(-x[1] if x[0] else x[1]) << (x[2] - low) if x[1] else 0 for x in p]
         wq = (-w[1] if w[0] else w[1]) << (point_exp - self._exp)
-        q = [x * wq for x in ints]
-        for pn, row in zip(ints, self._exact):
+        for pn, row in zip(ints, self._ints):
             if pn:
+                pnw = pn * wq
                 for m in range(len(row)):
-                    row[m] += pn * q[m]
+                    row[m] += pnw * ints[m]
 
-    def _add_non_finite(self, p: list, w: tuple, bad: list, prec: int, rnd: str) -> None:
-        """Sum the terms with a nan or infinite factor into their pairs' totals."""
-        special = self._special
-        every = _non_finite(w)
-        for n in range(len(self._exact)):
+    def _add_raw(self, p: list, w: tuple) -> None:
+        """Add the terms of a point with a nan or infinite value, unrounded."""
+        if self._raw is None:
+            self._raw = [[fzero] * len(row) for row in self._ints]
+        for n, row in enumerate(self._raw):
+            pnw = mpf_mul(p[n], w)
             for m in range(n + 1):
-                if every or n in bad or m in bad:
-                    term = mpf_mul(mpf_mul(p[n], p[m], prec, rnd), w, prec, rnd)
-                    held = special.get((n, m))
-                    special[(n, m)] = term if held is None else mpf_add(held, term, prec, rnd)
+                row[m] = mpf_add(row[m], mpf_mul(pnw, p[m]))
 
     def lower(self) -> Matrix:
         """Row n holds S[n][0..n], each sum rounded once."""
         prec, rnd = mp._prec_rounding
-        make = mp.make_mpf
+        raw = self._raw or [[fzero] * len(row) for row in self._ints]
         exp = self._exp or 0
         return [
-            [
-                make(self._special.get((n, m)) or from_man_exp(s, exp, prec, rnd))
-                for m, s in enumerate(row)
-            ]
-            for n, row in enumerate(self._exact)
+            [mp.make_mpf(mpf_add(from_man_exp(s, exp), r, prec, rnd)) for s, r in zip(*rows)]
+            for rows in zip(self._ints, raw)
         ]
-
-
-def _non_finite(x: tuple) -> bool:
-    """Whether a raw value is nan or infinite: no mantissa and a nonzero exponent."""
-    return not x[1] and x[2] != 0
 
 
 # -- diagonals and triangles ----------------------------------------------------

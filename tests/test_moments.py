@@ -552,9 +552,7 @@ CONTRACT_MIX = (
 
 def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     # the per-pass error bound certifies every column at the base guard: one
-    # contract mix at 512 bits sums 92 passes at 608 bits and 2 at 736 (the
-    # FD witnesses' tables stop at rho_2k, and uv_system shares the other
-    # flow checks' base-size witnesses)
+    # contract mix at 512 bits sums 116 passes at 608 bits and 3 at 736
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -567,7 +565,7 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert Counter(passes) == {(608, 0): 92, (736, 0): 2}
+    assert Counter(passes) == {(608, 0): 116, (736, 0): 3}
 
 
 def test_tiny_moments_widen_the_guard(monkeypatch):
