@@ -11,7 +11,6 @@ from .errors import (
     IndexOutOfTable,
     InvalidShift,
     PreconditionError,
-    RouteMismatch,
     SemidopError,
     SingularTruncation,
     TermBudgetExceeded,

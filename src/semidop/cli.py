@@ -20,7 +20,7 @@ from .errors import PreconditionError, SemidopError
 from .linalg import diagonal_of
 from .moments import MomentTable, PrecisionContext, decimal_str, moments_to_csv
 from .pipeline import get_pipeline
-from .report import REGISTRY, SuiteConfig, applicable, emit_report, run_suite
+from .report import REGISTRY, SuiteConfig, applicable, emit_report, run_suite, tolerance_in_range
 from .structure import psi_window
 from .weights import HypergeometricWeight, parse_weight_spec
 
@@ -52,7 +52,7 @@ def parse_tolerance(text: str) -> Fraction:
         tol = Fraction(2) ** int(m.group(1)) if m else Fraction(stripped)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--tol {text!r} is not a number") from None
-    if not 0 < tol < 1:
+    if not tolerance_in_range(tol):
         raise ValueError(f"--tol {text!r} must be positive and below 1")
     return tol
 

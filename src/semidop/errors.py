@@ -43,7 +43,3 @@ class SingularTruncation(SemidopError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"singular or near-singular pivot at index {index}")
-
-
-class RouteMismatch(SemidopError):
-    """Independent computation routes for the same matrix disagree."""

@@ -496,8 +496,8 @@ class CholeskyFactorization:
     """G = S^{-1} H S^{-T} data for one truncation.
 
     s is dense unit lower triangular; h the diagonal. confirmed_bits measures
-    agreement with the elimination redone at ctx.verify_bits on the verify
-    table ``table.rebuilt(verify_bits)``, a fresh table whose moments are
+    agreement with the elimination redone at table.ctx.verify_bits on the
+    verify table ``table.rebuilt(verify_bits)``, a fresh table whose moments are
     correctly rounded to verify_bits by a precision ladder of their own (the
     moments themselves are certified by their intervals); both eliminations
     take their pivot floor from ``ldl_pivot_floor``. A nan error ranks worst
@@ -510,11 +510,10 @@ class CholeskyFactorization:
     h: list
     size: int
     table: MomentTable
-    ctx: PrecisionContext
 
     @cached_property
     def confirmed_bits(self) -> float:
-        vbits = self.ctx.verify_bits
+        vbits = self.table.ctx.verify_bits
         dense = HankelTruncation(self.table.rebuilt(vbits), self.size).to_dense()
         l2, d2 = _ldl_of_dense(dense, vbits)
         with workprec(vbits):
@@ -552,11 +551,11 @@ def cholesky(g: HankelTruncation) -> CholeskyFactorization:
     No row exchanges: a small pivot raises SingularTruncation rather than
     permuting (permutation would sever the orthogonal-polynomial reading of S).
     """
-    ctx = g.table.ctx
-    l, d = _ldl_of_dense(g.to_dense(), ctx.mantissa_bits)
-    with workprec(ctx.mantissa_bits):
+    bits = g.table.ctx.mantissa_bits
+    l, d = _ldl_of_dense(g.to_dense(), bits)
+    with workprec(bits):
         s = unit_lower_inverse(l)
-    return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=g.size, table=g.table, ctx=ctx)
+    return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=g.size, table=g.table)
 
 
 def moments_to_csv(table: MomentTable, fileobj) -> None:

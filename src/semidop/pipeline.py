@@ -103,7 +103,7 @@ class WeightPipeline:
 
     @cached_property
     def jac(self) -> JacobiMatrix:
-        """Recurrence data through degree k (validated against the direct route)."""
+        """Recurrence data through degree k, checked only by ``coefficient_sums``."""
         return jacobi_matrix(self.chol)
 
     @cached_property

@@ -54,6 +54,11 @@ DEFAULT_SEED = 20260808
 LATTICE_N = (1, 2, 3, 4, 5, 6)
 
 
+def tolerance_in_range(tol) -> bool:
+    """Whether a relative tolerance is in (0, 1); 1 or more passes every residual."""
+    return 0 < tol < 1
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """What to verify: weight, truncation size, precision, tolerance (None
@@ -73,6 +78,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.size < 3:
             raise PreconditionError("suite size must be at least 3")
+        if self.tolerance is not None and not tolerance_in_range(self.tolerance):
+            raise PreconditionError(f"tolerance {self.tolerance} must be positive and below 1")
         if self.checks is not None and not self.checks:
             raise PreconditionError("selected checks must be nonempty")
 

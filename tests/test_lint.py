@@ -1,5 +1,6 @@
 """The repo's lint step: every import in ``src/semidop`` is used by its module,
-and the modules import one another in one layer order.
+every top-level function and class there is read somewhere, and the modules
+import one another in one layer order.
 
 No linter ships with the toolchain, so this test parses each module with
 ``ast``. A name imported but never read fails it, with one exception: a name
@@ -10,7 +11,9 @@ module of a later layer fails it too, unless the import sits under
 to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
 (``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
-(``moments``).
+(``moments``). A top-level ``def`` or ``class`` of the package must be read
+outside its own definition: by its module, another module (the ``__init__``
+re-exports do not count), a test or ``perfbench``.
 """
 
 import ast
@@ -166,3 +169,64 @@ def test_only_the_depth_owner_builds_moment_tables():
         for line in _table_builds(path.read_text())
     ]
     assert builds == []
+
+
+# -- dead code: every top-level definition is read somewhere --------------------
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(statements: list[ast.stmt]) -> set[str]:
+    """The names the statements read, as names or attributes; a name imported
+    as an alias counts as read where the alias is."""
+    read, aliases = set(), {}
+    for statement in statements:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update((alias.asname, alias.name) for alias in node.names if alias.asname)
+    return read | {aliases[name] for name in read if name in aliases}
+
+
+def _unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The top-level definitions of ``modules`` (name -> source) that nothing
+    reads outside their own definition; ``readers`` are further sources."""
+    bodies = {name: ast.parse(source).body for name, source in modules.items()}
+    reads = {name: _reads(body) for name, body in bodies.items()}
+    external = set().union(*(_reads(ast.parse(source).body) for source in readers))
+    unread = []
+    for module, body in bodies.items():
+        elsewhere = external.union(*(r for m, r in reads.items() if m != module))
+        for i, node in enumerate(body):
+            if isinstance(node, DEFINITIONS) and node.name not in elsewhere:
+                if node.name not in _reads(body[:i] + body[i + 1 :]):
+                    unread.append(f"{module}: {node.name}")
+    return unread
+
+
+def test_unread_definitions_flagged():
+    modules = {
+        "errors": "class Used(Exception): ...\nclass Left(Exception): ...\n",
+        "walk": "from .errors import Used\ndef down(n):\n    return down(n - 1) if n else Used\n"
+        "def up(n):\n    return n\nSTEP = up\n",
+    }
+    test = "from semidop.walk import down as descend\ndescend(3)\n"
+    assert _unread_definitions(modules, []) == ["errors: Left", "walk: down"]
+    assert _unread_definitions(modules, [test]) == ["errors: Left"]
+
+
+def test_every_definition_is_read():
+    modules = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    readers = [
+        path.read_text()
+        for folder in ("tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert _unread_definitions(modules, readers) == []

@@ -22,6 +22,7 @@ from semidop import pipeline
 from semidop.cli import main as cli_main
 from semidop.cli import MAX_BITS, MAX_SIZE, parse_tolerance
 from semidop.flows import tau_derivative
+from semidop.moments import decimal_str
 from semidop.pipeline import clear_cache, get_pipeline
 from semidop.report import (
     DEFAULT_SEED,
@@ -124,6 +125,42 @@ def test_run_suite_names_the_check_of_a_builder_error(monkeypatch, capsys):
     clear_cache()
 
 
+def test_route_disagreement_is_reported_not_raised(monkeypatch, tmp_path, capsys):
+    # move S[k-1][0] of the base factorization: J does not read it, the direct
+    # route S Lambda S^-1 does, so the two disagree inside J's window
+    real = pipeline.cholesky
+    k = SMALL["size"]
+
+    def planted(g):
+        chol = real(g)
+        if g.table.weight == CHARLIER and g.size == k + 1:
+            chol.s[k - 1][0] += 1
+        return chol
+
+    monkeypatch.setattr(pipeline, "cholesky", planted)
+    clear_cache()
+    cfg = SuiteConfig(weight=CHARLIER, **SMALL)
+    rep = run_suite(cfg)
+    # every selected check reports; poly_shift reports under labelled names
+    assert all(any(c.name.startswith(n) for c in rep.checks) for n in select_checks(cfg))
+    sums = next(c for c in rep.checks if c.name == "coefficient_sums")
+    assert not sums.passed and not rep.passed
+    assert sums.components["j_conjugation"] == decimal_str(sums.max_residual, 64)
+    assert mpf(sums.components["jh_symmetry"]) <= sums.tolerance
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--weight", "eta=7/10", "--size", str(k), "--bits", str(BITS)]
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    assert out.read_text() == rep.to_json()
+    assert "overall: FAIL" in capsys.readouterr().out
+    clear_cache()
+
+
+@pytest.mark.parametrize("tolerance", [Fraction(2), Fraction(0), Fraction(-1)])
+def test_suite_config_refuses_tolerance_outside_unit_interval(tolerance):
+    with pytest.raises(PreconditionError, match="tolerance"):
+        SuiteConfig(weight=CHARLIER, tolerance=tolerance, **SMALL)
+
+
 def test_run_suite_and_roundtrip(tmp_path):
     cfg = SuiteConfig(weight=CHARLIER, checks=("pearson", "tau_routes"), **SMALL)
     rep = run_suite(cfg)
@@ -204,14 +241,14 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "e948a69132aaf979"),
-    ("b=3/2; eta=1/2", 12, "cdc0227216c63750"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "145eb0d05f194628"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "9bf0cf96eda71ffd"),
+    ("a=2; eta=1/2", 12, "8e09db5ae4db4839"),
+    ("b=3/2; eta=1/2", 12, "48a0ab28ef7bd127"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "530229106f9319f2"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "83c6e6eccad2f9ac"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "df6eea9013b1bf74"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "ee7e144fa1a07c9e"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "868c8e28ce4a80bf"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "a473d0b83c14780d"),
 ]
 
 

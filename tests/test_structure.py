@@ -114,7 +114,7 @@ def test_s_inverse_trivial_identity(ctx, tol):
     eye = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
     table = MomentTable(CHARLIER, 10, ctx)
     fake = CholeskyFactorization(
-        s=eye, s_inv=eye, h=[mpf(1)] * n, size=n, table=table, ctx=ctx,
+        s=eye, s_inv=eye, h=[mpf(1)] * n, size=n, table=table,
     )
     fake_pipe = SimpleNamespace(chol=fake, bits=ctx.mantissa_bits)
     res = s_inverse_expansion_check(fake_pipe, tol)
@@ -203,13 +203,17 @@ def test_orthogonality_direct_sums(ctx, tol, meixner_pipe):
     assert res.passed, res.components
 
 
-def test_coefficient_sums(ctx, tol):
+def test_coefficient_sums(ctx, tol, deformed_pipe):
     from semidop.pipeline import get_pipeline
 
     gen_charlier = HypergeometricWeight(b=(Fraction(3, 2),), eta=Fraction(1, 2))
     pipe = get_pipeline(gen_charlier, 12, ctx)
-    res = coefficient_sum_check(pipe, tol)
-    assert res.passed, res.components
+    # J = S Lambda S^-1 and the symmetry of J H are reported for every weight,
+    # the deformed one included
+    for checked in [pipe, deformed_pipe] + [get_pipeline(w, 8, ctx) for w in FAMILIES.values()]:
+        res = coefficient_sum_check(checked, tol)
+        assert res.passed, res.components
+        assert {"j_conjugation", "jh_symmetry"} <= set(res.components)
     # explicit small cases: p1_1 = -beta_0 = -rho_1/rho_0 and the Charlier
     # constant coefficient p2_2 = eta^2 (= -gamma_1 + beta_1 beta_0)
     with workprec(BITS):

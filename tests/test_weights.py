@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_rational, round_nearest
@@ -179,6 +179,26 @@ def test_spec_grammar_roundtrip():
     assert w.eta2 == Fraction(9, 10)
     assert parse_weight_spec(w.spec_string()) == w
     assert parse_weight_spec("eta=0.7") == parse_weight_spec("eta=7/10")
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=1000)
+DEFORMATIONS = st.fractions(min_value=-1, max_value=1, max_denominator=1000)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(RATIONALS, max_size=3),
+    st.lists(RATIONALS, max_size=3),
+    RATIONALS,
+    DEFORMATIONS,
+    DEFORMATIONS,
+)
+def test_spec_string_roundtrips_through_the_grammar(a, b, eta, eta2, eta3):
+    try:
+        w = HypergeometricWeight(a=tuple(a), b=tuple(b), eta=eta, eta2=eta2, eta3=eta3)
+    except UndefinedWeight:
+        assume(False)
+    assert parse_weight_spec(w.spec_string()) == w
 
 
 def test_spec_grammar_errors():
