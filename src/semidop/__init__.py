@@ -24,11 +24,9 @@ from .flows import (
 )
 from .moments import (
     CholeskyFactorization,
-    HankelTruncation,
     MomentTable,
     PrecisionContext,
     cholesky,
-    gram_truncation,
     hankel_determinant,
     moment,
     moments_to_csv,

@@ -76,7 +76,8 @@ def _context(args) -> PrecisionContext:
 
 
 def _load_weight(args) -> HypergeometricWeight:
-    """The weight of --config or --weight; a malformed spec is a usage error."""
+    """The weight of --config or --weight; a spec the grammar or the weight
+    refuses is a usage error naming the flag."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             lines = [line.split("#", 1)[0].strip() for line in fh]
@@ -87,7 +88,7 @@ def _load_weight(args) -> HypergeometricWeight:
         raise PreconditionError("a weight is required (--weight or --config)")
     try:
         return parse_weight_spec(spec)
-    except ValueError as exc:
+    except (ValueError, SemidopError) as exc:
         raise PreconditionError(f"{flag}: {exc}") from None
 
 

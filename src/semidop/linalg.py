@@ -26,8 +26,8 @@ it. No other module does arithmetic on raw values.
 ``GramSums``, the accumulator of the orthogonality sums, reads raw values too
 but keeps a different contract: it sums the products p_n p_m w exactly, as
 integers, and rounds each sum once, where the operator loop rounds each
-product twice and each addition once. Only the maximum it returns for the
-stop rule, and its nan and infinite sums, are the operators' bits.
+product twice and each addition once. Only its nan and infinite sums are the
+operators' bits.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
@@ -455,29 +455,14 @@ class GramSums:
         self._exp = None
         self._raw = None
 
-    def add(self, pvec: list, weight) -> mpf:
-        """Add the point's terms p_n p_m weight; returns the largest |term|.
-
-        The maximum is that of the terms the ``mpf`` operators would form,
-        p_n p_m rounded and then times weight rounded, bit for bit. Rounding
-        to nearest is monotone and |p_n p_m| <= max(p_n^2, p_m^2), so the
-        largest is the term of the largest |p_n| with itself. A nan term is
-        summed but not counted.
-        """
-        prec, rnd = mp._prec_rounding
+    def add(self, pvec: list, weight) -> None:
+        """Add the point's terms p_n p_m weight."""
         p = [_raw(x) for x in pvec[: len(self._ints)]]
         w = _raw(weight)
-        big = fzero
-        for x in p:
-            a = mpf_abs(x)
-            if mpf_gt(a, big):
-                big = a
-        v = mpf_abs(mpf_mul(mpf_mul(big, big, prec, rnd), w, prec, rnd))
         if any(not x[1] and x[2] for x in p) or (not w[1] and w[2]):
             self._add_raw(p, w)
         elif w[1]:
             self._add_ints(p, w)
-        return mp.make_mpf(v if mpf_gt(v, fzero) else fzero)
 
     def _add_ints(self, p: list, w: tuple) -> None:
         """Add the exact terms of a point whose values are all finite."""

@@ -82,8 +82,9 @@ def decimal_str(x, bits: int) -> str:
     return mp.nstr(x, digits)
 
 
-# The lattice points a moment series may visit before it is refused; the
-# direct sums of the orthogonality check stop there too.
+# The lattice points a moment series may visit before it is refused. The
+# orthogonality witness sums over the points of the accepted pass, so this is
+# its budget too.
 MAX_TERMS = 100_000
 
 
@@ -277,8 +278,9 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
 
 def _rounded_moments(
     w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext
-) -> list:
-    """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass that proves it.
+) -> tuple[list, int]:
+    """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
+    that proves it, and K, the last lattice point of that pass.
 
     The passes climb one precision ladder: the mantissa plus each of
     _ROUNDING_GUARD_BITS, and verify_bits, in increasing order. A pass at
@@ -291,6 +293,10 @@ def _rounded_moments(
     to the same value, those values are the correctly rounded moments (a
     Ziv-style test; an exact column, r_m = 0, always passes). If no rung
     proves them, the last pass is rounded as it stands.
+
+    For an infinite series the accepted pass stopped where ``_tail_shortfall``
+    proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max,
+    with bits >= ctx.mantissa_bits + 96; for a finite support K is q.
     """
     _refuse_uncertifiable(w, classification, m_max)
     target = ctx.mantissa_bits
@@ -300,7 +306,7 @@ def _rounded_moments(
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
-            sums, errors, _ = _fixed_point_pass(w, classification.q, m_max, bits, scale)
+            sums, errors, last = _fixed_point_pass(w, classification.q, m_max, bits, scale)
             short = max(
                 (
                     (err << shift).bit_length() - abs(s).bit_length() + 1
@@ -325,14 +331,14 @@ def _rounded_moments(
                 break
             values.append(mp.make_mpf(low))
         else:
-            return values
+            return values, last
     with workprec(target):
-        return [mpf((s, -scale)) for s in sums]
+        return [mpf((s, -scale)) for s in sums], last
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
     """rho_m as a one-shot series evaluation."""
-    return _rounded_moments(w, classify_convergence(w), m, ctx)[m]
+    return _rounded_moments(w, classify_convergence(w), m, ctx)[0][m]
 
 
 class MomentTable:
@@ -342,7 +348,10 @@ class MomentTable:
     precision ladder that proves every column's rounding, so they depend on
     the weight alone, not on the depth or the pass precision (if no rung proves
     them, they are the verify_bits pass rounded). ``rebuilt`` serves other
-    mantissas.
+    mantissas. ``last_point`` is K, the last lattice point of that pass: q for
+    a finite support, else the first point past which every column's tail of
+    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. The
+    orthogonality witness sums over the points 0 .. K.
 
     Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
     the (sorted) row-index tuple; these are the building blocks of the exact
@@ -354,14 +363,16 @@ class MomentTable:
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
         classification = classify_convergence(w)
-        self._fill(w, m_max, ctx, classification, _rounded_moments(w, classification, m_max, ctx))
+        values, last = _rounded_moments(w, classification, m_max, ctx)
+        self._fill(w, m_max, ctx, classification, values, last)
 
-    def _fill(self, w, m_max, ctx, classification, values: list) -> None:
+    def _fill(self, w, m_max, ctx, classification, values: list, last_point: int) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
         self.classification = classification
         self.values = values
+        self.last_point = last_point
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._leading: dict[int, LUFactors] = {}
         self._row_solves: dict[tuple[int, int], list] = {}
@@ -440,17 +451,11 @@ class MomentTable:
         return cache[key]
 
 
-@dataclass(frozen=True)
-class HankelTruncation:
-    """Size-k leading window of the moment matrix; entries shared with the table."""
-
-    table: MomentTable
-    size: int
-
-    def to_dense(self) -> Matrix:
-        k = self.size
-        vals = self.table.values
-        return [[vals[n + m] for m in range(k)] for n in range(k)]
+def _hankel_block(table: MomentTable, k: int) -> Matrix:
+    """The leading k x k window G[k] of the moment matrix; its entries are the
+    table's own values, so a Hankel shift holds by identity."""
+    vals = table.values
+    return [[vals[n + m] for m in range(k)] for n in range(k)]
 
 
 def _check_support(table: MomentTable, k: int) -> None:
@@ -460,15 +465,6 @@ def _check_support(table: MomentTable, k: int) -> None:
         raise TruncationTooLarge(
             f"finite-support weight admits truncations up to {cap}, requested {k}"
         )
-
-
-def gram_truncation(table: MomentTable, k: int) -> HankelTruncation:
-    if k < 1:
-        raise ValueError("truncation size must be positive")
-    if 2 * k - 2 > table.m_max:
-        raise IndexOutOfTable(f"size {k} needs moment {2 * k - 2}, table depth {table.m_max}")
-    _check_support(table, k)
-    return HankelTruncation(table, k)
 
 
 def hankel_determinant(table: MomentTable, k: int) -> mpf:
@@ -514,8 +510,7 @@ class CholeskyFactorization:
     @cached_property
     def confirmed_bits(self) -> float:
         vbits = self.table.ctx.verify_bits
-        dense = HankelTruncation(self.table.rebuilt(vbits), self.size).to_dense()
-        l2, d2 = _ldl_of_dense(dense, vbits)
+        l2, d2 = _ldl_of_dense(_hankel_block(self.table.rebuilt(vbits), self.size), vbits)
         with workprec(vbits):
             worst = mpf(0)
             for n in range(self.size):
@@ -545,17 +540,24 @@ class CholeskyFactorization:
         return min(abs(x) for x in self.h)
 
 
-def cholesky(g: HankelTruncation) -> CholeskyFactorization:
-    """Factor the truncation at the working precision of its moment table.
+def cholesky(table: MomentTable, k: int) -> CholeskyFactorization:
+    """Factor the size-k truncation G[k] at the working precision of its table.
 
-    No row exchanges: a small pivot raises SingularTruncation rather than
-    permuting (permutation would sever the orthogonal-polynomial reading of S).
+    Refuses a size below 1, a truncation deeper than the table (G[k] reads
+    rho_{2k-2}) and one beyond a finite support's q + 1 points. No row
+    exchanges: a small pivot raises SingularTruncation rather than permuting
+    (permutation would sever the orthogonal-polynomial reading of S).
     """
-    bits = g.table.ctx.mantissa_bits
-    l, d = _ldl_of_dense(g.to_dense(), bits)
+    if k < 1:
+        raise ValueError("truncation size must be positive")
+    if 2 * k - 2 > table.m_max:
+        raise IndexOutOfTable(f"size {k} needs moment {2 * k - 2}, table depth {table.m_max}")
+    _check_support(table, k)
+    bits = table.ctx.mantissa_bits
+    l, d = _ldl_of_dense(_hankel_block(table, k), bits)
     with workprec(bits):
         s = unit_lower_inverse(l)
-    return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=g.size, table=g.table)
+    return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=k, table=table)
 
 
 def moments_to_csv(table: MomentTable, fileobj) -> None:

@@ -46,7 +46,6 @@ from .moments import (
     MomentTable,
     PrecisionContext,
     cholesky,
-    gram_truncation,
 )
 from .structure import (
     JacobiMatrix,
@@ -99,7 +98,7 @@ class WeightPipeline:
 
     @cached_property
     def chol(self) -> CholeskyFactorization:
-        return cholesky(gram_truncation(self.table, self.k + 1))
+        return cholesky(self.table, self.k + 1)
 
     @cached_property
     def jac(self) -> JacobiMatrix:

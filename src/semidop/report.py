@@ -78,6 +78,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.size < 3:
             raise PreconditionError("suite size must be at least 3")
+        try:
+            self.context()
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from None
         if self.tolerance is not None and not tolerance_in_range(self.tolerance):
             raise PreconditionError(f"tolerance {self.tolerance} must be positive and below 1")
         if self.checks is not None and not self.checks:

@@ -55,13 +55,11 @@ from .linalg import (
     window_diff,
     zeros,
 )
-from .moments import MAX_TERMS, CholeskyFactorization, ldl_pivot_floor
+from .moments import CholeskyFactorization, ldl_pivot_floor
 from .result import CheckResult, ResidualAccumulator, make_result
 from .weights import (
     HypergeometricWeight,
-    classify_convergence,
     pearson_polynomials,
-    term_ratio_limit,
     to_mpf,
     weight_sequence,
 )
@@ -355,42 +353,26 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
 
     This is the independent witness for the whole Hankel/elimination path: the
     polynomials are evaluated pointwise by recurrence and summed against the
-    weight itself, until the terms stay below 2^-(bits - 32) of the smallest
-    norm.
+    weight itself over the points 0 .. K of the pass that built the moment
+    table (``MomentTable.last_point``). A finite support ends there. Otherwise
+    that pass proved sum_{k > K} k^j |w(k)| <= 2^-(bits - 31) |rho_j| for every
+    column j of the table, which reaches past rho_{2 nmax}; so with
+    p_n(z) = sum_i c_{n,i} z^i, each sum misses at most
+
+        |sum_{k > K} p_n(k) p_m(k) w(k)| <= 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|,
+
+    a bound that does not read the norms under test.
     """
     w, jac, h = pipe.weight, pipe.jac, pipe.chol.h
     bits = pipe.bits
     if nmax + 1 > jac.size:
         raise PreconditionError("orthogonality range exceeds recurrence data")
+    points = pipe.table.last_point + 1
     with workprec(bits):
         acc = ResidualAccumulator()
-        tol_series = mpf(2) ** -(bits - 32)
         gram = GramSums(nmax + 1)
-        classification = classify_convergence(w)
-        limit = to_mpf(term_ratio_limit(w))
-        cap = classification.support_cap
-        weights = weight_sequence(w)
-        prev_contrib = None
-        streak = 0
-        k = 0
-        floor = min(abs(x) for x in h[: nmax + 1])
-        while True:
-            if cap is not None and k >= cap:
-                break
-            if k >= MAX_TERMS:
-                break
-            contrib = gram.add(polynomial_vector(jac, k, nmax + 1), to_mpf(next(weights)))
-            if k > 2 * nmax + 2 and contrib <= tol_series * floor:
-                streak += 1
-                ratio_ok = prev_contrib is not None and (
-                    prev_contrib == 0 or max(contrib / prev_contrib, limit) < 1
-                )
-                if streak >= 4 and ratio_ok:
-                    break
-            else:
-                streak = 0
-            prev_contrib = contrib
-            k += 1
+        for k, weight in zip(range(points), weight_sequence(w)):
+            gram.add(polynomial_vector(jac, k, nmax + 1), to_mpf(weight))
 
         sums = gram.lower()
         for n in range(nmax + 1):
@@ -403,7 +385,7 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
         return acc.result(
             "orthogonality",
             tolerance,
-            window=f"degrees up to {nmax}, {k} lattice points",
+            window=f"degrees up to {nmax}, {points} lattice points",
         )
 
 

@@ -410,15 +410,3 @@ def classify_convergence(w: HypergeometricWeight) -> ConvergenceClass:
         if abs(w.eta) == 1 and sum(w.b) - sum(w.a) > 0:
             return ConvergenceClass("boundary")
     return ConvergenceClass("divergent")
-
-
-def term_ratio_limit(w: HypergeometricWeight) -> Fraction:
-    """Limit of |w(k+1) k^m / (w(k) (k+1)^m)| ... as k grows, for tail bounds.
-
-    Zero except in the M = N+1 undeformed case, where it is |eta|.
-    """
-    if abs(w.eta2) < 1 or abs(w.eta3) < 1:
-        return Fraction(0)
-    if w.m_degree == w.n_degree + 1:
-        return abs(w.eta)
-    return Fraction(0)

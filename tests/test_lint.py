@@ -230,3 +230,39 @@ def test_every_definition_is_read():
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert _unread_definitions(modules, readers) == []
+
+
+# -- one owner for the lattice stop ---------------------------------------------
+
+# The names that decide where a lattice pass stops. Only ``moments`` reads them;
+# every other walk over the lattice sums the points of a pass it accepted.
+LATTICE_STOP = {"MAX_TERMS", "_ratio_sup", "_tail_shortfall"}
+
+
+def _stop_reads(source: str) -> list[str]:
+    """The lattice-stop names a module imports or reads, as names or attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & LATTICE_STOP)
+
+
+def test_stop_reads_flagged():
+    source = "from .moments import MAX_TERMS as CAP\nfrom . import moments\nmoments._ratio_sup(w, 0)\n"
+    assert _stop_reads(source) == ["MAX_TERMS", "_ratio_sup"]
+    assert _stop_reads("from .moments import MomentTable\n") == []
+
+
+def test_only_moments_decides_the_lattice_stop():
+    reads = [
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "moments"
+        for name in _stop_reads(path.read_text())
+    ]
+    assert reads == []

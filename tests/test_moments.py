@@ -20,7 +20,6 @@ from semidop import (
     TruncationTooLarge,
     cholesky,
     clear_cache,
-    gram_truncation,
     hankel_determinant,
     moment,
     moments_to_csv,
@@ -84,20 +83,20 @@ def test_flow_shifted_moments(ctx):
 
 def test_gram_truncation_structure(ctx):
     table = MomentTable(CHARLIER, 12, ctx)
-    g1 = gram_truncation(table, 1)
-    assert g1.to_dense() == [[table.moment(0)]]
-    g2 = gram_truncation(table, 2)
-    assert g2.to_dense() == [
+    assert moments_module._hankel_block(table, 1) == [[table.moment(0)]]
+    assert moments_module._hankel_block(table, 2) == [
         [table.moment(0), table.moment(1)],
         [table.moment(1), table.moment(2)],
     ]
     # Hankel shift holds exactly: shared storage, identical objects
-    dense = gram_truncation(table, 5).to_dense()
+    dense = moments_module._hankel_block(table, 5)
     for n in range(4):
         for m in range(4):
             assert dense[n + 1][m] is dense[n][m + 1]
     with pytest.raises(IndexOutOfTable):
-        gram_truncation(table, 8)
+        cholesky(table, 8)
+    with pytest.raises(ValueError):
+        cholesky(table, 0)
 
 
 def test_charlier_eta1_gram_entries(ctx):
@@ -107,16 +106,16 @@ def test_charlier_eta1_gram_entries(ctx):
         tol = mpf(2) ** -(BITS - 40)
         # rho_2 = (eta + eta^2) e^eta = 2 e at eta = 1
         assert abs(table.moment(2) - 2 * mp.e) < tol
-        g = gram_truncation(table, 2).to_dense()
+        g = moments_module._hankel_block(table, 2)
         assert abs(g[1][1] - 2 * mp.e) < tol
 
 
 def test_finite_support_cap(ctx):
     w = HypergeometricWeight(a=(-3,), eta=Fraction(1, 2))
     table = MomentTable(w, 12, ctx)
-    gram_truncation(table, 4)
+    assert cholesky(table, 4).size == 4
     with pytest.raises(TruncationTooLarge):
-        gram_truncation(table, 5)
+        cholesky(table, 5)
     with pytest.raises(TruncationTooLarge):
         hankel_determinant(table, 5)
 
@@ -157,27 +156,26 @@ def test_cholesky_reconstruction(ctx):
     from semidop.linalg import mat_mul, transpose, window_diff
 
     table = MomentTable(MEIXNER, 20, ctx)
-    g = gram_truncation(table, 8)
-    ch = cholesky(g)
+    ch = cholesky(table, 8)
     assert ch.s[0][0] == 1 and len(ch.h) == 8
     with workprec(BITS):
         l = ch.s_inv
         ldlt = mat_mul(l, mat_mul([[ch.h[i] if i == j else mpf(0) for j in range(8)] for i in range(8)], transpose(l)))
-        diff, scale = window_diff(ldlt, g.to_dense(), 8)
+        diff, scale = window_diff(ldlt, moments_module._hankel_block(table, 8), 8)
         assert diff / scale < mpf(2) ** -(BITS - 60)
     assert ch.confirmed_bits >= BITS - 64
 
 
 def test_confirmed_bits_keep_a_nan_error(ctx):
     # a nan norm agrees with nothing: its error ranks above every finite one
-    ch = cholesky(gram_truncation(MomentTable(CHARLIER, 20, ctx), 8))
+    ch = cholesky(MomentTable(CHARLIER, 20, ctx), 8)
     ch.h[3] = mpf("nan")
     assert isnan(ch.confirmed_bits)
 
 
 def test_cholesky_h_against_determinant_ratios(ctx):
     table = MomentTable(CHARLIER, 20, ctx)
-    ch = cholesky(gram_truncation(table, 8))
+    ch = cholesky(table, 8)
     with workprec(BITS):
         for n in range(8):
             expect = hankel_determinant(table, n + 1) / hankel_determinant(table, n)
@@ -189,7 +187,7 @@ def test_cholesky_against_rational_oracle(ctx):
     reduced = charlier_reduced_moments(Fraction(7, 10), 20)
     beta_o, gamma_o, _ = recurrence_from_moments(reduced, 9)
     table = MomentTable(CHARLIER, 20, ctx)
-    ch = cholesky(gram_truncation(table, 9))
+    ch = cholesky(table, 9)
     with workprec(BITS):
         for n in range(8):
             beta = ch.p(1, n) - ch.p(1, n + 1)
@@ -206,8 +204,8 @@ def test_determinism_bit_identical(ctx):
     t1 = MomentTable(MEIXNER, 10, ctx)
     t2 = MomentTable(MEIXNER, 10, ctx)
     assert t1.values == t2.values
-    c1 = cholesky(gram_truncation(t1, 5))
-    c2 = cholesky(gram_truncation(t2, 5))
+    c1 = cholesky(t1, 5)
+    c2 = cholesky(t2, 5)
     assert c1.h == c2.h and c1.s == c2.s
 
 
@@ -304,7 +302,7 @@ def test_kernel_sums_lattice_once(ctx, monkeypatch):
     # confirmed_bits adds exactly one pass, that of the verify table
     calls = _count_passes(monkeypatch)
     table = MomentTable(MEIXNER, 20, ctx)
-    chol = cholesky(gram_truncation(table, 8))
+    chol = cholesky(table, 8)
     assert len(calls) == 1
     assert chol.confirmed_bits > 0
     assert len(calls) == 2
@@ -667,7 +665,7 @@ def test_singular_leading_block_takes_the_full_lu(monkeypatch):
     # 3 x 3 LU, while (0, 3) borders the regular G_1 with a 1 x 1 complement
     values = [mpf(v) for v in (1, 1, 1, 2, 3, 5, 8)]
     table = MomentTable.__new__(MomentTable)
-    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, values)
+    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, values, 0)
     sizes = []
     real = moments_module.lu_determinant
 

@@ -131,9 +131,9 @@ def test_route_disagreement_is_reported_not_raised(monkeypatch, tmp_path, capsys
     real = pipeline.cholesky
     k = SMALL["size"]
 
-    def planted(g):
-        chol = real(g)
-        if g.table.weight == CHARLIER and g.size == k + 1:
+    def planted(table, size):
+        chol = real(table, size)
+        if table.weight == CHARLIER and size == k + 1:
             chol.s[k - 1][0] += 1
         return chol
 
@@ -159,6 +159,14 @@ def test_route_disagreement_is_reported_not_raised(monkeypatch, tmp_path, capsys
 def test_suite_config_refuses_tolerance_outside_unit_interval(tolerance):
     with pytest.raises(PreconditionError, match="tolerance"):
         SuiteConfig(weight=CHARLIER, tolerance=tolerance, **SMALL)
+
+
+def test_suite_config_refuses_mantissa_below_the_precision_floor():
+    # PrecisionContext's floor is 64 bits; the config refuses below it up front
+    for bits in (16, 63):
+        with pytest.raises(PreconditionError, match="mantissa_bits"):
+            SuiteConfig(weight=CHARLIER, size=6, mantissa_bits=bits)
+    assert SuiteConfig(weight=CHARLIER, size=6, mantissa_bits=64).context().mantissa_bits == 64
 
 
 def test_run_suite_and_roundtrip(tmp_path):
@@ -241,14 +249,14 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "8e09db5ae4db4839"),
-    ("b=3/2; eta=1/2", 12, "48a0ab28ef7bd127"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "530229106f9319f2"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "83c6e6eccad2f9ac"),
+    ("a=2; eta=1/2", 12, "18a78d10debd4b07"),
+    ("b=3/2; eta=1/2", 12, "aa40dc9f4f8c725e"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "d30644f5a8dc2003"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "7c3596439295b2b9"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "ee7e144fa1a07c9e"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "41c4d45ea8c3b5ca"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "a473d0b83c14780d"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "d81cc6025c1e0752"),
 ]
 
 
@@ -402,6 +410,10 @@ def test_cli_bad_tol_is_usage_error(command, text, capsys):
         (["moments", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
         (["verify", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
         (["psi", "--weight", "eta=1/2", "--bits", "10"], "--bits"),
+        # parsed by the grammar, refused by the weight
+        (["verify", "--weight", "b=-1; eta=1/2"], "--weight"),
+        (["verify", "--weight", "b=0; eta=1/2"], "--weight"),
+        (["verify", "--weight", "eta=1/2; eta2=2"], "--weight"),
     ],
 )
 def test_cli_bad_input_is_usage_error(argv, names, capsys):

@@ -2,10 +2,18 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import ldexp, mpf, workprec
 
-from semidop import MomentTable, pascal_matrix, pascal_subdiagonal
-from semidop.linalg import diag, diagonal_of, mat_mul, mat_vec, poly_of_matrix, transpose
+from semidop import (
+    MomentTable,
+    PrecisionContext,
+    SuiteConfig,
+    pascal_matrix,
+    pascal_subdiagonal,
+    run_suite,
+)
+from semidop.linalg import GramSums, diag, diagonal_of, mat_mul, mat_vec, poly_of_matrix, transpose
+from semidop.pipeline import get_pipeline
 from semidop.structure import (
     ROUTE_NAMES,
     coefficient_sum_check,
@@ -23,7 +31,13 @@ from semidop.structure import (
     structure_cholesky_check,
     structure_shift_residual,
 )
-from semidop.weights import HypergeometricWeight, pearson_polynomials, to_mpf
+from semidop.weights import (
+    HypergeometricWeight,
+    parse_weight_spec,
+    pearson_polynomials,
+    to_mpf,
+    weight_sequence,
+)
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import meixner_reduced_moments, recurrence_from_moments
@@ -201,6 +215,60 @@ def test_three_term_recurrence_residual(gen_meixner_pipe):
 def test_orthogonality_direct_sums(ctx, tol, meixner_pipe):
     res = orthogonality_check(meixner_pipe, 6, tol)
     assert res.passed, res.components
+
+
+def _gram_over(pipe, nmax: int, points: int) -> list:
+    """The orthogonality walk's Gram sums over the lattice points 0 .. points - 1."""
+    gram = GramSums(nmax + 1)
+    for k, weight in zip(range(points), weight_sequence(pipe.weight)):
+        gram.add(polynomial_vector(pipe.jac, k, nmax + 1), to_mpf(weight))
+    return gram.lower()
+
+
+@pytest.mark.parametrize(
+    ("spec", "size"),
+    [
+        ("eta=7/10", 12),
+        ("a=2; eta=1/2", 12),
+        ("b=3/2; eta=1/2", 12),
+        ("a=3/2; b=5/2; eta=1/3", 12),
+        ("eta=1/2; eta2=9/10; eta3=9/10", 8),
+    ],
+)
+def test_orthogonality_tail_is_within_its_certificate(spec, size):
+    # the walk stops at K, the last point of the moment table's pass; the
+    # points K + 1 .. 2K move each Gram sum by at most
+    # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|
+    bits = 512
+    pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
+    nmax = min(8, pipe.jac.size - 1)
+    last = pipe.table.last_point
+    c, rho = pipe.chol.s, pipe.table.values
+    with workprec(bits):
+        walked = _gram_over(pipe, nmax, last + 1)
+        longer = _gram_over(pipe, nmax, 2 * last + 1)
+        for n in range(nmax + 1):
+            for m in range(n + 1):
+                terms = (abs(c[n][i] * c[m][j] * rho[i + j]) for i in range(n + 1) for j in range(m + 1))
+                bound = ldexp(sum(terms, mpf(0)), -(bits - 31))
+                assert abs(longer[n][m] - walked[n][m]) <= bound, (n, m)
+
+
+def test_orthogonality_walk_reaches_the_rounding_floor():
+    # Meixner's sums stop where the moment pass certified its tails, far past
+    # the truncation error of 2^-530 a norm-relative stop rule left in cross[8, 7]
+    report = run_suite(SuiteConfig(weight=MEIXNER, size=12, checks=("orthogonality",)))
+    (res,) = report.checks
+    assert res.passed and res.max_residual < mpf(2) ** -600, res.components
+
+
+def test_orthogonality_walks_a_finite_support_to_its_last_point():
+    # w(k) = 0 past q = 5: the moment pass ends at q and the walk sums q + 1 points
+    pipe = get_pipeline(parse_weight_spec("a=-5; eta=1/2"), 5, PrecisionContext(mantissa_bits=512))
+    assert pipe.table.last_point == 5
+    res = orthogonality_check(pipe, 4, Fraction(1, 2**128))
+    assert res.passed, res.components
+    assert res.window == "degrees up to 4, 6 lattice points"
 
 
 def test_coefficient_sums(ctx, tol, deformed_pipe):

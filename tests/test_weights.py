@@ -17,7 +17,7 @@ from semidop import (
     shift_parameter,
     weight_value,
 )
-from semidop.weights import HypergeometricWeight, term_ratio_limit, to_mpf, weight_sequence
+from semidop.weights import HypergeometricWeight, to_mpf, weight_sequence
 
 from conftest import CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER, MEIXNER
 
@@ -93,12 +93,6 @@ def test_weight_sequence_matches_weight_value(w, count):
         values = weight_sequence(w)
         for k in range(count):
             assert to_mpf(next(values)) == weight_value(w, k)
-
-
-def test_term_ratio_limit():
-    assert term_ratio_limit(MEIXNER) == Fraction(1, 2)
-    assert term_ratio_limit(CHARLIER) == 0
-    assert term_ratio_limit(HypergeometricWeight(eta=2, eta2=Fraction(9, 10))) == 0
 
 
 def test_shifts():
