@@ -4,7 +4,8 @@ Subcommands: moments, recurrence, psi (structure-matrix diagonals), verify
 (run the residual suite), lattice, toda, kp (suite subsets). Exit codes:
 0 all selected checks pass, 1 computational failure or failing check,
 2 usage/configuration error, including a --size, --bits or --max-m above its
-cap.
+cap: --size and --bits follow the caps of ``report.refuse_over_caps``, and
+--max-m is capped at 2 * MAX_SIZE - 2, the depth of `moments --size 64`.
 """
 
 from __future__ import annotations
@@ -20,25 +21,20 @@ from .errors import PreconditionError, SemidopError
 from .linalg import diagonal_of
 from .moments import MomentTable, PrecisionContext, decimal_str, moments_to_csv
 from .pipeline import get_pipeline
-from .report import REGISTRY, SuiteConfig, applicable, emit_report, run_suite, tolerance_in_range
+from .report import (
+    MAX_SIZE,
+    REGISTRY,
+    SuiteConfig,
+    applicable,
+    emit_report,
+    refuse_over_caps,
+    run_suite,
+    tolerance_in_range,
+)
 from .structure import psi_window
 from .weights import HypergeometricWeight, parse_weight_spec
 
 _DISPLAY_DIGITS = 30
-
-# Caps on --size and --bits, refused as usage errors before anything is built;
-# --max-m is capped at 2 * MAX_SIZE - 2, the depth of `moments --size 64`.
-# The checks are meant for truncations k <= ~32, and 8192 bits is sixteen times
-# the default. Cost grows fast past them: on a 2-vCPU Xeon, recurrence took
-# 17 s at size 64 and 8192 bits, and 38 s at size 128 and 4096 bits. The
-# dense kernels cost about size^3 operations on bits-wide numbers, so the flags
-# are also capped jointly: size^3 * bits may not pass MAX_WORK, its value at
-# --size 64 and the default 512 bits. Each flag at its cap with the other at
-# its default stays accepted.
-MAX_SIZE = 64
-MAX_BITS = 8192
-MAX_WORK = MAX_SIZE**3 * 512
-
 
 def parse_tolerance(text: str) -> Fraction:
     """Accept 2^-128 style, rationals like 1/1024, or decimal literals.
@@ -245,14 +241,7 @@ def main(argv=None) -> int:
         "kp": _cmd_suite,
     }
     try:
-        for flag, value, cap in (("--size", args.size, MAX_SIZE), ("--bits", args.bits, MAX_BITS)):
-            if value > cap:
-                raise PreconditionError(f"{flag} {value} exceeds the cap {cap}")
-        if args.size**3 * args.bits > MAX_WORK:
-            raise PreconditionError(
-                f"--size {args.size} with --bits {args.bits} exceeds the joint cap "
-                f"size^3 * bits <= {MAX_SIZE}^3 * 512"
-            )
+        refuse_over_caps(args.size, args.bits, "--size", "--bits")
         return handlers[args.command](args)
     except PreconditionError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

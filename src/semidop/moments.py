@@ -139,11 +139,12 @@ def _refuse_uncertifiable(w: HypergeometricWeight, classification: ConvergenceCl
         return
     # |eta| = 1 and M = N+1: w(k) ~ k^(sum a - sum b - 1), so rho_m converges
     # only for m < sum b - sum a, or m < sum b - sum a + 1 when eta = -1
-    # makes the series alternate.
-    order = sum(w.b) - sum(w.a) + (1 if w.eta < 0 else 0)
+    # makes the series alternate. The refusal names the first divergent
+    # moment, whatever depth was asked for.
+    order = ceil(sum(w.b) - sum(w.a) + (1 if w.eta < 0 else 0))
     if m_max >= order:
         raise DivergentSeries(
-            f"moment rho_{m_max} diverges for weight {w.spec_string()}: "
+            f"moment rho_{order} diverges for weight {w.spec_string()}: "
             f"the terms decay like k^(m - {sum(w.b) - sum(w.a) + 1})"
         )
     raise TermBudgetExceeded(

@@ -4,16 +4,18 @@ A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
-size, precision context), and the finite-difference (FD) witnesses obtain
-their flow-scaled pipelines through the same cache, keyed apart from a
-full-depth pipeline of the same weight and size. This module alone sets the
-depth of a moment table (``moment_depth``). A full pipeline, base or shifted,
-keeps slack past rho_{2k} for the determinant engine. A witness is read only
-through its factorization, chol -> jac -> psi, and its table stops at rho_{2k}.
-The one other read of a witness table, ``kp``'s first-order jets of tau_n,
-reaches rho_{2n-1}, inside the table of a witness of size n or more. Moment
-values, correctly rounded, depend on the weight alone, so a witness sees the
-same moments as a full-depth table.
+size, precision context, engine flag); the finite-difference (FD) witnesses
+and the shifted pipelines obtain theirs through the same cache. This module
+alone sets the depth of a moment table (``moment_depth``). By default a table
+holds exactly rho_0 .. rho_{2k}, what the size-(k+1) factorization and so
+chol -> jac -> psi read. An engine pipeline, which only the suite's base
+pipeline asks for, keeps slack past rho_{2k} for the determinant engine and
+``gram_pearson``; a default request finds a cached engine pipeline of the same
+weight, size and context before it builds a table of its own. The one other
+read of a default table, ``kp``'s first-order jets of tau_n, reaches
+rho_{2n-1}, inside the table of a witness of size n or more. Moment values,
+correctly rounded, depend on the weight alone, so every table of a weight
+holds the same moments.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -60,21 +62,21 @@ from .structure import (
 from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
-# Moment depth past rho_{2k}, the deepest entry of the size-(k+1)
+# Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
 # factorization: it absorbs the flow-index shifts of the determinant engine.
 _DEPTH_SLACK = 8
 
 
-def moment_depth(weight: HypergeometricWeight, k: int, witness: bool = False) -> int:
+def moment_depth(weight: HypergeometricWeight, k: int, engine: bool = False) -> int:
     """Moment-table depth of a size-k pipeline.
 
-    An FD witness reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
-    factorization, and its table stops there. A full pipeline's depth is
+    A default pipeline reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
+    factorization, and its table stops there. An engine pipeline's depth is
     rounded up to a multiple of 8 past the slack; the Pearson-symmetry
     assembly theta(shift) G on the k x k window reads moments up to
     2k + N - 1, so a weight with N > 8 needs more than the slack.
     """
-    if witness:
+    if not engine:
         return 2 * k
     depth = 2 * k + max(_DEPTH_SLACK, weight.n_degree)
     return (depth + 7) // 8 * 8
@@ -82,14 +84,14 @@ def moment_depth(weight: HypergeometricWeight, k: int, witness: bool = False) ->
 
 class WeightPipeline:
     def __init__(
-        self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext, witness: bool = False
+        self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext, engine: bool = False
     ):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
         self.weight = weight
         self.k = k
         self.ctx = ctx
-        self.depth = moment_depth(weight, k, witness)
+        self.depth = moment_depth(weight, k, engine)
         self.table = MomentTable(weight, self.depth, ctx)
 
     @property
@@ -163,7 +165,7 @@ class WeightPipeline:
         weight, k = flow_scaled_weight(self.weight, l, mult), k or self.k
         if weight == self.weight and k == self.k:
             return self
-        return get_pipeline(weight, k, self.ctx, witness=True)
+        return get_pipeline(weight, k, self.ctx)
 
     def provenance(self) -> dict:
         return {
@@ -178,15 +180,16 @@ _CACHE: dict = {}
 
 
 def get_pipeline(
-    weight: HypergeometricWeight, k: int, ctx: PrecisionContext, witness: bool = False
+    weight: HypergeometricWeight, k: int, ctx: PrecisionContext, engine: bool = False
 ) -> WeightPipeline:
-    """The cached pipeline of the weight at size k; an FD witness (``flow_scaled``
-    asks for one) is cached apart from the full-depth pipeline."""
-    key = (weight, k, ctx, witness)
-    pipe = _CACHE.get(key)
+    """The cached pipeline of the weight at size k. An engine pipeline (the
+    suite's base pipeline) is cached apart from a default one; a default
+    request is served by a cached engine pipeline before it builds its own."""
+    pipe = _CACHE.get((weight, k, ctx, engine))
+    if pipe is None and not engine:
+        pipe = _CACHE.get((weight, k, ctx, True))
     if pipe is None:
-        pipe = WeightPipeline(weight, k, ctx, witness)
-        _CACHE[key] = pipe
+        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine)
     return pipe
 
 

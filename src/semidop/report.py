@@ -1,7 +1,8 @@
 """Suite orchestration: check registry, configuration, reports, serialization.
 
 The registry maps stable check names to runners; a suite builds one shared
-pipeline (one moment table, its depth set by the weight and size), runs the
+pipeline (the engine pipeline: one moment table, deep enough for the
+determinant engine, its depth set by the weight and size), runs the
 selected checks in registry order, stamps every result with that pipeline's
 provenance and the seed, and aggregates the results. Reports are
 deterministic: same configuration, byte-identical JSON.
@@ -54,6 +55,33 @@ DEFAULT_SEED = 20260808
 LATTICE_N = (1, 2, 3, 4, 5, 6)
 
 
+# Caps on the truncation size and the mantissa bits of a suite and of every CLI
+# command, refused as usage errors before anything is built. The checks are
+# meant for truncations k <= ~32, and 8192 bits is sixteen times the default.
+# Cost grows fast past them: on a 2-vCPU Xeon, recurrence took 17 s at size 64
+# and 8192 bits, and 38 s at size 128 and 4096 bits. The dense kernels cost
+# about size^3 operations on bits-wide numbers, so the two are also capped
+# jointly: size^3 * bits may not pass MAX_WORK, its value at size 64 and the
+# default 512 bits. Each at its cap with the other at its default stays
+# accepted.
+MAX_SIZE = 64
+MAX_BITS = 8192
+MAX_WORK = MAX_SIZE**3 * 512
+
+
+def refuse_over_caps(size: int, bits: int, size_name: str, bits_name: str) -> None:
+    """Raise PreconditionError, naming the two values as given, when size or
+    bits passes its cap or size^3 * bits passes MAX_WORK."""
+    for name, value, cap in ((size_name, size, MAX_SIZE), (bits_name, bits, MAX_BITS)):
+        if value > cap:
+            raise PreconditionError(f"{name} {value} exceeds the cap {cap}")
+    if size**3 * bits > MAX_WORK:
+        raise PreconditionError(
+            f"{size_name} {size} with {bits_name} {bits} exceeds the joint cap "
+            f"size^3 * bits <= {MAX_SIZE}^3 * 512"
+        )
+
+
 def tolerance_in_range(tol) -> bool:
     """Whether a relative tolerance is in (0, 1); 1 or more passes every residual."""
     return 0 < tol < 1
@@ -66,7 +94,9 @@ class SuiteConfig:
     check applicable to the weight) and the seed of the sample points.
 
     The FD step and its halvings follow from the precision inside ``flows``,
-    which the report echoes; series use the default term budget."""
+    which the report echoes; series use the default term budget. Size and
+    mantissa bits are capped as the CLI's --size and --bits are
+    (``refuse_over_caps``)."""
 
     weight: HypergeometricWeight
     size: int = 12
@@ -78,6 +108,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.size < 3:
             raise PreconditionError("suite size must be at least 3")
+        refuse_over_caps(self.size, self.mantissa_bits, "size", "mantissa_bits")
         try:
             self.context()
         except ValueError as exc:
@@ -204,7 +235,9 @@ def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     # the fifth-order jets read moments up to 2n + 3 <= 11 of the base table,
-    # and every base depth is >= 16; the witnesses' tables are sized by kp_check
+    # the engine pipeline of run_suite, whose depth is >= 16; the FD witnesses
+    # are default pipelines, their tables stopping at rho_2k, and kp_check
+    # sizes them so that their first-order jets stay inside
     n_values = [n for n in LATTICE_N if n <= 4]
     return kp_check(pipe, n_values, cfg.tol())
 
@@ -379,7 +412,7 @@ def select_checks(cfg: SuiteConfig) -> list[str]:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Run the selected checks against one shared pipeline and aggregate."""
     selected = select_checks(cfg)
-    pipe = get_pipeline(cfg.weight, cfg.size, cfg.context())
+    pipe = get_pipeline(cfg.weight, cfg.size, cfg.context(), engine=True)
     results: list[CheckResult] = []
     for name in selected:
         runner = REGISTRY[name].runner

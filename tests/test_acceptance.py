@@ -169,7 +169,7 @@ def test_criterion_09_toda_stack():
 def test_criterion_10_flow_equations_with_fd_convergence():
     ok = True
     for w, flows in ((FOUR_FAMILIES["charlier"], (1,)), (DEFORMED, (1, 2))):
-        pipe = get_pipeline(w, 8, CTX)
+        pipe = get_pipeline(w, 8, CTX, engine=True)
         res = sato_wilson_check(pipe, TOL)
         ok = ok and res.passed
         for l in flows:

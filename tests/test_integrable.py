@@ -312,6 +312,7 @@ def fresh_pipelines():
     ],
 )
 def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
-    # each plant is read by one rewritten maximum only
-    res = plant(get_pipeline(GEN_MEIXNER, 8, ctx), tol, monkeypatch)
+    # each plant is read by one rewritten maximum only; sato_wilson reads the
+    # engine depth, as in a suite
+    res = plant(get_pipeline(GEN_MEIXNER, 8, ctx, engine=True), tol, monkeypatch)
     assert not res.passed, res.components

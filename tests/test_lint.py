@@ -11,7 +11,8 @@ module of a later layer fails it too, unless the import sits under
 to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
 (``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
-(``moments``). A top-level ``def`` or ``class`` of the package must be read
+(``moments``), and only the suite (``report``) asks ``pipeline`` for the
+engine depth. A top-level ``def`` or ``class`` of the package must be read
 outside its own definition: by its module, another module (the ``__init__``
 re-exports do not count), a test or ``perfbench``.
 """
@@ -266,3 +267,47 @@ def test_only_moments_decides_the_lattice_stop():
         for name in _stop_reads(path.read_text())
     ]
     assert reads == []
+
+
+# -- one reader of the engine depth ---------------------------------------------
+
+# The pipeline entry points that take the engine flag, by the number of
+# positional arguments before it. Only the suite's base pipeline feeds the
+# determinant engine, so ``report`` is the one module that passes the flag;
+# ``pipeline``, which owns it, only forwards it.
+ENGINE_FLAG_AFTER = {"get_pipeline": 3, "WeightPipeline": 3, "moment_depth": 2}
+
+
+def _engine_requests(source: str) -> list[int]:
+    """The lines of a module that pass the engine flag, by keyword or by position."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(kw.arg == "engine" for kw in node.keywords) or (
+            name in ENGINE_FLAG_AFTER and len(node.args) > ENGINE_FLAG_AFTER[name]
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_engine_requests_flagged():
+    source = (
+        "get_pipeline(w, k, ctx, engine=True)\n"
+        "pipeline.get_pipeline(w, k, ctx, True)\n"
+        "moment_depth(w, k, True)\n"
+        "get_pipeline(w, k, ctx)\nmoment_depth(w, k)\nWeightPipeline(w, k, ctx)\n"
+    )
+    assert _engine_requests(source) == [1, 2, 3]
+
+
+def test_only_the_suite_asks_for_the_engine_depth():
+    requests = {
+        path.stem: _engine_requests(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "pipeline"
+    }
+    assert [module for module, lines in requests.items() if lines] == ["report"]
+    assert len(requests["report"]) == 1

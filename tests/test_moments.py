@@ -419,6 +419,21 @@ def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
 BOUNDARY = parse_weight_spec("a=1,1; b=3; eta=1")  # w(k) ~ 2 / k^2
 
 
+@pytest.mark.parametrize(
+    ("spec", "first"),
+    [("a=1,1; b=3; eta=1", 1), ("a=1,1; b=7/2; eta=1", 2), ("a=1,1; b=7/2; eta=-1", 3)],
+)
+def test_divergence_names_the_first_divergent_moment(spec, first, ctx):
+    # rho_m converges for m < sum b - sum a (one more when eta = -1): the
+    # refusal names the first divergent moment at every depth that reaches it
+    w = parse_weight_spec(spec)
+    for depth in (first, first + 1, 24):
+        with pytest.raises(DivergentSeries, match=rf"moment rho_{first} diverges"):
+            MomentTable(w, depth, ctx)
+    with pytest.raises(TermBudgetExceeded):
+        MomentTable(w, first - 1, ctx)
+
+
 def test_boundary_weight_refused_before_summing(ctx, monkeypatch):
     calls = _count_passes(monkeypatch)
     # rho_0 converges, but only polynomially: no geometric tail certifies it

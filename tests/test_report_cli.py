@@ -20,12 +20,15 @@ from semidop import (
 )
 from semidop import pipeline
 from semidop.cli import main as cli_main
-from semidop.cli import MAX_BITS, MAX_SIZE, parse_tolerance
+from semidop.cli import parse_tolerance
 from semidop.flows import tau_derivative
 from semidop.moments import decimal_str
-from semidop.pipeline import clear_cache, get_pipeline
+from semidop.pipeline import clear_cache, get_pipeline, moment_depth
+import semidop.report as report_module
 from semidop.report import (
     DEFAULT_SEED,
+    MAX_BITS,
+    MAX_SIZE,
     REGISTRY,
     Report,
     SuiteConfig,
@@ -36,6 +39,7 @@ from semidop.report import (
 from semidop.result import make_result
 
 from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
+from test_moments import CONTRACT_MIX, SLOW_DECAY
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +171,15 @@ def test_suite_config_refuses_mantissa_below_the_precision_floor():
         with pytest.raises(PreconditionError, match="mantissa_bits"):
             SuiteConfig(weight=CHARLIER, size=6, mantissa_bits=bits)
     assert SuiteConfig(weight=CHARLIER, size=6, mantissa_bits=64).context().mantissa_bits == 64
+
+
+def test_suite_config_refuses_what_the_cli_caps_refuse():
+    # the CLI's caps on --size, --bits and size^3 * bits hold for a config too
+    for size, bits in ((500, 100000), (MAX_SIZE + 1, 512), (12, MAX_BITS + 1), (MAX_SIZE, 513), (32, 4097)):
+        with pytest.raises(PreconditionError, match="cap"):
+            SuiteConfig(weight=CHARLIER, size=size, mantissa_bits=bits)
+    for size, bits in ((MAX_SIZE, 512), (12, MAX_BITS), (32, 4096)):
+        assert SuiteConfig(weight=CHARLIER, size=size, mantissa_bits=bits).size == size
 
 
 def test_run_suite_and_roundtrip(tmp_path):
@@ -341,17 +354,18 @@ def test_suite_leaves_every_shared_matrix_as_built():
     ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
 )
 def test_witness_table_stops_at_rho_2k(weight, flow, size):
-    # an FD witness is read through its factorization: its table holds exactly
-    # rho_0 .. rho_2k, the bits of its weight's full-depth table, and is cached
-    # apart from that table's pipeline
+    # an FD witness is a default pipeline, read through its factorization: its
+    # table holds exactly rho_0 .. rho_2k, the bits of its weight's engine
+    # table, and is cached apart from that engine pipeline
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=BITS)
-    base = get_pipeline(weight, 8, ctx)
+    base = get_pipeline(weight, 8, ctx, engine=True)
     assert base.flow_scaled(flow, Fraction(1)) is base
     witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64), size)
-    full = get_pipeline(witness.weight, size, ctx)
+    full = get_pipeline(witness.weight, size, ctx, engine=True)
     assert full is not witness and full.table.m_max > 2 * size
     assert base.flow_scaled(flow, 1 + Fraction(1, 2**64), size) is witness
+    assert get_pipeline(witness.weight, size, ctx) is witness
     assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
     assert [x._mpf_ for x in witness.table.values] == [
         x._mpf_ for x in full.table.values[: 2 * size + 1]
@@ -361,6 +375,59 @@ def test_witness_table_stops_at_rho_2k(weight, flow, size):
     with pytest.raises(IndexOutOfTable):
         tau_derivative(witness.table, size + 1, (1, 0, 0))
     assert tau_derivative(full.table, size + 1, (1, 0, 0)) != 0
+
+
+def _bits(values) -> list:
+    return [x._mpf_ for x in values]
+
+
+@pytest.mark.parametrize(
+    ("spec", "size"), [*CONTRACT_MIX, *((spec, 8) for spec in SLOW_DECAY)]
+)
+def test_default_pipeline_matches_the_engine_pipeline(spec, size):
+    # a default table stops at rho_2k; the moments are correctly rounded, so
+    # beta, gamma, H and S agree bit for bit with the engine pipeline's
+    clear_cache()
+    ctx = PrecisionContext(mantissa_bits=512)
+    w = parse_weight_spec(spec)
+    default = get_pipeline(w, size, ctx)
+    engine = get_pipeline(w, size, ctx, engine=True)
+    assert default is not engine
+    assert default.depth == 2 * size < engine.depth == moment_depth(w, size, engine=True)
+    assert _bits(default.jac.beta) == _bits(engine.jac.beta)
+    assert _bits(default.jac.gamma) == _bits(engine.jac.gamma)
+    assert _bits(default.chol.h) == _bits(engine.chol.h)
+    assert [_bits(row) for row in default.chol.s] == [_bits(row) for row in engine.chol.s]
+    clear_cache()
+
+
+def test_default_request_is_served_by_a_cached_engine_pipeline():
+    clear_cache()
+    ctx = PrecisionContext(mantissa_bits=BITS)
+    engine = get_pipeline(MEIXNER, 6, ctx, engine=True)
+    assert get_pipeline(MEIXNER, 6, ctx) is engine
+    assert get_pipeline(MEIXNER, 6, ctx, engine=True) is engine
+    # not across sizes or contexts
+    assert get_pipeline(MEIXNER, 5, ctx).depth == 10
+    assert get_pipeline(MEIXNER, 6, PrecisionContext(mantissa_bits=BITS + 64)).depth == 12
+    # an engine request after a default build builds a deeper pipeline of its own
+    default = get_pipeline(GEN_MEIXNER, 6, ctx)
+    deeper = get_pipeline(GEN_MEIXNER, 6, ctx, engine=True)
+    assert deeper is not default and (default.depth, deeper.depth) == (12, 24)
+    assert get_pipeline(GEN_MEIXNER, 6, ctx) is default
+    clear_cache()
+
+
+def test_suite_base_pipeline_needs_the_engine_depth(monkeypatch):
+    # the determinant engine reads past rho_2k: a suite whose base pipeline
+    # stops there is refused, so run_suite must ask for the engine depth
+    clear_cache()
+    monkeypatch.setattr(
+        report_module, "get_pipeline", lambda w, k, ctx, engine=False: get_pipeline(w, k, ctx)
+    )
+    with pytest.raises(IndexOutOfTable, match=r"\[sato_wilson\]"):
+        run_suite(SuiteConfig(weight=GEN_MEIXNER, size=8, mantissa_bits=BITS))
+    clear_cache()
 
 
 def test_kp_builds_witnesses_at_the_size_its_jets_read():
@@ -490,6 +557,15 @@ def test_cli_moments_divergent(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "DivergentSeries" in err
+
+
+@pytest.mark.parametrize("command", ["recurrence", "verify"])
+def test_cli_boundary_divergence_names_the_first_divergent_moment(command, capsys):
+    # rho_m converges only for m < sum b - sum a = 1: the refusal names rho_1,
+    # not the depth of the table the command happens to build
+    assert cli_main([command, "--weight", "a=1,1; b=3; eta=1"]) == 1
+    err = capsys.readouterr().err
+    assert "DivergentSeries" in err and "moment rho_1 diverges" in err
 
 
 def test_cli_verify_small(capsys, tmp_path):
