@@ -1,8 +1,9 @@
 """Precision-controlled moment series, Hankel truncations and their Cholesky data.
 
 Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
-sums every column rho_0 .. rho_{m_max} at once, with the exact term ratio in
-the weight's cleared integer factors, and stops on a rigorous geometric tail
+sums every column rho_0 .. rho_{m_max} at once from the fixed-point terms of
+``weights.fixed_point_terms``, which the orthogonality witness reads too
+(``MomentTable.lattice_weights``), and stops on a rigorous geometric tail
 bound. The exact tail test runs only near the stop: a bit-length gate opens
 it within 64 bits of the threshold or once the term has underflowed into its
 own error bound, and a failed test names the terms to sum before the next.
@@ -68,7 +69,7 @@ from .weights import (
     ConvergenceClass,
     HypergeometricWeight,
     classify_convergence,
-    term_ratio,
+    fixed_point_terms,
     to_mpf,
 )
 
@@ -83,8 +84,8 @@ def decimal_str(x, bits: int) -> str:
 
 
 # The lattice points a moment series may visit before it is refused. The
-# orthogonality witness sums over the points of the accepted pass, so this is
-# its budget too.
+# orthogonality witness walks the points of the accepted pass with the same
+# fixed-width term generator, so this bounds its time too.
 MAX_TERMS = 100_000
 
 
@@ -216,12 +217,11 @@ def _tail_shortfall(w, k: int, magnitude: int, sums: list, shift: int) -> int:
 
 
 def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
-    """One pass over k accumulating every column k^m W_k, W_k ~ w(k) 2^scale.
+    """One pass over k accumulating every column k^m W_k, with (W_k, e_k) from
+    ``fixed_point_terms(w, scale)``.
 
-    W_{k+1} = floor(W_k num_k / den_k) with the exact term ratio; each column
-    then gains its term by repeated exact multiplication by k. Alongside, a
-    bound on |W_k - w(k) 2^scale| follows e_{k+1} <= e_k |num_k| / den_k + 1
-    (the 1 only for an inexact division). Only the largest e_k is kept: with
+    Each column gains its term by repeated exact multiplication by k. Of the
+    bounds e_k >= |W_k - w(k) 2^scale| only the largest is kept: with
     K the last point summed, column m's error sum_{k <= K} k^m e_k is at most
     e_max (K + 1) K^m, one bound per pass rather than a second running sum per
     column; it is 0 exactly when every division was exact.
@@ -240,10 +240,10 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     """
     cols = m_max + 1
     sums = [0] * cols
-    value, err, err_max = 1 << scale, 0, 0
+    err_max = 0
     shift = bits - 31
     test_at = 1
-    for k in range(MAX_TERMS):
+    for k, (value, err) in zip(range(MAX_TERMS), fixed_point_terms(w, scale)):
         t = value
         sums[0] += t
         for m in range(1, cols):
@@ -265,9 +265,6 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
             if not wait:
                 break
             test_at = min(k + wait, MAX_TERMS - 1)
-        num, den = term_ratio(w, k)
-        value, rem = divmod(value * num, den)
-        err = -(-err * abs(num) // den) + (1 if rem else 0)
     else:
         raise TermBudgetExceeded(
             f"moments up to m={m_max} did not converge within {MAX_TERMS} terms "
@@ -352,7 +349,8 @@ class MomentTable:
     mantissas. ``last_point`` is K, the last lattice point of that pass: q for
     a finite support, else the first point past which every column's tail of
     k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. The
-    orthogonality witness sums over the points 0 .. K.
+    orthogonality witness sums ``lattice_weights`` over the points 0 .. K:
+    the pass's own term generator, so K and the scale stay in this module.
 
     Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
     the (sorted) row-index tuple; these are the building blocks of the exact
@@ -379,6 +377,17 @@ class MomentTable:
         self._row_solves: dict[tuple[int, int], list] = {}
         self._column_solves: dict[tuple[int, int], list] = {}
         self._rebuilt: dict[int, "MomentTable"] = {}
+
+    def walk_scale(self, degree: int) -> int:
+        """The mantissa plus the pass's guard for summands growing like k^degree."""
+        return self.ctx.mantissa_bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * degree
+
+    def lattice_weights(self, degree: int):
+        """w(0) .. w(K): each term W_k of ``fixed_point_terms`` at
+        ``walk_scale(degree)`` rounded once to the mantissa."""
+        bits, scale = self.ctx.mantissa_bits, self.walk_scale(degree)
+        for _, (value, _) in zip(range(self.last_point + 1), fixed_point_terms(self.weight, scale)):
+            yield mp.make_mpf(from_man_exp(value, -scale, bits, round_nearest))
 
     def moment(self, m: int) -> mpf:
         if m < 0 or m > self.m_max:

@@ -61,7 +61,7 @@ from .weights import (
     HypergeometricWeight,
     pearson_polynomials,
     to_mpf,
-    weight_sequence,
+    weight_value,
 )
 
 if TYPE_CHECKING:
@@ -361,9 +361,13 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
 
         |sum_{k > K} p_n(k) p_m(k) w(k)| <= 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|,
 
-    a bound that does not read the norms under test.
+    a bound that does not read the norms under test. The weights are the
+    table's ``lattice_weights(2 nmax)``: fixed-point terms W_k at scale s with
+    |W_k - w(k) 2^s| <= e_k, each rounded once to the working precision. So,
+    beyond that rounding of each weight and of each sum, a sum over 0 .. K
+    differs from the exact-weight sum by at most 2^-s sum_k |p_n(k) p_m(k)| e_k.
     """
-    w, jac, h = pipe.weight, pipe.jac, pipe.chol.h
+    jac, h = pipe.jac, pipe.chol.h
     bits = pipe.bits
     if nmax + 1 > jac.size:
         raise PreconditionError("orthogonality range exceeds recurrence data")
@@ -371,8 +375,8 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     with workprec(bits):
         acc = ResidualAccumulator()
         gram = GramSums(nmax + 1)
-        for k, weight in zip(range(points), weight_sequence(w)):
-            gram.add(polynomial_vector(jac, k, nmax + 1), to_mpf(weight))
+        for k, weight in enumerate(pipe.table.lattice_weights(2 * nmax)):
+            gram.add(polynomial_vector(jac, k, nmax + 1), weight)
 
         sums = gram.lower()
         for n in range(nmax + 1):
@@ -393,20 +397,18 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
 
 def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """The difference equation theta(k+1) w(k+1) = sigma(k) w(k) at the lattice
-    points k <= 50, with the exact weights of one walk down the lattice."""
+    points k <= 50, with each w(k) from its Pochhammer closed form
+    (``weight_value``), which does not read the term ratio."""
     w = pipe.weight
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
         acc = ResidualAccumulator()
-        weights = weight_sequence(w)
-        w_k = to_mpf(next(weights))
+        values = [weight_value(w, k) for k in range(52)]
         for k in range(51):
-            w_next = to_mpf(next(weights))
-            lhs = to_mpf(pp.theta(Fraction(k + 1))) * w_next
-            rhs = to_mpf(pp.sigma(Fraction(k))) * w_k
+            lhs = to_mpf(pp.theta(Fraction(k + 1))) * values[k + 1]
+            rhs = to_mpf(pp.sigma(Fraction(k))) * values[k]
             acc.add(f"k={k}", abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-            w_k = w_next
         return acc.result("pearson", tolerance, window="lattice points k <= 50")
 
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Sequence, Union
+from math import factorial, prod
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import InvalidShift, PreconditionError, UndefinedWeight
-
-Rational = Union[int, Fraction, str]
 
 
 def _frac(x) -> Fraction:
@@ -56,10 +55,10 @@ def pochhammer(alpha, k: int):
     """
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
-    result = Fraction(1) if isinstance(alpha, (int, Fraction)) else mpf(1)
-    for j in range(k):
-        result = result * (alpha + j)
-    return result
+    if isinstance(alpha, (int, Fraction)):
+        num, den = alpha.numerator, alpha.denominator
+        return Fraction(prod(num + j * den for j in range(k)), den**k)
+    return prod((alpha + j for j in range(k)), start=mpf(1))
 
 
 @dataclass(frozen=True)
@@ -308,22 +307,12 @@ def weight_value(w: HypergeometricWeight, k: int) -> mpf:
     """Evaluate w(k) at a lattice point, in the active precision context."""
     if k < 0:
         raise ValueError("lattice points are nonnegative integers")
-    num = Fraction(1)
-    den = Fraction(1)
+    value = w.eta**k * w.eta2 ** (k * k) * w.eta3 ** (k * k * k) / factorial(k)
     for ai in w.a:
-        num *= pochhammer(ai, k)
-    for bj in w.b:
-        p = pochhammer(bj, k)
-        if p == 0:
-            raise UndefinedWeight(f"(b)_k vanishes for b = {bj}, k = {k}")
-        den *= p
-    num *= w.eta**k
-    if w.eta2 != 1:
-        num *= w.eta2 ** (k * k)
-    if w.eta3 != 1:
-        num *= w.eta3 ** (k * k * k)
-    den *= Fraction(_factorial(k))
-    return to_mpf(num / den)
+        value *= pochhammer(ai, k)
+    for bj in w.b:  # (b)_k != 0: no b is a nonpositive integer
+        value /= pochhammer(bj, k)
+    return to_mpf(value)
 
 
 def term_ratio(w: HypergeometricWeight, k: int) -> tuple[int, int]:
@@ -350,19 +339,19 @@ def term_ratio(w: HypergeometricWeight, k: int) -> tuple[int, int]:
     return (-num, -den) if den < 0 else (num, den)
 
 
-def weight_sequence(w: HypergeometricWeight) -> Iterator[Fraction]:
-    """Exact w(0), w(1), ..., each obtained from the last by the term ratio."""
-    value = Fraction(1)
+def fixed_point_terms(w: HypergeometricWeight, scale: int) -> Iterator[tuple[int, int]]:
+    """(W_k, e_k) for k = 0, 1, ...: W_k ~ w(k) 2^scale with |W_k - w(k) 2^scale| <= e_k.
+
+    W_{k+1} = floor(W_k num_k / den_k) by the exact term ratio, and
+    e_{k+1} = ceil(e_k |num_k| / den_k) + 1, the 1 only for an inexact division;
+    every lattice walk of the package reads its terms here.
+    """
+    value, err = 1 << scale, 0
     for k in count():
-        yield value
-        value *= Fraction(*term_ratio(w, k))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+        yield value, err
+        num, den = term_ratio(w, k)
+        value, rem = divmod(value * num, den)
+        err = -(-err * abs(num) // den) + (1 if rem else 0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ factorial handles the geometric-type family. Recurrence data then follows from
 Fraction-exact elimination of the reduced Hankel matrix (the cancelled
 prefactor scales every norm equally and drops out of beta and gamma).
 
+``weight_sequence`` walks the lattice in exact rationals, the oracle of the
+fixed-point term generator every lattice walk of the package reads.
 ``per_column_pass`` keeps the lattice pass as it stood with one running error
 sum per column, its term ratios taken from Fractions of the parameters, as the
 oracle of the pass that keeps one error bound per pass.
@@ -14,7 +16,9 @@ oracle of the pass that keeps one error bound per pass.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count
 
 from semidop.errors import TermBudgetExceeded
 from semidop.moments import MAX_TERMS, _ratio_sup
@@ -112,6 +116,14 @@ def exact_term_ratio(w, k: int) -> Fraction:
     for bj in w.b:
         ratio /= bj + k
     return ratio
+
+
+def weight_sequence(w) -> Iterator[Fraction]:
+    """Exact w(0), w(1), ..., each obtained from the last by ``exact_term_ratio``."""
+    value = Fraction(1)
+    for k in count():
+        yield value
+        value *= exact_term_ratio(w, k)
 
 
 def _tail_certified(w, k: int, magnitude: int, sums: list, shift: int) -> bool:

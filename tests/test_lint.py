@@ -12,9 +12,11 @@ to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
 (``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
 (``moments``), and only the suite (``report``) asks ``pipeline`` for the
-engine depth. A top-level ``def`` or ``class`` of the package must be read
-outside its own definition: by its module, another module (the ``__init__``
-re-exports do not count), a test or ``perfbench``.
+engine depth. Only ``moments`` reads the names that decide where a lattice
+pass stops, and only ``weights`` and ``moments`` read the term-by-term walk
+(``term_ratio``, ``fixed_point_terms``). A top-level ``def`` or ``class`` of
+the package must be read outside its own definition: by its module, another
+module (the ``__init__`` re-exports do not count), a test or ``perfbench``.
 """
 
 import ast
@@ -240,8 +242,8 @@ def test_every_definition_is_read():
 LATTICE_STOP = {"MAX_TERMS", "_ratio_sup", "_tail_shortfall"}
 
 
-def _stop_reads(source: str) -> list[str]:
-    """The lattice-stop names a module imports or reads, as names or attributes."""
+def _names_read(source: str, names: set[str]) -> list[str]:
+    """Which of ``names`` a module imports or reads, as names or attributes."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -250,23 +252,49 @@ def _stop_reads(source: str) -> list[str]:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-    return sorted(found & LATTICE_STOP)
+    return sorted(found & names)
+
+
+def _reads_outside(names: set[str], owners: set[str]) -> list[str]:
+    """``module: name`` for each of ``names`` a package module outside ``owners`` reads."""
+    return [
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in owners
+        for name in _names_read(path.read_text(), names)
+    ]
 
 
 def test_stop_reads_flagged():
     source = "from .moments import MAX_TERMS as CAP\nfrom . import moments\nmoments._ratio_sup(w, 0)\n"
-    assert _stop_reads(source) == ["MAX_TERMS", "_ratio_sup"]
-    assert _stop_reads("from .moments import MomentTable\n") == []
+    assert _names_read(source, LATTICE_STOP) == ["MAX_TERMS", "_ratio_sup"]
+    assert _names_read("from .moments import MomentTable\n", LATTICE_STOP) == []
 
 
 def test_only_moments_decides_the_lattice_stop():
-    reads = [
-        f"{path.stem}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "moments"
-        for name in _stop_reads(path.read_text())
-    ]
-    assert reads == []
+    assert _reads_outside(LATTICE_STOP, {"moments"}) == []
+
+
+# -- one lattice walk -----------------------------------------------------------
+
+# The names that walk the lattice term by term. ``weights`` defines them and
+# ``moments``, which owns a walk's last point and fixed-point scale, reads them;
+# every other module takes w(k) from ``MomentTable.lattice_weights`` or from
+# the closed form ``weight_value``.
+LATTICE_WALK = {"term_ratio", "fixed_point_terms"}
+
+
+def test_walk_reads_flagged():
+    source = (
+        "from .weights import fixed_point_terms as terms\n"
+        "from . import weights\nweights.term_ratio(w, 0)\n"
+    )
+    assert _names_read(source, LATTICE_WALK) == ["fixed_point_terms", "term_ratio"]
+    assert _names_read("from .weights import weight_value\n", LATTICE_WALK) == []
+
+
+def test_only_weights_and_moments_walk_the_lattice():
+    assert _reads_outside(LATTICE_WALK, {"weights", "moments"}) == []
 
 
 # -- one reader of the engine depth ---------------------------------------------

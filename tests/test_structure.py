@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -35,12 +39,12 @@ from semidop.weights import (
     HypergeometricWeight,
     parse_weight_spec,
     pearson_polynomials,
+    fixed_point_terms,
     to_mpf,
-    weight_sequence,
 )
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
-from oracles import meixner_reduced_moments, recurrence_from_moments
+from oracles import meixner_reduced_moments, recurrence_from_moments, weight_sequence
 
 
 def test_pascal_matrix_rows_and_inverse():
@@ -217,12 +221,17 @@ def test_orthogonality_direct_sums(ctx, tol, meixner_pipe):
     assert res.passed, res.components
 
 
-def _gram_over(pipe, nmax: int, points: int) -> list:
-    """The orthogonality walk's Gram sums over the lattice points 0 .. points - 1."""
+def _gram_over(pipe, nmax: int, weights) -> list:
+    """Gram sums of the polynomials against ``weights``, one per lattice point 0, 1, ..."""
     gram = GramSums(nmax + 1)
-    for k, weight in zip(range(points), weight_sequence(pipe.weight)):
-        gram.add(polynomial_vector(pipe.jac, k, nmax + 1), to_mpf(weight))
+    for k, weight in enumerate(weights):
+        gram.add(polynomial_vector(pipe.jac, k, nmax + 1), weight)
     return gram.lower()
+
+
+def _exact_weights(pipe, points: int) -> list:
+    """The oracle's exact w(0) .. w(points - 1), each rounded once."""
+    return [to_mpf(weight) for _, weight in zip(range(points), weight_sequence(pipe.weight))]
 
 
 @pytest.mark.parametrize(
@@ -237,21 +246,46 @@ def _gram_over(pipe, nmax: int, points: int) -> list:
 )
 def test_orthogonality_tail_is_within_its_certificate(spec, size):
     # the walk stops at K, the last point of the moment table's pass; the
-    # points K + 1 .. 2K move each Gram sum by at most
+    # points K + 1 .. 2K move each exact-weight Gram sum by at most
     # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|
     bits = 512
     pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
     nmax = min(8, pipe.jac.size - 1)
-    last = pipe.table.last_point
-    c, rho = pipe.chol.s, pipe.table.values
+    table = pipe.table
+    last = table.last_point
+    c, rho = pipe.chol.s, table.values
     with workprec(bits):
-        walked = _gram_over(pipe, nmax, last + 1)
-        longer = _gram_over(pipe, nmax, 2 * last + 1)
+        exact = _exact_weights(pipe, 2 * last + 1)
+        walked = _gram_over(pipe, nmax, exact[: last + 1])
+        longer = _gram_over(pipe, nmax, exact)
         for n in range(nmax + 1):
             for m in range(n + 1):
                 terms = (abs(c[n][i] * c[m][j] * rho[i + j]) for i in range(n + 1) for j in range(m + 1))
                 bound = ldexp(sum(terms, mpf(0)), -(bits - 31))
                 assert abs(longer[n][m] - walked[n][m]) <= bound, (n, m)
+        # the check's own sums read the generator's weights W_k 2^-s, each
+        # within e_k 2^-s of w(k); beyond one rounding of each weight and of
+        # each sum, they lie within 2^-s sum_k |p_n(k) p_m(k)| e_k of the
+        # exact-weight sums over the same points
+        generated = list(table.lattice_weights(2 * nmax))
+        assert len(generated) == last + 1
+        checked = _gram_over(pipe, nmax, generated)
+        scale = table.walk_scale(2 * nmax)
+        slack = [[mpf(0)] * (nmax + 1) for _ in range(nmax + 1)]
+        terms = zip(generated, exact, fixed_point_terms(pipe.weight, scale))
+        for k, (ours, theirs, (_, err)) in enumerate(terms):
+            p = polynomial_vector(pipe.jac, k, nmax + 1)
+            with workprec(2 * bits):
+                room = ldexp(err, -scale)
+                if ours != theirs:
+                    room += ldexp(abs(ours) + abs(theirs), -(bits - 1))
+                for n in range(nmax + 1):
+                    for m in range(n + 1):
+                        slack[n][m] += abs(p[n] * p[m]) * room
+        for n in range(nmax + 1):
+            for m in range(n + 1):
+                rounding = ldexp(abs(checked[n][m]) + abs(walked[n][m]), -bits)
+                assert abs(checked[n][m] - walked[n][m]) <= slack[n][m] + rounding, (n, m)
 
 
 def test_orthogonality_walk_reaches_the_rounding_floor():
@@ -269,6 +303,28 @@ def test_orthogonality_walks_a_finite_support_to_its_last_point():
     res = orthogonality_check(pipe, 4, Fraction(1, 2**128))
     assert res.passed, res.components
     assert res.window == "degrees up to 4, 6 lattice points"
+
+
+def test_orthogonality_walk_of_a_slow_decay_finishes():
+    # 46,546 lattice points at term ratio near 99/100: a walk of exact
+    # fractions, growing some 6.6 bits a point, ran for minutes here; the
+    # fixed-point terms take seconds
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semidop.cli", "verify", "--weight", "a=1; eta=99/100",
+         "--size", "8", "--checks", "orthogonality"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[0].split()
+    assert row[0] == "orthogonality" and row[-1] == "PASS", proc.stdout
+
+
+def test_orthogonality_of_a_signed_slow_decay_passes():
+    # alternating terms with ratio near -9/10, 5,531 lattice points
+    w = parse_weight_spec("a=1,1; b=1; eta=-9/10")
+    (res,) = run_suite(SuiteConfig(weight=w, size=12, checks=("orthogonality",))).checks
+    assert res.passed, res.components
 
 
 def test_coefficient_sums(ctx, tol, deformed_pipe):

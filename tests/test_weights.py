@@ -17,9 +17,10 @@ from semidop import (
     shift_parameter,
     weight_value,
 )
-from semidop.weights import HypergeometricWeight, to_mpf, weight_sequence
+from semidop.weights import HypergeometricWeight, fixed_point_terms, to_mpf
 
 from conftest import CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER, MEIXNER
+from oracles import weight_sequence
 
 
 def test_pochhammer_values():
@@ -27,6 +28,8 @@ def test_pochhammer_values():
     assert pochhammer(3, 4) == 360
     assert pochhammer(-2, 4) == 0
     assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
+    with workprec(64):
+        assert pochhammer(mpf(0.5), 3) == mpf(1.875) and pochhammer(mpf(0.5), 0) == 1
 
 
 @given(st.fractions(min_value=-5, max_value=5), st.integers(min_value=0, max_value=12))
@@ -87,12 +90,16 @@ def test_classification_cases():
     ],
 )
 def test_weight_sequence_matches_weight_value(w, count):
-    # the orthogonality witness rounds this exact sequence; it must reproduce
-    # the Pochhammer definition bit for bit
+    # the oracle's exact walk reproduces the Pochhammer definition bit for bit,
+    # and every fixed-point term lies within its stated error of it, the
+    # underflowed terms of DEFORMED included; that error stays a few units
+    scale = 256
     with workprec(192):
-        values = weight_sequence(w)
-        for k in range(count):
-            assert to_mpf(next(values)) == weight_value(w, k)
+        walk = zip(range(count), weight_sequence(w), fixed_point_terms(w, scale))
+        for k, exact, (value, err) in walk:
+            assert to_mpf(exact) == weight_value(w, k)
+            assert abs(value - exact * 2**scale) <= err, k
+            assert err.bit_length() <= 8, k
 
 
 def test_shifts():
