@@ -31,7 +31,6 @@ from .report import (
     run_suite,
     tolerance_in_range,
 )
-from .structure import psi_window
 from .weights import HypergeometricWeight, parse_weight_spec
 
 _DISPLAY_DIGITS = 30
@@ -142,10 +141,10 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     elif args.command in _SUBSETS:
         group = _SUBSETS[args.command]
-        checks = tuple(name for name in group if applicable(REGISTRY[name], w)[0])
+        checks = tuple(name for name in group if applicable(REGISTRY[name], w, args.size)[0])
         if not checks:
             raise PreconditionError(
-                f"no {args.command!r} checks are applicable to this weight"
+                f"no {args.command!r} checks are applicable to this weight and size"
             )
     kwargs = {}
     if getattr(args, "seed", None) is not None:
@@ -194,8 +193,7 @@ def _cmd_recurrence(args) -> int:
 
 def _cmd_psi(args) -> int:
     w = _load_weight(args)
-    if w.deformed:
-        raise PreconditionError("the structure matrix requires an undeformed weight")
+    window = REGISTRY["psi_routes"].requires(w, args.size)
     ctx = _context(args)
     tol = _tolerance(args, ctx.default_tolerance())
     pipe = get_pipeline(w, args.size, ctx)
@@ -203,7 +201,6 @@ def _cmd_psi(args) -> int:
     if not result.passed:
         print(f"error: structure-matrix routes disagree ({result.name})", file=sys.stderr)
         return 1
-    window = psi_window(w, pipe.jac.size)
     for d in range(-w.m_degree, w.n_degree + 2):
         vals = diagonal_of(pipe.psi, d)[: max(0, window - abs(d))]
         print(f"offset {d}: " + " ".join(mp.nstr(v, 36) for v in vals))

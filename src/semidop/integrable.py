@@ -50,7 +50,7 @@ from .linalg import (
 )
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult, ResidualAccumulator
-from .structure import pascal_matrix, psi_window
+from .structure import compatibility_window, pascal_matrix, pearson_weight, trimmed_window
 from .weights import (
     HypergeometricWeight,
     Shift,
@@ -85,6 +85,22 @@ def valid_single_shifts(w: HypergeometricWeight) -> list[Shift]:
     return out
 
 
+def lattice_shifts(w: HypergeometricWeight, size: int, count: int = 1) -> list[Shift]:
+    """Declaration of omega and uv_system: shifts whose weight holds the size + 1 factorization."""
+    pearson_weight(w, size)
+    shifts = [sh for sh in valid_single_shifts(w)
+              if classify_convergence(shift_parameter(w, sh)).holds(size + 1)]
+    if len(shifts) < count:
+        raise PreconditionError(f"requires at least {count} shiftable parameters at size {size}")
+    return shifts
+
+
+def lattice_pairs(w: HypergeometricWeight, size: int) -> list[tuple[Shift, Shift]]:
+    """Declaration of nijhoff_capel: pairs of ``lattice_shifts``, whose double shifts hold too."""
+    shifts = lattice_shifts(w, size, 2)
+    return [(r, s) for i, r in enumerate(shifts) for s in shifts[i + 1 :]]
+
+
 # -- contiguous relations of the moment matrix ---------------------------------
 
 def contiguous_check(
@@ -100,8 +116,7 @@ def contiguous_check(
     eta-derivative of the defining series to the logarithmic one).
     """
     w = pipe.weight
-    if w.deformed:
-        raise PreconditionError("contiguous relations apply to undeformed weights only")
+    pearson_weight(w, pipe.k)
     k = pipe.k
     win = k - 1
     bits = pipe.bits
@@ -157,8 +172,6 @@ def omega_connection_check(
     of its subdiagonal in norm ratios, and its action gluing the shifted
     polynomial vector back to the original."""
     c_frac = _shift_constant(pipe, shift)
-    if c_frac == 0:
-        raise InvalidShift(f"shift constant vanishes for {shift.label()}")
     sp = pipe.shifted(shift)
     bits = pipe.bits
     size = pipe.k + 1
@@ -214,8 +227,6 @@ def nijhoff_capel_check(
         acc = ResidualAccumulator()
         h, hr, hs, hrs = pipe.chol.h, rp.chol.h, sp.chol.h, rs.chol.h
         for n in n_values:
-            if n < 1 or n + 1 > pipe.k:
-                raise PreconditionError(f"lattice index {n} outside truncation")
             u_bar = h[n]
             u_hat = a_hat * hr[n - 1]
             u_til = a_til * hs[n - 1]
@@ -250,13 +261,7 @@ def uv_system_check(
     over the ``flows`` step halvings at the pipeline's precision)."""
     bits = pipe.bits
     rp = pipe.shifted(r)
-    a_hat_frac = _shift_constant(pipe, r)
-    if a_hat_frac == 0:
-        raise InvalidShift(f"shift constant vanishes for {r.label()}")
-    a_hat = to_mpf(a_hat_frac)
-    for n in n_values:
-        if n < 1 or n + 2 > pipe.k:
-            raise PreconditionError(f"lattice index {n} outside truncation")
+    a_hat = to_mpf(_shift_constant(pipe, r))
     with workprec(bits):
         acc = ResidualAccumulator()
         h, hr = pipe.chol.h, rp.chol.h
@@ -353,8 +358,6 @@ def tau_route_check(
     """Factorization data against determinant data: norms as determinant ratios,
     subleading coefficients as logarithmic derivatives, the recurrence
     coefficients as second derivatives, and the bilinear (Hirota) form."""
-    if nmax + 1 > pipe.k:
-        raise PreconditionError("tau cross-check range exceeds truncation")
     bits = pipe.bits
     table = pipe.table
     with workprec(bits):
@@ -411,8 +414,6 @@ def toda_check(
     """First-flow Toda system and equation for the recurrence data, with engine
     derivatives on one side and factorization data on the other; the polynomial
     flow relation is witnessed by finite differences at the ``flows`` step."""
-    if nmax + 2 > pipe.k:
-        raise PreconditionError("Toda range exceeds truncation")
     bits = pipe.bits
     step = default_fd_step(bits)
     with workprec(bits):
@@ -476,6 +477,11 @@ def toda_check(
         )
 
 
+def zero_curvature_window(w: HypergeometricWeight, kj: int) -> int:
+    """Declaration of sato_wilson: its narrowest windows, kj - 4 rows (size 5 or more)."""
+    return trimmed_window(kj, 4, "the flow equations", least=1)
+
+
 def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
     """The flows among 1 and 2 whose parameter can be nudged by (1 +- step)
     without losing convergence: flow 1 away from the unit circle, flow 2 only
@@ -503,7 +509,8 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     actually be perturbed.
     """
     bits = pipe.bits
-    kj = pipe.jac.size
+    kj = pipe.k
+    zc_win = zero_curvature_window(pipe.weight, kj)
     flows = (1, 2)
     fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
@@ -550,10 +557,9 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             acc.add(f"lax_{l}", diff, max(max_abs(lax_rhs, win), mpf(1)))
 
         # (d) zero-curvature for the (1, 2) pair
-        win = kj - 4
         d1_j2_plus = zeros(kj)
         d2_j_plus = zeros(kj)
-        for n in range(win + 1):
+        for n in range(zc_win + 1):
             db1 = _dlog_h(jets, n, (2, 0, 0))
             d1_gamma_n = pipe.gamma(n) * _dlog_gamma(jets, n, (1, 0, 0)) if n else mpf(0)
             d1_gamma_next = pipe.gamma(n + 1) * _dlog_gamma(jets, n + 1, (1, 0, 0))
@@ -564,7 +570,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             mat_sub(d1_j2_plus, d2_j_plus),
             mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
         )
-        acc.add("zero_curvature_12", max_abs(zs, win), max(max_abs(d1_j2_plus, win), mpf(1)))
+        acc.add("zero_curvature_12", max_abs(zs, zc_win), max(max_abs(d1_j2_plus, zc_win), mpf(1)))
 
         return acc.result(
             "sato_wilson",
@@ -578,15 +584,9 @@ def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult
     commutator equations, with matrix flow derivatives taken by central finite
     differences of the full pipeline at the ``flows`` step and the dressing
     factors taken exactly."""
-    w = pipe.weight
-    if w.deformed:
-        raise PreconditionError("Pearson/flow compatibility applies to undeformed weights")
     bits = pipe.bits
-    kj = pipe.jac.size
-    win = psi_window(w, kj) - 1
-    if win < 2:
-        raise PreconditionError("truncation too small for the compatibility check")
-
+    kj = pipe.k
+    win = compatibility_window(pipe.weight, kj)
     step = default_fd_step(bits)
 
     def matrices(p: WeightPipeline) -> list:
@@ -617,6 +617,12 @@ def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult
         )
 
 
+def active_deformation(w: HypergeometricWeight, size: int) -> None:
+    """The declaration of kp: both deformations active."""
+    if not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
+        raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
+
+
 def kp_check(
     pipe: WeightPipeline,
     n_values: list[int],
@@ -626,9 +632,7 @@ def kp_check(
     weight, with every mixed derivative taken by the exact determinant engine
     and the second-flow second derivative witnessed by finite differences at
     the ``flows`` step."""
-    w = pipe.weight
-    if not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
-        raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
+    active_deformation(pipe.weight, pipe.k)
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
     # the witnesses' first-order jet of tau_n reads moments up to rho_{2n-1},

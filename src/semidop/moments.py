@@ -468,12 +468,12 @@ def _hankel_block(table: MomentTable, k: int) -> Matrix:
     return [[vals[n + m] for m in range(k)] for n in range(k)]
 
 
-def _check_support(table: MomentTable, k: int) -> None:
+def check_support(classification: ConvergenceClass, k: int) -> None:
     """Refuse a size-k window beyond a finite support's q + 1 points."""
-    cap = table.classification.support_cap
-    if cap is not None and k > cap:
+    if not classification.holds(k):
         raise TruncationTooLarge(
-            f"finite-support weight admits truncations up to {cap}, requested {k}"
+            f"finite-support weight admits truncations up to {classification.support_cap}, "
+            f"requested {k}"
         )
 
 
@@ -481,7 +481,7 @@ def hankel_determinant(table: MomentTable, k: int) -> mpf:
     """det G[k]."""
     if k == 0:
         return mpf(1)
-    _check_support(table, k)
+    check_support(table.classification, k)
     return table.det_rows(tuple(range(k)))
 
 
@@ -562,7 +562,7 @@ def cholesky(table: MomentTable, k: int) -> CholeskyFactorization:
         raise ValueError("truncation size must be positive")
     if 2 * k - 2 > table.m_max:
         raise IndexOutOfTable(f"size {k} needs moment {2 * k - 2}, table depth {table.m_max}")
-    _check_support(table, k)
+    check_support(table.classification, k)
     bits = table.ctx.mantissa_bits
     l, d = _ldl_of_dense(_hankel_block(table, k), bits)
     with workprec(bits):

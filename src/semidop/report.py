@@ -1,11 +1,11 @@
 """Suite orchestration: check registry, configuration, reports, serialization.
 
-The registry maps stable check names to runners; a suite builds one shared
-pipeline (the engine pipeline: one moment table, deep enough for the
-determinant engine, its depth set by the weight and size), runs the
+The registry maps stable check names to runners and to declarations of what
+each needs of the weight and the size. A suite selects by the declarations
+before it builds anything, then builds one shared pipeline (the engine
+pipeline: one moment table, deep enough for the determinant engine), runs the
 selected checks in registry order, stamps every result with that pipeline's
-provenance and the seed, and aggregates the results. Reports are
-deterministic: same configuration, byte-identical JSON.
+provenance and the seed, and aggregates them. Reports are deterministic.
 """
 
 from __future__ import annotations
@@ -17,37 +17,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import flows
+from . import flows, integrable, structure
 from .errors import PreconditionError, SemidopError
-from .integrable import (
-    contiguous_check,
-    kp_check,
-    nijhoff_capel_check,
-    omega_connection_check,
-    pearson_toda_check,
-    sato_wilson_check,
-    tau_route_check,
-    toda_check,
-    uv_system_check,
-    valid_single_shifts,
-)
-from .moments import PrecisionContext, decimal_str
+from .moments import PrecisionContext, check_support, decimal_str
 from .pipeline import WeightPipeline, get_pipeline
 from .result import CheckResult
-from .structure import (
-    coefficient_sum_check,
-    gram_pearson_residual,
-    orthogonality_check,
-    pearson_check,
-    pi_closed_form_check,
-    polynomial_shift_identity,
-    psi_extreme_diagonals,
-    psi_jacobi_identities,
-    s_inverse_expansion_check,
-    structure_cholesky_check,
-    structure_shift_residual,
-)
-from .weights import HypergeometricWeight, Shift, to_mpf
+from .weights import HypergeometricWeight, classify_convergence, to_mpf
 
 DEFAULT_SEED = 20260808
 # Lattice indices n of the octahedral, u-v and KP checks (each keeps those its
@@ -91,7 +66,7 @@ def tolerance_in_range(tol) -> bool:
 class SuiteConfig:
     """What to verify: weight, truncation size, precision, tolerance (None
     for the precision's default), the selected checks (None selects every
-    check applicable to the weight) and the seed of the sample points.
+    check that fits the weight and size) and the seed of the sample points.
 
     The FD step and its halvings follow from the precision inside ``flows``,
     which the report echoes; series use the default term budget. Size and
@@ -170,16 +145,16 @@ def _tolerance_only(check):
 
 
 def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return orthogonality_check(pipe, min(8, pipe.jac.size - 1), cfg.tol())
+    return structure.orthogonality_check(pipe, min(8, pipe.jac.size - 1), cfg.tol())
 
 
 def _run_psi_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return structure_shift_residual(pipe, _z_samples(cfg), cfg.tol())
+    return structure.structure_shift_residual(pipe, _z_samples(cfg), cfg.tol())
 
 
 def _run_poly_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     return [
-        polynomial_shift_identity(pipe, coeffs, cfg.tol(), label=f"poly_shift_{tag}")
+        structure.polynomial_shift_identity(pipe, coeffs, cfg.tol(), label=f"poly_shift_{tag}")
         for coeffs, tag in (
             ((Fraction(1),), "const"),
             ((Fraction(0), Fraction(1)), "linear"),
@@ -191,23 +166,18 @@ def _run_poly_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]
 def _run_omega(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     zs = _z_samples(cfg, 3)
-    for sh in valid_single_shifts(pipe.weight):
-        res = omega_connection_check(pipe, sh, zs, cfg.tol())
+    for sh in integrable.lattice_shifts(pipe.weight, pipe.k):
+        res = integrable.omega_connection_check(pipe, sh, zs, cfg.tol())
         res.name = f"omega_{sh.label()}"
         out.append(res)
     return out
 
 
-def _lattice_pairs(pipe: WeightPipeline) -> list[tuple[Shift, Shift]]:
-    shifts = valid_single_shifts(pipe.weight)
-    return [(shifts[i], shifts[j]) for i in range(len(shifts)) for j in range(i + 1, len(shifts))]
-
-
 def _run_nijhoff_capel(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     n_values = [n for n in LATTICE_N if n + 1 <= pipe.k]
-    for r, s in _lattice_pairs(pipe):
-        res = nijhoff_capel_check(pipe, r, s, n_values, cfg.tol())
+    for r, s in integrable.lattice_pairs(pipe.weight, pipe.k):
+        res = integrable.nijhoff_capel_check(pipe, r, s, n_values, cfg.tol())
         res.name = f"nijhoff_capel_{r.label()}_{s.label()}"
         out.append(res)
     return out
@@ -216,8 +186,8 @@ def _run_nijhoff_capel(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResu
 def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     n_values = [n for n in LATTICE_N if n + 2 <= pipe.k]
-    for sh in valid_single_shifts(pipe.weight)[:2]:
-        res = uv_system_check(pipe, sh, n_values, cfg.tol())
+    for sh in integrable.lattice_shifts(pipe.weight, pipe.k)[:2]:
+        res = integrable.uv_system_check(pipe, sh, n_values, cfg.tol())
         res.name = f"uv_system_{sh.label()}"
         out.append(res)
     return out
@@ -225,31 +195,33 @@ def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
 
 def _run_tau_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.k - 1)
-    return tau_route_check(pipe, nmax, cfg.tol())
+    return integrable.tau_route_check(pipe, nmax, cfg.tol())
 
 
 def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     nmax = min(8, pipe.k - 2)
-    return toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.tol())
+    return integrable.toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.tol())
 
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     # the fifth-order jets read moments up to 2n + 3 <= 11 of the base table,
     # the engine pipeline of run_suite, whose depth is >= 16; the FD witnesses
-    # are default pipelines, their tables stopping at rho_2k, and kp_check
+    # are default pipelines, their tables stopping at rho_2k, and integrable.kp_check
     # sizes them so that their first-order jets stay inside
     n_values = [n for n in LATTICE_N if n <= 4]
-    return kp_check(pipe, n_values, cfg.tol())
+    return integrable.kp_check(pipe, n_values, cfg.tol())
 
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """A registry entry. ``requires``, beside the check, is a function of (weight, size) that
+    raises PreconditionError naming what the check lacks; the check calls it at entry. None
+    declares a check that fits every weight at every suite size."""
+
     name: str
     description: str
     runner: object
-    needs_pearson: bool = False  # undeformed weights only
-    needs_deformation: bool = False
-    min_single_shifts: int = 0
+    requires: object = None
 
 
 REGISTRY: dict[str, CheckSpec] = {
@@ -258,29 +230,31 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "pearson",
             "difference equation theta(k+1) w(k+1) = sigma(k) w(k) on the lattice",
-            _tolerance_only(pearson_check),
-            needs_pearson=True,
+            _tolerance_only(structure.pearson_check),
+            requires=structure.pearson_weight,
         ),
         CheckSpec(
             "gram_pearson",
             "moment-matrix symmetry theta(shift) G = B sigma(shift) G B^T",
-            _tolerance_only(gram_pearson_residual),
-            needs_pearson=True,
+            _tolerance_only(structure.gram_pearson_residual),
+            requires=structure.pearson_weight,
         ),
         CheckSpec(
             "pascal_forms",
             "dressed Pascal subdiagonals: closed forms and sum/difference identities",
-            _tolerance_only(pi_closed_form_check),
+            _tolerance_only(structure.pi_closed_form_check),
+            requires=structure.subdiagonal_window,
         ),
         CheckSpec(
             "s_inverse",
             "subdiagonal expansion of the inverse triangular factor",
-            _tolerance_only(s_inverse_expansion_check),
+            _tolerance_only(structure.s_inverse_expansion_check),
+            requires=structure.subdiagonal_window,
         ),
         CheckSpec(
             "coefficient_sums",
             "nonlocal sums for polynomial coefficients in recurrence data",
-            _tolerance_only(coefficient_sum_check),
+            _tolerance_only(structure.coefficient_sum_check),
         ),
         CheckSpec(
             "orthogonality",
@@ -291,63 +265,61 @@ REGISTRY: dict[str, CheckSpec] = {
             "psi_routes",
             "six assembly routes and band confinement of the shift-structure matrix",
             _tolerance_only(WeightPipeline.psi_check),
-            needs_pearson=True,
+            requires=structure.psi_window,
         ),
         CheckSpec(
             "psi_diagonals",
             "extreme diagonals of the structure matrix as norm/recurrence products",
-            _tolerance_only(psi_extreme_diagonals),
-            needs_pearson=True,
+            _tolerance_only(structure.psi_extreme_diagonals),
+            requires=structure.psi_window,
         ),
         CheckSpec(
             "psi_shift",
             "structure equations theta(z) P(z-1) = Psi H^-1 P(z) and its transpose mate",
             _run_psi_shift,
-            needs_pearson=True,
+            requires=structure.psi_window,
         ),
         CheckSpec(
             "psi_jacobi",
             "compatibility commutators and product factorizations with the recurrence matrix",
-            _tolerance_only(psi_jacobi_identities),
-            needs_pearson=True,
+            _tolerance_only(structure.psi_jacobi_identities),
+            requires=structure.compatibility_window,
         ),
         CheckSpec(
             "structure_cholesky",
             "triangular factorizations of H theta(J^T) and sigma(J) H and their identities",
-            _tolerance_only(structure_cholesky_check),
-            needs_pearson=True,
+            _tolerance_only(structure.structure_cholesky_check),
+            requires=structure.psi_window,
         ),
         CheckSpec(
             "poly_shift",
             "R(J) Pi = Pi R(J+-I) intertwining for small polynomials R",
             _run_poly_shift,
+            requires=structure.poly_shift_window,
         ),
         CheckSpec(
             "contiguous",
             "contiguous-parameter relations of the moment matrix",
-            _tolerance_only(contiguous_check),
-            needs_pearson=True,
+            _tolerance_only(integrable.contiguous_check),
+            requires=structure.pearson_weight,
         ),
         CheckSpec(
             "omega",
             "bidiagonal connection matrices for single parameter shifts",
             _run_omega,
-            needs_pearson=True,
-            min_single_shifts=1,
+            requires=integrable.lattice_shifts,
         ),
         CheckSpec(
             "nijhoff_capel",
             "octahedral lattice equation for squared norms under two parameter shifts",
             _run_nijhoff_capel,
-            needs_pearson=True,
-            min_single_shifts=2,
+            requires=integrable.lattice_pairs,
         ),
         CheckSpec(
             "uv_system",
             "coupled difference system for norms and recurrence diagonal under one shift",
             _run_uv_system,
-            needs_pearson=True,
-            min_single_shifts=1,
+            requires=integrable.lattice_shifts,
         ),
         CheckSpec(
             "tau_routes",
@@ -362,19 +334,20 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "sato_wilson",
             "dressing-factor, Lax, and zero-curvature forms of the flow equations",
-            _tolerance_only(sato_wilson_check),
+            _tolerance_only(integrable.sato_wilson_check),
+            requires=integrable.zero_curvature_window,
         ),
         CheckSpec(
             "pearson_toda",
             "compatibility of the structure matrix with the first flow",
-            _tolerance_only(pearson_toda_check),
-            needs_pearson=True,
+            _tolerance_only(integrable.pearson_toda_check),
+            requires=structure.compatibility_window,
         ),
         CheckSpec(
             "kp",
             "KP relation for the subleading coefficient of a triply deformed weight",
             _run_kp,
-            needs_deformation=True,
+            requires=integrable.active_deformation,
         ),
     )
 }
@@ -382,35 +355,36 @@ REGISTRY: dict[str, CheckSpec] = {
 CHECK_ORDER = tuple(REGISTRY)
 
 
-def applicable(spec: CheckSpec, w: HypergeometricWeight) -> tuple[bool, str]:
-    if spec.needs_pearson and w.deformed:
-        return False, "requires an undeformed weight"
-    if spec.needs_deformation and not (abs(w.eta2) < 1 and abs(w.eta3) < 1):
-        return False, "requires an active deformation"
-    if spec.min_single_shifts:
-        if len(valid_single_shifts(w)) < spec.min_single_shifts:
-            return False, f"requires at least {spec.min_single_shifts} shiftable parameters"
+def applicable(spec: CheckSpec, w: HypergeometricWeight, size: int) -> tuple[bool, str]:
+    """Whether the check's declaration admits the weight at this size, and why not."""
+    if spec.requires is not None:
+        try:
+            spec.requires(w, size)
+        except PreconditionError as exc:
+            return False, str(exc)
     return True, ""
 
 
 def select_checks(cfg: SuiteConfig) -> list[str]:
-    """Resolve the configured selection; explicit inapplicable requests are
-    configuration errors raised before any computation."""
-    w = cfg.weight
+    """Select by the declarations, building nothing: automatic selection drops a
+    check that does not fit; an explicit request for one is a configuration error."""
+    w, size = cfg.weight, cfg.size
     if cfg.checks is None:
-        return [name for name in CHECK_ORDER if applicable(REGISTRY[name], w)[0]]
+        return [name for name in CHECK_ORDER if applicable(REGISTRY[name], w, size)[0]]
     unknown = [name for name in cfg.checks if name not in REGISTRY]
     if unknown:
         raise PreconditionError(f"unknown checks: {', '.join(unknown)}")
     for name in cfg.checks:
-        ok, reason = applicable(REGISTRY[name], w)
+        ok, reason = applicable(REGISTRY[name], w, size)
         if not ok:
-            raise PreconditionError(f"check {name!r} not applicable: {reason}")
+            raise PreconditionError(f"check {name!r} not applicable at size {size}: {reason}")
     return [name for name in CHECK_ORDER if name in cfg.checks]
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Run the selected checks against one shared pipeline and aggregate."""
+    """Refuse a base factorization past a finite support, then run the
+    selected checks against one shared pipeline and aggregate."""
+    check_support(classify_convergence(cfg.weight), cfg.size + 1)
     selected = select_checks(cfg)
     pipe = get_pipeline(cfg.weight, cfg.size, cfg.context(), engine=True)
     results: list[CheckResult] = []

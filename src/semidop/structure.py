@@ -20,6 +20,7 @@ and ``pipe.sigma_j_minus`` (``poly_of_jacobi``); Psi from ``pipe.psi``
 (``psi_matrix``); Psi H^-1 and Psi^T H^-1 from ``pipe.psi_h_inv``
 (``psi_h_inverse``). No check writes into them, and no builder checks them;
 J = S Lambda S^-1 and J H = (J H)^T are components of ``coefficient_sum_check``.
+Each check calls its declaration (``report.CheckSpec``), defined here, at entry.
 """
 
 from __future__ import annotations
@@ -66,6 +67,31 @@ from .weights import (
 
 if TYPE_CHECKING:
     from .pipeline import WeightPipeline
+
+
+# -- what each check requires of the weight and the truncation size -------------
+
+def pearson_weight(w: HypergeometricWeight, size: int) -> None:
+    """Declaration of pearson, gram_pearson and contiguous: an undeformed weight."""
+    if w.deformed:
+        raise PreconditionError("requires an undeformed weight")
+
+
+def trimmed_window(size: int, trim: int, what: str, least: int = 2) -> int:
+    """size - trim, the entries an identity compares; refused below ``least``."""
+    if size - trim < least:
+        raise PreconditionError(f"truncation too small for {what} (window {size - trim})")
+    return size - trim
+
+
+def subdiagonal_window(w: HypergeometricWeight, size: int) -> int:
+    """Declaration of pascal_forms and s_inverse: n < size - 3 (size 5 or more)."""
+    return trimmed_window(size, 3, "the subdiagonal checks")
+
+
+def poly_shift_window(w: HypergeometricWeight, kj: int, degree: int = 2) -> int:
+    """Declaration of poly_shift, whose R reach degree 2 (size 6 or more)."""
+    return trimmed_window(kj, degree + 2, "the polynomial shift identity")
 
 
 # -- Pascal matrices and falling-factorial diagonals ---------------------------
@@ -175,11 +201,10 @@ def pi_closed_form_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResu
     """Subdiagonals of the dressed Pascal pair against their closed forms in
     polynomial coefficients and recurrence data, plus the sum/difference
     identities relating them to the integer diagonals."""
+    subdiagonal_window(pipe.weight, pipe.k)
     chol, pi, pi_inv = pipe.chol, pipe.pi, pipe.pi_inv
     k = len(pi)
     bits = pipe.bits
-    if k < 6:
-        raise PreconditionError("closed-form check needs truncation size >= 6")
     with workprec(bits):
         acc = ResidualAccumulator()
         p1 = [chol.p(1, n) for n in range(k)]
@@ -257,9 +282,8 @@ def s_inverse_expansion_check(pipe: WeightPipeline, tolerance: Fraction) -> Chec
     """Subdiagonals of S^{-1} against their expansion in subdiagonals of S."""
     chol = pipe.chol
     k = chol.size
+    subdiagonal_window(chol.table.weight, k - 1)
     bits = pipe.bits
-    if k < 6:
-        raise PreconditionError("inverse-expansion check needs truncation size >= 6")
     with workprec(bits):
         acc = ResidualAccumulator()
         s = [diagonal_of(chol.s, -d) for d in range(0, 5)]
@@ -369,8 +393,6 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     """
     jac, h = pipe.jac, pipe.chol.h
     bits = pipe.bits
-    if nmax + 1 > jac.size:
-        raise PreconditionError("orthogonality range exceeds recurrence data")
     points = pipe.table.last_point + 1
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -400,6 +422,7 @@ def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     points k <= 50, with each w(k) from its Pochhammer closed form
     (``weight_value``), which does not read the term ratio."""
     w = pipe.weight
+    pearson_weight(w, pipe.k)
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
@@ -420,8 +443,7 @@ def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
     and the Pearson property only, not truncation artifacts.
     """
     w, table, k = pipe.weight, pipe.table, pipe.k
-    if w.deformed:
-        raise PreconditionError("the Pearson symmetry applies to undeformed weights only")
+    pearson_weight(w, k)
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
@@ -465,13 +487,16 @@ ROUTE_NAMES = (
 )
 
 
-def psi_window(w: HypergeometricWeight, kj: int) -> int:
-    """Rows and columns of a size-kj structure matrix free of truncation
-    effects: kj less the trim M + N + 2."""
-    window = kj - (w.m_degree + w.n_degree + 2)
-    if window < 2:
-        raise PreconditionError(f"truncation too small for the structure check (window {window})")
-    return window
+def psi_window(w: HypergeometricWeight, kj: int, margin: int = 0) -> int:
+    """Rows and columns of a size-kj structure matrix free of truncation effects,
+    kj less M + N + 2 (+ margin); declaration of the psi checks and structure_cholesky."""
+    pearson_weight(w, kj)
+    return trimmed_window(kj, w.m_degree + w.n_degree + 2 + margin, "the structure check")
+
+
+def compatibility_window(w: HypergeometricWeight, kj: int) -> int:
+    """Declaration of psi_jacobi and pearson_toda, whose products with J reach a row further."""
+    return psi_window(w, kj, margin=1)
 
 
 def psi_matrix(pipe: WeightPipeline) -> Matrix:
@@ -514,7 +539,7 @@ def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResul
     """Pairwise agreement of the six routes and confinement of the reference
     route to its band (subdiagonals M, superdiagonals N+1)."""
     mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
-    kj = pipe.jac.size
+    kj = pipe.k
     window = psi_window(pipe.weight, kj)
     bits = pipe.bits
     routes = psi_routes(pipe)
@@ -543,9 +568,9 @@ def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResul
 def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Lowest subdiagonal and highest superdiagonal of the structure matrix
     against their product closed forms in the norms and recurrence data."""
+    window = psi_window(pipe.weight, pipe.k)
     w, chol = pipe.weight, pipe.chol
     mdeg, ndeg = w.m_degree, w.n_degree
-    window = psi_window(w, pipe.jac.size)
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -556,12 +581,12 @@ def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         h_floor = chol.h_floor()
         scale_low = max(max(abs(x) for x in low[:window]), h_floor)
         scale_high = max(max(abs(x) for x in high[:window]), h_floor)
-        for n in range(min(window, len(low), len(gamma) - mdeg + 1)):
+        for n in range(window):
             expect = eta * chol.h[n]
             for j in range(n + 1, n + mdeg + 1):
                 expect *= gamma[j - 1]
             acc.add(f"low[{n}]", abs(low[n] - expect), scale_low)
-        for n in range(min(window, len(high), len(gamma) - ndeg)):
+        for n in range(window):
             expect = chol.h[n]
             for j in range(n + 1, n + ndeg + 2):
                 expect *= gamma[j - 1]
@@ -579,9 +604,9 @@ def structure_shift_residual(
     """theta(z) P(z-1) = Psi H^{-1} P(z) and sigma(z) P(z+1) = Psi^T H^{-1} P(z)
     at sample points, on the interior window."""
     bits = pipe.bits
-    jac = pipe.jac
-    kj = jac.size
+    kj = pipe.k
     window = psi_window(pipe.weight, kj)
+    jac = pipe.jac
     pp = pearson_polynomials(pipe.weight)
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -620,10 +645,8 @@ def psi_jacobi_identities(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
     """Compatibility commutators and the two product factorizations linking the
     structure matrix with the recurrence matrix."""
     mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
-    kj = pipe.jac.size
-    window = psi_window(pipe.weight, kj) - 1
-    if window < 2:
-        raise PreconditionError("truncation too small for the compatibility check")
+    kj = pipe.k
+    window = compatibility_window(pipe.weight, kj)
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -658,8 +681,8 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
     prechecks, band confinement of the factors, the shared diagonal, the
     dressed-Pascal factorization, and the structure-matrix factorization."""
     mdeg, ndeg = pipe.weight.m_degree, pipe.weight.n_degree
-    kj = pipe.jac.size
-    psi_win = psi_window(pipe.weight, kj)
+    kj = pipe.k
+    window = psi_window(pipe.weight, kj)  # lies inside the factored block kf below
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -684,7 +707,6 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
         acc.add("factor_band_theta", out_of_band_max(l_theta, -(ndeg + 1), kf, kf), mpf(1))
         acc.add("factor_band_sigma", out_of_band_max(l_sigma, -mdeg, kf, kf), mpf(1))
 
-        window = min(kf, psi_win)
         # shared diagonal
         d_scale = max(max(abs(x) for x in d_theta[:window]), h_floor)
         for n in range(window):
@@ -713,11 +735,9 @@ def polynomial_shift_identity(
 ) -> CheckResult:
     """R(J) Pi^{+-1} = Pi^{+-1} R(J +- I) for a small polynomial R."""
     deg = len(r_coeffs) - 1
+    kj = pipe.k
+    window = poly_shift_window(pipe.weight, kj, deg)
     jac = pipe.jac
-    kj = jac.size
-    window = kj - (deg + 2)
-    if window < 2:
-        raise PreconditionError("truncation too small for the polynomial shift identity")
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()

@@ -374,6 +374,10 @@ class ConvergenceClass:
         """Maximum usable truncation size (q+1) for finite support, else None."""
         return None if self.q is None else self.q + 1
 
+    def holds(self, k: int) -> bool:
+        """Whether a size-k truncation fits: at most q + 1 for finite support."""
+        return self.q is None or k <= self.support_cap
+
 
 def classify_convergence(w: HypergeometricWeight) -> ConvergenceClass:
     """Classify the weight by the standard convergence cases.

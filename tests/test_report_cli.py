@@ -19,6 +19,7 @@ from semidop import (
     parse_weight_spec,
 )
 from semidop import pipeline
+import semidop.cli as cli_module
 from semidop.cli import main as cli_main
 from semidop.cli import parse_tolerance
 from semidop.flows import tau_derivative
@@ -94,6 +95,89 @@ def test_check_needing_unavailable_shifts_is_not_applicable(spec, check, capsys)
     argv = ["verify", "--weight", spec, "--size", "8", "--bits", "128", "--checks", check]
     assert cli_main(argv) == 2
     assert "shiftable" in capsys.readouterr().err
+
+
+HAHN_SPEC = "a=3/2,-8; b=-19/2; eta=1"  # support 0..8: sizes up to 8
+KRAWTCHOUK_SPEC = "a=-10; eta=-1/2"  # support 0..10: sizes up to 10
+SIZE_SWEEP = [
+    (GEN_MEIXNER, range(3, 13)),
+    (parse_weight_spec(HAHN_SPEC), range(3, 9)),
+    (parse_weight_spec(KRAWTCHOUK_SPEC), range(3, 11)),
+    (DEFORMED, range(3, 9)),
+]
+# checks whose only requirement is a size floor, whatever the weight
+SIZE_ONLY = ("pascal_forms", "s_inverse", "poly_shift", "sato_wilson")
+
+
+def _size_floors(w) -> dict:
+    """The smallest size at which each check compares nonempty windows: the
+    structure matrix's band trims M + N + 2, the compatibility checks one more."""
+    band = w.m_degree + w.n_degree
+    return {
+        "pascal_forms": 5, "s_inverse": 5, "poly_shift": 6, "sato_wilson": 5,
+        **dict.fromkeys(("psi_routes", "psi_diagonals", "psi_shift", "structure_cholesky"), band + 4),
+        **dict.fromkeys(("psi_jacobi", "pearson_toda"), band + 5),
+    }
+
+
+def _no_pipeline(*args, **kwargs):
+    raise AssertionError("a pipeline was built")
+
+
+@pytest.mark.parametrize(
+    ("weight", "sizes"), SIZE_SWEEP, ids=[w.spec_string() for w, _ in SIZE_SWEEP]
+)
+def test_every_size_writes_a_report_and_refuses_what_does_not_fit(weight, sizes, monkeypatch):
+    selected_at = {}
+    for size in sizes:
+        clear_cache()
+        cfg = SuiteConfig(weight=weight, size=size, mantissa_bits=BITS)
+        selected = selected_at[size] = select_checks(cfg)
+        rep = run_suite(cfg)
+        assert rep.passed, (size, [c.name for c in rep.checks if not c.passed])
+        assert all(any(c.name.startswith(n) for c in rep.checks) for n in selected)
+        # every other check, requested explicitly, is refused before a pipeline exists
+        with monkeypatch.context() as patched:
+            patched.setattr(report_module, "get_pipeline", _no_pipeline)
+            for name in set(REGISTRY) - set(selected):
+                explicit = SuiteConfig(weight=weight, size=size, mantissa_bits=BITS, checks=(name,))
+                with pytest.raises(PreconditionError, match=rf"'{name}' not applicable at size {size}"):
+                    run_suite(explicit)
+    clear_cache()
+    # each floor is tight: the check runs at its floor and is refused one below
+    for name, floor in _size_floors(weight).items():
+        if floor in sizes and (name in SIZE_ONLY or not weight.deformed):
+            assert name in selected_at[floor] and name not in selected_at[floor - 1], name
+
+
+def test_lattice_checks_take_only_the_shifts_that_hold_the_size():
+    # at size 8 the Hahn shift A(2), a = -8 -> -7, leaves 8 points for the
+    # size-9 factorization; contiguous reads only moments and keeps it
+    clear_cache()
+    rep = run_suite(SuiteConfig(weight=parse_weight_spec(HAHN_SPEC), size=8, mantissa_bits=BITS))
+    names = [c.name for c in rep.checks]
+    assert [n for n in names if n.startswith("omega")] == ["omega_A(1)", "omega_B(1)"]
+    assert "nijhoff_capel_A(1)_B(1)" in names and "uv_system_A(2)" not in names
+    contiguous = next(c for c in rep.checks if c.name == "contiguous")
+    assert "shift A(2)" in contiguous.components
+    clear_cache()
+
+
+def test_size_past_the_support_is_refused_before_any_check_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(report_module, "get_pipeline", _no_pipeline)
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--weight", HAHN_SPEC, "--size", "9", "--bits", str(BITS), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "TruncationTooLarge" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("spec", "size"), [("a=3/2; b=5/2; eta=1/3", 5), ("eta=1/2; eta2=9/10; eta3=9/10", 8)]
+)
+def test_cli_psi_asks_the_declaration_before_building(spec, size, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "get_pipeline", _no_pipeline)
+    assert cli_main(["psi", "--weight", spec, "--size", str(size), "--bits", str(BITS)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_empty_selection_rejected():
