@@ -517,7 +517,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         acc = ResidualAccumulator()
         j = pipe.jac.dense
         powers = {1: j, 2: mat_mul(j, j)}
-        jets = _log_jets(pipe, kj + 1, [(2, 1, 0)])
+        jets = _log_jets(pipe, kj, [(2, 0, 0), (1, 1, 0)])
         h_floor = pipe.chol.h_floor()
 
         for l in flows:

@@ -17,6 +17,16 @@ increasing order, until a rounding test in the style of Ziv (ACM TOMS 17,
 1991) proves that both ends of every interval round to the same
 working-precision value, which is therefore the correctly rounded moment. If
 no rung proves it, the last pass is rounded as it stands.
+
+A table keeps its accepted pass (``LatticePass``): the column sums S_m over
+k <= K, their error bounds, the scale, the rung's bits, K and the last term
+W_K with its error. A finite-difference witness w(k) mult^(k^l) offered its
+parent table is derived from that pass, with no lattice walk: its moments are
+a short binomial series in the parent's columns S_{m + l p}, whose interval
+adds the series remainder and the witness's own tail past K, and the same
+rounding test proves every column (``_flow_witness_moments``). A witness is
+walked as any other table when a weight is not positive, the parent is too
+shallow for the series, the tail test fails at K or a column is not proven.
 Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
 before any summation: DivergentSeries when a requested moment diverges,
 TermBudgetExceeded when only a ratio-1 tail stands between the series and a
@@ -42,7 +52,8 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, log, log1p
+from math import ceil, factorial, log, log1p
+from operator import mul
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, round_nearest
@@ -216,7 +227,24 @@ def _tail_shortfall(w, k: int, magnitude: int, sums: list, shift: int) -> int:
     return 0
 
 
-def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
+@dataclass(frozen=True)
+class LatticePass:
+    """One fixed-point pass over the points 0 .. last at 2^scale, at rung ``bits``.
+
+    sums[m] = sum_{k <= last} k^m W_k and errors[m] >= |sums[m] - sum_{k <= last}
+    k^m w(k) 2^scale|; last_term is (W_last, e_last), the pass's last term and
+    its error bound.
+    """
+
+    sums: list
+    errors: list
+    scale: int
+    bits: int
+    last: int
+    last_term: tuple[int, int]
+
+
+def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass:
     """One pass over k accumulating every column k^m W_k, with (W_k, e_k) from
     ``fixed_point_terms(w, scale)``.
 
@@ -236,7 +264,6 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
     testing again, never waiting past the last point of the budget. Neither
     can stop the pass, only delay a stop, and a later stop leaves every
     correctly rounded moment as it is.
-    Returns (sums, error bounds, K).
     """
     cols = m_max + 1
     sums = [0] * cols
@@ -271,14 +298,31 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int):
             f"for weight {w.spec_string()}"
         )
     bound = err_max * (k + 1)
-    return sums, [bound * k**m for m in range(cols)], k
+    return LatticePass(sums, [bound * k**m for m in range(cols)], scale, bits, k, (value, err))
+
+
+def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | None:
+    """Each interval sums[m] +- radii[m] (units of 2^-scale) rounded to target
+    bits, or None unless both ends of every interval round to the same value.
+
+    Rounding to nearest is monotone, so a value that passes is the correctly
+    rounded value of every point of its interval (a Ziv-style test; an exact
+    column, radius 0, always passes).
+    """
+    values = []
+    for s, radius in zip(sums, radii):
+        low = from_man_exp(s - radius, -scale, target, round_nearest)
+        if low != from_man_exp(s + radius, -scale, target, round_nearest):
+            return None
+        values.append(mp.make_mpf(low))
+    return values
 
 
 def _rounded_moments(
     w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext
-) -> tuple[list, int]:
+) -> tuple[list, LatticePass]:
     """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
-    that proves it, and K, the last lattice point of that pass.
+    that proves it, and that pass.
 
     The passes climb one precision ladder: the mantissa plus each of
     _ROUNDING_GUARD_BITS, and verify_bits, in increasing order. A pass at
@@ -287,10 +331,8 @@ def _rounded_moments(
     (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall`` certified when the
     series is infinite. Within a rung, the guard widens by the measured
     shortfall until every errors[m] is at most 2^-(bits - 31) |sums[m]|.
-    Rounding to nearest is monotone, so when both ends of every interval round
-    to the same value, those values are the correctly rounded moments (a
-    Ziv-style test; an exact column, r_m = 0, always passes). If no rung
-    proves them, the last pass is rounded as it stands.
+    ``_ziv_rounded`` accepts the pass when every interval proves its rounding.
+    If no rung proves them, the last pass is rounded as it stands.
 
     For an infinite series the accepted pass stopped where ``_tail_shortfall``
     proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max,
@@ -304,11 +346,11 @@ def _rounded_moments(
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
-            sums, errors, last = _fixed_point_pass(w, classification.q, m_max, bits, scale)
+            lattice = _fixed_point_pass(w, classification.q, m_max, bits, scale)
             short = max(
                 (
                     (err << shift).bit_length() - abs(s).bit_length() + 1
-                    for s, err in zip(sums, errors)
+                    for s, err in zip(lattice.sums, lattice.errors)
                     if err << shift > abs(s)
                 ),
                 default=0,
@@ -321,17 +363,106 @@ def _rounded_moments(
                 f"rounding error of the moment series for weight {w.spec_string()} "
                 f"could not be certified to {bits - 32} bits"
             )
-        values = []
-        for s, err in zip(sums, errors):
-            radius = err + ((abs(s) >> shift) + 1 if tail else 0)
-            low = from_man_exp(s - radius, -scale, target, round_nearest)
-            if low != from_man_exp(s + radius, -scale, target, round_nearest):
-                break
-            values.append(mp.make_mpf(low))
-        else:
-            return values, last
+        radii = [
+            err + ((abs(s) >> shift) + 1 if tail else 0)
+            for s, err in zip(lattice.sums, lattice.errors)
+        ]
+        values = _ziv_rounded(lattice.sums, radii, scale, target)
+        if values is not None:
+            return values, lattice
     with workprec(target):
-        return [mpf((s, -scale)) for s in sums], last
+        return [mpf((s, -scale)) for s in lattice.sums], lattice
+
+
+def _positive(w: HypergeometricWeight) -> bool:
+    """Whether w(k) > 0 at every point: eta, eta2, eta3 and every a_i, b_j positive."""
+    return min((w.eta, w.eta2, w.eta3) + w.a + w.b) > 0
+
+
+def _flow_witness_moments(
+    parent: "MomentTable",
+    l: int,
+    mult: Fraction,
+    w: HypergeometricWeight,
+    m_max: int,
+    ctx: PrecisionContext,
+) -> list | None:
+    """rho_0 .. rho_{m_max} of the FD witness w(k) = parent(k) mult^(k^l),
+    correctly rounded, from the parent's accepted pass; None when it cannot be
+    proven that way, and the witness is then walked.
+
+    With mult = 1 + delta, (1 + delta)^x = sum_j delta^j / j! sum_p s(j, p) x^p
+    (s the Stirling numbers of the first kind), so the first flow's index
+    shift gives, over the parent's points k <= K,
+
+        sum_k k^m w(k) = sum_{j <= J} delta^j / j! sum_p s(j, p) P_{m + l p} + R_m,
+
+    P the exact partial sums, which the parent's column sums S hold to within
+    E. The Lagrange remainder of the binomial series is at most
+    |delta|^(J+1) x^(J+1) / (J+1)! (1 + |delta|)^x, below twice its first
+    factor while |delta| K^l <= 1/2; the parent's terms are positive, so
+    |R_m| <= 2 |delta|^(J+1) / (J+1)! (S + E)_{m + l(J+1)}. J is the fewest
+    terms whose remainder is within the parent's tail budget 2^-(bits - 31)
+    S_m in the last column, where it is largest relative to S_m (the moments
+    of a positive weight are log-convex). Every column's interval holds its
+    own remainder, so J decides only how often a witness is derived. The
+    witness's tail past K is certified by ``_tail_shortfall`` at K, where
+    w(K) 2^scale is at most (W_K + e_K) mult^(K^l) < 2 (W_K + e_K). Each
+    column is then an interval: the sum, plus or minus the propagated errors,
+    the remainder, the tail and one unit for each rounded division;
+    ``_ziv_rounded`` decides it.
+
+    Derived only from observable inputs: both weights positive, w the
+    parent's weight with eta_l times mult at the parent's precision, a parent
+    table with a pass of its own that holds column m_max + l (J+1), a passing
+    tail test at K, and every column proven.
+    """
+    lattice, p = parent.lattice_pass, parent.weight
+    etas = [p.eta, p.eta2, p.eta3]
+    etas[l - 1] *= mult
+    if (
+        lattice is None
+        or parent.ctx != ctx
+        or not (_positive(p) and _positive(w))
+        or (w.a, w.b, [w.eta, w.eta2, w.eta3]) != (p.a, p.b, etas)
+    ):
+        return None
+    delta = Fraction(mult) - 1
+    K, sums, errors = lattice.last, lattice.sums, lattice.errors
+    if abs(delta) * K**l > Fraction(1, 2):
+        return None
+    d, v = delta.numerator, delta.denominator
+    shift = lattice.bits - 31
+    J = 0
+    while True:
+        top = l * (J + 1)
+        if m_max + top > parent.m_max:
+            return None
+        rem_num, rem_den = 2 * abs(d) ** (J + 1), v ** (J + 1) * factorial(J + 1)
+        if rem_num * (sums[m_max + top] + errors[m_max + top]) <= (sums[m_max] >> shift) * rem_den:
+            break
+        J += 1
+    # delta^j / j! sum_q s(j, q) x^q = sum_q coeffs[q] x^q / den
+    stirling, coeffs, bounds = [1], [0] * (J + 1), [0] * (J + 1)
+    for j in range(J + 1):
+        c = d**j * v ** (J - j) * (factorial(J) // factorial(j))
+        for q, s in enumerate(stirling):
+            coeffs[q] += c * s
+            bounds[q] += abs(c * s)
+        stirling = [(stirling[q - 1] if q else 0) - j * s for q, s in enumerate(stirling + [0])]
+    den = v**J * factorial(J)
+    derived, radii = [], []
+    for m in range(m_max + 1):
+        num = sum(map(mul, coeffs, sums[m : m + top : l]))
+        err = sum(map(mul, bounds, errors[m : m + top : l]))
+        rem = rem_num * (sums[m + top] + errors[m + top])
+        derived.append(num // den)
+        radii.append(-(-err // den) - (-rem // rem_den) + 1)
+    value, err = lattice.last_term
+    if _tail_shortfall(w, K, (value + err) << (delta > 0), derived, shift):
+        return None
+    radii = [r + (s >> shift) + 1 for s, r in zip(derived, radii)]
+    return _ziv_rounded(derived, radii, lattice.scale, ctx.mantissa_bits)
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -346,11 +477,16 @@ class MomentTable:
     precision ladder that proves every column's rounding, so they depend on
     the weight alone, not on the depth or the pass precision (if no rung proves
     them, they are the verify_bits pass rounded). ``rebuilt`` serves other
-    mantissas. ``last_point`` is K, the last lattice point of that pass: q for
-    a finite support, else the first point past which every column's tail of
-    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. The
-    orthogonality witness sums ``lattice_weights`` over the points 0 .. K:
-    the pass's own term generator, so K and the scale stay in this module.
+    mantissas. ``lattice_pass`` is the accepted pass, which the table's FD
+    witnesses are derived from (``flow_parent``, see ``_flow_witness_moments``);
+    it is None for a derived table, so a witness of a witness is walked.
+    ``last_point`` is K, the last lattice point of that pass: q for a finite
+    support, else the first point past which every column's tail of
+    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. A
+    derived table sums the pass it skipped when ``last_point`` is first read,
+    so it reads the K of the walk. The orthogonality witness sums
+    ``lattice_weights`` over the points 0 .. K: the pass's own term
+    generator, so K and the scale stay in this module.
 
     Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
     the (sorted) row-index tuple; these are the building blocks of the exact
@@ -360,23 +496,45 @@ class MomentTable:
     determinant whose rows start (0, ..., p-1) reads them (see ``det_rows``).
     """
 
-    def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
+    def __init__(
+        self,
+        w: HypergeometricWeight,
+        m_max: int,
+        ctx: PrecisionContext,
+        flow_parent: tuple["MomentTable", int, Fraction] | None = None,
+    ):
         classification = classify_convergence(w)
-        values, last = _rounded_moments(w, classification, m_max, ctx)
-        self._fill(w, m_max, ctx, classification, values, last)
+        if flow_parent is not None:
+            values = _flow_witness_moments(*flow_parent, w, m_max, ctx)
+            if values is not None:
+                self._fill(w, m_max, ctx, classification, values, None)
+                return
+        values, lattice = _rounded_moments(w, classification, m_max, ctx)
+        self._fill(w, m_max, ctx, classification, values, lattice.last, lattice)
 
-    def _fill(self, w, m_max, ctx, classification, values: list, last_point: int) -> None:
+    def _fill(
+        self, w, m_max, ctx, classification, values: list, last_point, lattice=None
+    ) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
         self.classification = classification
         self.values = values
-        self.last_point = last_point
+        self.lattice_pass = lattice
+        self._last_point = last_point
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._leading: dict[int, LUFactors] = {}
         self._row_solves: dict[tuple[int, int], list] = {}
         self._column_solves: dict[tuple[int, int], list] = {}
         self._rebuilt: dict[int, "MomentTable"] = {}
+
+    @property
+    def last_point(self) -> int:
+        """K of the table's accepted pass; a derived table sums that pass on first read."""
+        if self._last_point is None:
+            _, lattice = _rounded_moments(self.weight, self.classification, self.m_max, self.ctx)
+            self._last_point = lattice.last
+        return self._last_point
 
     def walk_scale(self, degree: int) -> int:
         """The mantissa plus the pass's guard for summands growing like k^degree."""
@@ -468,12 +626,14 @@ def _hankel_block(table: MomentTable, k: int) -> Matrix:
     return [[vals[n + m] for m in range(k)] for n in range(k)]
 
 
-def check_support(classification: ConvergenceClass, k: int) -> None:
-    """Refuse a size-k window beyond a finite support's q + 1 points."""
-    if not classification.holds(k):
+def check_support(classification: ConvergenceClass, k: int, extra_rows: int = 0) -> None:
+    """Refuse a size-k request whose window of k + extra_rows rows lies beyond
+    a finite support's q + 1 points, naming k: a size-k pipeline or suite
+    factors G[k + 1], so it passes extra_rows = 1."""
+    if not classification.holds(k + extra_rows):
         raise TruncationTooLarge(
-            f"finite-support weight admits truncations up to {classification.support_cap}, "
-            f"requested {k}"
+            "finite-support weight admits truncations up to "
+            f"{classification.support_cap - extra_rows}, requested {k}"
         )
 
 

@@ -15,7 +15,11 @@ weight, size and context before it builds a table of its own. The one other
 read of a default table, ``kp``'s first-order jets of tau_n, reaches
 rho_{2n-1}, inside the table of a witness of size n or more. Moment values,
 correctly rounded, depend on the weight alone, so every table of a weight
-holds the same moments.
+holds the same moments. An FD witness built by ``flow_scaled`` offers its
+parent's table to ``MomentTable``, which derives the witness's moments from
+the parent's lattice pass when the parent holds the columns the series reads
+(the engine slack holds them for the base pipeline's size-k witnesses) and
+walks the lattice otherwise; the values are the same either way.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -47,6 +51,7 @@ from .moments import (
     CholeskyFactorization,
     MomentTable,
     PrecisionContext,
+    check_support,
     cholesky,
 )
 from .structure import (
@@ -63,7 +68,9 @@ from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
 # Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
-# factorization: it absorbs the flow-index shifts of the determinant engine.
+# factorization: it absorbs the flow-index shifts of the determinant engine,
+# and holds the columns past rho_{2k} that the binomial series of the base
+# pipeline's size-k FD witnesses reads (``MomentTable``'s flow_parent).
 _DEPTH_SLACK = 8
 
 
@@ -84,7 +91,12 @@ def moment_depth(weight: HypergeometricWeight, k: int, engine: bool = False) -> 
 
 class WeightPipeline:
     def __init__(
-        self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext, engine: bool = False
+        self,
+        weight: HypergeometricWeight,
+        k: int,
+        ctx: PrecisionContext,
+        engine: bool = False,
+        flow_parent: tuple[MomentTable, int, Fraction] | None = None,
     ):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
@@ -92,7 +104,7 @@ class WeightPipeline:
         self.k = k
         self.ctx = ctx
         self.depth = moment_depth(weight, k, engine)
-        self.table = MomentTable(weight, self.depth, ctx)
+        self.table = MomentTable(weight, self.depth, ctx, flow_parent)
 
     @property
     def bits(self) -> int:
@@ -100,6 +112,8 @@ class WeightPipeline:
 
     @cached_property
     def chol(self) -> CholeskyFactorization:
+        """The size-(k+1) factorization; a size past a finite support is refused by k."""
+        check_support(self.table.classification, self.k, extra_rows=1)
         return cholesky(self.table, self.k + 1)
 
     @cached_property
@@ -161,11 +175,13 @@ class WeightPipeline:
 
     def flow_scaled(self, l: int, mult: Fraction, k: int | None = None) -> "WeightPipeline":
         """The FD witness of the flow-scaled weight, at size k (this pipeline's
-        by default); at mult 1 and this size, this pipeline itself."""
+        by default); at mult 1 and this size, this pipeline itself. A witness
+        built here takes its moments from this pipeline's table where
+        ``MomentTable`` can derive them."""
         weight, k = flow_scaled_weight(self.weight, l, mult), k or self.k
         if weight == self.weight and k == self.k:
             return self
-        return get_pipeline(weight, k, self.ctx)
+        return get_pipeline(weight, k, self.ctx, flow_parent=(self.table, l, mult))
 
     def provenance(self) -> dict:
         return {
@@ -180,16 +196,24 @@ _CACHE: dict = {}
 
 
 def get_pipeline(
-    weight: HypergeometricWeight, k: int, ctx: PrecisionContext, engine: bool = False
+    weight: HypergeometricWeight,
+    k: int,
+    ctx: PrecisionContext,
+    engine: bool = False,
+    flow_parent: tuple[MomentTable, int, Fraction] | None = None,
 ) -> WeightPipeline:
     """The cached pipeline of the weight at size k. An engine pipeline (the
     suite's base pipeline) is cached apart from a default one; a default
-    request is served by a cached engine pipeline before it builds its own."""
+    request is served by a cached engine pipeline before it builds its own.
+    A pipeline built here is handed ``flow_parent``, the table its moments may
+    be derived from; a cached one ignores it."""
     pipe = _CACHE.get((weight, k, ctx, engine))
     if pipe is None and not engine:
         pipe = _CACHE.get((weight, k, ctx, True))
     if pipe is None:
-        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine)
+        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(
+            weight, k, ctx, engine, flow_parent
+        )
     return pipe
 
 

@@ -384,7 +384,7 @@ def select_checks(cfg: SuiteConfig) -> list[str]:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Refuse a base factorization past a finite support, then run the
     selected checks against one shared pipeline and aggregate."""
-    check_support(classify_convergence(cfg.weight), cfg.size + 1)
+    check_support(classify_convergence(cfg.weight), cfg.size, extra_rows=1)
     selected = select_checks(cfg)
     pipe = get_pipeline(cfg.weight, cfg.size, cfg.context(), engine=True)
     results: list[CheckResult] = []

@@ -10,8 +10,9 @@ module of a later layer fails it too, unless the import sits under
 ``if TYPE_CHECKING:`` (annotations only). The package's ``__init__`` imports
 to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
-(``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
-(``moments``), and only the suite (``report``) asks ``pipeline`` for the
+(``pipeline``, which also hands an FD witness its parent table to derive
+from), by the ``moments`` command (``cli``) and by ``rebuilt`` (``moments``),
+and only the suite (``report``) asks ``pipeline`` for the
 engine depth. Only ``moments`` reads the names that decide where a lattice
 pass stops, and only ``weights`` and ``moments`` read the term-by-term walk
 (``term_ratio``, ``fixed_point_terms``). A top-level ``def`` or ``class`` of
@@ -141,7 +142,10 @@ def test_imports_follow_the_layer_order():
 
 
 # The modules that may build a MomentTable: the pipeline, which sets every
-# checked table's depth; the `moments` command; and `MomentTable.rebuilt`.
+# checked table's depth and offers an FD witness its parent's table; the
+# `moments` command; and `MomentTable.rebuilt`. A derived witness table is
+# built by the pipeline's own `MomentTable(...)` call, so the derivation adds
+# no construction site.
 TABLE_BUILDERS = {"pipeline", "cli", "moments"}
 
 

@@ -362,7 +362,7 @@ def _planted_passes(monkeypatch, planted: int, columns) -> list:
         requested.append(bits)
         if len(requested) <= planted:
             sums = columns(scale)
-            return sums, [0] * len(sums), 1
+            return moments_module.LatticePass(sums, [0] * len(sums), scale, bits, 1, (0, 0))
         return real(w, last, m_max, bits, scale)
 
     monkeypatch.setattr(moments_module, "_fixed_point_pass", fixed_point_pass)
@@ -511,7 +511,8 @@ def test_pass_matches_the_per_column_oracle(w, m_max, bits):
     # sums, the same exact columns, and the same moments where the stop moved
     q = classify_convergence(w).q
     scale = bits + 64 + 14 * m_max
-    sums, errors, stop = moments_module._fixed_point_pass(w, q, m_max, bits, scale)
+    lattice = moments_module._fixed_point_pass(w, q, m_max, bits, scale)
+    sums, errors, stop = lattice.sums, lattice.errors, lattice.last
     o_sums, o_errors, o_stop = per_column_pass(w, stop, m_max, bits, scale)
     assert o_stop == stop
     assert sums == o_sums
@@ -565,7 +566,11 @@ CONTRACT_MIX = (
 
 def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     # the per-pass error bound certifies every column at the base guard: one
-    # contract mix at 512 bits sums 116 passes at 608 bits and 3 at 736
+    # contract mix at 512 bits sums 23 passes at 608 bits and 3 at 736. The
+    # FD witnesses take their moments from their parent's pass, except the
+    # deformed weight's flow-2 witnesses (8 passes: their parent is too
+    # shallow) and the three Meixner witnesses near a rounding midpoint
+    # (3 passes at each rung)
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -578,7 +583,7 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert Counter(passes) == {(608, 0): 116, (736, 0): 3}
+    assert Counter(passes) == {(608, 0): 23, (736, 0): 3}
 
 
 def test_tiny_moments_widen_the_guard(monkeypatch):
@@ -629,7 +634,7 @@ def test_unprovable_midpoint_rounds_the_top_rung(monkeypatch):
     table = MomentTable(parse_weight_spec("a=1; eta=1/2"), 31, PrecisionContext(mantissa_bits=128))
     assert [args[3] for args in calls] == [224, 256, 352]
     assert table.values[31]._mpf_ in (lower, upper)
-    sums, _, _ = real(*calls[-1])
+    sums = real(*calls[-1]).sums
     scale = calls[-1][4]
     assert table.values[31]._mpf_ == from_man_exp(sums[31], -scale, 128, round_nearest)
 
@@ -718,3 +723,107 @@ def test_one_leading_factorization_per_table_and_size(monkeypatch):
     assert len(factored) == sum(len(t._leading) for t in tables)
     # and the determinants bordering them outnumber the factorizations
     assert sum(len(t._det_cache) for t in tables) > 2 * len(factored)
+
+
+# -- FD-witness tables derived from their parent's pass --------------------------
+
+deformations = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(15, 16), max_denominator=16)
+
+
+@st.composite
+def flow_witnesses(draw):
+    """(parent weight, flow l, multiplier 1 +- 2^-(128..131)): a positive
+    convergent weight with M, N <= 2, whose l-th parameter stays at most 1."""
+    b = tuple(draw(st.lists(positive_params, max_size=2)))
+    a = tuple(draw(st.lists(positive_params, max_size=min(2, len(b) + 1))))
+    eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=Fraction(7, 8), max_denominator=16))
+    l = draw(st.sampled_from([1, 2, 3]))
+    eta2 = draw(deformations) if l == 2 or draw(st.booleans()) else Fraction(1)
+    eta3 = draw(deformations) if l == 3 or draw(st.booleans()) else Fraction(1)
+    if len(a) <= len(b) and eta2 == eta3 == 1:
+        eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=4, max_denominator=16))
+    step = Fraction(draw(st.sampled_from([1, -1])), 2 ** draw(st.integers(128, 131)))
+    return HypergeometricWeight(a=a, b=b, eta=eta, eta2=eta2, eta3=eta3), l, 1 + step
+
+
+def _derived_or_walked(parent, l, mult, depth):
+    """The witness table offered its parent, and the same table walked."""
+    w = flow_scaled_weight(parent.weight, l, mult)
+    witness = MomentTable(w, depth, parent.ctx, (parent, l, mult))
+    return witness, MomentTable(w, depth, parent.ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=flow_witnesses(), depth=st.integers(0, 16), spare=st.integers(0, 8))
+def test_derived_witness_tables_equal_the_walked_ones(case, depth, spare):
+    # a derived table holds the correctly rounded moments, bit for bit those
+    # of the walk, and reads the walk's last point. A parent with 6 l columns
+    # to spare holds the series at these steps, so a witness whose moments the
+    # first rung proves, of a parent the first rung proved, is derived; with
+    # fewer the parent may be too shallow and the witness walked
+    w, l, mult = case
+    parent = MomentTable(w, depth + l * spare, PrecisionContext(mantissa_bits=512))
+    witness, walked = _derived_or_walked(parent, l, mult, depth)
+    assert _raw(witness.values) == _raw(walked.values)
+    assert witness.last_point == walked.last_point
+    if spare >= 6 and parent.lattice_pass.bits == walked.lattice_pass.bits == 608:
+        assert witness.lattice_pass is None
+
+
+def test_derived_witness_sums_no_lattice(monkeypatch):
+    # a flow-1 witness of generalized Meixner is derived from the engine-depth
+    # parent with no lattice pass; reading its last point sums the walk once
+    ctx = PrecisionContext(mantissa_bits=512)
+    parent = MomentTable(GEN_MEIXNER, 32, ctx)
+    calls = _count_passes(monkeypatch)
+    mult = 1 - Fraction(1, 2**129)
+    witness = MomentTable(flow_scaled_weight(GEN_MEIXNER, 1, mult), 24, ctx, (parent, 1, mult))
+    assert calls == [] and witness.lattice_pass is None
+    walked = MomentTable(witness.weight, 24, ctx)
+    assert _raw(witness.values) == _raw(walked.values)
+    assert witness.last_point == walked.last_point
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    ("spec", "l", "parent_depth", "depth"),
+    [
+        ("b=3/2; eta=-1/2", 1, 32, 24),  # a signed weight
+        ("a=3/2; b=5/2; eta=1/3", 1, 24, 24),  # a parent too shallow for the series
+        ("eta=1/2; eta2=9/10; eta3=9/10", 2, 24, 16),  # the deformed flow-2 witness
+    ],
+)
+def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, depth, monkeypatch):
+    ctx = PrecisionContext(mantissa_bits=512)
+    parent = MomentTable(parse_weight_spec(spec), parent_depth, ctx)
+    calls = _count_passes(monkeypatch)
+    witness, walked = _derived_or_walked(parent, l, 1 + Fraction(1, 2**128), depth)
+    assert len(calls) == 2 and witness.lattice_pass is not None
+    assert _raw(witness.values) == _raw(walked.values)
+    assert witness.last_point == walked.last_point
+
+
+def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
+    # the Meixner suite at size 12 sums the lattice for its base table, its
+    # shifted table a=3 and the three flow-1 witnesses whose moments sit near
+    # a 512-bit rounding midpoint (at 608 and again at 736 bits); the other FD
+    # witnesses (29 passes in all when each walked) are derived
+    passes = []
+    real = moments_module._fixed_point_pass
+
+    def recorded(w, last, m_max, bits, scale):
+        passes.append((w.spec_string() if w.eta == Fraction(1, 2) else "witness", m_max, bits))
+        return real(w, last, m_max, bits, scale)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", recorded)
+    clear_cache()
+    run_suite(SuiteConfig(weight=MEIXNER, size=12, mantissa_bits=512))
+    clear_cache()
+    assert Counter(passes) == {
+        ("a=2; eta=1/2", 32, 608): 1,
+        ("a=3; eta=1/2", 24, 608): 1,
+        ("witness", 4, 608): 2,
+        ("witness", 4, 736): 2,
+        ("witness", 24, 608): 1,
+        ("witness", 24, 736): 1,
+    }

@@ -171,6 +171,19 @@ def test_size_past_the_support_is_refused_before_any_check_runs(monkeypatch, tmp
     assert "TruncationTooLarge" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["recurrence", "verify"])
+def test_support_refusal_names_the_requested_size(command, tmp_path, capsys):
+    # the Hahn weight's support 0..8 holds sizes up to 8 (a size-k request
+    # factors G[k + 1]); the refusal names the size asked for, not k + 1
+    argv = [command, "--weight", HAHN_SPEC, "--size", "9", "--bits", str(BITS)]
+    if command == "verify":
+        argv += ["--out", str(tmp_path / "rep.json")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "admits truncations up to 8, requested 9" in err
+    clear_cache()
+
+
 @pytest.mark.parametrize(
     ("spec", "size"), [("a=3/2; b=5/2; eta=1/3", 5), ("eta=1/2; eta2=9/10; eta3=9/10", 8)]
 )
@@ -503,14 +516,18 @@ def test_default_request_is_served_by_a_cached_engine_pipeline():
 
 
 def test_suite_base_pipeline_needs_the_engine_depth(monkeypatch):
-    # the determinant engine reads past rho_2k: a suite whose base pipeline
-    # stops there is refused, so run_suite must ask for the engine depth
+    # gram_pearson's theta(shift) G reads moments up to 2k + N - 1, past rho_2k
+    # when N >= 2: a suite whose base pipeline stops at rho_2k is refused, so
+    # run_suite must ask for the engine depth
+    weight = parse_weight_spec("a=3/2,1; b=5/2,7/2; eta=1/3")
+    clear_cache()
+    assert run_suite(SuiteConfig(weight=weight, size=8, mantissa_bits=BITS)).passed
     clear_cache()
     monkeypatch.setattr(
         report_module, "get_pipeline", lambda w, k, ctx, engine=False: get_pipeline(w, k, ctx)
     )
-    with pytest.raises(IndexOutOfTable, match=r"\[sato_wilson\]"):
-        run_suite(SuiteConfig(weight=GEN_MEIXNER, size=8, mantissa_bits=BITS))
+    with pytest.raises(IndexOutOfTable, match=r"\[gram_pearson\]"):
+        run_suite(SuiteConfig(weight=weight, size=8, mantissa_bits=BITS))
     clear_cache()
 
 
