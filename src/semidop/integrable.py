@@ -12,7 +12,10 @@ Engine derivatives (exact moment-index shifts) carry the identities; central
 finite differences at rational steps act as the independent second witness
 wherever the triangular factor itself is differentiated. Each check takes the
 FD step and the halvings of its convergence studies from ``flows``, at the
-precision of its pipeline.
+precision of its pipeline. An FD witness is built at the size its reader's
+window reads: ``uv_system``'s at n0 + 1, every other flow-l witness at
+kj - l - 1 (``fd_witness_size``), whose size-(kj - l) factorization is the
+leading block of the size-kj one and so carries the same bits.
 """
 
 from __future__ import annotations
@@ -332,6 +335,14 @@ def _record_study(acc: ResidualAccumulator, residual, bits: int, step_label: str
     acc.add(label, residuals[-1], mpf(1))
 
 
+def fd_witness_size(kj: int, l: int) -> int:
+    """The size of the flow-l FD witnesses of a size-kj pipeline: kj - l - 1,
+    whose factorization is the kj - l window of ``sato_wilson``'s dressing
+    factor (at least 2, a pipeline's least size). ``toda``, ``pearson_toda``
+    and ``kp`` read inside it, so each (flow, mult) has one witness pipeline."""
+    return max(kj - l - 1, 2)
+
+
 def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
     """The log-tau jets of tau_0 .. tau_{count-1}, each over the closure of alphas."""
     return [log_tau_jet(pipe.table, n, alphas) for n in range(count)]
@@ -457,14 +468,16 @@ def toda_check(
                 max(abs(dp1), mpf(1)),
             )
 
-        # polynomial flow relation, FD-witnessed
+        # polynomial flow relation, FD-witnessed: p_n for n <= 4 reads
+        # beta_0 .. beta_{n-1}, inside the recurrence data of the witness
+        witness_size = fd_witness_size(pipe.k, 1)
         for z in z_samples:
             for n in (min(2, nmax), min(4, nmax)):
                 if n < 1:
                     continue
 
                 def poly_quantity(mult: Fraction, z=z, n=n):
-                    return pipe.flow_scaled(1, mult).p_vector(z, n + 1)[n]
+                    return pipe.flow_scaled(1, mult, witness_size).p_vector(z, n + 1)[n]
 
                 engine = -pipe.gamma(n) * pipe.p_vector(z, n)[n - 1]
                 res = derivative_fd_crosscheck(poly_quantity, engine, step, bits)
@@ -506,7 +519,8 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     Engine parts run for flows 1 and 2 (the derivative at a unit deformation
     parameter is still an index shift); the FD witness, a convergence study
     over the ``flows`` step halvings, runs only for flows whose parameter can
-    actually be perturbed.
+    actually be perturbed. It reads the leading kj - l window of dS S^-1, so
+    its witnesses are built at size kj - l - 1.
     """
     bits = pipe.bits
     kj = pipe.k
@@ -530,17 +544,22 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             errors = [_dlog_h(jets, n, alpha) - x for n, x in enumerate(jl_diag)]
             acc.add(f"diag_flow_{l}", max_abs([errors]), max(h_floor, max_abs([jl_diag]), mpf(1)))
 
-            # (b) dressing factor against FD of the triangular factor
+            # (b) dressing factor against FD of the triangular factor, on the
+            # leading kj - l window: dS and S^-1 are lower triangular, so the
+            # window of dS S^-1 reads only their windows, and the witnesses
+            # factor exactly that block
             if l in fd_flows:
                 win = kj - l
-                jl_minus = strict_lower(jl)
-                scale = max(max_abs(jl_minus, win), mpf(1))
+                size = fd_witness_size(kj, l)
+                s_inv = [row[:win] for row in pipe.chol.s_inv[:win]]
+                jl_minus = strict_lower([row[:win] for row in jl[:win]])
+                scale = max(max_abs(jl_minus), mpf(1))
 
                 def phi_residual(step: Fraction) -> mpf:
                     ds = fd_flow_derivative(
-                        lambda mult: pipe.flow_scaled(l, mult).chol.s, step, bits
+                        lambda mult: pipe.flow_scaled(l, mult, size).chol.s, step, bits
                     )
-                    phi = mat_mul(ds, pipe.chol.s_inv)
+                    phi = mat_mul(ds, s_inv)
                     return out_of_band_max(mat_add(phi, jl_minus), 0, win, win) / scale
 
                 _record_study(acc, phi_residual, bits, f"phi_fd_{l}_step", f"phi_fd_{l}")
@@ -582,8 +601,8 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
 def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Compatibility of the structure matrix with the first flow: the four
     commutator equations, with matrix flow derivatives taken by central finite
-    differences of the full pipeline at the ``flows`` step and the dressing
-    factors taken exactly."""
+    differences at the ``flows`` step, of flow-1 witnesses at size kj - 2, and
+    the dressing factors taken exactly."""
     bits = pipe.bits
     kj = pipe.k
     win = compatibility_window(pipe.weight, kj)
@@ -596,8 +615,14 @@ def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult
             eta_inv = 1 / to_mpf(p.weight.eta)
             return [mat_scale(at, eta_inv), a, at, mat_scale(a, eta_inv)]
 
+    # the window's products of triangular factors read only leading blocks,
+    # and sigma(J)'s Horner steps reach M rows past it, so the witnesses'
+    # matrices agree with size-kj ones there
+    size = fd_witness_size(kj, 1)
     base = matrices(pipe)
-    derivatives = fd_flow_derivative(lambda mult: matrices(pipe.flow_scaled(1, mult)), step, bits)
+    derivatives = fd_flow_derivative(
+        lambda mult: matrices(pipe.flow_scaled(1, mult, size)), step, bits
+    )
     with workprec(bits):
         acc = ResidualAccumulator()
         effective_tol = max(Fraction(tolerance), 10 * step * step)
@@ -636,8 +661,10 @@ def kp_check(
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
     # the witnesses' first-order jet of tau_n reads moments up to rho_{2n-1},
-    # inside the table of a witness of size n or more
-    fd_size = max(pipe.k, max(n_values))
+    # inside the table of a witness of size n or more; sato_wilson's flow-2
+    # witnesses serve where they are that large, and this pipeline serves the
+    # midpoint (mult 1) of the second difference where it is
+    fd_size = max(fd_witness_size(pipe.k, 2), max(n_values))
     with workprec(bits):
         acc = ResidualAccumulator()
         jets = _log_jets(pipe, max(n_values) + 1, needed)

@@ -26,7 +26,9 @@ a short binomial series in the parent's columns S_{m + l p}, whose interval
 adds the series remainder and the witness's own tail past K, and the same
 rounding test proves every column (``_flow_witness_moments``). A witness is
 walked as any other table when a weight is not positive, the parent is too
-shallow for the series, the tail test fails at K or a column is not proven.
+shallow for the series or the tail test fails at K; when a column is not
+proven, the walk starts at the rung past the parent's, as a walk at the
+parent's rung leaves an interval about as wide.
 Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
 before any summation: DivergentSeries when a requested moment diverges,
 TermBudgetExceeded when only a ratio-1 tail stands between the series and a
@@ -319,13 +321,21 @@ def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | Non
 
 
 def _rounded_moments(
-    w: HypergeometricWeight, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext
+    w: HypergeometricWeight,
+    classification: ConvergenceClass,
+    m_max: int,
+    ctx: PrecisionContext,
+    above: int = 0,
 ) -> tuple[list, LatticePass]:
     """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
     that proves it, and that pass.
 
     The passes climb one precision ladder: the mantissa plus each of
-    _ROUNDING_GUARD_BITS, and verify_bits, in increasing order. A pass at
+    _ROUNDING_GUARD_BITS, and verify_bits, in increasing order, from the first
+    rung past ``above`` (the top rung if none is): a witness whose derivation
+    failed the rounding test at its parent's rung starts past it, where a walk
+    would fail it again. Correctly rounded values are unique, so the rung a
+    proof comes from does not change them. A pass at
     ``bits`` leaves column m as the interval sums[m] +- r_m (units of
     2^-scale): r_m is the floor-division bound errors[m], plus the tail bound
     (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall`` certified when the
@@ -341,8 +351,8 @@ def _rounded_moments(
     _refuse_uncertifiable(w, classification, m_max)
     target = ctx.mantissa_bits
     tail = classification.q is None
-    rungs = {target + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits}
-    for bits in sorted(rungs):
+    rungs = sorted({target + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits})
+    for bits in [b for b in rungs if b > above] or rungs[-1:]:
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
@@ -386,10 +396,13 @@ def _flow_witness_moments(
     w: HypergeometricWeight,
     m_max: int,
     ctx: PrecisionContext,
-) -> list | None:
+) -> tuple[list | None, int]:
     """rho_0 .. rho_{m_max} of the FD witness w(k) = parent(k) mult^(k^l),
-    correctly rounded, from the parent's accepted pass; None when it cannot be
-    proven that way, and the witness is then walked.
+    correctly rounded, from the parent's accepted pass, and the rung a walk
+    starts past: (values, 0) when derived; (None, 0) when the witness falls
+    outside the rules below and is walked from the first rung; (None, bits)
+    when only the rounding test at the parent's rung ``bits`` failed, and the
+    walk starts past it (``_rounded_moments``'s ``above``).
 
     With mult = 1 + delta, (1 + delta)^x = sum_j delta^j / j! sum_p s(j, p) x^p
     (s the Stirling numbers of the first kind), so the first flow's index
@@ -426,18 +439,18 @@ def _flow_witness_moments(
         or not (_positive(p) and _positive(w))
         or (w.a, w.b, [w.eta, w.eta2, w.eta3]) != (p.a, p.b, etas)
     ):
-        return None
+        return None, 0
     delta = Fraction(mult) - 1
     K, sums, errors = lattice.last, lattice.sums, lattice.errors
     if abs(delta) * K**l > Fraction(1, 2):
-        return None
+        return None, 0
     d, v = delta.numerator, delta.denominator
     shift = lattice.bits - 31
     J = 0
     while True:
         top = l * (J + 1)
         if m_max + top > parent.m_max:
-            return None
+            return None, 0
         rem_num, rem_den = 2 * abs(d) ** (J + 1), v ** (J + 1) * factorial(J + 1)
         if rem_num * (sums[m_max + top] + errors[m_max + top]) <= (sums[m_max] >> shift) * rem_den:
             break
@@ -460,9 +473,10 @@ def _flow_witness_moments(
         radii.append(-(-err // den) - (-rem // rem_den) + 1)
     value, err = lattice.last_term
     if _tail_shortfall(w, K, (value + err) << (delta > 0), derived, shift):
-        return None
+        return None, 0
     radii = [r + (s >> shift) + 1 for s, r in zip(derived, radii)]
-    return _ziv_rounded(derived, radii, lattice.scale, ctx.mantissa_bits)
+    values = _ziv_rounded(derived, radii, lattice.scale, ctx.mantissa_bits)
+    return values, 0 if values is not None else lattice.bits
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -504,12 +518,13 @@ class MomentTable:
         flow_parent: tuple["MomentTable", int, Fraction] | None = None,
     ):
         classification = classify_convergence(w)
+        above = 0
         if flow_parent is not None:
-            values = _flow_witness_moments(*flow_parent, w, m_max, ctx)
+            values, above = _flow_witness_moments(*flow_parent, w, m_max, ctx)
             if values is not None:
                 self._fill(w, m_max, ctx, classification, values, None)
                 return
-        values, lattice = _rounded_moments(w, classification, m_max, ctx)
+        values, lattice = _rounded_moments(w, classification, m_max, ctx, above)
         self._fill(w, m_max, ctx, classification, values, lattice.last, lattice)
 
     def _fill(

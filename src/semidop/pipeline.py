@@ -15,11 +15,18 @@ weight, size and context before it builds a table of its own. The one other
 read of a default table, ``kp``'s first-order jets of tau_n, reaches
 rho_{2n-1}, inside the table of a witness of size n or more. Moment values,
 correctly rounded, depend on the weight alone, so every table of a weight
-holds the same moments. An FD witness built by ``flow_scaled`` offers its
-parent's table to ``MomentTable``, which derives the witness's moments from
-the parent's lattice pass when the parent holds the columns the series reads
-(the engine slack holds them for the base pipeline's size-k witnesses) and
-walks the lattice otherwise; the values are the same either way.
+holds the same moments.
+
+An FD witness is built by ``flow_scaled`` at the size its reader names: a
+flow-l witness of a size-k suite at k - l - 1, the window of ``sato_wilson``
+that every other reader of the flow reads inside (``uv_system`` builds its
+own at n0 + 1). The unpivoted LDL of a leading block of a Hankel matrix is
+the leading block of the full LDL, so the witness carries the bits a size-k
+one would there. It offers its parent's table to ``MomentTable``, which
+derives the witness's moments from the parent's lattice pass when the parent
+holds the columns the series reads (the engine slack holds them for the base
+pipeline's witnesses) and walks the lattice otherwise; the values are the
+same either way.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -68,9 +75,11 @@ from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
 # Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
-# factorization: it absorbs the flow-index shifts of the determinant engine,
-# and holds the columns past rho_{2k} that the binomial series of the base
-# pipeline's size-k FD witnesses reads (``MomentTable``'s flow_parent).
+# factorization: it absorbs the flow-index shifts of the determinant engine
+# and gram_pearson's reach, and holds the columns the binomial series of the
+# base pipeline's FD witnesses reads (``MomentTable``'s flow_parent). A flow-l
+# witness at size k - l - 1 stops at rho_{2k - 2l - 2}, so its series has
+# 2l + 2 + 8 columns to read, l (J + 1) of them for J + 1 terms.
 _DEPTH_SLACK = 8
 
 
@@ -173,13 +182,16 @@ class WeightPipeline:
     def shifted(self, shift: Shift) -> "WeightPipeline":
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)
 
-    def flow_scaled(self, l: int, mult: Fraction, k: int | None = None) -> "WeightPipeline":
-        """The FD witness of the flow-scaled weight, at size k (this pipeline's
-        by default); at mult 1 and this size, this pipeline itself. A witness
-        built here takes its moments from this pipeline's table where
-        ``MomentTable`` can derive them."""
-        weight, k = flow_scaled_weight(self.weight, l, mult), k or self.k
-        if weight == self.weight and k == self.k:
+    def flow_scaled(self, l: int, mult: Fraction, k: int) -> "WeightPipeline":
+        """The FD witness of the flow-scaled weight at size k, the size its
+        reader's window reads. At mult 1 the weight is unchanged, and this
+        pipeline itself serves any k up to its own: the leading blocks of its
+        factorization are those of a size-k one (an unpivoted LDL of a leading
+        block is the leading block of the full LDL). A witness built here takes
+        its moments from this pipeline's table where ``MomentTable`` can derive
+        them."""
+        weight = flow_scaled_weight(self.weight, l, mult)
+        if weight == self.weight and k <= self.k:
             return self
         return get_pipeline(weight, k, self.ctx, flow_parent=(self.table, l, mult))
 

@@ -206,8 +206,9 @@ def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     # the fifth-order jets read moments up to 2n + 3 <= 11 of the base table,
     # the engine pipeline of run_suite, whose depth is >= 16; the FD witnesses
-    # are default pipelines, their tables stopping at rho_2k, and integrable.kp_check
-    # sizes them so that their first-order jets stay inside
+    # are default pipelines, their tables stopping at rho_2k, and
+    # integrable.kp_check builds them at max(kj - 3, n), the flow-2 witnesses
+    # of sato_wilson wherever those hold the first-order jets of tau_n
     n_values = [n for n in LATTICE_N if n <= 4]
     return integrable.kp_check(pipe, n_values, cfg.tol())
 

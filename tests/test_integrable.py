@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import isnan, mpf, nan, workprec
 
 from semidop import (
+    HypergeometricWeight,
     InvalidShift,
     MomentTable,
+    PrecisionContext,
     PreconditionError,
     Shift,
+    cholesky,
     parse_weight_spec,
 )
 from semidop import flows
@@ -26,7 +31,7 @@ from semidop.integrable import (
     valid_single_shifts,
 )
 from semidop import structure
-from semidop.pipeline import clear_cache, get_pipeline
+from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
 from semidop.weights import to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER
@@ -248,6 +253,52 @@ def test_kp_rejects_undeformed(ctx, tol, charlier_pipe):
 # -- a nan residual fails wherever a check takes its maximum -------------------
 
 
+# -- FD witnesses at the size their readers' windows read ----------------------
+
+positive_params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+
+
+@st.composite
+def positive_weights(draw):
+    """An undeformed weight positive at every point, M, N <= 2, eta < 1 where M = N + 1."""
+    b = tuple(draw(st.lists(positive_params, max_size=2)))
+    a = tuple(draw(st.lists(positive_params, max_size=min(2, len(b) + 1))))
+    top = 4 if len(a) <= len(b) else Fraction(7, 8)
+    eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=top, max_denominator=16))
+    return HypergeometricWeight(a=a, b=b, eta=eta)
+
+
+def _block_bits(rows, m: int) -> list:
+    return [[x._mpf_ for x in row[:m]] for row in rows[:m]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(w=positive_weights(), k=st.integers(2, 12), data=st.data())
+def test_leading_blocks_of_a_factorization_are_the_smaller_one(w, k, data):
+    # what the witness sizes rest on: the unpivoted LDL of a leading block of
+    # a Hankel matrix is the leading block of the full LDL, and S = L^-1 by
+    # forward substitution, bit for bit
+    m = data.draw(st.integers(1, k - 1))
+    table = MomentTable(w, 2 * k - 2, PrecisionContext(mantissa_bits=512))
+    full, lead = cholesky(table, k), cholesky(table, m)
+    assert _block_bits(lead.s, m) == _block_bits(full.s, m)
+    assert _block_bits(lead.s_inv, m) == _block_bits(full.s_inv, m)
+    assert [x._mpf_ for x in lead.h] == [x._mpf_ for x in full.h[:m]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(w=positive_weights(), data=st.data())
+def test_psi_h_inverse_on_the_compatibility_window_reads_two_rows_less(w, data):
+    # pearson_toda differences Psi H^-1 and Psi^T H^-1 of witnesses at size
+    # kj - 2: on its window they are those of size kj, bit for bit
+    kj = data.draw(st.integers(w.m_degree + w.n_degree + 5, 12))
+    win = structure.compatibility_window(w, kj)
+    ctx = PrecisionContext(mantissa_bits=512)
+    full, small = WeightPipeline(w, kj, ctx), WeightPipeline(w, kj - 2, ctx)
+    for a, b in zip(full.psi_h_inv, small.psi_h_inv):
+        assert _block_bits(a, win) == _block_bits(b, win)
+
+
 def _nan_in_shifted_table(pipe, tol, monkeypatch):
     # the A(1)-shifted moments are read only by the single-shift block
     pipe.shifted(Shift.a(1)).table.values[0] = nan
@@ -271,9 +322,10 @@ def _nan_in_last_norm_for_omega(pipe, tol, monkeypatch):
 
 
 def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
-    # once J is built, S^-1 is read only by the dressing factor phi = dS S^-1
+    # once J is built, S^-1 is read only by the dressing factor phi = dS S^-1,
+    # on its leading kj - l window; row kj - 2 lies inside the flow-1 window
     assert pipe.jac
-    pipe.chol.s_inv[pipe.k][0] = nan
+    pipe.chol.s_inv[pipe.k - 2][0] = nan
     return sato_wilson_check(pipe, tol)
 
 

@@ -566,11 +566,10 @@ CONTRACT_MIX = (
 
 def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     # the per-pass error bound certifies every column at the base guard: one
-    # contract mix at 512 bits sums 23 passes at 608 bits and 3 at 736. The
+    # contract mix at 512 bits sums 12 passes at 608 bits and 3 at 736. The
     # FD witnesses take their moments from their parent's pass, except the
-    # deformed weight's flow-2 witnesses (8 passes: their parent is too
-    # shallow) and the three Meixner witnesses near a rounding midpoint
-    # (3 passes at each rung)
+    # three Meixner witnesses near a rounding midpoint, whose derivation
+    # fails only the rounding test at 608 bits: they are walked from 736
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -583,7 +582,7 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert Counter(passes) == {(608, 0): 23, (736, 0): 3}
+    assert Counter(passes) == {(608, 0): 12, (736, 0): 3}
 
 
 def test_tiny_moments_widen_the_guard(monkeypatch):
@@ -806,8 +805,9 @@ def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, dept
 def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     # the Meixner suite at size 12 sums the lattice for its base table, its
     # shifted table a=3 and the three flow-1 witnesses whose moments sit near
-    # a 512-bit rounding midpoint (at 608 and again at 736 bits); the other FD
-    # witnesses (29 passes in all when each walked) are derived
+    # a 512-bit rounding midpoint (their derivation fails the rounding test at
+    # 608 bits, so each is walked at 736 only); the other FD witnesses (29
+    # passes in all when each walked) are derived
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -822,8 +822,6 @@ def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     assert Counter(passes) == {
         ("a=2; eta=1/2", 32, 608): 1,
         ("a=3; eta=1/2", 24, 608): 1,
-        ("witness", 4, 608): 2,
         ("witness", 4, 736): 2,
-        ("witness", 24, 608): 1,
-        ("witness", 24, 736): 1,
+        ("witness", 20, 736): 1,
     }

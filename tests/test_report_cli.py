@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +447,38 @@ def test_suite_leaves_every_shared_matrix_as_built():
 
 
 @pytest.mark.parametrize(
+    ("weight", "size", "witnesses"),
+    [
+        # uv_system's witnesses of the base and of a=3 at n0 + 1 = 2; toda,
+        # sato_wilson and pearson_toda share those at kj - 2 = 10
+        (MEIXNER, 12, {(2, 1): 16, (10, 1): 8}),
+        # toda and sato_wilson share the flow-1 witnesses at kj - 2 = 6,
+        # sato_wilson and kp the flow-2 ones at kj - 3 = 5; kp's midpoint
+        # (mult 1) is the base itself
+        (DEFORMED, 8, {(6, 1): 8, (5, 2): 8}),
+    ],
+    ids=["meixner", "deformed"],
+)
+def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, witnesses, monkeypatch):
+    # every (flow, mult) has one witness pipeline, whose size is what its
+    # readers read; the 8 multipliers are 1 +- step / 2^i for i <= 3
+    built = {}
+    real = pipeline.WeightPipeline.flow_scaled
+
+    def recorded(self, l, mult, *size):
+        pipe = real(self, l, mult, *size)
+        if pipe is not self:
+            built[id(pipe)] = (pipe.k, l)
+        return pipe
+
+    monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", recorded)
+    clear_cache()
+    assert run_suite(SuiteConfig(weight=weight, size=size, mantissa_bits=512)).passed
+    clear_cache()
+    assert Counter(built.values()) == witnesses
+
+
+@pytest.mark.parametrize(
     ("weight", "flow", "size"),
     [(MEIXNER, 1, 12), (MEIXNER, 1, 2), (DEFORMED, 2, 8)],
     ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
@@ -457,7 +490,8 @@ def test_witness_table_stops_at_rho_2k(weight, flow, size):
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=BITS)
     base = get_pipeline(weight, 8, ctx, engine=True)
-    assert base.flow_scaled(flow, Fraction(1)) is base
+    # at mult 1 the weight is unchanged, and the base serves every size up to its own
+    assert all(base.flow_scaled(flow, Fraction(1), k) is base for k in (2, 8))
     witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64), size)
     full = get_pipeline(witness.weight, size, ctx, engine=True)
     assert full is not witness and full.table.m_max > 2 * size
