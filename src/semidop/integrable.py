@@ -31,6 +31,7 @@ from .flows import (
     derivative_fd_crosscheck,
     fd_convergence_study,
     fd_flow_derivative,
+    flow_scaled_weight,
     log_jet,
     log_tau_jet,
     tau_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
@@ -496,16 +497,20 @@ def zero_curvature_window(w: HypergeometricWeight, kj: int) -> int:
 
 
 def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
-    """The flows among 1 and 2 whose parameter can be nudged by (1 +- step)
-    without losing convergence: flow 1 away from the unit circle, flow 2 only
-    when its deformation is strictly inside it."""
-    w = pipe.weight
-    kind = classify_convergence(w).kind
+    """The flows among 1 and 2 whose FD witnesses exist: both weights with
+    eta_l scaled by 1 +- default_fd_step(bits) construct, and neither is
+    divergent or on the convergence boundary, where no table is certified.
+    The convergence study's smaller steps move eta_l less, so their
+    witnesses exist too."""
+    step = default_fd_step(pipe.bits)
     out = []
-    if kind in ("all_eta", "finite_support") or (kind == "unit_disk" and abs(w.eta) < 1):
-        out.append(1)
-    if abs(w.eta2) < 1:
-        out.append(2)
+    for l in (1, 2):
+        try:
+            witnesses = [flow_scaled_weight(pipe.weight, l, 1 + s) for s in (step, -step)]
+        except PreconditionError:
+            continue
+        if all(classify_convergence(w).kind not in ("boundary", "divergent") for w in witnesses):
+            out.append(l)
     return tuple(out)
 
 
@@ -656,7 +661,8 @@ def kp_check(
     """The KP relation for the subleading coefficient of a triply deformed
     weight, with every mixed derivative taken by the exact determinant engine
     and the second-flow second derivative witnessed by finite differences at
-    the ``flows`` step."""
+    the ``flows`` step where the second flow's witnesses exist
+    (``fd_feasible_flows``)."""
     active_deformation(pipe.weight, pipe.k)
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
@@ -665,6 +671,7 @@ def kp_check(
     # witnesses serve where they are that large, and this pipeline serves the
     # midpoint (mult 1) of the second difference where it is
     fd_size = max(fd_witness_size(pipe.k, 2), max(n_values))
+    fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
         acc = ResidualAccumulator()
         jets = _log_jets(pipe, max(n_values) + 1, needed)
@@ -682,7 +689,7 @@ def kp_check(
             scale = max(abs(4 * d13p), abs(12 * d1p * d11p), abs(d1111p), abs(3 * d22p), mpf(1))
             acc.add(f"kp[n={n}]", abs(lhs - 3 * d22p), scale)
 
-            if n >= 1:
+            if n >= 1 and 2 in fd_flows:
                 def p_quantity(mult: Fraction, n=n):
                     scaled = pipe.flow_scaled(2, mult, fd_size)
                     return -log_tau_jet(scaled.table, n, [(1, 0, 0)])[(1, 0, 0)]

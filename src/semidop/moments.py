@@ -19,16 +19,17 @@ working-precision value, which is therefore the correctly rounded moment. If
 no rung proves it, the last pass is rounded as it stands.
 
 A table keeps its accepted pass (``LatticePass``): the column sums S_m over
-k <= K, their error bounds, the scale, the rung's bits, K and the last term
-W_K with its error. A finite-difference witness w(k) mult^(k^l) offered its
-parent table is derived from that pass, with no lattice walk: its moments are
-a short binomial series in the parent's columns S_{m + l p}, whose interval
-adds the series remainder and the witness's own tail past K, and the same
-rounding test proves every column (``_flow_witness_moments``). A witness is
-walked as any other table when a weight is not positive, the parent is too
-shallow for the series or the tail test fails at K; when a column is not
-proven, the walk starts at the rung past the parent's, as a walk at the
-parent's rung leaves an interval about as wide.
+k <= K, their error bounds, the scale, the rung's bits, K and a bound on the
+last term. A table offered its parent table tries a pass derived from the
+parent's first (``_derived_pass``). When the weight is a finite-difference
+witness w(k) mult^(k^l) of the parent's (one eta_l scaled, a and b equal),
+its sums over the parent's points are a short binomial series in the parent's
+columns S_{m + l p}, with no lattice walk, and its tail past K is certified
+at K. The ladder takes that pass as it takes a walk's: the same radius and
+rounding test and, when the test fails, walks from the rung past its bits,
+as a walk at the parent's rung leaves an interval about as wide. There is
+no derived pass when a weight is not positive, the parent is too shallow for
+the series or the tail test fails at K; the walks then start at the first rung.
 Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
 before any summation: DivergentSeries when a requested moment diverges,
 TermBudgetExceeded when only a ratio-1 tail stands between the series and a
@@ -320,39 +321,23 @@ def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | Non
     return values
 
 
-def _rounded_moments(
-    w: HypergeometricWeight,
-    classification: ConvergenceClass,
-    m_max: int,
-    ctx: PrecisionContext,
-    above: int = 0,
-) -> tuple[list, LatticePass]:
-    """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
-    that proves it, and that pass.
+def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext, derived):
+    """The passes to round, in order: ``derived`` when given, then a walk at
+    each rung of the ladder past its bits (the top rung if none is).
 
-    The passes climb one precision ladder: the mantissa plus each of
-    _ROUNDING_GUARD_BITS, and verify_bits, in increasing order, from the first
-    rung past ``above`` (the top rung if none is): a witness whose derivation
-    failed the rounding test at its parent's rung starts past it, where a walk
-    would fail it again. Correctly rounded values are unique, so the rung a
-    proof comes from does not change them. A pass at
-    ``bits`` leaves column m as the interval sums[m] +- r_m (units of
-    2^-scale): r_m is the floor-division bound errors[m], plus the tail bound
-    (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall`` certified when the
-    series is infinite. Within a rung, the guard widens by the measured
-    shortfall until every errors[m] is at most 2^-(bits - 31) |sums[m]|.
-    ``_ziv_rounded`` accepts the pass when every interval proves its rounding.
-    If no rung proves them, the last pass is rounded as it stands.
-
-    For an infinite series the accepted pass stopped where ``_tail_shortfall``
-    proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max,
-    with bits >= ctx.mantissa_bits + 96; for a finite support K is q.
+    The rungs are the mantissa plus each of _ROUNDING_GUARD_BITS, and
+    verify_bits, in increasing order. A derived pass that fails the rounding
+    test at its parent's rung is followed by the rungs past it: a walk at
+    that rung leaves an interval about as wide, and would fail it again.
+    Within a rung, the walk's guard widens by the measured shortfall until
+    every errors[m] is at most 2^-(bits - 31) |sums[m]|.
     """
-    _refuse_uncertifiable(w, classification, m_max)
-    target = ctx.mantissa_bits
-    tail = classification.q is None
-    rungs = sorted({target + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits})
-    for bits in [b for b in rungs if b > above] or rungs[-1:]:
+    floor = 0
+    if derived is not None:
+        yield derived
+        floor = derived.bits
+    rungs = sorted({ctx.mantissa_bits + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits})
+    for bits in [b for b in rungs if b > floor] or rungs[-1:]:
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
@@ -373,15 +358,45 @@ def _rounded_moments(
                 f"rounding error of the moment series for weight {w.spec_string()} "
                 f"could not be certified to {bits - 32} bits"
             )
+        yield lattice
+
+
+def _rounded_moments(
+    w: HypergeometricWeight,
+    classification: ConvergenceClass,
+    m_max: int,
+    ctx: PrecisionContext,
+    derived: LatticePass | None = None,
+) -> tuple[list, LatticePass]:
+    """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
+    of ``_ladder`` that proves it, and that pass.
+
+    Correctly rounded values are unique, so the pass a proof comes from does
+    not change them. A pass at ``bits`` leaves column m as the interval
+    sums[m] +- r_m (units of 2^-scale): r_m is the error bound errors[m], plus
+    the tail bound (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall``
+    certified at the pass's last point when the series is infinite.
+    ``_ziv_rounded`` accepts the pass when every interval proves its rounding.
+    If no pass proves them, the last one is rounded as it stands.
+
+    For an infinite series the accepted pass ends at a K where ``_tail_shortfall``
+    proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max,
+    with bits >= ctx.mantissa_bits + 96; for a finite support K is q.
+    """
+    _refuse_uncertifiable(w, classification, m_max)
+    target = ctx.mantissa_bits
+    tail = classification.q is None
+    for lattice in _ladder(w, classification, m_max, ctx, derived):
+        shift = lattice.bits - 31
         radii = [
             err + ((abs(s) >> shift) + 1 if tail else 0)
             for s, err in zip(lattice.sums, lattice.errors)
         ]
-        values = _ziv_rounded(lattice.sums, radii, scale, target)
+        values = _ziv_rounded(lattice.sums, radii, lattice.scale, target)
         if values is not None:
             return values, lattice
     with workprec(target):
-        return [mpf((s, -scale)) for s in lattice.sums], lattice
+        return [mpf((s, -lattice.scale)) for s in lattice.sums], lattice
 
 
 def _positive(w: HypergeometricWeight) -> bool:
@@ -389,20 +404,13 @@ def _positive(w: HypergeometricWeight) -> bool:
     return min((w.eta, w.eta2, w.eta3) + w.a + w.b) > 0
 
 
-def _flow_witness_moments(
-    parent: "MomentTable",
-    l: int,
-    mult: Fraction,
-    w: HypergeometricWeight,
-    m_max: int,
-    ctx: PrecisionContext,
-) -> tuple[list | None, int]:
-    """rho_0 .. rho_{m_max} of the FD witness w(k) = parent(k) mult^(k^l),
-    correctly rounded, from the parent's accepted pass, and the rung a walk
-    starts past: (values, 0) when derived; (None, 0) when the witness falls
-    outside the rules below and is walked from the first rung; (None, bits)
-    when only the rounding test at the parent's rung ``bits`` failed, and the
-    walk starts past it (``_rounded_moments``'s ``above``).
+def _derived_pass(
+    parent: "MomentTable", w: HypergeometricWeight, m_max: int, ctx: PrecisionContext
+) -> LatticePass | None:
+    """The pass of w over the parent's points 0 .. K, derived from the
+    parent's accepted pass with no lattice walk, when w is an FD witness
+    w(k) = parent(k) mult^(k^l): the parent's weight with one eta_l times mult,
+    a and b equal. None when w falls outside the rules below.
 
     With mult = 1 + delta, (1 + delta)^x = sum_j delta^j / j! sum_p s(j, p) x^p
     (s the Stirling numbers of the first kind), so the first flow's index
@@ -417,40 +425,41 @@ def _flow_witness_moments(
     |R_m| <= 2 |delta|^(J+1) / (J+1)! (S + E)_{m + l(J+1)}. J is the fewest
     terms whose remainder is within the parent's tail budget 2^-(bits - 31)
     S_m in the last column, where it is largest relative to S_m (the moments
-    of a positive weight are log-convex). Every column's interval holds its
-    own remainder, so J decides only how often a witness is derived. The
-    witness's tail past K is certified by ``_tail_shortfall`` at K, where
-    w(K) 2^scale is at most (W_K + e_K) mult^(K^l) < 2 (W_K + e_K). Each
-    column is then an interval: the sum, plus or minus the propagated errors,
-    the remainder, the tail and one unit for each rounded division;
-    ``_ziv_rounded`` decides it.
+    of a positive weight are log-convex). Every column's error bound holds its
+    own remainder, so J decides only how often a witness is derived. Each
+    column is the sum, plus or minus the propagated errors, the remainder and
+    one unit for each rounded division.
 
-    Derived only from observable inputs: both weights positive, w the
-    parent's weight with eta_l times mult at the parent's precision, a parent
-    table with a pass of its own that holds column m_max + l (J+1), a passing
-    tail test at K, and every column proven.
+    The pass keeps the parent's scale, rung and K. Its last term is
+    (0, (W_K + e_K) << (delta > 0)): w(K) 2^scale is at most
+    (W_K + e_K) mult^(K^l), below twice W_K + e_K and at most W_K + e_K when
+    delta < 0. ``_tail_shortfall`` certifies the witness's tail past K at that
+    bound, as a walk's stop does, so ``_rounded_moments`` rounds the pass as it
+    rounds a walk's.
+
+    Derived only from observable inputs: both weights positive, the same
+    precision, a parent pass that holds column m_max + l (J+1), and a passing
+    tail test at K.
     """
-    lattice, p = parent.lattice_pass, parent.weight
-    etas = [p.eta, p.eta2, p.eta3]
-    etas[l - 1] *= mult
-    if (
-        lattice is None
-        or parent.ctx != ctx
-        or not (_positive(p) and _positive(w))
-        or (w.a, w.b, [w.eta, w.eta2, w.eta3]) != (p.a, p.b, etas)
-    ):
-        return None, 0
-    delta = Fraction(mult) - 1
+    p, lattice = parent.weight, parent.lattice_pass
+    if parent.ctx != ctx or (w.a, w.b) != (p.a, p.b) or not (_positive(p) and _positive(w)):
+        return None
+    etas = zip((w.eta, w.eta2, w.eta3), (p.eta, p.eta2, p.eta3))
+    moved = [(l, new / old) for l, (new, old) in enumerate(etas, 1) if new != old]
+    if len(moved) != 1:
+        return None
+    [(l, mult)] = moved
+    delta = mult - 1
     K, sums, errors = lattice.last, lattice.sums, lattice.errors
     if abs(delta) * K**l > Fraction(1, 2):
-        return None, 0
+        return None
     d, v = delta.numerator, delta.denominator
     shift = lattice.bits - 31
     J = 0
     while True:
         top = l * (J + 1)
         if m_max + top > parent.m_max:
-            return None, 0
+            return None
         rem_num, rem_den = 2 * abs(d) ** (J + 1), v ** (J + 1) * factorial(J + 1)
         if rem_num * (sums[m_max + top] + errors[m_max + top]) <= (sums[m_max] >> shift) * rem_den:
             break
@@ -472,11 +481,10 @@ def _flow_witness_moments(
         derived.append(num // den)
         radii.append(-(-err // den) - (-rem // rem_den) + 1)
     value, err = lattice.last_term
-    if _tail_shortfall(w, K, (value + err) << (delta > 0), derived, shift):
-        return None, 0
-    radii = [r + (s >> shift) + 1 for s, r in zip(derived, radii)]
-    values = _ziv_rounded(derived, radii, lattice.scale, ctx.mantissa_bits)
-    return values, 0 if values is not None else lattice.bits
+    bound = (value + err) << (delta > 0)
+    if _tail_shortfall(w, K, bound, derived, shift):
+        return None
+    return LatticePass(derived, radii, lattice.scale, lattice.bits, K, (0, bound))
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -491,14 +499,12 @@ class MomentTable:
     precision ladder that proves every column's rounding, so they depend on
     the weight alone, not on the depth or the pass precision (if no rung proves
     them, they are the verify_bits pass rounded). ``rebuilt`` serves other
-    mantissas. ``lattice_pass`` is the accepted pass, which the table's FD
-    witnesses are derived from (``flow_parent``, see ``_flow_witness_moments``);
-    it is None for a derived table, so a witness of a witness is walked.
-    ``last_point`` is K, the last lattice point of that pass: q for a finite
-    support, else the first point past which every column's tail of
-    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. A
-    derived table sums the pass it skipped when ``last_point`` is first read,
-    so it reads the K of the walk. The orthogonality witness sums
+    mantissas. ``lattice_pass`` is the accepted pass, walked or derived from
+    the ``parent`` table it was offered (see ``_derived_pass``); a table's FD
+    witnesses are derived from it in turn. ``last_point`` is its K: q for a
+    finite support, else a point past which every column's tail of
+    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment (a
+    derived table's K is its parent's). The orthogonality witness sums
     ``lattice_weights`` over the points 0 .. K: the pass's own term
     generator, so K and the scale stay in this module.
 
@@ -515,28 +521,20 @@ class MomentTable:
         w: HypergeometricWeight,
         m_max: int,
         ctx: PrecisionContext,
-        flow_parent: tuple["MomentTable", int, Fraction] | None = None,
+        parent: MomentTable | None = None,
     ):
         classification = classify_convergence(w)
-        above = 0
-        if flow_parent is not None:
-            values, above = _flow_witness_moments(*flow_parent, w, m_max, ctx)
-            if values is not None:
-                self._fill(w, m_max, ctx, classification, values, None)
-                return
-        values, lattice = _rounded_moments(w, classification, m_max, ctx, above)
-        self._fill(w, m_max, ctx, classification, values, lattice.last, lattice)
+        derived = _derived_pass(parent, w, m_max, ctx) if parent is not None else None
+        values, lattice = _rounded_moments(w, classification, m_max, ctx, derived)
+        self._fill(w, m_max, ctx, classification, values, lattice)
 
-    def _fill(
-        self, w, m_max, ctx, classification, values: list, last_point, lattice=None
-    ) -> None:
+    def _fill(self, w, m_max, ctx, classification, values: list, lattice) -> None:
         self.weight = w
         self.ctx = ctx
         self.m_max = m_max
         self.classification = classification
         self.values = values
         self.lattice_pass = lattice
-        self._last_point = last_point
         self._det_cache: dict[tuple[int, ...], mpf] = {}
         self._leading: dict[int, LUFactors] = {}
         self._row_solves: dict[tuple[int, int], list] = {}
@@ -545,11 +543,8 @@ class MomentTable:
 
     @property
     def last_point(self) -> int:
-        """K of the table's accepted pass; a derived table sums that pass on first read."""
-        if self._last_point is None:
-            _, lattice = _rounded_moments(self.weight, self.classification, self.m_max, self.ctx)
-            self._last_point = lattice.last
-        return self._last_point
+        """K, the last lattice point of the table's accepted pass."""
+        return self.lattice_pass.last
 
     def walk_scale(self, degree: int) -> int:
         """The mantissa plus the pass's guard for summands growing like k^degree."""

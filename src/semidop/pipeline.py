@@ -8,25 +8,26 @@ size, precision context, engine flag); the finite-difference (FD) witnesses
 and the shifted pipelines obtain theirs through the same cache. This module
 alone sets the depth of a moment table (``moment_depth``). By default a table
 holds exactly rho_0 .. rho_{2k}, what the size-(k+1) factorization and so
-chol -> jac -> psi read. An engine pipeline, which only the suite's base
-pipeline asks for, keeps slack past rho_{2k} for the determinant engine and
-``gram_pearson``; a default request finds a cached engine pipeline of the same
-weight, size and context before it builds a table of its own. The one other
-read of a default table, ``kp``'s first-order jets of tau_n, reaches
-rho_{2n-1}, inside the table of a witness of size n or more. Moment values,
-correctly rounded, depend on the weight alone, so every table of a weight
-holds the same moments.
+chol -> jac -> psi read; the determinant engine's jets read inside it too. An
+engine pipeline, which only the suite's base pipeline asks for, keeps slack
+past rho_{2k} for ``gram_pearson``, which reads rho_{2k+N-1}, and for the
+columns its FD witnesses' moments are derived from; a default request finds a
+cached engine pipeline of the same weight, size and context before it builds
+a table of its own. The one other read of a default table, ``kp``'s
+first-order jets of tau_n, reaches rho_{2n-1}, inside the table of a witness
+of size n or more. Moment values, correctly rounded, depend on the weight
+alone, so every table of a weight holds the same moments.
 
 An FD witness is built by ``flow_scaled`` at the size its reader names: a
 flow-l witness of a size-k suite at k - l - 1, the window of ``sato_wilson``
 that every other reader of the flow reads inside (``uv_system`` builds its
 own at n0 + 1). The unpivoted LDL of a leading block of a Hankel matrix is
 the leading block of the full LDL, so the witness carries the bits a size-k
-one would there. It offers its parent's table to ``MomentTable``, which
-derives the witness's moments from the parent's lattice pass when the parent
-holds the columns the series reads (the engine slack holds them for the base
-pipeline's witnesses) and walks the lattice otherwise; the values are the
-same either way.
+one would there. It hands ``MomentTable`` its parent's table, whose lattice
+pass the witness's moments are derived from when the parent holds the
+columns the series reads (the engine slack holds them for the base
+pipeline's witnesses); otherwise the witness walks the lattice. The values
+are the same either way.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -75,9 +76,9 @@ from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
 # Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
-# factorization: it absorbs the flow-index shifts of the determinant engine
-# and gram_pearson's reach, and holds the columns the binomial series of the
-# base pipeline's FD witnesses reads (``MomentTable``'s flow_parent). A flow-l
+# factorization, which the determinant engine's jets read inside. The slack
+# holds gram_pearson's rho_{2k+N-1} and the columns the binomial series of the
+# base pipeline's FD witnesses reads (``MomentTable``'s parent): a flow-l
 # witness at size k - l - 1 stops at rho_{2k - 2l - 2}, so its series has
 # 2l + 2 + 8 columns to read, l (J + 1) of them for J + 1 terms.
 _DEPTH_SLACK = 8
@@ -87,10 +88,13 @@ def moment_depth(weight: HypergeometricWeight, k: int, engine: bool = False) -> 
     """Moment-table depth of a size-k pipeline.
 
     A default pipeline reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
-    factorization, and its table stops there. An engine pipeline's depth is
-    rounded up to a multiple of 8 past the slack; the Pearson-symmetry
+    factorization, and its table stops there; the determinant engine reads
+    no further. An engine pipeline keeps the slack past rho_{2k}, its depth
+    rounded up to a multiple of 8, for two readers: the Pearson-symmetry
     assembly theta(shift) G on the k x k window reads moments up to
-    2k + N - 1, so a weight with N > 8 needs more than the slack.
+    2k + N - 1, so a weight with N > 8 needs more than the slack, and the
+    base pipeline's FD witnesses derive their moments from the columns past
+    their own depth.
     """
     if not engine:
         return 2 * k
@@ -105,7 +109,7 @@ class WeightPipeline:
         k: int,
         ctx: PrecisionContext,
         engine: bool = False,
-        flow_parent: tuple[MomentTable, int, Fraction] | None = None,
+        parent: MomentTable | None = None,
     ):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
@@ -113,7 +117,7 @@ class WeightPipeline:
         self.k = k
         self.ctx = ctx
         self.depth = moment_depth(weight, k, engine)
-        self.table = MomentTable(weight, self.depth, ctx, flow_parent)
+        self.table = MomentTable(weight, self.depth, ctx, parent)
 
     @property
     def bits(self) -> int:
@@ -187,13 +191,13 @@ class WeightPipeline:
         reader's window reads. At mult 1 the weight is unchanged, and this
         pipeline itself serves any k up to its own: the leading blocks of its
         factorization are those of a size-k one (an unpivoted LDL of a leading
-        block is the leading block of the full LDL). A witness built here takes
-        its moments from this pipeline's table where ``MomentTable`` can derive
-        them."""
+        block is the leading block of the full LDL). A witness built here is
+        handed this pipeline's table, from which ``MomentTable`` derives its
+        moments where it can."""
         weight = flow_scaled_weight(self.weight, l, mult)
         if weight == self.weight and k <= self.k:
             return self
-        return get_pipeline(weight, k, self.ctx, flow_parent=(self.table, l, mult))
+        return get_pipeline(weight, k, self.ctx, parent=self.table)
 
     def provenance(self) -> dict:
         return {
@@ -212,20 +216,18 @@ def get_pipeline(
     k: int,
     ctx: PrecisionContext,
     engine: bool = False,
-    flow_parent: tuple[MomentTable, int, Fraction] | None = None,
+    parent: MomentTable | None = None,
 ) -> WeightPipeline:
     """The cached pipeline of the weight at size k. An engine pipeline (the
     suite's base pipeline) is cached apart from a default one; a default
     request is served by a cached engine pipeline before it builds its own.
-    A pipeline built here is handed ``flow_parent``, the table its moments may
-    be derived from; a cached one ignores it."""
+    A pipeline built here is handed ``parent``, the table its moments may be
+    derived from; a cached one ignores it."""
     pipe = _CACHE.get((weight, k, ctx, engine))
     if pipe is None and not engine:
         pipe = _CACHE.get((weight, k, ctx, True))
     if pipe is None:
-        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(
-            weight, k, ctx, engine, flow_parent
-        )
+        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine, parent)
     return pipe
 
 

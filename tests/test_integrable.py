@@ -214,6 +214,12 @@ def test_sato_wilson_j_squared_diagonal(ctx, deformed_pipe):
 def test_fd_feasible_flows(ctx, deformed_pipe, charlier_pipe):
     assert fd_feasible_flows(deformed_pipe) == (1, 2)
     assert fd_feasible_flows(charlier_pipe) == (1,)
+    # eta2 = 1 - 2^-200 is inside the unit disk, but eta2 (1 + 2^-(bits/4))
+    # is not a weight: flow 2 has no witness, while flow 1 has
+    w = parse_weight_spec(f"eta=1/2; eta2={2**200 - 1}/{2**200}")
+    for bits in (256, 512):
+        pipe = get_pipeline(w, 8, PrecisionContext(mantissa_bits=bits))
+        assert fd_feasible_flows(pipe) == (1,)
 
 
 def test_sato_wilson_undeformed_engine_flows(ctx, tol, charlier_pipe):

@@ -279,6 +279,24 @@ def test_only_moments_decides_the_lattice_stop():
     assert _reads_outside(LATTICE_STOP, {"moments"}) == []
 
 
+# -- one owner of the accepted pass ----------------------------------------------
+
+# A table's accepted pass, walked or derived from its parent's, is read only
+# where it is made: every other module reads a table's values and its
+# ``last_point``, and hands a witness its parent table whole.
+LATTICE_PASS = {"lattice_pass", "LatticePass"}
+
+
+def test_pass_reads_flagged():
+    source = "from .moments import LatticePass\nK = table.lattice_pass.last\n"
+    assert _names_read(source, LATTICE_PASS) == ["LatticePass", "lattice_pass"]
+    assert _names_read("K = table.last_point\n", LATTICE_PASS) == []
+
+
+def test_only_moments_reads_the_accepted_pass():
+    assert _reads_outside(LATTICE_PASS, {"moments"}) == []
+
+
 # -- one lattice walk -----------------------------------------------------------
 
 # The names that walk the lattice term by term. ``weights`` defines them and

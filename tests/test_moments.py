@@ -2,6 +2,7 @@ import io
 from collections import Counter
 from math import comb, isnan
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from semidop import (
 import semidop.moments as moments_module
 from semidop.flows import flow_scaled_weight, tau_derivative
 from semidop.linalg import lu_determinant
-from semidop.weights import classify_convergence, parse_weight_spec, to_mpf
+from semidop.weights import classify_convergence, fixed_point_terms, parse_weight_spec, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
@@ -511,7 +512,14 @@ def test_pass_matches_the_per_column_oracle(w, m_max, bits):
     # sums, the same exact columns, and the same moments where the stop moved
     q = classify_convergence(w).q
     scale = bits + 64 + 14 * m_max
-    lattice = moments_module._fixed_point_pass(w, q, m_max, bits, scale)
+    try:
+        lattice = moments_module._fixed_point_pass(w, q, m_max, bits, scale)
+    except TermBudgetExceeded:
+        # both passes share the relative stop rule, so a column that cancels
+        # to zero keeps both from stopping (test_zero_moments_are_certified)
+        with pytest.raises(TermBudgetExceeded):
+            per_column_pass(w, q, m_max, bits, scale)
+        return
     sums, errors, stop = lattice.sums, lattice.errors, lattice.last
     o_sums, o_errors, o_stop = per_column_pass(w, stop, m_max, bits, scale)
     assert o_stop == stop
@@ -527,6 +535,19 @@ def test_pass_matches_the_per_column_oracle(w, m_max, bits):
         _decided(p_sums, p_errors, scale, bits, target),
     ):
         assert new is None or old is None or new == old
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TermBudgetExceeded,
+    reason="ROADMAP item 1: an exactly zero moment never passes the relative tail test",
+)
+@pytest.mark.parametrize(("spec", "m_max", "bits"), [("a=4/3; eta=-3/4", 2, 96), ("eta=-1", 24, 512)])
+def test_zero_moments_are_certified(spec, m_max, bits):
+    # rho_2 = 0 for both: a eta = -1 makes rho_2 = a eta (1 + a eta) / (1 - eta)^(a + 2)
+    # vanish, and Charlier's rho_2 is e^-1 T_2(-1) = 0 (T the Touchard polynomial)
+    table = MomentTable(parse_weight_spec(spec), m_max, PrecisionContext(mantissa_bits=bits))
+    assert table.values[2] == 0
 
 
 SLOW_DECAY = ("a=1,1; b=1; eta=9/10", "a=1; eta=9/10", "a=1,1; b=1; eta=-9/10")
@@ -684,7 +705,7 @@ def test_singular_leading_block_takes_the_full_lu(monkeypatch):
     # 3 x 3 LU, while (0, 3) borders the regular G_1 with a 1 x 1 complement
     values = [mpf(v) for v in (1, 1, 1, 2, 3, 5, 8)]
     table = MomentTable.__new__(MomentTable)
-    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, values, 0)
+    table._fill(None, len(values) - 1, PrecisionContext(mantissa_bits=BITS), None, values, None)
     sizes = []
     real = moments_module.lu_determinant
 
@@ -746,42 +767,92 @@ def flow_witnesses(draw):
 
 
 def _derived_or_walked(parent, l, mult, depth):
-    """The witness table offered its parent, and the same table walked."""
+    """The witness table offered its parent, whether it summed no lattice
+    (its pass is derived), and the same table walked."""
     w = flow_scaled_weight(parent.weight, l, mult)
-    witness = MomentTable(w, depth, parent.ctx, (parent, l, mult))
-    return witness, MomentTable(w, depth, parent.ctx)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_passes(patch)
+        witness = MomentTable(w, depth, parent.ctx, parent)
+    return witness, not calls, MomentTable(w, depth, parent.ctx)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=flow_witnesses(), depth=st.integers(0, 16), spare=st.integers(0, 8))
 def test_derived_witness_tables_equal_the_walked_ones(case, depth, spare):
     # a derived table holds the correctly rounded moments, bit for bit those
-    # of the walk, and reads the walk's last point. A parent with 6 l columns
-    # to spare holds the series at these steps, so a witness whose moments the
-    # first rung proves, of a parent the first rung proved, is derived; with
-    # fewer the parent may be too shallow and the witness walked
+    # of the walk, and reads its parent's last point, where the derivation
+    # certified its tail. A parent with 6 l columns to spare holds the series
+    # at these steps, so a witness whose moments the first rung proves, of a
+    # parent the first rung proved, is derived; with fewer the parent may be
+    # too shallow and the witness walked
     w, l, mult = case
     parent = MomentTable(w, depth + l * spare, PrecisionContext(mantissa_bits=512))
-    witness, walked = _derived_or_walked(parent, l, mult, depth)
+    witness, derived, walked = _derived_or_walked(parent, l, mult, depth)
     assert _raw(witness.values) == _raw(walked.values)
-    assert witness.last_point == walked.last_point
+    assert witness.last_point == (parent.last_point if derived else walked.last_point)
     if spare >= 6 and parent.lattice_pass.bits == walked.lattice_pass.bits == 608:
-        assert witness.lattice_pass is None
+        assert derived
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=flow_witnesses(), depth=st.integers(0, 16))
+def test_derived_pass_meets_the_lattice_pass_contract(case, depth):
+    # a derived pass bounds the witness's fixed-point sums over the parent's
+    # points 0 .. K as a walk does: within errors[m] of the exact column sums,
+    # which the per-column oracle holds within its own exact error sums, and
+    # its last term within its bound of W_K
+    w, l, mult = case
+    parent = MomentTable(w, depth + 6 * l, PrecisionContext(mantissa_bits=512))
+    witness = flow_scaled_weight(w, l, mult)
+    lattice = moments_module._derived_pass(parent, witness, depth, parent.ctx)
+    if lattice is None:
+        return
+    assert (lattice.scale, lattice.bits, lattice.last) == (
+        parent.lattice_pass.scale,
+        parent.lattice_pass.bits,
+        parent.last_point,
+    )
+    o_sums, o_errors, _ = per_column_pass(witness, lattice.last, depth, lattice.bits, lattice.scale)
+    for s, e, o, oe in zip(lattice.sums, lattice.errors, o_sums, o_errors):
+        assert abs(s - o) <= e + oe
+    terms = fixed_point_terms(witness, lattice.scale)
+    last, last_err = next(islice(terms, lattice.last, None))
+    value, err = lattice.last_term
+    assert abs(value - last) <= err + last_err
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        HypergeometricWeight(a=(3,), eta=Fraction(1, 2)),  # a differs
+        HypergeometricWeight(a=(2,), b=(2,), eta=Fraction(1, 2)),  # b differs
+        flow_scaled_weight(WITNESS, 2, Fraction(9, 10)),  # eta and eta2 differ
+    ],
+)
+def test_a_weight_that_is_no_flow_witness_is_walked(witness, monkeypatch):
+    # a table offered a parent whose weight differs in a or b, or in two
+    # etas, is walked from the first rung as if offered none
+    ctx = PrecisionContext(mantissa_bits=512)
+    parent = MomentTable(MEIXNER, 32, ctx)
+    assert moments_module._derived_pass(parent, witness, 8, ctx) is None
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(witness, 8, ctx, parent)
+    assert [args[3] for args in calls] == [608]
+    assert _raw(table.values) == _raw(MomentTable(witness, 8, ctx).values)
 
 
 def test_derived_witness_sums_no_lattice(monkeypatch):
     # a flow-1 witness of generalized Meixner is derived from the engine-depth
-    # parent with no lattice pass; reading its last point sums the walk once
+    # parent with no lattice pass, and its last point is the parent's
     ctx = PrecisionContext(mantissa_bits=512)
     parent = MomentTable(GEN_MEIXNER, 32, ctx)
     calls = _count_passes(monkeypatch)
     mult = 1 - Fraction(1, 2**129)
-    witness = MomentTable(flow_scaled_weight(GEN_MEIXNER, 1, mult), 24, ctx, (parent, 1, mult))
-    assert calls == [] and witness.lattice_pass is None
+    witness = MomentTable(flow_scaled_weight(GEN_MEIXNER, 1, mult), 24, ctx, parent)
+    assert calls == [] and witness.last_point == parent.last_point
     walked = MomentTable(witness.weight, 24, ctx)
     assert _raw(witness.values) == _raw(walked.values)
-    assert witness.last_point == walked.last_point
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -796,8 +867,8 @@ def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, dept
     ctx = PrecisionContext(mantissa_bits=512)
     parent = MomentTable(parse_weight_spec(spec), parent_depth, ctx)
     calls = _count_passes(monkeypatch)
-    witness, walked = _derived_or_walked(parent, l, 1 + Fraction(1, 2**128), depth)
-    assert len(calls) == 2 and witness.lattice_pass is not None
+    witness, derived, walked = _derived_or_walked(parent, l, 1 + Fraction(1, 2**128), depth)
+    assert len(calls) == 2 and not derived
     assert _raw(witness.values) == _raw(walked.values)
     assert witness.last_point == walked.last_point
 

@@ -719,6 +719,20 @@ def test_cli_verify_small(capsys, tmp_path):
     assert parsed["pass"] is True and len(parsed["checks"]) == 3
 
 
+@pytest.mark.parametrize("eta3", ["1", "9/10"])
+def test_cli_verify_a_deformation_at_the_disk_edge(capsys, eta3):
+    # eta2 = 1 - 2^-200: a flow-2 witness at eta2 (1 + 2^-(bits/4)) is no
+    # weight, so sato_wilson witnesses flow 1 alone and kp (which runs when
+    # eta3 < 1 too) takes no flow-2 witness, instead of refusing
+    weight = f"eta=1/2; eta2={2**200 - 1}/{2**200}; eta3={eta3}"
+    for bits in ("256", "512"):
+        code = cli_main(["verify", "--weight", weight, "--size", "8", "--bits", bits])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "sato_wilson" in text and "overall: PASS" in text
+        assert ("kp " in text) == (eta3 != "1")
+
+
 def test_cli_unknown_check_is_usage_error(capsys):
     code = cli_main(["verify", "--weight", "eta=0.7", "--checks", "bogus"])
     assert code == 2

@@ -234,22 +234,31 @@ def _exact_weights(pipe, points: int) -> list:
     return [to_mpf(weight) for _, weight in zip(range(points), weight_sequence(pipe.weight))]
 
 
-@pytest.mark.parametrize(
-    ("spec", "size"),
-    [
-        ("eta=7/10", 12),
-        ("a=2; eta=1/2", 12),
-        ("b=3/2; eta=1/2", 12),
-        ("a=3/2; b=5/2; eta=1/3", 12),
-        ("eta=1/2; eta2=9/10; eta3=9/10", 8),
-    ],
+TAIL_CASES = (
+    ("eta=7/10", 12),
+    ("a=2; eta=1/2", 12),
+    ("b=3/2; eta=1/2", 12),
+    ("a=3/2; b=5/2; eta=1/3", 12),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8),
 )
-def test_orthogonality_tail_is_within_its_certificate(spec, size):
+
+
+@pytest.mark.parametrize(
+    ("spec", "size", "witness"),
+    [pytest.param(spec, size, False, id=f"{spec}-{size}") for spec, size in TAIL_CASES]
+    + [pytest.param("eta=7/10", 12, True, id="eta=7/10-12-derived witness")],
+)
+def test_orthogonality_tail_is_within_its_certificate(spec, size, witness):
     # the walk stops at K, the last point of the moment table's pass; the
     # points K + 1 .. 2K move each exact-weight Gram sum by at most
-    # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|
+    # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|. A witness
+    # derived from its parent's pass stops at its parent's K
     bits = 512
     pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
+    if witness:
+        parent = get_pipeline(pipe.weight, size, pipe.ctx, engine=True)
+        pipe = parent.flow_scaled(1, 1 - Fraction(1, 2**128), size - 2)
+        assert pipe.table.last_point == parent.table.last_point
     nmax = min(8, pipe.jac.size - 1)
     table = pipe.table
     last = table.last_point
