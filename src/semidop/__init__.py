@@ -24,9 +24,11 @@ from .flows import (
 )
 from .moments import (
     CholeskyFactorization,
+    FlowJet,
     MomentTable,
     PrecisionContext,
     cholesky,
+    flow_jet,
     hankel_determinant,
     moment,
     moments_to_csv,

@@ -22,11 +22,12 @@ the requested orders, each expression one flow away from a lower one.
 log tau_k, from which every derivative of log H_n = log tau_{n+1} - log tau_n
 is a difference.
 
-Finite differences in the flow parameters serve as an independent second
-witness: central differences at exact rational multipliers eta_l (1 +- step),
-of a scalar or, entrywise, of a matrix. This module owns their policy: the
-step 2^-(bits/4) follows from the working precision (``default_fd_step``), and
-a convergence study halves it FD_HALVINGS times.
+The factorization's own derivatives come from ``moments.flow_jet``. What
+both routes assume, that flow l maps rho_m to rho_{m+l}, is witnessed by a
+central finite difference at exact rational multipliers eta_l (1 +- step),
+entrywise over vectors and matrices (``fd_flow_derivative``), compared by
+``derivative_fd_crosscheck``. This module owns the FD policy: the step
+2^-(bits/4) (``default_fd_step``), halved FD_HALVINGS times by a study.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Callable, Iterable
 from mpmath import mp, mpf, workprec
 
 from .errors import PreconditionError
+from .linalg import exceeds
 from .moments import MomentTable
 from .weights import HypergeometricWeight, to_mpf
 
@@ -200,41 +202,38 @@ def fd_flow_derivative(
     quantity: Callable[[Fraction], mpf | list],
     step: Fraction,
     bits: int,
-    order: int = 1,
 ) -> mpf | list:
-    """Central finite difference of (eta d/d eta) applied ``order`` times.
+    """Central finite difference of eta d/d eta, second-order accurate in ``step``.
 
     ``quantity(mult)`` must evaluate the target with eta_l scaled by the exact
-    rational ``mult``: a scalar, or a matrix (nested lists) differenced
-    entrywise. Both orders are second-order accurate in ``step``.
+    rational ``mult``: a scalar, or a vector or matrix (nested lists)
+    differenced entrywise.
     """
-    if order not in (1, 2):
-        raise ValueError("only first and second flow derivatives are supported")
     f_plus = quantity(1 + step)
     f_minus = quantity(1 - step)
     with workprec(bits):
-        s = to_mpf(step)
-        two_s, s_squared = 2 * s, s * s
-        first = _entrywise(lambda p, m: (p - m) / two_s, f_plus, f_minus)
-        if order == 1:
-            return first
-        f_mid = quantity(Fraction(1))
-        return _entrywise(
-            lambda p, c, m, d: (p - 2 * c + m) / s_squared + d, f_plus, f_mid, f_minus, first
-        )
+        two_s = 2 * to_mpf(step)
+        return _entrywise(lambda p, m: (p - m) / two_s, f_plus, f_minus)
 
 
 def derivative_fd_crosscheck(
-    quantity: Callable[[Fraction], mpf],
-    engine_value: mpf,
+    quantity: Callable[[Fraction], mpf | list],
+    engine_value: mpf | list,
     step: Fraction,
     bits: int,
 ) -> mpf:
-    """|engine - central FD| / scale, the second witness for engine derivatives."""
+    """max |engine - central FD| / max(|engine|, |FD|, 1), over the entries of
+    a scalar or a vector: the comparator of a derivative with its FD witness.
+    A nan entry makes the result nan."""
     fd = fd_flow_derivative(quantity, step, bits)
+    pairs = zip(engine_value, fd) if isinstance(fd, list) else [(engine_value, fd)]
     with workprec(bits):
-        scale = max(abs(engine_value), abs(fd), mpf(1))
-        return abs(engine_value - fd) / scale
+        worst = mpf(0)
+        for e, f in pairs:
+            res = abs(e - f) / max(abs(e), abs(f), mpf(1))
+            if exceeds(res, worst):
+                worst = res
+        return worst
 
 
 def fd_convergence_study(residual: Callable[[Fraction], mpf], bits: int) -> list:

@@ -8,14 +8,14 @@ cross-checks, Toda system and equation, factorization/operator/compatibility
 forms), the Pearson/first-flow compatibility, and the KP relation for triply
 deformed weights.
 
-Engine derivatives (exact moment-index shifts) carry the identities; central
-finite differences at rational steps act as the independent second witness
-wherever the triangular factor itself is differentiated. Each check takes the
-FD step and the halvings of its convergence studies from ``flows``, at the
-precision of its pipeline. An FD witness is built at the size its reader's
-window reads: ``uv_system``'s at n0 + 1, every other flow-l witness at
-kj - l - 1 (``fd_witness_size``), whose size-(kj - l) factorization is the
-leading block of the size-kj one and so carries the same bits.
+Two exact routes carry the flow identities. The determinant engine
+(``flows``) differentiates tau_n by moment-index shifts; the Taylor-mode
+factorization (``WeightPipeline.flow_jet``) differentiates S, S^-1 and H
+themselves, wherever the triangular factor or a matrix built from it is
+differentiated. Both rest on one assumption, that flow l maps rho_m to
+rho_{m+l}; ``sato_wilson``'s ``moment_flow_{l}`` rows witness it
+independently, by a central finite difference at the ``flows`` step of the
+moments of two walked tables of the flow-scaled weight.
 """
 
 from __future__ import annotations
@@ -29,16 +29,18 @@ from .errors import DivergentSeries, InvalidShift, PreconditionError
 from .flows import (
     default_fd_step,
     derivative_fd_crosscheck,
-    fd_convergence_study,
-    fd_flow_derivative,
+    fd_convergence_study,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
+    fd_flow_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
     flow_scaled_weight,
     log_jet,
     log_tau_jet,
     tau_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
 )
 from .linalg import (
+    Matrix,
     commutator,
     diagonal_of,
+    identity,
     mat_add,
     mat_mul,
     mat_scale,
@@ -59,19 +61,21 @@ from .weights import (
     HypergeometricWeight,
     Shift,
     classify_convergence,
+    pearson_polynomials,
     shift_parameter,
     to_mpf,
 )
 
 
-def _shift_constant(pipe: WeightPipeline, shift: Shift) -> Fraction:
-    """The constant attached to a parameter shift: a_i, or b_j - 1."""
+def _shift_constant(pipe: WeightPipeline, shift: Shift) -> mpf:
+    """The constant attached to a parameter shift, a_i or b_j - 1, rounded
+    once at the pipeline's precision."""
+    if shift.kind not in ("a", "b"):
+        raise InvalidShift("lattice shifts select a single a or b parameter")
     w = pipe.weight
-    if shift.kind == "a":
-        return w.a[shift.index - 1]
-    if shift.kind == "b":
-        return w.b[shift.index - 1] - 1
-    raise InvalidShift("lattice shifts select a single a or b parameter")
+    c = w.a[shift.index - 1] if shift.kind == "a" else w.b[shift.index - 1] - 1
+    with workprec(pipe.bits):
+        return to_mpf(c)
 
 
 def valid_single_shifts(w: HypergeometricWeight) -> list[Shift]:
@@ -136,7 +140,7 @@ def contiguous_check(
                 sp = pipe.shifted(sh)
             except DivergentSeries:
                 continue
-            c = to_mpf(_shift_constant(pipe, sh))
+            c = _shift_constant(pipe, sh)
             rho_s = sp.table.moment
             edge = max(abs(rho(2 * win)), abs(c) * abs(rho_s(2 * win)), mpf(1))
             diff, scale = window_diff(
@@ -175,13 +179,12 @@ def omega_connection_check(
     """The connection matrix S (S_shifted)^{-1}: bidiagonality, the closed form
     of its subdiagonal in norm ratios, and its action gluing the shifted
     polynomial vector back to the original."""
-    c_frac = _shift_constant(pipe, shift)
+    c = _shift_constant(pipe, shift)
     sp = pipe.shifted(shift)
     bits = pipe.bits
     size = pipe.k + 1
     with workprec(bits):
         acc = ResidualAccumulator()
-        c = to_mpf(c_frac)
         omega = mat_mul(pipe.chol.s, sp.chol.s_inv)
         scale = max(max_abs(omega), mpf(1))
         acc.add("off_bidiagonal", out_of_band_max(omega, -1, size, size), scale)
@@ -225,8 +228,8 @@ def nijhoff_capel_check(
     rp = pipe.shifted(r)
     sp = pipe.shifted(s)
     rs = rp.shifted(s)
-    a_hat = to_mpf(_shift_constant(pipe, r))
-    a_til = to_mpf(_shift_constant(pipe, s))
+    a_hat = _shift_constant(pipe, r)
+    a_til = _shift_constant(pipe, s)
     with workprec(bits):
         acc = ResidualAccumulator()
         h, hr, hs, hrs = pipe.chol.h, rp.chol.h, sp.chol.h, rs.chol.h
@@ -261,18 +264,18 @@ def uv_system_check(
 ) -> CheckResult:
     """The coupled difference system for squared norms and recurrence diagonal
     under one parameter shift, the boundary identity, and the flow derivative
-    of the norm ratio (engine value with a finite-difference witness, studied
-    over the ``flows`` step halvings at the pipeline's precision)."""
+    of the norm ratio: the determinant engine's value against the shifted
+    data, and against the flow jets of both factorizations."""
     bits = pipe.bits
     rp = pipe.shifted(r)
-    a_hat = to_mpf(_shift_constant(pipe, r))
+    a_hat = _shift_constant(pipe, r)
     with workprec(bits):
         acc = ResidualAccumulator()
         h, hr = pipe.chol.h, rp.chol.h
         beta, beta_r = pipe.jac.beta, rp.jac.beta
         jets = _log_jets(pipe, max(n_values) + 2, [(1, 0, 0)])
         jets_r = _log_jets(rp, max(n_values) + 1, [(1, 0, 0)])
-        engines = {}
+        jet, jet_r = pipe.flow_jet(1), rp.flow_jet(1, size=max(n_values))
 
         for n in n_values:
             res1 = (beta_r[n] - beta[n]) - (
@@ -289,59 +292,29 @@ def uv_system_check(
 
             # flow derivative of the norm ratio: engine via log-tau jets.
             # The commutator derivation gives gamma_shifted - gamma, i.e.
-            # u-hat-bar/u-hat - u-bar/u (FD witness below confirms the sign).
+            # u-hat-bar/u-hat - u-bar/u (the jet witness below confirms the sign).
             ratio = h[n] / (a_hat * hr[n - 1])
-            engine = engines[n] = ratio * (
+            engine = ratio * (
                 _dlog_h(jets, n, (1, 0, 0)) - _dlog_h(jets_r, n - 1, (1, 0, 0))
             )
             rhs = hr[n] / hr[n - 1] - h[n] / h[n - 1]
             scale3 = max(abs(engine), abs(h[n] / h[n - 1]), abs(hr[n] / hr[n - 1]), mpf(1))
             acc.add(f"ratio_flow[n={n}]", abs(engine - rhs), scale3)
+            # and against the factorization jets' d log H = dH / H of both
+            witness = ratio * (jet.dh[n] / h[n] - jet_r.dh[n - 1] / hr[n - 1])
+            scale = max(abs(engine), abs(witness), mpf(1))
+            acc.add(f"ratio_witness[n={n}]", abs(engine - witness), scale)
 
         # boundary identity at n = 1
         lhs = beta_r[0] * (a_hat * hr[0] / h[0])
         rhs = beta[0] * (a_hat * hr[0] / h[0]) + h[1] / h[0]
         acc.add("boundary", abs(lhs - rhs), max(abs(lhs), abs(rhs), mpf(1)))
 
-        # FD witness with step halving for the first requested index; it reads
-        # only h[n0] and h[n0 - 1], so its pipelines are built at size n0 + 1
-        n0 = n_values[0]
-
-        def ratio_quantity(mult: Fraction):
-            pb = pipe.flow_scaled(1, mult, n0 + 1)
-            pr = rp.flow_scaled(1, mult, n0 + 1)
-            return pb.chol.h[n0] / (a_hat * pr.chol.h[n0 - 1])
-
-        _record_study(
-            acc,
-            lambda step: derivative_fd_crosscheck(ratio_quantity, engines[n0], step, bits),
-            bits,
-            "fd_step",
-            "fd_final",
-        )
-
         return acc.result(
             "uv_system",
             tolerance,
             window=f"n in {n_values}, shift {r.label()}",
         )
-
-
-def _record_study(acc: ResidualAccumulator, residual, bits: int, step_label: str, label: str):
-    """Run an FD convergence study; each step's residual becomes component
-    ``{step_label}_{i}`` and the last one the residual ``label``."""
-    residuals = fd_convergence_study(residual, bits)
-    for i, res in enumerate(residuals):
-        acc.parts[f"{step_label}_{i}"] = mp.nstr(res, 8)
-    acc.add(label, residuals[-1], mpf(1))
-
-
-def fd_witness_size(kj: int, l: int) -> int:
-    """The size of the flow-l FD witnesses of a size-kj pipeline: kj - l - 1,
-    whose factorization is the kj - l window of ``sato_wilson``'s dressing
-    factor (at least 2, a pipeline's least size). ``toda``, ``pearson_toda``
-    and ``kp`` read inside it, so each (flow, mult) has one witness pipeline."""
-    return max(kj - l - 1, 2)
 
 
 def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
@@ -425,9 +398,8 @@ def toda_check(
 ) -> CheckResult:
     """First-flow Toda system and equation for the recurrence data, with engine
     derivatives on one side and factorization data on the other; the polynomial
-    flow relation is witnessed by finite differences at the ``flows`` step."""
+    flow relation dp_n = -gamma_n p_{n-1} reads dp_n from the flow-1 jet."""
     bits = pipe.bits
-    step = default_fd_step(bits)
     with workprec(bits):
         acc = ResidualAccumulator()
         jets = _log_jets(pipe, nmax + 3, [(2, 0, 0)])
@@ -469,20 +441,19 @@ def toda_check(
                 max(abs(dp1), mpf(1)),
             )
 
-        # polynomial flow relation, FD-witnessed: p_n for n <= 4 reads
-        # beta_0 .. beta_{n-1}, inside the recurrence data of the witness
-        witness_size = fd_witness_size(pipe.k, 1)
+        # polynomial flow relation: dp_n(z) from the flow-1 jet's dS
+        ds = pipe.flow_jet(1).ds
         for z in z_samples:
+            zm = to_mpf(z)
             for n in (min(2, nmax), min(4, nmax)):
                 if n < 1:
                     continue
-
-                def poly_quantity(mult: Fraction, z=z, n=n):
-                    return pipe.flow_scaled(1, mult, witness_size).p_vector(z, n + 1)[n]
-
+                dp = mpf(0)
+                for c in reversed(ds[n][: n + 1]):
+                    dp = dp * zm + c
                 engine = -pipe.gamma(n) * pipe.p_vector(z, n)[n - 1]
-                res = derivative_fd_crosscheck(poly_quantity, engine, step, bits)
-                acc.add(f"poly_flow[n={n},z={mp.nstr(to_mpf(z), 6)}]", res, mpf(1))
+                scale = max(abs(engine), abs(dp), mpf(1))
+                acc.add(f"poly_flow[n={n},z={mp.nstr(zm, 6)}]", abs(dp - engine), scale)
 
         return acc.result(
             "toda",
@@ -497,11 +468,10 @@ def zero_curvature_window(w: HypergeometricWeight, kj: int) -> int:
 
 
 def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
-    """The flows among 1 and 2 whose FD witnesses exist: both weights with
+    """The flows among 1 and 2 whose moment witnesses exist: both weights with
     eta_l scaled by 1 +- default_fd_step(bits) construct, and neither is
     divergent or on the convergence boundary, where no table is certified.
-    The convergence study's smaller steps move eta_l less, so their
-    witnesses exist too."""
+    Smaller steps move eta_l less, so their witnesses exist too."""
     step = default_fd_step(pipe.bits)
     out = []
     for l in (1, 2):
@@ -517,15 +487,16 @@ def fd_feasible_flows(pipe: WeightPipeline) -> tuple[int, ...]:
 def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Factorization-level, operator-level, and compatibility-level forms of the
     flow equations: diagonal norm derivatives against powers of the recurrence
-    matrix, the strictly-lower dressing factor against the FD-differentiated
-    triangular factor, the Lax equation entrywise, and the (1,2) zero-curvature
-    equation assembled by the chain rule on engine derivatives.
+    matrix, the strictly-lower dressing factor against the flow jet of the
+    triangular factor, the Lax equation entrywise, the (1,2) zero-curvature
+    equation assembled by the chain rule on engine derivatives, and the
+    moment witness of the index shift.
 
-    Engine parts run for flows 1 and 2 (the derivative at a unit deformation
-    parameter is still an index shift); the FD witness, a convergence study
-    over the ``flows`` step halvings, runs only for flows whose parameter can
-    actually be perturbed. It reads the leading kj - l window of dS S^-1, so
-    its witnesses are built at size kj - l - 1.
+    The engine and jet parts run for flows 1 and 2 (the derivative at a unit
+    deformation parameter is still an index shift); the moment witness
+    ``moment_flow_{l}``, one central difference at the ``flows`` step, runs
+    only for flows whose parameter can actually be perturbed
+    (``fd_feasible_flows``).
     """
     bits = pipe.bits
     kj = pipe.k
@@ -549,27 +520,29 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             errors = [_dlog_h(jets, n, alpha) - x for n, x in enumerate(jl_diag)]
             acc.add(f"diag_flow_{l}", max_abs([errors]), max(h_floor, max_abs([jl_diag]), mpf(1)))
 
-            # (b) dressing factor against FD of the triangular factor, on the
-            # leading kj - l window: dS and S^-1 are lower triangular, so the
-            # window of dS S^-1 reads only their windows, and the witnesses
-            # factor exactly that block
+            # (b) dressing factor dS S^-1 = -S dL against -(J^l)_-, with dL
+            # from the flow-l jet of the size-kj block; the strictly lower
+            # part of the truncated J^l is exact for l <= 2
+            jet = pipe.flow_jet(l)
+            jl_minus = strict_lower(jl)
+            scale = max(max_abs(jl_minus), mpf(1))
+            phi = mat_mul(jet.s, jet.ds_inv)
+            acc.add(f"phi_{l}", out_of_band_max(mat_sub(phi, jl_minus), 0, kj, kj), scale)
+
+            # (c) the index shift both routes rest on: the central difference
+            # of the moments of two walked tables of the flow-scaled weight
+            # against the shifted columns of this table
             if l in fd_flows:
-                win = kj - l
-                size = fd_witness_size(kj, l)
-                s_inv = [row[:win] for row in pipe.chol.s_inv[:win]]
-                jl_minus = strict_lower([row[:win] for row in jl[:win]])
-                scale = max(max_abs(jl_minus), mpf(1))
+                top = min(2 * kj, pipe.depth - l)
+                res = derivative_fd_crosscheck(
+                    lambda mult: pipe.flow_scaled(l, mult).table.values[: top + 1],
+                    pipe.table.values[l : top + l + 1],
+                    default_fd_step(bits),
+                    bits,
+                )
+                acc.add(f"moment_flow_{l}", res, mpf(1))
 
-                def phi_residual(step: Fraction) -> mpf:
-                    ds = fd_flow_derivative(
-                        lambda mult: pipe.flow_scaled(l, mult, size).chol.s, step, bits
-                    )
-                    phi = mat_mul(ds, s_inv)
-                    return out_of_band_max(mat_add(phi, jl_minus), 0, win, win) / scale
-
-                _record_study(acc, phi_residual, bits, f"phi_fd_{l}_step", f"phi_fd_{l}")
-
-            # (c) Lax equation entrywise on the interior window
+            # (d) Lax equation entrywise on the interior window
             win = kj - (l + 2)
             lax_rhs = commutator(upper_with_diagonal(jl), j)
             engine = zeros(win)
@@ -580,7 +553,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             diff, _ = window_diff(engine, lax_rhs, win)
             acc.add(f"lax_{l}", diff, max(max_abs(lax_rhs, win), mpf(1)))
 
-        # (d) zero-curvature for the (1, 2) pair
+        # (e) zero-curvature for the (1, 2) pair
         d1_j2_plus = zeros(kj)
         d2_j_plus = zeros(kj)
         for n in range(zc_win + 1):
@@ -603,34 +576,67 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         )
 
 
+def _jet_mul(a: Matrix, da: Matrix, b: Matrix, db: Matrix) -> tuple[Matrix, Matrix]:
+    """The matrix-jet product (A, dA)(B, dB) = (AB, dA B + A dB)."""
+    return mat_mul(a, b), mat_add(mat_mul(da, b), mat_mul(a, db))
+
+
+def _structure_jets(pipe: WeightPipeline) -> list:
+    """The flow-1 derivatives of Psi^T H^-1 / eta, Psi H^-1, Psi^T H^-1 and
+    Psi H^-1 / eta, on the n x n block the flow-1 jet holds J for (n = kj - 1).
+
+    dJ comes from dS and dH as J from S and H; Pi = S B S^-1, sigma(J) by
+    Horner (each coefficient is proportional to eta, so it is its own flow-1
+    derivative) and Psi = sigma(J) H Pi^T by matrix-jet products. On the
+    compatibility window these blocks are the size-kj matrices' derivatives.
+    Call under workprec(pipe.bits).
+    """
+    jet = pipe.flow_jet(1)
+    n = jet.size - 1
+    block = lambda m: [row[:n] for row in m[:n]]
+    h, dh, ds = jet.h, jet.dh, jet.ds
+    j = block(pipe.jac.dense)
+    dj = zeros(n)
+    for i in range(n):
+        dj[i][i] = (ds[i][i - 1] if i else mpf(0)) - ds[i + 1][i]
+        if i:
+            dj[i][i - 1] = (dh[i] - pipe.gamma(i) * dh[i - 1]) / h[i - 1]
+    b = pascal_matrix(n, 1)
+    sb, dsb = mat_mul(block(jet.s), b), mat_mul(block(ds), b)
+    pi, dpi = _jet_mul(sb, dsb, block(pipe.chol.s_inv), block(jet.ds_inv))
+    coeffs = [to_mpf(c) for c in pearson_polynomials(pipe.weight).sigma_coeffs]
+    sigma = dsigma = mat_scale(identity(n), coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        sigma, dsigma = _jet_mul(sigma, dsigma, j, dj)
+        for i in range(n):
+            sigma[i][i] += c
+            dsigma[i][i] += c
+    x = [[h[i] * pi[m][i] for m in range(n)] for i in range(n)]
+    dx = [[dh[i] * pi[m][i] + h[i] * dpi[m][i] for m in range(n)] for i in range(n)]
+    psi, dpsi = _jet_mul(sigma, dsigma, x, dx)
+    a = [[psi[i][m] / h[m] for m in range(n)] for i in range(n)]
+    at = [[psi[m][i] / h[m] for m in range(n)] for i in range(n)]
+    da = [[(dpsi[i][m] - a[i][m] * dh[m]) / h[m] for m in range(n)] for i in range(n)]
+    dat = [[(dpsi[m][i] - at[i][m] * dh[m]) / h[m] for m in range(n)] for i in range(n)]
+    # d(X / eta) = (dX - X) / eta along flow 1
+    eta_inv = 1 / to_mpf(pipe.weight.eta)
+    return [mat_scale(mat_sub(dat, at), eta_inv), da, dat, mat_scale(mat_sub(da, a), eta_inv)]
+
+
 def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Compatibility of the structure matrix with the first flow: the four
-    commutator equations, with matrix flow derivatives taken by central finite
-    differences at the ``flows`` step, of flow-1 witnesses at size kj - 2, and
-    the dressing factors taken exactly."""
+    commutator equations, with the matrices' flow derivatives from the
+    flow-1 jet of the factorization (``_structure_jets``) and the dressing
+    factors from J."""
     bits = pipe.bits
     kj = pipe.k
     win = compatibility_window(pipe.weight, kj)
-    step = default_fd_step(bits)
-
-    def matrices(p: WeightPipeline) -> list:
-        """The matrices of equations 1a, 1b, 2a, 2b."""
-        a, at = p.psi_h_inv
-        with workprec(bits):
-            eta_inv = 1 / to_mpf(p.weight.eta)
-            return [mat_scale(at, eta_inv), a, at, mat_scale(a, eta_inv)]
-
-    # the window's products of triangular factors read only leading blocks,
-    # and sigma(J)'s Horner steps reach M rows past it, so the witnesses'
-    # matrices agree with size-kj ones there
-    size = fd_witness_size(kj, 1)
-    base = matrices(pipe)
-    derivatives = fd_flow_derivative(
-        lambda mult: matrices(pipe.flow_scaled(1, mult, size)), step, bits
-    )
     with workprec(bits):
         acc = ResidualAccumulator()
-        effective_tol = max(Fraction(tolerance), 10 * step * step)
+        eta_inv = 1 / to_mpf(pipe.weight.eta)
+        a, at = pipe.psi_h_inv
+        base = [mat_scale(at, eta_inv), a, at, mat_scale(a, eta_inv)]
+        derivatives = _structure_jets(pipe)
         j = pipe.jac.dense
         phi = mat_scale(strict_lower(j), mpf(-1))
         j_plus = upper_with_diagonal(j)
@@ -640,11 +646,7 @@ def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult
         ):
             diff, scale = window_diff(dm, commutator(gauge, mat), win)
             acc.add(f"compat_{name}", diff, max(scale, h_floor))
-        return acc.result(
-            "pearson_toda",
-            effective_tol,
-            window=f"leading {win} of {kj}; fd step 2^{step.denominator.bit_length() - 1}",
-        )
+        return acc.result("pearson_toda", tolerance, window=f"leading {win} of {kj}")
 
 
 def active_deformation(w: HypergeometricWeight, size: int) -> None:
@@ -659,22 +661,19 @@ def kp_check(
     tolerance: Fraction,
 ) -> CheckResult:
     """The KP relation for the subleading coefficient of a triply deformed
-    weight, with every mixed derivative taken by the exact determinant engine
-    and the second-flow second derivative witnessed by finite differences at
-    the ``flows`` step where the second flow's witnesses exist
-    (``fd_feasible_flows``)."""
+    weight, with every mixed derivative taken by the exact determinant engine,
+    and the second-flow second derivative d22p read again from the order-2
+    flow-2 jet of the factorization."""
     active_deformation(pipe.weight, pipe.k)
     bits = pipe.bits
     needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
-    # the witnesses' first-order jet of tau_n reads moments up to rho_{2n-1},
-    # inside the table of a witness of size n or more; sato_wilson's flow-2
-    # witnesses serve where they are that large, and this pipeline serves the
-    # midpoint (mult 1) of the second difference where it is
-    fd_size = max(fd_witness_size(pipe.k, 2), max(n_values))
-    fd_flows = fd_feasible_flows(pipe)
     with workprec(bits):
         acc = ResidualAccumulator()
         jets = _log_jets(pipe, max(n_values) + 1, needed)
+        # p_n = S[n][n-1]: its second flow-2 derivative from the order-2 jet,
+        # for the n the size-(k+1) factorization holds
+        top = min(max(n_values), pipe.k)
+        d2s = pipe.flow_jet(2, order=2, size=top + 1).d2s
         for n in n_values:
             jet = jets[n]
             d1p = -jet[(2, 0, 0)]
@@ -688,18 +687,8 @@ def kp_check(
             lhs = 4 * d13p + 12 * d1p * d11p - d1111p
             scale = max(abs(4 * d13p), abs(12 * d1p * d11p), abs(d1111p), abs(3 * d22p), mpf(1))
             acc.add(f"kp[n={n}]", abs(lhs - 3 * d22p), scale)
-
-            if n >= 1 and 2 in fd_flows:
-                def p_quantity(mult: Fraction, n=n):
-                    scaled = pipe.flow_scaled(2, mult, fd_size)
-                    return -log_tau_jet(scaled.table, n, [(1, 0, 0)])[(1, 0, 0)]
-
-                fd = fd_flow_derivative(p_quantity, default_fd_step(bits), bits, order=2)
-                acc.add(
-                    f"fd_witness_d22p[n={n}]",
-                    abs(fd - d22p),
-                    max(abs(d22p), mpf(1)),
-                )
+            if 1 <= n <= top:
+                acc.add(f"d22p[n={n}]", abs(d2s[n][n - 1] - d22p), max(abs(d22p), mpf(1)))
         return acc.result(
             "kp",
             tolerance,

@@ -18,10 +18,12 @@ wrap each result once with ``mp.make_mpf``; the LU factors and the solves
 stay raw, for the solves and ``schur_complement`` to read. The bit-identity rule: every libmp call
 is the one the ``mpf`` operator would make, with the same arguments, precision
 and rounding, in the same order, so the results are the operators' bits without
-their per-operation dispatch and allocation. Comparisons use ``mpf_gt`` and
-``mpf_lt``, as the operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is
-1, so a nan maximum or a nan pivot would be replaced where the operators keep
-it. No other module does arithmetic on raw values.
+their per-operation dispatch and allocation (with a pencil, ``ldl_no_pivot``
+keeps the rule for L and D; their derivatives have no operator counterpart).
+Comparisons use ``mpf_gt`` and ``mpf_lt``, as the operators do, never
+``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot
+would be replaced where the operators keep it. No other module does
+arithmetic on raw values.
 
 ``GramSums``, the accumulator of the orthogonality sums, reads raw values too
 but keeps a different contract: it sums the products p_n p_m w exactly, as
@@ -53,6 +55,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_shift,
     mpf_sub,
     normalize,
 )
@@ -233,7 +236,8 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     """Evaluate a polynomial (ascending coefficients) at a square matrix by Horner.
 
     Horner starts from c_n A, whose entries are the single products c_n a_ij
-    that (c_n I) A would round to.
+    that (c_n I) A would round to. Call under workprec: the coefficients are
+    rounded at the precision in effect.
     """
     n = len(a)
     if len(coeffs) == 1:
@@ -263,16 +267,81 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
     return _wrapped(inv)
 
 
-def ldl_no_pivot(a: Matrix, pivot_floor) -> tuple[Matrix, list]:
+def _taylor_term(x: list, v: list, k: int, prec: int, rnd: str) -> tuple:
+    """Coefficient k of the product of the truncated series x and v."""
+    s = mpf_mul(x[0], v[k], prec, rnd)
+    for i in range(1, k + 1):
+        s = mpf_add(s, mpf_mul(x[i], v[k - i], prec, rnd), prec, rnd)
+    return s
+
+
+def _taylor_ldl(a: Matrix, pencil: tuple, floor: tuple) -> tuple:
+    """``ldl_no_pivot`` of A + t A' + (t^2 / 2) A'' on truncated Taylor series,
+    each entry the list of its coefficients x^(k)(0) / k!.
+
+    Coefficient 0 takes the plain kernel's libmp calls in its order, so L and
+    D are its bits. Coefficient k of an update l_ip l_jp d_p is that of
+    l_ip (l_jp d_p), the second factor formed once per (j, p); of a quotient
+    s / d it is (s_k - sum_{m < k} q_m d_{k-m}) / d_0.
+    """
+    n, r = len(a), len(pencil) + 1
+    prec, rnd = mp._prec_rounding
+    # the second derivative's Taylor coefficient is half of it, exactly
+    low = [
+        [[mpf_shift(_raw(c[i][j]), -(k // 2)) for k, c in enumerate((a,) + pencil)]
+         for j in range(i + 1)]
+        for i in range(n)
+    ]
+    l, d = [[] for _ in range(n)], []
+    for j in range(n):
+        v = [[_taylor_term(x, dp, k, prec, rnd) for k in range(r)] for x, dp in zip(l[j], d)]
+        for i in range(j, n):
+            s = list(low[i][j])
+            for p in range(j):
+                x, y = l[i][p], l[j][p]
+                t = mpf_mul(mpf_mul(x[0], y[0], prec, rnd), d[p][0], prec, rnd)
+                s[0] = mpf_sub(s[0], t, prec, rnd)
+                for k in range(1, r):
+                    s[k] = mpf_sub(s[k], _taylor_term(x, v[p], k, prec, rnd), prec, rnd)
+            if i == j:
+                if s[0] == fzero or mpf_lt(mpf_abs(s[0], prec, rnd), floor):
+                    raise SingularTruncation(j)
+                d.append(s)
+                continue
+            q = []
+            for k in range(r):
+                for m in range(k):
+                    s[k] = mpf_sub(s[k], mpf_mul(q[m], d[j][k - m], prec, rnd), prec, rnd)
+                q.append(mpf_div(s[k], d[j][0], prec, rnd))
+            l[i].append(q)
+    for i, row in enumerate(l):
+        row += [[fone] + [fzero] * (r - 1)] + [[fzero] * r] * (n - i - 1)
+    make = mp.make_mpf
+    out = []
+    for k in range(r):
+        out.append([[make(mpf_shift(x[k], k // 2)) for x in row] for row in l])
+        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
+    return tuple(out)
+
+
+def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
     """A = L D L^T for symmetric A, unit lower L, no row exchanges.
 
     Raises SingularTruncation at the first pivot that is an exact zero or has
     |pivot| < pivot_floor. Row exchanges are deliberately not attempted: they
     would break the triangular correspondence this factorization exists to
     expose.
+
+    ``pencil`` optionally gives A' and A'', derivatives of a symmetric A(t)
+    at t = 0. The elimination then runs on truncated Taylor series
+    (``_taylor_ldl``; Griewank and Walther, Evaluating Derivatives, ch. 13),
+    with the same pivot test, and returns L, D, dL, dD and, with A'', d2L,
+    d2D: the factorization's derivatives up to rounding. Without it, (L, D).
     """
     n = len(a)
     prec, rnd = mp._prec_rounding
+    if pencil:
+        return _taylor_ldl(a, pencil, _raw(pivot_floor))
     low = [[_raw(x) for x in row[: i + 1]] for i, row in enumerate(a)]
     floor = _raw(pivot_floor)
     l = _unit_lower(n)

@@ -20,20 +20,10 @@ no rung proves it, the last pass is rounded as it stands.
 
 A table keeps its accepted pass (``LatticePass``): the column sums S_m over
 k <= K, their error bounds, the scale, the rung's bits, K and a bound on the
-last term. A table offered its parent table tries a pass derived from the
-parent's first (``_derived_pass``). When the weight is a finite-difference
-witness w(k) mult^(k^l) of the parent's (one eta_l scaled, a and b equal),
-its sums over the parent's points are a short binomial series in the parent's
-columns S_{m + l p}, with no lattice walk, and its tail past K is certified
-at K. The ladder takes that pass as it takes a walk's: the same radius and
-rounding test and, when the test fails, walks from the rung past its bits,
-as a walk at the parent's rung leaves an interval about as wide. There is
-no derived pass when a weight is not positive, the parent is too shallow for
-the series or the tail test fails at K; the walks then start at the first rung.
-Weights whose term ratio tends to 1 (the ``boundary`` class) are refused
-before any summation: DivergentSeries when a requested moment diverges,
-TermBudgetExceeded when only a ratio-1 tail stands between the series and a
-certificate.
+last term. Weights whose term ratio tends to 1 (the ``boundary`` class) are
+refused before any summation: DivergentSeries when a requested moment
+diverges, TermBudgetExceeded when only a ratio-1 tail stands between the
+series and a certificate.
 
 Truncations G[k] with entries rho_{n+m} factor as G = S^{-1} H S^{-T} (S unit
 lower triangular, H diagonal); S encodes the monic orthogonal polynomial
@@ -46,7 +36,8 @@ times a small Schur complement, from one partially pivoted LU of the leading
 block G_p per table and p; they never read the factorization, so the
 determinant route stays independent of it. Every public routine runs
 under an explicit PrecisionContext and is deterministic: fixed summation
-order, fixed pivoting, no randomness.
+order, fixed pivoting, no randomness. Along flow l, which maps rho_m to
+rho_{m+l}, ``flow_jet`` differentiates the factorization itself.
 """
 
 from __future__ import annotations
@@ -55,8 +46,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, factorial, log, log1p
-from operator import mul
+from math import ceil, log, log1p
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, round_nearest
@@ -72,6 +62,9 @@ from .linalg import (
     Matrix,
     exceeds,
     ldl_no_pivot,
+    mat_add,
+    mat_mul,
+    mat_scale,
     lu_column_solve,
     lu_determinant,
     lu_factor,
@@ -321,23 +314,16 @@ def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | Non
     return values
 
 
-def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext, derived):
-    """The passes to round, in order: ``derived`` when given, then a walk at
-    each rung of the ladder past its bits (the top rung if none is).
+def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext):
+    """The passes to round, in order: a walk at each rung of the ladder.
 
     The rungs are the mantissa plus each of _ROUNDING_GUARD_BITS, and
-    verify_bits, in increasing order. A derived pass that fails the rounding
-    test at its parent's rung is followed by the rungs past it: a walk at
-    that rung leaves an interval about as wide, and would fail it again.
-    Within a rung, the walk's guard widens by the measured shortfall until
-    every errors[m] is at most 2^-(bits - 31) |sums[m]|.
+    verify_bits, in increasing order. Within a rung, the walk's guard widens
+    by the measured shortfall until every errors[m] is at most
+    2^-(bits - 31) |sums[m]|.
     """
-    floor = 0
-    if derived is not None:
-        yield derived
-        floor = derived.bits
     rungs = sorted({ctx.mantissa_bits + guard for guard in _ROUNDING_GUARD_BITS} | {ctx.verify_bits})
-    for bits in [b for b in rungs if b > floor] or rungs[-1:]:
+    for bits in rungs:
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
@@ -366,7 +352,6 @@ def _rounded_moments(
     classification: ConvergenceClass,
     m_max: int,
     ctx: PrecisionContext,
-    derived: LatticePass | None = None,
 ) -> tuple[list, LatticePass]:
     """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
     of ``_ladder`` that proves it, and that pass.
@@ -386,7 +371,7 @@ def _rounded_moments(
     _refuse_uncertifiable(w, classification, m_max)
     target = ctx.mantissa_bits
     tail = classification.q is None
-    for lattice in _ladder(w, classification, m_max, ctx, derived):
+    for lattice in _ladder(w, classification, m_max, ctx):
         shift = lattice.bits - 31
         radii = [
             err + ((abs(s) >> shift) + 1 if tail else 0)
@@ -397,94 +382,6 @@ def _rounded_moments(
             return values, lattice
     with workprec(target):
         return [mpf((s, -lattice.scale)) for s in lattice.sums], lattice
-
-
-def _positive(w: HypergeometricWeight) -> bool:
-    """Whether w(k) > 0 at every point: eta, eta2, eta3 and every a_i, b_j positive."""
-    return min((w.eta, w.eta2, w.eta3) + w.a + w.b) > 0
-
-
-def _derived_pass(
-    parent: "MomentTable", w: HypergeometricWeight, m_max: int, ctx: PrecisionContext
-) -> LatticePass | None:
-    """The pass of w over the parent's points 0 .. K, derived from the
-    parent's accepted pass with no lattice walk, when w is an FD witness
-    w(k) = parent(k) mult^(k^l): the parent's weight with one eta_l times mult,
-    a and b equal. None when w falls outside the rules below.
-
-    With mult = 1 + delta, (1 + delta)^x = sum_j delta^j / j! sum_p s(j, p) x^p
-    (s the Stirling numbers of the first kind), so the first flow's index
-    shift gives, over the parent's points k <= K,
-
-        sum_k k^m w(k) = sum_{j <= J} delta^j / j! sum_p s(j, p) P_{m + l p} + R_m,
-
-    P the exact partial sums, which the parent's column sums S hold to within
-    E. The Lagrange remainder of the binomial series is at most
-    |delta|^(J+1) x^(J+1) / (J+1)! (1 + |delta|)^x, below twice its first
-    factor while |delta| K^l <= 1/2; the parent's terms are positive, so
-    |R_m| <= 2 |delta|^(J+1) / (J+1)! (S + E)_{m + l(J+1)}. J is the fewest
-    terms whose remainder is within the parent's tail budget 2^-(bits - 31)
-    S_m in the last column, where it is largest relative to S_m (the moments
-    of a positive weight are log-convex). Every column's error bound holds its
-    own remainder, so J decides only how often a witness is derived. Each
-    column is the sum, plus or minus the propagated errors, the remainder and
-    one unit for each rounded division.
-
-    The pass keeps the parent's scale, rung and K. Its last term is
-    (0, (W_K + e_K) << (delta > 0)): w(K) 2^scale is at most
-    (W_K + e_K) mult^(K^l), below twice W_K + e_K and at most W_K + e_K when
-    delta < 0. ``_tail_shortfall`` certifies the witness's tail past K at that
-    bound, as a walk's stop does, so ``_rounded_moments`` rounds the pass as it
-    rounds a walk's.
-
-    Derived only from observable inputs: both weights positive, the same
-    precision, a parent pass that holds column m_max + l (J+1), and a passing
-    tail test at K.
-    """
-    p, lattice = parent.weight, parent.lattice_pass
-    if parent.ctx != ctx or (w.a, w.b) != (p.a, p.b) or not (_positive(p) and _positive(w)):
-        return None
-    etas = zip((w.eta, w.eta2, w.eta3), (p.eta, p.eta2, p.eta3))
-    moved = [(l, new / old) for l, (new, old) in enumerate(etas, 1) if new != old]
-    if len(moved) != 1:
-        return None
-    [(l, mult)] = moved
-    delta = mult - 1
-    K, sums, errors = lattice.last, lattice.sums, lattice.errors
-    if abs(delta) * K**l > Fraction(1, 2):
-        return None
-    d, v = delta.numerator, delta.denominator
-    shift = lattice.bits - 31
-    J = 0
-    while True:
-        top = l * (J + 1)
-        if m_max + top > parent.m_max:
-            return None
-        rem_num, rem_den = 2 * abs(d) ** (J + 1), v ** (J + 1) * factorial(J + 1)
-        if rem_num * (sums[m_max + top] + errors[m_max + top]) <= (sums[m_max] >> shift) * rem_den:
-            break
-        J += 1
-    # delta^j / j! sum_q s(j, q) x^q = sum_q coeffs[q] x^q / den
-    stirling, coeffs, bounds = [1], [0] * (J + 1), [0] * (J + 1)
-    for j in range(J + 1):
-        c = d**j * v ** (J - j) * (factorial(J) // factorial(j))
-        for q, s in enumerate(stirling):
-            coeffs[q] += c * s
-            bounds[q] += abs(c * s)
-        stirling = [(stirling[q - 1] if q else 0) - j * s for q, s in enumerate(stirling + [0])]
-    den = v**J * factorial(J)
-    derived, radii = [], []
-    for m in range(m_max + 1):
-        num = sum(map(mul, coeffs, sums[m : m + top : l]))
-        err = sum(map(mul, bounds, errors[m : m + top : l]))
-        rem = rem_num * (sums[m + top] + errors[m + top])
-        derived.append(num // den)
-        radii.append(-(-err // den) - (-rem // rem_den) + 1)
-    value, err = lattice.last_term
-    bound = (value + err) << (delta > 0)
-    if _tail_shortfall(w, K, bound, derived, shift):
-        return None
-    return LatticePass(derived, radii, lattice.scale, lattice.bits, K, (0, bound))
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -499,12 +396,10 @@ class MomentTable:
     precision ladder that proves every column's rounding, so they depend on
     the weight alone, not on the depth or the pass precision (if no rung proves
     them, they are the verify_bits pass rounded). ``rebuilt`` serves other
-    mantissas. ``lattice_pass`` is the accepted pass, walked or derived from
-    the ``parent`` table it was offered (see ``_derived_pass``); a table's FD
-    witnesses are derived from it in turn. ``last_point`` is its K: q for a
-    finite support, else a point past which every column's tail of
-    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment (a
-    derived table's K is its parent's). The orthogonality witness sums
+    mantissas. ``lattice_pass`` is the accepted pass. ``last_point`` is its
+    K: q for a finite support, else a point past which every column's tail of
+    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. The
+    orthogonality witness sums
     ``lattice_weights`` over the points 0 .. K: the pass's own term
     generator, so K and the scale stay in this module.
 
@@ -516,16 +411,9 @@ class MomentTable:
     determinant whose rows start (0, ..., p-1) reads them (see ``det_rows``).
     """
 
-    def __init__(
-        self,
-        w: HypergeometricWeight,
-        m_max: int,
-        ctx: PrecisionContext,
-        parent: MomentTable | None = None,
-    ):
+    def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
         classification = classify_convergence(w)
-        derived = _derived_pass(parent, w, m_max, ctx) if parent is not None else None
-        values, lattice = _rounded_moments(w, classification, m_max, ctx, derived)
+        values, lattice = _rounded_moments(w, classification, m_max, ctx)
         self._fill(w, m_max, ctx, classification, values, lattice)
 
     def _fill(self, w, m_max, ctx, classification, values: list, lattice) -> None:
@@ -661,10 +549,12 @@ def ldl_pivot_floor(scale, bits: int) -> mpf:
     return mpf(2) ** (-(bits // 2)) * scale
 
 
-def _ldl_of_dense(dense: Matrix, bits: int) -> tuple[Matrix, list]:
+def _ldl_of_dense(dense: Matrix, bits: int, *pencil: Matrix) -> tuple:
+    """``ldl_no_pivot`` of dense (and its pencil) at bits, the pivot floor from
+    the largest entry of dense."""
     with workprec(bits):
         scale = max(abs(dense[i][j]) for i in range(len(dense)) for j in range(len(dense)))
-        return ldl_no_pivot(dense, ldl_pivot_floor(scale, bits))
+        return ldl_no_pivot(dense, ldl_pivot_floor(scale, bits), *pencil)
 
 
 @dataclass
@@ -738,6 +628,52 @@ def cholesky(table: MomentTable, k: int) -> CholeskyFactorization:
     with workprec(bits):
         s = unit_lower_inverse(l)
     return CholeskyFactorization(s=s, s_inv=l, h=list(d), size=k, table=table)
+
+
+@dataclass
+class FlowJet:
+    """The leading size x size block of a factorization, S and H, with their
+    first and (order 2) second derivatives in the flow parameter t_l;
+    ds_inv is d(S^-1) = dL."""
+
+    size: int
+    s: Matrix
+    h: list
+    ds: Matrix
+    ds_inv: Matrix
+    dh: list
+    d2s: Matrix | None = None
+    d2h: list | None = None
+
+
+def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> FlowJet:
+    """The order-1 or order-2 flow-l jet of chol's leading size x size block.
+
+    Along flow l the block is G + t [rho_{i+j+l}] + (t^2/2) [rho_{i+j+2l}] + ...,
+    and its ``ldl_no_pivot`` with that pencil, under the plain block's pivot
+    floor, gives L and D as chol's bits (the unpivoted LDL of a leading block
+    is the leading block of the LDL) with their derivatives, to rounding and
+    with no step. S = L^-1 gives dS = -S dL S and d2S = -(2 dS dL + S d2L) S.
+    Refuses a size past chol's or a read past the table, rho_{2 size - 2 + order l}.
+    """
+    table, top = chol.table, 2 * size - 2 + order * l
+    if not 1 <= size <= chol.size or top > table.m_max:
+        raise IndexOutOfTable(
+            f"flow-{l} jet of order {order} at size {size} needs moment {top} and "
+            f"factorization size {size}; table depth {table.m_max}, size {chol.size}"
+        )
+    vals = table.values
+    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(order + 1)]
+    bits = table.ctx.mantissa_bits
+    _, h, dl, dh, *second = _ldl_of_dense(pencil[0], bits, *pencil[1:])
+    s = [row[:size] for row in chol.s[:size]]
+    with workprec(bits):
+        ds = mat_scale(mat_mul(mat_mul(s, dl), s), -1)
+        jet = FlowJet(size, s, h, ds, dl, dh)
+        if second:
+            inner = mat_add(mat_scale(mat_mul(ds, dl), 2), mat_mul(s, second[0]))
+            jet.d2s, jet.d2h = mat_scale(mat_mul(inner, s), -1), second[1]
+    return jet
 
 
 def moments_to_csv(table: MomentTable, fileobj) -> None:

@@ -4,30 +4,23 @@ A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
-size, precision context, engine flag); the finite-difference (FD) witnesses
-and the shifted pipelines obtain theirs through the same cache. This module
-alone sets the depth of a moment table (``moment_depth``). By default a table
-holds exactly rho_0 .. rho_{2k}, what the size-(k+1) factorization and so
-chol -> jac -> psi read; the determinant engine's jets read inside it too. An
-engine pipeline, which only the suite's base pipeline asks for, keeps slack
-past rho_{2k} for ``gram_pearson``, which reads rho_{2k+N-1}, and for the
-columns its FD witnesses' moments are derived from; a default request finds a
-cached engine pipeline of the same weight, size and context before it builds
-a table of its own. The one other read of a default table, ``kp``'s
-first-order jets of tau_n, reaches rho_{2n-1}, inside the table of a witness
-of size n or more. Moment values, correctly rounded, depend on the weight
-alone, so every table of a weight holds the same moments.
+size, precision context, engine flag); the shifted pipelines and the moment
+witnesses obtain theirs through the same cache. This module alone sets the
+depth of a moment table (``moment_depth``). By default a table holds exactly
+rho_0 .. rho_{2k}, what the size-(k+1) factorization and so chol -> jac ->
+psi read; the determinant engine's jets and the order-1 flow jets of the
+size-k block read inside it too. An engine pipeline, which only the suite's
+base pipeline asks for, keeps slack past rho_{2k} for ``gram_pearson``, which
+reads rho_{2k+N-1}, and for the moment witness, which reads rho_{2k+l}; a
+default request finds a cached engine pipeline of the same weight, size and
+context before it builds a table of its own. Moment values, correctly
+rounded, depend on the weight alone, so every table of a weight holds the
+same moments.
 
-An FD witness is built by ``flow_scaled`` at the size its reader names: a
-flow-l witness of a size-k suite at k - l - 1, the window of ``sato_wilson``
-that every other reader of the flow reads inside (``uv_system`` builds its
-own at n0 + 1). The unpivoted LDL of a leading block of a Hankel matrix is
-the leading block of the full LDL, so the witness carries the bits a size-k
-one would there. It hands ``MomentTable`` its parent's table, whose lattice
-pass the witness's moments are derived from when the parent holds the
-columns the series reads (the engine slack holds them for the base
-pipeline's witnesses); otherwise the witness walks the lattice. The values
-are the same either way.
+Flow derivatives of the factorization come from ``flow_jet``, one
+``moments.flow_jet`` per (flow, order) at the largest size asked for. Their
+assumption, that flow l maps rho_m to rho_{m+l}, is witnessed by the walked
+tables of ``flow_scaled``, the weight with eta_l scaled by an exact rational.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -57,10 +50,12 @@ from .flows import flow_scaled_weight
 from .linalg import Matrix
 from .moments import (
     CholeskyFactorization,
+    FlowJet,
     MomentTable,
     PrecisionContext,
     check_support,
     cholesky,
+    flow_jet,
 )
 from .structure import (
     JacobiMatrix,
@@ -77,10 +72,9 @@ from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_par
 
 # Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
 # factorization, which the determinant engine's jets read inside. The slack
-# holds gram_pearson's rho_{2k+N-1} and the columns the binomial series of the
-# base pipeline's FD witnesses reads (``MomentTable``'s parent): a flow-l
-# witness at size k - l - 1 stops at rho_{2k - 2l - 2}, so its series has
-# 2l + 2 + 8 columns to read, l (J + 1) of them for J + 1 terms.
+# holds gram_pearson's rho_{2k+N-1}, the moment witness's rho_{2k+l} (l <= 2)
+# and, below size 6, kp's reads up to rho_12 (the fifth-order tau jets and the
+# order-2 flow-2 jet for n <= 4).
 _DEPTH_SLACK = 8
 
 
@@ -90,11 +84,11 @@ def moment_depth(weight: HypergeometricWeight, k: int, engine: bool = False) -> 
     A default pipeline reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
     factorization, and its table stops there; the determinant engine reads
     no further. An engine pipeline keeps the slack past rho_{2k}, its depth
-    rounded up to a multiple of 8, for two readers: the Pearson-symmetry
+    rounded up to a multiple of 8, for three readers: the Pearson-symmetry
     assembly theta(shift) G on the k x k window reads moments up to
-    2k + N - 1, so a weight with N > 8 needs more than the slack, and the
-    base pipeline's FD witnesses derive their moments from the columns past
-    their own depth.
+    2k + N - 1, so a weight with N > 8 needs more than the slack; the moment
+    witness of flow l compares the columns rho_0 .. rho_{2k} of its scaled
+    weights with rho_l .. rho_{2k+l}; and kp reads up to rho_12 at any size.
     """
     if not engine:
         return 2 * k
@@ -109,7 +103,6 @@ class WeightPipeline:
         k: int,
         ctx: PrecisionContext,
         engine: bool = False,
-        parent: MomentTable | None = None,
     ):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
@@ -117,7 +110,8 @@ class WeightPipeline:
         self.k = k
         self.ctx = ctx
         self.depth = moment_depth(weight, k, engine)
-        self.table = MomentTable(weight, self.depth, ctx, parent)
+        self.table = MomentTable(weight, self.depth, ctx)
+        self._jets: dict[tuple[int, int], FlowJet] = {}
 
     @property
     def bits(self) -> int:
@@ -186,18 +180,22 @@ class WeightPipeline:
     def shifted(self, shift: Shift) -> "WeightPipeline":
         return get_pipeline(shift_parameter(self.weight, shift), self.k, self.ctx)
 
-    def flow_scaled(self, l: int, mult: Fraction, k: int) -> "WeightPipeline":
-        """The FD witness of the flow-scaled weight at size k, the size its
-        reader's window reads. At mult 1 the weight is unchanged, and this
-        pipeline itself serves any k up to its own: the leading blocks of its
-        factorization are those of a size-k one (an unpivoted LDL of a leading
-        block is the leading block of the full LDL). A witness built here is
-        handed this pipeline's table, from which ``MomentTable`` derives its
-        moments where it can."""
-        weight = flow_scaled_weight(self.weight, l, mult)
-        if weight == self.weight and k <= self.k:
-            return self
-        return get_pipeline(weight, k, self.ctx, parent=self.table)
+    def flow_jet(self, l: int, order: int = 1, size: int | None = None) -> FlowJet:
+        """The flow-l jet of order 1 or 2 of the factorization's leading
+        block of ``size`` (default k), the one jet per (flow, order): a
+        cached jet of at least that size serves the request, since its
+        leading blocks are those of a smaller one."""
+        size = self.k if size is None else size
+        jet = self._jets.get((l, order))
+        if jet is None or jet.size < size:
+            jet = self._jets[l, order] = flow_jet(self.chol, l, order, size)
+        return jet
+
+    def flow_scaled(self, l: int, mult: Fraction) -> "WeightPipeline":
+        """The pipeline at this size of the weight with eta_l times the exact
+        rational mult: a witness of the flow's index shift, whose table is
+        walked."""
+        return get_pipeline(flow_scaled_weight(self.weight, l, mult), self.k, self.ctx)
 
     def provenance(self) -> dict:
         return {
@@ -216,18 +214,15 @@ def get_pipeline(
     k: int,
     ctx: PrecisionContext,
     engine: bool = False,
-    parent: MomentTable | None = None,
 ) -> WeightPipeline:
     """The cached pipeline of the weight at size k. An engine pipeline (the
     suite's base pipeline) is cached apart from a default one; a default
-    request is served by a cached engine pipeline before it builds its own.
-    A pipeline built here is handed ``parent``, the table its moments may be
-    derived from; a cached one ignores it."""
+    request is served by a cached engine pipeline before it builds its own."""
     pipe = _CACHE.get((weight, k, ctx, engine))
     if pipe is None and not engine:
         pipe = _CACHE.get((weight, k, ctx, True))
     if pipe is None:
-        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine, parent)
+        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine)
     return pipe
 
 

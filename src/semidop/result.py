@@ -52,6 +52,8 @@ def make_result(
     window: str,
     components: dict | None = None,
 ) -> CheckResult:
+    """A check's result; a Fraction scale or tolerance is rounded at the
+    precision in effect. Call under workprec."""
     residual = mpf(residual) if not isinstance(residual, mpf) else residual
     scale_m = to_mpf(scale) if isinstance(scale, Fraction) else mpf(scale)
     if scale_m <= 0:
@@ -89,4 +91,5 @@ class ResidualAccumulator:
             self.worst_scale = scale
 
     def result(self, name: str, tolerance, window: str) -> CheckResult:
+        """The worst residual as a check's result. Call under workprec."""
         return make_result(name, self.worst, self.worst_scale, tolerance, window, self.parts)

@@ -271,6 +271,8 @@ class PearsonPolynomials:
 
 
 def _poly_eval(coeffs: Sequence[Fraction], z):
+    """The polynomial at z: exact at a rational z, else in mpf arithmetic.
+    Call under workprec for an mpf z."""
     if isinstance(z, (int, Fraction)):
         acc = Fraction(0)
         for c in reversed(coeffs):
@@ -304,7 +306,7 @@ def pearson_polynomials(w: HypergeometricWeight) -> PearsonPolynomials:
 
 
 def weight_value(w: HypergeometricWeight, k: int) -> mpf:
-    """Evaluate w(k) at a lattice point, in the active precision context."""
+    """Evaluate w(k) at a lattice point, rounded once. Call under workprec."""
     if k < 0:
         raise ValueError("lattice points are nonnegative integers")
     value = w.eta**k * w.eta2 ** (k * k) * w.eta3 ** (k * k * k) / factorial(k)

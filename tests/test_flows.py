@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from semidop import MomentTable, tau_derivative
+from semidop.pipeline import get_pipeline
 from semidop.flows import (
     FD_HALVINGS,
     apply_flow,
@@ -22,7 +23,7 @@ from semidop.flows import (
 )
 from semidop.weights import to_mpf
 
-from conftest import BITS, CHARLIER, DEFORMED, MEIXNER
+from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
 
 
 def test_apply_flow_combinatorics():
@@ -160,12 +161,62 @@ def test_fd_of_a_matrix_is_the_entrywise_scalar_difference(ctx):
     size = 4
     quantity = _hankel_quantity(ctx, size)
     step = default_fd_step(BITS)
-    for order in (1, 2):
-        matrix = fd_flow_derivative(quantity, step, BITS, order)
-        for i in range(size):
-            for j in range(size):
-                scalar = fd_flow_derivative(lambda m: quantity(m)[i][j], step, BITS, order)
-                assert matrix[i][j]._mpf_ == scalar._mpf_
+    matrix = fd_flow_derivative(quantity, step, BITS)
+    for i in range(size):
+        for j in range(size):
+            scalar = fd_flow_derivative(lambda m: quantity(m)[i][j], step, BITS)
+            assert matrix[i][j]._mpf_ == scalar._mpf_
+    # the central difference has one order
+    with pytest.raises(TypeError):
+        fd_flow_derivative(quantity, step, BITS, 2)
+
+
+def test_crosscheck_of_a_vector_is_its_worst_entry(ctx):
+    # the moment witness compares a column vector: the worst entry's relative
+    # residual, each against max(|engine|, |FD|, 1), bit for bit the scalar one
+    table = MomentTable(CHARLIER, 12, ctx)
+    step = default_fd_step(BITS)
+    tables = {}
+
+    def moments(mult):
+        if mult not in tables:
+            tables[mult] = MomentTable(flow_scaled_weight(CHARLIER, 1, mult), 8, ctx)
+        return tables[mult].values[:9]
+
+    shifted = table.values[1:10]
+    worst = derivative_fd_crosscheck(moments, shifted, step, BITS)
+    scalars = [
+        derivative_fd_crosscheck(lambda m, i=i: moments(m)[i], shifted[i], step, BITS)
+        for i in range(9)
+    ]
+    assert worst._mpf_ == max(scalars)._mpf_
+    assert 0 < worst < to_mpf(step) ** 2 * 100
+    with workprec(BITS):
+        planted = shifted[:4] + [shifted[4] * (1 + mpf(2) ** -100)] + shifted[5:]
+    assert derivative_fd_crosscheck(moments, planted, step, BITS) > mpf(2) ** -110
+
+
+@pytest.mark.parametrize("weight", [CHARLIER, GEN_MEIXNER], ids=["charlier", "gen_meixner"])
+def test_fd_of_s_converges_to_the_flow_jet(weight, ctx):
+    # the convergence evidence of the finite differences, once in tier 1: the
+    # central difference of S between two walked tables of the flow-scaled
+    # weight converges to the flow jet's exact dS, its residual shrinking
+    # about 4x per halving of the step
+    size = 12
+    pipe = get_pipeline(weight, size, ctx)
+    ds = pipe.flow_jet(1).ds
+
+    def s_entries(mult):
+        s = get_pipeline(flow_scaled_weight(weight, 1, mult), size, ctx).chol.s
+        return [x for row in s[:size] for x in row[:size]]
+
+    exact = [x for row in ds for x in row]
+    residuals = fd_convergence_study(
+        lambda step: derivative_fd_crosscheck(s_entries, exact, step, BITS), BITS
+    )
+    assert len(residuals) == FD_HALVINGS + 1
+    for a, b in zip(residuals, residuals[1:]):
+        assert mpf("0.2") * a <= b <= mpf("0.3") * a, residuals
 
 
 def test_fd_of_a_matrix_scales_by_the_reciprocal_step_bit_for_bit(ctx):

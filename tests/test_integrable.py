@@ -30,11 +30,12 @@ from semidop.integrable import (
     uv_system_check,
     valid_single_shifts,
 )
+from semidop import moments as moments_module
 from semidop import structure
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
 from semidop.weights import to_mpf
 
-from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER
+from conftest import BITS, CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER
 
 
 def test_contiguous_meixner_entry_zero(ctx):
@@ -115,10 +116,9 @@ def test_nijhoff_capel_rejects_equal_directions(ctx, tol, gen_meixner_pipe):
 def test_uv_system(ctx, tol, gen_meixner_pipe):
     res = uv_system_check(gen_meixner_pipe, Shift.a(1), [1, 2, 3, 4], tol)
     assert res.passed, res.components
-    # second-order convergence of the FD witness
-    steps = [float(v) for k, v in res.components.items() if k.startswith("fd_step_")]
-    for a, b in zip(steps, steps[1:]):
-        assert b <= 0.3 * a or b < 1e-60
+    # the engine's ratio derivative agrees with the flow jets' to rounding
+    witness = [mpf(v) for k, v in res.components.items() if k.startswith("ratio_witness[")]
+    assert len(witness) == 4 and max(witness) < mpf(2) ** -(BITS - 64)
 
 
 def test_uv_boundary_identity(ctx, gen_meixner_pipe):
@@ -172,30 +172,12 @@ def test_toda_all_families(ctx, tol):
 def test_sato_wilson_engine_and_fd(ctx, tol, deformed_pipe):
     res = sato_wilson_check(deformed_pipe, tol)
     assert res.passed, res.components
-    # the FD witness of the dressing factor converges at second order
+    # the dressing factor from the flow jet reads rounding; the moment witness
+    # of each flow, one central difference, its step^2 truncation error
+    step = to_mpf(flows.default_fd_step(BITS))
     for flow in (1, 2):
-        steps = [
-            float(v) for k, v in sorted(res.components.items())
-            if k.startswith(f"phi_fd_{flow}_step_")
-        ]
-        assert len(steps) == 4
-        for a, b in zip(steps, steps[1:]):
-            assert b <= 0.3 * a or b < 1e-60
-
-
-def test_fd_studies_report_every_halving(ctx, tol, gen_meixner_pipe, deformed_pipe):
-    # both studies take their step count from flows, one component per step
-    steps = [str(i) for i in range(flows.FD_HALVINGS + 1)]
-
-    def study(res, prefix):
-        return sorted(k[len(prefix):] for k in res.components if k.startswith(prefix))
-
-    uv = uv_system_check(gen_meixner_pipe, Shift.a(1), [1], tol)
-    assert study(uv, "fd_step_") == steps and "fd_final" in uv.components
-    sw = sato_wilson_check(deformed_pipe, tol)
-    for flow in (1, 2):
-        assert study(sw, f"phi_fd_{flow}_step_") == steps
-        assert f"phi_fd_{flow}" in sw.components
+        assert mpf(res.components[f"phi_{flow}"]) < mpf(2) ** -(BITS - 64)
+        assert 0 < mpf(res.components[f"moment_flow_{flow}"]) < 100 * step**2
 
 
 def test_sato_wilson_j_squared_diagonal(ctx, deformed_pipe):
@@ -223,10 +205,12 @@ def test_fd_feasible_flows(ctx, deformed_pipe, charlier_pipe):
 
 
 def test_sato_wilson_undeformed_engine_flows(ctx, tol, charlier_pipe):
-    # flow-2 engine identities hold at unit deformation; only the FD part is skipped
+    # flow-2 engine and jet identities hold at unit deformation; only the
+    # moment witness, which perturbs eta2, is skipped
     res = sato_wilson_check(charlier_pipe, tol)
     assert res.passed
-    assert "phi_fd_1" in res.components and "phi_fd_2" not in res.components
+    assert "phi_1" in res.components and "phi_2" in res.components
+    assert "moment_flow_1" in res.components and "moment_flow_2" not in res.components
     assert "lax_2" in res.components and "zero_curvature_12" in res.components
 
 
@@ -259,7 +243,7 @@ def test_kp_rejects_undeformed(ctx, tol, charlier_pipe):
 # -- a nan residual fails wherever a check takes its maximum -------------------
 
 
-# -- FD witnesses at the size their readers' windows read ----------------------
+# -- leading blocks: smaller factorizations, jets and windows -------------------
 
 positive_params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
 
@@ -281,8 +265,8 @@ def _block_bits(rows, m: int) -> list:
 @settings(max_examples=25, deadline=None)
 @given(w=positive_weights(), k=st.integers(2, 12), data=st.data())
 def test_leading_blocks_of_a_factorization_are_the_smaller_one(w, k, data):
-    # what the witness sizes rest on: the unpivoted LDL of a leading block of
-    # a Hankel matrix is the leading block of the full LDL, and S = L^-1 by
+    # what the jet cache rests on: the unpivoted LDL of a leading block of a
+    # Hankel matrix is the leading block of the full LDL, and S = L^-1 by
     # forward substitution, bit for bit
     m = data.draw(st.integers(1, k - 1))
     table = MomentTable(w, 2 * k - 2, PrecisionContext(mantissa_bits=512))
@@ -295,8 +279,9 @@ def test_leading_blocks_of_a_factorization_are_the_smaller_one(w, k, data):
 @settings(max_examples=15, deadline=None)
 @given(w=positive_weights(), data=st.data())
 def test_psi_h_inverse_on_the_compatibility_window_reads_two_rows_less(w, data):
-    # pearson_toda differences Psi H^-1 and Psi^T H^-1 of witnesses at size
-    # kj - 2: on its window they are those of size kj, bit for bit
+    # pearson_toda's derivatives are built on a smaller block than kj: on
+    # its window, Psi H^-1 and Psi^T H^-1 of size kj - 2 are those of size
+    # kj, bit for bit
     kj = data.draw(st.integers(w.m_degree + w.n_degree + 5, 12))
     win = structure.compatibility_window(w, kj)
     ctx = PrecisionContext(mantissa_bits=512)
@@ -328,10 +313,9 @@ def _nan_in_last_norm_for_omega(pipe, tol, monkeypatch):
 
 
 def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
-    # once J is built, S^-1 is read only by the dressing factor phi = dS S^-1,
-    # on its leading kj - l window; row kj - 2 lies inside the flow-1 window
-    assert pipe.jac
-    pipe.chol.s_inv[pipe.k - 2][0] = nan
+    # dS^-1 = dL of the flow-1 jet is read only by the dressing factor
+    # phi = -S dL; row kj - 2 lies inside its window
+    pipe.flow_jet(1).ds_inv[pipe.k - 2][0] = nan
     return sato_wilson_check(pipe, tol)
 
 
@@ -374,3 +358,113 @@ def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
     # engine depth, as in a suite
     res = plant(get_pipeline(GEN_MEIXNER, 8, ctx, engine=True), tol, monkeypatch)
     assert not res.passed, res.components
+
+
+@settings(max_examples=10, deadline=None)
+@given(w=positive_weights(), data=st.data())
+def test_flow_jet_leading_blocks_are_the_smaller_jet(w, data):
+    # one jet per (flow, order) serves every size up to its own: the Taylor
+    # elimination of a leading block reads only that block
+    k = data.draw(st.integers(3, 8))
+    m = data.draw(st.integers(1, k - 1))
+    l, order = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    ctx = PrecisionContext(mantissa_bits=512)
+    pipe = WeightPipeline(w, k, ctx)
+    small = pipe.flow_jet(l, order, m)
+    size = (pipe.depth - order * l) // 2 + 1
+    if size > k:
+        size = k
+    big = pipe.flow_jet(l, order, size)
+    assert pipe.flow_jet(l, order, m) is big
+    pairs = [(small.ds, big.ds), (small.ds_inv, big.ds_inv), (small.s, big.s)]
+    if order == 2:
+        pairs.append((small.d2s, big.d2s))
+    for a, b in pairs:
+        assert _block_bits(a, m) == _block_bits(b, m)
+    assert [x._mpf_ for x in small.dh] == [x._mpf_ for x in big.dh[:m]]
+
+
+# -- mutation tests: each jet-fed row and the moment witness can fail ----------
+
+MUTATION_CTX = PrecisionContext(mantissa_bits=512)
+NUDGE = 1 + Fraction(1, 2**100)
+
+
+def _nudged(x):
+    with workprec(MUTATION_CTX.mantissa_bits):
+        return x * to_mpf(NUDGE)
+
+
+def _pencil_column(monkeypatch, pipe, q, column):
+    # the q-th derivative matrix of every flow-jet pencil has its entries on
+    # the antidiagonal i + j = column, one moment rho_{column + q l}, nudged
+    real = moments_module.ldl_no_pivot
+
+    def planted(a, floor, *pencil):
+        if pencil:
+            m = pencil[q - 1]
+            pencil = list(pencil)
+            pencil[q - 1] = [
+                [_nudged(x) if i + j == column else x for j, x in enumerate(row)]
+                for i, row in enumerate(m)
+            ]
+        return real(a, floor, *pencil)
+
+    monkeypatch.setattr(moments_module, "ldl_no_pivot", planted)
+
+
+def _table_column(monkeypatch, pipe, m):
+    pipe.table.values[m] = _nudged(pipe.table.values[m])
+
+
+def _beta(monkeypatch, pipe, n):
+    pipe.jac.beta[n] = _nudged(pipe.jac.beta[n])
+
+
+def _norm(monkeypatch, pipe, n):
+    assert pipe.jac
+    pipe.chol.h[n] = _nudged(pipe.chol.h[n])
+
+
+def _run(check, pipe):
+    tol = MUTATION_CTX.default_tolerance()
+    if check == "uv_system":
+        return uv_system_check(pipe, Shift.a(1), [1, 2, 3, 4], tol)
+    if check == "toda":
+        return toda_check(pipe, 4, [Fraction(1, 2)], tol)
+    if check == "kp":
+        return kp_check(pipe, [1, 2, 3, 4], tol)
+    return {"sato_wilson": sato_wilson_check, "pearson_toda": pearson_toda_check}[check](pipe, tol)
+
+
+@pytest.mark.parametrize(
+    ("weight", "check", "row", "mutate", "arg"),
+    [
+        (GEN_MEIXNER, "sato_wilson", "phi_1", _pencil_column, (1, 4)),
+        (GEN_MEIXNER, "sato_wilson", "phi_2", _pencil_column, (1, 6)),
+        (GEN_MEIXNER, "sato_wilson", "moment_flow_1", _table_column, (5,)),
+        (DEFORMED, "sato_wilson", "moment_flow_2", _table_column, (9,)),
+        (GEN_MEIXNER, "toda", "poly_flow", _pencil_column, (1, 3)),
+        (GEN_MEIXNER, "toda", "poly_flow", _beta, (1,)),
+        (GEN_MEIXNER, "uv_system", "ratio_witness", _pencil_column, (1, 2)),
+        (GEN_MEIXNER, "uv_system", "ratio_witness", _norm, (2,)),
+        (GEN_MEIXNER, "pearson_toda", "compat", _pencil_column, (1, 2)),
+        (CHARLIER, "pearson_toda", "compat", _norm, (1,)),
+        (DEFORMED, "kp", "d22p", _pencil_column, (2, 2)),
+    ],
+)
+def test_a_nudged_input_fails_the_row(weight, check, row, mutate, arg, fresh_pipelines, monkeypatch):
+    # scaling one input of the identity by 1 + 2^-100 fails the row at the
+    # suite tolerance 2^-128, where the unmutated row passes
+    def worst(res):
+        return max(mpf(v) for k, v in res.components.items() if k.startswith(row))
+
+    tol = to_mpf(MUTATION_CTX.default_tolerance())
+    assert worst(_run(check, get_pipeline(weight, 8, MUTATION_CTX, engine=True))) <= tol
+    clear_cache()
+    pipe = get_pipeline(weight, 8, MUTATION_CTX, engine=True)
+    with monkeypatch.context() as patched:
+        mutate(patched, pipe, *arg)
+        res = _run(check, pipe)
+    assert worst(res) > tol, res.components
+    assert not res.passed

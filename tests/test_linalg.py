@@ -455,3 +455,96 @@ def test_raw_recurrence_matches_operator_recurrence_bit_for_bit(data):
         got = three_term_values(z, beta, gamma, count)
         want = op_polynomial_vector(z, beta, gamma, count)
     assert bits([got]) == bits([want])
+
+
+def exact_taylor_ldl(coeffs):
+    """The LDL of A0 + t A1 + t^2 A2 on exact truncated series (Fractions):
+    each entry the list of its Taylor coefficients, L and D as such lists."""
+    n, r = len(coeffs[0]), len(coeffs)
+
+    def mul(x, y):
+        return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(r)]
+
+    def div(s, d):
+        q = []
+        for k in range(r):
+            q.append((s[k] - sum(q[i] * d[k - i] for i in range(k))) / d[0])
+        return q
+
+    a = [[[c[i][j] for c in coeffs] for j in range(n)] for i in range(n)]
+    l = [[[Fraction(int(i == j))] + [Fraction(0)] * (r - 1) for j in range(n)] for i in range(n)]
+    d = []
+    for j in range(n):
+        acc = a[j][j]
+        for p in range(j):
+            acc = [x - y for x, y in zip(acc, mul(mul(l[j][p], l[j][p]), d[p]))]
+        d.append(acc)
+        for i in range(j + 1, n):
+            s = a[i][j]
+            for p in range(j):
+                s = [x - y for x, y in zip(s, mul(mul(l[i][p], l[j][p]), d[p]))]
+            l[i][j] = div(s, acc)
+    return l, d
+
+
+@st.composite
+def symmetric_pencils(draw):
+    """(A, A', A''): A diagonally dominant, so every pivot is far from zero;
+    small rationals, so the exact series stay cheap."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from([1, 2]))
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    out = []
+    for q in range(order + 1):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = draw(entries)
+        if q == 0:
+            for i in range(n):
+                m[i][i] = 4 * n + abs(m[i][i])
+        out.append(m)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(pencil=symmetric_pencils(), prec=st.sampled_from([64, 256]))
+def test_taylor_ldl_matches_exact_series_arithmetic(pencil, prec):
+    # L, D are the plain kernel's bits; dL, dD (and d2L, d2D) agree with the
+    # exact truncated-series LDL of the rational pencil to rounding
+    n = len(pencil[0])
+    with workprec(prec):
+        mats = [[[to_mpf(x) for x in row] for row in m] for m in pencil]
+        out = ldl_no_pivot(mats[0], mpf(0), *mats[1:])
+        plain = ldl_no_pivot(mats[0], mpf(0))
+    assert len(out) == 2 * len(pencil)
+    assert bits(out[0]) == bits(plain[0]) and bits([out[1]]) == bits([plain[1]])
+    # the exact series take the second derivative's Taylor coefficient A''/2
+    taylor = pencil[:2] + [[[x / 2 for x in row] for row in m] for m in pencil[2:]]
+    l_exact, d_exact = exact_taylor_ldl(taylor)
+    with workprec(prec + 64):
+        for k in range(len(pencil)):
+            factorial = 2 if k == 2 else 1
+            got_l, got_d = out[2 * k], out[2 * k + 1]
+            for i in range(n):
+                want = to_mpf(d_exact[i][k] * factorial)
+                assert abs(got_d[i] - want) <= mpf(2) ** (20 - prec) * max(abs(want), 1)
+                for j in range(i):
+                    want = to_mpf(l_exact[i][j][k] * factorial)
+                    assert abs(got_l[i][j] - want) <= mpf(2) ** (20 - prec) * max(abs(want), 1)
+
+
+def test_taylor_ldl_refuses_the_plain_kernels_pivots():
+    # the pencil goes through the same pivot test: a zero or a below-floor
+    # pivot raises at the same index, whatever the derivatives
+    with workprec(128):
+        one, zero = mpf(1), mpf(0)
+        a = [[one, one], [one, one]]
+        da = [[one, zero], [zero, one]]
+        for floor in (zero, mpf(2) ** -8):
+            with pytest.raises(SingularTruncation) as err:
+                ldl_no_pivot(a, floor, da)
+            assert err.value.index == 1
+        with pytest.raises(SingularTruncation) as err:
+            ldl_no_pivot([[mpf(2) ** -10]], mpf(2) ** -8, [[one]], [[one]])
+        assert err.value.index == 0

@@ -10,14 +10,14 @@ module of a later layer fails it too, unless the import sits under
 ``if TYPE_CHECKING:`` (annotations only). The package's ``__init__`` imports
 to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
-(``pipeline``, which also hands an FD witness its parent table to derive
-from), by the ``moments`` command (``cli``) and by ``rebuilt`` (``moments``),
-and only the suite (``report``) asks ``pipeline`` for the
+(``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
+(``moments``), and only the suite (``report``) asks ``pipeline`` for the
 engine depth. Only ``moments`` reads the names that decide where a lattice
 pass stops, and only ``weights`` and ``moments`` read the term-by-term walk
 (``term_ratio``, ``fixed_point_terms``). A top-level ``def`` or ``class`` of
 the package must be read outside its own definition: by its module, another
 module (the ``__init__`` re-exports do not count), a test or ``perfbench``.
+Every ``to_mpf`` call runs under an explicit ``workprec``.
 """
 
 import ast
@@ -142,10 +142,8 @@ def test_imports_follow_the_layer_order():
 
 
 # The modules that may build a MomentTable: the pipeline, which sets every
-# checked table's depth and offers an FD witness its parent's table; the
-# `moments` command; and `MomentTable.rebuilt`. A derived witness table is
-# built by the pipeline's own `MomentTable(...)` call, so the derivation adds
-# no construction site.
+# checked table's depth, the moment witnesses' too; the `moments` command; and
+# `MomentTable.rebuilt`.
 TABLE_BUILDERS = {"pipeline", "cli", "moments"}
 
 
@@ -281,9 +279,8 @@ def test_only_moments_decides_the_lattice_stop():
 
 # -- one owner of the accepted pass ----------------------------------------------
 
-# A table's accepted pass, walked or derived from its parent's, is read only
-# where it is made: every other module reads a table's values and its
-# ``last_point``, and hands a witness its parent table whole.
+# A table's accepted pass is read only where it is made: every other module
+# reads a table's values and its ``last_point``.
 LATTICE_PASS = {"lattice_pass", "LatticePass"}
 
 
@@ -361,3 +358,65 @@ def test_only_the_suite_asks_for_the_engine_depth():
     }
     assert [module for module, lines in requests.items() if lines] == ["report"]
     assert len(requests["report"]) == 1
+
+
+# -- conversions at the working precision ---------------------------------------
+
+# ``weights.to_mpf`` rounds at the precision in effect, mpmath's default of 53
+# bits outside a ``workprec`` block. So every call sits lexically inside
+# ``with workprec(...)``, or in a function whose docstring says "Call under
+# workprec", as ``moments.ldl_pivot_floor`` does, whose callers hold the block.
+CALL_UNDER_WORKPREC = "Call under workprec"
+
+
+def _is_workprec_block(node: ast.AST) -> bool:
+    return isinstance(node, ast.With) and any(
+        isinstance(item.context_expr, ast.Call)
+        and getattr(item.context_expr.func, "id", getattr(item.context_expr.func, "attr", None))
+        == "workprec"
+        for item in node.items
+    )
+
+
+def _bare_conversions(source: str) -> list[int]:
+    """The lines of ``to_mpf`` calls outside every ``with workprec(...)`` block
+    and every function whose docstring says it is called under one."""
+    lines = []
+
+    def visit(node: ast.AST, covered: bool) -> None:
+        if _is_workprec_block(node):
+            covered = True
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            covered = covered or CALL_UNDER_WORKPREC in (ast.get_docstring(node) or "")
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "to_mpf"
+            and not covered
+        ):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, covered)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_bare_conversions_flagged():
+    source = (
+        "c = to_mpf(x)\n"
+        "with workprec(bits):\n    d = to_mpf(x)\n    f = lambda: weights.to_mpf(y)\n"
+        "with mp.workprec(bits), open(p):\n    e = to_mpf(x)\n"
+        "def g(x):\n    '''Call under workprec(bits).'''\n    return to_mpf(x)\n"
+        "def h(x):\n    '''Convert x.'''\n    return weights.to_mpf(x)\n"
+        "with workdps(30):\n    k = to_mpf(x)\n"
+    )
+    assert _bare_conversions(source) == [1, 12, 14]
+
+
+def test_conversions_run_under_workprec():
+    bare = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _bare_conversions(path.read_text())
+    ]
+    assert bare == []

@@ -2,7 +2,6 @@ import io
 from collections import Counter
 from math import comb, isnan
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +26,10 @@ from semidop import (
     run_suite,
 )
 import semidop.moments as moments_module
+from semidop.pipeline import get_pipeline
 from semidop.flows import flow_scaled_weight, tau_derivative
 from semidop.linalg import lu_determinant
-from semidop.weights import classify_convergence, fixed_point_terms, parse_weight_spec, to_mpf
+from semidop.weights import classify_convergence, parse_weight_spec, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
@@ -587,10 +587,9 @@ CONTRACT_MIX = (
 
 def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     # the per-pass error bound certifies every column at the base guard: one
-    # contract mix at 512 bits sums 12 passes at 608 bits and 3 at 736. The
-    # FD witnesses take their moments from their parent's pass, except the
-    # three Meixner witnesses near a rounding midpoint, whose derivation
-    # fails only the rounding test at 608 bits: they are walked from 736
+    # contract mix at 512 bits sums 24 passes at 608 bits and 1 at 736. Of
+    # them 12 are the moment witnesses, two per feasible flow; one Meixner
+    # witness sits near a rounding midpoint and climbs to the 736-bit rung
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -603,7 +602,7 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert Counter(passes) == {(608, 0): 12, (736, 0): 3}
+    assert Counter(passes) == {(608, 0): 24, (736, 0): 1}
 
 
 def test_tiny_moments_widen_the_guard(monkeypatch):
@@ -745,80 +744,16 @@ def test_one_leading_factorization_per_table_and_size(monkeypatch):
     assert sum(len(t._det_cache) for t in tables) > 2 * len(factored)
 
 
-# -- FD-witness tables derived from their parent's pass --------------------------
-
-deformations = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(15, 16), max_denominator=16)
+# -- moment-witness tables -------------------------------------------------------
 
 
-@st.composite
-def flow_witnesses(draw):
-    """(parent weight, flow l, multiplier 1 +- 2^-(128..131)): a positive
-    convergent weight with M, N <= 2, whose l-th parameter stays at most 1."""
-    b = tuple(draw(st.lists(positive_params, max_size=2)))
-    a = tuple(draw(st.lists(positive_params, max_size=min(2, len(b) + 1))))
-    eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=Fraction(7, 8), max_denominator=16))
-    l = draw(st.sampled_from([1, 2, 3]))
-    eta2 = draw(deformations) if l == 2 or draw(st.booleans()) else Fraction(1)
-    eta3 = draw(deformations) if l == 3 or draw(st.booleans()) else Fraction(1)
-    if len(a) <= len(b) and eta2 == eta3 == 1:
-        eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=4, max_denominator=16))
-    step = Fraction(draw(st.sampled_from([1, -1])), 2 ** draw(st.integers(128, 131)))
-    return HypergeometricWeight(a=a, b=b, eta=eta, eta2=eta2, eta3=eta3), l, 1 + step
-
-
-def _derived_or_walked(parent, l, mult, depth):
-    """The witness table offered its parent, whether it summed no lattice
-    (its pass is derived), and the same table walked."""
-    w = flow_scaled_weight(parent.weight, l, mult)
+def _witness_and_walked(base, l, mult):
+    """The moment witness the base pipeline builds, whether its table walked
+    the lattice, and the same weight's table built on its own."""
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_passes(patch)
-        witness = MomentTable(w, depth, parent.ctx, parent)
-    return witness, not calls, MomentTable(w, depth, parent.ctx)
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=flow_witnesses(), depth=st.integers(0, 16), spare=st.integers(0, 8))
-def test_derived_witness_tables_equal_the_walked_ones(case, depth, spare):
-    # a derived table holds the correctly rounded moments, bit for bit those
-    # of the walk, and reads its parent's last point, where the derivation
-    # certified its tail. A parent with 6 l columns to spare holds the series
-    # at these steps, so a witness whose moments the first rung proves, of a
-    # parent the first rung proved, is derived; with fewer the parent may be
-    # too shallow and the witness walked
-    w, l, mult = case
-    parent = MomentTable(w, depth + l * spare, PrecisionContext(mantissa_bits=512))
-    witness, derived, walked = _derived_or_walked(parent, l, mult, depth)
-    assert _raw(witness.values) == _raw(walked.values)
-    assert witness.last_point == (parent.last_point if derived else walked.last_point)
-    if spare >= 6 and parent.lattice_pass.bits == walked.lattice_pass.bits == 608:
-        assert derived
-
-
-@settings(max_examples=20, deadline=None)
-@given(case=flow_witnesses(), depth=st.integers(0, 16))
-def test_derived_pass_meets_the_lattice_pass_contract(case, depth):
-    # a derived pass bounds the witness's fixed-point sums over the parent's
-    # points 0 .. K as a walk does: within errors[m] of the exact column sums,
-    # which the per-column oracle holds within its own exact error sums, and
-    # its last term within its bound of W_K
-    w, l, mult = case
-    parent = MomentTable(w, depth + 6 * l, PrecisionContext(mantissa_bits=512))
-    witness = flow_scaled_weight(w, l, mult)
-    lattice = moments_module._derived_pass(parent, witness, depth, parent.ctx)
-    if lattice is None:
-        return
-    assert (lattice.scale, lattice.bits, lattice.last) == (
-        parent.lattice_pass.scale,
-        parent.lattice_pass.bits,
-        parent.last_point,
-    )
-    o_sums, o_errors, _ = per_column_pass(witness, lattice.last, depth, lattice.bits, lattice.scale)
-    for s, e, o, oe in zip(lattice.sums, lattice.errors, o_sums, o_errors):
-        assert abs(s - o) <= e + oe
-    terms = fixed_point_terms(witness, lattice.scale)
-    last, last_err = next(islice(terms, lattice.last, None))
-    value, err = lattice.last_term
-    assert abs(value - last) <= err + last_err
+        witness = base.flow_scaled(l, mult).table
+    return witness, bool(calls), MomentTable(witness.weight, witness.m_max, base.ctx)
 
 
 @pytest.mark.parametrize(
@@ -830,55 +765,42 @@ def test_derived_pass_meets_the_lattice_pass_contract(case, depth):
     ],
 )
 def test_a_weight_that_is_no_flow_witness_is_walked(witness, monkeypatch):
-    # a table offered a parent whose weight differs in a or b, or in two
-    # etas, is walked from the first rung as if offered none
+    # a table walks its own lattice from the first rung, whatever table of a
+    # related weight was built before it: tables share no passes
     ctx = PrecisionContext(mantissa_bits=512)
-    parent = MomentTable(MEIXNER, 32, ctx)
-    assert moments_module._derived_pass(parent, witness, 8, ctx) is None
+    MomentTable(MEIXNER, 32, ctx)
     calls = _count_passes(monkeypatch)
-    table = MomentTable(witness, 8, ctx, parent)
+    table = MomentTable(witness, 8, ctx)
     assert [args[3] for args in calls] == [608]
     assert _raw(table.values) == _raw(MomentTable(witness, 8, ctx).values)
-
-
-def test_derived_witness_sums_no_lattice(monkeypatch):
-    # a flow-1 witness of generalized Meixner is derived from the engine-depth
-    # parent with no lattice pass, and its last point is the parent's
-    ctx = PrecisionContext(mantissa_bits=512)
-    parent = MomentTable(GEN_MEIXNER, 32, ctx)
-    calls = _count_passes(monkeypatch)
-    mult = 1 - Fraction(1, 2**129)
-    witness = MomentTable(flow_scaled_weight(GEN_MEIXNER, 1, mult), 24, ctx, parent)
-    assert calls == [] and witness.last_point == parent.last_point
-    walked = MomentTable(witness.weight, 24, ctx)
-    assert _raw(witness.values) == _raw(walked.values)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     ("spec", "l", "parent_depth", "depth"),
     [
         ("b=3/2; eta=-1/2", 1, 32, 24),  # a signed weight
-        ("a=3/2; b=5/2; eta=1/3", 1, 24, 24),  # a parent too shallow for the series
+        ("a=3/2; b=5/2; eta=1/3", 1, 24, 24),  # the generalized Meixner witness
         ("eta=1/2; eta2=9/10; eta3=9/10", 2, 24, 16),  # the deformed flow-2 witness
     ],
 )
-def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, depth, monkeypatch):
-    ctx = PrecisionContext(mantissa_bits=512)
-    parent = MomentTable(parse_weight_spec(spec), parent_depth, ctx)
-    calls = _count_passes(monkeypatch)
-    witness, derived, walked = _derived_or_walked(parent, l, 1 + Fraction(1, 2**128), depth)
-    assert len(calls) == 2 and not derived
-    assert _raw(witness.values) == _raw(walked.values)
-    assert witness.last_point == walked.last_point
+def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, depth):
+    # every moment witness walks its lattice: built by its base pipeline at
+    # the base's size, its table stops at rho_2k and holds the bits of the
+    # same weight's table built on its own, with the same last point
+    base = get_pipeline(parse_weight_spec(spec), depth // 2, PrecisionContext(mantissa_bits=512))
+    assert base.depth <= parent_depth
+    witness, walked_here, alone = _witness_and_walked(base, l, 1 + Fraction(1, 2**128))
+    assert walked_here and witness.m_max == depth
+    assert _raw(witness.values) == _raw(alone.values)
+    assert witness.last_point == alone.last_point
 
 
 def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
-    # the Meixner suite at size 12 sums the lattice for its base table, its
-    # shifted table a=3 and the three flow-1 witnesses whose moments sit near
-    # a 512-bit rounding midpoint (their derivation fails the rounding test at
-    # 608 bits, so each is walked at 736 only); the other FD witnesses (29
-    # passes in all when each walked) are derived
+    # the flow jets derive every derivative of the factorization from the
+    # base table, so the Meixner suite at size 12 sums the lattice for its
+    # base table, its shifted table a=3 and the two flow-1 moment witnesses
+    # at depth 24, the one whose moments sit near a 512-bit rounding midpoint
+    # walked again at 736 bits
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -893,6 +815,6 @@ def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     assert Counter(passes) == {
         ("a=2; eta=1/2", 32, 608): 1,
         ("a=3; eta=1/2", 24, 608): 1,
-        ("witness", 4, 736): 2,
-        ("witness", 20, 736): 1,
+        ("witness", 24, 608): 2,
+        ("witness", 24, 736): 1,
     }

@@ -352,6 +352,27 @@ def test_cli_verify_spec_example():
     assert code == 0
 
 
+def test_non_dyadic_shift_constants_hold_at_the_working_precision():
+    # a = 2/3 and b - 1 = 2/5 are not dyadic: rounded at 53 bits they broke
+    # nijhoff_capel_A(1)_B(1) (4.3e-17) and uv_system (3.6e-17, 3.1e-17)
+    code = cli_main(["verify", "--weight", "a=2/3; b=7/5; eta=3/7", "--size", "12"])
+    assert code == 0
+    clear_cache()
+    rep = run_suite(SuiteConfig(weight=parse_weight_spec("a=2/3; b=7/5; eta=3/7"), size=12))
+    lattice = [c for c in rep.checks if c.name.startswith(("nijhoff_capel", "uv_system"))]
+    assert len(lattice) == 3 and all(c.max_residual < mpf(2) ** -400 for c in lattice)
+    clear_cache()
+
+
+def test_config_echo_holds_the_tolerance_at_the_working_precision():
+    # the echo rounds at the suite's bits, not at mpmath's default 53
+    w = parse_weight_spec("eta=7/10")
+    rep = run_suite(SuiteConfig(weight=w, size=6, tolerance=Fraction(1, 3), checks=("pearson",)))
+    assert rep.config["tolerance"] == "0.3333333333333333333333"
+    assert rep.config["fd_step"] == decimal_str(mpf(2) ** -128, 64)
+    assert "fd_halvings" not in rep.config
+
+
 def test_golden_default_charlier_suite():
     cfg = SuiteConfig(weight=CHARLIER)
     rep = run_suite(cfg)
@@ -360,14 +381,14 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "18a78d10debd4b07"),
-    ("b=3/2; eta=1/2", 12, "aa40dc9f4f8c725e"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "d30644f5a8dc2003"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "7c3596439295b2b9"),
+    ("a=2; eta=1/2", 12, "8f28a47680cbceb0"),
+    ("b=3/2; eta=1/2", 12, "4b1a2095406ba63d"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "d3058edd3a6f24d7"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "802be527d289a817"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "41c4d45ea8c3b5ca"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "9e1a4bbd11e46637"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "d81cc6025c1e0752"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "fe84d7f1114ac9b7"),
 ]
 
 
@@ -397,8 +418,9 @@ def test_suite_leaves_confirmation_unread():
 
 
 def test_suite_runs_the_psi_route_check_once(monkeypatch):
-    # the six-route check runs where psi_routes reports it; the FD witnesses of
-    # pearson_toda read the cached structure matrix and never build Pi^-1
+    # the six-route check runs where psi_routes reports it; pearson_toda
+    # differentiates the structure matrix through the flow jet, and the
+    # moment witnesses read only their tables
     real = pipeline.psi_structure_check
     calls = []
 
@@ -410,9 +432,11 @@ def test_suite_runs_the_psi_route_check_once(monkeypatch):
     clear_cache()
     run_suite(SuiteConfig(weight=CHARLIER))
     assert len(calls) == 1
-    witnesses = [p for p in pipeline._CACHE.values() if p.weight != CHARLIER]
-    assert any("psi" in p.__dict__ for p in witnesses)
-    assert all("pi_inv" not in p.__dict__ for p in witnesses)
+    others = [p for p in pipeline._CACHE.values() if p.weight != CHARLIER]
+    witnesses = [p for p in others if (p.weight.a, p.weight.b) == ((), ())]
+    assert len(witnesses) == 2
+    assert all("chol" not in p.__dict__ for p in witnesses)
+    assert all("psi" not in p.__dict__ and "pi_inv" not in p.__dict__ for p in others)
 
 
 # the dense matrices a pipeline builds once and every check reads
@@ -442,33 +466,37 @@ def test_suite_leaves_every_shared_matrix_as_built():
             if name in pipe.__dict__:
                 assert _entry_bits(getattr(pipe, name)) == _entry_bits(getattr(fresh, name)), name
                 compared += 1
-    # the FD witnesses of pearson_toda share Psi and Psi H^-1 too
-    assert compared > len(SHARED) + 1
+        # the flow jets are shared too: each check reads dS, dS^-1 and dH
+        for (l, order), jet in pipe._jets.items():
+            again = fresh.flow_jet(l, order, jet.size)
+            for name in ("s", "ds", "ds_inv", "d2s"):
+                if getattr(jet, name) is not None:
+                    assert _entry_bits(getattr(jet, name)) == _entry_bits(getattr(again, name))
+            assert _entry_bits([jet.dh]) == _entry_bits([again.dh])
+            compared += 1
+    # the base's flow-1 and flow-2 jets and the shifted pipelines' flow-1 jets
+    assert compared > len(SHARED) + 1 + 2
 
 
 @pytest.mark.parametrize(
     ("weight", "size", "witnesses"),
     [
-        # uv_system's witnesses of the base and of a=3 at n0 + 1 = 2; toda,
-        # sato_wilson and pearson_toda share those at kj - 2 = 10
-        (MEIXNER, 12, {(2, 1): 16, (10, 1): 8}),
-        # toda and sato_wilson share the flow-1 witnesses at kj - 2 = 6,
-        # sato_wilson and kp the flow-2 ones at kj - 3 = 5; kp's midpoint
-        # (mult 1) is the base itself
-        (DEFORMED, 8, {(6, 1): 8, (5, 2): 8}),
+        # the moment witnesses of flow 1 at 1 +- step, at the base's size
+        (MEIXNER, 12, {(12, 1): 2}),
+        # and of flow 2, whose eta2 = 9/10 can move
+        (DEFORMED, 8, {(8, 1): 2, (8, 2): 2}),
     ],
     ids=["meixner", "deformed"],
 )
 def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, witnesses, monkeypatch):
-    # every (flow, mult) has one witness pipeline, whose size is what its
-    # readers read; the 8 multipliers are 1 +- step / 2^i for i <= 3
+    # every (flow, mult) has one witness pipeline, at the size of the base,
+    # whose rho_0 .. rho_2k the moment witness differences
     built = {}
     real = pipeline.WeightPipeline.flow_scaled
 
-    def recorded(self, l, mult, *size):
-        pipe = real(self, l, mult, *size)
-        if pipe is not self:
-            built[id(pipe)] = (pipe.k, l)
+    def recorded(self, l, mult):
+        pipe = real(self, l, mult)
+        built[id(pipe)] = (pipe.k, l)
         return pipe
 
     monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", recorded)
@@ -484,18 +512,17 @@ def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, wit
     ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
 )
 def test_witness_table_stops_at_rho_2k(weight, flow, size):
-    # an FD witness is a default pipeline, read through its factorization: its
-    # table holds exactly rho_0 .. rho_2k, the bits of its weight's engine
-    # table, and is cached apart from that engine pipeline
+    # a moment witness is a default pipeline: its table holds exactly
+    # rho_0 .. rho_2k, the bits of its weight's engine table, and is cached
+    # apart from that engine pipeline
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=BITS)
-    base = get_pipeline(weight, 8, ctx, engine=True)
-    # at mult 1 the weight is unchanged, and the base serves every size up to its own
-    assert all(base.flow_scaled(flow, Fraction(1), k) is base for k in (2, 8))
-    witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64), size)
+    base = get_pipeline(weight, size, ctx, engine=True)
+    witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64))
+    assert witness is not base and witness.k == size
     full = get_pipeline(witness.weight, size, ctx, engine=True)
     assert full is not witness and full.table.m_max > 2 * size
-    assert base.flow_scaled(flow, 1 + Fraction(1, 2**64), size) is witness
+    assert base.flow_scaled(flow, 1 + Fraction(1, 2**64)) is witness
     assert get_pipeline(witness.weight, size, ctx) is witness
     assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
     assert [x._mpf_ for x in witness.table.values] == [
@@ -566,10 +593,15 @@ def test_suite_base_pipeline_needs_the_engine_depth(monkeypatch):
 
 
 def test_kp_builds_witnesses_at_the_size_its_jets_read():
-    # at size 3 the first-order jet of tau_4 reads rho_7, past a size-3
-    # witness's rho_6: kp builds its witnesses at size 4
+    # at size 3 the fifth-order tau jets read up to rho_11 of the engine
+    # table, and the order-2 flow-2 jet is the size-4 factorization's, the
+    # largest it holds: d22p is read for n <= 3
     rep = run_suite(SuiteConfig(weight=DEFORMED, size=3, mantissa_bits=BITS, checks=("kp",)))
     assert rep.passed
+    [kp] = rep.checks
+    assert sorted(k for k in kp.components if k.startswith("d22p")) == [
+        f"d22p[n={n}]" for n in (1, 2, 3)
+    ]
 
 
 def test_confirmation_reads_low_on_ill_conditioned_truncation():

@@ -251,14 +251,15 @@ TAIL_CASES = (
 def test_orthogonality_tail_is_within_its_certificate(spec, size, witness):
     # the walk stops at K, the last point of the moment table's pass; the
     # points K + 1 .. 2K move each exact-weight Gram sum by at most
-    # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|. A witness
-    # derived from its parent's pass stops at its parent's K
+    # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|. The case id
+    # "derived witness" names a moment witness of the flow-scaled weight,
+    # which its base pipeline builds at its own size and whose table walks
     bits = 512
     pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
     if witness:
-        parent = get_pipeline(pipe.weight, size, pipe.ctx, engine=True)
-        pipe = parent.flow_scaled(1, 1 - Fraction(1, 2**128), size - 2)
-        assert pipe.table.last_point == parent.table.last_point
+        base = get_pipeline(pipe.weight, size, pipe.ctx, engine=True)
+        pipe = base.flow_scaled(1, 1 - Fraction(1, 2**128))
+        assert pipe.k == size and pipe.weight.eta < base.weight.eta
     nmax = min(8, pipe.jac.size - 1)
     table = pipe.table
     last = table.last_point
