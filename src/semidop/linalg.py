@@ -2,34 +2,33 @@
 
 Truncations in this package are tiny (k <= ~32), so dense row-major lists are
 the only representation; matrices that are banded by theorem are read by
-diagonal offset (``diagonal_of``) and their band is checked, not stored.
-Products skip exact zeros, which J (tridiagonal), S and Pi (triangular) hold
-by theorem, and keep the bits of the dense sum; a factor with a non-finite
-entry, or with both int and mpf entries, takes the dense sum, and so do two
-int factors, whose sum is exact. All elimination routines use fixed pivoting
-rules so results are bit-stable.
+diagonal offset (``diagonal_of``) and their band is checked, not stored. All
+elimination routines use fixed pivoting rules so results are bit-stable.
 
-The hot kernels (``mat_mul``, ``ldl_no_pivot``, ``unit_lower_inverse``,
-``lu_factor`` with its solves and ``schur_complement``, the maxima and the
-polynomial recurrence ``three_term_values``) run on raw ``libmp`` values:
-they read each entry's ``_mpf_`` tuple once, loop with ``mpf_add``,
-``mpf_mul`` and the rest at ``mp._prec_rounding`` read at call time, and
-wrap each result once with ``mp.make_mpf``; the LU factors and the solves
-stay raw, for the solves and ``schur_complement`` to read. The bit-identity rule: every libmp call
-is the one the ``mpf`` operator would make, with the same arguments, precision
-and rounding, in the same order, so the results are the operators' bits without
-their per-operation dispatch and allocation (with a pencil, ``ldl_no_pivot``
-keeps the rule for L and D; their derivatives have no operator counterpart).
-Comparisons use ``mpf_gt`` and ``mpf_lt``, as the operators do, never
-``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot
-would be replaced where the operators keep it. No other module does
-arithmetic on raw values.
+The hot kernels run on raw ``libmp`` values: they read each entry's ``_mpf_``
+tuple once, compute at ``mp._prec_rounding`` read at call time, and wrap each
+result once with ``mp.make_mpf``. No other module does arithmetic on raw
+values. Each kernel keeps one of two contracts.
 
-``GramSums``, the accumulator of the orthogonality sums, reads raw values too
-but keeps a different contract: it sums the products p_n p_m w exactly, as
-integers, and rounds each sum once, where the operator loop rounds each
-product twice and each addition once. Only its nan and infinite sums are the
-operators' bits.
+- Exact sums, one rounding per entry (Ogita, Rump and Oishi, SIAM J. Sci.
+  Comput. 26, 2005): the products ``mat_mul`` and ``mat_vec``, and
+  ``GramSums``, the accumulator of the orthogonality sums. A sum is one
+  integer at one binary exponent, rounded once, where the operator loop
+  rounds each product and each addition. Exact zeros, which J (tridiagonal),
+  S and Pi (triangular) hold by theorem, add nothing and are skipped. Only
+  sums that meet a nan or an infinity are the operators' bits.
+- The operators' bits: the eliminations (``ldl_no_pivot``,
+  ``unit_lower_inverse``, ``lu_factor`` with its solves and
+  ``schur_complement``), the maxima and the polynomial recurrence
+  ``three_term_values``. Every libmp call is the one the ``mpf`` operator
+  would make, with the same arguments, precision and rounding, in the same
+  order, so the results are the operators' bits without their per-operation
+  dispatch and allocation (with a pencil, ``ldl_no_pivot`` keeps the rule for
+  L and D; their derivatives have no operator counterpart). The LU factors
+  and the solves stay raw, for the solves and ``schur_complement`` to read.
+  Comparisons use ``mpf_gt`` and ``mpf_lt``, as the operators do, never
+  ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot
+  would be replaced where the operators keep it.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
@@ -53,7 +52,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_lt,
     mpf_mul,
-    mpf_mul_int,
     mpf_neg,
     mpf_shift,
     mpf_sub,
@@ -120,67 +118,67 @@ def exceeds(v, best) -> bool:
     return v > best or v != v
 
 
-def _nonzero_rows(a):
-    """(type, rows) when every entry of a is a finite value of one type, int or mpf.
-
-    Each row lists (column, value) for its nonzero entries, an mpf as its
-    ``_mpf_`` tuple; (None, None) when a mixes types or holds a nan or an
-    infinity.
-    """
-    kind, rows = None, []
+def _entries(a) -> tuple:
+    """(rows, has_mpf): each row of a as (column, signed mantissa, exponent)
+    for its finite nonzero entries, an int at exponent 0, and whether a holds
+    an mpf; rows is None when a holds a nan or an infinity."""
+    rows, has_mpf = [], False
     for row in a:
         out = []
         for j, x in enumerate(row):
-            kind = kind or type(x)
-            if type(x) is not kind or kind not in (int, mpf):
-                return None, None
-            if kind is mpf:
-                x = x._mpf_
-                if not x[1] and x[2]:  # nan or an infinity
-                    return None, None
-            if x not in (0, fzero):
-                out.append((j, x))
+            if type(x) is int:
+                if x:
+                    out.append((j, x, 0))
+                continue
+            has_mpf = True
+            sign, man, exp, _ = _raw(x)
+            if man:
+                out.append((j, -man if sign else man, exp))
+            elif exp:  # nan or an infinity
+                return None, True
         rows.append(out)
-    return kind, rows
+    return rows, has_mpf
 
 
-def _int_times_mpf(x, y, prec, rnd):
-    return mpf_mul_int(y, x, prec, rnd)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, multiplying only the pairs of nonzero entries.
-
-    Each entry starts from its first nonzero product and adds the others in
-    ascending inner index. Adding an exact zero returns the other operand
-    unchanged, so every entry has the bits and the type of the dense sum
-    ``sum(a[i][l] * b[l][j] for l)``; one with no nonzero product is
-    ``mpf(0)``. An mpf times an int is ``mpf_mul_int``, as the operator
-    computes it. When either factor holds a non-finite entry or mixes types,
-    the dense sum itself is taken: ``nan * 0`` is ``nan``, and the type of a
-    sum follows its products. Two int factors take it too: their sum is exact.
-    """
-    k, m = len(b), len(b[0])
-    kind_a, rows_a = _nonzero_rows(a)
-    kind_b, rows_b = _nonzero_rows(b)
-    if mpf not in (kind_a, kind_b) or None in (kind_a, kind_b):
+def _exact_product(a: Matrix, b: Matrix) -> Matrix:
+    """``mat_mul``'s kernel. ``mat_vec`` calls it, not ``mat_mul``, so the
+    benchmark's span of that name counts matrix products only."""
+    rows_a, mpf_a = _entries(a)
+    rows_b, mpf_b = _entries(b)
+    if rows_a is None or rows_b is None:
         bt = list(zip(*b))
-        return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
-    if kind_a is int:
-        mul = _int_times_mpf
-    else:
-        mul = mpf_mul_int if kind_b is int else mpf_mul
+        return [[sum(x * y for x, y in zip(row_a, bt_j)) for bt_j in bt] for row_a in a]
+    m = len(b[0])
     prec, rnd = mp._prec_rounding
     zero, make = mpf(0), mp.make_mpf
     out = []
     for row_a in rows_a:
-        acc = [None] * m
-        for l, x in row_a:
-            for j, y in rows_b[l]:
-                p = mul(x, y, prec, rnd)
-                acc[j] = p if acc[j] is None else mpf_add(acc[j], p, prec, rnd)
-        out.append([zero if v is None else make(v) for v in acc])
+        mans, exps = [0] * m, [None] * m
+        for l, ma, ea in row_a:
+            for j, mb, eb in rows_b[l]:
+                e, cur = ea + eb, exps[j]
+                if cur is None:
+                    mans[j], exps[j] = ma * mb, e
+                elif e >= cur:
+                    mans[j] += (ma * mb) << (e - cur)
+                else:
+                    mans[j], exps[j] = (mans[j] << (cur - e)) + ma * mb, e
+        if mpf_a or mpf_b:
+            mans = [make(from_man_exp(s, e, prec, rnd)) if s else zero for s, e in zip(mans, exps)]
+        out.append(mans)
     return out
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, each entry the exact sum of its products, rounded once.
+
+    An entry is one int at the smallest exponent of its products so far, and
+    ``from_man_exp`` rounds it at the precision in effect. With an mpf in
+    either factor every entry is an mpf, ``mpf(0)`` for an exact zero; two int
+    factors give exact ints. A factor with a nan or an infinity takes the
+    operator dense sum ``sum(a[i][l] * b[l][j] for l)``: ``nan * 0`` is nan.
+    """
+    return _exact_product(a, b)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -196,7 +194,8 @@ def mat_scale(a: Matrix, c) -> Matrix:
 
 
 def mat_vec(a: Matrix, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a v, as ``mat_mul`` computes a times the column v."""
+    return [row[0] for row in _exact_product(a, [[x] for x in v])]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

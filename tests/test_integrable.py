@@ -30,6 +30,7 @@ from semidop.integrable import (
     uv_system_check,
     valid_single_shifts,
 )
+from semidop import integrable as integrable_module
 from semidop import moments as moments_module
 from semidop import structure
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
@@ -388,6 +389,8 @@ def test_flow_jet_leading_blocks_are_the_smaller_jet(w, data):
 
 MUTATION_CTX = PrecisionContext(mantissa_bits=512)
 NUDGE = 1 + Fraction(1, 2**100)
+# shift constants a_1 = 2/3 and b_1 - 1 = 2/5, neither dyadic
+NON_DYADIC = parse_weight_spec("a=2/3; b=7/5; eta=3/7")
 
 
 def _nudged(x):
@@ -426,15 +429,54 @@ def _norm(monkeypatch, pipe, n):
     pipe.chol.h[n] = _nudged(pipe.chol.h[n])
 
 
+def _jacobi_diagonal(monkeypatch, pipe, n):
+    # beta_n of the dense J, once the structure matrix, which reads J, is built
+    assert pipe.psi_h_inv
+    pipe.jac.dense[n][n] = _nudged(pipe.jac.dense[n][n])
+
+
+def _pascal_entry(monkeypatch, pipe, i, j):
+    pipe.pi[i][j] = _nudged(pipe.pi[i][j])
+
+
+def _shifted_identity(monkeypatch, pipe):
+    # the I of R(J + I) and R(J - I), once Pi, which reads S, is built
+    assert pipe.pi and pipe.pi_inv
+    real = structure.identity
+    monkeypatch.setattr(structure, "identity", lambda n: [[_nudged(x) for x in row] for row in real(n)])
+
+
+def _shift_constant(monkeypatch, pipe, kind):
+    # the constant of the one shift of this kind: nudging both constants of a
+    # lattice pair scales both sides of the Nijhoff-Capel equation alike
+    real = integrable_module._shift_constant
+
+    def planted(p, shift):
+        c = real(p, shift)
+        return _nudged(c) if shift.kind == kind else c
+
+    monkeypatch.setattr(integrable_module, "_shift_constant", planted)
+
+
 def _run(check, pipe):
     tol = MUTATION_CTX.default_tolerance()
     if check == "uv_system":
         return uv_system_check(pipe, Shift.a(1), [1, 2, 3, 4], tol)
+    if check == "nijhoff_capel":
+        return nijhoff_capel_check(pipe, Shift.a(1), Shift.b(1), [1, 2, 3, 4], tol)
     if check == "toda":
         return toda_check(pipe, 4, [Fraction(1, 2)], tol)
     if check == "kp":
         return kp_check(pipe, [1, 2, 3, 4], tol)
-    return {"sato_wilson": sato_wilson_check, "pearson_toda": pearson_toda_check}[check](pipe, tol)
+    if check == "poly_shift_linear":
+        return structure.polynomial_shift_identity(pipe, (Fraction(0), Fraction(1)), tol, check)
+    return {
+        "sato_wilson": sato_wilson_check,
+        "pearson_toda": pearson_toda_check,
+        "coefficient_sums": structure.coefficient_sum_check,
+        "structure_cholesky": structure.structure_cholesky_check,
+        "psi_jacobi": structure.psi_jacobi_identities,
+    }[check](pipe, tol)
 
 
 @pytest.mark.parametrize(
@@ -451,6 +493,15 @@ def _run(check, pipe):
         (GEN_MEIXNER, "pearson_toda", "compat", _pencil_column, (1, 2)),
         (CHARLIER, "pearson_toda", "compat", _norm, (1,)),
         (DEFORMED, "kp", "d22p", _pencil_column, (2, 2)),
+        # product-fed rows: the nudged input enters one side of the identity
+        (GEN_MEIXNER, "coefficient_sums", "j_conjugation", _jacobi_diagonal, (3,)),
+        (GEN_MEIXNER, "structure_cholesky", "pascal_factorization", _pascal_entry, (2, 1)),
+        (GEN_MEIXNER, "psi_jacobi", "commutator_down", _jacobi_diagonal, (1,)),
+        (GEN_MEIXNER, "poly_shift_linear", "plus", _shifted_identity, ()),
+        # a 2^-54 error in a shift constant passed every row before the
+        # constants were rounded at the working precision
+        (NON_DYADIC, "nijhoff_capel", "n=", _shift_constant, ("a",)),
+        (NON_DYADIC, "uv_system", "difference_v_bar", _shift_constant, ("a",)),
     ],
 )
 def test_a_nudged_input_fails_the_row(weight, check, row, mutate, arg, fresh_pipelines, monkeypatch):

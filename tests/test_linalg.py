@@ -13,9 +13,11 @@ from semidop.linalg import (
     ldl_no_pivot,
     lu_determinant,
     mat_mul,
+    mat_vec,
     max_abs,
     out_of_band_max,
     three_term_values,
+    transpose,
     unit_lower_inverse,
     window_diff,
 )
@@ -28,7 +30,7 @@ TOL = mpf(2) ** -100
 
 
 def dense_mat_mul(a, b):
-    """The dense kernel mat_mul replaced: every product, summed by ``sum``."""
+    """The operator dense sum: every product, summed by ``sum``."""
     k = len(b)
     bt = list(zip(*b))
     return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
@@ -39,23 +41,35 @@ def bits(m):
     return [[(type(x), x._mpf_ if isinstance(x, mpf) else x) for x in row] for row in m]
 
 
+def exact(x):
+    """An int or a finite mpf as the Fraction it holds."""
+    if type(x) is int:
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
 @st.composite
 def matrices(draw, rows: int, cols: int):
-    """Mostly exact zeros; ints, 512-bit mpfs or both; now and then a nan or inf."""
+    """Exact zeros (two in three entries of a sparse draw, one in six
+    otherwise); ints, mpfs of up to 512 bits or both, their exponents within
+    8, 600 or 5000 binades of 1; now and then a nan or inf."""
     kind = draw(st.sampled_from(["int", "mpf", "mixed"]))
+    span = draw(st.sampled_from([8, 600, 5000]))
+    sparse = draw(st.booleans())
     out = []
     for _ in range(rows):
         row = []
         for _ in range(cols):
             t = draw(st.sampled_from(["int", "mpf"])) if kind == "mixed" else kind
-            if draw(st.integers(0, 2)):
+            if draw(st.integers(0, 5)) < (4 if sparse else 1):
                 row.append(0 if t == "int" else mpf(0))
             elif t == "int":
                 row.append(draw(st.integers(-(2**600), 2**600)))
             else:
                 man = draw(st.integers(-(2**512) + 1, 2**512 - 1))
                 with workprec(512):
-                    row.append(ldexp(mpf(man), draw(st.integers(-600, 600))))
+                    row.append(ldexp(mpf(man), draw(st.integers(-span, span))))
         out.append(row)
     if draw(st.integers(0, 9)) == 0:
         out[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
@@ -64,14 +78,30 @@ def matrices(draw, rows: int, cols: int):
     return out
 
 
+def exact_mat_mul(a, b):
+    """``mat_mul``'s contract: each entry the exact Fraction sum of its
+    products, rounded once to nearest at the working precision; exact ints
+    when neither factor holds an mpf. A factor with a nan or an infinity
+    takes the operator dense sum."""
+    if not all(isfinite(x) for m in (a, b) for row in m for x in row):
+        return dense_mat_mul(a, b)
+    ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+    bt = list(zip(*b))
+    sums = [[sum(exact(x) * exact(y) for x, y in zip(row_a, bt_j)) for bt_j in bt] for row_a in a]
+    return [[int(s) if ints else to_mpf(s) for s in row] for row in sums]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_mat_mul_matches_dense_sum_bit_for_bit(data):
+def test_products_are_the_exact_sums_rounded_once(data):
     n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
     a = data.draw(matrices(n, k))
     b = data.draw(matrices(k, m))
     with workprec(data.draw(st.sampled_from([53, 256, 512, 600]))):
-        assert bits(mat_mul(a, b)) == bits(dense_mat_mul(a, b))
+        assert bits(mat_mul(a, b)) == bits(exact_mat_mul(a, b))
+        # a vector is one column: mat_vec sums as mat_mul does
+        v = [row[0] for row in b]
+        assert bits([mat_vec(a, v)]) == bits(transpose(exact_mat_mul(a, [[x] for x in v])))
 
 
 def test_mat_mul_entry_types():
@@ -80,6 +110,13 @@ def test_mat_mul_entry_types():
     assert bits(prod) == bits([[int(i == j) for j in range(4)] for i in range(4)])
     prod = mat_mul(pascal_matrix(3), identity(3))
     assert all(type(x) is mpf for row in prod for x in row)
+    # a factor mixing ints and mpfs: every entry an mpf, an exact zero mpf(0)
+    mixed = [[1, mpf(0)], [0, mpf(3)]]
+    for prod in (mat_mul(mixed, [[2, 0], [0, 0]]), mat_mul([[2, 0], [0, 0]], mixed)):
+        assert all(type(x) is mpf for row in prod for x in row)
+        assert prod[1] == [mpf(0), mpf(0)] and prod[0][0] == 2
+    assert bits([mat_vec(mixed, [2, 1])]) == bits([[mpf(2), mpf(3)]])
+    assert bits([mat_vec(pascal_matrix(3), [1, 1, 1])]) == bits([[1, 2, 4]])
 
 
 def test_mat_mul_spreads_nan_through_zeros():
@@ -90,6 +127,7 @@ def test_mat_mul_spreads_nan_through_zeros():
     assert prod[1] == [mpf(0), mpf(1)]
     prod = mat_mul(identity(2), [[inf, mpf(0)], [mpf(0), mpf(1)]])
     assert prod[0][0] == inf and isnan(prod[1][0])
+    assert isnan(mat_vec(identity(2), [mpf(0), nan])[0])
 
 
 def test_nan_residual_fails_its_check():
@@ -161,7 +199,6 @@ def test_maxima_match_brute_force_with_a_nan_anywhere(data):
 
 
 # -- the operator kernels the raw-value ones replaced, kept as oracles -----------
-# (mat_mul's oracle is dense_mat_mul above)
 
 def op_max_abs(entries):
     best = mpf(0)

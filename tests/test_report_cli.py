@@ -8,14 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from semidop import (
     DivergentSeries,
+    HypergeometricWeight,
     IndexOutOfTable,
     MomentTable,
     PrecisionContext,
     PreconditionError,
+    SemidopError,
     SingularTruncation,
     parse_weight_spec,
 )
@@ -41,6 +45,7 @@ from semidop.report import (
 from semidop.result import make_result
 
 from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
+from test_integrable import positive_params
 from test_moments import CONTRACT_MIX, SLOW_DECAY
 
 DATA = Path(__file__).parent / "data"
@@ -364,6 +369,31 @@ def test_non_dyadic_shift_constants_hold_at_the_working_precision():
     clear_cache()
 
 
+@st.composite
+def positive_weights(draw):
+    """M, N <= 2 with M <= N + 1, positive a_i and b_j, 0 < eta < 1: a weight
+    positive at every point, so no moment vanishes."""
+    b = tuple(draw(st.lists(positive_params, max_size=2)))
+    a = tuple(draw(st.lists(positive_params, max_size=min(2, len(b) + 1))))
+    eta = draw(st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16), max_denominator=16))
+    return HypergeometricWeight(a=a, b=b, eta=eta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=positive_weights(), size=st.integers(6, 8))
+def test_a_positive_weight_passes_every_row_or_is_refused_before_its_checks(w, size):
+    clear_cache()
+    try:
+        rep = run_suite(SuiteConfig(weight=w, size=size, mantissa_bits=256))
+    except SemidopError as exc:
+        # run_suite prefixes an error raised inside a check with the check's name
+        assert not str(exc).startswith("["), exc
+        return
+    finally:
+        clear_cache()
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
 def test_config_echo_holds_the_tolerance_at_the_working_precision():
     # the echo rounds at the suite's bits, not at mpmath's default 53
     w = parse_weight_spec("eta=7/10")
@@ -381,14 +411,17 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "8f28a47680cbceb0"),
-    ("b=3/2; eta=1/2", 12, "4b1a2095406ba63d"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "d3058edd3a6f24d7"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "802be527d289a817"),
+    ("a=2; eta=1/2", 12, "94807f6a157c488b"),
+    ("b=3/2; eta=1/2", 12, "43393f10639c0e96"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "b9310a78f9cd6cf5"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "5518f02cd714366d"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "9e1a4bbd11e46637"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "443189de62986f26"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "fe84d7f1114ac9b7"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "f7dff8c1b22aea7e"),
+    # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
+    # shifted weights differ, so its Nijhoff-Capel row compares two routes
+    ("a=2/3; b=7/5; eta=3/7", 12, "7d42df0221f0c51b"),
 ]
 
 
