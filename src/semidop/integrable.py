@@ -103,10 +103,32 @@ def lattice_shifts(w: HypergeometricWeight, size: int, count: int = 1) -> list[S
     return shifts
 
 
+def _cancelled(w: HypergeometricWeight) -> tuple:
+    """The weight w as a value: its a_i and b_j as multisets, each a_i equal
+    to some b_j cancelled against it, and its etas."""
+    a, b = sorted(w.a), sorted(w.b)
+    for x in list(a):
+        if x in b:
+            a.remove(x)
+            b.remove(x)
+    return tuple(a), tuple(b), w.eta, w.eta2, w.eta3
+
+
 def lattice_pairs(w: HypergeometricWeight, size: int) -> list[tuple[Shift, Shift]]:
-    """Declaration of nijhoff_capel: pairs of ``lattice_shifts``, whose double shifts hold too."""
+    """Declaration of nijhoff_capel: pairs of ``lattice_shifts``, whose double
+    shifts hold too. A pair whose two shifted weights are one weight once
+    common a_i and b_j cancel is dropped: its equation compares a
+    factorization with itself and holds identically."""
     shifts = lattice_shifts(w, size, 2)
-    return [(r, s) for i, r in enumerate(shifts) for s in shifts[i + 1 :]]
+    pairs = [
+        (r, s) for i, r in enumerate(shifts) for s in shifts[i + 1 :]
+        if _cancelled(shift_parameter(w, r)) != _cancelled(shift_parameter(w, s))
+    ]
+    if not pairs:
+        raise PreconditionError(
+            "every pair of shiftable parameters gives one weight twice once common a_i and b_j cancel"
+        )
+    return pairs
 
 
 # -- contiguous relations of the moment matrix ---------------------------------

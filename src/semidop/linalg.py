@@ -8,37 +8,37 @@ elimination routines use fixed pivoting rules so results are bit-stable.
 The hot kernels run on raw ``libmp`` values: they read each entry's ``_mpf_``
 tuple once, compute at ``mp._prec_rounding`` read at call time, and wrap each
 result once with ``mp.make_mpf``. No other module does arithmetic on raw
-values. Each kernel keeps one of two contracts.
+values. Every sum they form is exact and rounded once (Ogita, Rump and Oishi,
+SIAM J. Sci. Comput. 26, 2005): the products ``mat_mul`` and ``mat_vec``,
+``GramSums`` (the accumulator of the orthogonality sums), the eliminations
+``ldl_no_pivot`` (with its Taylor series), ``unit_lower_inverse``,
+``lu_factor`` with its solves and ``schur_complement``, and the polynomial
+recurrence ``three_term_values``. A sum is one integer at one binary exponent,
+where an operator loop would round each product and each addition; a quotient
+is its exact numerator divided once by the rounded pivot. Exact zeros, which J
+(tridiagonal), S and Pi (triangular) hold by theorem, add nothing. The
+eliminations run in left-looking (Crout) order, so that each entry is one sum:
+the factors formed so far are held as ``_Exact`` vectors, ints at one shared
+exponent, and each dot product is one ``sum(map(mul, ...))``. In the
+eliminations and the recurrence a term that meets a nan or an infinity is
+summed by libmp at precision 0, as ``GramSums`` sums such a point, and the
+entry is that nan or infinity; a product of ``mat_mul`` with such a factor is
+the operator dense sum.
 
-- Exact sums, one rounding per entry (Ogita, Rump and Oishi, SIAM J. Sci.
-  Comput. 26, 2005): the products ``mat_mul`` and ``mat_vec``, and
-  ``GramSums``, the accumulator of the orthogonality sums. A sum is one
-  integer at one binary exponent, rounded once, where the operator loop
-  rounds each product and each addition. Exact zeros, which J (tridiagonal),
-  S and Pi (triangular) hold by theorem, add nothing and are skipped. Only
-  sums that meet a nan or an infinity are the operators' bits.
-- The operators' bits: the eliminations (``ldl_no_pivot``,
-  ``unit_lower_inverse``, ``lu_factor`` with its solves and
-  ``schur_complement``), the maxima and the polynomial recurrence
-  ``three_term_values``. Every libmp call is the one the ``mpf`` operator
-  would make, with the same arguments, precision and rounding, in the same
-  order, so the results are the operators' bits without their per-operation
-  dispatch and allocation (with a pencil, ``ldl_no_pivot`` keeps the rule for
-  L and D; their derivatives have no operator counterpart). The LU factors
-  and the solves stay raw, for the solves and ``schur_complement`` to read.
-  Comparisons use ``mpf_gt`` and ``mpf_lt``, as the operators do, never
-  ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot
-  would be replaced where the operators keep it.
-
-Every check takes the maximum of its residuals through ``max_abs``,
-``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
-``ResidualAccumulator`` uses for named parts). These maxima keep a nan, where
-Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its check.
+Only the maxima keep the operators' bits. Every check takes the maximum of
+its residuals through ``max_abs``, ``window_diff`` or ``out_of_band_max``
+here, or through ``exceeds`` (which ``ResidualAccumulator`` uses for named
+parts). These maxima keep a nan, where Python's ``max(mpf(0), nan)`` is 0, so
+a nan residual fails its check. Comparisons, there and in the pivot tests,
+use ``mpf_gt`` and ``mpf_lt``, as the operators do, never ``mpf_cmp``:
+``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot would be
+replaced where the operators keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -72,11 +72,6 @@ def _raw(x) -> tuple:
 def _wrapped(rows) -> Matrix:
     make = mp.make_mpf
     return [[make(v) for v in row] for row in rows]
-
-
-def _unit_lower(n: int) -> list:
-    """The raw identity, rows of fone on the diagonal and fzero elsewhere."""
-    return [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
 
 def zeros(n: int) -> Matrix:
@@ -251,184 +246,320 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     return acc
 
 
+def _finite(t: tuple) -> bool:
+    """Whether the raw value t is neither a nan nor an infinity."""
+    return bool(t[1]) or not t[2]
+
+
+class _Exact:
+    """Exact values for dot products: each finite value one int at the
+    vector's shared binary exponent, the smallest of its nonzero entries; a
+    nan or an infinity is kept aside in ``odd`` (index to raw value), with an
+    int 0 in its place."""
+
+    __slots__ = ("ints", "exp", "odd")
+
+    def __init__(self):
+        self.ints, self.exp, self.odd = [], None, None
+
+    def push(self, man: int, exp: int) -> None:
+        """Append the exact value man 2^exp."""
+        if man:
+            cur = self.exp
+            if cur is None:
+                self.exp = exp
+            elif exp >= cur:
+                man <<= exp - cur
+            else:
+                up = cur - exp
+                self.ints = [x << up for x in self.ints]
+                self.exp = exp
+        self.ints.append(man)
+
+    def push_raw(self, t: tuple) -> None:
+        sign, man, exp, _ = t
+        if man or not exp:
+            self.push(-man if sign else man, exp)
+            return
+        if self.odd is None:
+            self.odd = {}
+        self.odd[len(self.ints)] = t
+        self.ints.append(0)
+
+    def push_sum(self, s: "_Sum") -> None:
+        if s.odd is None:
+            self.push(s.man, s.exp)
+        else:
+            self.push_raw(s.odd)
+
+    def raw(self, p: int) -> tuple:
+        """Entry p as a raw value."""
+        if self.odd and p in self.odd:
+            return self.odd[p]
+        return from_man_exp(self.ints[p], self.exp) if self.ints[p] else fzero
+
+
+class _Sum:
+    """One exact sum: the signed int ``man`` at the binary exponent ``exp``,
+    and ``odd``, the libmp sum at precision 0 of the terms that met a nan or
+    an infinity (None while there are none), which the sum then is."""
+
+    __slots__ = ("man", "exp", "odd")
+
+    def __init__(self, c: tuple = fzero):
+        sign, man, exp, _ = c
+        if man or not exp:
+            self.man, self.exp, self.odd = -man if sign else man, exp, None
+        else:
+            self.man, self.exp, self.odd = 0, 0, c
+
+    def _add(self, t: int, e: int) -> None:
+        s = self.man
+        if not s:
+            self.man, self.exp = t, e
+        elif e >= self.exp:
+            self.man = s + (t << (e - self.exp))
+        else:
+            self.man, self.exp = (s << (self.exp - e)) + t, e
+
+    def _add_odd(self, t: tuple) -> None:
+        self.odd = t if self.odd is None else mpf_add(self.odd, t)
+
+    def add_product(self, x: tuple, y: tuple, negate: bool = False) -> None:
+        """Add x y, or subtract it with negate, for raw x and y."""
+        if x[1] and y[1]:
+            t = x[1] * y[1]
+            self._add(-t if x[0] ^ y[0] ^ negate else t, x[2] + y[2])
+        elif not (_finite(x) and _finite(y)):
+            t = mpf_mul(x, y)
+            self._add_odd(mpf_neg(t) if negate else t)
+
+    def sub_dot(self, u: _Exact, v: _Exact, start: int = 0) -> None:
+        """Subtract the dot product of u[start:] and v."""
+        ints = u.ints[start:] if start else u.ints
+        t = sum(map(mul, ints, v.ints))
+        if t:
+            self._add(-t, u.exp + v.exp)
+        if u.odd or v.odd:
+            for p in range(min(len(ints), len(v.ints))):
+                x, y = u.raw(p + start), v.raw(p)
+                if not (_finite(x) and _finite(y)):
+                    self._add_odd(mpf_neg(mpf_mul(x, y)))
+
+    def rounded(self, prec: int, rnd: str) -> tuple:
+        """The sum rounded once."""
+        if self.odd is not None:
+            return self.odd
+        m = self.man
+        if m > 0:
+            return normalize(0, m, self.exp, m.bit_length(), prec, rnd)
+        if m:
+            return normalize(1, -m, self.exp, (-m).bit_length(), prec, rnd)
+        return fzero
+
+    def over(self, pivot: tuple, prec: int, rnd: str) -> tuple:
+        """The exact sum divided once by the raw pivot."""
+        m = self.man
+        if self.odd is not None:
+            num = self.odd
+        elif m > 0:
+            num = (0, m, self.exp, m.bit_length())
+        elif m:
+            num = (1, -m, self.exp, (-m).bit_length())
+        else:
+            num = fzero
+        return mpf_div(num, pivot, prec, rnd)
+
+
 def unit_lower_inverse(l: Matrix) -> Matrix:
-    """Invert a unit lower triangular matrix by forward substitution."""
+    """Invert a unit lower triangular matrix by forward substitution: entry
+    (i, j) of the inverse S is -sum_{j <= p < i} l_ip s_pj, one exact sum
+    rounded once, column by column."""
     n = len(l)
     prec, rnd = mp._prec_rounding
-    low = [[_raw(x) for x in row[:i]] for i, row in enumerate(l)]
-    inv = _unit_lower(n)
+    low = []
+    for i, row in enumerate(l):
+        v = _Exact()
+        for x in row[:i]:
+            v.push_raw(_raw(x))
+        low.append(v)
+    out = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
     for j in range(n):
-        for i in range(j + 1, n):  # solve L x = e_j in place
-            s, row = fzero, low[i]
-            for p in range(j, i):
-                s = mpf_add(s, mpf_mul(row[p], inv[p][j], prec, rnd), prec, rnd)
-            inv[i][j] = mpf_neg(s, prec, rnd)
-    return _wrapped(inv)
+        col = _Exact()
+        col.push(1, 0)
+        for i in range(j + 1, n):
+            s = _Sum()
+            s.sub_dot(low[i], col, j)
+            out[i][j] = x = s.rounded(prec, rnd)
+            col.push_raw(x)
+    return _wrapped(out)
 
 
-def _taylor_term(x: list, v: list, k: int, prec: int, rnd: str) -> tuple:
-    """Coefficient k of the product of the truncated series x and v."""
-    s = mpf_mul(x[0], v[k], prec, rnd)
-    for i in range(1, k + 1):
-        s = mpf_add(s, mpf_mul(x[i], v[k - i], prec, rnd), prec, rnd)
-    return s
+def _ldl_series(coeffs: list, floor: tuple) -> tuple:
+    """The Crout LDL of the truncated Taylor series whose coefficient k is
+    the raw matrix coeffs[k]: rows of L (below the diagonal) and D, each
+    entry the list of its coefficients.
 
+    Row i is formed left to right. With W = L D kept exact,
 
-def _taylor_ldl(a: Matrix, pencil: tuple, floor: tuple) -> tuple:
-    """``ldl_no_pivot`` of A + t A' + (t^2 / 2) A'' on truncated Taylor series,
-    each entry the list of its coefficients x^(k)(0) / k!.
+        l_ij,k = (a_ij,k - sum_{m <= k} L_i,m . W_j,k-m - sum_{m < k} l_ij,m d_j,k-m) / d_j,0
+        d_i,k = a_ii,k - sum_{m <= k} L_i,m . W_i,k-m
 
-    Coefficient 0 takes the plain kernel's libmp calls in its order, so L and
-    D are its bits. Coefficient k of an update l_ip l_jp d_p is that of
-    l_ip (l_jp d_p), the second factor formed once per (j, p); of a quotient
-    s / d it is (s_k - sum_{m < k} q_m d_{k-m}) / d_0.
+    each one exact sum, divided once or rounded once; coefficient 0 is the
+    plain elimination's. d_i,0 takes the pivot test once its row is formed.
     """
-    n, r = len(a), len(pencil) + 1
+    n, r = len(coeffs[0]), len(coeffs)
     prec, rnd = mp._prec_rounding
-    # the second derivative's Taylor coefficient is half of it, exactly
-    low = [
-        [[mpf_shift(_raw(c[i][j]), -(k // 2)) for k, c in enumerate((a,) + pencil)]
-         for j in range(i + 1)]
-        for i in range(n)
-    ]
-    l, d = [[] for _ in range(n)], []
-    for j in range(n):
-        v = [[_taylor_term(x, dp, k, prec, rnd) for k in range(r)] for x, dp in zip(l[j], d)]
-        for i in range(j, n):
-            s = list(low[i][j])
-            for p in range(j):
-                x, y = l[i][p], l[j][p]
-                t = mpf_mul(mpf_mul(x[0], y[0], prec, rnd), d[p][0], prec, rnd)
-                s[0] = mpf_sub(s[0], t, prec, rnd)
-                for k in range(1, r):
-                    s[k] = mpf_sub(s[k], _taylor_term(x, v[p], k, prec, rnd), prec, rnd)
-            if i == j:
-                if s[0] == fzero or mpf_lt(mpf_abs(s[0], prec, rnd), floor):
-                    raise SingularTruncation(j)
-                d.append(s)
-                continue
+    ws, d, out = [], [], []
+    for i in range(n):
+        li = [_Exact() for _ in range(r)]
+        wi = [_Exact() for _ in range(r)]
+        row = []
+        for j in range(i):
+            dj, wj = d[j], ws[j]
             q = []
             for k in range(r):
+                s = _Sum(coeffs[k][i][j])
+                for m in range(k + 1):
+                    s.sub_dot(li[m], wj[k - m])
                 for m in range(k):
-                    s[k] = mpf_sub(s[k], mpf_mul(q[m], d[j][k - m], prec, rnd), prec, rnd)
-                q.append(mpf_div(s[k], d[j][0], prec, rnd))
-            l[i].append(q)
-    for i, row in enumerate(l):
-        row += [[fone] + [fzero] * (r - 1)] + [[fzero] * r] * (n - i - 1)
-    make = mp.make_mpf
-    out = []
-    for k in range(r):
-        out.append([[make(mpf_shift(x[k], k // 2)) for x in row] for row in l])
-        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
-    return tuple(out)
+                    s.add_product(q[m], dj[k - m], True)
+                q.append(s.over(dj[0], prec, rnd))
+            for k in range(r):
+                li[k].push_raw(q[k])
+                w = _Sum()
+                for m in range(k + 1):
+                    w.add_product(q[m], dj[k - m])
+                wi[k].push_sum(w)
+            row.append(q)
+        di = []
+        for k in range(r):
+            s = _Sum(coeffs[k][i][i])
+            for m in range(k + 1):
+                s.sub_dot(li[m], wi[k - m])
+            di.append(s.rounded(prec, rnd))
+        if di[0] == fzero or mpf_lt(mpf_abs(di[0]), floor):
+            raise SingularTruncation(i)
+        ws.append(wi)
+        d.append(di)
+        out.append(row)
+    return out, d
 
 
 def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
     """A = L D L^T for symmetric A, unit lower L, no row exchanges.
 
-    Raises SingularTruncation at the first pivot that is an exact zero or has
-    |pivot| < pivot_floor. Row exchanges are deliberately not attempted: they
-    would break the triangular correspondence this factorization exists to
-    expose.
+    Crout order: each d_j = a_jj - sum_p l_jp (l_jp d_p) is one exact sum
+    rounded once, and each l_ij the exact a_ij - sum_p l_ip (l_jp d_p)
+    divided once by d_j; l_jp d_p is kept exact. Only the lower triangle of
+    A is read. Raises SingularTruncation at the first pivot that is an exact
+    zero or has |pivot| < pivot_floor. Row exchanges are deliberately not
+    attempted: they would break the triangular correspondence this
+    factorization exists to expose.
 
     ``pencil`` optionally gives A' and A'', derivatives of a symmetric A(t)
-    at t = 0. The elimination then runs on truncated Taylor series
-    (``_taylor_ldl``; Griewank and Walther, Evaluating Derivatives, ch. 13),
-    with the same pivot test, and returns L, D, dL, dD and, with A'', d2L,
-    d2D: the factorization's derivatives up to rounding. Without it, (L, D).
+    at t = 0. The elimination then runs on the truncated Taylor series of
+    A + t A' + (t^2 / 2) A'' (Griewank and Walther, Evaluating Derivatives,
+    ch. 13), with the same pivot test, and returns L, D, dL, dD and, with
+    A'', d2L, d2D: the factorization's derivatives up to rounding. Each
+    Taylor coefficient of each entry is one exact sum, and coefficient 0 is
+    the plain kernel's L and D. Without it, (L, D).
     """
     n = len(a)
-    prec, rnd = mp._prec_rounding
-    if pencil:
-        return _taylor_ldl(a, pencil, _raw(pivot_floor))
-    low = [[_raw(x) for x in row[: i + 1]] for i, row in enumerate(a)]
-    floor = _raw(pivot_floor)
-    l = _unit_lower(n)
-    d = [fzero] * n
-    for j in range(n):
-        row_j = l[j]
-        acc = low[j][j]
-        for p in range(j):
-            t = mpf_mul(mpf_mul(row_j[p], row_j[p], prec, rnd), d[p], prec, rnd)
-            acc = mpf_sub(acc, t, prec, rnd)
-        if acc == fzero or mpf_lt(mpf_abs(acc, prec, rnd), floor):
-            raise SingularTruncation(j)
-        d[j] = acc
-        for i in range(j + 1, n):
-            row_i = l[i]
-            s = low[i][j]
-            for p in range(j):
-                t = mpf_mul(mpf_mul(row_i[p], row_j[p], prec, rnd), d[p], prec, rnd)
-                s = mpf_sub(s, t, prec, rnd)
-            row_i[j] = mpf_div(s, acc, prec, rnd)
-    return _wrapped(l), [mp.make_mpf(x) for x in d]
-
-
-def _rounded(x, prec: int, rnd: str) -> tuple:
-    """mpf(x)'s ``_mpf_``: x rounded to prec as the constructor rounds it."""
-    if type(x) is not mpf:
-        return mpf(x)._mpf_
-    v = x._mpf_
-    return v if not v[1] and v[2] else normalize(*v, prec, rnd)
+    # the second derivative's Taylor coefficient is half of it, exactly
+    coeffs = [
+        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
+        for k, c in enumerate((a,) + pencil)
+    ]
+    low, d = _ldl_series(coeffs, _raw(pivot_floor))
+    make = mp.make_mpf
+    out = []
+    for k in range(len(coeffs)):
+        unit = fone if k == 0 else fzero
+        out.append([
+            [make(mpf_shift(x[k], k // 2)) for x in row]
+            + [make(unit)] + [make(fzero)] * (n - i - 1)
+            for i, row in enumerate(low)
+        ])
+        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
+    return tuple(out)
 
 
 @dataclass
 class LUFactors:
-    """P A = L U of a square matrix by partial pivoting, on raw ``libmp`` values.
+    """P A = L U of a square matrix by partial pivoting, in Crout order.
 
-    Column j pivots on the first entry of largest magnitude on or below the
-    diagonal. ``rows`` holds U on and above the diagonal and the multipliers
-    of L below it, in pivoted order; ``perm[i]`` is the row of A that became
+    Column j pivots on the first entry of largest magnitude among its
+    candidates, a_ij - sum_{p < j} l_ip u_pj for the rows i >= j not yet
+    pivoted, each one exact sum rounded once; the pivot is its rounded
+    candidate, each multiplier l_ij the exact candidate divided once by it,
+    and each u_jq (q > j) one exact sum rounded once. ``rows`` holds U on
+    and above the diagonal and the multipliers of L below it, in pivoted
+    order, as raw ``libmp`` values; ``perm[i]`` is the row of A that became
     row i. ``det`` is the product of the pivots, negated at each row
     exchange, in step order. A pivot column that is zero stops the
-    elimination: ``complete`` is False and ``det`` is 0, or nan while a nan is
-    left in the remaining block, since a nan never wins the pivot search and
-    can sit beside a column that is zero in the finite rows.
+    elimination: ``complete`` is False, the rest of ``rows`` holds the
+    remaining block, and ``det`` is 0, or nan while a nan is left in that
+    block, since a nan never wins the pivot search and can sit beside a
+    column that is zero in the finite rows. ``lower`` and ``upper`` hold the
+    rows of L and the columns of U above the diagonal, for the solves.
     """
 
     rows: list
     perm: list
     complete: bool
     det: mpf
+    lower: list
+    upper: list
 
 
 def lu_factor(a: Matrix) -> LUFactors:
     """The partially pivoted LU of a, at the precision of the call."""
     prec, rnd = mp._prec_rounding
-    work = [[_rounded(x, prec, rnd) for x in row] for row in a]
-    n = len(work)
+    n = len(a)
     perm = list(range(n))
-    exchanged = []
-    for j in range(n):
-        pivot_row = j
-        best = mpf_abs(work[j][j], prec, rnd)
-        for i in range(j + 1, n):
-            v = mpf_abs(work[i][j], prec, rnd)
-            if mpf_gt(v, best):
-                best = v
-                pivot_row = i
-        if best == fzero:
-            nan_left = any(v == fnan for row in work[j:] for v in row[j:])
-            return LUFactors(work, perm, False, mp.make_mpf(fnan if nan_left else fzero))
-        exchanged.append(pivot_row != j)
-        if pivot_row != j:
-            work[j], work[pivot_row] = work[pivot_row], work[j]
-            perm[j], perm[pivot_row] = perm[pivot_row], perm[j]
-        row_j = work[j]
-        pivot = row_j[j]
-        for i in range(j + 1, n):
-            row_i = work[i]
-            factor = mpf_div(row_i[j], pivot, prec, rnd)
-            row_i[j] = factor
-            if factor != fzero:
-                for p in range(j + 1, n):
-                    row_i[p] = mpf_sub(row_i[p], mpf_mul(factor, row_j[p], prec, rnd), prec, rnd)
+    rows = [[fzero] * n for _ in range(n)]
+    lower = [_Exact() for _ in range(n)]
+    upper = [_Exact() for _ in range(n)]
     det = fone
-    for j, swapped in enumerate(exchanged):
-        if swapped:
-            det = mpf_neg(det, prec, rnd)
-        det = mpf_mul(det, work[j][j], prec, rnd)
-    return LUFactors(work, perm, True, mp.make_mpf(det))
+    for j in range(n):
+        sums, best, pivot_row = [], None, j
+        for i in range(j, n):
+            s = _Sum(_raw(a[perm[i]][j]))
+            s.sub_dot(lower[i], upper[j])
+            rows[i][j] = c = s.rounded(prec, rnd)
+            sums.append(s)
+            v = mpf_abs(c)
+            if best is None:
+                best = v
+            elif mpf_gt(v, best):
+                best, pivot_row = v, i
+        if best == fzero:
+            for i in range(j, n):
+                for q in range(j + 1, n):
+                    s = _Sum(_raw(a[perm[i]][q]))
+                    s.sub_dot(lower[i], upper[q])
+                    rows[i][q] = s.rounded(prec, rnd)
+            nan_left = any(x == fnan for row in rows[j:] for x in row[j:])
+            return LUFactors(rows, perm, False, mp.make_mpf(fnan if nan_left else fzero), lower, upper)
+        if pivot_row != j:
+            t = pivot_row - j
+            for seq in (perm, rows, lower):
+                seq[j], seq[pivot_row] = seq[pivot_row], seq[j]
+            sums[0], sums[t] = sums[t], sums[0]
+            det = mpf_neg(det)
+        pivot = rows[j][j]
+        det = mpf_mul(det, pivot, prec, rnd)
+        for i in range(j + 1, n):
+            rows[i][j] = x = sums[i - j].over(pivot, prec, rnd)
+            lower[i].push_raw(x)
+        a_j, l_j = a[perm[j]], lower[j]
+        for q in range(j + 1, n):
+            s = _Sum(_raw(a_j[q]))
+            s.sub_dot(l_j, upper[q])
+            rows[j][q] = x = s.rounded(prec, rnd)
+            upper[q].push_raw(x)
+    return LUFactors(rows, perm, True, mp.make_mpf(det), lower, upper)
 
 
 def lu_determinant(a: Matrix) -> mpf:
@@ -436,34 +567,32 @@ def lu_determinant(a: Matrix) -> mpf:
     return lu_factor(a).det
 
 
-def lu_row_solve(f: LUFactors, b: list) -> list:
-    """The raw row vector y with y U = b, U the upper factor of a complete f."""
+def lu_row_solve(f: LUFactors, b: list) -> _Exact:
+    """y with y U = b, U the upper factor of a complete f: each y_j the
+    exact b_j - sum_{i < j} y_i u_ij divided once by u_jj."""
     prec, rnd = mp._prec_rounding
-    u = f.rows
-    y = []
+    y = _Exact()
     for j, x in enumerate(b):
-        s = _rounded(x, prec, rnd)
-        for i in range(j):
-            s = mpf_sub(s, mpf_mul(y[i], u[i][j], prec, rnd), prec, rnd)
-        y.append(mpf_div(s, u[j][j], prec, rnd))
+        s = _Sum(_raw(x))
+        s.sub_dot(y, f.upper[j])
+        y.push_raw(s.over(f.rows[j][j], prec, rnd))
     return y
 
 
-def lu_column_solve(f: LUFactors, a: list) -> list:
-    """The raw column z = L^-1 P a, L and P the lower factor and row order of f."""
+def lu_column_solve(f: LUFactors, a: list) -> _Exact:
+    """z = L^-1 P a, L and P the lower factor and row order of f: each z_i
+    the exact a_perm(i) - sum_{l < i} l_il z_l rounded once."""
     prec, rnd = mp._prec_rounding
-    z = []
+    z = _Exact()
     for i, r in enumerate(f.perm):
-        s = _rounded(a[r], prec, rnd)
-        row = f.rows[i]
-        for l in range(i):
-            s = mpf_sub(s, mpf_mul(row[l], z[l], prec, rnd), prec, rnd)
-        z.append(s)
+        s = _Sum(_raw(a[r]))
+        s.sub_dot(f.lower[i], z)
+        z.push_raw(s.rounded(prec, rnd))
     return z
 
 
 def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
-    """Entries b[i][j] - ys[i] . zs[j], each product subtracted in ascending order.
+    """Entries b[i][j] - ys[i] . zs[j], each one exact sum rounded once.
 
     With ys from ``lu_row_solve`` and zs from ``lu_column_solve`` of G = P^T L U,
     this is B - C G^-1 A for the rows C and columns A those solves read.
@@ -474,10 +603,9 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
     for row, y in zip(b, ys):
         out_row = []
         for x, z in zip(row, zs):
-            s = _rounded(x, prec, rnd)
-            for yi, zi in zip(y, z):
-                s = mpf_sub(s, mpf_mul(yi, zi, prec, rnd), prec, rnd)
-            out_row.append(make(s))
+            s = _Sum(_raw(x))
+            s.sub_dot(y, z)
+            out_row.append(make(s.rounded(prec, rnd)))
         out.append(out_row)
     return out
 
@@ -485,9 +613,9 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
 def three_term_values(z, beta: list, gamma: list, count: int) -> list:
     """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs.
 
-    p_0 = 1 and p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1} with gamma_0 = 0
-    (``gamma[i]`` is gamma_{i+1}); the bits of that operator expression, from
-    p_{-1} = 0 and gamma_0 the mpf 0.
+    p_0 = 1 and p_{j+1} = z p_j - beta_j p_j - gamma_j p_{j-1} with
+    gamma_0 = 0 (``gamma[i]`` is gamma_{i+1}), each one exact sum rounded
+    once: (z - beta_j) p_j, with z - beta_j exact, less gamma_j p_{j-1}.
     """
     prec, rnd = mp._prec_rounding
     zr = _raw(z)
@@ -495,9 +623,11 @@ def three_term_values(z, beta: list, gamma: list, count: int) -> list:
     out = [make(fone)]
     p_prev, p = fzero, fone
     for j in range(count - 1):
-        g = _raw(gamma[j - 1]) if j else fzero
-        lead = mpf_mul(mpf_sub(zr, _raw(beta[j]), prec, rnd), p, prec, rnd)
-        p_prev, p = p, mpf_sub(lead, mpf_mul(g, p_prev, prec, rnd), prec, rnd)
+        s = _Sum()
+        s.add_product(mpf_sub(zr, _raw(beta[j])), p)
+        if j:
+            s.add_product(_raw(gamma[j - 1]), p_prev, True)
+        p_prev, p = p, s.rounded(prec, rnd)
         out.append(make(p))
     return out
 

@@ -467,12 +467,16 @@ class MomentTable:
             M = [[G_p, A], [B, C]],  det M = tau_p det(C - B G_p^-1 A),
 
         with A = rho_{i+j} (i < p <= j < k) and B, C the tail rows. G_p gets
-        one partially pivoted LU, P G_p = L U, per table and p; it gives tau_p
-        as the product of its pivots, bit for bit ``lu_determinant`` of G_p.
-        Each tail row t is solved once per p as y_t = B_t U^-1 and each column
-        j as z_j = L^-1 P A_j, so a determinant costs one s x s LU (s the tail
-        length) of entries rho_{t+j} - y_t . z_j. Without a leading block
-        (p = 0), or when G_p has a zero pivot column, M takes one full LU.
+        one partially pivoted Crout LU, P G_p = L U, per table and p; it gives
+        tau_p as the product of its pivots, bit for bit ``lu_determinant`` of
+        G_p. Each tail row t is solved once per p as y_t = B_t U^-1 and each
+        column j as z_j = L^-1 P A_j, so a determinant costs one s x s LU (s
+        the tail length) of entries rho_{t+j} - y_t . z_j. Every entry of the
+        factors, of y_t and z_j and of that Schur complement is one exact sum
+        rounded once (a quotient divided once by its pivot), so the two routes
+        to a determinant round differently but each entry only once. Without
+        a leading block (p = 0), or when G_p has a zero pivot column, M takes
+        one full LU.
         """
         if rows in self._det_cache:
             return self._det_cache[rows]

@@ -34,9 +34,11 @@ from semidop import integrable as integrable_module
 from semidop import moments as moments_module
 from semidop import structure
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
+from semidop.report import SuiteConfig, run_suite
 from semidop.weights import to_mpf
 
 from conftest import BITS, CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER
+from test_moments import CONTRACT_MIX
 
 
 def test_contiguous_meixner_entry_zero(ctx):
@@ -139,6 +141,23 @@ def test_tau_routes(ctx, tol):
         pipe = get_pipeline(parse_weight_spec(spec), 10, ctx)
         res = tau_route_check(pipe, 8, tol)
         assert res.passed, (spec, res.components)
+
+
+@pytest.mark.parametrize(("spec", "size"), CONTRACT_MIX, ids=[spec for spec, _ in CONTRACT_MIX])
+def test_tau_routes_stay_independent(spec, size):
+    # the norms H come from the LDL and the taus from the determinant
+    # engine's LU: one exact-sum kernel, two eliminations. A row that reads
+    # exactly 0 would mean the routes merged. norm_ratio[0] is 0 by
+    # construction (h_0 = rho_0 = tau_1 / tau_0), and at n = 1 each route
+    # rounds one update of rho_2, which agree to the last bit at 512 bits
+    clear_cache()
+    cfg = SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512, checks=("tau_routes",))
+    (res,) = run_suite(cfg).checks
+    clear_cache()
+    assert res.max_residual > 0
+    ratios = {k: mpf(v) for k, v in res.components.items() if k.startswith("norm_ratio")}
+    assert len(ratios) == min(8, size - 1) + 1
+    assert all(v > 0 for k, v in ratios.items() if k not in ("norm_ratio[0]", "norm_ratio[1]")), ratios
 
 
 def test_tau_routes_trivial_base(ctx):

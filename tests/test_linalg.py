@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import inf, isfinite, isnan, ldexp, mpf, nan, workprec
+from mpmath import inf, isfinite, isnan, ldexp, mp, mpf, nan, workprec
 
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
@@ -11,11 +12,15 @@ from semidop.linalg import (
     exceeds,
     identity,
     ldl_no_pivot,
+    lu_column_solve,
     lu_determinant,
+    lu_factor,
+    lu_row_solve,
     mat_mul,
     mat_vec,
     max_abs,
     out_of_band_max,
+    schur_complement,
     three_term_values,
     transpose,
     unit_lower_inverse,
@@ -198,7 +203,7 @@ def test_maxima_match_brute_force_with_a_nan_anywhere(data):
     assert same(out_of_band_max(a, lo, hi, w), band)
 
 
-# -- the operator kernels the raw-value ones replaced, kept as oracles -----------
+# -- the operator kernels the maxima keep, and the operator LU, kept as oracles -
 
 def op_max_abs(entries):
     best = mpf(0)
@@ -207,37 +212,6 @@ def op_max_abs(entries):
         if exceeds(v, best):
             best = v
     return best
-
-
-def op_unit_lower_inverse(l):
-    n = len(l)
-    inv = identity(n)
-    for j in range(n):
-        for i in range(j + 1, n):
-            s = mpf(0)
-            for p in range(j, i):
-                s += l[i][p] * inv[p][j]
-            inv[i][j] = -s
-    return inv
-
-
-def op_ldl_no_pivot(a, pivot_floor):
-    n = len(a)
-    l = identity(n)
-    d = [mpf(0)] * n
-    for j in range(n):
-        acc = a[j][j]
-        for p in range(j):
-            acc = acc - l[j][p] * l[j][p] * d[p]
-        if acc == 0 or abs(acc) < pivot_floor:
-            raise SingularTruncation(j)
-        d[j] = acc
-        for i in range(j + 1, n):
-            s = a[i][j]
-            for p in range(j):
-                s = s - l[i][p] * l[j][p] * d[p]
-            l[i][j] = s / d[j]
-    return l, d
 
 
 def op_lu_determinant(a):
@@ -301,28 +275,8 @@ def exact_gram_sums(points, count):
     return out
 
 
-def op_polynomial_vector(z, beta, gamma, count):
-    """The recurrence loop of ``structure.polynomial_vector`` on the operators."""
-    out = [mpf(1)]
-    p_prev, p = mpf(0), mpf(1)
-    for j in range(count - 1):
-        gamma_j = gamma[j - 1] if j >= 1 else mpf(0)
-        p_prev, p = p, (z - beta[j]) * p - gamma_j * p_prev
-        out.append(p)
-    return out
-
-
 def raw(x):
     return bits([[x]])[0][0]
-
-
-def outcome(kernel, *args):
-    """The kernel's result in bits, or the index of the singular pivot it raised."""
-    try:
-        l, d = kernel(*args)
-    except SingularTruncation as exc:
-        return ("singular", exc.index)
-    return bits(l), bits([d])
 
 
 @st.composite
@@ -366,11 +320,7 @@ def test_raw_kernels_match_operator_kernels_bit_for_bit(data):
     lo = data.draw(st.integers(-n, n))
     hi = data.draw(st.integers(lo, n))
     w = data.draw(st.integers(0, n))
-    floor = data.draw(st.sampled_from([mpf(0), mpf(2) ** -8, mpf(1), mpf(2) ** 10]))
     with workprec(prec):
-        assert raw(lu_determinant(a)) == raw(op_lu_determinant(a))
-        assert outcome(ldl_no_pivot, a, floor) == outcome(op_ldl_no_pivot, a, floor)
-        assert bits(unit_lower_inverse(a)) == bits(op_unit_lower_inverse(a))
         assert raw(max_abs(a)) == raw(op_max_abs(x for row in a for x in row))
         block = [a[i][j] for i in range(w) for j in range(w)]
         assert raw(max_abs(a, w)) == raw(op_max_abs(block))
@@ -382,6 +332,137 @@ def test_raw_kernels_match_operator_kernels_bit_for_bit(data):
         for pvec, value in points:
             gram.add(pvec, value)
         assert bits(gram.lower()) == bits(exact_gram_sums(points, n))
+
+
+# -- the eliminations: each entry exact from the kernel's own outputs, rounded once
+
+
+def once(c, terms, divisor=None):
+    """c minus the sum of the terms' products (each term a tuple of factors,
+    multiplied from the right), as the eliminations form an entry: the exact
+    Fraction rounded once at the working precision, or divided by divisor and
+    then rounded once. A term or a c that is a nan or an infinity makes the
+    entry the operators' sum, which is then that nan or infinity."""
+    if all(isfinite(x) for x in (c, *(x for t in terms for x in t))):
+        num = exact(c) - sum(prod(exact(x) for x in t) for t in terms)
+        if divisor is None:
+            return to_mpf(num)
+        return to_mpf(num / exact(divisor)) if isfinite(divisor) else to_mpf(num) / divisor
+    s = c
+    for t in terms:
+        p = t[-1]
+        for x in reversed(t[:-1]):
+            p = x * p
+        s = s - p
+    return s if divisor is None else s / divisor
+
+
+def unit_lower_shape(l):
+    """Ones on the diagonal and exact zeros above it, all mpfs."""
+    return [[raw(x) for x in row[i:]] for i, row in enumerate(l)] == [
+        [raw(mpf(1))] + [raw(mpf(0))] * (len(l) - i - 1) for i in range(len(l))
+    ]
+
+
+def check_ldl(a, floor):
+    """ldl_no_pivot(a, floor) against its contract. Past a singular pivot,
+    the rows before it are the factorization of the leading block, and the
+    pivot formed from them fails the test."""
+    n = len(a)
+    try:
+        l, d = ldl_no_pivot(a, floor)
+        done = n
+    except SingularTruncation as exc:
+        done = exc.index
+        l, d = ldl_no_pivot([row[:done] for row in a[:done]], floor) if done else ([], [])
+    assert len(d) == done and unit_lower_shape(l)
+    for i in range(min(done + 1, n)):
+        li = []
+        for j in range(i):
+            want = once(a[i][j], [(li[p], l[j][p], d[p]) for p in range(j)], d[j])
+            if i < done:
+                assert raw(l[i][j]) == raw(want)
+            li.append(l[i][j] if i < done else want)
+        pivot = once(a[i][i], [(li[p], li[p], d[p]) for p in range(i)])
+        assert (pivot == 0 or abs(pivot) < floor) == (i == done)
+        if i < done:
+            assert raw(d[i]) == raw(pivot)
+
+
+def check_unit_lower_inverse(l):
+    s = unit_lower_inverse(l)
+    assert unit_lower_shape(s)
+    for j in range(len(l)):
+        for i in range(j + 1, len(l)):
+            want = once(mpf(0), [(l[i][p], s[p][j]) for p in range(j, i)])
+            assert raw(s[i][j]) == raw(want)
+
+
+def check_lu(a):
+    """lu_factor(a) against its contract, replaying its pivot search from its
+    own outputs; then its solves and a Schur complement entry."""
+    n = len(a)
+    f = lu_factor(a)
+    m = [[mp.make_mpf(x) for x in row] for row in f.rows]
+    assert sorted(f.perm) == list(range(n))
+    at = {r: i for i, r in enumerate(f.perm)}
+
+    def entry(r, q, j, divisor=None):
+        # row r's multipliers travel with it; u_pq sits at its final row p
+        return once(a[r][q], [(m[at[r]][p], m[p][q]) for p in range(j)], divisor)
+
+    order, det = list(range(n)), mpf(1)
+    for j in range(n):
+        candidates = [entry(r, j, j) for r in order[j:]]
+        best, k = abs(candidates[0]), 0
+        for t, c in enumerate(candidates[1:], 1):
+            if abs(c) > best:
+                best, k = abs(c), t
+        if best == 0:
+            # the elimination stops; the rest of rows is the remaining block
+            block = [[entry(r, q, j) for q in range(j, n)] for r in order[j:]]
+            assert order == f.perm and not f.complete
+            assert [[raw(x) for x in row[j:]] for row in m[j:]] == [[raw(x) for x in row] for row in block]
+            nan_left = any(isnan(x) for row in block for x in row)
+            assert raw(f.det) == raw(nan if nan_left else mpf(0))
+            return
+        if k:
+            order[j], order[j + k] = order[j + k], order[j]
+            det = -det
+        pivot = candidates[k]
+        det = det * pivot
+        assert raw(m[j][j]) == raw(pivot)
+        for r in order[j + 1 :]:
+            assert raw(m[at[r]][j]) == raw(entry(r, j, j, pivot))
+        for q in range(j + 1, n):
+            assert raw(m[j][q]) == raw(entry(order[j], q, j))
+    assert order == f.perm and f.complete and raw(f.det) == raw(det)
+    # y U = b and z = L^-1 P c, each entry one exact sum; then e - y . z
+    b, c, e = a[-1], [row[0] for row in a], a[0][-1]
+    y, z = lu_row_solve(f, b), lu_column_solve(f, c)
+    ys = [mp.make_mpf(y.raw(p)) for p in range(n)]
+    zs = [mp.make_mpf(z.raw(p)) for p in range(n)]
+    for j in range(n):
+        assert raw(ys[j]) == raw(once(b[j], [(ys[i], m[i][j]) for i in range(j)], m[j][j]))
+        assert raw(zs[j]) == raw(once(c[f.perm[j]], [(m[j][p], zs[p]) for p in range(j)]))
+    schur = schur_complement([[e]], [y], [z])
+    assert raw(schur[0][0]) == raw(once(e, list(zip(ys, zs))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_eliminations_are_exact_sums_rounded_once(data):
+    # every entry of L, D, L^-1 and the LU factors, and the solves, is the
+    # exact value of its sum over the kernel's own earlier outputs, rounded
+    # once; a quotient is the exact numerator divided once by the pivot
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(wide_matrices(n))
+    floor = data.draw(st.sampled_from([mpf(0), mpf(2) ** -8, mpf(1), mpf(2) ** 10]))
+    with workprec(prec):
+        check_ldl(a, floor)
+        check_unit_lower_inverse(a)
+        check_lu(a)
 
 
 def test_raw_kernels_keep_a_nan_as_the_operators_do():
@@ -396,15 +477,15 @@ def test_raw_kernels_keep_a_nan_as_the_operators_do():
         assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
 
 
-def test_leading_hankel_determinants_match_the_operator_lu_bit_for_bit():
+def test_leading_hankel_determinants_are_the_pivot_products():
     # tau_p = det_rows(range(p)) is the pivot product of the table's cached
-    # factorization of G_p, the bits the operator LU gives for G_p
+    # factorization of G_p: the bits of lu_factor(G_p).det
     for w in FAMILIES.values():
         table = MomentTable(w, 30, PrecisionContext(mantissa_bits=512))
         for p in range(1, 16):
             dense = [table.values[i : i + p] for i in range(p)]
             with workprec(512):
-                want = op_lu_determinant(dense)
+                want = lu_factor(dense).det
             assert raw(table.det_rows(tuple(range(p)))) == raw(want)
 
 
@@ -481,7 +562,9 @@ def test_gram_sums_are_exact_and_keep_the_operators_nans(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_raw_recurrence_matches_operator_recurrence_bit_for_bit(data):
+def test_recurrence_values_are_exact_sums_rounded_once(data):
+    # p_{j+1} = z p_j - beta_j p_j - gamma_j p_{j-1}, one exact sum of the
+    # kernel's own p_j and p_{j-1}, rounded once
     prec = data.draw(st.sampled_from([53, 256, 512, 600]))
     count = data.draw(st.integers(1, 9))
     # beta and gamma as vectors of lattice_points, zeros and a planted nan included
@@ -490,8 +573,10 @@ def test_raw_recurrence_matches_operator_recurrence_bit_for_bit(data):
     z = data.draw(st.sampled_from([mpf(0), mpf(3), mpf(-2), ldexp(mpf(5), -600), nan]))
     with workprec(prec):
         got = three_term_values(z, beta, gamma, count)
-        want = op_polynomial_vector(z, beta, gamma, count)
-    assert bits([got]) == bits([want])
+        assert len(got) == count and raw(got[0]) == raw(mpf(1))
+        for j in range(count - 1):
+            terms = [(-z, got[j]), (beta[j], got[j])] + ([(gamma[j - 1], got[j - 1])] if j else [])
+            assert raw(got[j + 1]) == raw(once(mpf(0), terms))
 
 
 def exact_taylor_ldl(coeffs):
@@ -556,6 +641,28 @@ def test_taylor_ldl_matches_exact_series_arithmetic(pencil, prec):
         plain = ldl_no_pivot(mats[0], mpf(0))
     assert len(out) == 2 * len(pencil)
     assert bits(out[0]) == bits(plain[0]) and bits([out[1]]) == bits([plain[1]])
+    # each Taylor coefficient is one exact sum over the kernel's own earlier
+    # coefficients (W = L D expanded into its products), divided once by d_j,0
+    # or rounded once; coefficient 2 is half the second derivative, exactly
+    r = len(pencil)
+    l = [[[ldexp(out[2 * k][i][j], -(k // 2)) for k in range(r)] for j in range(n)] for i in range(n)]
+    d = [[ldexp(out[2 * k + 1][i], -(k // 2)) for k in range(r)] for i in range(n)]
+    a = [[[ldexp(mats[k][i][j], -(k // 2)) for k in range(r)] for j in range(n)] for i in range(n)]
+
+    def updates(i, j, k):
+        # coefficient k of sum_p l_ip (l_jp d_p)
+        return [
+            (l[i][p][m], l[j][p][u], d[p][k - m - u])
+            for p in range(j) for m in range(k + 1) for u in range(k - m + 1)
+        ]
+
+    with workprec(prec):
+        for i in range(n):
+            for k in range(r):
+                assert raw(d[i][k]) == raw(once(a[i][i][k], updates(i, i, k)))
+                for j in range(i):
+                    terms = updates(i, j, k) + [(l[i][j][m], d[j][k - m]) for m in range(k)]
+                    assert raw(l[i][j][k]) == raw(once(a[i][j][k], terms, d[j][0]))
     # the exact series take the second derivative's Taylor coefficient A''/2
     taylor = pencil[:2] + [[[x / 2 for x in row] for row in m] for m in pencil[2:]]
     l_exact, d_exact = exact_taylor_ldl(taylor)

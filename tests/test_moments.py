@@ -587,9 +587,11 @@ CONTRACT_MIX = (
 
 def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     # the per-pass error bound certifies every column at the base guard: one
-    # contract mix at 512 bits sums 24 passes at 608 bits and 1 at 736. Of
+    # contract mix at 512 bits sums 23 passes at 608 bits and 1 at 736. Of
     # them 12 are the moment witnesses, two per feasible flow; one Meixner
-    # witness sits near a rounding midpoint and climbs to the 736-bit rung
+    # witness sits near a rounding midpoint and climbs to the 736-bit rung.
+    # Generalized Meixner runs no Nijhoff-Capel pair, so its doubly shifted
+    # weight a=5/2; b=3/2 is not summed
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -602,7 +604,7 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert Counter(passes) == {(608, 0): 24, (736, 0): 1}
+    assert Counter(passes) == {(608, 0): 23, (736, 0): 1}
 
 
 def test_tiny_moments_widen_the_guard(monkeypatch):

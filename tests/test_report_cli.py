@@ -23,6 +23,7 @@ from semidop import (
     SingularTruncation,
     parse_weight_spec,
 )
+from semidop import integrable as integrable_module
 from semidop import pipeline
 import semidop.cli as cli_module
 from semidop.cli import main as cli_main
@@ -101,6 +102,37 @@ def test_check_needing_unavailable_shifts_is_not_applicable(spec, check, capsys)
     argv = ["verify", "--weight", spec, "--size", "8", "--bits", "128", "--checks", check]
     assert cli_main(argv) == 2
     assert "shiftable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("spec", "pairs"),
+    [
+        # A(1) and B(1) both give the weight eta=1/3 once 5/2 or 3/2 cancels
+        ("a=3/2; b=5/2; eta=1/3", []),
+        # A(2) and B(1) both give a=1/2; b=7/2
+        (
+            "a=1/2,3/2; b=5/2,7/2; eta=1/3",
+            ["A(1)_A(2)", "A(1)_B(1)", "A(1)_B(2)", "A(2)_B(2)", "B(1)_B(2)"],
+        ),
+        ("a=2/3; b=7/5; eta=3/7", ["A(1)_B(1)"]),
+    ],
+)
+def test_a_lattice_pair_of_one_weight_has_no_row(spec, pairs, capsys):
+    # a pair whose two shifted weights are one weight once common a_i and b_j
+    # cancel compares a factorization with itself: its row read exactly 0
+    w = parse_weight_spec(spec)
+    names = select_checks(SuiteConfig(weight=w, **SMALL))
+    argv = ["verify", "--weight", spec, "--size", "8", "--bits", "128", "--checks", "nijhoff_capel"]
+    if not pairs:
+        assert "nijhoff_capel" not in names and "omega" in names
+        with pytest.raises(PreconditionError, match="one weight twice"):
+            integrable_module.lattice_pairs(w, 8)
+        assert cli_main(argv) == 2
+        assert "one weight twice" in capsys.readouterr().err
+        return
+    assert "nijhoff_capel" in names
+    got = [f"{r.label()}_{s.label()}" for r, s in integrable_module.lattice_pairs(w, 8)]
+    assert got == pairs
 
 
 HAHN_SPEC = "a=3/2,-8; b=-19/2; eta=1"  # support 0..8: sizes up to 8
@@ -335,11 +367,10 @@ def test_kp_only_suite_on_deformed():
 def test_suite_stamps_base_provenance_on_every_result():
     # multi-result checks build shifted and FD pipelines; every result still
     # names the base pipeline the suite ran on
-    checks = ("psi_routes", "omega", "nijhoff_capel", "uv_system")
+    checks = ("psi_routes", "omega", "uv_system")
     rep = run_suite(SuiteConfig(weight=GEN_MEIXNER, checks=checks, **SMALL))
     assert [c.name for c in rep.checks] == [
-        "psi_routes", "omega_A(1)", "omega_B(1)", "nijhoff_capel_A(1)_B(1)",
-        "uv_system_A(1)", "uv_system_B(1)",
+        "psi_routes", "omega_A(1)", "omega_B(1)", "uv_system_A(1)", "uv_system_B(1)",
     ]
     base = {
         "weight": "a=3/2; b=5/2; eta=1/3",
@@ -411,17 +442,17 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "94807f6a157c488b"),
-    ("b=3/2; eta=1/2", 12, "43393f10639c0e96"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "b9310a78f9cd6cf5"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "5518f02cd714366d"),
+    ("a=2; eta=1/2", 12, "be264cd8101667d8"),
+    ("b=3/2; eta=1/2", 12, "bbc1665105a80d1a"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "15fba37632b3d84f"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "727844370ffc1078"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "443189de62986f26"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "0f8826d71d1b9b5b"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "f7dff8c1b22aea7e"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "cd05f70f201eb1e5"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
-    ("a=2/3; b=7/5; eta=3/7", 12, "7d42df0221f0c51b"),
+    ("a=2/3; b=7/5; eta=3/7", 12, "b22ba27dc36e6d6b"),
 ]
 
 
