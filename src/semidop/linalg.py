@@ -13,17 +13,16 @@ SIAM J. Sci. Comput. 26, 2005): the products ``mat_mul`` and ``mat_vec``,
 ``GramSums`` (the accumulator of the orthogonality sums), the eliminations
 ``ldl_no_pivot`` (with its Taylor series), ``unit_lower_inverse``,
 ``lu_factor`` with its solves and ``schur_complement``, and the polynomial
-recurrence ``three_term_values``. A sum is one integer at one binary exponent,
-where an operator loop would round each product and each addition; a quotient
-is its exact numerator divided once by the rounded pivot. Exact zeros, which J
-(tridiagonal), S and Pi (triangular) hold by theorem, add nothing. The
-eliminations run in left-looking (Crout) order, so that each entry is one sum:
-the factors formed so far are held as ``_Exact`` vectors, ints at one shared
-exponent, and each dot product is one ``sum(map(mul, ...))``. In the
-eliminations and the recurrence a term that meets a nan or an infinity is
-summed by libmp at precision 0, as ``GramSums`` sums such a point, and the
-entry is that nan or infinity; a product of ``mat_mul`` with such a factor is
-the operator dense sum.
+recurrence ``three_term_values``. A sum is one integer at one binary exponent
+(``_Sum``), where an operator loop would round each product and each
+addition; a quotient is its exact numerator divided once by the rounded
+pivot. Exact zeros, which J (tridiagonal), S and Pi (triangular) hold by
+theorem, add nothing. The eliminations run in left-looking (Crout) order, so
+that each entry is one sum: the factors formed so far are held as ``_Exact``
+vectors, ints at one shared exponent, and each dot product is one
+``sum(map(mul, ...))``. One rule holds in every kernel for a term that meets a
+nan or an infinity: libmp sums it at precision 0, which does not round, and
+the entry is that nan or infinity (``nan * 0`` is nan).
 
 Only the maxima keep the operators' bits. Every check takes the maximum of
 its residuals through ``max_abs``, ``window_diff`` or ``out_of_band_max``
@@ -44,7 +43,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     fnan,
     fone,
-    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
@@ -56,6 +54,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     normalize,
+    round_nearest,
 )
 
 from .errors import SingularTruncation
@@ -113,65 +112,59 @@ def exceeds(v, best) -> bool:
     return v > best or v != v
 
 
-def _entries(a) -> tuple:
-    """(rows, has_mpf): each row of a as (column, signed mantissa, exponent)
-    for its finite nonzero entries, an int at exponent 0, and whether a holds
-    an mpf; rows is None when a holds a nan or an infinity."""
-    rows, has_mpf = [], False
+def _terms(a: Matrix):
+    """Each row of a as (column, signed mantissa, exponent) for its nonzero
+    entries; None if a holds a nan or an infinity."""
+    out = []
     for row in a:
-        out = []
-        for j, x in enumerate(row):
-            if type(x) is int:
-                if x:
-                    out.append((j, x, 0))
-                continue
-            has_mpf = True
-            sign, man, exp, _ = _raw(x)
+        terms = []
+        for j, (sign, man, exp, _) in enumerate(map(_raw, row)):
             if man:
-                out.append((j, -man if sign else man, exp))
-            elif exp:  # nan or an infinity
-                return None, True
-        rows.append(out)
-    return rows, has_mpf
+                terms.append((j, -man if sign else man, exp))
+            elif exp:
+                return None
+        out.append(terms)
+    return out
 
 
 def _exact_product(a: Matrix, b: Matrix) -> Matrix:
     """``mat_mul``'s kernel. ``mat_vec`` calls it, not ``mat_mul``, so the
-    benchmark's span of that name counts matrix products only."""
-    rows_a, mpf_a = _entries(a)
-    rows_b, mpf_b = _entries(b)
-    if rows_a is None or rows_b is None:
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row_a, bt_j)) for bt_j in bt] for row_a in a]
-    m = len(b[0])
+    benchmark's span of that name counts matrix products only. Only the
+    nonzero products are summed (J is tridiagonal and S and Pi triangular by
+    theorem), unless a factor holds a nan or an infinity: then each entry
+    sums all of its products, since ``nan * 0`` is nan."""
+    has_mpf = any(type(x) is not int for m in (a, b) for row in m for x in row)
+    width = len(b[0]) if b else 0
+    sums = [[None] * width for _ in a]
+    rows_a, rows_b = _terms(a), _terms(b)
+    if rows_a is not None and rows_b is not None:
+        for out_row, row_a in zip(sums, rows_a):
+            for l, ma, ea in row_a:
+                for j, mb, eb in rows_b[l]:
+                    s = out_row[j]
+                    if s is None:
+                        out_row[j] = s = _Sum()
+                    s.add_term(ma * mb, ea + eb)
+    else:
+        for out_row, row_a in zip(sums, a):
+            for j, col_b in enumerate(zip(*b)):
+                out_row[j] = s = _Sum()
+                for x, y in zip(row_a, col_b):
+                    s.add_product(_raw(x), _raw(y))
+    if not has_mpf:
+        return [[s.man << s.exp if s else 0 for s in row] for row in sums]
     prec, rnd = mp._prec_rounding
-    zero, make = mpf(0), mp.make_mpf
-    out = []
-    for row_a in rows_a:
-        mans, exps = [0] * m, [None] * m
-        for l, ma, ea in row_a:
-            for j, mb, eb in rows_b[l]:
-                e, cur = ea + eb, exps[j]
-                if cur is None:
-                    mans[j], exps[j] = ma * mb, e
-                elif e >= cur:
-                    mans[j] += (ma * mb) << (e - cur)
-                else:
-                    mans[j], exps[j] = (mans[j] << (cur - e)) + ma * mb, e
-        if mpf_a or mpf_b:
-            mans = [make(from_man_exp(s, e, prec, rnd)) if s else zero for s, e in zip(mans, exps)]
-        out.append(mans)
-    return out
+    make, zero = mp.make_mpf, mpf(0)
+    return [[make(s.rounded(prec, rnd)) if s else zero for s in row] for row in sums]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a b, each entry the exact sum of its products, rounded once.
 
-    An entry is one int at the smallest exponent of its products so far, and
-    ``from_man_exp`` rounds it at the precision in effect. With an mpf in
-    either factor every entry is an mpf, ``mpf(0)`` for an exact zero; two int
-    factors give exact ints. A factor with a nan or an infinity takes the
-    operator dense sum ``sum(a[i][l] * b[l][j] for l)``: ``nan * 0`` is nan.
+    With an mpf in either factor every entry is an mpf, ``mpf(0)`` for an
+    exact zero; two int factors give exact ints. A product that meets a nan or
+    an infinity is summed by libmp at precision 0 (``nan * 0`` is nan), and
+    the entry is that sum.
     """
     return _exact_product(a, b)
 
@@ -251,40 +244,66 @@ def _finite(t: tuple) -> bool:
     return bool(t[1]) or not t[2]
 
 
+def _round_int(man: int, exp: int, prec: int, rnd: str) -> tuple:
+    """The raw value man 2^exp, rounded once at prec; exact at prec 0. Bit
+    lengths are read by ``int.bit_length``, not libmp's bitcount."""
+    if not man:
+        return fzero
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    if prec:
+        return normalize(sign, man, exp, man.bit_length(), prec, rnd)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
 class _Exact:
-    """Exact values for dot products: each finite value one int at the
-    vector's shared binary exponent, the smallest of its nonzero entries; a
-    nan or an infinity is kept aside in ``odd`` (index to raw value), with an
-    int 0 in its place."""
+    """A vector of exact values: each finite value one int at the shared
+    binary exponent ``exp``, the smallest of the nonzero values (None while
+    there are none). A value that met a nan or an infinity is kept in ``odd``
+    (index to raw value), the libmp sum at precision 0 of its terms that met
+    one, with an int 0 in its place; the value is then that nan or infinity.
+    """
 
     __slots__ = ("ints", "exp", "odd")
 
     def __init__(self):
         self.ints, self.exp, self.odd = [], None, None
 
+    @classmethod
+    def of(cls, raws) -> "_Exact":
+        """The vector of the raw values raws."""
+        v = cls()
+        raws = list(raws)
+        v.exp = low = min((t[2] for t in raws if t[1]), default=None)
+        v.ints = [(-m if s else m) << (e - low) if m else 0 for s, m, e, _ in raws]
+        v.odd = {p: t for p, t in enumerate(raws) if t[2] and not t[1]} or None
+        return v
+
+    def lower_to(self, exp: int) -> None:
+        """Move the shared exponent down to exp."""
+        if self.exp is not None:
+            up = self.exp - exp
+            self.ints = [x << up for x in self.ints]
+        self.exp = exp
+
     def push(self, man: int, exp: int) -> None:
         """Append the exact value man 2^exp."""
         if man:
-            cur = self.exp
-            if cur is None:
-                self.exp = exp
-            elif exp >= cur:
-                man <<= exp - cur
-            else:
-                up = cur - exp
-                self.ints = [x << up for x in self.ints]
-                self.exp = exp
+            if self.exp is None or exp < self.exp:
+                self.lower_to(exp)
+            man <<= exp - self.exp
         self.ints.append(man)
 
     def push_raw(self, t: tuple) -> None:
         sign, man, exp, _ = t
         if man or not exp:
             self.push(-man if sign else man, exp)
-            return
-        if self.odd is None:
-            self.odd = {}
-        self.odd[len(self.ints)] = t
-        self.ints.append(0)
+        else:
+            self.add_odd(len(self.ints), t)
+            self.ints.append(0)
 
     def push_sum(self, s: "_Sum") -> None:
         if s.odd is None:
@@ -292,11 +311,17 @@ class _Exact:
         else:
             self.push_raw(s.odd)
 
-    def raw(self, p: int) -> tuple:
-        """Entry p as a raw value."""
+    def add_odd(self, p: int, t: tuple) -> None:
+        """Add to value p the term t, which met a nan or an infinity."""
+        if self.odd is None:
+            self.odd = {}
+        self.odd[p] = mpf_add(self.odd[p], t) if p in self.odd else t
+
+    def value(self, p: int, prec: int = 0, rnd: str = round_nearest) -> tuple:
+        """Value p as a raw value, rounded once at prec; exact at prec 0."""
         if self.odd and p in self.odd:
             return self.odd[p]
-        return from_man_exp(self.ints[p], self.exp) if self.ints[p] else fzero
+        return _round_int(self.ints[p], self.exp, prec, rnd)
 
 
 class _Sum:
@@ -313,7 +338,8 @@ class _Sum:
         else:
             self.man, self.exp, self.odd = 0, 0, c
 
-    def _add(self, t: int, e: int) -> None:
+    def add_term(self, t: int, e: int) -> None:
+        """Add t 2^e."""
         s = self.man
         if not s:
             self.man, self.exp = t, e
@@ -329,46 +355,34 @@ class _Sum:
         """Add x y, or subtract it with negate, for raw x and y."""
         if x[1] and y[1]:
             t = x[1] * y[1]
-            self._add(-t if x[0] ^ y[0] ^ negate else t, x[2] + y[2])
+            self.add_term(-t if x[0] ^ y[0] ^ negate else t, x[2] + y[2])
         elif not (_finite(x) and _finite(y)):
             t = mpf_mul(x, y)
             self._add_odd(mpf_neg(t) if negate else t)
 
-    def sub_dot(self, u: _Exact, v: _Exact, start: int = 0) -> None:
-        """Subtract the dot product of u[start:] and v."""
+    def add_dot(self, u: _Exact, v: _Exact, negate: bool = False, start: int = 0) -> None:
+        """Add the dot product of u[start:] and v, or subtract it with negate."""
         ints = u.ints[start:] if start else u.ints
         t = sum(map(mul, ints, v.ints))
         if t:
-            self._add(-t, u.exp + v.exp)
+            self.add_term(-t if negate else t, u.exp + v.exp)
         if u.odd or v.odd:
-            for p in range(min(len(ints), len(v.ints))):
-                x, y = u.raw(p + start), v.raw(p)
-                if not (_finite(x) and _finite(y)):
-                    self._add_odd(mpf_neg(mpf_mul(x, y)))
+            size = min(len(ints), len(v.ints))
+            at = {p - start for p in u.odd or ()} | set(v.odd or ())
+            for p in at:
+                if 0 <= p < size:
+                    t = mpf_mul(u.value(p + start), v.value(p))
+                    self._add_odd(mpf_neg(t) if negate else t)
 
     def rounded(self, prec: int, rnd: str) -> tuple:
-        """The sum rounded once."""
+        """The sum rounded once; exact at prec 0."""
         if self.odd is not None:
             return self.odd
-        m = self.man
-        if m > 0:
-            return normalize(0, m, self.exp, m.bit_length(), prec, rnd)
-        if m:
-            return normalize(1, -m, self.exp, (-m).bit_length(), prec, rnd)
-        return fzero
+        return _round_int(self.man, self.exp, prec, rnd)
 
     def over(self, pivot: tuple, prec: int, rnd: str) -> tuple:
         """The exact sum divided once by the raw pivot."""
-        m = self.man
-        if self.odd is not None:
-            num = self.odd
-        elif m > 0:
-            num = (0, m, self.exp, m.bit_length())
-        elif m:
-            num = (1, -m, self.exp, (-m).bit_length())
-        else:
-            num = fzero
-        return mpf_div(num, pivot, prec, rnd)
+        return mpf_div(self.rounded(0, rnd), pivot, prec, rnd)
 
 
 def unit_lower_inverse(l: Matrix) -> Matrix:
@@ -377,19 +391,14 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
     rounded once, column by column."""
     n = len(l)
     prec, rnd = mp._prec_rounding
-    low = []
-    for i, row in enumerate(l):
-        v = _Exact()
-        for x in row[:i]:
-            v.push_raw(_raw(x))
-        low.append(v)
+    low = [_Exact.of(map(_raw, row[:i])) for i, row in enumerate(l)]
     out = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
     for j in range(n):
         col = _Exact()
         col.push(1, 0)
         for i in range(j + 1, n):
             s = _Sum()
-            s.sub_dot(low[i], col, j)
+            s.add_dot(low[i], col, True, j)
             out[i][j] = x = s.rounded(prec, rnd)
             col.push_raw(x)
     return _wrapped(out)
@@ -421,7 +430,7 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
             for k in range(r):
                 s = _Sum(coeffs[k][i][j])
                 for m in range(k + 1):
-                    s.sub_dot(li[m], wj[k - m])
+                    s.add_dot(li[m], wj[k - m], True)
                 for m in range(k):
                     s.add_product(q[m], dj[k - m], True)
                 q.append(s.over(dj[0], prec, rnd))
@@ -436,7 +445,7 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
         for k in range(r):
             s = _Sum(coeffs[k][i][i])
             for m in range(k + 1):
-                s.sub_dot(li[m], wi[k - m])
+                s.add_dot(li[m], wi[k - m], True)
             di.append(s.rounded(prec, rnd))
         if di[0] == fzero or mpf_lt(mpf_abs(di[0]), floor):
             raise SingularTruncation(i)
@@ -493,77 +502,95 @@ class LUFactors:
     candidates, a_ij - sum_{p < j} l_ip u_pj for the rows i >= j not yet
     pivoted, each one exact sum rounded once; the pivot is its rounded
     candidate, each multiplier l_ij the exact candidate divided once by it,
-    and each u_jq (q > j) one exact sum rounded once. ``rows`` holds U on
-    and above the diagonal and the multipliers of L below it, in pivoted
-    order, as raw ``libmp`` values; ``perm[i]`` is the row of A that became
-    row i. ``det`` is the product of the pivots, negated at each row
+    and each u_jq (q > j) one exact sum rounded once. ``perm[i]`` is the row
+    of A that became row i. ``pivots`` holds the diagonal of U as raw
+    ``libmp`` values, ``lower[i]`` row i of L left of the diagonal and
+    ``upper[q]`` column q of U above it, as ``_Exact`` vectors for the
+    solves. ``det`` is the product of the pivots, negated at each row
     exchange, in step order. A pivot column that is zero stops the
-    elimination: ``complete`` is False, the rest of ``rows`` holds the
-    remaining block, and ``det`` is 0, or nan while a nan is left in that
-    block, since a nan never wins the pivot search and can sit beside a
-    column that is zero in the finite rows. ``lower`` and ``upper`` hold the
-    rows of L and the columns of U above the diagonal, for the solves.
+    elimination: ``complete`` is False, and ``det`` is 0, or nan while a nan
+    is left in the remaining block, since a nan never wins the pivot search
+    and can sit beside a column that is zero in the finite rows.
     """
 
-    rows: list
     perm: list
     complete: bool
     det: mpf
+    pivots: list
     lower: list
     upper: list
+
+
+def _nan_left(a: Matrix, f: LUFactors, column: list) -> bool:
+    """Whether an LU stopped at column j = len(f.pivots) leaves a nan in
+    its remaining block, whose column j is ``column`` (as ``_Sum``s). Only a
+    term that meets a nan or an infinity can make an entry nan, so only such
+    entries are summed."""
+    if any(s.odd == fnan for s in column):
+        return True
+    j, n = len(f.pivots), len(a)
+    for i in range(j, n):
+        row, low = a[f.perm[i]], f.lower[i]
+        for q in range(j + 1, n):
+            x = _raw(row[q])
+            if _finite(x) and not low.odd and not f.upper[q].odd:
+                continue
+            s = _Sum(x)
+            s.add_dot(low, f.upper[q], True)
+            if s.odd == fnan:
+                return True
+    return False
 
 
 def lu_factor(a: Matrix) -> LUFactors:
     """The partially pivoted LU of a, at the precision of the call."""
     prec, rnd = mp._prec_rounding
     n = len(a)
-    perm = list(range(n))
-    rows = [[fzero] * n for _ in range(n)]
-    lower = [_Exact() for _ in range(n)]
-    upper = [_Exact() for _ in range(n)]
+    f = LUFactors(perm=list(range(n)), complete=True, det=mpf(1), pivots=[],
+                  lower=[_Exact() for _ in range(n)], upper=[_Exact() for _ in range(n)])
+    perm, lower, upper = f.perm, f.lower, f.upper
     det = fone
     for j in range(n):
-        sums, best, pivot_row = [], None, j
+        sums, values, best, k = [], [], None, 0
         for i in range(j, n):
             s = _Sum(_raw(a[perm[i]][j]))
-            s.sub_dot(lower[i], upper[j])
-            rows[i][j] = c = s.rounded(prec, rnd)
+            s.add_dot(lower[i], upper[j], True)
+            c = s.rounded(prec, rnd)
             sums.append(s)
+            values.append(c)
             v = mpf_abs(c)
             if best is None:
                 best = v
             elif mpf_gt(v, best):
-                best, pivot_row = v, i
+                best, k = v, i - j
         if best == fzero:
-            for i in range(j, n):
-                for q in range(j + 1, n):
-                    s = _Sum(_raw(a[perm[i]][q]))
-                    s.sub_dot(lower[i], upper[q])
-                    rows[i][q] = s.rounded(prec, rnd)
-            nan_left = any(x == fnan for row in rows[j:] for x in row[j:])
-            return LUFactors(rows, perm, False, mp.make_mpf(fnan if nan_left else fzero), lower, upper)
-        if pivot_row != j:
-            t = pivot_row - j
-            for seq in (perm, rows, lower):
-                seq[j], seq[pivot_row] = seq[pivot_row], seq[j]
-            sums[0], sums[t] = sums[t], sums[0]
+            f.complete, f.det = False, mp.make_mpf(fnan if _nan_left(a, f, sums) else fzero)
+            return f
+        if k:
+            for seq in (perm, lower):
+                seq[j], seq[j + k] = seq[j + k], seq[j]
+            sums[0], sums[k] = sums[k], sums[0]
             det = mpf_neg(det)
-        pivot = rows[j][j]
+        pivot = values[k]
+        f.pivots.append(pivot)
         det = mpf_mul(det, pivot, prec, rnd)
         for i in range(j + 1, n):
-            rows[i][j] = x = sums[i - j].over(pivot, prec, rnd)
-            lower[i].push_raw(x)
+            lower[i].push_raw(sums[i - j].over(pivot, prec, rnd))
         a_j, l_j = a[perm[j]], lower[j]
         for q in range(j + 1, n):
             s = _Sum(_raw(a_j[q]))
-            s.sub_dot(l_j, upper[q])
-            rows[j][q] = x = s.rounded(prec, rnd)
-            upper[q].push_raw(x)
-    return LUFactors(rows, perm, True, mp.make_mpf(det), lower, upper)
+            s.add_dot(l_j, upper[q], True)
+            upper[q].push_raw(s.rounded(prec, rnd))
+    f.det = mp.make_mpf(det)
+    return f
 
 
 def lu_determinant(a: Matrix) -> mpf:
-    """Determinant by LU with partial pivoting: ``lu_factor(a).det``."""
+    """Determinant by LU with partial pivoting: ``lu_factor(a).det``. A 1 x 1
+    matrix is its entry rounded once, which is that LU's pivot and det."""
+    if len(a) == 1:
+        prec, rnd = mp._prec_rounding
+        return mp.make_mpf(_Sum(_raw(a[0][0])).rounded(prec, rnd))
     return lu_factor(a).det
 
 
@@ -574,8 +601,8 @@ def lu_row_solve(f: LUFactors, b: list) -> _Exact:
     y = _Exact()
     for j, x in enumerate(b):
         s = _Sum(_raw(x))
-        s.sub_dot(y, f.upper[j])
-        y.push_raw(s.over(f.rows[j][j], prec, rnd))
+        s.add_dot(y, f.upper[j], True)
+        y.push_raw(s.over(f.pivots[j], prec, rnd))
     return y
 
 
@@ -586,7 +613,7 @@ def lu_column_solve(f: LUFactors, a: list) -> _Exact:
     z = _Exact()
     for i, r in enumerate(f.perm):
         s = _Sum(_raw(a[r]))
-        s.sub_dot(f.lower[i], z)
+        s.add_dot(f.lower[i], z, True)
         z.push_raw(s.rounded(prec, rnd))
     return z
 
@@ -604,7 +631,7 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
         out_row = []
         for x, z in zip(row, zs):
             s = _Sum(_raw(x))
-            s.sub_dot(y, z)
+            s.add_dot(y, z, True)
             out_row.append(make(s.rounded(prec, rnd)))
         out.append(out_row)
     return out
@@ -636,70 +663,66 @@ class GramSums:
     """Sums S[n][m] of p_n p_m w over lattice points, for m <= n < count, each
     rounded once.
 
-    The sums stay exact between points. A point whose values are all finite
-    adds its terms as integers: the p_n are read at their smallest binary
-    exponent, so the point's terms share one exponent, and the sums are kept
-    at the exponent common to all points, lowered with 64 bits to spare when
-    a point's falls below it. A point with a nan or infinite value adds its
-    terms with libmp at precision 0, which does not round, to a second set of
-    raw sums. ``lower()`` rounds each total once, at the precision in effect
-    when it is called. libmp's nan and infinities do not depend on precision,
-    so the sums the operator loop leaves nan or infinite are nan or infinite
-    here, with the same bits.
+    The sums stay exact between points, as one ``_Exact`` vector (row n at
+    offset n (n + 1) / 2). A point adds its finite terms as integers: the p_n
+    are read at their smallest binary exponent, so the point's terms share
+    one exponent, and the sums are kept at the exponent common to all
+    points, lowered with 64 bits to spare when a point's falls below it. A
+    term that meets a nan or an infinity is summed by libmp at precision 0,
+    as in every kernel here, and its sum is then that nan or infinity: libmp's
+    nan and infinities do not depend on precision, so the sums the operator
+    loop leaves nan or infinite are nan or infinite here, with the same bits.
+    ``lower()`` rounds each sum once, at the precision in effect when it is
+    called.
     """
 
     def __init__(self, count: int):
-        self._ints = [[0] * (n + 1) for n in range(count)]
-        self._exp = None
-        self._raw = None
+        self._count = count
+        self._sums = _Exact.of([fzero] * (count * (count + 1) // 2))
 
     def add(self, pvec: list, weight) -> None:
         """Add the point's terms p_n p_m weight."""
-        p = [_raw(x) for x in pvec[: len(self._ints)]]
+        p = [_raw(x) for x in pvec[: self._count]]
         w = _raw(weight)
-        if any(not x[1] and x[2] for x in p) or (not w[1] and w[2]):
-            self._add_raw(p, w)
-        elif w[1]:
-            self._add_ints(p, w)
+        point = _Exact.of(p)
+        if point.odd or not _finite(w):
+            self._add_odd(p, w)
+        if w[1] and point.exp is not None:
+            self._add_ints(point, w)
 
-    def _add_ints(self, p: list, w: tuple) -> None:
-        """Add the exact terms of a point whose values are all finite."""
-        low = min((x[2] for x in p if x[1]), default=None)
-        if low is None:
-            return
-        point_exp = 2 * low + w[2]
-        if self._exp is None or point_exp < self._exp:
-            target = point_exp - 64
-            if self._exp is not None:
-                up = self._exp - target
-                self._ints = [[s << up for s in row] for row in self._ints]
-            self._exp = target
-        ints = [(-x[1] if x[0] else x[1]) << (x[2] - low) if x[1] else 0 for x in p]
-        wq = (-w[1] if w[0] else w[1]) << (point_exp - self._exp)
-        for pn, row in zip(ints, self._ints):
+    def _add_ints(self, point: _Exact, w: tuple) -> None:
+        """Add the finite terms of the point (its nan and infinities read 0)."""
+        sums = self._sums
+        point_exp = 2 * point.exp + w[2]
+        if sums.exp is None or point_exp < sums.exp:
+            sums.lower_to(point_exp - 64)
+        wq = (-w[1] if w[0] else w[1]) << (point_exp - sums.exp)
+        ints, acc, off = point.ints, sums.ints, 0
+        for n, pn in enumerate(ints):
             if pn:
                 pnw = pn * wq
-                for m in range(len(row)):
-                    row[m] += pnw * ints[m]
+                for m in range(n + 1):
+                    acc[off + m] += pnw * ints[m]
+            off += n + 1
 
-    def _add_raw(self, p: list, w: tuple) -> None:
-        """Add the terms of a point with a nan or infinite value, unrounded."""
-        if self._raw is None:
-            self._raw = [[fzero] * len(row) for row in self._ints]
-        for n, row in enumerate(self._raw):
-            pnw = mpf_mul(p[n], w)
+    def _add_odd(self, p: list, w: tuple) -> None:
+        """Add the terms of the point that meet a nan or an infinity."""
+        off = 0
+        for n, pn in enumerate(p):
             for m in range(n + 1):
-                row[m] = mpf_add(row[m], mpf_mul(pnw, p[m]))
+                if not (_finite(pn) and _finite(p[m]) and _finite(w)):
+                    self._sums.add_odd(off + m, mpf_mul(mpf_mul(pn, w), p[m]))
+            off += n + 1
 
     def lower(self) -> Matrix:
         """Row n holds S[n][0..n], each sum rounded once."""
         prec, rnd = mp._prec_rounding
-        raw = self._raw or [[fzero] * len(row) for row in self._ints]
-        exp = self._exp or 0
-        return [
-            [mp.make_mpf(mpf_add(from_man_exp(s, exp), r, prec, rnd)) for s, r in zip(*rows)]
-            for rows in zip(self._ints, raw)
-        ]
+        make, value = mp.make_mpf, self._sums.value
+        out, off = [], 0
+        for n in range(self._count):
+            out.append([make(value(off + m, prec, rnd)) for m in range(n + 1)])
+            off += n + 1
+        return out
 
 
 # -- diagonals and triangles ----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import inf, isfinite, isnan, ldexp, mp, mpf, nan, workprec
+from mpmath.libmp import from_man_exp
 
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
@@ -32,13 +33,6 @@ from semidop.weights import to_mpf
 from conftest import FAMILIES
 
 TOL = mpf(2) ** -100
-
-
-def dense_mat_mul(a, b):
-    """The operator dense sum: every product, summed by ``sum``."""
-    k = len(b)
-    bt = list(zip(*b))
-    return [[sum(row_a[l] * bt_j[l] for l in range(k)) for bt_j in bt] for row_a in a]
 
 
 def bits(m):
@@ -86,14 +80,21 @@ def matrices(draw, rows: int, cols: int):
 def exact_mat_mul(a, b):
     """``mat_mul``'s contract: each entry the exact Fraction sum of its
     products, rounded once to nearest at the working precision; exact ints
-    when neither factor holds an mpf. A factor with a nan or an infinity
-    takes the operator dense sum."""
-    if not all(isfinite(x) for m in (a, b) for row in m for x in row):
-        return dense_mat_mul(a, b)
+    when neither factor holds an mpf. An entry with a product that meets a
+    nan or an infinity is the sum of those products, which is then a nan or
+    an infinity whatever the precision."""
     ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+
+    def entry(row_a, col_b):
+        pairs = list(zip(row_a, col_b))
+        odd = [x * y for x, y in pairs if not (isfinite(x) and isfinite(y))]
+        if odd:
+            return sum(odd[1:], odd[0])
+        s = sum(exact(x) * exact(y) for x, y in pairs)
+        return int(s) if ints else to_mpf(s)
+
     bt = list(zip(*b))
-    sums = [[sum(exact(x) * exact(y) for x, y in zip(row_a, bt_j)) for bt_j in bt] for row_a in a]
-    return [[int(s) if ints else to_mpf(s) for s in row] for row in sums]
+    return [[entry(row_a, bt_j) for bt_j in bt] for row_a in a]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,12 +399,27 @@ def check_unit_lower_inverse(l):
             assert raw(s[i][j]) == raw(want)
 
 
+def lu_rows(f):
+    """The factors of f as one matrix of mpfs in pivoted order: U on and
+    above the diagonal, the multipliers of L below it; None where a stopped
+    elimination formed nothing."""
+    n, done = len(f.perm), len(f.pivots)
+    m = [[None] * n for _ in range(n)]
+    for p, pivot in enumerate(f.pivots):
+        m[p][p] = mp.make_mpf(pivot)
+    for i in range(n):
+        for p in range(min(i, done)):
+            m[i][p] = mp.make_mpf(f.lower[i].value(p))
+            m[p][i] = mp.make_mpf(f.upper[i].value(p))
+    return m
+
+
 def check_lu(a):
     """lu_factor(a) against its contract, replaying its pivot search from its
     own outputs; then its solves and a Schur complement entry."""
     n = len(a)
     f = lu_factor(a)
-    m = [[mp.make_mpf(x) for x in row] for row in f.rows]
+    m = lu_rows(f)
     assert sorted(f.perm) == list(range(n))
     at = {r: i for i, r in enumerate(f.perm)}
 
@@ -419,10 +435,10 @@ def check_lu(a):
             if abs(c) > best:
                 best, k = abs(c), t
         if best == 0:
-            # the elimination stops; the rest of rows is the remaining block
+            # the elimination stops; det reads whether a nan is left in the
+            # remaining block
             block = [[entry(r, q, j) for q in range(j, n)] for r in order[j:]]
-            assert order == f.perm and not f.complete
-            assert [[raw(x) for x in row[j:]] for row in m[j:]] == [[raw(x) for x in row] for row in block]
+            assert order == f.perm and not f.complete and len(f.pivots) == j
             nan_left = any(isnan(x) for row in block for x in row)
             assert raw(f.det) == raw(nan if nan_left else mpf(0))
             return
@@ -440,8 +456,8 @@ def check_lu(a):
     # y U = b and z = L^-1 P c, each entry one exact sum; then e - y . z
     b, c, e = a[-1], [row[0] for row in a], a[0][-1]
     y, z = lu_row_solve(f, b), lu_column_solve(f, c)
-    ys = [mp.make_mpf(y.raw(p)) for p in range(n)]
-    zs = [mp.make_mpf(z.raw(p)) for p in range(n)]
+    ys = [mp.make_mpf(y.value(p)) for p in range(n)]
+    zs = [mp.make_mpf(z.value(p)) for p in range(n)]
     for j in range(n):
         assert raw(ys[j]) == raw(once(b[j], [(ys[i], m[i][j]) for i in range(j)], m[j][j]))
         assert raw(zs[j]) == raw(once(c[f.perm[j]], [(m[j][p], zs[p]) for p in range(j)]))
@@ -465,6 +481,36 @@ def test_eliminations_are_exact_sums_rounded_once(data):
         check_lu(a)
 
 
+def canonical(x):
+    """Whether the mpf x holds libmp's normal form of its value, the form
+    that ``==`` and ``hash`` compare."""
+    sign, man, exp, _ = x._mpf_
+    return x._mpf_ == from_man_exp(-man if sign else man, exp)
+
+
+def test_quotients_over_power_of_two_pivots_are_canonical():
+    # dividing by a pivot 2^e is exact, and libmp then keeps the numerator's
+    # mantissa as it is: an even numerator must be normalized first
+    pascal = mat_mul(pascal_matrix(3), transpose(pascal_matrix(3)))
+    assert pascal == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+    with workprec(512):
+        l, d = ldl_no_pivot(pascal, mpf(0))
+        f = lu_factor(pascal)
+        y = lu_row_solve(f, [2, 4, 6])
+        doubled = lu_factor([[2 * x for x in row] for row in pascal])
+    assert d == [1, 1, 1] and [l[1][0], l[2][0], l[2][1]] == [1, 1, 2]
+    assert raw(l[2][1]) == raw(mpf(2)) and hash(l[2][1]) == hash(2)
+    assert f.perm == [0, 2, 1] and f.det == 1
+    assert [mp.make_mpf(y.value(p)) for p in range(3)] == [2, 1, 2]
+    assert [doubled.lower[i].value(0) for i in (1, 2)] == [mpf(1)._mpf_] * 2
+    values = [x for row in l for x in row] + d
+    for g in (f, doubled):
+        values += [mp.make_mpf(x) for x in g.pivots]
+        values += [mp.make_mpf(v.value(p)) for v in g.lower + g.upper for p in range(len(v.ints))]
+    values += [mp.make_mpf(y.value(p)) for p in range(3)]
+    assert all(canonical(x) for x in values)
+
+
 def test_raw_kernels_keep_a_nan_as_the_operators_do():
     # the operators compare by mpf_gt and mpf_lt, which keep a nan; mpf_cmp(1, nan) is 1
     with workprec(128):
@@ -477,16 +523,38 @@ def test_raw_kernels_keep_a_nan_as_the_operators_do():
         assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
 
 
+def exact_det(a):
+    """The determinant of a matrix of Fractions, by exact elimination."""
+    a, det = [list(row) for row in a], Fraction(1)
+    for j in range(len(a)):
+        k = next(i for i in range(j, len(a)) if a[i][j])
+        if k != j:
+            a[j], a[k], det = a[k], a[j], -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return det
+
+
 def test_leading_hankel_determinants_are_the_pivot_products():
     # tau_p = det_rows(range(p)) is the pivot product of the table's cached
-    # factorization of G_p: the bits of lu_factor(G_p).det
+    # factorization of G_p: the bits of lu_factor(G_p).det. Against the exact
+    # determinant of the same 512-bit moments it errs at most twice as much
+    # as the operator-order LU, whose error grows with the conditioning of G_p
+    floor = Fraction(1, 2**512)
     for w in FAMILIES.values():
         table = MomentTable(w, 30, PrecisionContext(mantissa_bits=512))
         for p in range(1, 16):
             dense = [table.values[i : i + p] for i in range(p)]
             with workprec(512):
                 want = lu_factor(dense).det
-            assert raw(table.det_rows(tuple(range(p)))) == raw(want)
+                op = op_lu_determinant(dense)
+            tau = table.det_rows(tuple(range(p)))
+            assert raw(tau) == raw(want)
+            ref = exact_det([[exact(x) for x in row] for row in dense])
+            err, op_err = (max(abs(exact(x) - ref) / abs(ref), floor) for x in (tau, op))
+            assert err <= 2 * op_err
 
 
 def test_lu_determinant_is_nan_beside_a_zero_column():
