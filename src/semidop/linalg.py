@@ -24,23 +24,28 @@ vectors, ints at one shared exponent, and each dot product is one
 nan or an infinity: libmp sums it at precision 0, which does not round, and
 the entry is that nan or infinity (``nan * 0`` is nan).
 
-Only the maxima keep the operators' bits. Every check takes the maximum of
-its residuals through ``max_abs``, ``window_diff`` or ``out_of_band_max``
-here, or through ``exceeds`` (which ``ResidualAccumulator`` uses for named
-parts). These maxima keep a nan, where Python's ``max(mpf(0), nan)`` is 0, so
-a nan residual fails its check. Comparisons, there and in the pivot tests,
-use ``mpf_gt`` and ``mpf_lt``, as the operators do, never ``mpf_cmp``:
-``mpf_cmp(fone, fnan)`` is 1, so a nan maximum or a nan pivot would be
-replaced where the operators keep it.
+Every check takes the maximum of its residuals through ``max_abs``,
+``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
+``ResidualAccumulator`` uses for named parts). The first three rank exact
+values: each difference is formed exactly, magnitudes are compared by
+exponent plus bit length and by mantissa only on a tie, and only the winner
+is rounded, once. Rounding to nearest is monotone and symmetric under
+negation, so the maximum has the bits of the operators' maximum of rounded
+values. The maxima keep a nan, where Python's ``max(mpf(0), nan)`` is 0, so a
+nan residual fails its check. The pivot tests compare with ``mpf_gt`` and
+``mpf_lt``, as the operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is
+1, so a nan pivot would be replaced where the operators keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from math import inf
+from operator import add, mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    finf,
     fnan,
     fone,
     fzero,
@@ -66,11 +71,6 @@ Matrix = list  # list[list[number]]
 def _raw(x) -> tuple:
     """x's value as an ``_mpf_`` tuple, read as an mpf operator reads its operand."""
     return x._mpf_ if type(x) is mpf else mpf.mpf_convert_rhs(x)
-
-
-def _wrapped(rows) -> Matrix:
-    make = mp.make_mpf
-    return [[make(v) for v in row] for row in rows]
 
 
 def zeros(n: int) -> Matrix:
@@ -190,33 +190,65 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def _max_abs(entries):
-    """The largest |x| over entries, a nan once met staying, by the operators' bits.
-
-    The winner's |x| is taken again at the end, so an int maximum stays an int.
+def _max_abs(pairs):
+    """The largest |x - y| over pairs (|x| where y is None) by the exact
+    ranking of the module docstring: the bits of the operators' maximum of
+    abs(x - y), whose first of equal values wins and whose int maximum stays
+    an int. A difference below the running maximum's binade cannot round above
+    it, so only the others are rounded to be ranked.
     """
     prec, rnd = mp._prec_rounding
-    best, winner = fzero, mpf(0)
-    for x in entries:
-        v = mpf_abs(x._mpf_, prec, rnd) if type(x) is mpf else _raw(abs(x))
-        if mpf_gt(v, best) or v == fnan:
-            best, winner = v, x
-    return abs(winner)
+    top, m_top, e_top, win = -inf, 0, 0, None
+    for x, y in pairs:
+        if type(x) is not mpf and type(y) is not mpf:
+            win_d = abs(x if y is None else x - y)
+            _, man, exp, _ = _raw(win_d)
+        elif y is None:
+            win_d = None
+            _, man, exp, _ = x._mpf_
+        else:
+            win_d = None
+            (sx, man, exp, _), (sy, my, ey, _) = tx, ty = _raw(x), _raw(y)
+            if man and my:
+                man, my = -man if sx else man, -my if sy else my
+                man, exp = (((man << exp - ey) - my, ey) if exp > ey
+                            else (man - (my << ey - exp), exp))
+                if not man:
+                    continue
+                man = abs(man)
+            elif my or ey:
+                _, man, exp, _ = mpf_sub(tx, ty)
+        if not man:
+            if exp == fnan[2]:
+                return mp.make_mpf(fnan)
+            if exp:
+                top, win = inf, mp.make_mpf(finf)
+            continue
+        bc = man.bit_length()
+        if exp + bc < top:
+            continue
+        if win_d is None and bc > prec:
+            _, man, exp, bc = normalize(0, man, exp, bc, prec, rnd)
+        if exp + bc > top or (man << exp - e_top if exp > e_top else man) > (
+            m_top << e_top - exp if e_top > exp else m_top
+        ):
+            top, m_top, e_top, win = exp + bc, man, exp, win_d
+    if top == -inf:
+        return mpf(0)
+    return mp.make_mpf(_round_int(m_top, e_top, prec, rnd)) if win is None else win
 
 
 def max_abs(a: Matrix, window: int | None = None) -> mpf:
-    if window is None:
-        return _max_abs(x for row in a for x in row)
-    n = min(window, len(a))
-    return _max_abs(a[i][j] for i in range(n) for j in range(n))
+    """The largest |entry|, over the leading window x window block if given."""
+    rows = a if window is None else [row[:window] for row in a[:window]]
+    return _max_abs((x, None) for row in rows for x in row)
 
 
 def window_diff(a: Matrix, b: Matrix, window: int):
-    """(max |a-b|, max(|a|,|b|)) over the leading window x window block; only
-    that block of a - b is formed."""
-    scale = max_abs([[max_abs(a, window), max_abs(b, window)]])
-    n = min(window, len(a), len(b))
-    return _max_abs(a[i][j] - b[i][j] for i in range(n) for j in range(n)), scale
+    """(max |a-b|, max(|a|,|b|)) over the leading window x window block."""
+    scale = max_abs([row[:window] for m in (a, b) for row in m[:window]])
+    pairs = (p for ra, rb in zip(a[:window], b[:window]) for p in zip(ra[:window], rb[:window]))
+    return _max_abs(pairs), scale
 
 
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
@@ -401,7 +433,7 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
             s.add_dot(low[i], col, True, j)
             out[i][j] = x = s.rounded(prec, rnd)
             col.push_raw(x)
-    return _wrapped(out)
+    return [[mp.make_mpf(v) for v in row] for row in out]
 
 
 def _ldl_series(coeffs: list, floor: tuple) -> tuple:
@@ -637,26 +669,43 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
     return out
 
 
-def three_term_values(z, beta: list, gamma: list, count: int) -> list:
-    """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs.
-
-    p_0 = 1 and p_{j+1} = z p_j - beta_j p_j - gamma_j p_{j-1} with
-    gamma_0 = 0 (``gamma[i]`` is gamma_{i+1}), each one exact sum rounded
-    once: (z - beta_j) p_j, with z - beta_j exact, less gamma_j p_{j-1}.
-    """
+def _three_term(z, beta: list, gamma: list, count: int) -> list:
+    """``three_term_values`` as raw values. While z, beta_j and gamma_j are
+    finite, each p_{j+1} is one integer sum rounded once; from the first nan
+    or infinity on, libmp forms it at precision 0, which gives that nan or
+    infinity, as in every kernel here."""
     prec, rnd = mp._prec_rounding
     zr = _raw(z)
-    make = mp.make_mpf
-    out = [make(fone)]
-    p_prev, p = fzero, fone
+    zs, zi, ze, _ = zr
+    zi = -zi if zs else zi
+    out, finite = [fone], _finite(zr)
+    pi, pe, qi, qe = 1, 0, 0, 0  # p_j and p_{j-1}, ints at their exponents
     for j in range(count - 1):
-        s = _Sum()
-        s.add_product(mpf_sub(zr, _raw(beta[j])), p)
-        if j:
-            s.add_product(_raw(gamma[j - 1]), p_prev, True)
-        p_prev, p = p, s.rounded(prec, rnd)
-        out.append(make(p))
+        b, g = _raw(beta[j]), _raw(gamma[j - 1]) if j else fzero
+        finite = finite and _finite(b) and _finite(g)
+        if not finite:
+            q = out[j - 1] if j else fzero
+            out.append(mpf_sub(mpf_mul(mpf_sub(zr, b), out[j]), mpf_mul(g, q)))
+            continue
+        bs, bi, be, _ = b
+        bi = -bi if bs else bi
+        d, de = ((zi << ze - be) - bi, be) if ze > be else (zi - (bi << be - ze), ze)
+        man, exp = d * pi, de + pe
+        gs, gi, ge, _ = g
+        if gi and qi:
+            t, te = (-gi if gs else gi) * qi, ge + qe
+            man, exp = (man - (t << te - exp), exp) if te > exp else ((man << exp - te) - t, te)
+        x = _round_int(man, exp, prec, rnd)
+        out.append(x)
+        qi, qe, pi, pe = pi, pe, -x[1] if x[0] else x[1], x[2]
     return out
+
+
+def three_term_values(z, beta: list, gamma: list, count: int) -> list:
+    """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs: p_0 = 1 and
+    p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1}, gamma_0 = 0 (``gamma[i]`` is
+    gamma_{i+1}), each one exact sum with z - beta_j exact, rounded once."""
+    return [mp.make_mpf(x) for x in _three_term(z, beta, gamma, count)]
 
 
 class GramSums:
@@ -664,16 +713,13 @@ class GramSums:
     rounded once.
 
     The sums stay exact between points, as one ``_Exact`` vector (row n at
-    offset n (n + 1) / 2). A point adds its finite terms as integers: the p_n
-    are read at their smallest binary exponent, so the point's terms share
-    one exponent, and the sums are kept at the exponent common to all
+    offset n (n + 1) / 2). A point adds its finite terms as integers at the
+    point's smallest exponent, into sums kept at the exponent common to all
     points, lowered with 64 bits to spare when a point's falls below it. A
-    term that meets a nan or an infinity is summed by libmp at precision 0,
-    as in every kernel here, and its sum is then that nan or infinity: libmp's
-    nan and infinities do not depend on precision, so the sums the operator
-    loop leaves nan or infinite are nan or infinite here, with the same bits.
-    ``lower()`` rounds each sum once, at the precision in effect when it is
-    called.
+    term that meets a nan or an infinity is summed by libmp at precision 0, as
+    in every kernel here, so the sums the operator loop leaves nan or infinite
+    are so here, with the same bits. ``lower()`` rounds each sum once, at the
+    precision in effect when it is called.
     """
 
     def __init__(self, count: int):
@@ -682,8 +728,13 @@ class GramSums:
 
     def add(self, pvec: list, weight) -> None:
         """Add the point's terms p_n p_m weight."""
-        p = [_raw(x) for x in pvec[: self._count]]
-        w = _raw(weight)
+        self._add([_raw(x) for x in pvec[: self._count]], _raw(weight))
+
+    def add_point(self, z, beta: list, gamma: list, weight) -> None:
+        """``add`` of the point z's ``three_term_values``, kept raw."""
+        self._add(_three_term(z, beta, gamma, self._count), _raw(weight))
+
+    def _add(self, p: list, w: tuple) -> None:
         point = _Exact.of(p)
         if point.odd or not _finite(w):
             self._add_odd(p, w)
@@ -699,11 +750,10 @@ class GramSums:
         wq = (-w[1] if w[0] else w[1]) << (point_exp - sums.exp)
         ints, acc, off = point.ints, sums.ints, 0
         for n, pn in enumerate(ints):
+            end = off + n + 1
             if pn:
-                pnw = pn * wq
-                for m in range(n + 1):
-                    acc[off + m] += pnw * ints[m]
-            off += n + 1
+                acc[off:end] = map(add, acc[off:end], map((pn * wq).__mul__, ints))
+            off = end
 
     def _add_odd(self, p: list, w: tuple) -> None:
         """Add the terms of the point that meet a nan or an infinity."""
@@ -746,5 +796,8 @@ def upper_with_diagonal(a: Matrix) -> Matrix:
 def out_of_band_max(a: Matrix, lo: int, hi: int, window: int) -> mpf:
     """Largest |entry| at offsets outside [lo, hi], over the leading window."""
     return _max_abs(
-        a[i][j] for i in range(window) for j in range(window) if not lo <= j - i <= hi
+        (x, None)
+        for i, row in enumerate(a[:window])
+        for j, x in enumerate(row[:window])
+        if not lo <= j - i <= hi
     )

@@ -398,7 +398,7 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
         acc = ResidualAccumulator()
         gram = GramSums(nmax + 1)
         for k, weight in enumerate(pipe.table.lattice_weights(2 * nmax)):
-            gram.add(polynomial_vector(jac, k, nmax + 1), weight)
+            gram.add_point(k, jac.beta, jac.gamma, weight)
 
         sums = gram.lower()
         for n in range(nmax + 1):
@@ -631,9 +631,10 @@ def structure_shift_residual(
                 max(abs(sigma_z * p_up[i]) for i in range(window)),
                 h_floor,
             )
+            at = mp.nstr(zf, 6)
             for i in range(window):
-                acc.add(f"down[z={mp.nstr(zf, 6)}][{i}]", abs(theta_z * p_dn[i] - down[i]), scale)
-                acc.add(f"up[z={mp.nstr(zf, 6)}][{i}]", abs(sigma_z * p_up[i] - up[i]), scale)
+                acc.add(f"down[z={at}][{i}]", abs(theta_z * p_dn[i] - down[i]), scale)
+                acc.add(f"up[z={at}][{i}]", abs(sigma_z * p_up[i] - up[i]), scale)
         return acc.result(
             "psi_shift",
             tolerance,

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import inf, isfinite, isnan, ldexp, mp, mpf, nan, workprec
+from mpmath import fsub, inf, isfinite, isnan, ldexp, mp, mpf, nan, workprec
 from mpmath.libmp import from_man_exp
 
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
@@ -335,6 +335,68 @@ def test_raw_kernels_match_operator_kernels_bit_for_bit(data):
         assert bits(gram.lower()) == bits(exact_gram_sums(points, n))
 
 
+@st.composite
+def partners(draw, a):
+    """(a', b) for a square a. a' is a with now and then an entry replaced by
+    an int of up to 700 bits. Entry by entry, b is a''s own entry (an exactly
+    zero difference), an int, a fresh 512-bit mpf, or a' less D + u 2^-e, D
+    shared and u a few units far below D's last bit: those differences carry
+    more bits than any working precision drawn and agree in their leading
+    bits, so they round to ties the exact ranking must break as the operators
+    do."""
+    d = ldexp(mpf(draw(st.integers(1, 2**512 - 1))), draw(st.integers(-530, -490)))
+    a = [
+        [draw(st.integers(-(2**700), 2**700)) if not draw(st.integers(0, 5)) else x for x in row]
+        for row in a
+    ]
+    b = []
+    for row in a:
+        out = []
+        for x in row:
+            kind = draw(st.sampled_from(["same", "int", "fresh", "tie", "tie"]))
+            if kind == "same":
+                out.append(x)
+            elif kind == "int":
+                out.append(draw(st.integers(-(2**700), 2**700)))
+            elif kind == "fresh":
+                man = draw(st.integers(-(2**512) + 1, 2**512 - 1))
+                out.append(ldexp(mpf(man), draw(st.integers(-520, -500))))
+            else:
+                units = draw(st.integers(-3, 3))
+                with workprec(4096):
+                    out.append(x - (d + ldexp(mpf(units), draw(st.integers(-1200, -1100)))))
+        b.append(out)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_diff_matches_the_operators_bit_for_bit(data):
+    # each a_ij - b_ij formed exactly and only the winner rounded: the bits,
+    # and the type, of the operators' maximum of the rounded differences
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    n = data.draw(st.integers(1, 5))
+    a, b = data.draw(partners(data.draw(wide_matrices(n))))
+    w = data.draw(st.integers(0, n + 2))
+    lo = data.draw(st.integers(-n, n))
+    hi = data.draw(st.integers(lo, n))
+    block = [(i, j) for i in range(min(w, n)) for j in range(min(w, n))]
+    with workprec(prec):
+        diff, scale = window_diff(a, b, w)
+        assert raw(diff) == raw(op_max_abs(a[i][j] - b[i][j] for i, j in block))
+        entries = [a[i][j] for i, j in block] + [b[i][j] for i, j in block]
+        assert raw(scale) == raw(op_max_abs(entries))
+        assert raw(max_abs(a, w)) == raw(op_max_abs(a[i][j] for i, j in block))
+        band = (a[i][j] for i, j in block if not lo <= j - i <= hi)
+        assert raw(out_of_band_max(a, lo, hi, w)) == raw(op_max_abs(band))
+
+
+def test_maxima_clamp_a_window_past_the_matrix():
+    a = [[1, 2], [3, 4]]
+    assert out_of_band_max(a, 0, 0, 5) == 3 and type(out_of_band_max(a, 0, 0, 5)) is int
+    assert max_abs(a, 5) == 4 and window_diff(a, [[1, 2], [3, 5]], 5) == (1, 5)
+
+
 # -- the eliminations: each entry exact from the kernel's own outputs, rounded once
 
 
@@ -586,6 +648,14 @@ def test_int_maximum_stays_int():
     # as max(|x|) on the operators: the winning entry's own abs
     assert type(max_abs([[mpf(1), -3]])) is int
     assert type(max_abs([[mpf(5), -3]])) is mpf
+    # an mpf is ranked by its rounded |x|: 2^60 + 2^50 + 1 rounds at 10 bits
+    # to 2^60 + 2^51, past the int between the two; of two entries whose
+    # ranked values tie, the first wins
+    with workprec(128):
+        above, tie = mpf(2**60 + 2**50 + 1), mpf(2**60 + 1)
+    with workprec(10):
+        assert raw(max_abs([[above, 2**60 + 2**50 + 2]])) == raw(mpf(2**60 + 2**51))
+        assert type(max_abs([[tie, 2**60]])) is mpf and type(max_abs([[2**60, tie]])) is int
 
 
 @st.composite
@@ -628,23 +698,58 @@ def test_gram_sums_are_exact_and_keep_the_operators_nans(data):
     assert [[isnan(x) for x in row] for row in sums] == [[isnan(x) for x in row] for row in op_sums]
 
 
-@settings(max_examples=100, deadline=None)
+@st.composite
+def recurrence_coefficients(draw, count: int):
+    """count values: exact zeros, and mpfs of up to 600 bits whose exponents
+    reach above the binary point as well as far below it; now and then a nan,
+    an inf or a -inf."""
+    out = []
+    for _ in range(count):
+        if not draw(st.integers(0, 4)):
+            out.append(mpf(0))
+        else:
+            man = draw(st.integers(-(2**600) + 1, 2**600 - 1))
+            out.append(ldexp(mpf(man), draw(st.integers(-1200, 300))))
+    if not draw(st.integers(0, 3)):
+        out[draw(st.integers(0, count - 1))] = draw(st.sampled_from([nan, inf, -inf]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_recurrence_values_are_exact_sums_rounded_once(data):
-    # p_{j+1} = z p_j - beta_j p_j - gamma_j p_{j-1}, one exact sum of the
-    # kernel's own p_j and p_{j-1}, rounded once
+    # p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1}, z - beta_j exact, one exact
+    # sum of the kernel's own p_j and p_{j-1}, rounded once
     prec = data.draw(st.sampled_from([53, 256, 512, 600]))
     count = data.draw(st.integers(1, 9))
-    # beta and gamma as vectors of lattice_points, zeros and a planted nan included
-    beta, _ = data.draw(lattice_points(count))
-    gamma, _ = data.draw(lattice_points(count))
-    z = data.draw(st.sampled_from([mpf(0), mpf(3), mpf(-2), ldexp(mpf(5), -600), nan]))
+    beta = data.draw(recurrence_coefficients(count))
+    gamma = data.draw(recurrence_coefficients(count))
+    # an int point of the orthogonality walk; a Fraction rounded and shifted
+    # by one, as psi_shift forms z - 1 and z + 1; beta_0, so that p_1 is an
+    # exact zero; or a fixed value
+    kind = data.draw(st.sampled_from(["walk", "shifted", "beta_0", "fixed"]))
     with workprec(prec):
+        if kind == "walk":
+            z = data.draw(st.integers(0, 1000))
+        elif kind == "shifted":
+            fraction = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000))
+            z = to_mpf(fraction) + data.draw(st.sampled_from([-1, 1]))
+        elif kind == "beta_0":
+            z = beta[0]
+        else:
+            z = data.draw(st.sampled_from([mpf(0), mpf(3), mpf(-2), ldexp(mpf(5), -600), nan, inf]))
         got = three_term_values(z, beta, gamma, count)
         assert len(got) == count and raw(got[0]) == raw(mpf(1))
         for j in range(count - 1):
-            terms = [(-z, got[j]), (beta[j], got[j])] + ([(gamma[j - 1], got[j - 1])] if j else [])
+            terms = [(fsub(beta[j], z, exact=True), got[j])]
+            terms += [(gamma[j - 1], got[j - 1])] if j else []
             assert raw(got[j + 1]) == raw(once(mpf(0), terms))
+        # the orthogonality walk adds a point's values as the kernel leaves them
+        weight = data.draw(recurrence_coefficients(1))[0]
+        walked, added = GramSums(count), GramSums(count)
+        walked.add_point(z, beta, gamma, weight)
+        added.add(got, weight)
+        assert bits(walked.lower()) == bits(added.lower())
 
 
 def exact_taylor_ldl(coeffs):

@@ -38,6 +38,7 @@ LAYERS = (
     ("integrable",),
     ("report",),
     ("cli",),
+    ("__main__",),
 )
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 

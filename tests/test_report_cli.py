@@ -890,6 +890,15 @@ def test_cli_entry_point_runs():
     assert proc.stdout.startswith("n\tbeta_n")
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semidop", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: semidop") and "verify" in proc.stdout
+
+
 def test_registry_descriptions_name_identities():
     for spec in REGISTRY.values():
         assert spec.description and len(spec.description) > 10
