@@ -25,11 +25,11 @@ nan or an infinity: libmp sums it at precision 0, which does not round, and
 the entry is that nan or infinity (``nan * 0`` is nan).
 
 Every check takes the maximum of its residuals through ``max_abs``,
-``window_diff`` or ``out_of_band_max`` here, or through ``exceeds`` (which
-``ResidualAccumulator`` uses for named parts). The first three rank exact
-values: each difference is formed exactly, magnitudes are compared by
-exponent plus bit length and by mantissa only on a tie, and only the winner
-is rounded, once. Rounding to nearest is monotone and symmetric under
+``max_diff``, ``window_diff`` or ``out_of_band_max`` here, or through
+``exceeds`` (which ``ResidualAccumulator`` uses for named parts). The first
+four rank exact values: each difference is formed exactly, magnitudes are
+compared by exponent plus bit length and by mantissa only on a tie, and only
+the winner is rounded, once. Rounding to nearest is monotone and symmetric under
 negation, so the maximum has the bits of the operators' maximum of rounded
 values. The maxima keep a nan, where Python's ``max(mpf(0), nan)`` is 0, so a
 nan residual fails its check. The pivot tests compare with ``mpf_gt`` and
@@ -244,11 +244,15 @@ def max_abs(a: Matrix, window: int | None = None) -> mpf:
     return _max_abs((x, None) for row in rows for x in row)
 
 
+def max_diff(a: Matrix, b: Matrix, window: int) -> mpf:
+    """max |a-b| over the leading window x window block."""
+    pairs = (p for ra, rb in zip(a[:window], b[:window]) for p in zip(ra[:window], rb[:window]))
+    return _max_abs(pairs)
+
+
 def window_diff(a: Matrix, b: Matrix, window: int):
     """(max |a-b|, max(|a|,|b|)) over the leading window x window block."""
-    scale = max_abs([row[:window] for m in (a, b) for row in m[:window]])
-    pairs = (p for ra, rb in zip(a[:window], b[:window]) for p in zip(ra[:window], rb[:window]))
-    return _max_abs(pairs), scale
+    return max_diff(a, b, window), max_abs([row[:window] for m in (a, b) for row in m[:window]])
 
 
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:

@@ -147,17 +147,16 @@ def test_tau_routes(ctx, tol):
 def test_tau_routes_stay_independent(spec, size):
     # the norms H come from the LDL and the taus from the determinant
     # engine's LU: one exact-sum kernel, two eliminations. A row that reads
-    # exactly 0 would mean the routes merged. norm_ratio[0] is 0 by
-    # construction (h_0 = rho_0 = tau_1 / tau_0), and at n = 1 each route
-    # rounds one update of rho_2, which agree to the last bit at 512 bits
+    # exactly 0 would mean the routes merged. At n = 1 each route rounds one
+    # update of rho_2, which agree to the last bit at 512 bits
     clear_cache()
     cfg = SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512, checks=("tau_routes",))
     (res,) = run_suite(cfg).checks
     clear_cache()
     assert res.max_residual > 0
     ratios = {k: mpf(v) for k, v in res.components.items() if k.startswith("norm_ratio")}
-    assert len(ratios) == min(8, size - 1) + 1
-    assert all(v > 0 for k, v in ratios.items() if k not in ("norm_ratio[0]", "norm_ratio[1]")), ratios
+    assert len(ratios) == min(8, size - 1)
+    assert all(v > 0 for k, v in ratios.items() if k != "norm_ratio[1]"), ratios
 
 
 def test_tau_routes_trivial_base(ctx):
@@ -340,19 +339,24 @@ def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
 
 
 def _nan_in_theta_factor_band(pipe, tol, monkeypatch):
-    # the corner of the theta factor lies outside both factorization windows
+    # l_10 lies in the theta factor's band, inside both factorization
+    # windows; a nan there reaches the dressed Pascal and structure-matrix
+    # factorizations, and no other row
     real = structure.ldl_no_pivot
     calls = []
 
     def planted(a, floor):
         l, d = real(a, floor)
         if not calls:
-            l[-1][0] = nan
+            l[1][0] = nan
         calls.append(a)
         return l, d
 
     monkeypatch.setattr(structure, "ldl_no_pivot", planted)
-    return structure.structure_cholesky_check(pipe, tol)
+    res = structure.structure_cholesky_check(pipe, tol)
+    nans = sorted(k for k, v in res.components.items() if v == "nan")
+    assert nans == ["pascal_factorization", "psi_factorization"], res.components
+    return res
 
 
 @pytest.fixture
@@ -374,8 +378,9 @@ def fresh_pipelines():
     ],
 )
 def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
-    # each plant is read by one rewritten maximum only; sato_wilson reads the
-    # engine depth, as in a suite
+    # each plant is read by rewritten maxima only: the theta factor's by two
+    # rows, each other plant by one; sato_wilson reads the engine depth, as
+    # in a suite
     res = plant(get_pipeline(GEN_MEIXNER, 8, ctx, engine=True), tol, monkeypatch)
     assert not res.passed, res.components
 
@@ -402,6 +407,58 @@ def test_flow_jet_leading_blocks_are_the_smaller_jet(w, data):
     for a, b in pairs:
         assert _block_bits(a, m) == _block_bits(b, m)
     assert [x._mpf_ for x in small.dh] == [x._mpf_ for x in big.dh[:m]]
+
+
+# -- identities the report does not check: they hold by construction ----------
+
+
+def raw(x) -> tuple:
+    return x._mpf_
+
+
+@settings(max_examples=15, deadline=None)
+@given(w=positive_weights(), k=st.integers(3, 8))
+def test_the_routes_meet_by_construction_below_n_2(w, k):
+    # the rows tau_routes, coefficient_sums and toda do not report, bit for
+    # bit: tau_0 = 1 and h_0 = rho_0 = tau_1 / tau_0 (norm_ratio[0]); d tau_0
+    # = p^1_0 = 0 (subleading[0]); p^1_1 = -beta_0 = -rho_1 / rho_0 is the
+    # LDL's one rounded division, which d log tau_1 repeats (subleading[1],
+    # beta[0], p1[1]); and -d^2 log tau_0 = 0 = -gamma_0 (subleading_flow[0])
+    pipe = WeightPipeline(w, k, PrecisionContext(mantissa_bits=512))
+    with workprec(512):
+        tau_jets = [flows.tau_jet(pipe.table, n, [(2, 0, 0)]) for n in range(2)]
+        taus = [t[(0, 0, 0)] for t in tau_jets]
+        jets = [flows.log_jet(t, 512) for t in tau_jets]
+        chol, beta = pipe.chol, pipe.jac.beta
+        assert raw(taus[0]) == raw(mpf(1))
+        assert raw(chol.h[0]) == raw(taus[1] / taus[0]) == raw(pipe.table.moment(0))
+        assert raw(chol.p(1, 0)) == raw(tau_jets[0][(1, 0, 0)]) == raw(mpf(0))
+        assert raw(chol.p(1, 1)) == raw(-(tau_jets[1][(1, 0, 0)] / taus[1]))
+        assert raw(beta[0]) == raw(jets[1][(1, 0, 0)] - jets[0][(1, 0, 0)])
+        assert raw(chol.p(1, 1)) == raw(-sum(beta[:1], mpf(0)))
+        assert raw(-jets[0][(2, 0, 0)]) == raw(pipe.gamma(0)) == raw(mpf(0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(w=positive_weights(), k=st.integers(3, 10))
+def test_the_toda_beta_line_is_equation_q_from_n_1(w, k):
+    # gamma_n is H_n / H_{n-1} bit for bit, so for n >= 1 the system's beta
+    # line d^2 log H_n = gamma_{n+1} - gamma_n has equation_q[n]'s residual,
+    # at a scale max(|gamma_{n+1}|, |gamma_n|, 1) never below equation_q's
+    # max(|H_{n+1} / H_n|, |H_n / H_{n-1}|): it can never be toda's worst row
+    pipe = WeightPipeline(w, k, PrecisionContext(mantissa_bits=512))
+    nmax = min(8, k - 2)
+    with workprec(512):
+        jets = integrable_module._log_jets(pipe, nmax + 3, [(2, 0, 0)])
+        h = pipe.chol.h
+        for n in range(1, nmax + 1):
+            gamma_next, gamma_n = pipe.gamma(n + 1), pipe.gamma(n)
+            assert raw(gamma_n) == raw(h[n] / h[n - 1])
+            d2q = integrable_module._dlog_h(jets, n, (2, 0, 0))
+            beta_line = abs(d2q - (gamma_next - gamma_n))
+            equation_q = abs(d2q - (h[n + 1] / h[n] - h[n] / h[n - 1]))
+            assert raw(beta_line) == raw(equation_q)
+            assert max(abs(gamma_next), abs(gamma_n), mpf(1)) >= max(abs(h[n + 1] / h[n]), abs(h[n] / h[n - 1]))
 
 
 # -- mutation tests: each jet-fed row and the moment witness can fail ----------
@@ -458,6 +515,20 @@ def _pascal_entry(monkeypatch, pipe, i, j):
     pipe.pi[i][j] = _nudged(pipe.pi[i][j])
 
 
+def _structure_entry(monkeypatch, pipe, i, j):
+    pipe.psi[i][j] = _nudged(pipe.psi[i][j])
+
+
+def _inverse_factor_entry(monkeypatch, pipe, i, j):
+    pipe.chol.s_inv[i][j] = _nudged(pipe.chol.s_inv[i][j])
+
+
+def _weight_value(monkeypatch, pipe, k):
+    # w(k) of the Pochhammer closed form, which only the Pearson check reads
+    real = structure.weight_value
+    monkeypatch.setattr(structure, "weight_value", lambda w, n: _nudged(real(w, n)) if n == k else real(w, n))
+
+
 def _shifted_identity(monkeypatch, pipe):
     # the I of R(J + I) and R(J - I), once Pi, which reads S, is built
     assert pipe.pi and pipe.pi_inv
@@ -479,6 +550,14 @@ def _shift_constant(monkeypatch, pipe, kind):
 
 def _run(check, pipe):
     tol = MUTATION_CTX.default_tolerance()
+    if check == "orthogonality":
+        return structure.orthogonality_check(pipe, 6, tol)
+    if check == "psi_shift":
+        return structure.structure_shift_residual(pipe, [Fraction(1, 2), Fraction(3)], tol)
+    if check == "omega":
+        return omega_connection_check(pipe, Shift.a(1), [Fraction(1, 2)], tol)
+    if check == "tau_routes":
+        return tau_route_check(pipe, 6, tol)
     if check == "uv_system":
         return uv_system_check(pipe, Shift.a(1), [1, 2, 3, 4], tol)
     if check == "nijhoff_capel":
@@ -495,6 +574,13 @@ def _run(check, pipe):
         "coefficient_sums": structure.coefficient_sum_check,
         "structure_cholesky": structure.structure_cholesky_check,
         "psi_jacobi": structure.psi_jacobi_identities,
+        "pearson": structure.pearson_check,
+        "gram_pearson": structure.gram_pearson_residual,
+        "pascal_forms": structure.pi_closed_form_check,
+        "s_inverse": structure.s_inverse_expansion_check,
+        "psi_routes": structure.psi_structure_check,
+        "psi_diagonals": structure.psi_extreme_diagonals,
+        "contiguous": contiguous_check,
     }[check](pipe, tol)
 
 
@@ -521,12 +607,29 @@ def _run(check, pipe):
         # constants were rounded at the working precision
         (NON_DYADIC, "nijhoff_capel", "n=", _shift_constant, ("a",)),
         (NON_DYADIC, "uv_system", "difference_v_bar", _shift_constant, ("a",)),
+        # one row of each check that had none; gram_pearson reports no parts
+        (GEN_MEIXNER, "pearson", "k=", _weight_value, (7,)),
+        (GEN_MEIXNER, "gram_pearson", None, _table_column, (4,)),
+        # first_subdiag reads 0 on the pinned positive weights, and rounding
+        # on a=4/3; eta=-1/3: not an identity of the kernels
+        (GEN_MEIXNER, "pascal_forms", "first_subdiag[2]", _pascal_entry, (3, 2)),
+        (GEN_MEIXNER, "s_inverse", "d2", _inverse_factor_entry, (4, 2)),
+        (GEN_MEIXNER, "orthogonality", "norm", _norm, (3,)),
+        (GEN_MEIXNER, "psi_routes", "routes", _pascal_entry, (2, 1)),
+        (GEN_MEIXNER, "psi_diagonals", "low", _structure_entry, (2, 1)),
+        (GEN_MEIXNER, "psi_shift", "down", _structure_entry, (1, 1)),
+        (GEN_MEIXNER, "contiguous", "shift A", _table_column, (3,)),
+        (GEN_MEIXNER, "omega", "subdiagonal_closed_form", _norm, (2,)),
+        # tau_2 comes from a pivoted LU, h_1 from the LDL
+        (GEN_MEIXNER, "tau_routes", "norm_ratio[1]", _norm, (1,)),
     ],
 )
 def test_a_nudged_input_fails_the_row(weight, check, row, mutate, arg, fresh_pipelines, monkeypatch):
     # scaling one input of the identity by 1 + 2^-100 fails the row at the
     # suite tolerance 2^-128, where the unmutated row passes
     def worst(res):
+        if row is None:
+            return res.max_residual
         return max(mpf(v) for k, v in res.components.items() if k.startswith(row))
 
     tol = to_mpf(MUTATION_CTX.default_tolerance())

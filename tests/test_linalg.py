@@ -10,6 +10,7 @@ from mpmath.libmp import from_man_exp
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
     GramSums,
+    diag,
     exceeds,
     identity,
     ldl_no_pivot,
@@ -21,11 +22,13 @@ from semidop.linalg import (
     mat_vec,
     max_abs,
     out_of_band_max,
+    poly_of_matrix,
     schur_complement,
     three_term_values,
     transpose,
     unit_lower_inverse,
     window_diff,
+    zeros,
 )
 from semidop.result import ResidualAccumulator
 from semidop.weights import to_mpf
@@ -541,6 +544,64 @@ def test_eliminations_are_exact_sums_rounded_once(data):
         check_ldl(a, floor)
         check_unit_lower_inverse(a)
         check_lu(a)
+
+
+# -- invariants of the kernels that no report row checks ----------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_first_subdiagonal_is_the_negated_factor(data):
+    # (L^-1)_{n+1,n} = -L_{n+1,n}: its sum is one exact product by 1, rounded
+    # once, so the s_inverse check reports subdiagonals 2..4 only
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    n = data.draw(st.integers(2, 6))
+    l = data.draw(wide_matrices(n))
+    with workprec(prec):
+        s = unit_lower_inverse(l)
+        for i in range(n - 1):
+            assert raw(s[i + 1][i]) == raw(-l[i + 1][i])
+
+
+@st.composite
+def finite_values(draw, count: int):
+    """count 512-bit mpfs between 2^-520 and 2^12, now and then an exact zero."""
+    out = []
+    for _ in range(count):
+        man = draw(st.integers(-(2**512) + 1, 2**512 - 1)) if draw(st.integers(0, 5)) else 0
+        with workprec(512):
+            out.append(ldexp(mpf(man), draw(st.integers(-520, -500))))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_banded_products_factor_inside_their_band(data):
+    # H theta(J^T) and sigma(J) H, as structure_cholesky forms them from a
+    # finite tridiagonal J: mat_mul skips exact zeros, so outside the band of
+    # the degree the product holds exact zeros, and the Crout LDL sums only
+    # zero products there. So that check reports no band rows of its factors
+    prec = data.draw(st.sampled_from([53, 256, 512, 600]))
+    n = data.draw(st.integers(2, 7))
+    degree = data.draw(st.integers(0, 3))
+    beta, gamma, h = (data.draw(finite_values(n)) for _ in range(3))
+    coeffs = data.draw(st.lists(st.fractions(max_denominator=7), min_size=degree + 1, max_size=degree + 1))
+    j = zeros(n)
+    for i in range(n):
+        j[i][i] = beta[i]
+        if i:
+            j[i][i - 1], j[i - 1][i] = gamma[i], mpf(1)
+    with workprec(prec):
+        p = poly_of_matrix(coeffs, j)
+        a = data.draw(st.sampled_from([mat_mul(diag(h), transpose(p)), mat_mul(p, diag(h))]))
+        try:
+            l, _ = ldl_no_pivot(a, mpf(0))
+        except SingularTruncation as exc:
+            m = exc.index
+            l, _ = ldl_no_pivot([row[:m] for row in a[:m]], mpf(0)) if m else ([], [])
+    outside = [(r, c) for r in range(n) for c in range(r - degree)]
+    assert all(raw(a[r][c]) == raw(mpf(0)) for r, c in outside)
+    assert all(raw(l[r][c]) == raw(mpf(0)) for r, c in outside if r < len(l))
 
 
 def canonical(x):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -442,18 +444,25 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "be264cd8101667d8"),
-    ("b=3/2; eta=1/2", 12, "bbc1665105a80d1a"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "15fba37632b3d84f"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "727844370ffc1078"),
+    ("a=2; eta=1/2", 12, "ac0f353dff62d2e0"),
+    ("b=3/2; eta=1/2", 12, "5ff02776d10f2347"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "1a9be7da4414c686"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "b06a0ae5a1763cdb"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "0f8826d71d1b9b5b"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "b16461b2b0e86de1"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "cd05f70f201eb1e5"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "2311a4e78401ced5"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
-    ("a=2/3; b=7/5; eta=3/7", 12, "b22ba27dc36e6d6b"),
+    ("a=2/3; b=7/5; eta=3/7", 12, "3f3cdc6c2b47e059"),
 ]
+
+
+@functools.cache
+def contract_report(spec: str, size: int) -> str:
+    """The suite's JSON report of the weight at 512 bits, computed once per run."""
+    cfg = SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512)
+    return run_suite(cfg).to_json()
 
 
 # ids leave the digest out, so a regenerated digest keeps the test's name
@@ -465,9 +474,30 @@ CONTRACT_DIGESTS = [
 def test_contract_reports_byte_identical(spec, size, digest):
     # the golden file pins Charlier, where sigma and theta are trivial; these
     # weights carry nontrivial Pearson polynomials through every product
-    cfg = SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512)
-    emitted = run_suite(cfg).to_json().encode()
+    emitted = contract_report(spec, size).encode()
     assert hashlib.sha256(emitted).hexdigest()[:16] == digest
+
+
+def row_family(check: str, label: str) -> tuple:
+    """A row's family: its check without the shifts in its name, and its
+    label without indices (``d2[3]``, ``k=12``, ``down[z=0.5][3]``)."""
+    return re.sub(r"(_[AB]\(\d+\))+$", "", check), re.sub(r"\[[^\]]*\]|=[^\]\s]*$", "", label)
+
+
+def test_every_row_family_can_fail():
+    # a family that reads exactly 0 on every row of these reports compares a
+    # value with itself: its identity belongs in a kernel test, not in every
+    # report. Beside the pinned weights, a=4/3; eta=-1/3, whose dressed Pascal
+    # first subdiagonal reads rounding where theirs read 0
+    weights = [(spec, size) for spec, size, _ in CONTRACT_DIGESTS] + [("a=4/3; eta=-1/3", 10)]
+    readings = {}
+    for spec, size in weights:
+        for check in json.loads(contract_report(spec, size))["checks"]:
+            for label, value in check["components"].items():
+                family = row_family(check["name"], label)
+                readings[family] = readings.get(family, False) or mpf(value) != 0
+    assert len(readings) > 90
+    assert [family for family, moved in readings.items() if not moved] == []
 
 
 def test_suite_leaves_confirmation_unread():
