@@ -16,11 +16,14 @@ tau_p times an s x s Schur complement over the leading block G_p, whose
 pivoted LU it factors once per table and p; a whole jet, and the jets of
 every tau_k on one table, share those factorizations.
 
-``tau_jet`` is the one expression builder: it walks the downward closure of
-the requested orders, each expression one flow away from a lower one.
-``tau_derivative`` reads one entry of it, ``log_tau_jet`` the jet of
-log tau_k, from which every derivative of log H_n = log tau_{n+1} - log tau_n
-is a difference.
+``tau_jet`` walks the downward closure of the requested orders, each
+expression one flow away from a lower one and built once per (k, alpha)
+for every table. Each entry is evaluated once per table and kept in its memo
+(``MomentTable.tau_derivatives``), as each log-tau entry is
+(``log_tau_derivatives``): an entry's bits do not depend on the closure it
+is requested in, so later requests read it. ``tau_derivative`` reads one
+entry, ``log_tau_jet`` the jet of log tau_k, from which every derivative of
+log H_n = log tau_{n+1} - log tau_n is a difference.
 
 The factorization's own derivatives come from ``moments.flow_jet``. What
 both routes assume, that flow l maps rho_m to rho_{m+l}, is witnessed by a
@@ -33,6 +36,7 @@ entrywise over vectors and matrices (``fd_flow_derivative``), compared by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
@@ -109,21 +113,40 @@ def _downward_closure(alphas: Iterable[Alpha]) -> list[Alpha]:
     return sorted(need, key=lambda t: (sum(t), t))
 
 
-def tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
-    """All mixed tau derivatives for the downward closure of the given orders."""
-    order = _downward_closure(alphas)
-    exprs: dict[Alpha, DetExpr] = {}
-    jet: dict[Alpha, mpf] = {}
+def _lower(a: Alpha) -> tuple[int, Alpha]:
+    """The first flow i with a nonzero order in a, and a one order lower in it."""
+    i = next(idx for idx, o in enumerate(a) if o > 0)
+    return i, a[:i] + (a[i] - 1,) + a[i + 1 :]
+
+
+@lru_cache(maxsize=None)
+def _derivative_expr(k: int, a: Alpha) -> DetExpr:
+    """The expression of d^a tau_k, built once per (k, a): one flow applied to
+    the expression one order lower. Shared by every table; read only."""
+    if a == (0, 0, 0):
+        return tau_expr(k)
+    i, prev = _lower(a)
+    return apply_flow(_derivative_expr(k, prev), i + 1)
+
+
+def _tau_values(table: MomentTable, k: int, order: list[Alpha]) -> dict:
+    """The table's memo of the derivatives of tau_k, holding d^a tau_k for
+    each a in order: each one evaluated once per table, in the order given."""
+    memo = table.tau_derivatives.setdefault(k, {})
     for a in order:
-        if a == (0, 0, 0):
-            exprs[a] = tau_expr(k)
-        else:
-            i = next(idx for idx, o in enumerate(a) if o > 0)
-            prev = list(a)
-            prev[i] -= 1
-            exprs[a] = apply_flow(exprs[tuple(prev)], i + 1)
-        jet[a] = eval_expr(exprs[a], table)
-    return jet
+        if a not in memo:
+            memo[a] = eval_expr(_derivative_expr(k, a), table)
+    return memo
+
+
+def tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
+    """All mixed tau derivatives for the downward closure of the given orders.
+
+    Each entry is evaluated once per table and kept in its memo: its bits do
+    not depend on the closure it is requested in."""
+    order = _downward_closure(alphas)
+    memo = _tau_values(table, k, order)
+    return {a: memo[a] for a in order}
 
 
 def _multinom(beta: Alpha, delta: Alpha) -> int:
@@ -133,24 +156,22 @@ def _multinom(beta: Alpha, delta: Alpha) -> int:
     return out
 
 
-def log_jet(tjet: dict, bits: int) -> dict:
-    """Jet of log f from the jet of f over a downward-closed index set.
+def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
+    """Fill g[a] with d^a log f for each a of a downward-closed order, from
+    tjet[a] = d^a f; entries already in g are kept.
 
     Uses the Leibniz inversion of f * (d_i log f) = d_i f, resolving each order
     from strictly lower ones; requires f(0) != 0.
     """
-    order = sorted(tjet, key=lambda t: (sum(t), t))
     with workprec(bits):
-        g: dict[Alpha, mpf] = {}
         f0 = tjet[(0, 0, 0)]
         for a in order:
+            if a in g:
+                continue
             if a == (0, 0, 0):
                 g[a] = mp.log(f0)
                 continue
-            i = next(idx for idx, o in enumerate(a) if o > 0)
-            beta = list(a)
-            beta[i] -= 1
-            beta = tuple(beta)
+            i, beta = _lower(a)
             shift = lambda t: (t[0] + (i == 0), t[1] + (i == 1), t[2] + (i == 2))
             acc = tjet[shift(beta)]
             for delta in _sub_indices(beta):
@@ -159,14 +180,26 @@ def log_jet(tjet: dict, bits: int) -> dict:
                 rest = (beta[0] - delta[0], beta[1] - delta[1], beta[2] - delta[2])
                 acc -= _multinom(beta, delta) * tjet[delta] * g[shift(rest)]
             g[a] = acc / f0
-        return g
+
+
+def log_jet(tjet: dict, bits: int) -> dict:
+    """Jet of log f from the jet of f over a downward-closed index set."""
+    g: dict[Alpha, mpf] = {}
+    _log_entries(tjet, g, sorted(tjet, key=lambda t: (sum(t), t)), bits)
+    return g
 
 
 def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
-    """Mixed derivatives of log tau_k; tau_0 = 1 gives the all-zero jet."""
+    """Mixed derivatives of log tau_k; tau_0 = 1 gives the all-zero jet.
+
+    Like ``tau_jet``, each entry is formed once per table and kept in its memo."""
+    order = _downward_closure(alphas)
     if k == 0:
-        return {a: mpf(0) for a in _downward_closure(alphas)}
-    return log_jet(tau_jet(table, k, alphas), table.ctx.mantissa_bits)
+        return {a: mpf(0) for a in order}
+    memo = table.log_tau_derivatives.setdefault(k, {})
+    if any(a not in memo for a in order):
+        _log_entries(_tau_values(table, k, order), memo, order, table.ctx.mantissa_bits)
+    return {a: memo[a] for a in order}
 
 
 # -- finite-difference witnesses ----------------------------------------------

@@ -8,33 +8,39 @@ elimination routines use fixed pivoting rules so results are bit-stable.
 The hot kernels run on raw ``libmp`` values: they read each entry's ``_mpf_``
 tuple once, compute at ``mp._prec_rounding`` read at call time, and wrap each
 result once with ``mp.make_mpf``. No other module does arithmetic on raw
-values. Every sum they form is exact and rounded once (Ogita, Rump and Oishi,
-SIAM J. Sci. Comput. 26, 2005): the products ``mat_mul`` and ``mat_vec``,
-``GramSums`` (the accumulator of the orthogonality sums), the eliminations
-``ldl_no_pivot`` (with its Taylor series), ``unit_lower_inverse``,
-``lu_factor`` with its solves and ``schur_complement``, and the polynomial
-recurrence ``three_term_values``. A sum is one integer at one binary exponent
-(``_Sum``), where an operator loop would round each product and each
-addition; a quotient is its exact numerator divided once by the rounded
-pivot. Exact zeros, which J (tridiagonal), S and Pi (triangular) hold by
-theorem, add nothing. The eliminations run in left-looking (Crout) order, so
-that each entry is one sum: the factors formed so far are held as ``_Exact``
-vectors, ints at one shared exponent, and each dot product is one
-``sum(map(mul, ...))``. One rule holds in every kernel for a term that meets a
-nan or an infinity: libmp sums it at precision 0, which does not round, and
-the entry is that nan or infinity (``nan * 0`` is nan).
+values (``tests/test_lint.py`` holds it; ``moments`` and ``weights`` only
+build values with libmp's constructors). Every sum they form is exact and
+rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): the
+products ``mat_mul`` and ``mat_vec``, ``GramSums`` (the accumulator of the
+orthogonality sums), the eliminations ``ldl_no_pivot`` (with its Taylor
+series), ``unit_lower_inverse``, ``lu_factor`` with its solves and
+``schur_complement``, and the polynomial recurrence ``three_term_values``. A
+sum is one integer at one binary exponent (``_Sum``), where an operator loop
+would round each product and each addition; a quotient is its exact numerator
+divided once by the rounded pivot. Exact zeros, which J (tridiagonal), S and
+Pi (triangular) hold by theorem, add nothing. The eliminations run in
+left-looking (Crout) order, so that each entry is one sum: the factors formed
+so far are held as ``_Exact`` vectors, ints at one shared exponent, and each
+dot product is one ``sum(map(mul, ...))``. One rule holds in every kernel for
+a term that meets a nan or an infinity: libmp sums it at precision 0, which
+does not round, and the entry is that nan or infinity (``nan * 0`` is nan). A
+product reads each operand in one scan, which also decides whether it stays an
+int.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``max_diff``, ``window_diff`` or ``out_of_band_max`` here, or through
-``exceeds`` (which ``ResidualAccumulator`` uses for named parts). The first
-four rank exact values: each difference is formed exactly, magnitudes are
-compared by exponent plus bit length and by mantissa only on a tie, and only
-the winner is rounded, once. Rounding to nearest is monotone and symmetric under
-negation, so the maximum has the bits of the operators' maximum of rounded
-values. The maxima keep a nan, where Python's ``max(mpf(0), nan)`` is 0, so a
-nan residual fails its check. The pivot tests compare with ``mpf_gt`` and
-``mpf_lt``, as the operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is
-1, so a nan pivot would be replaced where the operators keep it.
+``relative_row``, which forms one named row of ``ResidualAccumulator`` on raw
+values (each operand rounded as ``mpf()`` rounds it, one ``mpf_div``, the
+decimal string of the raw quotient, ``exceeds``'s test) and wraps a row only
+when it becomes its check's worst. The first four rank exact values: each
+difference is formed exactly, magnitudes are compared by exponent plus bit
+length and by mantissa only on a tie, and only the winner is rounded, once.
+Rounding to nearest is monotone and symmetric under negation, so the maximum
+has the bits of the operators' maximum of rounded values. The maxima keep a
+nan, where Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its
+check. The pivot tests compare with ``mpf_gt`` and ``mpf_lt``, as the
+operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan pivot
+would be replaced where the operators keep it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from mpmath.libmp import (
     mpf_sub,
     normalize,
     round_nearest,
+    to_str,
 )
 
 from .errors import SingularTruncation
@@ -71,6 +78,40 @@ Matrix = list  # list[list[number]]
 def _raw(x) -> tuple:
     """x's value as an ``_mpf_`` tuple, read as an mpf operator reads its operand."""
     return x._mpf_ if type(x) is mpf else mpf.mpf_convert_rhs(x)
+
+
+def _operand(x, prec: int, rnd: str) -> tuple:
+    """x as ``mpf(x)`` makes it, rounded at prec, as a raw value. An mpf whose
+    odd mantissa fits in prec, or a nan or an infinity, is its own value."""
+    if type(x) is not mpf:
+        return mpf(x)._mpf_
+    t = x._mpf_
+    sign, man, exp, bc = t
+    if man & 1 and bc <= prec or not man and exp:
+        return t
+    return normalize(sign, man, exp, bc, prec, rnd)
+
+
+def relative_row(abs_diff, scale, worst: mpf, digits: int) -> tuple:
+    """One named row of a residual check: abs_diff / scale on raw values, as
+    ``ResidualAccumulator`` reads it, rendered to ``digits`` significant
+    digits, with (quotient, scale) as mpfs if the quotient ``exceeds`` the
+    running maximum worst, else None.
+
+    The operators' bits: each operand is rounded at the precision in effect
+    as ``mpf()`` rounds it, a scale <= 0 (a nan is not) reads as 1, and the
+    quotient is one ``mpf_div``, or nan against a scale that is not finite,
+    whose abs_diff is then not read. The string is ``mp.nstr``'s ``to_str``.
+    """
+    prec, rnd = mp._prec_rounding
+    s = _operand(scale, prec, rnd)
+    if s[0] or s == fzero:
+        s = fone
+    q = mpf_div(_operand(abs_diff, prec, rnd), s, prec, rnd) if _finite(s) else fnan
+    worse = None
+    if q == fnan or mpf_gt(q, worst._mpf_):
+        worse = mp.make_mpf(q), mp.make_mpf(s)
+    return to_str(q, digits), worse
 
 
 def zeros(n: int) -> Matrix:
@@ -112,19 +153,26 @@ def exceeds(v, best) -> bool:
     return v > best or v != v
 
 
-def _terms(a: Matrix):
+def _terms(a: Matrix) -> tuple:
     """Each row of a as (column, signed mantissa, exponent) for its nonzero
-    entries; None if a holds a nan or an infinity."""
-    out = []
+    entries, None if a holds a nan or an infinity; and whether every entry
+    is an int. One scan reads both."""
+    out, ints = [], True
     for row in a:
         terms = []
-        for j, (sign, man, exp, _) in enumerate(map(_raw, row)):
+        for j, x in enumerate(row):
+            if type(x) is int:
+                if x:
+                    terms.append((j, x, 0))
+                continue
+            ints = False
+            sign, man, exp, _ = x._mpf_ if type(x) is mpf else _raw(x)
             if man:
                 terms.append((j, -man if sign else man, exp))
             elif exp:
-                return None
+                return None, False
         out.append(terms)
-    return out
+    return out, ints
 
 
 def _exact_product(a: Matrix, b: Matrix) -> Matrix:
@@ -133,10 +181,10 @@ def _exact_product(a: Matrix, b: Matrix) -> Matrix:
     nonzero products are summed (J is tridiagonal and S and Pi triangular by
     theorem), unless a factor holds a nan or an infinity: then each entry
     sums all of its products, since ``nan * 0`` is nan."""
-    has_mpf = any(type(x) is not int for m in (a, b) for row in m for x in row)
     width = len(b[0]) if b else 0
     sums = [[None] * width for _ in a]
-    rows_a, rows_b = _terms(a), _terms(b)
+    (rows_a, ints_a), (rows_b, ints_b) = _terms(a), _terms(b)
+    has_mpf = not (ints_a and ints_b)
     if rows_a is not None and rows_b is not None:
         for out_row, row_a in zip(sums, rows_a):
             for l, ma, ea in row_a:

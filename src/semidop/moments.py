@@ -81,13 +81,17 @@ from .weights import (
 )
 
 
+def decimal_digits(bits: int) -> int:
+    """The significant digits that carry the full precision of ``bits``."""
+    return int(bits * 0.30103) + 3
+
+
 def decimal_str(x, bits: int) -> str:
     """Decimal rendering of an mpf carrying the full precision of ``bits``."""
-    digits = int(bits * 0.30103) + 3
     if not isinstance(x, mpf):
         with workprec(bits):
             x = to_mpf(x) if isinstance(x, Fraction) else mpf(x)
-    return mp.nstr(x, digits)
+    return mp.nstr(x, decimal_digits(bits))
 
 
 # The lattice points a moment series may visit before it is refused. The
@@ -409,6 +413,10 @@ class MomentTable:
     leading p x p block G_p, and per (p, x) the solves of the moment slice
     rho_x .. rho_{x+p-1} against it, as a tail row and as a column: every
     determinant whose rows start (0, ..., p-1) reads them (see ``det_rows``).
+    ``tau_derivatives[k][alpha]`` and ``log_tau_derivatives[k][alpha]`` hold
+    the flow derivatives d^alpha tau_k and d^alpha log tau_k that ``flows``
+    formed on this table, each once: an entry's bits do not depend on the jet
+    it was requested in, so every later request reads it.
     """
 
     def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
@@ -424,6 +432,8 @@ class MomentTable:
         self.values = values
         self.lattice_pass = lattice
         self._det_cache: dict[tuple[int, ...], mpf] = {}
+        self.tau_derivatives: dict[int, dict[tuple, mpf]] = {}
+        self.log_tau_derivatives: dict[int, dict[tuple, mpf]] = {}
         self._leading: dict[int, LUFactors] = {}
         self._row_solves: dict[tuple[int, int], list] = {}
         self._column_solves: dict[tuple[int, int], list] = {}

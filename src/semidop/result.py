@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import isfinite, mpf
+from mpmath import mpf
 
-from .linalg import exceeds
-from .moments import decimal_str
+from .linalg import relative_row
+from .moments import decimal_digits, decimal_str
 from .weights import to_mpf
 
 
@@ -70,9 +70,16 @@ def make_result(
     )
 
 
+# a named part is rendered as ``decimal_str(part, 64)`` renders it
+_PART_DIGITS = decimal_digits(64)
+
+
 class ResidualAccumulator:
     """Collects named relative residuals and reports the worst one; a nan
-    residual, or any residual against a non-finite scale, is the worst."""
+    residual, or any residual against a non-finite scale, is the worst.
+
+    Each row is formed on raw values by ``linalg.relative_row``, which wraps
+    a residual and its scale only when they become the worst."""
 
     def __init__(self):
         self.worst = mpf(0)
@@ -80,15 +87,12 @@ class ResidualAccumulator:
         self.parts: dict[str, str] = {}
 
     def add(self, label: str, abs_diff, scale) -> None:
-        scale = mpf(scale)
-        if scale <= 0:
-            scale = mpf(1)
-        # against a non-finite scale a residual measures nothing: it reads nan and fails
-        rel = mpf(abs_diff) / scale if isfinite(scale) else mpf("nan")
-        self.parts[label] = decimal_str(rel, 64)
-        if exceeds(rel, self.worst):
-            self.worst = rel
-            self.worst_scale = scale
+        """Add abs_diff / scale, a scale <= 0 read as 1, as the row ``label``:
+        each operand rounded as ``mpf()`` rounds it, the quotient rounded once,
+        the row kept as its 64-bit decimal string. Call under workprec."""
+        self.parts[label], worse = relative_row(abs_diff, scale, self.worst, _PART_DIGITS)
+        if worse is not None:
+            self.worst, self.worst_scale = worse
 
     def result(self, name: str, tolerance, window: str) -> CheckResult:
         """The worst residual as a check's result. Call under workprec."""

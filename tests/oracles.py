@@ -12,6 +12,8 @@ fixed-point term generator every lattice walk of the package reads.
 ``per_column_pass`` keeps the lattice pass as it stood with one running error
 sum per column, its term ratios taken from Fractions of the parameters, as the
 oracle of the pass that keeps one error bound per pass.
+``OperatorAccumulator`` keeps ``ResidualAccumulator`` as it stood on the mpf
+operators, the oracle of the accumulator that forms its rows on raw values.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count
 
+from mpmath import isfinite, mpf
+
 from semidop.errors import TermBudgetExceeded
-from semidop.moments import MAX_TERMS, _ratio_sup
+from semidop.linalg import exceeds
+from semidop.moments import MAX_TERMS, _ratio_sup, decimal_str
 
 
 def stirling2_table(m_max: int) -> list[list[int]]:
@@ -176,3 +181,24 @@ def per_column_pass(w, last, m_max: int, bits: int, scale: int):
         value, rem = divmod(value * num, den)
         err = -(-err * abs(num) // den) + (1 if rem else 0)
     raise TermBudgetExceeded(f"no stop within {MAX_TERMS} terms for {w.spec_string()}")
+
+
+class OperatorAccumulator:
+    """``ResidualAccumulator``'s rows by the mpf operators: each operand
+    rounded by ``mpf()``, the quotient by ``/``, the part by ``decimal_str``
+    and the worst row by ``exceeds``."""
+
+    def __init__(self):
+        self.worst = mpf(0)
+        self.worst_scale = mpf(1)
+        self.parts: dict[str, str] = {}
+
+    def add(self, label: str, abs_diff, scale) -> None:
+        scale = mpf(scale)
+        if scale <= 0:
+            scale = mpf(1)
+        rel = mpf(abs_diff) / scale if isfinite(scale) else mpf("nan")
+        self.parts[label] = decimal_str(rel, 64)
+        if exceeds(rel, self.worst):
+            self.worst = rel
+            self.worst_scale = scale

@@ -45,32 +45,80 @@ def test_mixed_partials_commute_bit_for_bit(ctx):
     assert eval_expr(route_a, table) == eval_expr(route_b, table)
 
 
-@pytest.fixture(scope="module")
-def meixner_table(ctx):
-    # deep enough for tau_6 under the orders (3, 2, 1): rows up to 15, moments up to 20
-    return MomentTable(MEIXNER, 20, ctx)
+def fresh_table(ctx, w=GEN_MEIXNER):
+    """A table with nothing memoized, deep enough for tau_6 under the orders
+    (3, 2, 1): rows up to 15, moments up to 20."""
+    return MomentTable(w, 20, ctx)
+
+
+ORDERS = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1),
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    k=st.integers(min_value=0, max_value=6),
-    alpha=st.tuples(
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=1),
-    ),
-    data=st.data(),
-)
-def test_flow_order_and_closure_leave_bits_unchanged(meixner_table, k, alpha, data):
+@given(k=st.integers(min_value=0, max_value=6), alpha=ORDERS, data=st.data())
+def test_flow_order_and_closure_leave_bits_unchanged(ctx, k, alpha, data):
     # the canonical expression does not depend on the order the flows are
-    # applied in, and a log-tau jet entry not on the closure it was computed in
+    # applied in, and a log-tau jet entry not on the closure it was computed
+    # in; each call reads a fresh table, so no memo answers for another call
     flows = [l for l, order in zip((1, 2, 3), alpha) for _ in range(order)]
     expr = tau_expr(k)
     for l in data.draw(st.permutations(flows)):
         expr = apply_flow(expr, l)
-    assert tau_derivative(meixner_table, k, alpha)._mpf_ == eval_expr(expr, meixner_table)._mpf_
-    alone = log_tau_jet(meixner_table, k, [alpha])[alpha]
-    assert alone._mpf_ == log_tau_jet(meixner_table, k, [(3, 2, 1)])[alpha]._mpf_
+    engine = tau_derivative(fresh_table(ctx), k, alpha)
+    assert engine._mpf_ == eval_expr(expr, fresh_table(ctx))._mpf_
+    alone = log_tau_jet(fresh_table(ctx), k, [alpha])[alpha]
+    assert alone._mpf_ == log_tau_jet(fresh_table(ctx), k, [(3, 2, 1)])[alpha]._mpf_
+
+
+JETS = {"tau": tau_jet, "log": log_tau_jet}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.sampled_from([MEIXNER, GEN_MEIXNER, DEFORMED]),
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(JETS)),
+            st.integers(min_value=0, max_value=6),
+            st.lists(ORDERS, min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_jets_read_through_one_table_match_a_fresh_table_each(ctx, w, requests):
+    # the checks ask one table for tau and log-tau jets in their own order and
+    # over their own closures; whatever its memo holds by then, each jet has
+    # the keys, order and bits of the same request to a table with no memo
+    shared = fresh_table(ctx, w)
+    for kind, k, alphas in requests:
+        got = JETS[kind](shared, k, alphas)
+        want = JETS[kind](fresh_table(ctx, w), k, alphas)
+        assert list(got) == list(want)
+        assert [v._mpf_ for v in got.values()] == [v._mpf_ for v in want.values()]
+
+
+def test_a_jet_entry_is_evaluated_once_per_table(ctx, monkeypatch):
+    table = fresh_table(ctx)
+    log_tau_jet(table, 4, [(2, 1, 0)])
+    calls, real = [], table.det_rows
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(table, "det_rows", counted)
+    tau_jet(table, 4, [(1, 1, 0)])
+    log_tau_jet(table, 4, [(2, 0, 0)])
+    tau_derivative(table, 4, (2, 1, 0))
+    assert calls == []
+    # a new entry evaluates its own expression, and only that
+    tau_derivative(table, 4, (3, 0, 0))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_tau_derivative_base_cases(ctx):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import fsub, inf, isfinite, isnan, ldexp, mp, mpf, nan, workprec
 from mpmath.libmp import from_man_exp
@@ -34,6 +34,7 @@ from semidop.result import ResidualAccumulator
 from semidop.weights import to_mpf
 
 from conftest import FAMILIES
+from oracles import OperatorAccumulator
 
 TOL = mpf(2) ** -100
 
@@ -159,6 +160,72 @@ def test_residual_against_infinite_scale_fails():
     acc = ResidualAccumulator()
     acc.add("x", mpf(0), inf)
     assert not acc.result("x", TOL, "1x1").passed
+
+
+RESIDUAL_PRECISIONS = (53, 256, 512, 600)
+
+
+@st.composite
+def row_operands(draw):
+    """An operand of a residual row: an int short or longer than every
+    working precision, an mpf of up to 700 bits (a tie at one of the drawn
+    precisions now and then), a zero of either type, either sign, an infinity,
+    a nan, or a Fraction, which ``mpf()`` refuses."""
+    kind = draw(st.sampled_from(["int", "long", "mpf", "tie", "zero", "inf", "nan", "fraction"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "int":
+        return sign * draw(st.integers(1, 2**64))
+    if kind == "long":
+        return sign * draw(st.integers(2**600, 2**700))
+    if kind in ("mpf", "tie"):
+        if kind == "mpf":
+            man = draw(st.integers(1, 2**700))
+        else:
+            # prec + 1 bits ending in 1: halfway between two values at prec
+            prec = draw(st.sampled_from(RESIDUAL_PRECISIONS))
+            man = (draw(st.integers(2 ** (prec - 1), 2**prec - 1)) << 1) | 1
+        with workprec(800):
+            return mpf((sign * man, draw(st.integers(-2000, 2000))))
+    if kind == "zero":
+        return draw(st.sampled_from([0, mpf(0)]))
+    if kind == "inf":
+        return sign * inf
+    if kind == "nan":
+        return nan
+    return Fraction(sign, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prec=st.sampled_from(RESIDUAL_PRECISIONS),
+    rows=st.lists(st.tuples(row_operands(), row_operands()), min_size=1, max_size=8),
+)
+@example(prec=512, rows=[(nan, mpf(3)), (mpf(1), mpf(2)), (nan, mpf(5)), (mpf(7), inf)])
+def test_residual_rows_match_the_operator_accumulator_bit_for_bit(prec, rows):
+    # every part, the worst row and its scale as the operators form them; a
+    # later nan row replaces an earlier one, scale and all; an operand that
+    # mpf() refuses raises TypeError in both, and leaves both as they were
+    acc, oracle = ResidualAccumulator(), OperatorAccumulator()
+    with workprec(prec):
+        for i, (diff, scale) in enumerate(rows):
+            raised = []
+            for a in (acc, oracle):
+                try:
+                    a.add(f"row[{i}]", diff, scale)
+                    raised.append(None)
+                except TypeError:
+                    raised.append(TypeError)
+            assert raised[0] == raised[1]
+            assert acc.parts == oracle.parts
+            for got, want in ((acc.worst, oracle.worst), (acc.worst_scale, oracle.worst_scale)):
+                assert type(got) is type(want) is mpf and got._mpf_ == want._mpf_
+
+
+def test_a_fraction_scale_raises_as_mpf_does():
+    for acc in (ResidualAccumulator(), OperatorAccumulator()):
+        with workprec(512), pytest.raises(TypeError):
+            acc.add("x", mpf(1), Fraction(1, 3))
+        assert acc.parts == {}
 
 
 def test_maxima_keep_nan():

@@ -14,9 +14,11 @@ tables the checks read, so a ``MomentTable`` is built only there
 (``moments``), and only the suite (``report``) asks ``pipeline`` for the
 engine depth. Only ``moments`` reads the names that decide where a lattice
 pass stops, and only ``weights`` and ``moments`` read the term-by-term walk
-(``term_ratio``, ``fixed_point_terms``). A top-level ``def`` or ``class`` of
-the package must be read outside its own definition: by its module, another
-module (the ``__init__`` re-exports do not count), a test or ``perfbench``.
+(``term_ratio``, ``fixed_point_terms``). Only ``linalg`` does arithmetic on
+raw ``libmp`` values; ``moments`` and ``weights`` may build them with three
+constructors. A top-level ``def`` or ``class`` of the package must be read
+outside its own definition: by its module, another module (the ``__init__``
+re-exports do not count), a test or ``perfbench``.
 Every ``to_mpf`` call runs under an explicit ``workprec``.
 """
 
@@ -359,6 +361,62 @@ def test_only_the_suite_asks_for_the_engine_depth():
     }
     assert [module for module, lines in requests.items() if lines] == ["report"]
     assert len(requests["report"]) == 1
+
+
+# -- one module of raw arithmetic -----------------------------------------------
+
+# ``linalg`` is the one module that does arithmetic on raw ``libmp`` values
+# (its docstring): no other module reads an mpf's ``_mpf_`` tuple or imports
+# from ``mpmath.libmp``, except that ``moments`` and ``weights`` build values
+# with the constructors below. Wrapping a raw value (``mp.make_mpf``) is not
+# arithmetic.
+RAW_CONSTRUCTORS = {"from_man_exp", "from_rational", "round_nearest"}
+CONSTRUCTOR_USERS = {"moments", "weights"}
+
+
+def _raw_reads(source: str, allowed: set[str]) -> list[str]:
+    """``line: name`` for each ``_mpf_`` or ``libmp`` attribute a module
+    reads, each name outside ``allowed`` it imports from ``mpmath.libmp``, and
+    each import of ``libmp`` itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("_mpf_", "libmp"):
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath.libmp"):
+            found.extend((node.lineno, a.name) for a in node.names if a.name not in allowed)
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found.extend((node.lineno, a.name) for a in node.names if a.name == "libmp")
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names if a.name.startswith("mpmath.libmp"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_raw_reads_flagged():
+    source = (
+        "from mpmath.libmp import from_man_exp, mpf_div, to_str\n"
+        "import mpmath.libmp.libmpf\n"
+        "from mpmath import libmp, mp, mpf\n"
+        "t = x._mpf_\n"
+        "u = mpmath.libmp.normalize\n"
+        "v = mp.make_mpf(from_man_exp(1, 0))\n"
+    )
+    assert _raw_reads(source, RAW_CONSTRUCTORS) == [
+        "1: mpf_div", "1: to_str", "2: mpmath.libmp.libmpf", "3: libmp", "4: ._mpf_", "5: .libmp",
+    ]
+    assert _raw_reads("from mpmath.libmp import round_nearest\n", set()) == ["1: round_nearest"]
+    assert _raw_reads("from mpmath import mp, mpf, workprec\nx = mp.make_mpf(t)\n", set()) == []
+
+
+def test_only_linalg_does_raw_arithmetic():
+    reads = [
+        f"{path.stem}:{read}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "linalg"
+        for read in _raw_reads(
+            path.read_text(), RAW_CONSTRUCTORS if path.stem in CONSTRUCTOR_USERS else set()
+        )
+    ]
+    assert reads == []
 
 
 # -- conversions at the working precision ---------------------------------------

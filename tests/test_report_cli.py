@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -23,6 +23,7 @@ from semidop import (
     PreconditionError,
     SemidopError,
     SingularTruncation,
+    TermBudgetExceeded,
     parse_weight_spec,
 )
 from semidop import integrable as integrable_module
@@ -412,19 +413,44 @@ def positive_weights(draw):
     return HypergeometricWeight(a=a, b=b, eta=eta)
 
 
-@settings(max_examples=20, deadline=None)
+# The checks that build shifted weights. A positive weight can have a shift
+# whose moment is exactly zero, which no relative tail test certifies
+# (ROADMAP item 1), so the shift's table is refused inside the check.
+SHIFTING_CHECKS = ("contiguous", "omega", "uv_system", "nijhoff_capel")
+ZERO_SHIFT_MOMENT = "ROADMAP item 1: a shifted weight's moment is exactly zero"
+
+
+# Shrinking a draw costs a suite per attempt, about 280 of them after an
+# item-1 xfail, so the phases leave it out; a failure reports its draw as drawn.
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(w=positive_weights(), size=st.integers(6, 8))
 def test_a_positive_weight_passes_every_row_or_is_refused_before_its_checks(w, size):
     clear_cache()
     try:
         rep = run_suite(SuiteConfig(weight=w, size=size, mantissa_bits=256))
     except SemidopError as exc:
+        in_shift = str(exc).startswith(tuple(f"[{name}]" for name in SHIFTING_CHECKS))
+        if isinstance(exc, TermBudgetExceeded) and in_shift:
+            pytest.xfail(f"{ZERO_SHIFT_MOMENT}: {exc}")
         # run_suite prefixes an error raised inside a check with the check's name
         assert not str(exc).startswith("["), exc
         return
     finally:
         clear_cache()
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
+@pytest.mark.xfail(strict=True, raises=TermBudgetExceeded, reason=ZERO_SHIFT_MOMENT)
+def test_a_positive_weight_whose_shift_has_a_zero_moment_passes_every_row():
+    # the draw that made the property fail: its B(2) shift b=1/8,-1/3 is
+    # w(k) = (1 - 3k) eta^k / k!, so rho_0 = e^(1/3) (1 - 3 eta) = 0 at eta = 1/3
+    w = parse_weight_spec("a=1/8,2/3; b=1/8,2/3; eta=1/3")
+    clear_cache()
+    try:
+        rep = run_suite(SuiteConfig(weight=w, size=6, mantissa_bits=256))
+    finally:
+        clear_cache()
+    assert rep.passed
 
 
 def test_config_echo_holds_the_tolerance_at_the_working_precision():
