@@ -32,16 +32,15 @@ from .flows import (
     fd_convergence_study,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
     fd_flow_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
     flow_scaled_weight,
-    log_jet,
     log_tau_jet,
     tau_derivative,  # noqa: F401  -- unused here; perfbench/tracer.py wraps this name
 )
 from .linalg import (
     Matrix,
     commutator,
+    diag,
     diagonal_of,
     identity,
-    mat_add,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -49,6 +48,7 @@ from .linalg import (
     max_abs,
     max_diff,
     out_of_band_max,
+    product_sum,
     strict_lower,
     transpose,
     upper_with_diagonal,
@@ -373,11 +373,12 @@ def tau_route_check(
     table = pipe.table
     with workprec(bits):
         acc = ResidualAccumulator()
-        # one tau jet per n gives tau_n, its first derivative and its log jet;
-        # flows.tau_jet is read at call time, so a tracer patching it sees it
+        # one tau jet per n gives tau_n and its first derivative, and the
+        # table's log-tau memo the log jets; flows.tau_jet is read at call
+        # time, so a tracer patching it sees it
         tau_jets = [flows.tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 2)]
         taus = [t[(0, 0, 0)] for t in tau_jets]
-        jets = [log_jet(t, bits) for t in tau_jets]
+        jets = _log_jets(pipe, nmax + 2, [(2, 0, 0)])
         h = pipe.chol.h
         for n in range(1, nmax + 1):
             acc.add(
@@ -582,7 +583,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             d2_j_plus[n][n] = _dlog_h(jets, n, (1, 1, 0))
         zs = mat_sub(
             mat_sub(d1_j2_plus, d2_j_plus),
-            mat_scale(commutator(upper_with_diagonal(powers[2]), upper_with_diagonal(j)), -1),
+            commutator(upper_with_diagonal(j), upper_with_diagonal(powers[2])),
         )
         acc.add("zero_curvature_12", max_abs(zs, zc_win), max(max_abs(d1_j2_plus, zc_win), mpf(1)))
 
@@ -594,8 +595,9 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
 
 
 def _jet_mul(a: Matrix, da: Matrix, b: Matrix, db: Matrix) -> tuple[Matrix, Matrix]:
-    """The matrix-jet product (A, dA)(B, dB) = (AB, dA B + A dB)."""
-    return mat_mul(a, b), mat_add(mat_mul(da, b), mat_mul(a, db))
+    """The matrix-jet product (A, dA)(B, dB) = (AB, dA B + A dB), each
+    entry of dA B + A dB one exact sum rounded once."""
+    return mat_mul(a, b), product_sum((1, da, b), (1, a, db))
 
 
 def _structure_jets(pipe: WeightPipeline) -> list:
@@ -628,8 +630,7 @@ def _structure_jets(pipe: WeightPipeline) -> list:
         for i in range(n):
             sigma[i][i] += c
             dsigma[i][i] += c
-    x = [[h[i] * pi[m][i] for m in range(n)] for i in range(n)]
-    dx = [[dh[i] * pi[m][i] + h[i] * dpi[m][i] for m in range(n)] for i in range(n)]
+    x, dx = _jet_mul(diag(h[:n]), diag(dh[:n]), transpose(pi), transpose(dpi))
     psi, dpsi = _jet_mul(sigma, dsigma, x, dx)
     a = [[psi[i][m] / h[m] for m in range(n)] for i in range(n)]
     at = [[psi[m][i] / h[m] for m in range(n)] for i in range(n)]

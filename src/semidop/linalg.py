@@ -10,22 +10,28 @@ tuple once, compute at ``mp._prec_rounding`` read at call time, and wrap each
 result once with ``mp.make_mpf``. No other module does arithmetic on raw
 values (``tests/test_lint.py`` holds it; ``moments`` and ``weights`` only
 build values with libmp's constructors). Every sum they form is exact and
-rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): the
-products ``mat_mul`` and ``mat_vec``, ``GramSums`` (the accumulator of the
-orthogonality sums), the eliminations ``ldl_no_pivot`` (with its Taylor
-series), ``unit_lower_inverse``, ``lu_factor`` with its solves and
-``schur_complement``, and the polynomial recurrence ``three_term_values``. A
-sum is one integer at one binary exponent (``_Sum``), where an operator loop
-would round each product and each addition; a quotient is its exact numerator
-divided once by the rounded pivot. Exact zeros, which J (tridiagonal), S and
-Pi (triangular) hold by theorem, add nothing. The eliminations run in
-left-looking (Crout) order, so that each entry is one sum: the factors formed
-so far are held as ``_Exact`` vectors, ints at one shared exponent, and each
-dot product is one ``sum(map(mul, ...))``. One rule holds in every kernel for
-a term that meets a nan or an infinity: libmp sums it at precision 0, which
-does not round, and the entry is that nan or infinity (``nan * 0`` is nan). A
-product reads each operand in one scan, which also decides whether it stays an
-int.
+rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
+``product_sum``, the one kernel for a signed sum of matrix products, which
+``mat_mul``, ``mat_vec`` and ``commutator`` call and every other sum of
+products in the package goes through (``tests/test_lint.py`` holds that too);
+``GramSums`` (the accumulator of the orthogonality sums), the eliminations
+``ldl_no_pivot`` (with its Taylor series), ``unit_lower_inverse``,
+``lu_factor`` with its solves and ``schur_complement``, and the polynomial
+recurrence ``three_term_values``. A sum is one integer at one binary exponent
+(``_Sum``, or a row's lists of them in ``product_sum``), where an operator
+loop would round each product and each addition; a quotient is its exact
+numerator divided once by the rounded pivot. Exact zeros, which J
+(tridiagonal), S and Pi (triangular) hold by theorem, add nothing. The
+eliminations run in left-looking (Crout) order, so that each entry is one
+sum: the factors formed so far are held as ``_Exact`` vectors, ints at one
+shared exponent, and each dot product is one ``sum(map(mul, ...))``. One rule
+holds in every kernel for a term that meets a nan or an infinity: libmp sums
+it at precision 0, which does not round, and the entry is that nan or
+infinity (``nan * 0`` is nan, ``inf - inf`` nan). ``product_sum`` reads each
+operand once, in one scan that also decides whether the result stays an int.
+The entrywise ``mat_add``, ``mat_sub`` and ``mat_scale`` call ``mpf_add``,
+``mpf_sub`` and ``mpf_mul`` on two mpfs, at the precision in effect, with the
+operators' bits.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``max_diff``, ``window_diff`` or ``out_of_band_max`` here, or through
@@ -175,67 +181,125 @@ def _terms(a: Matrix) -> tuple:
     return out, ints
 
 
-def _exact_product(a: Matrix, b: Matrix) -> Matrix:
-    """``mat_mul``'s kernel. ``mat_vec`` calls it, not ``mat_mul``, so the
-    benchmark's span of that name counts matrix products only. Only the
-    nonzero products are summed (J is tridiagonal and S and Pi triangular by
-    theorem), unless a factor holds a nan or an infinity: then each entry
-    sums all of its products, since ``nan * 0`` is nan."""
-    width = len(b[0]) if b else 0
-    sums = [[None] * width for _ in a]
-    (rows_a, ints_a), (rows_b, ints_b) = _terms(a), _terms(b)
-    has_mpf = not (ints_a and ints_b)
-    if rows_a is not None and rows_b is not None:
-        for out_row, row_a in zip(sums, rows_a):
-            for l, ma, ea in row_a:
-                for j, mb, eb in rows_b[l]:
-                    s = out_row[j]
-                    if s is None:
-                        out_row[j] = s = _Sum()
-                    s.add_term(ma * mb, ea + eb)
-    else:
-        for out_row, row_a in zip(sums, a):
-            for j, col_b in enumerate(zip(*b)):
-                out_row[j] = s = _Sum()
-                for x, y in zip(row_a, col_b):
-                    s.add_product(_raw(x), _raw(y))
-    if not has_mpf:
-        return [[s.man << s.exp if s else 0 for s in row] for row in sums]
+def product_sum(*terms) -> Matrix:
+    """sum_t c_t a_t b_t over the terms (c_t, a_t, b_t), each c_t a nonzero
+    int and every a_t b_t of one shape: each entry the exact sum of all its
+    products, rounded once. The one product kernel: ``mat_mul``, ``mat_vec``
+    and ``commutator`` call it.
+
+    With an mpf in any factor every entry is an mpf, ``mpf(0)`` for an exact
+    zero; int factors alone give exact ints. Each operand is read once, in
+    one scan that also decides that rule, and only the nonzero products are
+    summed (J is tridiagonal and S and Pi triangular by theorem), each entry
+    as one int at one binary exponent in its row's lists. If a factor holds
+    a nan or an infinity, each entry sums all of its products instead, since
+    ``nan * 0`` is nan, and a product that meets one is summed by libmp at
+    precision 0 (``inf - inf`` is nan).
+    """
+    parsed, ints = {}, True
+    for _, a, b in terms:
+        for m in (a, b):
+            if id(m) not in parsed:
+                parsed[id(m)], m_ints = _terms(m)
+                ints = ints and m_ints
+    _, a0, b0 = terms[0]
+    width = len(b0[0]) if b0 else 0
+    if any(rows is None for rows in parsed.values()):
+        return _odd_product_sum(terms, len(a0), width)
+    pairs = [
+        (parsed[id(a)] if c == 1 else [[(l, c * m, e) for l, m, e in row] for row in parsed[id(a)]],
+         parsed[id(b)])
+        for c, a, b in terms
+    ]
     prec, rnd = mp._prec_rounding
     make, zero = mp.make_mpf, mpf(0)
-    return [[make(s.rounded(prec, rnd)) if s else zero for s in row] for row in sums]
+    out = []
+    for i in range(len(a0)):
+        mans, exps = [0] * width, [0] * width
+        for rows_a, rows_b in pairs:
+            for l, ma, ea in rows_a[i]:
+                for j, mb, eb in rows_b[l]:
+                    t, e, s = ma * mb, ea + eb, mans[j]
+                    if not s:
+                        mans[j], exps[j] = t, e
+                    elif e >= exps[j]:
+                        mans[j] = s + (t << e - exps[j])
+                    else:
+                        mans[j], exps[j] = (s << exps[j] - e) + t, e
+        if ints:
+            out.append([m << e for m, e in zip(mans, exps)])
+        else:
+            out.append([make(_round_int(m, e, prec, rnd)) if m else zero
+                        for m, e in zip(mans, exps)])
+    return out
+
+
+def _odd_product_sum(terms, height: int, width: int) -> Matrix:
+    """``product_sum`` where a factor holds a nan or an infinity: each entry
+    sums every product of every term."""
+    sums = [[_Sum() for _ in range(width)] for _ in range(height)]
+    for c, a, b in terms:
+        cols = list(zip(*b))
+        for out_row, row_a in zip(sums, a):
+            for s, col_b in zip(out_row, cols):
+                for x, y in zip(row_a, col_b):
+                    s.add_product(_raw(x), _raw(y), c)
+    prec, rnd = mp._prec_rounding
+    return [[mp.make_mpf(s.rounded(prec, rnd)) for s in row] for row in sums]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, each entry the exact sum of its products, rounded once.
-
-    With an mpf in either factor every entry is an mpf, ``mpf(0)`` for an
-    exact zero; two int factors give exact ints. A product that meets a nan or
-    an infinity is summed by libmp at precision 0 (``nan * 0`` is nan), and
-    the entry is that sum.
-    """
-    return _exact_product(a, b)
+    """a b, each entry the exact sum of its products, rounded once
+    (``product_sum``)."""
+    return product_sum((1, a, b))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a + b entrywise, with the operator's bits: two mpfs through ``mpf_add``
+    at the precision in effect, any other pair through ``+``."""
+    prec, rnd = mp._prec_rounding
+    make = mp.make_mpf
+    return [
+        [make(mpf_add(x._mpf_, y._mpf_, prec, rnd)) if type(x) is mpf and type(y) is mpf
+         else x + y for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a - b entrywise, as ``mat_add`` forms a + b (``mpf_sub``)."""
+    prec, rnd = mp._prec_rounding
+    make = mp.make_mpf
+    return [
+        [make(mpf_sub(x._mpf_, y._mpf_, prec, rnd)) if type(x) is mpf and type(y) is mpf
+         else x - y for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
+    """c a entrywise, with the operator's bits: an mpf entry and an mpf c
+    through ``mpf_mul`` at the precision in effect, any other pair through
+    ``*``."""
+    if type(c) is not mpf:
+        return [[x * c for x in row] for row in a]
+    prec, rnd = mp._prec_rounding
+    make, t = mp.make_mpf, c._mpf_
+    return [[make(mpf_mul(x._mpf_, t, prec, rnd)) if type(x) is mpf else x * c for x in row]
+            for row in a]
 
 
 def mat_vec(a: Matrix, v) -> list:
-    """a v, as ``mat_mul`` computes a times the column v."""
-    return [row[0] for row in _exact_product(a, [[x] for x in v])]
+    """a v, as ``mat_mul`` computes a times the column v; it calls
+    ``product_sum``, not ``mat_mul``, so the benchmark's span of that name
+    counts matrix products only."""
+    return [row[0] for row in product_sum((1, a, [[x] for x in v]))]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """a b - b a, each entry one exact sum rounded once (``product_sum``), so
+    commutator(b, a) is its exact negation."""
+    return product_sum((1, a, b), (-1, b, a))
 
 
 def _max_abs(pairs):
@@ -435,14 +499,15 @@ class _Sum:
     def _add_odd(self, t: tuple) -> None:
         self.odd = t if self.odd is None else mpf_add(self.odd, t)
 
-    def add_product(self, x: tuple, y: tuple, negate: bool = False) -> None:
-        """Add x y, or subtract it with negate, for raw x and y."""
+    def add_product(self, x: tuple, y: tuple, c: int = 1) -> None:
+        """Add c x y for raw x and y and a nonzero int c. A product that meets
+        a nan or an infinity is one, so c x y is it or its negation."""
         if x[1] and y[1]:
-            t = x[1] * y[1]
-            self.add_term(-t if x[0] ^ y[0] ^ negate else t, x[2] + y[2])
+            t = c * x[1] * y[1]
+            self.add_term(-t if x[0] ^ y[0] else t, x[2] + y[2])
         elif not (_finite(x) and _finite(y)):
             t = mpf_mul(x, y)
-            self._add_odd(mpf_neg(t) if negate else t)
+            self._add_odd(mpf_neg(t) if c < 0 else t)
 
     def add_dot(self, u: _Exact, v: _Exact, negate: bool = False, start: int = 0) -> None:
         """Add the dot product of u[start:] and v, or subtract it with negate."""
@@ -516,7 +581,7 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
                 for m in range(k + 1):
                     s.add_dot(li[m], wj[k - m], True)
                 for m in range(k):
-                    s.add_product(q[m], dj[k - m], True)
+                    s.add_product(q[m], dj[k - m], -1)
                 q.append(s.over(dj[0], prec, rnd))
             for k in range(r):
                 li[k].push_raw(q[k])

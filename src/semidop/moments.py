@@ -62,13 +62,12 @@ from .linalg import (
     Matrix,
     exceeds,
     ldl_no_pivot,
-    mat_add,
-    mat_mul,
-    mat_scale,
     lu_column_solve,
     lu_determinant,
     lu_factor,
     lu_row_solve,
+    mat_mul,
+    product_sum,
     schur_complement,
     unit_lower_inverse,
 )
@@ -682,11 +681,12 @@ def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> Flow
     _, h, dl, dh, *second = _ldl_of_dense(pencil[0], bits, *pencil[1:])
     s = [row[:size] for row in chol.s[:size]]
     with workprec(bits):
-        ds = mat_scale(mat_mul(mat_mul(s, dl), s), -1)
+        ds = product_sum((-1, mat_mul(s, dl), s))
         jet = FlowJet(size, s, h, ds, dl, dh)
         if second:
-            inner = mat_add(mat_scale(mat_mul(ds, dl), 2), mat_mul(s, second[0]))
-            jet.d2s, jet.d2h = mat_scale(mat_mul(inner, s), -1), second[1]
+            # 2 dS dL + S d2L, each entry one exact sum rounded once
+            inner = product_sum((2, ds, dl), (1, s, second[0]))
+            jet.d2s, jet.d2h = product_sum((-1, inner, s)), second[1]
     return jet
 
 

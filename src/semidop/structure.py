@@ -59,7 +59,7 @@ from .linalg import (
     zeros,
 )
 from .moments import CholeskyFactorization, ldl_pivot_floor
-from .result import CheckResult, ResidualAccumulator, make_result
+from .result import CheckResult, ResidualAccumulator
 from .weights import (
     HypergeometricWeight,
     pearson_polynomials,
@@ -440,7 +440,9 @@ def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
 
     Both sides are assembled entrywise from the shared moment table (the left
     side consumes deg theta extra indices), so the residual reflects round-off
-    and the Pearson property only, not truncation artifacts.
+    and the Pearson property only, not truncation artifacts. Row ``G[n,m]``
+    (m <= n) is the larger difference at (n, m) and (m, n), relative to the
+    largest entry of either side.
     """
     w, table, k = pipe.weight, pipe.table, pipe.k
     pearson_weight(w, k)
@@ -465,11 +467,17 @@ def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         ]
         b = pascal_matrix(k, 1)
         rhs = mat_mul(mat_mul(b, mid), transpose(b))
-        diff, scale = window_diff(lhs, rhs, k)
-        return make_result(
+        # every entry against the largest of either side, so the worst row
+        # is the largest difference; lhs is symmetric and rhs is up to
+        # rounding, so row G[n,m] reads entries (n, m) and (m, n)
+        scale = max(max_abs(lhs + rhs), mpf(1))
+        acc = ResidualAccumulator()
+        for n in range(k):
+            for m in range(n + 1):
+                pair = [lhs[n][m] - rhs[n][m], lhs[m][n] - rhs[m][n]]
+                acc.add(f"G[{n},{m}]", max_abs([pair]), scale)
+        return acc.result(
             "gram_pearson",
-            diff / max(scale, mpf(1)),
-            max(scale, mpf(1)),
             tolerance,
             window=f"leading {k}x{k} window (entrywise exact construction)",
         )

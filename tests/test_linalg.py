@@ -10,6 +10,7 @@ from mpmath.libmp import from_man_exp
 from semidop import MomentTable, PrecisionContext, SingularTruncation, pascal_matrix
 from semidop.linalg import (
     GramSums,
+    commutator,
     diag,
     exceeds,
     identity,
@@ -18,11 +19,15 @@ from semidop.linalg import (
     lu_determinant,
     lu_factor,
     lu_row_solve,
+    mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
     max_abs,
     out_of_band_max,
     poly_of_matrix,
+    product_sum,
     schur_complement,
     three_term_values,
     transpose,
@@ -53,11 +58,12 @@ def exact(x):
 
 
 @st.composite
-def matrices(draw, rows: int, cols: int):
+def matrices(draw, rows: int, cols: int, kind: str | None = None):
     """Exact zeros (two in three entries of a sparse draw, one in six
-    otherwise); ints, mpfs of up to 512 bits or both, their exponents within
-    8, 600 or 5000 binades of 1; now and then a nan or inf."""
-    kind = draw(st.sampled_from(["int", "mpf", "mixed"]))
+    otherwise); ints, mpfs of up to 512 bits or both (``kind``, drawn if not
+    given), their exponents within 8, 600 or 5000 binades of 1; now and then
+    a nan or inf, unless the kind is int."""
+    kind = kind or draw(st.sampled_from(["int", "mpf", "mixed"]))
     span = draw(st.sampled_from([8, 600, 5000]))
     sparse = draw(st.booleans())
     out = []
@@ -74,31 +80,37 @@ def matrices(draw, rows: int, cols: int):
                 with workprec(512):
                     row.append(ldexp(mpf(man), draw(st.integers(-span, span))))
         out.append(row)
-    if draw(st.integers(0, 9)) == 0:
+    if kind != "int" and draw(st.integers(0, 9)) == 0:
         out[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
             st.sampled_from([nan, inf, -inf])
         )
     return out
 
 
-def exact_mat_mul(a, b):
-    """``mat_mul``'s contract: each entry the exact Fraction sum of its
-    products, rounded once to nearest at the working precision; exact ints
-    when neither factor holds an mpf. An entry with a product that meets a
-    nan or an infinity is the sum of those products, which is then a nan or
-    an infinity whatever the precision."""
-    ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+def exact_product_sum(terms):
+    """``product_sum``'s contract for terms (c, a, b): each entry the exact
+    Fraction sum of c a_il b_lj over the terms, rounded once to nearest at
+    the working precision; exact ints when no factor holds an mpf. An entry
+    with a product that meets a nan or an infinity is the sum of those
+    products times their c, which is then a nan or an infinity whatever the
+    precision (inf - inf is nan)."""
+    ints = all(type(x) is int for _, a, b in terms for m in (a, b) for row in m for x in row)
 
-    def entry(row_a, col_b):
-        pairs = list(zip(row_a, col_b))
-        odd = [x * y for x, y in pairs if not (isfinite(x) and isfinite(y))]
+    def entry(i, j):
+        triples = [(c, x, row[j]) for c, a, b in terms for x, row in zip(a[i], b)]
+        odd = [c * (x * y) for c, x, y in triples if not (isfinite(x) and isfinite(y))]
         if odd:
             return sum(odd[1:], odd[0])
-        s = sum(exact(x) * exact(y) for x, y in pairs)
+        s = sum(c * exact(x) * exact(y) for c, x, y in triples)
         return int(s) if ints else to_mpf(s)
 
-    bt = list(zip(*b))
-    return [[entry(row_a, bt_j) for bt_j in bt] for row_a in a]
+    _, a, b = terms[0]
+    return [[entry(i, j) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def exact_mat_mul(a, b):
+    """``mat_mul``'s contract: ``product_sum``'s for the one term a b."""
+    return exact_product_sum([(1, a, b)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,6 +124,81 @@ def test_products_are_the_exact_sums_rounded_once(data):
         # a vector is one column: mat_vec sums as mat_mul does
         v = [row[0] for row in b]
         assert bits([mat_vec(a, v)]) == bits(transpose(exact_mat_mul(a, [[x] for x in v])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_signed_product_sums_are_the_exact_sums_rounded_once(data):
+    # one to three terms c a b, c a nonzero int; all-int draws, mpfs across
+    # thousands of binades, nans and infinities; a term repeated with -c
+    # cancels exactly, to 0 where nothing else is left and to nan at an
+    # infinity (inf - inf)
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    kind = data.draw(st.sampled_from([None, None, "int"]))
+    terms = [
+        (data.draw(st.sampled_from([1, -1, 2, -3])),
+         data.draw(matrices(n, k, kind)), data.draw(matrices(k, m, kind)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    if data.draw(st.booleans()):
+        c, a, b = data.draw(st.sampled_from(terms))
+        terms.append((-c, a, b))
+    with workprec(data.draw(st.sampled_from([53, 256, 512, 600]))):
+        assert bits(product_sum(*terms)) == bits(exact_product_sum(terms))
+
+
+def test_product_sums_cancel_exactly_and_keep_the_int_rule():
+    a, b = [[mpf(3), mpf(1) / 3]], [[mpf(5)], [mpf(7)]]
+    assert bits(product_sum((2, a, b), (-2, a, b))) == bits([[mpf(0)]])
+    ints = [[2**600 + 1, -3]], [[5], [7]]
+    assert bits(product_sum((1, *ints), (-1, *ints))) == bits([[0]])
+    assert bits(product_sum((2, *ints), (-1, *ints))) == bits([[5 * 2**600 + 5 - 21]])
+    # opposite infinities sum to nan; one infinity is kept with its sign
+    inf_row = [[inf, mpf(1)]]
+    assert isnan(product_sum((1, inf_row, b), (-1, inf_row, b))[0][0])
+    assert product_sum((-2, inf_row, b), (1, a, b))[0][0] == -inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_commutators_are_exact_and_antisymmetric_bit_for_bit(data):
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+    with workprec(data.draw(st.sampled_from([53, 256, 512]))):
+        ab = commutator(a, b)
+        assert bits(ab) == bits(exact_product_sum([(1, a, b), (-1, b, a)]))
+        assert bits(ab) == bits([[-x for x in row] for row in commutator(b, a)])
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two matrices of one shape: the sparse draws of ``matrices``, or dense
+    512-bit mantissas within a few binades of one another (``wide_matrices``),
+    whose sums and products round at every drawn precision."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(matrices(n, m)), draw(matrices(n, m))
+    return draw(wide_matrices(n)), draw(wide_matrices(n))
+
+
+with workprec(512):
+    THIRD, SEVENTH = mpf(1) / 3, mpf(1) / 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=same_shape_pairs(),
+    c=st.sampled_from([-1, 2, mpf(-1), THIRD, mpf(0), nan, inf]),
+    prec=st.sampled_from([53, 256, 512, 600]),
+)
+@example(pair=([[THIRD, SEVENTH]], [[SEVENTH, -THIRD]]), c=SEVENTH, prec=53)
+def test_raw_entrywise_ops_match_the_operator_loops_bit_for_bit(pair, c, prec):
+    a, b = pair
+    with workprec(prec):
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+        assert bits(mat_add(a, b)) == bits([[x + y for x, y in row] for row in pairs])
+        assert bits(mat_sub(a, b)) == bits([[x - y for x, y in row] for row in pairs])
+        assert bits(mat_scale(a, c)) == bits([[x * c for x in row] for row in a])
 
 
 def test_mat_mul_entry_types():

@@ -479,3 +479,64 @@ def test_conversions_run_under_workprec():
         for line in _bare_conversions(path.read_text())
     ]
     assert bare == []
+
+
+# -- one kernel for signed sums of products -------------------------------------
+
+# A signed sum of matrix products is one ``linalg.product_sum`` call, which
+# rounds each entry once; ``mat_add`` or ``mat_sub`` around a ``mat_mul``, or
+# ``mat_scale`` of one by an int, would round each product and then the sum.
+# A scale by a rounded mpf (``contiguous``'s eta kappa) is a product with a
+# third factor, not a signed sum, and stays an entrywise op.
+ENTRYWISE = {"mat_add", "mat_sub", "mat_scale"}
+
+
+def _called(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def _is_int(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _rounded_product_sums(source: str) -> list[int]:
+    """Lines of an entrywise op around a ``mat_mul`` call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        name = _called(node)
+        if name not in ENTRYWISE:
+            continue
+        operands = node.args
+        if name == "mat_scale":
+            if len(node.args) != 2 or not _is_int(node.args[1]):
+                continue
+            operands = node.args[:1]
+        if any(_called(n) == "mat_mul" for arg in operands for n in ast.walk(arg)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_rounded_product_sums_flagged():
+    source = (
+        "x = mat_add(mat_mul(a, b), c)\n"
+        "y = linalg.mat_sub(c, transpose(mat_mul(a, b)))\n"
+        "z = mat_scale(mat_mul(a, b), -1)\n"
+        "w = mat_scale(mat_mul(a, b), factor)\n"
+        "v = mat_sub(a, b)\n"
+        "u = product_sum((1, a, b), (-1, b, a))\n"
+        "t = mat_scale(mat_sub(a, b), 2)\n"
+    )
+    assert _rounded_product_sums(source) == [1, 2, 3]
+
+
+def test_signed_sums_of_products_go_through_the_one_kernel():
+    found = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _rounded_product_sums(path.read_text())
+    ]
+    assert found == []

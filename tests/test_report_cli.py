@@ -470,17 +470,17 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "ac0f353dff62d2e0"),
-    ("b=3/2; eta=1/2", 12, "5ff02776d10f2347"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "1a9be7da4414c686"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "b06a0ae5a1763cdb"),
+    ("a=2; eta=1/2", 12, "41cdc53d9461daba"),
+    ("b=3/2; eta=1/2", 12, "b4be00f1e2aac4b8"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "738e4f7b4d581722"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "bfc1f7eb883badfa"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "b16461b2b0e86de1"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "ddfd2dcbd714614d"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "2311a4e78401ced5"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "c6352282e1fba712"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
-    ("a=2/3; b=7/5; eta=3/7", 12, "3f3cdc6c2b47e059"),
+    ("a=2/3; b=7/5; eta=3/7", 12, "280c6105dee24226"),
 ]
 
 
