@@ -23,9 +23,11 @@ for every table. Each entry is evaluated once per table and kept in its memo
 (``log_tau_derivatives``): an entry's bits do not depend on the closure it
 is requested in, so later requests read it. ``tau_derivative`` reads one
 entry, ``log_tau_jet`` the jet of log tau_k, from which every derivative of
-log H_n = log tau_{n+1} - log tau_n is a difference.
+log H_n = log tau_{n+1} - log tau_n is a difference. No derivative reads
+log tau_k itself, so it is formed only when a caller reads that entry.
 
-The factorization's own derivatives come from ``moments.flow_jet``. What
+The factorization's own derivatives come from ``moments.flow_jet``, which
+seeds its Taylor elimination with the factorization. What
 both routes assume, that flow l maps rho_m to rho_{m+l}, is witnessed by a
 central finite difference at exact rational multipliers eta_l (1 +- step),
 entrywise over vectors and matrices (``fd_flow_derivative``), compared by
@@ -35,6 +37,7 @@ entrywise over vectors and matrices (``fd_flow_derivative``), compared by
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -157,8 +160,9 @@ def _multinom(beta: Alpha, delta: Alpha) -> int:
 
 
 def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
-    """Fill g[a] with d^a log f for each a of a downward-closed order, from
-    tjet[a] = d^a f; entries already in g are kept.
+    """Fill g[a] with d^a log f for each a other than (0, 0, 0) of a
+    downward-closed order, from tjet[a] = d^a f; entries already in g are
+    kept. log f itself, which no derivative reads, is left to the caller.
 
     Uses the Leibniz inversion of f * (d_i log f) = d_i f, resolving each order
     from strictly lower ones; requires f(0) != 0.
@@ -166,10 +170,7 @@ def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
     with workprec(bits):
         f0 = tjet[(0, 0, 0)]
         for a in order:
-            if a in g:
-                continue
-            if a == (0, 0, 0):
-                g[a] = mp.log(f0)
+            if a in g or a == (0, 0, 0):
                 continue
             i, beta = _lower(a)
             shift = lambda t: (t[0] + (i == 0), t[1] + (i == 1), t[2] + (i == 2))
@@ -184,22 +185,50 @@ def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
 
 def log_jet(tjet: dict, bits: int) -> dict:
     """Jet of log f from the jet of f over a downward-closed index set."""
-    g: dict[Alpha, mpf] = {}
+    with workprec(bits):
+        g = {(0, 0, 0): mp.log(tjet[(0, 0, 0)])}
     _log_entries(tjet, g, sorted(tjet, key=lambda t: (sum(t), t)), bits)
     return g
 
 
-def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
-    """Mixed derivatives of log tau_k; tau_0 = 1 gives the all-zero jet.
+class _LogTauJet(Mapping):
+    """The jet of log tau_k over a downward closure, read from the table's
+    memo; log tau_k itself, which no derivative reads, is formed on its
+    first read and kept there."""
 
-    Like ``tau_jet``, each entry is formed once per table and kept in its memo."""
+    def __init__(self, table: MomentTable, k: int, order: list[Alpha]):
+        self._table, self._k, self._order = table, k, order
+
+    def __getitem__(self, a: Alpha) -> mpf:
+        if a not in self._order:
+            raise KeyError(a)
+        table, k = self._table, self._k
+        memo = table.log_tau_derivatives[k]
+        if a not in memo:
+            with workprec(table.ctx.mantissa_bits):
+                memo[a] = mp.log(_tau_values(table, k, [a])[a])
+        return memo[a]
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> Mapping:
+    """Mixed derivatives of log tau_k over the downward closure of the given
+    orders; tau_0 = 1 gives the all-zero jet.
+
+    Like ``tau_jet``, each entry is formed once per table and kept in its
+    memo, log tau_k only when it is read."""
     order = _downward_closure(alphas)
     if k == 0:
         return {a: mpf(0) for a in order}
     memo = table.log_tau_derivatives.setdefault(k, {})
-    if any(a not in memo for a in order):
+    if any(a not in memo for a in order if a != (0, 0, 0)):
         _log_entries(_tau_values(table, k, order), memo, order, table.ctx.mantissa_bits)
-    return {a: memo[a] for a in order}
+    return _LogTauJet(table, k, order)
 
 
 # -- finite-difference witnesses ----------------------------------------------

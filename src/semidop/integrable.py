@@ -296,8 +296,8 @@ def uv_system_check(
         acc = ResidualAccumulator()
         h, hr = pipe.chol.h, rp.chol.h
         beta, beta_r = pipe.jac.beta, rp.jac.beta
-        jets = _log_jets(pipe, max(n_values) + 2, [(1, 0, 0)])
-        jets_r = _log_jets(rp, max(n_values) + 1, [(1, 0, 0)])
+        jets = _log_jets(pipe, max(n_values) + 2)
+        jets_r = _log_jets(rp, max(n_values) + 1)
         jet, jet_r = pipe.flow_jet(1), rp.flow_jet(1, size=max(n_values))
 
         for n in n_values:
@@ -340,18 +340,37 @@ def uv_system_check(
         )
 
 
-def _log_jets(pipe: WeightPipeline, count: int, alphas) -> list[dict]:
-    """The log-tau jets of tau_0 .. tau_{count-1}, each over the closure of alphas."""
-    return [log_tau_jet(pipe.table, n, alphas) for n in range(count)]
+class _LogJet:
+    """The derivatives of log tau_k on one table, each formed on its first
+    read: ``[alpha]`` reads the table's memo, or asks ``log_tau_jet`` for
+    that entry's closure alone. An entry's bits do not depend on the closure
+    it is requested in, so the order of reads moves no value."""
+
+    __slots__ = ("table", "k")
+
+    def __init__(self, table, k: int):
+        self.table, self.k = table, k
+
+    def __getitem__(self, alpha) -> mpf:
+        memo = self.table.log_tau_derivatives.get(self.k, {})
+        if alpha in memo:
+            return memo[alpha]
+        # the module's name, read at call time, so a tracer patching it sees it
+        return log_tau_jet(self.table, self.k, [alpha])[alpha]
 
 
-def _dlog_h(jets: list[dict], n: int, alpha) -> mpf:
+def _log_jets(pipe: WeightPipeline, count: int) -> list[_LogJet]:
+    """The log-tau jets of tau_0 .. tau_{count-1}, each entry formed on first read."""
+    return [_LogJet(pipe.table, n) for n in range(count)]
+
+
+def _dlog_h(jets: list, n: int, alpha) -> mpf:
     """d^alpha log H_n, with H_n = tau_{n+1} / tau_n; since beta_n = d/dt1 log H_n,
     alpha + (1, 0, 0) gives d^alpha beta_n."""
     return jets[n + 1][alpha] - jets[n][alpha]
 
 
-def _dlog_gamma(jets: list[dict], n: int, alpha) -> mpf:
+def _dlog_gamma(jets: list, n: int, alpha) -> mpf:
     """d^alpha log gamma_n (n >= 1), with gamma_n = H_n / H_{n-1}."""
     return jets[n + 1][alpha] + jets[n - 1][alpha] - 2 * jets[n][alpha]
 
@@ -373,12 +392,12 @@ def tau_route_check(
     table = pipe.table
     with workprec(bits):
         acc = ResidualAccumulator()
-        # one tau jet per n gives tau_n and its first derivative, and the
-        # table's log-tau memo the log jets; flows.tau_jet is read at call
+        # one tau jet per n gives tau_n and its first derivative, which the
+        # log jets read from the table's memo; flows.tau_jet is read at call
         # time, so a tracer patching it sees it
-        tau_jets = [flows.tau_jet(table, n, [(2, 0, 0)]) for n in range(nmax + 2)]
+        tau_jets = [flows.tau_jet(table, n, [(1, 0, 0)]) for n in range(nmax + 2)]
         taus = [t[(0, 0, 0)] for t in tau_jets]
-        jets = _log_jets(pipe, nmax + 2, [(2, 0, 0)])
+        jets = _log_jets(pipe, nmax + 2)
         h = pipe.chol.h
         for n in range(1, nmax + 1):
             acc.add(
@@ -422,7 +441,7 @@ def toda_check(
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
-        jets = _log_jets(pipe, nmax + 3, [(2, 0, 0)])
+        jets = _log_jets(pipe, nmax + 3)
         h = pipe.chol.h
         beta = pipe.jac.beta
         d2q, gamma_1 = _dlog_h(jets, 0, (2, 0, 0)), pipe.gamma(1)
@@ -525,7 +544,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         acc = ResidualAccumulator()
         j = pipe.jac.dense
         powers = {1: j, 2: mat_mul(j, j)}
-        jets = _log_jets(pipe, kj, [(2, 0, 0), (1, 1, 0)])
+        jets = _log_jets(pipe, kj)
         h_floor = pipe.chol.h_floor()
 
         for l in flows:
@@ -684,10 +703,9 @@ def kp_check(
     flow-2 jet of the factorization."""
     active_deformation(pipe.weight, pipe.k)
     bits = pipe.bits
-    needed = [(2, 0, 0), (3, 0, 0), (5, 0, 0), (2, 0, 1), (1, 2, 0)]
     with workprec(bits):
         acc = ResidualAccumulator()
-        jets = _log_jets(pipe, max(n_values) + 1, needed)
+        jets = _log_jets(pipe, max(n_values) + 1)
         # p_n = S[n][n-1]: its second flow-2 derivative from the order-2 jet,
         # for the n the size-(k+1) factorization holds
         top = min(max(n_values), pipe.k)

@@ -15,7 +15,8 @@ rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
 ``mat_mul``, ``mat_vec`` and ``commutator`` call and every other sum of
 products in the package goes through (``tests/test_lint.py`` holds that too);
 ``GramSums`` (the accumulator of the orthogonality sums), the eliminations
-``ldl_no_pivot`` (with its Taylor series), ``unit_lower_inverse``,
+``ldl_no_pivot`` (with its Taylor series, which ``ldl_derivatives``
+seeds with the plain factors), ``unit_lower_inverse``,
 ``lu_factor`` with its solves and ``schur_complement``, and the polynomial
 recurrence ``three_term_values``. A sum is one integer at one binary exponent
 (``_Sum``, or a row's lists of them in ``product_sum``), where an operator
@@ -553,7 +554,7 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
     return [[mp.make_mpf(v) for v in row] for row in out]
 
 
-def _ldl_series(coeffs: list, floor: tuple) -> tuple:
+def _ldl_series(coeffs: list, floor: tuple | None, seed: tuple | None = None) -> tuple:
     """The Crout LDL of the truncated Taylor series whose coefficient k is
     the raw matrix coeffs[k]: rows of L (below the diagonal) and D, each
     entry the list of its coefficients.
@@ -565,9 +566,12 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
 
     each one exact sum, divided once or rounded once; coefficient 0 is the
     plain elimination's. d_i,0 takes the pivot test once its row is formed.
+    A seed, coefficient 0 as (rows of L below the diagonal, D) of raw values,
+    is read in its place: coeffs[0] is not read and no pivot is tested.
     """
-    n, r = len(coeffs[0]), len(coeffs)
+    n, r = len(coeffs[-1]), len(coeffs)
     prec, rnd = mp._prec_rounding
+    first = 1 if seed else 0
     ws, d, out = [], [], []
     for i in range(n):
         li = [_Exact() for _ in range(r)]
@@ -575,8 +579,8 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
         row = []
         for j in range(i):
             dj, wj = d[j], ws[j]
-            q = []
-            for k in range(r):
+            q = [seed[0][i][j]] if seed else []
+            for k in range(first, r):
                 s = _Sum(coeffs[k][i][j])
                 for m in range(k + 1):
                     s.add_dot(li[m], wj[k - m], True)
@@ -590,18 +594,46 @@ def _ldl_series(coeffs: list, floor: tuple) -> tuple:
                     w.add_product(q[m], dj[k - m])
                 wi[k].push_sum(w)
             row.append(q)
-        di = []
-        for k in range(r):
+        di = [seed[1][i]] if seed else []
+        for k in range(first, r):
             s = _Sum(coeffs[k][i][i])
             for m in range(k + 1):
                 s.add_dot(li[m], wi[k - m], True)
             di.append(s.rounded(prec, rnd))
-        if di[0] == fzero or mpf_lt(mpf_abs(di[0]), floor):
+        if not seed and (di[0] == fzero or mpf_lt(mpf_abs(di[0]), floor)):
             raise SingularTruncation(i)
         ws.append(wi)
         d.append(di)
         out.append(row)
     return out, d
+
+
+def _taylor(mats, first: int) -> list:
+    """The lower triangles of the matrices whose Taylor coefficients are
+    first, first + 1, ..., as raw values: the second derivative's
+    coefficient is half of it, exactly."""
+    return [
+        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
+        for k, c in enumerate(mats, first)
+    ]
+
+
+def _factors(low: list, d: list, first: int, count: int) -> tuple:
+    """L and D of the Taylor coefficients first .. count - 1, as
+    ``ldl_no_pivot`` returns them: coefficient k scaled back to the k-th
+    derivative."""
+    n = len(d)
+    make = mp.make_mpf
+    out = []
+    for k in range(first, count):
+        unit = fone if k == 0 else fzero
+        out.append([
+            [make(mpf_shift(x[k], k // 2)) for x in row]
+            + [make(unit)] + [make(fzero)] * (n - i - 1)
+            for i, row in enumerate(low)
+        ])
+        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
+    return tuple(out)
 
 
 def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
@@ -621,26 +653,25 @@ def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
     ch. 13), with the same pivot test, and returns L, D, dL, dD and, with
     A'', d2L, d2D: the factorization's derivatives up to rounding. Each
     Taylor coefficient of each entry is one exact sum, and coefficient 0 is
-    the plain kernel's L and D. Without it, (L, D).
+    the plain kernel's L and D. Without it, (L, D). ``ldl_derivatives``
+    forms the derivatives from L and D already formed.
     """
-    n = len(a)
-    # the second derivative's Taylor coefficient is half of it, exactly
-    coeffs = [
-        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
-        for k, c in enumerate((a,) + pencil)
-    ]
-    low, d = _ldl_series(coeffs, _raw(pivot_floor))
-    make = mp.make_mpf
-    out = []
-    for k in range(len(coeffs)):
-        unit = fone if k == 0 else fzero
-        out.append([
-            [make(mpf_shift(x[k], k // 2)) for x in row]
-            + [make(unit)] + [make(fzero)] * (n - i - 1)
-            for i, row in enumerate(low)
-        ])
-        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
-    return tuple(out)
+    low, d = _ldl_series(_taylor((a,) + pencil, 0), _raw(pivot_floor))
+    return _factors(low, d, 0, len(pencil) + 1)
+
+
+def ldl_derivatives(l: Matrix, d: list, *pencil: Matrix) -> tuple:
+    """dL, dD and, with A'', d2L, d2D of ``ldl_no_pivot(a, floor, *pencil)``,
+    bit for bit, from that call's plain factors (L, D) = ``ldl_no_pivot(a,
+    floor)``, which are read, not formed again: the Taylor elimination with
+    its coefficient 0 seeded. L and D passed the pivot test when they were
+    formed, so none is made here, and L's leading rows with D's entries give
+    the derivatives of a leading block.
+    """
+    n = len(d)
+    seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(l[:n])], [_raw(x) for x in d]
+    low, dd = _ldl_series([None] + _taylor(pencil, 1), None, seed)
+    return _factors(low, dd, 1, len(pencil) + 1)
 
 
 @dataclass
@@ -786,35 +817,46 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
     return out
 
 
-def _three_term(z, beta: list, gamma: list, count: int) -> list:
-    """``three_term_values`` as raw values. While z, beta_j and gamma_j are
-    finite, each p_{j+1} is one integer sum rounded once; from the first nan
-    or infinity on, libmp forms it at precision 0, which gives that nan or
-    infinity, as in every kernel here."""
-    prec, rnd = mp._prec_rounding
-    zr = _raw(z)
-    zs, zi, ze, _ = zr
-    zi = -zi if zs else zi
-    out, finite = [fone], _finite(zr)
-    pi, pe, qi, qe = 1, 0, 0, 0  # p_j and p_{j-1}, ints at their exponents
+def _recurrence(beta: list, gamma: list, count: int) -> tuple:
+    """The coefficients of ``_three_term``, each read once: (beta_j, gamma_j)
+    for j < count - 1 as raw values, gamma_0 = 0 (``gamma[i]`` is
+    gamma_{i+1}), and those before the first nan or infinity as signed
+    ints at their exponents."""
+    raws, ints = [], []
     for j in range(count - 1):
         b, g = _raw(beta[j]), _raw(gamma[j - 1]) if j else fzero
-        finite = finite and _finite(b) and _finite(g)
-        if not finite:
-            q = out[j - 1] if j else fzero
-            out.append(mpf_sub(mpf_mul(mpf_sub(zr, b), out[j]), mpf_mul(g, q)))
-            continue
-        bs, bi, be, _ = b
-        bi = -bi if bs else bi
-        d, de = ((zi << ze - be) - bi, be) if ze > be else (zi - (bi << be - ze), ze)
-        man, exp = d * pi, de + pe
-        gs, gi, ge, _ = g
-        if gi and qi:
-            t, te = (-gi if gs else gi) * qi, ge + qe
-            man, exp = (man - (t << te - exp), exp) if te > exp else ((man << exp - te) - t, te)
-        x = _round_int(man, exp, prec, rnd)
-        out.append(x)
-        qi, qe, pi, pe = pi, pe, -x[1] if x[0] else x[1], x[2]
+        raws.append((b, g))
+        if len(ints) == j and _finite(b) and _finite(g):
+            ints.append((-b[1] if b[0] else b[1], b[2], -g[1] if g[0] else g[1], g[2]))
+    return raws, ints
+
+
+def _three_term(z, raws: list, ints: list) -> list:
+    """``three_term_values`` as raw values, from the coefficients
+    ``_recurrence`` read. While z, beta_j and gamma_j are finite, each
+    p_{j+1} is one integer sum rounded once; from the first nan or infinity
+    on, libmp forms it at precision 0, which gives that nan or infinity, as
+    in every kernel here."""
+    prec, rnd = mp._prec_rounding
+    zr = _raw(z)
+    out = [fone]
+    if _finite(zr):
+        zs, zi, ze, _ = zr
+        zi = -zi if zs else zi
+        pi, pe, qi, qe = 1, 0, 0, 0  # p_j and p_{j-1}, ints at their exponents
+        for bi, be, gi, ge in ints:
+            d, de = ((zi << ze - be) - bi, be) if ze > be else (zi - (bi << be - ze), ze)
+            man, exp = d * pi, de + pe
+            if gi and qi:
+                t, te = gi * qi, ge + qe
+                man, exp = (man - (t << te - exp), exp) if te > exp else ((man << exp - te) - t, te)
+            x = _round_int(man, exp, prec, rnd)
+            out.append(x)
+            qi, qe, pi, pe = pi, pe, -x[1] if x[0] else x[1], x[2]
+    for j in range(len(out) - 1, len(raws)):
+        b, g = raws[j]
+        q = out[j - 1] if j else fzero
+        out.append(mpf_sub(mpf_mul(mpf_sub(zr, b), out[j]), mpf_mul(g, q)))
     return out
 
 
@@ -822,7 +864,7 @@ def three_term_values(z, beta: list, gamma: list, count: int) -> list:
     """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs: p_0 = 1 and
     p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1}, gamma_0 = 0 (``gamma[i]`` is
     gamma_{i+1}), each one exact sum with z - beta_j exact, rounded once."""
-    return [mp.make_mpf(x) for x in _three_term(z, beta, gamma, count)]
+    return [mp.make_mpf(x) for x in _three_term(z, *_recurrence(beta, gamma, count))]
 
 
 class GramSums:
@@ -847,9 +889,13 @@ class GramSums:
         """Add the point's terms p_n p_m weight."""
         self._add([_raw(x) for x in pvec[: self._count]], _raw(weight))
 
-    def add_point(self, z, beta: list, gamma: list, weight) -> None:
-        """``add`` of the point z's ``three_term_values``, kept raw."""
-        self._add(_three_term(z, beta, gamma, self._count), _raw(weight))
+    def add_points(self, points, beta: list, gamma: list) -> None:
+        """``add`` of each point z's ``three_term_values`` against its weight,
+        for the pairs (z, weight) of points, kept raw; beta and gamma are
+        read once for all of them."""
+        coefficients = _recurrence(beta, gamma, self._count)
+        for z, weight in points:
+            self._add(_three_term(z, *coefficients), _raw(weight))
 
     def _add(self, p: list, w: tuple) -> None:
         point = _Exact.of(p)

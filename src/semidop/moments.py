@@ -61,6 +61,7 @@ from .linalg import (
     LUFactors,
     Matrix,
     exceeds,
+    ldl_derivatives,
     ldl_no_pivot,
     lu_column_solve,
     lu_determinant,
@@ -562,12 +563,12 @@ def ldl_pivot_floor(scale, bits: int) -> mpf:
     return mpf(2) ** (-(bits // 2)) * scale
 
 
-def _ldl_of_dense(dense: Matrix, bits: int, *pencil: Matrix) -> tuple:
-    """``ldl_no_pivot`` of dense (and its pencil) at bits, the pivot floor from
-    the largest entry of dense."""
+def _ldl_of_dense(dense: Matrix, bits: int) -> tuple:
+    """``ldl_no_pivot`` of dense at bits, the pivot floor from the largest
+    entry of dense."""
     with workprec(bits):
         scale = max(abs(dense[i][j]) for i in range(len(dense)) for j in range(len(dense)))
-        return ldl_no_pivot(dense, ldl_pivot_floor(scale, bits), *pencil)
+        return ldl_no_pivot(dense, ldl_pivot_floor(scale, bits))
 
 
 @dataclass
@@ -663,11 +664,14 @@ def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> Flow
     """The order-1 or order-2 flow-l jet of chol's leading size x size block.
 
     Along flow l the block is G + t [rho_{i+j+l}] + (t^2/2) [rho_{i+j+2l}] + ...,
-    and its ``ldl_no_pivot`` with that pencil, under the plain block's pivot
-    floor, gives L and D as chol's bits (the unpivoted LDL of a leading block
-    is the leading block of the LDL) with their derivatives, to rounding and
-    with no step. S = L^-1 gives dS = -S dL S and d2S = -(2 dS dL + S d2L) S.
-    Refuses a size past chol's or a read past the table, rho_{2 size - 2 + order l}.
+    and ``ldl_derivatives`` of that pencil, seeded with chol's L = S^-1 and H
+    (the unpivoted LDL of a leading block is the leading block of the LDL),
+    gives their derivatives, to rounding and with no step: the bits of
+    ``ldl_no_pivot`` of the block and its pencil under the block's own pivot
+    floor, which chol's pivots pass, since that floor is taken from a block
+    no larger than chol's. S = L^-1 gives dS = -S dL S and
+    d2S = -(2 dS dL + S d2L) S. Refuses a size past chol's or a read past the
+    table, rho_{2 size - 2 + order l}.
     """
     table, top = chol.table, 2 * size - 2 + order * l
     if not 1 <= size <= chol.size or top > table.m_max:
@@ -676,11 +680,10 @@ def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> Flow
             f"factorization size {size}; table depth {table.m_max}, size {chol.size}"
         )
     vals = table.values
-    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(order + 1)]
-    bits = table.ctx.mantissa_bits
-    _, h, dl, dh, *second = _ldl_of_dense(pencil[0], bits, *pencil[1:])
-    s = [row[:size] for row in chol.s[:size]]
-    with workprec(bits):
+    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(1, order + 1)]
+    s, h = [row[:size] for row in chol.s[:size]], chol.h[:size]
+    with workprec(table.ctx.mantissa_bits):
+        dl, dh, *second = ldl_derivatives(chol.s_inv, h, *pencil)
         ds = product_sum((-1, mat_mul(s, dl), s))
         jet = FlowJet(size, s, h, ds, dl, dh)
         if second:

@@ -397,8 +397,7 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     with workprec(bits):
         acc = ResidualAccumulator()
         gram = GramSums(nmax + 1)
-        for k, weight in enumerate(pipe.table.lattice_weights(2 * nmax)):
-            gram.add_point(k, jac.beta, jac.gamma, weight)
+        gram.add_points(enumerate(pipe.table.lattice_weights(2 * nmax)), jac.beta, jac.gamma)
 
         sums = gram.lower()
         for n in range(nmax + 1):

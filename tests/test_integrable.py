@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import isnan, mpf, nan, workprec
+from mpmath import isnan, mp, mpf, nan, workprec
 
 from semidop import (
     HypergeometricWeight,
@@ -31,8 +31,11 @@ from semidop.integrable import (
     valid_single_shifts,
 )
 from semidop import integrable as integrable_module
+from semidop import linalg as linalg_module
 from semidop import moments as moments_module
 from semidop import structure
+from semidop.linalg import ldl_derivatives, ldl_no_pivot
+from semidop.moments import ldl_pivot_floor
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
 from semidop.report import SuiteConfig, run_suite
 from semidop.weights import to_mpf
@@ -409,6 +412,83 @@ def test_flow_jet_leading_blocks_are_the_smaller_jet(w, data):
     assert [x._mpf_ for x in small.dh] == [x._mpf_ for x in big.dh[:m]]
 
 
+
+@settings(max_examples=15, deadline=None)
+@given(w=positive_weights(), data=st.data())
+def test_a_seeded_flow_jet_is_the_full_taylor_elimination(w, data):
+    # a flow jet reads chol's L and H as its coefficient 0; the Taylor
+    # elimination of the block and its pencil from scratch, under the block's
+    # own pivot floor, forms the same bits and refuses none of its pivots
+    k = data.draw(st.integers(3, 8))
+    l, order = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from([1, 2]))
+    pipe = WeightPipeline(w, k, PrecisionContext(mantissa_bits=512))
+    chol = pipe.chol
+    size = data.draw(st.integers(1, min(chol.size - 1, (pipe.depth - order * l) // 2 + 1)))
+    vals = pipe.table.values
+    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(order + 1)]
+    with workprec(512):
+        scale = max(abs(x) for row in pencil[0] for x in row)
+        full = ldl_no_pivot(pencil[0], ldl_pivot_floor(scale, 512), *pencil[1:])
+        seeded = ldl_derivatives(chol.s_inv, chol.h[:size], *pencil[1:])
+    jet = moments_module.flow_jet(chol, l, order, size)
+    assert _block_bits(full[0], size) == _block_bits(chol.s_inv, size)
+    assert [_block_bits(m, size) if isinstance(m[0], list) else _block_bits([m], size) for m in seeded] == [
+        _block_bits(m, size) if isinstance(m[0], list) else _block_bits([m], size) for m in full[2:]
+    ]
+    assert _block_bits([jet.h, jet.dh], size) == _block_bits([full[1], full[3]], size)
+    assert _block_bits(jet.ds_inv, size) == _block_bits(full[2], size)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    w=st.sampled_from([CHARLIER, GEN_MEIXNER, DEFORMED]),
+    reads=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from([(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1)])),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_lazily_read_log_jets_are_the_requested_jets(w, reads):
+    # a check's log-tau jets form each entry on its first read, in whatever
+    # order the check reads them; each has the bits of the jet requested
+    # whole, over every order read at its k, from a table with no memo
+    pipe = WeightPipeline(w, 8, PrecisionContext(mantissa_bits=512), engine=True)
+    jets = integrable_module._log_jets(pipe, 7)
+    got = [jets[k][alpha]._mpf_ for k, alpha in reads]
+    table = MomentTable(w, pipe.depth, pipe.ctx)
+    whole = {k: log_tau_jet(table, k, [a for n, a in reads if n == k]) for k, _ in reads}
+    assert got == [whole[k][alpha]._mpf_ for k, alpha in reads]
+
+
+def test_a_contract_pass_forms_only_what_its_rows_read(monkeypatch):
+    # per pass of the contract mix: no log tau_k (no row reads one), no jet
+    # entry past the ones the rows read, and no flow jet that forms its
+    # coefficient 0 again rather than reading chol's L and H
+    logs, fresh, series = [], [], []
+    real_log, real_det, real_series = type(mp).log, MomentTable.det_rows, linalg_module._ldl_series
+
+    def det_rows(table, rows):
+        if rows not in table._det_cache:
+            fresh.append(rows)
+        return real_det(table, rows)
+
+    def ldl_series(coeffs, floor, seed=None):
+        series.append((len(coeffs), seed is not None))
+        return real_series(coeffs, floor, seed)
+
+    monkeypatch.setattr(type(mp), "log", lambda ctx, *a, **kw: logs.append(a) or real_log(ctx, *a, **kw))
+    monkeypatch.setattr(MomentTable, "det_rows", det_rows)
+    monkeypatch.setattr(linalg_module, "_ldl_series", ldl_series)
+    for spec, size in CONTRACT_MIX:
+        clear_cache()
+        run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
+    clear_cache()
+    assert logs == []
+    assert len(fresh) <= 353
+    jets = [seeded for count, seeded in series if count > 1]
+    assert jets and all(jets)
+
+
 # -- identities the report does not check: they hold by construction ----------
 
 
@@ -449,7 +529,7 @@ def test_the_toda_beta_line_is_equation_q_from_n_1(w, k):
     pipe = WeightPipeline(w, k, PrecisionContext(mantissa_bits=512))
     nmax = min(8, k - 2)
     with workprec(512):
-        jets = integrable_module._log_jets(pipe, nmax + 3, [(2, 0, 0)])
+        jets = integrable_module._log_jets(pipe, nmax + 3)
         h = pipe.chol.h
         for n in range(1, nmax + 1):
             gamma_next, gamma_n = pipe.gamma(n + 1), pipe.gamma(n)
@@ -476,20 +556,20 @@ def _nudged(x):
 
 def _pencil_column(monkeypatch, pipe, q, column):
     # the q-th derivative matrix of every flow-jet pencil has its entries on
-    # the antidiagonal i + j = column, one moment rho_{column + q l}, nudged
-    real = moments_module.ldl_no_pivot
+    # the antidiagonal i + j = column, one moment rho_{column + q l}, nudged;
+    # the jets seed their elimination with chol's factors, so the pencil is
+    # all they read of the moments
+    real = moments_module.ldl_derivatives
 
-    def planted(a, floor, *pencil):
-        if pencil:
-            m = pencil[q - 1]
-            pencil = list(pencil)
-            pencil[q - 1] = [
-                [_nudged(x) if i + j == column else x for j, x in enumerate(row)]
-                for i, row in enumerate(m)
-            ]
-        return real(a, floor, *pencil)
+    def planted(l, d, *pencil):
+        pencil = list(pencil)
+        pencil[q - 1] = [
+            [_nudged(x) if i + j == column else x for j, x in enumerate(row)]
+            for i, row in enumerate(pencil[q - 1])
+        ]
+        return real(l, d, *pencil)
 
-    monkeypatch.setattr(moments_module, "ldl_no_pivot", planted)
+    monkeypatch.setattr(moments_module, "ldl_derivatives", planted)
 
 
 def _table_column(monkeypatch, pipe, m):

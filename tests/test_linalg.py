@@ -962,7 +962,7 @@ def test_recurrence_values_are_exact_sums_rounded_once(data):
         # the orthogonality walk adds a point's values as the kernel leaves them
         weight = data.draw(recurrence_coefficients(1))[0]
         walked, added = GramSums(count), GramSums(count)
-        walked.add_point(z, beta, gamma, weight)
+        walked.add_points([(z, weight)], beta, gamma)
         added.add(got, weight)
         assert bits(walked.lower()) == bits(added.lower())
 
