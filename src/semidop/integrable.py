@@ -543,7 +543,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     with workprec(bits):
         acc = ResidualAccumulator()
         j = pipe.jac.dense
-        powers = {1: j, 2: mat_mul(j, j)}
+        powers = {0: identity(kj), 1: j, 2: mat_mul(j, j)}
         jets = _log_jets(pipe, kj)
         h_floor = pipe.chol.h_floor()
 
@@ -559,12 +559,12 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
 
             # (b) dressing factor dS S^-1 = -S dL against -(J^l)_-, with dL
             # from the flow-l jet of the size-kj block; the strictly lower
-            # part of the truncated J^l is exact for l <= 2
+            # part of the truncated J^l is exact for l <= 2. S dL - J J^(l-1)
+            # is one exact sum per entry, of which the strictly lower part is read
             jet = pipe.flow_jet(l)
-            jl_minus = strict_lower(jl)
-            scale = max(max_abs(jl_minus), mpf(1))
-            phi = mat_mul(jet.s, jet.ds_inv)
-            acc.add(f"phi_{l}", out_of_band_max(mat_sub(phi, jl_minus), 0, kj, kj), scale)
+            scale = max(max_abs(strict_lower(jl)), mpf(1))
+            phi = product_sum((1, jet.s, jet.ds_inv), (-1, j, powers[l - 1]))
+            acc.add(f"phi_{l}", out_of_band_max(phi, 0, kj, kj), scale)
 
             # (c) the index shift both routes rest on: the central difference
             # of the moments of two walked tables of the flow-scaled weight
@@ -600,9 +600,13 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             d1_j2_plus[n][n] = 2 * pipe.jac.beta[n] * db1 + d1_gamma_n + d1_gamma_next
             d1_j2_plus[n][n + 1] = db1 + _dlog_h(jets, n + 1, (2, 0, 0))
             d2_j_plus[n][n] = _dlog_h(jets, n, (1, 1, 0))
-        zs = mat_sub(
-            mat_sub(d1_j2_plus, d2_j_plus),
-            commutator(upper_with_diagonal(j), upper_with_diagonal(powers[2])),
+        # d1 J2+ - d2 J+ - [J+, J2+], each entry one exact sum rounded once
+        j_plus, j2_plus = upper_with_diagonal(j), upper_with_diagonal(powers[2])
+        zs = product_sum(
+            (1, d1_j2_plus, powers[0]),
+            (-1, d2_j_plus, powers[0]),
+            (-1, j_plus, j2_plus),
+            (1, j2_plus, j_plus),
         )
         acc.add("zero_curvature_12", max_abs(zs, zc_win), max(max_abs(d1_j2_plus, zc_win), mpf(1)))
 

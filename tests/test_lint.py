@@ -484,11 +484,14 @@ def test_conversions_run_under_workprec():
 # -- one kernel for signed sums of products -------------------------------------
 
 # A signed sum of matrix products is one ``linalg.product_sum`` call, which
-# rounds each entry once; ``mat_add`` or ``mat_sub`` around a ``mat_mul``, or
-# ``mat_scale`` of one by an int, would round each product and then the sum.
+# rounds each entry once; ``mat_add`` or ``mat_sub`` around a product
+# (``mat_mul``, ``commutator`` or ``product_sum``), or ``mat_scale`` of one by
+# an int, would round each product and then the sum. The product may be
+# written in the op or bound to a name earlier in the same function.
 # A scale by a rounded mpf (``contiguous``'s eta kappa) is a product with a
 # third factor, not a signed sum, and stays an entrywise op.
 ENTRYWISE = {"mat_add", "mat_sub", "mat_scale"}
+PRODUCTS = {"mat_mul", "commutator", "product_sum"}
 
 
 def _called(node: ast.AST) -> str | None:
@@ -503,20 +506,42 @@ def _is_int(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
+def _products_bound(scope: ast.AST) -> set[str]:
+    """The names a function binds to a product; none at module level."""
+    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    return {
+        target.id
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Assign) and _called(node.value) in PRODUCTS
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def _rounded_product_sums(source: str) -> list[int]:
-    """Lines of an entrywise op around a ``mat_mul`` call."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        name = _called(node)
-        if name not in ENTRYWISE:
-            continue
-        operands = node.args
-        if name == "mat_scale":
-            if len(node.args) != 2 or not _is_int(node.args[1]):
+    """Lines of an entrywise op around a product, called in the op or bound
+    to a name in the op's function."""
+    lines = set()
+    tree = ast.parse(source)
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        bound = _products_bound(scope)
+        for node in ast.walk(scope):
+            name = _called(node)
+            if name not in ENTRYWISE:
                 continue
-            operands = node.args[:1]
-        if any(_called(n) == "mat_mul" for arg in operands for n in ast.walk(arg)):
-            lines.append(node.lineno)
+            operands = node.args
+            if name == "mat_scale":
+                if len(node.args) != 2 or not _is_int(node.args[1]):
+                    continue
+                operands = node.args[:1]
+            if any(
+                _called(n) in PRODUCTS or isinstance(n, ast.Name) and n.id in bound
+                for arg in operands
+                for n in ast.walk(arg)
+            ):
+                lines.add(node.lineno)
     return sorted(lines)
 
 
@@ -529,8 +554,15 @@ def test_rounded_product_sums_flagged():
         "v = mat_sub(a, b)\n"
         "u = product_sum((1, a, b), (-1, b, a))\n"
         "t = mat_scale(mat_sub(a, b), 2)\n"
+        "s = mat_sub(mat_sub(a, b), commutator(a, b))\n"
+        "def f(a, b):\n"
+        "    p = mat_mul(a, b)\n"
+        "    q = product_sum((1, a, b))\n"
+        "    return mat_sub(p, a), mat_add(a, q), mat_scale(p, -1), mat_scale(q, factor)\n"
+        "def g(a, p):\n"
+        "    return mat_sub(p, a)\n"
     )
-    assert _rounded_product_sums(source) == [1, 2, 3]
+    assert _rounded_product_sums(source) == [1, 2, 3, 8, 12]
 
 
 def test_signed_sums_of_products_go_through_the_one_kernel():
