@@ -99,11 +99,11 @@ def _operand(x, prec: int, rnd: str) -> tuple:
     return normalize(sign, man, exp, bc, prec, rnd)
 
 
-def relative_row(abs_diff, scale, worst: mpf, digits: int) -> tuple:
+def relative_row(abs_diff, scale, worst: mpf | None, digits: int) -> tuple:
     """One named row of a residual check: abs_diff / scale on raw values, as
     ``ResidualAccumulator`` reads it, rendered to ``digits`` significant
     digits, with (quotient, scale) as mpfs if the quotient ``exceeds`` the
-    running maximum worst, else None.
+    running maximum worst or there is none yet (worst is None), else None.
 
     The operators' bits: each operand is rounded at the precision in effect
     as ``mpf()`` rounds it, a scale <= 0 (a nan is not) reads as 1, and the
@@ -116,7 +116,7 @@ def relative_row(abs_diff, scale, worst: mpf, digits: int) -> tuple:
         s = fone
     q = mpf_div(_operand(abs_diff, prec, rnd), s, prec, rnd) if _finite(s) else fnan
     worse = None
-    if q == fnan or mpf_gt(q, worst._mpf_):
+    if worst is None or q == fnan or mpf_gt(q, worst._mpf_):
         worse = mp.make_mpf(q), mp.make_mpf(s)
     return to_str(q, digits), worse
 

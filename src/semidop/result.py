@@ -76,7 +76,9 @@ _PART_DIGITS = decimal_digits(64)
 
 class ResidualAccumulator:
     """Collects named relative residuals and reports the worst one; a nan
-    residual, or any residual against a non-finite scale, is the worst.
+    residual, or any residual against a non-finite scale, is the worst. Of
+    equal residuals the first is the worst, so a check whose rows all read
+    0 reports its first row's scale.
 
     Each row is formed on raw values by ``linalg.relative_row``, which wraps
     a residual and its scale only when they become the worst."""
@@ -90,7 +92,8 @@ class ResidualAccumulator:
         """Add abs_diff / scale, a scale <= 0 read as 1, as the row ``label``:
         each operand rounded as ``mpf()`` rounds it, the quotient rounded once,
         the row kept as its 64-bit decimal string. Call under workprec."""
-        self.parts[label], worse = relative_row(abs_diff, scale, self.worst, _PART_DIGITS)
+        worst = self.worst if self.parts else None
+        self.parts[label], worse = relative_row(abs_diff, scale, worst, _PART_DIGITS)
         if worse is not None:
             self.worst, self.worst_scale = worse
 

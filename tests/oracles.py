@@ -186,7 +186,7 @@ def per_column_pass(w, last, m_max: int, bits: int, scale: int):
 class OperatorAccumulator:
     """``ResidualAccumulator``'s rows by the mpf operators: each operand
     rounded by ``mpf()``, the quotient by ``/``, the part by ``decimal_str``
-    and the worst row by ``exceeds``."""
+    and the worst row by ``exceeds``, the first row being the worst so far."""
 
     def __init__(self):
         self.worst = mpf(0)
@@ -198,7 +198,8 @@ class OperatorAccumulator:
         if scale <= 0:
             scale = mpf(1)
         rel = mpf(abs_diff) / scale if isfinite(scale) else mpf("nan")
+        first = not self.parts
         self.parts[label] = decimal_str(rel, 64)
-        if exceeds(rel, self.worst):
+        if first or exceeds(rel, self.worst):
             self.worst = rel
             self.worst_scale = scale

@@ -470,7 +470,7 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "41cdc53d9461daba"),
+    ("a=2; eta=1/2", 12, "19afff37297e2176"),
     ("b=3/2; eta=1/2", 12, "4923aa4ef3323193"),
     ("a=3/2; b=5/2; eta=1/3", 12, "4e4c99abcf63ef6e"),
     ("eta=1/2; eta2=9/10; eta3=9/10", 8, "1b870d38c0ddd200"),
