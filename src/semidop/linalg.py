@@ -15,8 +15,8 @@ rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
 ``mat_mul``, ``mat_vec`` and ``commutator`` call and every other sum of
 products in the package goes through (``tests/test_lint.py`` holds that too);
 ``GramSums`` (the accumulator of the orthogonality sums), the eliminations
-``ldl_no_pivot`` (with its Taylor series, which ``ldl_derivatives``
-seeds with the plain factors), ``unit_lower_inverse``,
+``ldl_no_pivot`` (with its Taylor series, which can be seeded with the
+plain factors), ``unit_lower_inverse``,
 ``lu_factor`` with its solves and ``schur_complement``, and the polynomial
 recurrence ``three_term_values``. A sum is one integer at one binary exponent
 (``_Sum``, or a row's lists of them in ``product_sum``), where an operator
@@ -554,7 +554,7 @@ def unit_lower_inverse(l: Matrix) -> Matrix:
     return [[mp.make_mpf(v) for v in row] for row in out]
 
 
-def _ldl_series(coeffs: list, floor: tuple | None, seed: tuple | None = None) -> tuple:
+def _ldl_series(coeffs: list, floor: tuple, seed: tuple | None = None) -> tuple:
     """The Crout LDL of the truncated Taylor series whose coefficient k is
     the raw matrix coeffs[k]: rows of L (below the diagonal) and D, each
     entry the list of its coefficients.
@@ -608,35 +608,7 @@ def _ldl_series(coeffs: list, floor: tuple | None, seed: tuple | None = None) ->
     return out, d
 
 
-def _taylor(mats, first: int) -> list:
-    """The lower triangles of the matrices whose Taylor coefficients are
-    first, first + 1, ..., as raw values: the second derivative's
-    coefficient is half of it, exactly."""
-    return [
-        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
-        for k, c in enumerate(mats, first)
-    ]
-
-
-def _factors(low: list, d: list, first: int, count: int) -> tuple:
-    """L and D of the Taylor coefficients first .. count - 1, as
-    ``ldl_no_pivot`` returns them: coefficient k scaled back to the k-th
-    derivative."""
-    n = len(d)
-    make = mp.make_mpf
-    out = []
-    for k in range(first, count):
-        unit = fone if k == 0 else fzero
-        out.append([
-            [make(mpf_shift(x[k], k // 2)) for x in row]
-            + [make(unit)] + [make(fzero)] * (n - i - 1)
-            for i, row in enumerate(low)
-        ])
-        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
-    return tuple(out)
-
-
-def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
+def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix, seed: tuple | None = None) -> tuple:
     """A = L D L^T for symmetric A, unit lower L, no row exchanges.
 
     Crout order: each d_j = a_jj - sum_p l_jp (l_jp d_p) is one exact sum
@@ -653,25 +625,32 @@ def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix) -> tuple:
     ch. 13), with the same pivot test, and returns L, D, dL, dD and, with
     A'', d2L, d2D: the factorization's derivatives up to rounding. Each
     Taylor coefficient of each entry is one exact sum, and coefficient 0 is
-    the plain kernel's L and D. Without it, (L, D). ``ldl_derivatives``
-    forms the derivatives from L and D already formed.
+    the plain kernel's L and D. Without it, (L, D). A ``seed``, (L, D) of
+    A or of a matrix A leads (the leading rows of L and entries of D are
+    read), is taken as coefficient 0 instead of forming it again: A is not
+    read, no pivot is tested, and every coefficient has the bits of the
+    call without it that accepts A.
     """
-    low, d = _ldl_series(_taylor((a,) + pencil, 0), _raw(pivot_floor))
-    return _factors(low, d, 0, len(pencil) + 1)
-
-
-def ldl_derivatives(l: Matrix, d: list, *pencil: Matrix) -> tuple:
-    """dL, dD and, with A'', d2L, d2D of ``ldl_no_pivot(a, floor, *pencil)``,
-    bit for bit, from that call's plain factors (L, D) = ``ldl_no_pivot(a,
-    floor)``, which are read, not formed again: the Taylor elimination with
-    its coefficient 0 seeded. L and D passed the pivot test when they were
-    formed, so none is made here, and L's leading rows with D's entries give
-    the derivatives of a leading block.
-    """
-    n = len(d)
-    seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(l[:n])], [_raw(x) for x in d]
-    low, dd = _ldl_series([None] + _taylor(pencil, 1), None, seed)
-    return _factors(low, dd, 1, len(pencil) + 1)
+    n, first = len(a), 1 if seed else 0
+    # the second derivative's Taylor coefficient is half of it, exactly
+    coeffs = [None] * first + [
+        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
+        for k, c in enumerate(((a,) + pencil)[first:], first)
+    ]
+    if seed:
+        seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(seed[0][:n])], [_raw(x) for x in seed[1][:n]]
+    low, d = _ldl_series(coeffs, _raw(pivot_floor), seed)
+    make = mp.make_mpf
+    out = []
+    for k in range(len(coeffs)):
+        unit = fone if k == 0 else fzero
+        out.append([
+            [make(mpf_shift(x[k], k // 2)) for x in row]
+            + [make(unit)] + [make(fzero)] * (n - i - 1)
+            for i, row in enumerate(low)
+        ])
+        out.append([make(mpf_shift(x[k], k // 2)) for x in d])
+    return tuple(out)
 
 
 @dataclass

@@ -61,7 +61,6 @@ from .linalg import (
     LUFactors,
     Matrix,
     exceeds,
-    ldl_derivatives,
     ldl_no_pivot,
     lu_column_solve,
     lu_determinant,
@@ -664,14 +663,14 @@ def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> Flow
     """The order-1 or order-2 flow-l jet of chol's leading size x size block.
 
     Along flow l the block is G + t [rho_{i+j+l}] + (t^2/2) [rho_{i+j+2l}] + ...,
-    and ``ldl_derivatives`` of that pencil, seeded with chol's L = S^-1 and H
-    (the unpivoted LDL of a leading block is the leading block of the LDL),
-    gives their derivatives, to rounding and with no step: the bits of
-    ``ldl_no_pivot`` of the block and its pencil under the block's own pivot
-    floor, which chol's pivots pass, since that floor is taken from a block
-    no larger than chol's. S = L^-1 gives dS = -S dL S and
-    d2S = -(2 dS dL + S d2L) S. Refuses a size past chol's or a read past the
-    table, rho_{2 size - 2 + order l}.
+    and its ``ldl_no_pivot`` with that pencil, seeded with chol's L = S^-1
+    and H (the unpivoted LDL of a leading block is the leading block of the
+    LDL), forms only their derivatives, to rounding and with no step. They
+    have the bits of the unseeded elimination under the block's own pivot
+    floor, which chol's pivots pass: that floor is taken from a block no
+    larger than chol's. S = L^-1 gives dS = -S dL S and
+    d2S = -(2 dS dL + S d2L) S. Refuses a size past chol's or a read past
+    the table, rho_{2 size - 2 + order l}.
     """
     table, top = chol.table, 2 * size - 2 + order * l
     if not 1 <= size <= chol.size or top > table.m_max:
@@ -680,10 +679,11 @@ def flow_jet(chol: CholeskyFactorization, l: int, order: int, size: int) -> Flow
             f"factorization size {size}; table depth {table.m_max}, size {chol.size}"
         )
     vals = table.values
-    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(1, order + 1)]
-    s, h = [row[:size] for row in chol.s[:size]], chol.h[:size]
+    pencil = [[vals[i + q * l : i + q * l + size] for i in range(size)] for q in range(order + 1)]
+    s = [row[:size] for row in chol.s[:size]]
     with workprec(table.ctx.mantissa_bits):
-        dl, dh, *second = ldl_derivatives(chol.s_inv, h, *pencil)
+        # the seed takes no pivot test, so no floor is passed
+        _, h, dl, dh, *second = ldl_no_pivot(pencil[0], 0, *pencil[1:], seed=(chol.s_inv, chol.h))
         ds = product_sum((-1, mat_mul(s, dl), s))
         jet = FlowJet(size, s, h, ds, dl, dh)
         if second:

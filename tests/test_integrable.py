@@ -34,7 +34,7 @@ from semidop import integrable as integrable_module
 from semidop import linalg as linalg_module
 from semidop import moments as moments_module
 from semidop import structure
-from semidop.linalg import ldl_derivatives, ldl_no_pivot
+from semidop.linalg import ldl_no_pivot
 from semidop.moments import ldl_pivot_floor
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
 from semidop.report import SuiteConfig, run_suite
@@ -429,11 +429,11 @@ def test_a_seeded_flow_jet_is_the_full_taylor_elimination(w, data):
     with workprec(512):
         scale = max(abs(x) for row in pencil[0] for x in row)
         full = ldl_no_pivot(pencil[0], ldl_pivot_floor(scale, 512), *pencil[1:])
-        seeded = ldl_derivatives(chol.s_inv, chol.h[:size], *pencil[1:])
+        seeded = ldl_no_pivot(pencil[0], 0, *pencil[1:], seed=(chol.s_inv, chol.h))
     jet = moments_module.flow_jet(chol, l, order, size)
     assert _block_bits(full[0], size) == _block_bits(chol.s_inv, size)
-    assert [_block_bits(m, size) if isinstance(m[0], list) else _block_bits([m], size) for m in seeded] == [
-        _block_bits(m, size) if isinstance(m[0], list) else _block_bits([m], size) for m in full[2:]
+    assert [_block_bits(m if isinstance(m[0], list) else [m], size) for m in seeded] == [
+        _block_bits(m if isinstance(m[0], list) else [m], size) for m in full
     ]
     assert _block_bits([jet.h, jet.dh], size) == _block_bits([full[1], full[3]], size)
     assert _block_bits(jet.ds_inv, size) == _block_bits(full[2], size)
@@ -557,19 +557,21 @@ def _nudged(x):
 def _pencil_column(monkeypatch, pipe, q, column):
     # the q-th derivative matrix of every flow-jet pencil has its entries on
     # the antidiagonal i + j = column, one moment rho_{column + q l}, nudged;
-    # the jets seed their elimination with chol's factors, so the pencil is
-    # all they read of the moments
-    real = moments_module.ldl_derivatives
+    # a jet seeds its elimination with chol's factors, so the pencil is all
+    # it reads of the moments
+    real = moments_module.ldl_no_pivot
 
-    def planted(l, d, *pencil):
-        pencil = list(pencil)
-        pencil[q - 1] = [
-            [_nudged(x) if i + j == column else x for j, x in enumerate(row)]
-            for i, row in enumerate(pencil[q - 1])
-        ]
-        return real(l, d, *pencil)
+    def planted(a, floor, *pencil, seed=None):
+        if pencil:
+            assert seed is not None
+            pencil = list(pencil)
+            pencil[q - 1] = [
+                [_nudged(x) if i + j == column else x for j, x in enumerate(row)]
+                for i, row in enumerate(pencil[q - 1])
+            ]
+        return real(a, floor, *pencil, seed=seed)
 
-    monkeypatch.setattr(moments_module, "ldl_derivatives", planted)
+    monkeypatch.setattr(moments_module, "ldl_no_pivot", planted)
 
 
 def _table_column(monkeypatch, pipe, m):
