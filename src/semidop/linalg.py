@@ -638,7 +638,8 @@ def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix, seed: tuple | None = N
         for k, c in enumerate(((a,) + pencil)[first:], first)
     ]
     if seed:
-        seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(seed[0][:n])], [_raw(x) for x in seed[1][:n]]
+        l0, d0 = seed
+        seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(l0[:n])], [_raw(x) for x in d0[:n]]
     low, d = _ldl_series(coeffs, _raw(pivot_floor), seed)
     make = mp.make_mpf
     out = []

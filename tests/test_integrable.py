@@ -412,7 +412,6 @@ def test_flow_jet_leading_blocks_are_the_smaller_jet(w, data):
     assert [x._mpf_ for x in small.dh] == [x._mpf_ for x in big.dh[:m]]
 
 
-
 @settings(max_examples=15, deadline=None)
 @given(w=positive_weights(), data=st.data())
 def test_a_seeded_flow_jet_is_the_full_taylor_elimination(w, data):

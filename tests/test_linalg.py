@@ -249,7 +249,6 @@ def test_residual_against_infinite_scale_fails():
     assert not acc.result("x", TOL, "1x1").passed
 
 
-
 def test_a_check_whose_rows_all_read_0_reports_its_first_scale():
     # the first of equal residuals is the worst, so an all-zero check says
     # what its zero is relative to; a later larger row still replaces it
@@ -261,6 +260,7 @@ def test_a_check_whose_rows_all_read_0_reports_its_first_scale():
         assert res.max_residual == 0 and res.scale == 3
         acc.add("third", mpf(1), mpf(7))
         assert acc.result("x", TOL, "1x1").scale == 7
+
 
 RESIDUAL_PRECISIONS = (53, 256, 512, 600)
 
