@@ -286,9 +286,10 @@ def derivative_fd_crosscheck(
 ) -> mpf:
     """max |engine - central FD| / max(|engine|, |FD|, 1), over the entries of
     a scalar or a vector: the comparator of a derivative with its FD witness.
-    A nan entry makes the result nan."""
+    A nan entry makes the result nan; vectors of unequal length are refused
+    (ValueError)."""
     fd = fd_flow_derivative(quantity, step, bits)
-    pairs = zip(engine_value, fd) if isinstance(fd, list) else [(engine_value, fd)]
+    pairs = zip(engine_value, fd, strict=True) if isinstance(fd, list) else [(engine_value, fd)]
     with workprec(bits):
         worst = mpf(0)
         for e, f in pairs:

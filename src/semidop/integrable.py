@@ -344,7 +344,8 @@ class _LogJet:
     """The derivatives of log tau_k on one table, each formed on its first
     read: ``[alpha]`` reads the table's memo, or asks ``log_tau_jet`` for
     that entry's closure alone. An entry's bits do not depend on the closure
-    it is requested in, so the order of reads moves no value."""
+    it is requested in, so the order of reads moves no value. tau_0 = 1, so
+    every entry of k = 0 is 0, read without a call."""
 
     __slots__ = ("table", "k")
 
@@ -352,6 +353,8 @@ class _LogJet:
         self.table, self.k = table, k
 
     def __getitem__(self, alpha) -> mpf:
+        if self.k == 0:
+            return mpf(0)
         memo = self.table.log_tau_derivatives.get(self.k, {})
         if alpha in memo:
             return memo[alpha]
@@ -567,10 +570,10 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             acc.add(f"phi_{l}", out_of_band_max(phi, 0, kj, kj), scale)
 
             # (c) the index shift both routes rest on: the central difference
-            # of the moments of two walked tables of the flow-scaled weight
-            # against the shifted columns of this table
+            # of rho_0 .. rho_{2k-l} of two walked tables of the flow-scaled
+            # weight against rho_l .. rho_{2k} of this table
             if l in fd_flows:
-                top = min(2 * kj, pipe.depth - l)
+                top = pipe.depth - l
                 res = derivative_fd_crosscheck(
                     lambda mult: pipe.flow_scaled(l, mult).table.values[: top + 1],
                     pipe.table.values[l : top + l + 1],

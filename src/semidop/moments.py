@@ -231,8 +231,7 @@ class LatticePass:
     """One fixed-point pass over the points 0 .. last at 2^scale, at rung ``bits``.
 
     sums[m] = sum_{k <= last} k^m W_k and errors[m] >= |sums[m] - sum_{k <= last}
-    k^m w(k) 2^scale|; last_term is (W_last, e_last), the pass's last term and
-    its error bound.
+    k^m w(k) 2^scale|.
     """
 
     sums: list
@@ -240,7 +239,6 @@ class LatticePass:
     scale: int
     bits: int
     last: int
-    last_term: tuple[int, int]
 
 
 def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass:
@@ -297,7 +295,7 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass
             f"for weight {w.spec_string()}"
         )
     bound = err_max * (k + 1)
-    return LatticePass(sums, [bound * k**m for m in range(cols)], scale, bits, k, (value, err))
+    return LatticePass(sums, [bound * k**m for m in range(cols)], scale, bits, k)
 
 
 def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | None:

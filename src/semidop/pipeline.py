@@ -4,16 +4,11 @@ A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
-size, precision context, engine flag); the shifted pipelines and the moment
-witnesses obtain theirs through the same cache. This module alone sets the
-depth of a moment table (``moment_depth``). By default a table holds exactly
-rho_0 .. rho_{2k}, what the size-(k+1) factorization and so chol -> jac ->
-psi read; the determinant engine's jets and the order-1 flow jets of the
-size-k block read inside it too. An engine pipeline, which only the suite's
-base pipeline asks for, keeps slack past rho_{2k} for ``gram_pearson``, which
-reads rho_{2k+N-1}, and for the moment witness, which reads rho_{2k+l}; a
-default request finds a cached engine pipeline of the same weight, size and
-context before it builds a table of its own. Moment values, correctly
+size, precision context); the shifted pipelines and the moment witnesses
+obtain theirs through the same cache. A size-k pipeline factors G[k+1], so
+its table holds exactly rho_0 .. rho_{2k}: chol -> jac -> psi, the
+determinant engine's jets and the flow jets of the size-k block all read
+inside it, and every check reads no further. Moment values, correctly
 rounded, depend on the weight alone, so every table of a weight holds the
 same moments.
 
@@ -70,46 +65,14 @@ from .structure import (
 from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
-# Engine depth past rho_{2k}, the deepest entry of the size-(k+1)
-# factorization, which the determinant engine's jets read inside. The slack
-# holds gram_pearson's rho_{2k+N-1}, the moment witness's rho_{2k+l} (l <= 2)
-# and, below size 6, kp's reads up to rho_12 (the fifth-order tau jets and the
-# order-2 flow-2 jet for n <= 4).
-_DEPTH_SLACK = 8
-
-
-def moment_depth(weight: HypergeometricWeight, k: int, engine: bool = False) -> int:
-    """Moment-table depth of a size-k pipeline.
-
-    A default pipeline reads rho_0 .. rho_{2k}, the entries of its size-(k+1)
-    factorization, and its table stops there; the determinant engine reads
-    no further. An engine pipeline keeps the slack past rho_{2k}, its depth
-    rounded up to a multiple of 8, for three readers: the Pearson-symmetry
-    assembly theta(shift) G on the k x k window reads moments up to
-    2k + N - 1, so a weight with N > 8 needs more than the slack; the moment
-    witness of flow l compares the columns rho_0 .. rho_{2k} of its scaled
-    weights with rho_l .. rho_{2k+l}; and kp reads up to rho_12 at any size.
-    """
-    if not engine:
-        return 2 * k
-    depth = 2 * k + max(_DEPTH_SLACK, weight.n_degree)
-    return (depth + 7) // 8 * 8
-
-
 class WeightPipeline:
-    def __init__(
-        self,
-        weight: HypergeometricWeight,
-        k: int,
-        ctx: PrecisionContext,
-        engine: bool = False,
-    ):
+    def __init__(self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
         self.weight = weight
         self.k = k
         self.ctx = ctx
-        self.depth = moment_depth(weight, k, engine)
+        self.depth = 2 * k
         self.table = MomentTable(weight, self.depth, ctx)
         self._jets: dict[tuple[int, int], FlowJet] = {}
 
@@ -209,20 +172,11 @@ class WeightPipeline:
 _CACHE: dict = {}
 
 
-def get_pipeline(
-    weight: HypergeometricWeight,
-    k: int,
-    ctx: PrecisionContext,
-    engine: bool = False,
-) -> WeightPipeline:
-    """The cached pipeline of the weight at size k. An engine pipeline (the
-    suite's base pipeline) is cached apart from a default one; a default
-    request is served by a cached engine pipeline before it builds its own."""
-    pipe = _CACHE.get((weight, k, ctx, engine))
-    if pipe is None and not engine:
-        pipe = _CACHE.get((weight, k, ctx, True))
+def get_pipeline(weight: HypergeometricWeight, k: int, ctx: PrecisionContext) -> WeightPipeline:
+    """The cached pipeline of the weight at size k."""
+    pipe = _CACHE.get((weight, k, ctx))
     if pipe is None:
-        pipe = _CACHE[weight, k, ctx, engine] = WeightPipeline(weight, k, ctx, engine)
+        pipe = _CACHE[weight, k, ctx] = WeightPipeline(weight, k, ctx)
     return pipe
 
 

@@ -2,10 +2,11 @@
 
 The registry maps stable check names to runners and to declarations of what
 each needs of the weight and the size. A suite selects by the declarations
-before it builds anything, then builds one shared pipeline (the engine
-pipeline: one moment table, deep enough for the determinant engine), runs the
-selected checks in registry order, stamps every result with that pipeline's
-provenance and the seed, and aggregates them. Reports are deterministic.
+before it builds anything, then builds one shared pipeline, whose table holds
+rho_0 .. rho_{2k} as every pipeline's does, and its base factorization, runs
+the selected checks in registry order, stamps every result with that
+pipeline's provenance and the seed, and aggregates them. Reports are
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,10 +207,10 @@ def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
 
 
 def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    # the fifth-order jets read moments up to 2n + 3 <= 11 of the base table,
-    # the engine pipeline of run_suite, whose depth is >= 16, and the order-2
-    # flow-2 jet of the size-5 block reads up to rho_12
-    n_values = [n for n in LATTICE_N if n <= 4]
+    # the order-2 flow-2 jet of the size-(n+1) block reads up to rho_{2n+4}
+    # and the fifth-order tau jets up to rho_{2n+3}, so n <= k - 2 keeps
+    # both inside the table's rho_0 .. rho_{2k}
+    n_values = [n for n in LATTICE_N if n <= min(4, pipe.k - 2)]
     return integrable.kp_check(pipe, n_values, cfg.tol())
 
 
@@ -237,7 +239,7 @@ REGISTRY: dict[str, CheckSpec] = {
             "gram_pearson",
             "moment-matrix symmetry theta(shift) G = B sigma(shift) G B^T",
             _tolerance_only(structure.gram_pearson_residual),
-            requires=structure.pearson_weight,
+            requires=structure.gram_pearson_window,
         ),
         CheckSpec(
             "pascal_forms",
@@ -381,21 +383,30 @@ def select_checks(cfg: SuiteConfig) -> list[str]:
     return [name for name in CHECK_ORDER if name in cfg.checks]
 
 
+@contextmanager
+def _stage(name: str):
+    """Prefix a SemidopError raised inside once with ``[name]``: the same
+    exception, its type and fields kept."""
+    try:
+        yield
+    except SemidopError as exc:
+        exc.args = (f"[{name}] {exc}",)
+        raise
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Refuse a base factorization past a finite support, then run the
-    selected checks against one shared pipeline and aggregate."""
+    """Refuse a base factorization past a finite support, build it (a refusal
+    names the ``factorization`` stage, not the first check that reads it),
+    then run the selected checks against one shared pipeline and aggregate."""
     check_support(classify_convergence(cfg.weight), cfg.size, extra_rows=1)
     selected = select_checks(cfg)
-    pipe = get_pipeline(cfg.weight, cfg.size, cfg.context(), engine=True)
+    pipe = get_pipeline(cfg.weight, cfg.size, cfg.context())
+    with _stage("factorization"):
+        pipe.chol
     results: list[CheckResult] = []
     for name in selected:
-        runner = REGISTRY[name].runner
-        try:
-            outcome = runner(pipe, cfg)
-        except SemidopError as exc:
-            # the same exception, its type and fields kept, its message prefixed once
-            exc.args = (f"[{name}] {exc}",)
-            raise
+        with _stage(name):
+            outcome = REGISTRY[name].runner(pipe, cfg)
         if isinstance(outcome, list):
             results.extend(outcome)
         else:

@@ -74,7 +74,7 @@ if TYPE_CHECKING:
 # -- what each check requires of the weight and the truncation size -------------
 
 def pearson_weight(w: HypergeometricWeight, size: int) -> None:
-    """Declaration of pearson, gram_pearson and contiguous: an undeformed weight."""
+    """Declaration of pearson and contiguous: an undeformed weight."""
     if w.deformed:
         raise PreconditionError("requires an undeformed weight")
 
@@ -84,6 +84,16 @@ def trimmed_window(size: int, trim: int, what: str, least: int = 2) -> int:
     if size - trim < least:
         raise PreconditionError(f"truncation too small for {what} (window {size - trim})")
     return size - trim
+
+
+def gram_pearson_window(w: HypergeometricWeight, size: int) -> int:
+    """Declaration of gram_pearson: the leading window whose theta(shift) G
+    reads no moment past rho_{2 size}. Entry (n, m) of a Pearson polynomial
+    of degree d times G reads rho_{n+m+d}, so a degree past 2 trims
+    (d - 1) // 2 rows and columns (d = max(N + 1, M)); an empty window is refused."""
+    pearson_weight(w, size)
+    trim = (max(w.n_degree + 1, w.m_degree) - 1) // 2
+    return trimmed_window(size, trim, "the Gram-Pearson symmetry", least=1)
 
 
 def subdiagonal_window(w: HypergeometricWeight, size: int) -> int:
@@ -435,16 +445,17 @@ def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
 
 
 def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
-    """theta(shift) G versus B sigma(shift) G B^T on the leading k x k window.
+    """theta(shift) G versus B sigma(shift) G B^T on the leading window
+    (``gram_pearson_window``).
 
-    Both sides are assembled entrywise from the shared moment table (the left
-    side consumes deg theta extra indices), so the residual reflects round-off
-    and the Pearson property only, not truncation artifacts. Row ``G[n,m]``
-    (m <= n) is the larger difference at (n, m) and (m, n), relative to the
-    largest entry of either side.
+    Both sides are assembled entrywise from the shared moment table (each
+    side consumes its polynomial's degree in extra indices), so the residual
+    reflects round-off and the Pearson property only, not truncation
+    artifacts. Row ``G[n,m]`` (m <= n) is the larger difference at (n, m) and
+    (m, n), relative to the largest entry of either side.
     """
-    w, table, k = pipe.weight, pipe.table, pipe.k
-    pearson_weight(w, k)
+    w, table = pipe.weight, pipe.table
+    win = gram_pearson_window(w, pipe.k)
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
@@ -453,32 +464,32 @@ def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         lhs = [
             [
                 sum(theta_c[p] * table.moment(n + m + p) for p in range(len(theta_c)))
-                for m in range(k)
+                for m in range(win)
             ]
-            for n in range(k)
+            for n in range(win)
         ]
         mid = [
             [
                 sum(sigma_c[q] * table.moment(n + m + q) for q in range(len(sigma_c)))
-                for m in range(k)
+                for m in range(win)
             ]
-            for n in range(k)
+            for n in range(win)
         ]
-        b = pascal_matrix(k, 1)
+        b = pascal_matrix(win, 1)
         rhs = mat_mul(mat_mul(b, mid), transpose(b))
         # every entry against the largest of either side, so the worst row
         # is the largest difference; lhs is symmetric and rhs is up to
         # rounding, so row G[n,m] reads entries (n, m) and (m, n)
         scale = max(max_abs(lhs + rhs), mpf(1))
         acc = ResidualAccumulator()
-        for n in range(k):
+        for n in range(win):
             for m in range(n + 1):
                 pair = [lhs[n][m] - rhs[n][m], lhs[m][n] - rhs[m][n]]
                 acc.add(f"G[{n},{m}]", max_abs([pair]), scale)
         return acc.result(
             "gram_pearson",
             tolerance,
-            window=f"leading {k}x{k} window (entrywise exact construction)",
+            window=f"leading {win}x{win} window (entrywise exact construction)",
         )
 
 

@@ -30,28 +30,26 @@ def ctx():
     return PrecisionContext(mantissa_bits=BITS)
 
 
-# The fixture pipelines are engine pipelines, as run_suite's base pipeline is:
-# the tests run the determinant-engine checks on them.
 @pytest.fixture(scope="session")
 def charlier_pipe(ctx):
-    return get_pipeline(CHARLIER, 12, ctx, engine=True)
+    return get_pipeline(CHARLIER, 12, ctx)
 
 
 @pytest.fixture(scope="session")
 def meixner_pipe(ctx):
-    return get_pipeline(MEIXNER, 12, ctx, engine=True)
+    return get_pipeline(MEIXNER, 12, ctx)
 
 
 @pytest.fixture(scope="session")
 def gen_meixner_pipe(ctx):
-    return get_pipeline(GEN_MEIXNER, 12, ctx, engine=True)
+    return get_pipeline(GEN_MEIXNER, 12, ctx)
 
 
 @pytest.fixture(scope="session")
 def deformed_pipe(ctx):
     # the deformation concentrates the weight on few lattice points, so norms
     # decay superexponentially; size 8 keeps every pivot above the 256-bit floor
-    return get_pipeline(DEFORMED, 8, ctx, engine=True)
+    return get_pipeline(DEFORMED, 8, ctx)
 
 
 @pytest.fixture(scope="session")

@@ -175,19 +175,20 @@ def test_criterion_09_toda_stack():
 def test_criterion_10_flow_equations_with_fd_convergence():
     ok = True
     for w, flows in ((FOUR_FAMILIES["charlier"], (1,)), (DEFORMED, (1, 2))):
-        pipe = get_pipeline(w, 8, CTX, engine=True)
+        pipe = get_pipeline(w, 8, CTX)
         res = sato_wilson_check(pipe, TOL)
         ok = ok and res.passed
         for l in (1, 2):
             # the dressing factor from the exact flow jet reads rounding
             ok = ok and mpf(res.components[f"phi_{l}"]) <= mpf(2) ** -400
         for l in flows:
-            # the moment witness of the index shift converges at second order
+            # the moment witness of the index shift converges at second order:
+            # rho_0 .. rho_{16-l} of the witnesses against rho_l .. rho_16
             def residual(step, l=l):
                 def moments(mult):
-                    return get_pipeline(flow_scaled_weight(w, l, mult), 8, CTX).table.values
+                    return get_pipeline(flow_scaled_weight(w, l, mult), 8, CTX).table.values[: 17 - l]
 
-                return derivative_fd_crosscheck(moments, pipe.table.values[l : 17 + l], step, BITS)
+                return derivative_fd_crosscheck(moments, pipe.table.values[l:], step, BITS)
 
             steps = fd_convergence_study(residual, BITS)
             ok = ok and len(steps) == FD_HALVINGS + 1

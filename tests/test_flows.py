@@ -242,6 +242,9 @@ def test_crosscheck_of_a_vector_is_its_worst_entry(ctx):
     with workprec(BITS):
         planted = shifted[:4] + [shifted[4] * (1 + mpf(2) ** -100)] + shifted[5:]
     assert derivative_fd_crosscheck(moments, planted, step, BITS) > mpf(2) ** -110
+    # vectors of unequal length are refused, not compared over the shorter one
+    with pytest.raises(ValueError):
+        derivative_fd_crosscheck(moments, shifted[:8], step, BITS)
 
 
 @pytest.mark.parametrize("weight", [CHARLIER, GEN_MEIXNER], ids=["charlier", "gen_meixner"])

@@ -382,9 +382,8 @@ def fresh_pipelines():
 )
 def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
     # each plant is read by rewritten maxima only: the theta factor's by two
-    # rows, each other plant by one; sato_wilson reads the engine depth, as
-    # in a suite
-    res = plant(get_pipeline(GEN_MEIXNER, 8, ctx, engine=True), tol, monkeypatch)
+    # rows, each other plant by one
+    res = plant(get_pipeline(GEN_MEIXNER, 8, ctx), tol, monkeypatch)
     assert not res.passed, res.components
 
 
@@ -451,7 +450,7 @@ def test_lazily_read_log_jets_are_the_requested_jets(w, reads):
     # a check's log-tau jets form each entry on its first read, in whatever
     # order the check reads them; each has the bits of the jet requested
     # whole, over every order read at its k, from a table with no memo
-    pipe = WeightPipeline(w, 8, PrecisionContext(mantissa_bits=512), engine=True)
+    pipe = WeightPipeline(w, 8, PrecisionContext(mantissa_bits=512))
     jets = integrable_module._log_jets(pipe, 7)
     got = [jets[k][alpha]._mpf_ for k, alpha in reads]
     table = MomentTable(w, pipe.depth, pipe.ctx)
@@ -461,10 +460,16 @@ def test_lazily_read_log_jets_are_the_requested_jets(w, reads):
 
 def test_a_contract_pass_forms_only_what_its_rows_read(monkeypatch):
     # per pass of the contract mix: no log tau_k (no row reads one), no jet
-    # entry past the ones the rows read, and no flow jet that forms its
-    # coefficient 0 again rather than reading chol's L and H
-    logs, fresh, series = [], [], []
+    # entry past the ones the rows read, no call for the jet of tau_0 = 1
+    # (every entry 0), and no flow jet that forms its coefficient 0 again
+    # rather than reading chol's L and H
+    logs, fresh, series, jet_ks = [], [], [], []
     real_log, real_det, real_series = type(mp).log, MomentTable.det_rows, linalg_module._ldl_series
+    real_jet = integrable_module.log_tau_jet
+
+    def log_tau_jet(table, k, alphas):
+        jet_ks.append(k)
+        return real_jet(table, k, alphas)
 
     def det_rows(table, rows):
         if rows not in table._det_cache:
@@ -478,11 +483,13 @@ def test_a_contract_pass_forms_only_what_its_rows_read(monkeypatch):
     monkeypatch.setattr(type(mp), "log", lambda ctx, *a, **kw: logs.append(a) or real_log(ctx, *a, **kw))
     monkeypatch.setattr(MomentTable, "det_rows", det_rows)
     monkeypatch.setattr(linalg_module, "_ldl_series", ldl_series)
+    monkeypatch.setattr(integrable_module, "log_tau_jet", log_tau_jet)
     for spec, size in CONTRACT_MIX:
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
     assert logs == []
+    assert jet_ks and 0 not in jet_ks
     assert len(fresh) <= 353
     jets = [seeded for count, seeded in series if count > 1]
     assert jets and all(jets)
@@ -703,6 +710,9 @@ def _run(check, pipe):
         (GEN_MEIXNER, "omega", "subdiagonal_closed_form", _norm, (2,)),
         # tau_2 comes from a pivoted LU, h_1 from the LDL
         (GEN_MEIXNER, "tau_routes", "norm_ratio[1]", _norm, (1,)),
+        # the moment witness reads the table through its last column rho_2k
+        (GEN_MEIXNER, "sato_wilson", "moment_flow_1", _table_column, (16,)),
+        (DEFORMED, "sato_wilson", "moment_flow_2", _table_column, (16,)),
     ],
 )
 def test_a_nudged_input_fails_the_row(weight, check, row, mutate, arg, fresh_pipelines, monkeypatch):
@@ -712,9 +722,9 @@ def test_a_nudged_input_fails_the_row(weight, check, row, mutate, arg, fresh_pip
         return max(mpf(v) for k, v in res.components.items() if k.startswith(row))
 
     tol = to_mpf(MUTATION_CTX.default_tolerance())
-    assert worst(_run(check, get_pipeline(weight, 8, MUTATION_CTX, engine=True))) <= tol
+    assert worst(_run(check, get_pipeline(weight, 8, MUTATION_CTX))) <= tol
     clear_cache()
-    pipe = get_pipeline(weight, 8, MUTATION_CTX, engine=True)
+    pipe = get_pipeline(weight, 8, MUTATION_CTX)
     with monkeypatch.context() as patched:
         mutate(patched, pipe, *arg)
         res = _run(check, pipe)

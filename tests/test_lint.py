@@ -11,8 +11,7 @@ module of a later layer fails it too, unless the import sits under
 to export, so it is not checked. One module owns the depth of the moment
 tables the checks read, so a ``MomentTable`` is built only there
 (``pipeline``), by the ``moments`` command (``cli``) and by ``rebuilt``
-(``moments``), and only the suite (``report``) asks ``pipeline`` for the
-engine depth. Only ``moments`` reads the names that decide where a lattice
+(``moments``). Only ``moments`` reads the names that decide where a lattice
 pass stops, and only ``weights`` and ``moments`` read the term-by-term walk
 (``term_ratio``, ``fixed_point_terms``). Only ``linalg`` does arithmetic on
 raw ``libmp`` values; ``moments`` and ``weights`` may build them with three
@@ -317,50 +316,6 @@ def test_walk_reads_flagged():
 
 def test_only_weights_and_moments_walk_the_lattice():
     assert _reads_outside(LATTICE_WALK, {"weights", "moments"}) == []
-
-
-# -- one reader of the engine depth ---------------------------------------------
-
-# The pipeline entry points that take the engine flag, by the number of
-# positional arguments before it. Only the suite's base pipeline feeds the
-# determinant engine, so ``report`` is the one module that passes the flag;
-# ``pipeline``, which owns it, only forwards it.
-ENGINE_FLAG_AFTER = {"get_pipeline": 3, "WeightPipeline": 3, "moment_depth": 2}
-
-
-def _engine_requests(source: str) -> list[int]:
-    """The lines of a module that pass the engine flag, by keyword or by position."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if any(kw.arg == "engine" for kw in node.keywords) or (
-            name in ENGINE_FLAG_AFTER and len(node.args) > ENGINE_FLAG_AFTER[name]
-        ):
-            lines.add(node.lineno)
-    return sorted(lines)
-
-
-def test_engine_requests_flagged():
-    source = (
-        "get_pipeline(w, k, ctx, engine=True)\n"
-        "pipeline.get_pipeline(w, k, ctx, True)\n"
-        "moment_depth(w, k, True)\n"
-        "get_pipeline(w, k, ctx)\nmoment_depth(w, k)\nWeightPipeline(w, k, ctx)\n"
-    )
-    assert _engine_requests(source) == [1, 2, 3]
-
-
-def test_only_the_suite_asks_for_the_engine_depth():
-    requests = {
-        path.stem: _engine_requests(path.read_text())
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "pipeline"
-    }
-    assert [module for module, lines in requests.items() if lines] == ["report"]
-    assert len(requests["report"]) == 1
 
 
 # -- one module of raw arithmetic -----------------------------------------------

@@ -363,7 +363,7 @@ def _planted_passes(monkeypatch, planted: int, columns) -> list:
         requested.append(bits)
         if len(requested) <= planted:
             sums = columns(scale)
-            return moments_module.LatticePass(sums, [0] * len(sums), scale, bits, 1, (0, 0))
+            return moments_module.LatticePass(sums, [0] * len(sums), scale, bits, 1)
         return real(w, last, m_max, bits, scale)
 
     monkeypatch.setattr(moments_module, "_fixed_point_pass", fixed_point_pass)
@@ -800,9 +800,9 @@ def test_witness_tables_outside_the_rules_are_walked(spec, l, parent_depth, dept
 def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     # the flow jets derive every derivative of the factorization from the
     # base table, so the Meixner suite at size 12 sums the lattice for its
-    # base table, its shifted table a=3 and the two flow-1 moment witnesses
-    # at depth 24, the one whose moments sit near a 512-bit rounding midpoint
-    # walked again at 736 bits
+    # base table, its shifted table a=3 and the two flow-1 moment witnesses,
+    # each at depth 24, the one whose moments sit near a 512-bit rounding
+    # midpoint walked again at 736 bits
     passes = []
     real = moments_module._fixed_point_pass
 
@@ -815,7 +815,7 @@ def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     run_suite(SuiteConfig(weight=MEIXNER, size=12, mantissa_bits=512))
     clear_cache()
     assert Counter(passes) == {
-        ("a=2; eta=1/2", 32, 608): 1,
+        ("a=2; eta=1/2", 24, 608): 1,
         ("a=3; eta=1/2", 24, 608): 1,
         ("witness", 24, 608): 2,
         ("witness", 24, 736): 1,

@@ -32,8 +32,8 @@ import semidop.cli as cli_module
 from semidop.cli import main as cli_main
 from semidop.cli import parse_tolerance
 from semidop.flows import tau_derivative
-from semidop.moments import decimal_str
-from semidop.pipeline import clear_cache, get_pipeline, moment_depth
+from semidop.moments import cholesky, decimal_str
+from semidop.pipeline import clear_cache, get_pipeline
 import semidop.report as report_module
 from semidop.report import (
     DEFAULT_SEED,
@@ -47,6 +47,7 @@ from semidop.report import (
     select_checks,
 )
 from semidop.result import make_result
+from semidop.structure import jacobi_matrix
 
 from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
 from test_integrable import positive_params
@@ -267,6 +268,20 @@ def test_run_suite_names_the_check_of_a_builder_error(monkeypatch, capsys):
     clear_cache()
 
 
+def test_a_refused_base_factorization_names_its_stage(capsys):
+    # Charlier at size 40 is refused at pivot 0 of the base factorization,
+    # which the suite builds before its first check: the message names that
+    # stage, also for a --checks subset that reads no factorization
+    argv = ["verify", "--weight", "eta=7/10", "--size", "40"]
+    for subset in ([], ["--checks", "pearson"]):
+        clear_cache()
+        assert cli_main(argv + subset) == 1
+        assert capsys.readouterr().err == (
+            "error: SingularTruncation: [factorization] singular or near-singular pivot at index 0\n"
+        )
+    clear_cache()
+
+
 def test_route_disagreement_is_reported_not_raised(monkeypatch, tmp_path, capsys):
     # move S[k-1][0] of the base factorization: J does not read it, the direct
     # route S Lambda S^-1 does, so the two disagree inside J's window
@@ -379,7 +394,7 @@ def test_suite_stamps_base_provenance_on_every_result():
         "weight": "a=3/2; b=5/2; eta=1/3",
         "size": "8",
         "mantissa_bits": str(BITS),
-        "depth": "24",
+        "depth": "16",
         "seed": str(DEFAULT_SEED),
     }
     assert all(c.provenance == base for c in rep.checks)
@@ -470,17 +485,17 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "19afff37297e2176"),
-    ("b=3/2; eta=1/2", 12, "4923aa4ef3323193"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "4e4c99abcf63ef6e"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "1b870d38c0ddd200"),
+    ("a=2; eta=1/2", 12, "c6d53d34baa71346"),
+    ("b=3/2; eta=1/2", 12, "66c691be4f307cec"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "af0d82522c539047"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "05bb30a54e7b0dfd"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "140536346734cd20"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "623786aa635b86ac"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "c6352282e1fba712"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "367820c8fb890189"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
-    ("a=2/3; b=7/5; eta=3/7", 12, "15c9a9b5564607ea"),
+    ("a=2/3; b=7/5; eta=3/7", 12, "492b91b3dd6668f6"),
 ]
 
 
@@ -632,27 +647,23 @@ def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, wit
     ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
 )
 def test_witness_table_stops_at_rho_2k(weight, flow, size):
-    # a moment witness is a default pipeline: its table holds exactly
-    # rho_0 .. rho_2k, the bits of its weight's engine table, and is cached
-    # apart from that engine pipeline
+    # a moment witness, as every pipeline, holds exactly rho_0 .. rho_2k,
+    # the bits of a deeper table of its weight, and is cached per weight
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=BITS)
-    base = get_pipeline(weight, size, ctx, engine=True)
+    base = get_pipeline(weight, size, ctx)
     witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64))
     assert witness is not base and witness.k == size
-    full = get_pipeline(witness.weight, size, ctx, engine=True)
-    assert full is not witness and full.table.m_max > 2 * size
     assert base.flow_scaled(flow, 1 + Fraction(1, 2**64)) is witness
     assert get_pipeline(witness.weight, size, ctx) is witness
     assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
-    assert [x._mpf_ for x in witness.table.values] == [
-        x._mpf_ for x in full.table.values[: 2 * size + 1]
-    ]
-    assert witness.chol.h[size] == full.chol.h[size]
+    deeper = MomentTable(witness.weight, 2 * size + 8, ctx)
+    assert _bits(witness.table.values) == _bits(deeper.values[: 2 * size + 1])
+    assert witness.chol.h[size] == cholesky(deeper, size + 1).h[size]
     # the determinant engine reads rho_{2k+1} for d tau_{k+1}: past the table
     with pytest.raises(IndexOutOfTable):
         tau_derivative(witness.table, size + 1, (1, 0, 0))
-    assert tau_derivative(full.table, size + 1, (1, 0, 0)) != 0
+    assert tau_derivative(deeper, size + 1, (1, 0, 0)) != 0
 
 
 def _bits(values) -> list:
@@ -662,66 +673,44 @@ def _bits(values) -> list:
 @pytest.mark.parametrize(
     ("spec", "size"), [*CONTRACT_MIX, *((spec, 8) for spec in SLOW_DECAY)]
 )
-def test_default_pipeline_matches_the_engine_pipeline(spec, size):
-    # a default table stops at rho_2k; the moments are correctly rounded, so
-    # beta, gamma, H and S agree bit for bit with the engine pipeline's
+def test_suite_pipelines_hold_rho_0_to_rho_2k(spec, size, monkeypatch):
+    # the suite's base pipeline is the one a later request is served, and
+    # every pipeline the suite builds (base, shifted, moment witnesses) holds
+    # exactly rho_0 .. rho_2k; the moments are correctly rounded, so beta,
+    # gamma, H and S have the bits of a factorization of a deeper table
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=512)
     w = parse_weight_spec(spec)
-    default = get_pipeline(w, size, ctx)
-    engine = get_pipeline(w, size, ctx, engine=True)
-    assert default is not engine
-    assert default.depth == 2 * size < engine.depth == moment_depth(w, size, engine=True)
-    assert _bits(default.jac.beta) == _bits(engine.jac.beta)
-    assert _bits(default.jac.gamma) == _bits(engine.jac.gamma)
-    assert _bits(default.chol.h) == _bits(engine.chol.h)
-    assert [_bits(row) for row in default.chol.s] == [_bits(row) for row in engine.chol.s]
-    clear_cache()
+    served = []
 
+    def recorded(*args):
+        served.append(get_pipeline(*args))
+        return served[-1]
 
-def test_default_request_is_served_by_a_cached_engine_pipeline():
-    clear_cache()
-    ctx = PrecisionContext(mantissa_bits=BITS)
-    engine = get_pipeline(MEIXNER, 6, ctx, engine=True)
-    assert get_pipeline(MEIXNER, 6, ctx) is engine
-    assert get_pipeline(MEIXNER, 6, ctx, engine=True) is engine
-    # not across sizes or contexts
-    assert get_pipeline(MEIXNER, 5, ctx).depth == 10
-    assert get_pipeline(MEIXNER, 6, PrecisionContext(mantissa_bits=BITS + 64)).depth == 12
-    # an engine request after a default build builds a deeper pipeline of its own
-    default = get_pipeline(GEN_MEIXNER, 6, ctx)
-    deeper = get_pipeline(GEN_MEIXNER, 6, ctx, engine=True)
-    assert deeper is not default and (default.depth, deeper.depth) == (12, 24)
-    assert get_pipeline(GEN_MEIXNER, 6, ctx) is default
-    clear_cache()
-
-
-def test_suite_base_pipeline_needs_the_engine_depth(monkeypatch):
-    # gram_pearson's theta(shift) G reads moments up to 2k + N - 1, past rho_2k
-    # when N >= 2: a suite whose base pipeline stops at rho_2k is refused, so
-    # run_suite must ask for the engine depth
-    weight = parse_weight_spec("a=3/2,1; b=5/2,7/2; eta=1/3")
-    clear_cache()
-    assert run_suite(SuiteConfig(weight=weight, size=8, mantissa_bits=BITS)).passed
-    clear_cache()
-    monkeypatch.setattr(
-        report_module, "get_pipeline", lambda w, k, ctx, engine=False: get_pipeline(w, k, ctx)
-    )
-    with pytest.raises(IndexOutOfTable, match=r"\[gram_pearson\]"):
-        run_suite(SuiteConfig(weight=weight, size=8, mantissa_bits=BITS))
+    monkeypatch.setattr(report_module, "get_pipeline", recorded)
+    assert run_suite(SuiteConfig(weight=w, size=size, mantissa_bits=512)).passed
+    [base] = served
+    assert get_pipeline(w, size, ctx) is base
+    assert all(pipe.table.m_max == 2 * pipe.k for pipe in pipeline._CACHE.values())
+    deeper = cholesky(MomentTable(w, 2 * size + 8, ctx), size + 1)
+    assert _bits(base.chol.h) == _bits(deeper.h)
+    assert [_bits(row) for row in base.chol.s] == [_bits(row) for row in deeper.s]
+    assert _bits(base.jac.beta) == _bits(jacobi_matrix(deeper).beta)
+    assert _bits(base.jac.gamma) == _bits(jacobi_matrix(deeper).gamma)
     clear_cache()
 
 
 def test_kp_builds_witnesses_at_the_size_its_jets_read():
-    # at size 3 the fifth-order tau jets read up to rho_11 of the engine
-    # table, and the order-2 flow-2 jet is the size-4 factorization's, the
-    # largest it holds: d22p is read for n <= 3
-    rep = run_suite(SuiteConfig(weight=DEFORMED, size=3, mantissa_bits=BITS, checks=("kp",)))
-    assert rep.passed
-    [kp] = rep.checks
-    assert sorted(k for k in kp.components if k.startswith("d22p")) == [
-        f"d22p[n={n}]" for n in (1, 2, 3)
-    ]
+    # kp reads n <= min(4, k - 2): the order-2 flow-2 jet of the size-(n+1)
+    # block reads up to rho_{2n+4} and the fifth-order tau jets up to
+    # rho_{2n+3}, inside the table's rho_0 .. rho_2k
+    for size, top in ((3, 1), (4, 2), (5, 3), (6, 4), (7, 4)):
+        rep = run_suite(SuiteConfig(weight=DEFORMED, size=size, mantissa_bits=BITS, checks=("kp",)))
+        assert rep.passed
+        [kp] = rep.checks
+        assert sorted(kp.components) == sorted(
+            f"{row}[n={n}]" for row in ("kp", "d22p") for n in range(1, top + 1)
+        )
 
 
 def test_confirmation_reads_low_on_ill_conditioned_truncation():

@@ -23,6 +23,7 @@ from semidop.structure import (
     coefficient_sum_check,
     d_vector,
     gram_pearson_residual,
+    gram_pearson_window,
     orthogonality_check,
     pi_closed_form_check,
     polynomial_shift_identity,
@@ -257,7 +258,7 @@ def test_orthogonality_tail_is_within_its_certificate(spec, size, witness):
     bits = 512
     pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
     if witness:
-        base = get_pipeline(pipe.weight, size, pipe.ctx, engine=True)
+        base = get_pipeline(pipe.weight, size, pipe.ctx)
         pipe = base.flow_scaled(1, 1 - Fraction(1, 2**128))
         assert pipe.k == size and pipe.weight.eta < base.weight.eta
     nmax = min(8, pipe.jac.size - 1)
@@ -400,6 +401,32 @@ def test_gram_pearson_rejects_deformed(ctx, tol):
 
     with pytest.raises(PreconditionError):
         gram_pearson_residual(get_pipeline(DEFORMED, 4, ctx), tol)
+
+
+def test_gram_pearson_window_reads_inside_rho_2k(tol):
+    # theta of degree N + 1 = 3 times G reads rho_{n+m+3}: the 8 x 8 window
+    # of a size-8 table would read rho_17, so one row and column are trimmed
+    from semidop import PreconditionError
+
+    w = parse_weight_spec("a=3/2,1; b=5/2,7/2; eta=1/3")
+    res = gram_pearson_residual(get_pipeline(w, 8, PrecisionContext(mantissa_bits=512)), tol)
+    assert res.passed
+    assert res.window.startswith("leading 7x7 window")
+    assert set(res.components) == {f"G[{n},{m}]" for n in range(7) for m in range(n + 1)}
+    # degrees up to 2 (N <= 1, M <= 2) keep the whole window; M = 3 trims one
+    for spec, win in (
+        ("eta=7/10", 8),
+        ("a=3/2; b=5/2; eta=1/3", 8),
+        ("a=1/2,3/2; eta=1/3", 8),
+        ("a=1/2,3/2,5/2; eta=1/3", 7),
+    ):
+        assert gram_pearson_window(parse_weight_spec(spec), 8) == win
+    # N = 6 trims three rows and columns: at size 3 the window is empty and
+    # the declaration refuses it
+    wide = parse_weight_spec("b=3/2,5/2,7/2,9/2,11/2,13/2; eta=1/3")
+    assert gram_pearson_window(wide, 4) == 1
+    with pytest.raises(PreconditionError, match="Gram-Pearson symmetry"):
+        gram_pearson_window(wide, 3)
 
 
 def test_gram_pearson_all_families(ctx, tol):
