@@ -576,7 +576,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
                 top = pipe.depth - l
                 res = derivative_fd_crosscheck(
                     lambda mult: pipe.flow_scaled(l, mult).table.values[: top + 1],
-                    pipe.table.values[l : top + l + 1],
+                    pipe.table.values[l:],
                     default_fd_step(bits),
                     bits,
                 )
