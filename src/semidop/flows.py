@@ -223,8 +223,6 @@ def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> Mapping:
     Like ``tau_jet``, each entry is formed once per table and kept in its
     memo, log tau_k only when it is read."""
     order = _downward_closure(alphas)
-    if k == 0:
-        return {a: mpf(0) for a in order}
     memo = table.log_tau_derivatives.setdefault(k, {})
     if any(a not in memo for a in order if a != (0, 0, 0)):
         _log_entries(_tau_values(table, k, order), memo, order, table.ctx.mantissa_bits)

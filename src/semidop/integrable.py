@@ -25,7 +25,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, workprec
 
 from . import flows
-from .errors import DivergentSeries, InvalidShift, PreconditionError
+from .errors import InvalidShift, PreconditionError
 from .flows import (
     default_fd_step,
     derivative_fd_crosscheck,
@@ -159,10 +159,7 @@ def contiguous_check(
             return [[entry(n + m) for m in range(win)] for n in range(win)]
 
         for sh in valid_single_shifts(w):
-            try:
-                sp = pipe.shifted(sh)
-            except DivergentSeries:
-                continue
+            sp = pipe.shifted(sh)
             c = _shift_constant(pipe, sh)
             rho_s = sp.table.moment
             edge = max(abs(rho(2 * win)), abs(c) * abs(rho_s(2 * win)), mpf(1))

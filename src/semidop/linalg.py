@@ -25,14 +25,18 @@ numerator divided once by the rounded pivot. Exact zeros, which J
 (tridiagonal), S and Pi (triangular) hold by theorem, add nothing. The
 eliminations run in left-looking (Crout) order, so that each entry is one
 sum: the factors formed so far are held as ``_Exact`` vectors, ints at one
-shared exponent, and each dot product is one ``sum(map(mul, ...))``. One rule
-holds in every kernel for a term that meets a nan or an infinity: libmp sums
-it at precision 0, which does not round, and the entry is that nan or
-infinity (``nan * 0`` is nan, ``inf - inf`` nan). ``product_sum`` reads each
-operand once, in one scan that also decides whether the result stays an int.
-The entrywise ``mat_add``, ``mat_sub`` and ``mat_scale`` call ``mpf_add``,
-``mpf_sub`` and ``mpf_mul`` on two mpfs, at the precision in effect, with the
-operators' bits.
+shared exponent, and each dot product is one ``sum(map(mul, ...))``.
+
+Each kernel reads its operands once and tests them in that read. If one is a
+nan or an infinity, every value the kernel forms is nan (``_nan``), and it
+forms nothing else: no pivot is tested and no sum is formed. The objects the
+package factors are finite, and no finite input leads a kernel to form a nan
+or an infinity: mpmath raises on a division by zero, an mpf exponent does not
+overflow, and every pivot is tested nonzero before it divides.
+``product_sum``'s one scan of each operand also decides whether the result
+stays an int. The entrywise ``mat_add``, ``mat_sub`` and ``mat_scale`` call
+``mpf_add``, ``mpf_sub`` and ``mpf_mul`` on two mpfs, at the precision in
+effect, with the operators' bits.
 
 Every check takes the maximum of its residuals through ``max_abs``,
 ``max_diff``, ``window_diff`` or ``out_of_band_max`` here, or through
@@ -45,9 +49,7 @@ length and by mantissa only on a tie, and only the winner is rounded, once.
 Rounding to nearest is monotone and symmetric under negation, so the maximum
 has the bits of the operators' maximum of rounded values. The maxima keep a
 nan, where Python's ``max(mpf(0), nan)`` is 0, so a nan residual fails its
-check. The pivot tests compare with ``mpf_gt`` and ``mpf_lt``, as the
-operators do, never ``mpf_cmp``: ``mpf_cmp(fone, fnan)`` is 1, so a nan pivot
-would be replaced where the operators keep it.
+check.
 """
 
 from __future__ import annotations
@@ -193,9 +195,7 @@ def product_sum(*terms) -> Matrix:
     one scan that also decides that rule, and only the nonzero products are
     summed (J is tridiagonal and S and Pi triangular by theorem), each entry
     as one int at one binary exponent in its row's lists. If a factor holds
-    a nan or an infinity, each entry sums all of its products instead, since
-    ``nan * 0`` is nan, and a product that meets one is summed by libmp at
-    precision 0 (``inf - inf`` is nan).
+    a nan or an infinity, every entry is nan.
     """
     parsed, ints = {}, True
     for _, a, b in terms:
@@ -206,7 +206,8 @@ def product_sum(*terms) -> Matrix:
     _, a0, b0 = terms[0]
     width = len(b0[0]) if b0 else 0
     if any(rows is None for rows in parsed.values()):
-        return _odd_product_sum(terms, len(a0), width)
+        nan = _nan()
+        return [[nan] * width for _ in a0]
     pairs = [
         (parsed[id(a)] if c == 1 else [[(l, c * m, e) for l, m, e in row] for row in parsed[id(a)]],
          parsed[id(b)])
@@ -233,20 +234,6 @@ def product_sum(*terms) -> Matrix:
             out.append([make(_round_int(m, e, prec, rnd)) if m else zero
                         for m, e in zip(mans, exps)])
     return out
-
-
-def _odd_product_sum(terms, height: int, width: int) -> Matrix:
-    """``product_sum`` where a factor holds a nan or an infinity: each entry
-    sums every product of every term."""
-    sums = [[_Sum() for _ in range(width)] for _ in range(height)]
-    for c, a, b in terms:
-        cols = list(zip(*b))
-        for out_row, row_a in zip(sums, a):
-            for s, col_b in zip(out_row, cols):
-                for x, y in zip(row_a, col_b):
-                    s.add_product(_raw(x), _raw(y), c)
-    prec, rnd = mp._prec_rounding
-    return [[mp.make_mpf(s.rounded(prec, rnd)) for s in row] for row in sums]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -389,8 +376,29 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
 
 
 def _finite(t: tuple) -> bool:
-    """Whether the raw value t is neither a nan nor an infinity."""
-    return bool(t[1]) or not t[2]
+    """Whether the raw value t is neither a nan nor an infinity: libmp gives
+    those three values, and only them, a negative bit count."""
+    return t[3] >= 0
+
+
+def _finite_raws(values: list) -> list | None:
+    """values as raw values, or None if one of them is a nan or an infinity
+    (``_finite``): a kernel's one read of its operands, and its one test."""
+    raws = [t for x in values if (t := x._mpf_ if type(x) is mpf else _raw(x))[3] >= 0]
+    return raws if len(raws) == len(values) else None
+
+
+def _nan() -> mpf:
+    """The value of every entry a kernel forms once it has read a nan or an
+    infinity; each kernel's one branch for such an operand calls this."""
+    return mp.make_mpf(fnan)
+
+
+def _nan_lower(n: int, diagonal: mpf) -> Matrix:
+    """The n x n triangular factor of a kernel that read a nan or an
+    infinity: nan below the diagonal, ``diagonal`` on it, exact zeros above."""
+    nan, zero = _nan(), mpf(0)
+    return [[nan] * i + [diagonal] + [zero] * (n - i - 1) for i in range(n)]
 
 
 def _round_int(man: int, exp: int, prec: int, rnd: str) -> tuple:
@@ -409,26 +417,21 @@ def _round_int(man: int, exp: int, prec: int, rnd: str) -> tuple:
 
 
 class _Exact:
-    """A vector of exact values: each finite value one int at the shared
-    binary exponent ``exp``, the smallest of the nonzero values (None while
-    there are none). A value that met a nan or an infinity is kept in ``odd``
-    (index to raw value), the libmp sum at precision 0 of its terms that met
-    one, with an int 0 in its place; the value is then that nan or infinity.
-    """
+    """A vector of finite exact values: each one int at the shared binary
+    exponent ``exp``, the smallest of the nonzero values (None while there
+    are none)."""
 
-    __slots__ = ("ints", "exp", "odd")
+    __slots__ = ("ints", "exp")
 
     def __init__(self):
-        self.ints, self.exp, self.odd = [], None, None
+        self.ints, self.exp = [], None
 
     @classmethod
-    def of(cls, raws) -> "_Exact":
-        """The vector of the raw values raws."""
+    def of(cls, raws: list) -> "_Exact":
+        """The vector of the finite raw values raws."""
         v = cls()
-        raws = list(raws)
         v.exp = low = min((t[2] for t in raws if t[1]), default=None)
         v.ints = [(-m if s else m) << (e - low) if m else 0 for s, m, e, _ in raws]
-        v.odd = {p: t for p, t in enumerate(raws) if t[2] and not t[1]} or None
         return v
 
     def lower_to(self, exp: int) -> None:
@@ -447,45 +450,24 @@ class _Exact:
         self.ints.append(man)
 
     def push_raw(self, t: tuple) -> None:
+        """Append the finite raw value t."""
         sign, man, exp, _ = t
-        if man or not exp:
-            self.push(-man if sign else man, exp)
-        else:
-            self.add_odd(len(self.ints), t)
-            self.ints.append(0)
-
-    def push_sum(self, s: "_Sum") -> None:
-        if s.odd is None:
-            self.push(s.man, s.exp)
-        else:
-            self.push_raw(s.odd)
-
-    def add_odd(self, p: int, t: tuple) -> None:
-        """Add to value p the term t, which met a nan or an infinity."""
-        if self.odd is None:
-            self.odd = {}
-        self.odd[p] = mpf_add(self.odd[p], t) if p in self.odd else t
+        self.push(-man if sign else man, exp)
 
     def value(self, p: int, prec: int = 0, rnd: str = round_nearest) -> tuple:
         """Value p as a raw value, rounded once at prec; exact at prec 0."""
-        if self.odd and p in self.odd:
-            return self.odd[p]
         return _round_int(self.ints[p], self.exp, prec, rnd)
 
 
 class _Sum:
-    """One exact sum: the signed int ``man`` at the binary exponent ``exp``,
-    and ``odd``, the libmp sum at precision 0 of the terms that met a nan or
-    an infinity (None while there are none), which the sum then is."""
+    """One exact sum of finite terms: the signed int ``man`` at the binary
+    exponent ``exp``."""
 
-    __slots__ = ("man", "exp", "odd")
+    __slots__ = ("man", "exp")
 
     def __init__(self, c: tuple = fzero):
         sign, man, exp, _ = c
-        if man or not exp:
-            self.man, self.exp, self.odd = -man if sign else man, exp, None
-        else:
-            self.man, self.exp, self.odd = 0, 0, c
+        self.man, self.exp = -man if sign else man, exp
 
     def add_term(self, t: int, e: int) -> None:
         """Add t 2^e."""
@@ -497,18 +479,11 @@ class _Sum:
         else:
             self.man, self.exp = (s << (self.exp - e)) + t, e
 
-    def _add_odd(self, t: tuple) -> None:
-        self.odd = t if self.odd is None else mpf_add(self.odd, t)
-
     def add_product(self, x: tuple, y: tuple, c: int = 1) -> None:
-        """Add c x y for raw x and y and a nonzero int c. A product that meets
-        a nan or an infinity is one, so c x y is it or its negation."""
+        """Add c x y for finite raw x and y and a nonzero int c."""
         if x[1] and y[1]:
             t = c * x[1] * y[1]
             self.add_term(-t if x[0] ^ y[0] else t, x[2] + y[2])
-        elif not (_finite(x) and _finite(y)):
-            t = mpf_mul(x, y)
-            self._add_odd(mpf_neg(t) if c < 0 else t)
 
     def add_dot(self, u: _Exact, v: _Exact, negate: bool = False, start: int = 0) -> None:
         """Add the dot product of u[start:] and v, or subtract it with negate."""
@@ -516,18 +491,9 @@ class _Sum:
         t = sum(map(mul, ints, v.ints))
         if t:
             self.add_term(-t if negate else t, u.exp + v.exp)
-        if u.odd or v.odd:
-            size = min(len(ints), len(v.ints))
-            at = {p - start for p in u.odd or ()} | set(v.odd or ())
-            for p in at:
-                if 0 <= p < size:
-                    t = mpf_mul(u.value(p + start), v.value(p))
-                    self._add_odd(mpf_neg(t) if negate else t)
 
     def rounded(self, prec: int, rnd: str) -> tuple:
         """The sum rounded once; exact at prec 0."""
-        if self.odd is not None:
-            return self.odd
         return _round_int(self.man, self.exp, prec, rnd)
 
     def over(self, pivot: tuple, prec: int, rnd: str) -> tuple:
@@ -538,10 +504,15 @@ class _Sum:
 def unit_lower_inverse(l: Matrix) -> Matrix:
     """Invert a unit lower triangular matrix by forward substitution: entry
     (i, j) of the inverse S is -sum_{j <= p < i} l_ip s_pj, one exact sum
-    rounded once, column by column."""
+    rounded once, column by column. Only the entries below the diagonal are
+    read; if one is a nan or an infinity, every entry of S below the diagonal
+    is nan."""
     n = len(l)
+    rows = [_finite_raws(row[:i]) for i, row in enumerate(l)]
+    if None in rows:
+        return _nan_lower(n, mpf(1))
     prec, rnd = mp._prec_rounding
-    low = [_Exact.of(map(_raw, row[:i])) for i, row in enumerate(l)]
+    low = [_Exact.of(row) for row in rows]
     out = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
     for j in range(n):
         col = _Exact()
@@ -592,7 +563,7 @@ def _ldl_series(coeffs: list, floor: tuple, seed: tuple | None = None) -> tuple:
                 w = _Sum()
                 for m in range(k + 1):
                     w.add_product(q[m], dj[k - m])
-                wi[k].push_sum(w)
+                wi[k].push(w.man, w.exp)
             row.append(q)
         di = [seed[1][i]] if seed else []
         for k in range(first, r):
@@ -629,17 +600,26 @@ def ldl_no_pivot(a: Matrix, pivot_floor, *pencil: Matrix, seed: tuple | None = N
     A or of a matrix A leads (the leading rows of L and entries of D are
     read), is taken as coefficient 0 instead of forming it again: A is not
     read, no pivot is tested, and every coefficient has the bits of the
-    call without it that accepts A.
+    call without it that accepts A. If an entry read, of A, the pencil or
+    the seed, is a nan or an infinity, no pivot is tested, and in every
+    coefficient each entry below the diagonal of L and each entry of D is
+    nan.
     """
     n, first = len(a), 1 if seed else 0
-    # the second derivative's Taylor coefficient is half of it, exactly
     coeffs = [None] * first + [
-        [[mpf_shift(_raw(x), -(k // 2)) for x in row[: i + 1]] for i, row in enumerate(c)]
-        for k, c in enumerate(((a,) + pencil)[first:], first)
+        [_finite_raws(row[: i + 1]) for i, row in enumerate(c)] for c in ((a,) + pencil)[first:]
     ]
+    read = coeffs[first:]
     if seed:
         l0, d0 = seed
-        seed = [[_raw(x) for x in row[:i]] for i, row in enumerate(l0[:n])], [_raw(x) for x in d0[:n]]
+        seed = [_finite_raws(row[:i]) for i, row in enumerate(l0[:n])], _finite_raws(d0[:n])
+        read += [seed[0], [seed[1]]]
+    if any(None in rows for rows in read):
+        units = [mpf(1)] + [mpf(0)] * (len(coeffs) - 1)
+        return tuple(m for unit in units for m in (_nan_lower(n, unit), [_nan()] * n))
+    if len(coeffs) > 2:
+        # the second derivative's Taylor coefficient is half of it, exactly
+        coeffs[2] = [[mpf_shift(t, -1) for t in row] for row in coeffs[2]]
     low, d = _ldl_series(coeffs, _raw(pivot_floor), seed)
     make = mp.make_mpf
     out = []
@@ -668,9 +648,9 @@ class LUFactors:
     ``upper[q]`` column q of U above it, as ``_Exact`` vectors for the
     solves. ``det`` is the product of the pivots, negated at each row
     exchange, in step order. A pivot column that is zero stops the
-    elimination: ``complete`` is False, and ``det`` is 0, or nan while a nan
-    is left in the remaining block, since a nan never wins the pivot search
-    and can sit beside a column that is zero in the finite rows.
+    elimination: ``complete`` is False and ``det`` is 0. If an entry of A is
+    a nan or an infinity, nothing is formed: ``complete`` is False and
+    ``det`` is nan.
     """
 
     perm: list
@@ -681,39 +661,22 @@ class LUFactors:
     upper: list
 
 
-def _nan_left(a: Matrix, f: LUFactors, column: list) -> bool:
-    """Whether an LU stopped at column j = len(f.pivots) leaves a nan in
-    its remaining block, whose column j is ``column`` (as ``_Sum``s). Only a
-    term that meets a nan or an infinity can make an entry nan, so only such
-    entries are summed."""
-    if any(s.odd == fnan for s in column):
-        return True
-    j, n = len(f.pivots), len(a)
-    for i in range(j, n):
-        row, low = a[f.perm[i]], f.lower[i]
-        for q in range(j + 1, n):
-            x = _raw(row[q])
-            if _finite(x) and not low.odd and not f.upper[q].odd:
-                continue
-            s = _Sum(x)
-            s.add_dot(low, f.upper[q], True)
-            if s.odd == fnan:
-                return True
-    return False
-
-
 def lu_factor(a: Matrix) -> LUFactors:
     """The partially pivoted LU of a, at the precision of the call."""
     prec, rnd = mp._prec_rounding
     n = len(a)
     f = LUFactors(perm=list(range(n)), complete=True, det=mpf(1), pivots=[],
                   lower=[_Exact() for _ in range(n)], upper=[_Exact() for _ in range(n)])
+    rows = [_finite_raws(row) for row in a]
+    if None in rows:
+        f.complete, f.det = False, _nan()
+        return f
     perm, lower, upper = f.perm, f.lower, f.upper
     det = fone
     for j in range(n):
         sums, values, best, k = [], [], None, 0
         for i in range(j, n):
-            s = _Sum(_raw(a[perm[i]][j]))
+            s = _Sum(rows[perm[i]][j])
             s.add_dot(lower[i], upper[j], True)
             c = s.rounded(prec, rnd)
             sums.append(s)
@@ -724,7 +687,7 @@ def lu_factor(a: Matrix) -> LUFactors:
             elif mpf_gt(v, best):
                 best, k = v, i - j
         if best == fzero:
-            f.complete, f.det = False, mp.make_mpf(fnan if _nan_left(a, f, sums) else fzero)
+            f.complete, f.det = False, mpf(0)
             return f
         if k:
             for seq in (perm, lower):
@@ -736,9 +699,9 @@ def lu_factor(a: Matrix) -> LUFactors:
         det = mpf_mul(det, pivot, prec, rnd)
         for i in range(j + 1, n):
             lower[i].push_raw(sums[i - j].over(pivot, prec, rnd))
-        a_j, l_j = a[perm[j]], lower[j]
+        a_j, l_j = rows[perm[j]], lower[j]
         for q in range(j + 1, n):
-            s = _Sum(_raw(a_j[q]))
+            s = _Sum(a_j[q])
             s.add_dot(l_j, upper[q], True)
             upper[q].push_raw(s.rounded(prec, rnd))
     f.det = mp.make_mpf(det)
@@ -747,32 +710,41 @@ def lu_factor(a: Matrix) -> LUFactors:
 
 def lu_determinant(a: Matrix) -> mpf:
     """Determinant by LU with partial pivoting: ``lu_factor(a).det``. A 1 x 1
-    matrix is its entry rounded once, which is that LU's pivot and det."""
-    if len(a) == 1:
+    matrix of a finite entry is that entry rounded once, which is that LU's
+    pivot and det."""
+    if len(a) == 1 and (row := _finite_raws(a[0])):
         prec, rnd = mp._prec_rounding
-        return mp.make_mpf(_Sum(_raw(a[0][0])).rounded(prec, rnd))
+        return mp.make_mpf(_Sum(row[0]).rounded(prec, rnd))
     return lu_factor(a).det
 
 
-def lu_row_solve(f: LUFactors, b: list) -> _Exact:
+def lu_row_solve(f: LUFactors, b: list) -> _Exact | None:
     """y with y U = b, U the upper factor of a complete f: each y_j the
-    exact b_j - sum_{i < j} y_i u_ij divided once by u_jj."""
+    exact b_j - sum_{i < j} y_i u_ij divided once by u_jj. None if b holds
+    a nan or an infinity."""
+    raws = _finite_raws(b)
+    if raws is None:
+        return None
     prec, rnd = mp._prec_rounding
     y = _Exact()
-    for j, x in enumerate(b):
-        s = _Sum(_raw(x))
+    for j, x in enumerate(raws):
+        s = _Sum(x)
         s.add_dot(y, f.upper[j], True)
         y.push_raw(s.over(f.pivots[j], prec, rnd))
     return y
 
 
-def lu_column_solve(f: LUFactors, a: list) -> _Exact:
+def lu_column_solve(f: LUFactors, a: list) -> _Exact | None:
     """z = L^-1 P a, L and P the lower factor and row order of f: each z_i
-    the exact a_perm(i) - sum_{l < i} l_il z_l rounded once."""
+    the exact a_perm(i) - sum_{l < i} l_il z_l rounded once. None if a holds
+    a nan or an infinity."""
+    raws = _finite_raws(a)
+    if raws is None:
+        return None
     prec, rnd = mp._prec_rounding
     z = _Exact()
     for i, r in enumerate(f.perm):
-        s = _Sum(_raw(a[r]))
+        s = _Sum(raws[r])
         s.add_dot(f.lower[i], z, True)
         z.push_raw(s.rounded(prec, rnd))
     return z
@@ -782,69 +754,73 @@ def schur_complement(b: Matrix, ys: list, zs: list) -> Matrix:
     """Entries b[i][j] - ys[i] . zs[j], each one exact sum rounded once.
 
     With ys from ``lu_row_solve`` and zs from ``lu_column_solve`` of G = P^T L U,
-    this is B - C G^-1 A for the rows C and columns A those solves read.
+    this is B - C G^-1 A for the rows C and columns A those solves read. If b
+    holds a nan or an infinity, or a solve read one (it is None), every entry
+    is nan.
     """
+    rows = [_finite_raws(row) for row in b]
+    if None in rows or None in ys or None in zs:
+        nan = _nan()
+        return [[nan] * len(zs) for _ in b]
     prec, rnd = mp._prec_rounding
     make = mp.make_mpf
     out = []
-    for row, y in zip(b, ys):
+    for row, y in zip(rows, ys):
         out_row = []
         for x, z in zip(row, zs):
-            s = _Sum(_raw(x))
+            s = _Sum(x)
             s.add_dot(y, z, True)
             out_row.append(make(s.rounded(prec, rnd)))
         out.append(out_row)
     return out
 
 
-def _recurrence(beta: list, gamma: list, count: int) -> tuple:
+def _recurrence(beta: list, gamma: list, count: int) -> list | None:
     """The coefficients of ``_three_term``, each read once: (beta_j, gamma_j)
-    for j < count - 1 as raw values, gamma_0 = 0 (``gamma[i]`` is
-    gamma_{i+1}), and those before the first nan or infinity as signed
-    ints at their exponents."""
-    raws, ints = [], []
+    for j < count - 1 as signed ints at their exponents, gamma_0 = 0
+    (``gamma[i]`` is gamma_{i+1}); None if one is a nan or an infinity."""
+    ints = []
     for j in range(count - 1):
         b, g = _raw(beta[j]), _raw(gamma[j - 1]) if j else fzero
-        raws.append((b, g))
-        if len(ints) == j and _finite(b) and _finite(g):
-            ints.append((-b[1] if b[0] else b[1], b[2], -g[1] if g[0] else g[1], g[2]))
-    return raws, ints
+        if not (_finite(b) and _finite(g)):
+            return None
+        ints.append((-b[1] if b[0] else b[1], b[2], -g[1] if g[0] else g[1], g[2]))
+    return ints
 
 
-def _three_term(z, raws: list, ints: list) -> list:
+def _three_term(z, ints: list | None) -> list | None:
     """``three_term_values`` as raw values, from the coefficients
-    ``_recurrence`` read. While z, beta_j and gamma_j are finite, each
-    p_{j+1} is one integer sum rounded once; from the first nan or infinity
-    on, libmp forms it at precision 0, which gives that nan or infinity, as
-    in every kernel here."""
-    prec, rnd = mp._prec_rounding
+    ``_recurrence`` read, each p_{j+1} one integer sum rounded once; None if
+    z, where a p_j reads it, or a coefficient is a nan or an infinity."""
     zr = _raw(z)
+    if ints is None or ints and not _finite(zr):
+        return None
+    prec, rnd = mp._prec_rounding
+    zs, zi, ze, _ = zr
+    zi = -zi if zs else zi
     out = [fone]
-    if _finite(zr):
-        zs, zi, ze, _ = zr
-        zi = -zi if zs else zi
-        pi, pe, qi, qe = 1, 0, 0, 0  # p_j and p_{j-1}, ints at their exponents
-        for bi, be, gi, ge in ints:
-            d, de = ((zi << ze - be) - bi, be) if ze > be else (zi - (bi << be - ze), ze)
-            man, exp = d * pi, de + pe
-            if gi and qi:
-                t, te = gi * qi, ge + qe
-                man, exp = (man - (t << te - exp), exp) if te > exp else ((man << exp - te) - t, te)
-            x = _round_int(man, exp, prec, rnd)
-            out.append(x)
-            qi, qe, pi, pe = pi, pe, -x[1] if x[0] else x[1], x[2]
-    for j in range(len(out) - 1, len(raws)):
-        b, g = raws[j]
-        q = out[j - 1] if j else fzero
-        out.append(mpf_sub(mpf_mul(mpf_sub(zr, b), out[j]), mpf_mul(g, q)))
+    pi, pe, qi, qe = 1, 0, 0, 0  # p_j and p_{j-1}, ints at their exponents
+    for bi, be, gi, ge in ints:
+        d, de = ((zi << ze - be) - bi, be) if ze > be else (zi - (bi << be - ze), ze)
+        man, exp = d * pi, de + pe
+        if gi and qi:
+            t, te = gi * qi, ge + qe
+            man, exp = (man - (t << te - exp), exp) if te > exp else ((man << exp - te) - t, te)
+        x = _round_int(man, exp, prec, rnd)
+        out.append(x)
+        qi, qe, pi, pe = pi, pe, -x[1] if x[0] else x[1], x[2]
     return out
 
 
 def three_term_values(z, beta: list, gamma: list, count: int) -> list:
     """p_0(z) .. p_{count-1}(z) of the monic recurrence, as mpfs: p_0 = 1 and
     p_{j+1} = (z - beta_j) p_j - gamma_j p_{j-1}, gamma_0 = 0 (``gamma[i]`` is
-    gamma_{i+1}), each one exact sum with z - beta_j exact, rounded once."""
-    return [mp.make_mpf(x) for x in _three_term(z, *_recurrence(beta, gamma, count))]
+    gamma_{i+1}), each one exact sum with z - beta_j exact, rounded once. If
+    z or a coefficient read is a nan or an infinity, p_1 onward are nan."""
+    p = _three_term(z, _recurrence(beta, gamma, count))
+    if p is None:
+        return [mpf(1)] + [_nan()] * (count - 1)
+    return [mp.make_mpf(x) for x in p]
 
 
 class GramSums:
@@ -852,13 +828,11 @@ class GramSums:
     rounded once.
 
     The sums stay exact between points, as one ``_Exact`` vector (row n at
-    offset n (n + 1) / 2). A point adds its finite terms as integers at the
-    point's smallest exponent, into sums kept at the exponent common to all
-    points, lowered with 64 bits to spare when a point's falls below it. A
-    term that meets a nan or an infinity is summed by libmp at precision 0, as
-    in every kernel here, so the sums the operator loop leaves nan or infinite
-    are so here, with the same bits. ``lower()`` rounds each sum once, at the
-    precision in effect when it is called.
+    offset n (n + 1) / 2). A point adds its terms as integers at the point's
+    smallest exponent, into sums kept at the exponent common to all points,
+    lowered with 64 bits to spare when a point's falls below it. Once a point
+    carries a nan or an infinity, every sum is nan. ``lower()`` rounds each
+    sum once, at the precision in effect when it is called.
     """
 
     def __init__(self, count: int):
@@ -867,7 +841,7 @@ class GramSums:
 
     def add(self, pvec: list, weight) -> None:
         """Add the point's terms p_n p_m weight."""
-        self._add([_raw(x) for x in pvec[: self._count]], _raw(weight))
+        self._add(_finite_raws(pvec[: self._count]), _raw(weight))
 
     def add_points(self, points, beta: list, gamma: list) -> None:
         """``add`` of each point z's ``three_term_values`` against its weight,
@@ -875,17 +849,20 @@ class GramSums:
         read once for all of them."""
         coefficients = _recurrence(beta, gamma, self._count)
         for z, weight in points:
-            self._add(_three_term(z, *coefficients), _raw(weight))
+            self._add(_three_term(z, coefficients), _raw(weight))
 
-    def _add(self, p: list, w: tuple) -> None:
-        point = _Exact.of(p)
-        if point.odd or not _finite(w):
-            self._add_odd(p, w)
-        if w[1] and point.exp is not None:
-            self._add_ints(point, w)
+    def _add(self, p: list | None, w: tuple) -> None:
+        """Add the terms of the point whose raw values are p, None if one of
+        them is a nan or an infinity, weighted by the raw w."""
+        if p is None or not _finite(w):
+            self._sums = None
+        elif self._sums is not None and w[1]:
+            point = _Exact.of(p)
+            if point.exp is not None:
+                self._add_ints(point, w)
 
     def _add_ints(self, point: _Exact, w: tuple) -> None:
-        """Add the finite terms of the point (its nan and infinities read 0)."""
+        """Add the point's terms."""
         sums = self._sums
         point_exp = 2 * point.exp + w[2]
         if sums.exp is None or point_exp < sums.exp:
@@ -898,17 +875,11 @@ class GramSums:
                 acc[off:end] = map(add, acc[off:end], map((pn * wq).__mul__, ints))
             off = end
 
-    def _add_odd(self, p: list, w: tuple) -> None:
-        """Add the terms of the point that meet a nan or an infinity."""
-        off = 0
-        for n, pn in enumerate(p):
-            for m in range(n + 1):
-                if not (_finite(pn) and _finite(p[m]) and _finite(w)):
-                    self._sums.add_odd(off + m, mpf_mul(mpf_mul(pn, w), p[m]))
-            off += n + 1
-
     def lower(self) -> Matrix:
         """Row n holds S[n][0..n], each sum rounded once."""
+        if self._sums is None:
+            nan = _nan()
+            return [[nan] * (n + 1) for n in range(self._count)]
         prec, rnd = mp._prec_rounding
         make, value = mp.make_mpf, self._sums.value
         out, off = [], 0

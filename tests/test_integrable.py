@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import isnan, mp, mpf, nan, workprec
+from mpmath import inf, isnan, mp, mpf, nan, workprec
 
 from semidop import (
     HypergeometricWeight,
@@ -334,6 +334,16 @@ def _nan_in_last_norm_for_omega(pipe, tol, monkeypatch):
     return omega_connection_check(pipe, Shift.a(1), [Fraction(1, 2)], tol)
 
 
+def _minus_inf_in_last_norm_for_omega(pipe, tol, monkeypatch):
+    # -inf, what mp.log(0) returns, in the same norm: the closed form's row
+    # reads nan
+    assert pipe.jac and pipe.shifted(Shift.a(1)).jac
+    pipe.chol.h[pipe.k] = -inf
+    res = omega_connection_check(pipe, Shift.a(1), [Fraction(1, 2)], tol)
+    assert res.components["subdiagonal_closed_form"] == "nan", res.components
+    return res
+
+
 def _nan_in_s_inverse_for_sato_wilson(pipe, tol, monkeypatch):
     # dS^-1 = dL of the flow-1 jet is read only by the dressing factor
     # phi = -S dL; row kj - 2 lies inside its window
@@ -376,13 +386,14 @@ def fresh_pipelines():
         _nan_in_shifted_table,
         _nan_in_s_for_j_conjugation,
         _nan_in_last_norm_for_omega,
+        _minus_inf_in_last_norm_for_omega,
         _nan_in_s_inverse_for_sato_wilson,
         _nan_in_theta_factor_band,
     ],
 )
 def test_planted_nan_fails(plant, ctx, tol, fresh_pipelines, monkeypatch):
-    # each plant is read by rewritten maxima only: the theta factor's by two
-    # rows, each other plant by one
+    # each plant, a nan or an infinity, is read by rewritten maxima only: the
+    # theta factor's by two rows, each other plant by one
     res = plant(get_pipeline(GEN_MEIXNER, 8, ctx), tol, monkeypatch)
     assert not res.passed, res.components
 
@@ -461,11 +472,12 @@ def test_lazily_read_log_jets_are_the_requested_jets(w, reads):
 def test_a_contract_pass_forms_only_what_its_rows_read(monkeypatch):
     # per pass of the contract mix: no log tau_k (no row reads one), no jet
     # entry past the ones the rows read, no call for the jet of tau_0 = 1
-    # (every entry 0), and no flow jet that forms its coefficient 0 again
-    # rather than reading chol's L and H
-    logs, fresh, series, jet_ks = [], [], [], []
+    # (every entry 0), no flow jet that forms its coefficient 0 again
+    # rather than reading chol's L and H, and no kernel that reads a nan or
+    # an infinity (each one's branch for it forms its values through _nan)
+    logs, fresh, series, jet_ks, nans = [], [], [], [], []
     real_log, real_det, real_series = type(mp).log, MomentTable.det_rows, linalg_module._ldl_series
-    real_jet = integrable_module.log_tau_jet
+    real_jet, real_nan = integrable_module.log_tau_jet, linalg_module._nan
 
     def log_tau_jet(table, k, alphas):
         jet_ks.append(k)
@@ -484,11 +496,12 @@ def test_a_contract_pass_forms_only_what_its_rows_read(monkeypatch):
     monkeypatch.setattr(MomentTable, "det_rows", det_rows)
     monkeypatch.setattr(linalg_module, "_ldl_series", ldl_series)
     monkeypatch.setattr(integrable_module, "log_tau_jet", log_tau_jet)
+    monkeypatch.setattr(linalg_module, "_nan", lambda: nans.append(1) or real_nan())
     for spec, size in CONTRACT_MIX:
         clear_cache()
         run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
     clear_cache()
-    assert logs == []
+    assert logs == [] and nans == []
     assert jet_ks and 0 not in jet_ks
     assert len(fresh) <= 353
     jets = [seeded for count, seeded in series if count > 1]

@@ -90,18 +90,16 @@ def matrices(draw, rows: int, cols: int, kind: str | None = None):
 def exact_product_sum(terms):
     """``product_sum``'s contract for terms (c, a, b): each entry the exact
     Fraction sum of c a_il b_lj over the terms, rounded once to nearest at
-    the working precision; exact ints when no factor holds an mpf. An entry
-    with a product that meets a nan or an infinity is the sum of those
-    products times their c, which is then a nan or an infinity whatever the
-    precision (inf - inf is nan)."""
-    ints = all(type(x) is int for _, a, b in terms for m in (a, b) for row in m for x in row)
+    the working precision; exact ints when no factor holds an mpf. If a
+    factor holds a nan or an infinity, every entry is nan."""
+    entries = [x for _, a, b in terms for m in (a, b) for row in m for x in row]
+    ints = all(type(x) is int for x in entries)
+    finite = all(isfinite(x) for x in entries)
 
     def entry(i, j):
-        triples = [(c, x, row[j]) for c, a, b in terms for x, row in zip(a[i], b)]
-        odd = [c * (x * y) for c, x, y in triples if not (isfinite(x) and isfinite(y))]
-        if odd:
-            return sum(odd[1:], odd[0])
-        s = sum(c * exact(x) * exact(y) for c, x, y in triples)
+        if not finite:
+            return nan
+        s = sum(c * exact(x) * exact(row[j]) for c, a, b in terms for x, row in zip(a[i], b))
         return int(s) if ints else to_mpf(s)
 
     _, a, b = terms[0]
@@ -131,8 +129,8 @@ def test_products_are_the_exact_sums_rounded_once(data):
 def test_signed_product_sums_are_the_exact_sums_rounded_once(data):
     # one to three terms c a b, c a nonzero int; all-int draws, mpfs across
     # thousands of binades, nans and infinities; a term repeated with -c
-    # cancels exactly, to 0 where nothing else is left and to nan at an
-    # infinity (inf - inf)
+    # cancels exactly, to 0 where nothing else is left; a nan or an infinity
+    # in any factor makes every entry nan
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
     kind = data.draw(st.sampled_from([None, None, "int"]))
     terms = [
@@ -153,10 +151,10 @@ def test_product_sums_cancel_exactly_and_keep_the_int_rule():
     ints = [[2**600 + 1, -3]], [[5], [7]]
     assert bits(product_sum((1, *ints), (-1, *ints))) == bits([[0]])
     assert bits(product_sum((2, *ints), (-1, *ints))) == bits([[5 * 2**600 + 5 - 21]])
-    # opposite infinities sum to nan; one infinity is kept with its sign
+    # an infinity in a factor makes the entry nan, whatever the other terms
     inf_row = [[inf, mpf(1)]]
     assert isnan(product_sum((1, inf_row, b), (-1, inf_row, b))[0][0])
-    assert product_sum((-2, inf_row, b), (1, a, b))[0][0] == -inf
+    assert isnan(product_sum((-2, inf_row, b), (1, a, b))[0][0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,14 +215,15 @@ def test_mat_mul_entry_types():
 
 
 def test_mat_mul_spreads_nan_through_zeros():
-    # nan * 0 is nan: a non-finite entry reaches every entry its row or column meets
+    # a non-finite entry in a factor makes every entry nan, those its row or
+    # column never meets and those it meets through exact zeros alike
     a = [[nan, mpf(0)], [mpf(0), mpf(1)]]
-    prod = mat_mul(a, identity(2))
-    assert isnan(prod[0][0]) and isnan(prod[0][1])
-    assert prod[1] == [mpf(0), mpf(1)]
-    prod = mat_mul(identity(2), [[inf, mpf(0)], [mpf(0), mpf(1)]])
-    assert prod[0][0] == inf and isnan(prod[1][0])
-    assert isnan(mat_vec(identity(2), [mpf(0), nan])[0])
+    for prod in (
+        mat_mul(a, identity(2)),
+        mat_mul(identity(2), [[inf, mpf(0)], [mpf(0), mpf(1)]]),
+        [mat_vec(identity(2), [mpf(0), -inf])],
+    ):
+        assert all(isnan(x) for row in prod for x in row)
 
 
 def test_nan_residual_fails_its_check():
@@ -386,9 +385,12 @@ def op_max_abs(entries):
 
 
 def op_lu_determinant(a):
+    """The operator-order LU's determinant; nan if an entry is a nan or an infinity."""
     n = len(a)
     if n == 0:
         return mpf(1)
+    if not all(isfinite(x) for row in a for x in row):
+        return nan
     work = [list(map(mpf, row)) for row in a]
     det = mpf(1)
     for j in range(n):
@@ -400,7 +402,7 @@ def op_lu_determinant(a):
                 best = v
                 pivot_row = i
         if best == 0:
-            return nan if any(isnan(v) for row in work[j:] for v in row[j:]) else mpf(0)
+            return mpf(0)
         if pivot_row != j:
             work[j], work[pivot_row] = work[pivot_row], work[j]
             det = -det
@@ -426,24 +428,14 @@ def op_gram_sums(points, count):
 
 def exact_gram_sums(points, count):
     """``GramSums.lower()``'s contract: each sum of the exact products p_n p_m w,
-    as a Fraction, rounded once at the working precision. A sum the operator
-    loop leaves nan or infinite keeps the operators' bits."""
-    op_sums = op_gram_sums(points, count)
-
-    def exact(x):
-        sign, man, exp, _ = x._mpf_
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-    out = []
-    for n in range(count):
-        row = []
-        for m in range(n + 1):
-            if isfinite(op_sums[n][m]):
-                row.append(to_mpf(sum(exact(p[n]) * exact(p[m]) * exact(w) for p, w in points)))
-            else:
-                row.append(op_sums[n][m])
-        out.append(row)
-    return out
+    as a Fraction, rounded once at the working precision. If a point's p_n
+    (n < count) or w is a nan or an infinity, every sum is nan."""
+    if not all(isfinite(x) for p, w in points for x in [*p[:count], w]):
+        return [[nan] * (n + 1) for n in range(count)]
+    return [
+        [to_mpf(sum(exact(p[n]) * exact(p[m]) * exact(w) for p, w in points)) for m in range(n + 1)]
+        for n in range(count)
+    ]
 
 
 def raw(x):
@@ -571,23 +563,26 @@ def test_maxima_clamp_a_window_past_the_matrix():
 
 
 def once(c, terms, divisor=None):
-    """c minus the sum of the terms' products (each term a tuple of factors,
-    multiplied from the right), as the eliminations form an entry: the exact
-    Fraction rounded once at the working precision, or divided by divisor and
-    then rounded once. A term or a c that is a nan or an infinity makes the
-    entry the operators' sum, which is then that nan or infinity."""
-    if all(isfinite(x) for x in (c, *(x for t in terms for x in t))):
-        num = exact(c) - sum(prod(exact(x) for x in t) for t in terms)
-        if divisor is None:
-            return to_mpf(num)
-        return to_mpf(num / exact(divisor)) if isfinite(divisor) else to_mpf(num) / divisor
-    s = c
-    for t in terms:
-        p = t[-1]
-        for x in reversed(t[:-1]):
-            p = x * p
-        s = s - p
-    return s if divisor is None else s / divisor
+    """c minus the sum of the terms' products (each term a tuple of factors),
+    as the eliminations form an entry: the exact Fraction rounded once at the
+    working precision, or divided by divisor and then rounded once. nan if
+    c, a factor or the divisor is a nan or an infinity."""
+    factors = [c, *(x for t in terms for x in t)] + ([] if divisor is None else [divisor])
+    if not all(isfinite(x) for x in factors):
+        return nan
+    num = exact(c) - sum(prod(exact(x) for x in t) for t in terms)
+    return to_mpf(num if divisor is None else num / exact(divisor))
+
+
+def all_finite(rows):
+    """Whether no entry of the rows is a nan or an infinity."""
+    return all(isfinite(x) for row in rows for x in row)
+
+
+def nan_below(n, diagonal=mpf(1)):
+    """The factor of an elimination that read a nan or an infinity: nan below
+    the diagonal, diagonal on it, exact zeros above."""
+    return [[nan] * i + [diagonal] + [mpf(0)] * (n - i - 1) for i in range(n)]
 
 
 def unit_lower_shape(l):
@@ -600,8 +595,14 @@ def unit_lower_shape(l):
 def check_ldl(a, floor):
     """ldl_no_pivot(a, floor) against its contract. Past a singular pivot,
     the rows before it are the factorization of the leading block, and the
-    pivot formed from them fails the test."""
+    pivot formed from them fails the test. A lower triangle that holds a nan
+    or an infinity takes no pivot test: L is nan below its unit diagonal
+    and D is nan."""
     n = len(a)
+    if not all_finite(row[: i + 1] for i, row in enumerate(a)):
+        l, d = ldl_no_pivot(a, floor)
+        assert bits(l) == bits(nan_below(n)) and bits([d]) == bits([[nan] * n])
+        return
     try:
         l, d = ldl_no_pivot(a, floor)
         done = n
@@ -624,6 +625,9 @@ def check_ldl(a, floor):
 
 def check_unit_lower_inverse(l):
     s = unit_lower_inverse(l)
+    if not all_finite(row[:i] for i, row in enumerate(l)):
+        assert bits(s) == bits(nan_below(len(l)))
+        return
     assert unit_lower_shape(s)
     for j in range(len(l)):
         for i in range(j + 1, len(l)):
@@ -648,9 +652,13 @@ def lu_rows(f):
 
 def check_lu(a):
     """lu_factor(a) against its contract, replaying its pivot search from its
-    own outputs; then its solves and a Schur complement entry."""
+    own outputs; then its solves and a Schur complement entry. A matrix that
+    holds a nan or an infinity forms no factor, and its det is nan."""
     n = len(a)
     f = lu_factor(a)
+    if not all_finite(a):
+        assert not f.complete and f.pivots == [] and isnan(f.det)
+        return
     m = lu_rows(f)
     assert sorted(f.perm) == list(range(n))
     at = {r: i for i, r in enumerate(f.perm)}
@@ -667,12 +675,9 @@ def check_lu(a):
             if abs(c) > best:
                 best, k = abs(c), t
         if best == 0:
-            # the elimination stops; det reads whether a nan is left in the
-            # remaining block
-            block = [[entry(r, q, j) for q in range(j, n)] for r in order[j:]]
+            # a zero pivot column stops the elimination, and det is 0
             assert order == f.perm and not f.complete and len(f.pivots) == j
-            nan_left = any(isnan(x) for row in block for x in row)
-            assert raw(f.det) == raw(nan if nan_left else mpf(0))
+            assert raw(f.det) == raw(mpf(0))
             return
         if k:
             order[j], order[j + k] = order[j + k], order[j]
@@ -724,10 +729,11 @@ def test_inverse_first_subdiagonal_is_the_negated_factor(data):
     prec = data.draw(st.sampled_from([53, 256, 512, 600]))
     n = data.draw(st.integers(2, 6))
     l = data.draw(wide_matrices(n))
+    finite = all_finite(row[:i] for i, row in enumerate(l))
     with workprec(prec):
         s = unit_lower_inverse(l)
         for i in range(n - 1):
-            assert raw(s[i + 1][i]) == raw(-l[i + 1][i])
+            assert raw(s[i + 1][i]) == raw(-l[i + 1][i] if finite else nan)
 
 
 @st.composite
@@ -802,15 +808,31 @@ def test_quotients_over_power_of_two_pivots_are_canonical():
 
 
 def test_raw_kernels_keep_a_nan_as_the_operators_do():
-    # the operators compare by mpf_gt and mpf_lt, which keep a nan; mpf_cmp(1, nan) is 1
+    # the maxima compare by mpf_gt, which keeps a nan; mpf_cmp(1, nan) is 1
     with workprec(128):
         # a nan after a finite maximum stays the maximum
         assert isnan(max_abs([[mpf(1), nan, mpf(2)]]))
-        # a nan pivot stays the pivot: nan, where pivoting on the 2 would give 0
+        # an LU that reads a nan forms nothing: nan, where pivoting on the 2
+        # would give 0, as the operators' LU gives nan
         a = [[nan, mpf(1), mpf(1)], [mpf(1), mpf(1), mpf(0)], [mpf(2), mpf(2), mpf(0)]]
         assert isnan(op_lu_determinant(a)) and isnan(lu_determinant(a))
-        # a nan pivot is not below the floor
-        assert isnan(ldl_no_pivot([[nan]], mpf(1))[1][0])
+        assert isnan(lu_determinant([[nan]])) and isnan(lu_determinant([[-inf]]))
+        # an LDL that reads a nan tests no pivot: the zero pivot beside it
+        # raises nothing, and every Taylor coefficient is nan
+        zero = [[mpf(0), mpf(0)], [mpf(0), nan]]
+        l, d, dl, dd = ldl_no_pivot(zero, mpf(1), identity(2))
+        assert bits(l) == bits(nan_below(2)) and bits(dl) == bits(nan_below(2, mpf(0)))
+        assert all(isnan(x) for x in d + dd)
+        # so does one seeded with a nan: no entry of A is read
+        _, d, _, dd = ldl_no_pivot(zero, 0, identity(2), seed=(identity(2), [mpf(1), inf]))
+        assert all(isnan(x) for x in d + dd)
+        # a Schur complement that reads a nan, itself or through a solve, is nan
+        f = lu_factor([[mpf(2)]])
+        y, z = lu_row_solve(f, [mpf(1)]), lu_column_solve(f, [mpf(3)])
+        assert lu_row_solve(f, [nan]) is None and lu_column_solve(f, [inf]) is None
+        for b, ys, zs in (([[inf]], [y], [z]), ([[mpf(1)]], [None], [z]), ([[mpf(1)]], [y], [None])):
+            assert isnan(schur_complement(b, ys, zs)[0][0])
+        assert schur_complement([[mpf(1)]], [y], [z]) == [[mpf(1) - mpf(3) / 2]]
 
 
 def exact_det(a):
@@ -848,11 +870,15 @@ def test_leading_hankel_determinants_are_the_pivot_products():
 
 
 def test_lu_determinant_is_nan_beside_a_zero_column():
-    # column 1 is zero in the finite rows once row 0 pivots; the nan row is left
+    # column 1 is zero in the finite rows once row 0 pivots, and would stop
+    # the elimination there; the LU reads every entry before it pivots, so a
+    # nan or an infinity anywhere, in the block left after the stop too, makes
+    # det nan
     with workprec(128):
         for a in (
             [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [nan, mpf(1), mpf(1)]],
             [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [mpf(0), mpf(0), nan]],
+            [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [mpf(0), mpf(0), inf]],
         ):
             assert isnan(lu_determinant(a))
         finite = [[mpf(1), mpf(2), mpf(0)], [mpf(1), mpf(2), mpf(0)], [mpf(5), mpf(1), mpf(1)]]
@@ -910,8 +936,8 @@ def lattice_points(draw, count: int):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_gram_sums_are_exact_and_keep_the_operators_nans(data):
-    # the sums are exact and rounded once, and a nan p_n or w leaves nan in
-    # exactly the sums the operator loop makes nan
+    # the sums are exact and rounded once, and a nan p_n or w leaves every
+    # sum nan, those the operator loop makes nan among them
     prec = data.draw(st.sampled_from([53, 256, 512]))
     count = data.draw(st.integers(1, 9))
     points = data.draw(st.lists(lattice_points(count), min_size=1, max_size=4))
@@ -923,7 +949,7 @@ def test_gram_sums_are_exact_and_keep_the_operators_nans(data):
         want_sums = exact_gram_sums(points, count)
         op_sums = op_gram_sums(points, count)
     assert bits(sums) == bits(want_sums)
-    assert [[isnan(x) for x in row] for row in sums] == [[isnan(x) for x in row] for row in op_sums]
+    assert all(isnan(x) for row, op_row in zip(sums, op_sums) for x, y in zip(row, op_row) if isnan(y))
 
 
 @st.composite
@@ -968,10 +994,15 @@ def test_recurrence_values_are_exact_sums_rounded_once(data):
             z = data.draw(st.sampled_from([mpf(0), mpf(3), mpf(-2), ldexp(mpf(5), -600), nan, inf]))
         got = three_term_values(z, beta, gamma, count)
         assert len(got) == count and raw(got[0]) == raw(mpf(1))
-        for j in range(count - 1):
-            terms = [(fsub(beta[j], z, exact=True), got[j])]
-            terms += [(gamma[j - 1], got[j - 1])] if j else []
-            assert raw(got[j + 1]) == raw(once(mpf(0), terms))
+        # z is read only where a p_j depends on it
+        read = beta[: count - 1] + gamma[: max(count - 2, 0)] + ([z] if count > 1 else [])
+        if all(isfinite(x) for x in read):
+            for j in range(count - 1):
+                terms = [(fsub(beta[j], z, exact=True), got[j])]
+                terms += [(gamma[j - 1], got[j - 1])] if j else []
+                assert raw(got[j + 1]) == raw(once(mpf(0), terms))
+        else:
+            assert bits([got]) == bits([[mpf(1)] + [nan] * (count - 1)])
         # the orthogonality walk adds a point's values as the kernel leaves them
         weight = data.draw(recurrence_coefficients(1))[0]
         walked, added = GramSums(count), GramSums(count)

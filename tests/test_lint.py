@@ -18,7 +18,9 @@ raw ``libmp`` values; ``moments`` and ``weights`` may build them with three
 constructors. A top-level ``def`` or ``class`` of the package must be read
 outside its own definition: by its module, another module (the ``__init__``
 re-exports do not count), a test or ``perfbench``.
-Every ``to_mpf`` call runs under an explicit ``workprec``.
+Every ``to_mpf`` call runs under an explicit ``workprec``. Every ``mpf_add``,
+``mpf_sub`` and ``mpf_mul`` call in ``linalg`` passes a precision, but for
+``_max_abs``'s exact difference.
 """
 
 import ast
@@ -527,3 +529,52 @@ def test_signed_sums_of_products_go_through_the_one_kernel():
         for line in _rounded_product_sums(path.read_text())
     ]
     assert found == []
+
+
+# -- sums rounded at a precision ------------------------------------------------
+
+# Every sum ``linalg`` forms is exact and rounded once at the precision in
+# effect, and a kernel that reads a nan or an infinity forms no sum. So every
+# ``mpf_add``, ``mpf_sub`` or ``mpf_mul`` call there passes a precision: at
+# libmp's default, precision 0, the call is an exact sum that nothing rounds.
+# The one kept is ``_max_abs``'s difference of an operand with a zero, a nan
+# or an infinity, which it ranks and rounds only if it wins.
+UNROUNDED = {"mpf_add", "mpf_sub", "mpf_mul"}
+EXACT_SUMS = {"_max_abs"}
+
+
+def _unrounded_calls(source: str, allowed: set[str]) -> list[str]:
+    """``function: line`` for each ``mpf_add``, ``mpf_sub`` or ``mpf_mul``
+    call with no precision argument outside the functions ``allowed``."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (
+            _called(node) in UNROUNDED
+            and len(node.args) < 3
+            and not any(k.arg == "prec" for k in node.keywords)
+            and function not in allowed
+        ):
+            found.append(f"{function}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_unrounded_calls_flagged():
+    source = (
+        "def f(x, y):\n    return mpf_add(x, y), mpf_mul(x, y, prec, rnd)\n"
+        "def _max_abs(x, y):\n    return mpf_sub(x, y)\n"
+        "def g(x, y):\n    return libmpf.mpf_sub(x, y, prec=p), mpf_mul(x, y, rnd=r)\n"
+        "t = mpf_sub(a, b)\n"
+    )
+    assert _unrounded_calls(source, EXACT_SUMS) == ["f: 2", "g: 6", "<module>: 7"]
+    assert _unrounded_calls(source, set()) == ["f: 2", "_max_abs: 4", "g: 6", "<module>: 7"]
+
+
+def test_linalg_sums_are_rounded_at_a_precision():
+    assert _unrounded_calls((PACKAGE / "linalg.py").read_text(), EXACT_SUMS) == []
