@@ -1,26 +1,38 @@
 """Precision-controlled moment series, Hankel truncations and their Cholesky data.
 
-Moments are rho_m = sum_k k^m w(k). One fixed-point pass over the lattice
-sums every column rho_0 .. rho_{m_max} at once from the fixed-point terms of
-``weights.fixed_point_terms``, which the orthogonality witness reads too
-(``MomentTable.lattice_weights``), and stops on a rigorous geometric tail
-bound. The exact tail test runs only near the stop: a bit-length gate opens
-it within 64 bits of the threshold or once the term has underflowed into its
-own error bound, and a failed test names the terms to sum before the next.
-The floor-division error gets one bound per pass, from the largest error of
-any term. So a pass leaves each column as one certified
-interval: its sum, plus or minus that error bound and, for an infinite series,
-the tail bound; a finite support has no tail, and a column whose divisions
-were all exact has radius 0. One function climbs the precision ladder: passes
-at the working mantissa plus 96 bits, plus 224 bits and at verify_bits, in
-increasing order, until a rounding test in the style of Ziv (ACM TOMS 17,
-1991) proves that both ends of every interval round to the same
-working-precision value, which is therefore the correctly rounded moment. If
-no rung proves it, the last pass is rounded as it stands.
+Moments are rho_m = sum_k k^m w(k). An undeformed weight satisfies the
+Pearson equation theta(k+1) w(k+1) = sigma(k) w(k), whose moment form
+sum_k w(k) [theta(k) k^j - sigma(k) (k+1)^j] = 0 (j >= 0) makes every column
+past the few no relation reaches, rho_0 .. rho_B (B = N in the usual case, the
+logarithmic derivatives of the pFq; Maroni 1991), an exact rational
+combination of them (``_pearson_columns``: integer vectors over one
+denominator per column). Only those base columns are walked; a deformed
+weight, and a moment witness that asks for it, walks every column. One
+fixed-point pass over the lattice sums the walked columns at once from the
+fixed-point terms of ``weights.fixed_point_terms``, which the orthogonality
+witness reads too (``MomentTable.lattice_weights``), and stops on a rigorous
+geometric tail bound for every column of the table, each derived column
+tested against its running value formed from the walked running sums. The
+exact tail test runs only near the stop: a bit-length gate opens it within
+64 bits of the threshold or once the term has underflowed into its own error
+bound, and a failed test names the terms to sum before the next. The
+floor-division error gets one bound per pass, from the largest error of any
+term. So a pass leaves each walked column as one certified interval: its
+sum, plus or minus that error bound and, for an infinite series, the tail
+bound; a finite support has no tail, and a column whose divisions were all
+exact has radius 0. A derived column is the same combination of the walked
+intervals, and a column whose vector is all zero is exactly 0. One function
+climbs the precision ladder: passes at the working mantissa plus 96 bits,
+plus 224 bits and at verify_bits, in increasing order, until a rounding test
+in the style of Ziv (ACM TOMS 17, 1991) proves that both ends of every
+interval round to the same working-precision value, which is therefore the
+correctly rounded moment, whichever route formed it. If no rung proves a
+derived table, it walks every column instead; if no rung proves that, the
+last pass is rounded as it stands.
 
-A table keeps its accepted pass (``LatticePass``): the column sums S_m over
-k <= K, their error bounds, the scale, the rung's bits, K and a bound on the
-last term. Weights whose term ratio tends to 1 (the ``boundary`` class) are
+A table keeps its accepted pass (``LatticePass``): the walked column sums S_m
+over k <= K, their error bounds, the scale, the rung's bits and K. Weights
+whose term ratio tends to 1 (the ``boundary`` class) are
 refused before any summation: DivergentSeries when a requested moment
 diverges, TermBudgetExceeded when only a ratio-1 tail stands between the
 series and a certificate.
@@ -46,7 +58,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, log, log1p
+from math import ceil, gcd, lcm, log, log1p
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, round_nearest
@@ -76,6 +88,7 @@ from .weights import (
     HypergeometricWeight,
     classify_convergence,
     fixed_point_terms,
+    pearson_polynomials,
     to_mpf,
 )
 
@@ -205,13 +218,16 @@ def _tail_shortfall(w, k: int, magnitude: int, sums: list, shift: int) -> int:
     further term, so a column whose bound is short by a factor F is certified
     about log(F) / log(1/rho) terms later; that count is returned for the
     first column found short (1 while no rho < 1 is known). The count only
-    spaces the tests: the pass stops only where this test returns 0.
+    spaces the tests: the pass stops only where this test returns 0. A column
+    whose sums entry is None (an exactly zero derived column) is not tested.
     """
     sup = _ratio_sup(w, k)
     if sup is None:
         return 1
     sn, sd = sup.numerator, sup.denominator
     for m in reversed(range(len(sums))):
+        if sums[m] is None:
+            continue
         km, k1m = k**m, (k + 1) ** m
         room = sd * km - sn * k1m  # (1 - rho) sd k^m with rho = sn (k+1)^m / (sd k^m)
         if room <= 0:
@@ -226,12 +242,72 @@ def _tail_shortfall(w, k: int, magnitude: int, sums: list, shift: int) -> int:
     return 0
 
 
+def _pearson_columns(w: HypergeometricWeight, m_max: int) -> list:
+    """The derived columns of an undeformed weight's table of depth m_max: each
+    column B < m <= m_max as (n_m, d_m), integers with
+    rho_m = sum_b n_m[b] rho_b / d_m over the walked columns b <= B.
+
+    Multiplying theta(k+1) w(k+1) = sigma(k) w(k) by (k+1)^j and summing over
+    k >= 0 (theta(0) = 0) gives, for every j >= 0, the moment relation
+
+        sum_k w(k) [theta(k) k^j - sigma(k) (k+1)^j] = 0,
+
+    here with theta and sigma scaled once to integer coefficients. Relation j
+    derives its highest moment with a nonzero coefficient from the lower
+    ones. B is the highest column no relation j <= m_max derives (0 if every
+    column is derived): N for N + 1 > M, M - 1 for M > N + 1, N for M = N + 1
+    and eta != 1, and N - 1 for a finite support with eta = 1 unless a leading
+    coefficient of that case vanishes. d_m > 0 and gcd(d_m, n_m) = 1, so a
+    column whose n_m is all zero is exactly 0, with d_m = 1.
+    """
+    pp = pearson_polynomials(w)
+    clear = lcm(*(c.denominator for c in pp.theta_coeffs + pp.sigma_coeffs))
+    theta = [int(c * clear) for c in pp.theta_coeffs]
+    rising = [int(c * clear) for c in pp.sigma_coeffs]  # sigma(k) (k+1)^j
+    relations: dict[int, list] = {}
+    for j in range(m_max + 1):
+        coeffs = [-c for c in rising] + [0] * (j + len(theta) - len(rising))
+        for i, c in enumerate(theta):
+            coeffs[j + i] += c
+        top = len(coeffs) - 1
+        while top >= 0 and not coeffs[top]:
+            top -= 1
+        if 0 <= top <= m_max:
+            relations.setdefault(top, coeffs[: top + 1])
+        rising = [lo + hi for lo, hi in zip(rising + [0], [0] + rising)]
+    walked = max((m for m in range(m_max + 1) if m not in relations), default=0)
+    columns = [(tuple(int(b == m) for b in range(walked + 1)), 1) for m in range(walked + 1)]
+    for m in range(walked + 1, m_max + 1):
+        coeffs = relations[m]
+        terms = [(c, columns[i]) for i, c in enumerate(coeffs[:m]) if c]
+        den = lcm(*(d for _, (_, d) in terms))
+        nums = [0] * (walked + 1)
+        for c, (vector, d) in terms:
+            factor = c * (den // d)
+            for b, n in enumerate(vector):
+                if n:
+                    nums[b] += factor * n
+        lead = coeffs[m]
+        den *= abs(lead)
+        if lead > 0:
+            nums = [-n for n in nums]
+        g = gcd(den, *nums)
+        columns.append((tuple(n // g for n in nums), den // g))
+    return columns[walked + 1 :]
+
+
+def _derived_sum(sums: list, column: tuple) -> int:
+    """floor(sum_b n[b] sums[b] / d) for a derived column (n, d)."""
+    nums, den = column
+    return sum(n * s for n, s in zip(nums, sums)) // den
+
+
 @dataclass(frozen=True)
 class LatticePass:
     """One fixed-point pass over the points 0 .. last at 2^scale, at rung ``bits``.
 
     sums[m] = sum_{k <= last} k^m W_k and errors[m] >= |sums[m] - sum_{k <= last}
-    k^m w(k) 2^scale|.
+    k^m w(k) 2^scale| for each walked column m.
     """
 
     sums: list
@@ -241,9 +317,11 @@ class LatticePass:
     last: int
 
 
-def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass:
-    """One pass over k accumulating every column k^m W_k, with (W_k, e_k) from
-    ``fixed_point_terms(w, scale)``.
+def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int, derived=()) -> LatticePass:
+    """One pass over k accumulating the walked columns k^m W_k of a table of
+    depth m_max, with (W_k, e_k) from ``fixed_point_terms(w, scale)``: every
+    column but the last len(derived), which ``derived`` holds as
+    ``_pearson_columns`` gives them.
 
     Each column gains its term by repeated exact multiplication by k. Of the
     bounds e_k >= |W_k - w(k) 2^scale| only the largest is kept: with
@@ -253,8 +331,10 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass
 
     Stops after k = last for finite support, otherwise at the first k where
     the exact tail test ``_tail_shortfall`` certifies every tail below
-    2^-(bits - 31) of its column. A bit-length gate keeps the test closed
-    until the last column's term is within 64 bits of that threshold, or the
+    2^-(bits - 31) of its column, the derived columns included: each is tested
+    against its running value ``_derived_sum`` of the walked running sums,
+    except a column that is exactly zero. A bit-length gate keeps the test closed
+    until the last walked column's term is within 64 bits of that threshold, or the
     term W_k is no larger than its own error bound (it has underflowed to 0
     or stuck at -1, and no later term can bring the gate closer), and after
     a failed test the pass sums the terms the test asks for before
@@ -262,7 +342,7 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass
     can stop the pass, only delay a stop, and a later stop leaves every
     correctly rounded moment as it is.
     """
-    cols = m_max + 1
+    cols = m_max + 1 - len(derived)
     sums = [0] * cols
     err_max = 0
     shift = bits - 31
@@ -285,7 +365,8 @@ def _fixed_point_pass(w, last, m_max: int, bits: int, scale: int) -> LatticePass
                 or abs(value) <= err
             )
         ):
-            wait = _tail_shortfall(w, k, abs(value) + err, sums, shift)
+            refs = sums + [_derived_sum(sums, c) if any(c[0]) else None for c in derived]
+            wait = _tail_shortfall(w, k, abs(value) + err, refs, shift)
             if not wait:
                 break
             test_at = min(k + wait, MAX_TERMS - 1)
@@ -315,8 +396,9 @@ def _ziv_rounded(sums: list, radii: list, scale: int, target: int) -> list | Non
     return values
 
 
-def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext):
-    """The passes to round, in order: a walk at each rung of the ladder.
+def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionContext, derived=()):
+    """The passes to round, in order: a walk at each rung of the ladder, of
+    every column 0 .. m_max but those ``derived`` forms.
 
     The rungs are the mantissa plus each of _ROUNDING_GUARD_BITS, and
     verify_bits, in increasing order. Within a rung, the walk's guard widens
@@ -328,7 +410,7 @@ def _ladder(w, classification: ConvergenceClass, m_max: int, ctx: PrecisionConte
         shift = bits - 31
         scale = bits + _GUARD_BITS + _GUARD_BITS_PER_COLUMN * m_max
         for _ in range(_WIDENINGS):
-            lattice = _fixed_point_pass(w, classification.q, m_max, bits, scale)
+            lattice = _fixed_point_pass(w, classification.q, m_max, bits, scale, derived)
             short = max(
                 (
                     (err << shift).bit_length() - abs(s).bit_length() + 1
@@ -353,36 +435,53 @@ def _rounded_moments(
     classification: ConvergenceClass,
     m_max: int,
     ctx: PrecisionContext,
+    walk_all: bool = False,
 ) -> tuple[list, LatticePass]:
     """rho_0 .. rho_{m_max} rounded to ctx.mantissa_bits, from the first pass
     of ``_ladder`` that proves it, and that pass.
 
-    Correctly rounded values are unique, so the pass a proof comes from does
-    not change them. A pass at ``bits`` leaves column m as the interval
-    sums[m] +- r_m (units of 2^-scale): r_m is the error bound errors[m], plus
-    the tail bound (|sums[m]| >> (bits - 31)) + 1 that ``_tail_shortfall``
-    certified at the pass's last point when the series is infinite.
-    ``_ziv_rounded`` accepts the pass when every interval proves its rounding.
-    If no pass proves them, the last one is rounded as it stands.
+    An undeformed weight walks only the columns 0 .. B of ``_pearson_columns``
+    unless ``walk_all`` is set; a deformed weight, which satisfies no Pearson
+    equation, walks every column. Correctly rounded values are unique, so
+    neither the pass a proof comes from nor the route to a column changes
+    them. A pass at ``bits`` leaves walked column b as the interval
+    sums[b] +- r_b (units of 2^-scale): r_b is the error bound errors[b], plus
+    the tail bound (|sums[b]| >> (bits - 31)) + 1 that ``_tail_shortfall``
+    certified at the pass's last point when the series is infinite. Derived
+    column m, (n_m, d_m), is the interval S_m = floor(sum_b n_m[b] sums[b] / d_m)
+    +- (ceil(sum_b |n_m[b]| r_b / d_m) + 1), or exactly 0 with radius 0 when
+    n_m is all zero. ``_ziv_rounded`` accepts the pass when every interval
+    proves its rounding. If no pass proves them, a derived table is built
+    again by walking every column (a relation divides by its leading
+    coefficient, 1 - eta for M = N + 1, so with signed coefficients eta near
+    1 can lose bits at every derived column), and a walked table's last pass
+    is rounded as it stands.
 
     For an infinite series the accepted pass ends at a K where ``_tail_shortfall``
-    proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max,
-    with bits >= ctx.mantissa_bits + 96; for a finite support K is q.
+    proved sum_{k > K} k^m |w(k)| <= 2^-(bits - 31) |rho_m| for every m <= m_max
+    but the exactly zero derived columns, with bits >= ctx.mantissa_bits + 96;
+    for a finite support K is q.
     """
     _refuse_uncertifiable(w, classification, m_max)
+    derived = [] if walk_all or w.deformed else _pearson_columns(w, m_max)
     target = ctx.mantissa_bits
     tail = classification.q is None
-    for lattice in _ladder(w, classification, m_max, ctx):
-        shift = lattice.bits - 31
-        radii = [
-            err + ((abs(s) >> shift) + 1 if tail else 0)
-            for s, err in zip(lattice.sums, lattice.errors)
-        ]
-        values = _ziv_rounded(lattice.sums, radii, lattice.scale, target)
-        if values is not None:
-            return values, lattice
+    for columns in (derived, []) if derived else ([],):
+        for lattice in _ladder(w, classification, m_max, ctx, columns):
+            shift = lattice.bits - 31
+            sums = list(lattice.sums)
+            radii = [
+                err + ((abs(s) >> shift) + 1 if tail else 0) for s, err in zip(sums, lattice.errors)
+            ]
+            for nums, den in columns:
+                sums.append(_derived_sum(lattice.sums, (nums, den)))
+                spread = sum(abs(n) * r for n, r in zip(nums, radii))
+                radii.append(-(-spread // den) + 1 if any(nums) else 0)
+            values = _ziv_rounded(sums, radii, lattice.scale, target)
+            if values is not None:
+                return values, lattice
     with workprec(target):
-        return [mpf((s, -lattice.scale)) for s in lattice.sums], lattice
+        return [mpf((s, -lattice.scale)) for s in sums], lattice
 
 
 def moment(w: HypergeometricWeight, m: int, ctx: PrecisionContext) -> mpf:
@@ -395,14 +494,16 @@ class MomentTable:
 
     The values are the correctly rounded moments, from the first pass of the
     precision ladder that proves every column's rounding, so they depend on
-    the weight alone, not on the depth or the pass precision (if no rung proves
-    them, they are the verify_bits pass rounded). ``rebuilt`` serves other
-    mantissas. ``lattice_pass`` is the accepted pass. ``last_point`` is its
-    K: q for a finite support, else a point past which every column's tail of
-    k^m |w(k)| is certified below 2^-(mantissa_bits + 65) of its moment. The
-    orthogonality witness sums
-    ``lattice_weights`` over the points 0 .. K: the pass's own term
-    generator, so K and the scale stay in this module.
+    the weight alone, not on the depth, the pass precision or the route (if no
+    rung proves them, they are the verify_bits pass of a walk of every column
+    rounded). An undeformed weight's pass walks its Pearson base columns
+    rho_0 .. rho_B and derives the rest; ``walk_all`` (the moment witnesses',
+    see ``WeightPipeline.flow_scaled``) walks every column, as a deformed
+    weight always does. ``rebuilt`` serves other mantissas, by the same route.
+    ``lattice_pass`` is the accepted pass. ``last_point`` is its K (see
+    there). The orthogonality witness sums ``lattice_weights`` over the points
+    0 .. K: the pass's own term generator, so K and the scale stay in this
+    module.
 
     Also memoizes generalized Hankel determinants det[rho_{r_i + j}] keyed by
     the (sorted) row-index tuple; these are the building blocks of the exact
@@ -416,9 +517,12 @@ class MomentTable:
     it was requested in, so every later request reads it.
     """
 
-    def __init__(self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext):
+    def __init__(
+        self, w: HypergeometricWeight, m_max: int, ctx: PrecisionContext, walk_all: bool = False
+    ):
         classification = classify_convergence(w)
-        values, lattice = _rounded_moments(w, classification, m_max, ctx)
+        values, lattice = _rounded_moments(w, classification, m_max, ctx, walk_all)
+        self.walk_all = walk_all
         self._fill(w, m_max, ctx, classification, values, lattice)
 
     def _fill(self, w, m_max, ctx, classification, values: list, lattice) -> None:
@@ -438,7 +542,13 @@ class MomentTable:
 
     @property
     def last_point(self) -> int:
-        """K, the last lattice point of the table's accepted pass."""
+        """K, the last lattice point of the table's accepted pass: q for a
+        finite support, else a point past which the tail sum_{k > K} k^m |w(k)|
+        of every column m <= m_max is certified below 2^-(mantissa_bits + 65)
+        of its moment, walked or derived. A derived column that is exactly
+        zero has no such bound of its own; for K >= 1 its tail is at most that
+        of the next column above it whose moment is nonzero, since k^m <=
+        k^(m+1) for k >= 1."""
         return self.lattice_pass.last
 
     def walk_scale(self, degree: int) -> int:
@@ -462,7 +572,9 @@ class MomentTable:
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
-            self._rebuilt[bits] = MomentTable(self.weight, self.m_max, PrecisionContext(bits))
+            self._rebuilt[bits] = MomentTable(
+                self.weight, self.m_max, PrecisionContext(bits), walk_all=self.walk_all
+            )
         return self._rebuilt[bits]
 
     def det_rows(self, rows: tuple[int, ...]) -> mpf:

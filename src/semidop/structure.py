@@ -390,12 +390,20 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     weight itself over the points 0 .. K of the pass that built the moment
     table (``MomentTable.last_point``). A finite support ends there. Otherwise
     that pass proved sum_{k > K} k^j |w(k)| <= 2^-(bits - 31) |rho_j| for every
-    column j of the table, which reaches past rho_{2 nmax}; so with
+    column j of the table, which reaches past rho_{2 nmax}, the columns the
+    pass derived from the Pearson relations included; so with
     p_n(z) = sum_i c_{n,i} z^i, each sum misses at most
 
         |sum_{k > K} p_n(k) p_m(k) w(k)| <= 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|,
 
-    a bound that does not read the norms under test. The weights are the
+    a bound that does not read the norms under test. Where rho_{i+j} is an
+    exactly zero derived column, its tail is bounded instead by that of the
+    next nonzero column above it (k^j <= k^(j+1) for k >= 1). The walk runs
+    to the table's K, which certifies all 2k + 1 columns, rather than to the
+    earlier point that certifies only the columns 0 .. 2 nmax it reads: at
+    size 12 that point cuts Meixner's walk from 720 to 682 points and lifts
+    its worst row from 2^-607.6 to 2^-570.9, above the rounding floor
+    (ROADMAP item 9 gives the walk a stop of its own). The weights are the
     table's ``lattice_weights(2 nmax)``: fixed-point terms W_k at scale s with
     |W_k - w(k) 2^s| <= e_k, each rounded once to the working precision. So,
     beyond that rounding of each weight and of each sum, a sum over 0 .. K

@@ -20,7 +20,9 @@ outside its own definition: by its module, another module (the ``__init__``
 re-exports do not count), a test or ``perfbench``.
 Every ``to_mpf`` call runs under an explicit ``workprec``. Every ``mpf_add``,
 ``mpf_sub`` and ``mpf_mul`` call in ``linalg`` passes a precision, but for
-``_max_abs``'s exact difference.
+``_max_abs``'s exact difference. Only ``WeightPipeline.flow_scaled``, for
+the moment witnesses, asks for a moment table that walks every column
+(``walk_all=True``).
 """
 
 import ast
@@ -296,6 +298,56 @@ def test_pass_reads_flagged():
 
 def test_only_moments_reads_the_accepted_pass():
     assert _reads_outside(LATTICE_PASS, {"moments"}) == []
+
+
+# -- one owner of the all-columns walk -----------------------------------------
+
+# An undeformed weight's table walks its Pearson base columns and derives the
+# rest. Only the moment witnesses walk every column, so that what the
+# moment_flow rows compare comes from no Pearson relation:
+# ``WeightPipeline.flow_scaled`` is the one place that passes ``walk_all=True``;
+# ``get_pipeline``, ``WeightPipeline`` and ``MomentTable.rebuilt`` pass a
+# request on as a variable.
+WALK_ALL_OWNERS = ["pipeline: WeightPipeline.flow_scaled"]
+
+
+def _walk_all_requests(module: str, source: str) -> list[str]:
+    """``module: Class.function`` for each call of the module that passes
+    ``walk_all`` a literal True."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, *DEFINITIONS)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                value = keyword.value
+                if keyword.arg == "walk_all" and isinstance(value, ast.Constant) and value.value is True:
+                    found.append(f"{module}: {'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_walk_all_requests_flagged():
+    source = (
+        "class P:\n    def f(self, flag):\n        return g(w, walk_all=True)\n"
+        "    def h(self, flag):\n        return g(w, walk_all=flag)\n"
+        "t = MomentTable(w, 8, ctx, walk_all=True)\n"
+    )
+    assert _walk_all_requests("m", source) == ["m: P.f", "m: "]
+    assert _walk_all_requests("m", "g(w, walk_all=False)\n") == []
+
+
+def test_only_the_moment_witnesses_walk_every_column():
+    requests = [
+        found
+        for path in sorted(PACKAGE.glob("*.py"))
+        for found in _walk_all_requests(path.stem, path.read_text())
+    ]
+    assert requests == WALK_ALL_OWNERS
 
 
 # -- one lattice walk -----------------------------------------------------------

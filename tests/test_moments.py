@@ -26,10 +26,11 @@ from semidop import (
     run_suite,
 )
 import semidop.moments as moments_module
+from semidop import pipeline
 from semidop.pipeline import get_pipeline
 from semidop.flows import flow_scaled_weight, tau_derivative
 from semidop.linalg import lu_determinant
-from semidop.weights import classify_convergence, parse_weight_spec, to_mpf
+from semidop.weights import classify_convergence, is_nonpositive_integer, parse_weight_spec, to_mpf
 
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
@@ -355,16 +356,16 @@ def test_tables_are_correctly_rounded_at_any_depth(a, b, eta):
 
 def _planted_passes(monkeypatch, planted: int, columns) -> list:
     """Record the bits of every pass; the first ``planted`` passes return
-    ``columns(scale)`` as their sums, with no floor-division error."""
+    ``columns(scale)`` as their walked sums, with no floor-division error."""
     requested = []
     real = moments_module._fixed_point_pass
 
-    def fixed_point_pass(w, last, m_max, bits, scale):
+    def fixed_point_pass(w, last, m_max, bits, scale, derived=()):
         requested.append(bits)
         if len(requested) <= planted:
             sums = columns(scale)
             return moments_module.LatticePass(sums, [0] * len(sums), scale, bits, 1)
-        return real(w, last, m_max, bits, scale)
+        return real(w, last, m_max, bits, scale, derived)
 
     monkeypatch.setattr(moments_module, "_fixed_point_pass", fixed_point_pass)
     return requested
@@ -375,29 +376,34 @@ MIDPOINT = 2 * (2**511 + 12345) + 1
 
 
 def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
-    # column 1 sits on a 512-bit midpoint, so its certified interval holds
-    # values that round both ways: the table must sum again, first at the
-    # middle rung and, when that straddles too, at verify_bits
+    # column 1 of a table that walks both columns sits on a 512-bit midpoint,
+    # so its certified interval holds values that round both ways: the table
+    # must sum again, first at the middle rung and, when that straddles too,
+    # at verify_bits
     ctx = PrecisionContext(mantissa_bits=512)
 
     def straddled(scale):
         return [1 << scale, MIDPOINT << (scale - 514)]
 
     requested = _planted_passes(monkeypatch, 1, straddled)
-    table = MomentTable(MEIXNER, 1, ctx)
+    table = MomentTable(MEIXNER, 1, ctx, walk_all=True)
     assert requested == [608, 736]
     fresh = MomentTable(MEIXNER, 1, PrecisionContext(mantissa_bits=512))
     assert _raw(table.values) == _raw(fresh.values)
 
     requested = _planted_passes(monkeypatch, 3, straddled)
-    table = MomentTable(MEIXNER, 1, ctx)
+    table = MomentTable(MEIXNER, 1, ctx, walk_all=True)
     assert requested == [608, 736, ctx.verify_bits]
     # no rung proves it: the verify_bits pass is rounded as it stands (to even)
     with workprec(512):
         assert _raw(table.values) == _raw([mpf(1), mpf((MIDPOINT, -514))])
-    requested.clear()
-    assert moment(MEIXNER, 1, ctx) == table.moment(1)
-    assert requested == [608, 736, ctx.verify_bits]
+
+    # a derived table whose walked rho_0 straddles at every rung (so does
+    # rho_1 = 2 rho_0) is built again by walking both columns, which the
+    # real pass proves at the first rung; moment() takes the same route
+    requested = _planted_passes(monkeypatch, 3, lambda scale: [MIDPOINT << (scale - 514)])
+    assert moment(MEIXNER, 1, ctx) == fresh.moment(1)
+    assert requested == [608, 736, ctx.verify_bits, 608]
 
     # an offset past the interval radius, about 2^-(608 - 31) of the column,
     # decides the rounding at the first rung
@@ -405,13 +411,13 @@ def test_straddled_rounding_takes_the_fallback_pass(monkeypatch):
         return [1 << scale, (MIDPOINT << (scale - 514)) + (1 << (scale - 560))]
 
     requested = _planted_passes(monkeypatch, 1, decided)
-    MomentTable(MEIXNER, 1, ctx)
+    MomentTable(MEIXNER, 1, ctx, walk_all=True)
     assert requested == [608]
 
     # a finite support has no tail, and a column with every division exact
     # has radius 0: the midpoint itself rounds (to even)
     requested = _planted_passes(monkeypatch, 1, straddled)
-    table = MomentTable(HypergeometricWeight(a=(-3,), eta=Fraction(1, 2)), 1, ctx)
+    table = MomentTable(HypergeometricWeight(a=(-3,), eta=Fraction(1, 2)), 1, ctx, walk_all=True)
     assert requested == [608]
     with workprec(512):
         assert _raw(table.values) == _raw([mpf(1), mpf((MIDPOINT, -514))])
@@ -537,17 +543,20 @@ def test_pass_matches_the_per_column_oracle(w, m_max, bits):
         assert new is None or old is None or new == old
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=TermBudgetExceeded,
-    reason="ROADMAP item 1: an exactly zero moment never passes the relative tail test",
-)
 @pytest.mark.parametrize(("spec", "m_max", "bits"), [("a=4/3; eta=-3/4", 2, 96), ("eta=-1", 24, 512)])
 def test_zero_moments_are_certified(spec, m_max, bits):
     # rho_2 = 0 for both: a eta = -1 makes rho_2 = a eta (1 + a eta) / (1 - eta)^(a + 2)
-    # vanish, and Charlier's rho_2 is e^-1 T_2(-1) = 0 (T the Touchard polynomial)
-    table = MomentTable(parse_weight_spec(spec), m_max, PrecisionContext(mantissa_bits=bits))
+    # vanish, and Charlier's rho_2 is e^-1 T_2(-1) = 0 (T the Touchard polynomial).
+    # The Pearson relations give rho_2 an all-zero coefficient vector, so it
+    # is exactly 0 and stays out of the tail test; a walk of every column
+    # still cannot certify it (ROADMAP item 1)
+    w = parse_weight_spec(spec)
+    ctx = PrecisionContext(mantissa_bits=bits)
+    assert moments_module._pearson_columns(w, m_max)[1] == ((0,), 1)
+    table = MomentTable(w, m_max, ctx)
     assert table.values[2] == 0
+    with pytest.raises(TermBudgetExceeded):
+        MomentTable(w, m_max, ctx, walk_all=True)
 
 
 SLOW_DECAY = ("a=1,1; b=1; eta=9/10", "a=1; eta=9/10", "a=1,1; b=1; eta=-9/10")
@@ -595,9 +604,9 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
     passes = []
     real = moments_module._fixed_point_pass
 
-    def recorded(w, last, m_max, bits, scale):
+    def recorded(w, last, m_max, bits, scale, *derived):
         passes.append((bits, scale - bits - 64 - 14 * m_max))
-        return real(w, last, m_max, bits, scale)
+        return real(w, last, m_max, bits, scale, *derived)
 
     monkeypatch.setattr(moments_module, "_fixed_point_pass", recorded)
     for spec, size in CONTRACT_MIX:
@@ -609,15 +618,20 @@ def test_contract_mix_passes_by_bits_without_widening(monkeypatch):
 
 def test_tiny_moments_widen_the_guard(monkeypatch):
     # eta = -2^-300 makes rho_m ~ -2^-300 for m >= 1, far below the
-    # floor-division error the base guard allows for: the first rung widens
-    # its guard once by the measured shortfall, and the widened pass proves
-    # every rounding
+    # floor-division error the base guard allows for: a walk of every column
+    # widens its first rung's guard once by the measured shortfall, and the
+    # widened pass proves every rounding. The Pearson route walks rho_0 ~ 1
+    # alone and derives the rest, so it proves every rounding in one pass
     w = HypergeometricWeight(eta=Fraction(-1, 2**300))
+    ctx = PrecisionContext(mantissa_bits=512)
     calls = _count_passes(monkeypatch)
-    table = MomentTable(w, 16, PrecisionContext(mantissa_bits=512))
-    widened = [(bits, scale - bits - 64 - 14 * m_max) for _, _, m_max, bits, scale in calls]
+    walked = MomentTable(w, 16, ctx, walk_all=True)
+    widened = [(bits, scale - bits - 64 - 14 * m_max) for _, _, m_max, bits, scale, _ in calls]
     assert widened == [(608, 0), (608, 42)]
-    assert _raw(table.values) == _raw(_rounded(table.rebuilt(REF_BITS).values, 512))
+    assert _raw(walked.values) == _raw(_rounded(walked.rebuilt(REF_BITS).values, 512))
+    calls.clear()
+    assert _raw(MomentTable(w, 16, ctx).values) == _raw(walked.values)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("depth", [8, 16])
@@ -643,17 +657,19 @@ def _fubini(n: int) -> int:
 
 def test_unprovable_midpoint_rounds_the_top_rung(monkeypatch):
     # w(k) = 2^-k: rho_31 = 2 Fubini(31) is an exact 128-bit rounding midpoint,
-    # so no interval of an infinite series proves it. The rungs run in
-    # increasing order, mantissa + 96, verify_bits, mantissa + 224, and the
-    # last pass is rounded as it stands. This is
-    # `semidop moments --weight "a=1; eta=1/2" --bits 128 --max-m 31`.
+    # so no interval of an infinite series proves it, derived from rho_0 or
+    # walked. The rungs run in increasing order, mantissa + 96, verify_bits,
+    # mantissa + 224, once for the derived table and once for the walk of
+    # every column it falls back to, whose last pass is rounded as it stands.
+    # This is `semidop moments --weight "a=1; eta=1/2" --bits 128 --max-m 31`.
     exact = 2 * _fubini(31)
     lower, upper = (from_man_exp(exact, 0, 128, rnd) for rnd in (round_down, round_up))
     assert to_int(upper) - exact == exact - to_int(lower) > 0
     real = moments_module._fixed_point_pass
     calls = _count_passes(monkeypatch)
     table = MomentTable(parse_weight_spec("a=1; eta=1/2"), 31, PrecisionContext(mantissa_bits=128))
-    assert [args[3] for args in calls] == [224, 256, 352]
+    assert [args[3] for args in calls] == [224, 256, 352] * 2
+    assert [len(args[5]) for args in calls] == [31] * 3 + [0] * 3
     assert table.values[31]._mpf_ in (lower, upper)
     sums = real(*calls[-1]).sums
     scale = calls[-1][4]
@@ -755,7 +771,7 @@ def _witness_and_walked(base, l, mult):
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_passes(patch)
         witness = base.flow_scaled(l, mult).table
-    return witness, bool(calls), MomentTable(witness.weight, witness.m_max, base.ctx)
+    return witness, bool(calls), MomentTable(witness.weight, witness.m_max, base.ctx, walk_all=True)
 
 
 @pytest.mark.parametrize(
@@ -802,21 +818,153 @@ def test_meixner_suite_walks_only_what_cannot_be_derived(monkeypatch):
     # base table, so the Meixner suite at size 12 sums the lattice for its
     # base table, its shifted table a=3 and the two flow-1 moment witnesses,
     # each at depth 24, the one whose moments sit near a 512-bit rounding
-    # midpoint walked again at 736 bits
+    # midpoint walked again at 736 bits. The base and shifted tables walk
+    # rho_0 alone and derive rho_1 .. rho_24; the witnesses walk all 25 columns
     passes = []
     real = moments_module._fixed_point_pass
 
-    def recorded(w, last, m_max, bits, scale):
-        passes.append((w.spec_string() if w.eta == Fraction(1, 2) else "witness", m_max, bits))
-        return real(w, last, m_max, bits, scale)
+    def recorded(w, last, m_max, bits, scale, derived):
+        walked = m_max + 1 - len(derived)
+        passes.append((w.spec_string() if w.eta == Fraction(1, 2) else "witness", walked, bits))
+        return real(w, last, m_max, bits, scale, derived)
 
     monkeypatch.setattr(moments_module, "_fixed_point_pass", recorded)
     clear_cache()
     run_suite(SuiteConfig(weight=MEIXNER, size=12, mantissa_bits=512))
     clear_cache()
     assert Counter(passes) == {
-        ("a=2; eta=1/2", 24, 608): 1,
-        ("a=3; eta=1/2", 24, 608): 1,
-        ("witness", 24, 608): 2,
-        ("witness", 24, 736): 1,
+        ("a=2; eta=1/2", 1, 608): 1,
+        ("a=3; eta=1/2", 1, 608): 1,
+        ("witness", 25, 608): 2,
+        ("witness", 25, 736): 1,
     }
+
+
+# -- Pearson-derived columns ------------------------------------------------------
+
+signed_params = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@st.composite
+def pearson_weights(draw):
+    """Undeformed weights whose moments converge: signed a_i and b_j with
+    M, N <= 2 and |eta| < 1, M <= N + 1 unless an a_i is a nonpositive
+    integer (a finite support)."""
+    defined = signed_params.filter(lambda x: not is_nonpositive_integer(x))
+    b = tuple(draw(st.lists(defined, max_size=2)))
+    a = draw(st.lists(signed_params, max_size=2))
+    if draw(st.booleans()):
+        a = a[:1] + [Fraction(-draw(st.integers(0, 20)))]
+    if not any(is_nonpositive_integer(x) for x in a):
+        a = a[: len(b) + 1]
+    eta = draw(
+        st.fractions(min_value=Fraction(-15, 16), max_value=Fraction(15, 16), max_denominator=16)
+        .filter(bool)
+    )
+    return HypergeometricWeight(a=tuple(a), b=b, eta=eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=pearson_weights(), size=st.integers(4, 16))
+def test_derived_tables_equal_the_walk_of_every_column(w, size):
+    # both routes round correctly, so a table that walks rho_0 .. rho_B and
+    # derives the rest by the Pearson relations holds the bits of the walk of
+    # all 2 size + 1 columns; where that walk is refused, the derived table
+    # proves a column exactly zero, or is refused the same way
+    ctx = PrecisionContext(mantissa_bits=256)
+    m_max = 2 * size
+    try:
+        walked = MomentTable(w, m_max, ctx, walk_all=True)
+    except TermBudgetExceeded:
+        try:
+            derived = MomentTable(w, m_max, ctx)
+        except TermBudgetExceeded:
+            return
+        zeros = [not any(nums) for nums, _ in moments_module._pearson_columns(w, m_max)]
+        assert any(zeros)
+        tail = derived.values[m_max + 1 - len(zeros) :]
+        assert all(v == 0 for v, zero in zip(tail, zeros) if zero)
+        return
+    assert _raw(MomentTable(w, m_max, ctx).values) == _raw(walked.values)
+
+
+@pytest.mark.parametrize(
+    ("spec", "walked"),
+    [
+        ("eta=7/10", 1),  # N + 1 > M
+        ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 3),  # M = N + 1, eta != 1
+        ("a=1,2,-6; eta=-1/2", 3),  # M > N + 1, a finite support
+        ("a=3/2,-8; b=-19/2; eta=1", 1),  # M = N + 1 and eta = 1: rho_0 alone
+        ("a=-3; eta=1", 4),  # (-3)_k / k!: the relation of rho_3 vanishes
+    ],
+)
+def test_pearson_relations_leave_the_base_columns(spec, walked):
+    # the columns no relation derives are walked; every other column is an
+    # exact rational combination of them, here checked against the moments
+    # the walk of every column gives
+    w = parse_weight_spec(spec)
+    derived = moments_module._pearson_columns(w, 16)
+    assert len(derived) == 17 - walked
+    ctx = PrecisionContext(mantissa_bits=512)
+    table = MomentTable(w, 16, ctx, walk_all=True)
+    with workprec(1024):
+        for m, (nums, den) in enumerate(derived, start=walked):
+            value = sum(n * table.values[b] for b, n in enumerate(nums)) / den
+            assert abs(value - table.values[m]) <= mpf(2) ** -480 * max(abs(table.values[m]), 1)
+
+
+def test_a_derivation_no_rung_proves_walks_every_column(monkeypatch):
+    # eta = 1 - 2^-64 with M = N + 1: each relation divides by 1 - eta, and the
+    # signed coefficients cancel, so the derived columns of this finite
+    # support lose bits at every step and no rung of a 256-bit table proves
+    # them; the table walks every column instead and holds the walk's bits
+    w = HypergeometricWeight(a=(Fraction(3, 2), -8), b=(Fraction(-19, 2),), eta=1 - Fraction(1, 2**64))
+    ctx = PrecisionContext(mantissa_bits=256)
+    calls = _count_passes(monkeypatch)
+    table = MomentTable(w, 12, ctx)
+    assert [(args[3], len(args[5])) for args in calls] == [(352, 11), (480, 11), (512, 11), (352, 0)]
+    assert _raw(table.values) == _raw(MomentTable(w, 12, ctx, walk_all=True).values)
+
+
+def _walked_columns(monkeypatch) -> list:
+    """Record (weight, depth, walked columns) of every pass."""
+    walks = []
+    real = moments_module._fixed_point_pass
+
+    def recorded(w, last, m_max, bits, scale, derived):
+        walks.append((w, m_max, m_max + 1 - len(derived)))
+        return real(w, last, m_max, bits, scale, derived)
+
+    monkeypatch.setattr(moments_module, "_fixed_point_pass", recorded)
+    return walks
+
+
+def test_tables_walk_only_their_pearson_base_columns(monkeypatch):
+    # over one contract mix, an undeformed base or shifted table walks its
+    # N + 1 base columns, while the 12 moment witnesses and the deformed
+    # weight's tables walk all 2k + 1; the slow-decay weights walk 2, 1 and 2
+    walks = _walked_columns(monkeypatch)
+    witnesses = set()
+    real_scaled = pipeline.WeightPipeline.flow_scaled
+
+    def flow_scaled(self, l, mult):
+        witness = real_scaled(self, l, mult)
+        witnesses.add(witness.weight)
+        return witness
+
+    monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", flow_scaled)
+    for spec, size in CONTRACT_MIX:
+        clear_cache()
+        run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
+    clear_cache()
+    assert len(witnesses) == 12
+    full = [w for w, m_max, walked in walks if walked == m_max + 1]
+    assert set(full) == witnesses | {w for w, _, _ in walks if w.deformed}
+    assert all(walked == w.n_degree + 1 for w, _, walked in walks if w not in full)
+    assert {w for w in full if not w.deformed} == witnesses - {w for w in witnesses if w.deformed}
+    walks.clear()
+    ctx = PrecisionContext(mantissa_bits=512)
+    for spec in SLOW_DECAY:
+        get_pipeline(parse_weight_spec(spec), 8, ctx).jac
+    clear_cache()
+    assert [walked for _, _, walked in walks] == [2, 1, 2]

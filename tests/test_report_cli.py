@@ -406,6 +406,19 @@ def test_cli_verify_spec_example():
     assert code == 0
 
 
+@pytest.mark.parametrize(("spec", "size"), [("eta=-1", 8), ("a=2; eta=-1/3", 12)])
+def test_exactly_zero_moments_are_not_refused(spec, size, capsys):
+    # rho_2 = 0 exactly, of Charlier at eta = -1 and of a=3; eta=-1/3, the
+    # shift contiguous reads for a=2; eta=-1/3: a walk never certifies its
+    # tail (ROADMAP item 1), the Pearson relations give it as exactly 0, and
+    # every row passes
+    clear_cache()
+    code = cli_main(["verify", "--weight", spec, "--size", str(size)])
+    clear_cache()
+    assert "TermBudgetExceeded" not in capsys.readouterr().err
+    assert code == 0
+
+
 def test_non_dyadic_shift_constants_hold_at_the_working_precision():
     # a = 2/3 and b - 1 = 2/5 are not dyadic: rounded at 53 bits they broke
     # nijhoff_capel_A(1)_B(1) (4.3e-17) and uv_system (3.6e-17, 3.1e-17)
@@ -485,14 +498,14 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "c6d53d34baa71346"),
+    ("a=2; eta=1/2", 12, "299f87055de4c454"),
     ("b=3/2; eta=1/2", 12, "66c691be4f307cec"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "af0d82522c539047"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "3b79f2dabc426086"),
     ("eta=1/2; eta2=9/10; eta3=9/10", 8, "05bb30a54e7b0dfd"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
     ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "623786aa635b86ac"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "367820c8fb890189"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "daba603ffd8f3faf"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
     ("a=2/3; b=7/5; eta=3/7", 12, "492b91b3dd6668f6"),
@@ -655,7 +668,7 @@ def test_witness_table_stops_at_rho_2k(weight, flow, size):
     witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64))
     assert witness is not base and witness.k == size
     assert base.flow_scaled(flow, 1 + Fraction(1, 2**64)) is witness
-    assert get_pipeline(witness.weight, size, ctx) is witness
+    assert get_pipeline(witness.weight, size, ctx, walk_all=True) is witness
     assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
     deeper = MomentTable(witness.weight, 2 * size + 8, ctx)
     assert _bits(witness.table.values) == _bits(deeper.values[: 2 * size + 1])
