@@ -71,11 +71,15 @@ def _context(args) -> PrecisionContext:
 
 
 def _load_weight(args) -> HypergeometricWeight:
-    """The weight of --config or --weight; a spec the grammar or the weight
-    refuses is a usage error naming the flag."""
+    """The weight of --config or --weight; a config file that cannot be read
+    as UTF-8 text, or a spec the grammar or the weight refuses, is a usage
+    error naming the flag."""
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            lines = [line.split("#", 1)[0].strip() for line in fh]
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                lines = [line.split("#", 1)[0].strip() for line in fh]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PreconditionError(f"--config: {exc}") from None
         flag, spec = "--config", "; ".join(line for line in lines if line)
     elif getattr(args, "weight", None):
         flag, spec = "--weight", args.weight

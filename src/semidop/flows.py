@@ -22,9 +22,10 @@ for every table. Each entry is evaluated once per table and kept in its memo
 (``MomentTable.tau_derivatives``), as each log-tau entry is
 (``log_tau_derivatives``): an entry's bits do not depend on the closure it
 is requested in, so later requests read it. ``tau_derivative`` reads one
-entry, ``log_tau_jet`` the jet of log tau_k, from which every derivative of
-log H_n = log tau_{n+1} - log tau_n is a difference. No derivative reads
-log tau_k itself, so it is formed only when a caller reads that entry.
+entry, ``log_tau_jet`` the derivatives of log tau_k as a plain dict, from
+which every derivative of log H_n = log tau_{n+1} - log tau_n is a
+difference. No derivative reads log tau_k itself, so it is never formed: a
+caller that wants it takes ``mp.log`` of ``tau_derivative(table, k, (0, 0, 0))``.
 
 The factorization's own derivatives come from ``moments.flow_jet``, which
 seeds its Taylor elimination with the factorization. What
@@ -37,13 +38,12 @@ entrywise over vectors and matrices (``fd_flow_derivative``), compared by
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
 
 from .errors import PreconditionError
 from .linalg import exceeds
@@ -162,7 +162,7 @@ def _multinom(beta: Alpha, delta: Alpha) -> int:
 def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
     """Fill g[a] with d^a log f for each a other than (0, 0, 0) of a
     downward-closed order, from tjet[a] = d^a f; entries already in g are
-    kept. log f itself, which no derivative reads, is left to the caller.
+    kept. log f itself, which no derivative reads, is not formed.
 
     Uses the Leibniz inversion of f * (d_i log f) = d_i f, resolving each order
     from strictly lower ones; requires f(0) != 0.
@@ -183,50 +183,18 @@ def _log_entries(tjet: dict, g: dict, order: list[Alpha], bits: int) -> None:
             g[a] = acc / f0
 
 
-def log_jet(tjet: dict, bits: int) -> dict:
-    """Jet of log f from the jet of f over a downward-closed index set."""
-    with workprec(bits):
-        g = {(0, 0, 0): mp.log(tjet[(0, 0, 0)])}
-    _log_entries(tjet, g, sorted(tjet, key=lambda t: (sum(t), t)), bits)
-    return g
-
-
-class _LogTauJet(Mapping):
-    """The jet of log tau_k over a downward closure, read from the table's
-    memo; log tau_k itself, which no derivative reads, is formed on its
-    first read and kept there."""
-
-    def __init__(self, table: MomentTable, k: int, order: list[Alpha]):
-        self._table, self._k, self._order = table, k, order
-
-    def __getitem__(self, a: Alpha) -> mpf:
-        if a not in self._order:
-            raise KeyError(a)
-        table, k = self._table, self._k
-        memo = table.log_tau_derivatives[k]
-        if a not in memo:
-            with workprec(table.ctx.mantissa_bits):
-                memo[a] = mp.log(_tau_values(table, k, [a])[a])
-        return memo[a]
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> Mapping:
+def log_tau_jet(table: MomentTable, k: int, alphas: Iterable[Alpha]) -> dict:
     """Mixed derivatives of log tau_k over the downward closure of the given
-    orders; tau_0 = 1 gives the all-zero jet.
+    orders, but for log tau_k itself, which no derivative reads and which is
+    never formed; tau_0 = 1 gives the all-zero jet.
 
     Like ``tau_jet``, each entry is formed once per table and kept in its
-    memo, log tau_k only when it is read."""
+    memo (``MomentTable.log_tau_derivatives``)."""
     order = _downward_closure(alphas)
     memo = table.log_tau_derivatives.setdefault(k, {})
     if any(a not in memo for a in order if a != (0, 0, 0)):
         _log_entries(_tau_values(table, k, order), memo, order, table.ctx.mantissa_bits)
-    return _LogTauJet(table, k, order)
+    return {a: memo[a] for a in order if a != (0, 0, 0)}
 
 
 # -- finite-difference witnesses ----------------------------------------------

@@ -12,10 +12,13 @@ Two exact routes carry the flow identities. The determinant engine
 (``flows``) differentiates tau_n by moment-index shifts; the Taylor-mode
 factorization (``WeightPipeline.flow_jet``) differentiates S, S^-1 and H
 themselves, wherever the triangular factor or a matrix built from it is
-differentiated. Both rest on one assumption, that flow l maps rho_m to
-rho_{m+l}; ``sato_wilson``'s ``moment_flow_{l}`` rows witness it
+differentiated. The engine's derivatives of log tau_k are read one entry at
+a time from the table's memo (``_log_tau``), which ``flows.log_tau_jet``
+fills on a miss. Both routes rest on one assumption, that flow l maps rho_m
+to rho_{m+l}; ``sato_wilson``'s ``moment_flow_{l}`` rows witness it
 independently, by a central finite difference at the ``flows`` step of the
-moments of two walked tables of the flow-scaled weight.
+moments of two walked tables of the flow-scaled weight
+(``WeightPipeline.flow_scaled``), which nothing factors.
 """
 
 from __future__ import annotations
@@ -293,8 +296,6 @@ def uv_system_check(
         acc = ResidualAccumulator()
         h, hr = pipe.chol.h, rp.chol.h
         beta, beta_r = pipe.jac.beta, rp.jac.beta
-        jets = _log_jets(pipe, max(n_values) + 2)
-        jets_r = _log_jets(rp, max(n_values) + 1)
         jet, jet_r = pipe.flow_jet(1), rp.flow_jet(1, size=max(n_values))
 
         for n in n_values:
@@ -315,7 +316,7 @@ def uv_system_check(
             # u-hat-bar/u-hat - u-bar/u (the jet witness below confirms the sign).
             ratio = h[n] / (a_hat * hr[n - 1])
             engine = ratio * (
-                _dlog_h(jets, n, (1, 0, 0)) - _dlog_h(jets_r, n - 1, (1, 0, 0))
+                _dlog_h(pipe.table, n, (1, 0, 0)) - _dlog_h(rp.table, n - 1, (1, 0, 0))
             )
             rhs = hr[n] / hr[n - 1] - h[n] / h[n - 1]
             scale3 = max(abs(engine), abs(h[n] / h[n - 1]), abs(hr[n] / hr[n - 1]), mpf(1))
@@ -337,42 +338,30 @@ def uv_system_check(
         )
 
 
-class _LogJet:
-    """The derivatives of log tau_k on one table, each formed on its first
-    read: ``[alpha]`` reads the table's memo, or asks ``log_tau_jet`` for
-    that entry's closure alone. An entry's bits do not depend on the closure
-    it is requested in, so the order of reads moves no value. tau_0 = 1, so
-    every entry of k = 0 is 0, read without a call."""
-
-    __slots__ = ("table", "k")
-
-    def __init__(self, table, k: int):
-        self.table, self.k = table, k
-
-    def __getitem__(self, alpha) -> mpf:
-        if self.k == 0:
-            return mpf(0)
-        memo = self.table.log_tau_derivatives.get(self.k, {})
-        if alpha in memo:
-            return memo[alpha]
-        # the module's name, read at call time, so a tracer patching it sees it
-        return log_tau_jet(self.table, self.k, [alpha])[alpha]
+def _log_tau(table, k: int, alpha) -> mpf:
+    """d^alpha log tau_k on the table, alpha other than (0, 0, 0): the
+    table's memo entry, or the entry of ``log_tau_jet`` over alpha's closure
+    alone. An entry's bits do not depend on the closure it is requested in,
+    so the order of reads moves no value. tau_0 = 1, so every entry of k = 0
+    is 0, read without a call."""
+    if k == 0:
+        return mpf(0)
+    memo = table.log_tau_derivatives.get(k, {})
+    if alpha in memo:
+        return memo[alpha]
+    # the module's name, read at call time, so a tracer patching it sees it
+    return log_tau_jet(table, k, [alpha])[alpha]
 
 
-def _log_jets(pipe: WeightPipeline, count: int) -> list[_LogJet]:
-    """The log-tau jets of tau_0 .. tau_{count-1}, each entry formed on first read."""
-    return [_LogJet(pipe.table, n) for n in range(count)]
-
-
-def _dlog_h(jets: list, n: int, alpha) -> mpf:
+def _dlog_h(table, n: int, alpha) -> mpf:
     """d^alpha log H_n, with H_n = tau_{n+1} / tau_n; since beta_n = d/dt1 log H_n,
     alpha + (1, 0, 0) gives d^alpha beta_n."""
-    return jets[n + 1][alpha] - jets[n][alpha]
+    return _log_tau(table, n + 1, alpha) - _log_tau(table, n, alpha)
 
 
-def _dlog_gamma(jets: list, n: int, alpha) -> mpf:
+def _dlog_gamma(table, n: int, alpha) -> mpf:
     """d^alpha log gamma_n (n >= 1), with gamma_n = H_n / H_{n-1}."""
-    return jets[n + 1][alpha] + jets[n - 1][alpha] - 2 * jets[n][alpha]
+    return _log_tau(table, n + 1, alpha) + _log_tau(table, n - 1, alpha) - 2 * _log_tau(table, n, alpha)
 
 
 # -- tau-function cross-checks and the Toda stack --------------------------------
@@ -393,11 +382,10 @@ def tau_route_check(
     with workprec(bits):
         acc = ResidualAccumulator()
         # one tau jet per n gives tau_n and its first derivative, which the
-        # log jets read from the table's memo; flows.tau_jet is read at call
-        # time, so a tracer patching it sees it
+        # log-tau entries read from the table's memo; flows.tau_jet is read at
+        # call time, so a tracer patching it sees it
         tau_jets = [flows.tau_jet(table, n, [(1, 0, 0)]) for n in range(nmax + 2)]
         taus = [t[(0, 0, 0)] for t in tau_jets]
-        jets = _log_jets(pipe, nmax + 2)
         h = pipe.chol.h
         for n in range(1, nmax + 1):
             acc.add(
@@ -413,12 +401,13 @@ def tau_route_check(
                     abs(p1 + dtau / taus[n]),
                     max(abs(p1), mpf(1)),
                 )
-            dlog = _dlog_h(jets, n, (1, 0, 0))
+            dlog = _dlog_h(table, n, (1, 0, 0))
+            d2_log_tau = _log_tau(table, n, (2, 0, 0))
             beta_n, gamma_n = pipe.jac.beta[n], pipe.gamma(n)
             acc.add(f"beta[{n}]", abs(beta_n - dlog), max(abs(beta_n), mpf(1)))
-            acc.add(f"gamma[{n}]", abs(gamma_n - jets[n][(2, 0, 0)]), abs(gamma_n))
+            acc.add(f"gamma[{n}]", abs(gamma_n - d2_log_tau), abs(gamma_n))
             hirota = taus[n + 1] * taus[n - 1] / (taus[n] * taus[n])
-            acc.add(f"hirota[{n}]", abs(jets[n][(2, 0, 0)] - hirota), abs(hirota))
+            acc.add(f"hirota[{n}]", abs(d2_log_tau - hirota), abs(hirota))
         return acc.result(
             "tau_routes",
             tolerance,
@@ -441,18 +430,18 @@ def toda_check(
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
-        jets = _log_jets(pipe, nmax + 3)
+        table = pipe.table
         h = pipe.chol.h
         beta = pipe.jac.beta
-        d2q, gamma_1 = _dlog_h(jets, 0, (2, 0, 0)), pipe.gamma(1)
+        d2q, gamma_1 = _dlog_h(table, 0, (2, 0, 0)), pipe.gamma(1)
         acc.add("system_beta[0]", abs(d2q - gamma_1), max(abs(gamma_1), mpf(1)))
 
         for n in range(1, nmax + 1):
             gamma_next = pipe.gamma(n + 1)
             gamma_n = pipe.gamma(n)
-            d2q = _dlog_h(jets, n, (2, 0, 0))
-            dlog_gamma = _dlog_gamma(jets, n, (1, 0, 0))
-            d2log_gamma = _dlog_gamma(jets, n, (2, 0, 0))
+            d2q = _dlog_h(table, n, (2, 0, 0))
+            dlog_gamma = _dlog_gamma(table, n, (1, 0, 0))
+            d2log_gamma = _dlog_gamma(table, n, (2, 0, 0))
             beta_prev = beta[n - 1]
             acc.add(
                 f"system_gamma[{n}]",
@@ -471,7 +460,7 @@ def toda_check(
             )
 
             # flow derivative of the subleading coefficient
-            dp1 = -jets[n][(2, 0, 0)]
+            dp1 = -_log_tau(table, n, (2, 0, 0))
             acc.add(
                 f"subleading_flow[{n}]",
                 abs(dp1 + gamma_n),
@@ -544,7 +533,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         acc = ResidualAccumulator()
         j = pipe.jac.dense
         powers = {0: identity(kj), 1: j, 2: mat_mul(j, j)}
-        jets = _log_jets(pipe, kj)
+        table = pipe.table
         h_floor = pipe.chol.h_floor()
 
         for l in flows:
@@ -554,7 +543,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
 
             # (a) diagonal norm derivatives
             jl_diag = diagonal_of(jl, 0)[: kj - l]
-            errors = [_dlog_h(jets, n, alpha) - x for n, x in enumerate(jl_diag)]
+            errors = [_dlog_h(table, n, alpha) - x for n, x in enumerate(jl_diag)]
             acc.add(f"diag_flow_{l}", max_abs([errors]), max(h_floor, max_abs([jl_diag]), mpf(1)))
 
             # (b) dressing factor dS S^-1 = -S dL against -(J^l)_-, with dL
@@ -572,8 +561,8 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             if l in fd_flows:
                 top = pipe.depth - l
                 res = derivative_fd_crosscheck(
-                    lambda mult: pipe.flow_scaled(l, mult).table.values[: top + 1],
-                    pipe.table.values[l:],
+                    lambda mult: pipe.flow_scaled(l, mult).values[: top + 1],
+                    table.values[l:],
                     default_fd_step(bits),
                     bits,
                 )
@@ -584,9 +573,9 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
             lax_rhs = commutator(upper_with_diagonal(jl), j)
             engine = zeros(win)
             for n in range(win):
-                engine[n][n] = _dlog_h(jets, n, up_alpha)
+                engine[n][n] = _dlog_h(table, n, up_alpha)
                 if n:
-                    engine[n][n - 1] = pipe.gamma(n) * _dlog_gamma(jets, n, alpha)
+                    engine[n][n - 1] = pipe.gamma(n) * _dlog_gamma(table, n, alpha)
             diff = max_diff(engine, lax_rhs, win)
             acc.add(f"lax_{l}", diff, max(max_abs(lax_rhs, win), mpf(1)))
 
@@ -594,12 +583,12 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         d1_j2_plus = zeros(kj)
         d2_j_plus = zeros(kj)
         for n in range(zc_win + 1):
-            db1 = _dlog_h(jets, n, (2, 0, 0))
-            d1_gamma_n = pipe.gamma(n) * _dlog_gamma(jets, n, (1, 0, 0)) if n else mpf(0)
-            d1_gamma_next = pipe.gamma(n + 1) * _dlog_gamma(jets, n + 1, (1, 0, 0))
+            db1 = _dlog_h(table, n, (2, 0, 0))
+            d1_gamma_n = pipe.gamma(n) * _dlog_gamma(table, n, (1, 0, 0)) if n else mpf(0)
+            d1_gamma_next = pipe.gamma(n + 1) * _dlog_gamma(table, n + 1, (1, 0, 0))
             d1_j2_plus[n][n] = 2 * pipe.jac.beta[n] * db1 + d1_gamma_n + d1_gamma_next
-            d1_j2_plus[n][n + 1] = db1 + _dlog_h(jets, n + 1, (2, 0, 0))
-            d2_j_plus[n][n] = _dlog_h(jets, n, (1, 1, 0))
+            d1_j2_plus[n][n + 1] = db1 + _dlog_h(table, n + 1, (2, 0, 0))
+            d2_j_plus[n][n] = _dlog_h(table, n, (1, 1, 0))
         # d1 J2+ - d2 J+ - [J+, J2+], each entry one exact sum rounded once
         j_plus, j2_plus = upper_with_diagonal(j), upper_with_diagonal(powers[2])
         zs = product_sum(
@@ -709,18 +698,17 @@ def kp_check(
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
-        jets = _log_jets(pipe, max(n_values) + 1)
+        table = pipe.table
         # p_n = S[n][n-1]: its second flow-2 derivative from the order-2 jet,
         # for the n the size-(k+1) factorization holds
         top = min(max(n_values), pipe.k)
         d2s = pipe.flow_jet(2, order=2, size=top + 1).d2s
         for n in n_values:
-            jet = jets[n]
-            d1p = -jet[(2, 0, 0)]
-            d11p = -jet[(3, 0, 0)]
-            d1111p = -jet[(5, 0, 0)]
-            d13p = -jet[(2, 0, 1)]
-            d22p = -jet[(1, 2, 0)]
+            d1p = -_log_tau(table, n, (2, 0, 0))
+            d11p = -_log_tau(table, n, (3, 0, 0))
+            d1111p = -_log_tau(table, n, (5, 0, 0))
+            d13p = -_log_tau(table, n, (2, 0, 1))
+            d22p = -_log_tau(table, n, (1, 2, 0))
             # first-flow derivative of (4 d3 p + 6 (d1 p)^2 - d1^3 p) equals
             # 3 d2^2 p: the factor 3 is forced by the bilinear identity
             # (D1^4 - 4 D1 D3 + 3 D2^2) tau . tau = 0 in the log eta_l times

@@ -499,7 +499,9 @@ class MomentTable:
     rounded). An undeformed weight's pass walks its Pearson base columns
     rho_0 .. rho_B and derives the rest; ``walk_all`` (the moment witnesses',
     see ``WeightPipeline.flow_scaled``) walks every column, as a deformed
-    weight always does. ``rebuilt`` serves other mantissas, by the same route.
+    weight always does. ``rebuilt`` serves other mantissas for the
+    factorization's confirmation, by the default route: no witness is ever
+    factored, so no rebuilt table needs ``walk_all``.
     ``lattice_pass`` is the accepted pass. ``last_point`` is its K (see
     there). The orthogonality witness sums ``lattice_weights`` over the points
     0 .. K: the pass's own term generator, so K and the scale stay in this
@@ -512,9 +514,11 @@ class MomentTable:
     rho_x .. rho_{x+p-1} against it, as a tail row and as a column: every
     determinant whose rows start (0, ..., p-1) reads them (see ``det_rows``).
     ``tau_derivatives[k][alpha]`` and ``log_tau_derivatives[k][alpha]`` hold
-    the flow derivatives d^alpha tau_k and d^alpha log tau_k that ``flows``
-    formed on this table, each once: an entry's bits do not depend on the jet
-    it was requested in, so every later request reads it.
+    the flow derivatives d^alpha tau_k and d^alpha log tau_k (alpha other
+    than (0, 0, 0): log tau_k itself is never formed) that ``flows`` formed
+    on this table, each once: an entry's bits do not depend on the jet it
+    was requested in, so every later request reads it. Only ``flows`` writes
+    them, and only it and ``integrable._log_tau`` read them.
     """
 
     def __init__(
@@ -522,7 +526,6 @@ class MomentTable:
     ):
         classification = classify_convergence(w)
         values, lattice = _rounded_moments(w, classification, m_max, ctx, walk_all)
-        self.walk_all = walk_all
         self._fill(w, m_max, ctx, classification, values, lattice)
 
     def _fill(self, w, m_max, ctx, classification, values: list, lattice) -> None:
@@ -572,9 +575,7 @@ class MomentTable:
         if bits == self.ctx.mantissa_bits:
             return self
         if bits not in self._rebuilt:
-            self._rebuilt[bits] = MomentTable(
-                self.weight, self.m_max, PrecisionContext(bits), walk_all=self.walk_all
-            )
+            self._rebuilt[bits] = MomentTable(self.weight, self.m_max, PrecisionContext(bits))
         return self._rebuilt[bits]
 
     def det_rows(self, rows: tuple[int, ...]) -> mpf:

@@ -4,21 +4,22 @@ A pipeline owns one weight at one precision and truncation size and lazily
 builds the derived objects, so independent checks reuse the same moment table,
 factorization and structure matrix (built once, by its reference route; the
 six-route check runs only when asked for). Pipelines are cached per (weight,
-size, precision context, walk_all); the shifted pipelines and the moment witnesses
-obtain theirs through the same cache. A size-k pipeline factors G[k+1], so
-its table holds exactly rho_0 .. rho_{2k}: chol -> jac -> psi, the
-determinant engine's jets and the flow jets of the size-k block all read
-inside it, and every check reads no further. Moment values, correctly
-rounded, depend on the weight alone, so every table of a weight holds the
-same moments.
+size, precision context); the shifted pipelines obtain theirs through the
+same cache. A size-k pipeline factors G[k+1], so its table holds exactly
+rho_0 .. rho_{2k}: chol -> jac -> psi, the determinant engine's jets and the
+flow jets of the size-k block all read inside it, and every check reads no
+further. This module sets that depth for every table the checks read.
+Moment values, correctly rounded, depend on the weight alone, so every table
+of a weight holds the same moments.
 
 Flow derivatives of the factorization come from ``flow_jet``, one
 ``moments.flow_jet`` per (flow, order) at the largest size asked for. Their
 assumption, that flow l maps rho_m to rho_{m+l}, is witnessed by the tables
-of ``flow_scaled``, the weight with eta_l scaled by an exact rational: they
-walk every column (``walk_all``, part of the cache key), where every other
-table of an undeformed weight walks its Pearson base columns and derives the
-rest.
+of ``flow_scaled``, rho_0 .. rho_{2k} of the weight with eta_l scaled by an
+exact rational. Each is a bare moment table, built where it is asked for and
+cached nowhere (each witness is read once), that walks every column, where
+every other table of an undeformed weight walks its Pearson base columns and
+derives the rest.
 
 Every identity check takes the pipeline as its first argument and reads each
 shared ingredient from the one property that owns it. The moment table
@@ -69,16 +70,14 @@ from .result import CheckResult
 from .weights import HypergeometricWeight, Shift, pearson_polynomials, shift_parameter
 
 class WeightPipeline:
-    def __init__(
-        self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext, walk_all: bool = False
-    ):
+    def __init__(self, weight: HypergeometricWeight, k: int, ctx: PrecisionContext):
         if k < 2:
             raise PreconditionError("pipeline needs truncation size >= 2")
         self.weight = weight
         self.k = k
         self.ctx = ctx
         self.depth = 2 * k
-        self.table = MomentTable(weight, self.depth, ctx, walk_all=walk_all)
+        self.table = MomentTable(weight, self.depth, ctx)
         self._jets: dict[tuple[int, int], FlowJet] = {}
 
     @property
@@ -159,13 +158,13 @@ class WeightPipeline:
             jet = self._jets[l, order] = flow_jet(self.chol, l, order, size)
         return jet
 
-    def flow_scaled(self, l: int, mult: Fraction) -> "WeightPipeline":
-        """The pipeline at this size of the weight with eta_l times the exact
-        rational mult: a witness of the flow's index shift, whose table walks
-        every column, so that no moment it is compared on comes from the
-        Pearson relations."""
+    def flow_scaled(self, l: int, mult: Fraction) -> MomentTable:
+        """rho_0 .. rho_2k of the weight with eta_l times the exact rational
+        mult: a witness of the flow's index shift. It walks every column, so
+        that no moment it is compared on comes from the Pearson relations;
+        nothing factors it, so it is a table, not a pipeline."""
         witness = flow_scaled_weight(self.weight, l, mult)
-        return get_pipeline(witness, self.k, self.ctx, walk_all=True)
+        return MomentTable(witness, self.depth, self.ctx, walk_all=True)
 
     def provenance(self) -> dict:
         return {
@@ -179,15 +178,12 @@ class WeightPipeline:
 _CACHE: dict = {}
 
 
-def get_pipeline(
-    weight: HypergeometricWeight, k: int, ctx: PrecisionContext, walk_all: bool = False
-) -> WeightPipeline:
-    """The cached pipeline of the weight at size k; ``walk_all`` (the moment
-    witnesses') asks for a table that walks every column."""
-    key = (weight, k, ctx, walk_all)
+def get_pipeline(weight: HypergeometricWeight, k: int, ctx: PrecisionContext) -> WeightPipeline:
+    """The cached pipeline of the weight at size k."""
+    key = (weight, k, ctx)
     pipe = _CACHE.get(key)
     if pipe is None:
-        pipe = _CACHE[key] = WeightPipeline(weight, k, ctx, walk_all)
+        pipe = _CACHE[key] = WeightPipeline(weight, k, ctx)
     return pipe
 
 

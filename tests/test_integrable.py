@@ -458,12 +458,11 @@ def test_a_seeded_flow_jet_is_the_full_taylor_elimination(w, data):
     ),
 )
 def test_lazily_read_log_jets_are_the_requested_jets(w, reads):
-    # a check's log-tau jets form each entry on its first read, in whatever
-    # order the check reads them; each has the bits of the jet requested
-    # whole, over every order read at its k, from a table with no memo
+    # a check forms each log-tau entry on its first read, in whatever order
+    # it reads them; each has the bits of the jet requested whole, over every
+    # order read at its k, from a table with no memo
     pipe = WeightPipeline(w, 8, PrecisionContext(mantissa_bits=512))
-    jets = integrable_module._log_jets(pipe, 7)
-    got = [jets[k][alpha]._mpf_ for k, alpha in reads]
+    got = [integrable_module._log_tau(pipe.table, k, alpha)._mpf_ for k, alpha in reads]
     table = MomentTable(w, pipe.depth, pipe.ctx)
     whole = {k: log_tau_jet(table, k, [a for n, a in reads if n == k]) for k, _ in reads}
     assert got == [whole[k][alpha]._mpf_ for k, alpha in reads]
@@ -527,7 +526,7 @@ def test_the_routes_meet_by_construction_below_n_2(w, k):
     with workprec(512):
         tau_jets = [flows.tau_jet(pipe.table, n, [(2, 0, 0)]) for n in range(2)]
         taus = [t[(0, 0, 0)] for t in tau_jets]
-        jets = [flows.log_jet(t, 512) for t in tau_jets]
+        jets = [log_tau_jet(pipe.table, n, [(2, 0, 0)]) for n in range(2)]
         chol, beta = pipe.chol, pipe.jac.beta
         assert raw(taus[0]) == raw(mpf(1))
         assert raw(chol.h[0]) == raw(taus[1] / taus[0]) == raw(pipe.table.moment(0))
@@ -548,12 +547,11 @@ def test_the_toda_beta_line_is_equation_q_from_n_1(w, k):
     pipe = WeightPipeline(w, k, PrecisionContext(mantissa_bits=512))
     nmax = min(8, k - 2)
     with workprec(512):
-        jets = integrable_module._log_jets(pipe, nmax + 3)
         h = pipe.chol.h
         for n in range(1, nmax + 1):
             gamma_next, gamma_n = pipe.gamma(n + 1), pipe.gamma(n)
             assert raw(gamma_n) == raw(h[n] / h[n - 1])
-            d2q = integrable_module._dlog_h(jets, n, (2, 0, 0))
+            d2q = integrable_module._dlog_h(pipe.table, n, (2, 0, 0))
             beta_line = abs(d2q - (gamma_next - gamma_n))
             equation_q = abs(d2q - (h[n + 1] / h[n] - h[n] / h[n - 1]))
             assert raw(beta_line) == raw(equation_q)

@@ -20,9 +20,11 @@ outside its own definition: by its module, another module (the ``__init__``
 re-exports do not count), a test or ``perfbench``.
 Every ``to_mpf`` call runs under an explicit ``workprec``. Every ``mpf_add``,
 ``mpf_sub`` and ``mpf_mul`` call in ``linalg`` passes a precision, but for
-``_max_abs``'s exact difference. Only ``WeightPipeline.flow_scaled``, for
-the moment witnesses, asks for a moment table that walks every column
-(``walk_all=True``).
+``_max_abs``'s exact difference. Only ``WeightPipeline.flow_scaled`` builds
+a moment table that walks every column (``walk_all=True``): a moment
+witness, which no pipeline holds. Only ``flows`` and ``integrable._log_tau``
+read a table's memos of flow derivatives (``tau_derivatives``,
+``log_tau_derivatives``).
 """
 
 import ast
@@ -305,9 +307,9 @@ def test_only_moments_reads_the_accepted_pass():
 # An undeformed weight's table walks its Pearson base columns and derives the
 # rest. Only the moment witnesses walk every column, so that what the
 # moment_flow rows compare comes from no Pearson relation:
-# ``WeightPipeline.flow_scaled`` is the one place that passes ``walk_all=True``;
-# ``get_pipeline``, ``WeightPipeline`` and ``MomentTable.rebuilt`` pass a
-# request on as a variable.
+# ``WeightPipeline.flow_scaled`` is the one place that passes ``walk_all=True``,
+# to the bare table it returns; no pipeline holds a witness, so nothing passes
+# the request on.
 WALK_ALL_OWNERS = ["pipeline: WeightPipeline.flow_scaled"]
 
 
@@ -348,6 +350,56 @@ def test_only_the_moment_witnesses_walk_every_column():
         for found in _walk_all_requests(path.stem, path.read_text())
     ]
     assert requests == WALK_ALL_OWNERS
+
+
+# -- one owner of the derivative memos ------------------------------------------
+
+# A ``MomentTable`` memoizes the flow derivatives of tau_k and log tau_k formed
+# on it. ``flows`` fills and reads the memos; ``integrable._log_tau`` reads an
+# entry before it asks ``flows.log_tau_jet`` for one. Every other caller takes
+# derivatives through the ``flows`` functions.
+DERIVATIVE_MEMOS = {"tau_derivatives", "log_tau_derivatives"}
+MEMO_READERS = ["integrable: _log_tau"]
+
+
+def _memo_reads(module: str, source: str) -> list[str]:
+    """``module: Class.function`` for each read of a derivative memo."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, *DEFINITIONS)):
+            scope += (node.name,)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in DERIVATIVE_MEMOS
+        ):
+            found.append(f"{module}: {'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_memo_reads_flagged():
+    source = (
+        "class T:\n    def __init__(self):\n        self.tau_derivatives: dict = {}\n"
+        "def f(table):\n    return table.log_tau_derivatives.get(2, {})\n"
+        "g = lambda t: t.tau_derivatives[1]\n"
+    )
+    assert _memo_reads("m", source) == ["m: f", "m: "]
+    assert _memo_reads("m", "jet = tau_jet(table, 2, [(1, 0, 0)])\n") == []
+
+
+def test_only_flows_and_log_tau_read_the_derivative_memos():
+    reads = [
+        found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "flows"
+        for found in _memo_reads(path.stem, path.read_text())
+    ]
+    assert reads == MEMO_READERS
 
 
 # -- one lattice walk -----------------------------------------------------------

@@ -770,7 +770,7 @@ def _witness_and_walked(base, l, mult):
     the lattice, and the same weight's table built on its own."""
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_passes(patch)
-        witness = base.flow_scaled(l, mult).table
+        witness = base.flow_scaled(l, mult)
     return witness, bool(calls), MomentTable(witness.weight, witness.m_max, base.ctx, walk_all=True)
 
 
@@ -968,3 +968,38 @@ def test_tables_walk_only_their_pearson_base_columns(monkeypatch):
         get_pipeline(parse_weight_spec(spec), 8, ctx).jac
     clear_cache()
     assert [walked for _, _, walked in walks] == [2, 1, 2]
+
+
+def test_moment_witnesses_are_tables_that_no_pipeline_holds(monkeypatch):
+    # over one contract mix get_pipeline builds 11 pipelines, none of them a
+    # witness's: the 12 moment witnesses are bare tables of rho_0 .. rho_2k
+    # at their base's size, each walking every column, and every cache key
+    # is (weight, size, context)
+    walks = _walked_columns(monkeypatch)
+    built, witnesses, keys = [], [], set()
+    real_init, real_scaled = pipeline.WeightPipeline.__init__, pipeline.WeightPipeline.flow_scaled
+
+    def init(self, weight, k, ctx):
+        built.append(weight)
+        real_init(self, weight, k, ctx)
+
+    def flow_scaled(self, l, mult):
+        table = real_scaled(self, l, mult)
+        witnesses.append((table, self.depth))
+        return table
+
+    monkeypatch.setattr(pipeline.WeightPipeline, "__init__", init)
+    monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", flow_scaled)
+    for spec, size in CONTRACT_MIX:
+        clear_cache()
+        run_suite(SuiteConfig(weight=parse_weight_spec(spec), size=size, mantissa_bits=512))
+        keys.update(pipeline._CACHE)
+    clear_cache()
+    assert len(built) == 11
+    assert len(witnesses) == 12 and not {t.weight for t, _ in witnesses} & set(built)
+    for table, depth in witnesses:
+        assert isinstance(table, MomentTable) and table.m_max == depth
+        assert len(table.values) == depth + 1
+        passes = [walked for w, _, walked in walks if w == table.weight]
+        assert passes and all(walked == depth + 1 for walked in passes)
+    assert keys and all(len(key) == 3 for key in keys)

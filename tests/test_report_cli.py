@@ -568,22 +568,27 @@ def test_suite_leaves_confirmation_unread():
 def test_suite_runs_the_psi_route_check_once(monkeypatch):
     # the six-route check runs where psi_routes reports it; pearson_toda
     # differentiates the structure matrix through the flow jet, and the
-    # moment witnesses read only their tables
-    real = pipeline.psi_structure_check
-    calls = []
+    # moment witnesses are bare tables that no pipeline holds, so nothing
+    # factors them
+    real, real_scaled = pipeline.psi_structure_check, pipeline.WeightPipeline.flow_scaled
+    calls, witnesses = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def scaled(self, l, mult):
+        witnesses.append(real_scaled(self, l, mult))
+        return witnesses[-1]
+
     monkeypatch.setattr(pipeline, "psi_structure_check", counted)
+    monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", scaled)
     clear_cache()
     run_suite(SuiteConfig(weight=CHARLIER))
     assert len(calls) == 1
+    assert len(witnesses) == 2 and all(isinstance(t, MomentTable) for t in witnesses)
+    assert not {t.weight for t in witnesses} & {p.weight for p in pipeline._CACHE.values()}
     others = [p for p in pipeline._CACHE.values() if p.weight != CHARLIER]
-    witnesses = [p for p in others if (p.weight.a, p.weight.b) == ((), ())]
-    assert len(witnesses) == 2
-    assert all("chol" not in p.__dict__ for p in witnesses)
     assert all("psi" not in p.__dict__ and "pi_inv" not in p.__dict__ for p in others)
 
 
@@ -637,21 +642,22 @@ def test_suite_leaves_every_shared_matrix_as_built():
     ids=["meixner", "deformed"],
 )
 def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, witnesses, monkeypatch):
-    # every (flow, mult) has one witness pipeline, at the size of the base,
-    # whose rho_0 .. rho_2k the moment witness differences
-    built = {}
+    # every (flow, mult) has one witness table, of rho_0 .. rho_2k at the
+    # size of the base, which the moment witness differences
+    built = []
     real = pipeline.WeightPipeline.flow_scaled
 
     def recorded(self, l, mult):
-        pipe = real(self, l, mult)
-        built[id(pipe)] = (pipe.k, l)
-        return pipe
+        table = real(self, l, mult)
+        built.append((l, mult, table.m_max))
+        return table
 
     monkeypatch.setattr(pipeline.WeightPipeline, "flow_scaled", recorded)
     clear_cache()
     assert run_suite(SuiteConfig(weight=weight, size=size, mantissa_bits=512)).passed
     clear_cache()
-    assert Counter(built.values()) == witnesses
+    assert len({(l, mult) for l, mult, _ in built}) == len(built)
+    assert Counter((m_max // 2, l) for l, _, m_max in built) == witnesses
 
 
 @pytest.mark.parametrize(
@@ -660,22 +666,24 @@ def test_fd_witnesses_are_built_at_the_size_their_window_reads(weight, size, wit
     ids=["meixner-flow1-12", "meixner-flow1-2", "deformed-flow2-8"],
 )
 def test_witness_table_stops_at_rho_2k(weight, flow, size):
-    # a moment witness, as every pipeline, holds exactly rho_0 .. rho_2k,
-    # the bits of a deeper table of its weight, and is cached per weight
+    # a moment witness, as every table of a pipeline, holds exactly rho_0 ..
+    # rho_2k, the bits of a deeper table of its weight; it is built for each
+    # request and cached nowhere, since each is read once
     clear_cache()
     ctx = PrecisionContext(mantissa_bits=BITS)
     base = get_pipeline(weight, size, ctx)
     witness = base.flow_scaled(flow, 1 + Fraction(1, 2**64))
-    assert witness is not base and witness.k == size
-    assert base.flow_scaled(flow, 1 + Fraction(1, 2**64)) is witness
-    assert get_pipeline(witness.weight, size, ctx, walk_all=True) is witness
-    assert witness.table.m_max == 2 * size and len(witness.table.values) == 2 * size + 1
+    assert isinstance(witness, MomentTable) and witness.weight != weight
+    assert witness.m_max == 2 * size and len(witness.values) == 2 * size + 1
+    again = base.flow_scaled(flow, 1 + Fraction(1, 2**64))
+    assert again is not witness and _bits(again.values) == _bits(witness.values)
+    assert list(pipeline._CACHE) == [(weight, size, ctx)]
     deeper = MomentTable(witness.weight, 2 * size + 8, ctx)
-    assert _bits(witness.table.values) == _bits(deeper.values[: 2 * size + 1])
-    assert witness.chol.h[size] == cholesky(deeper, size + 1).h[size]
+    assert _bits(witness.values) == _bits(deeper.values[: 2 * size + 1])
+    assert cholesky(witness, size + 1).h[size] == cholesky(deeper, size + 1).h[size]
     # the determinant engine reads rho_{2k+1} for d tau_{k+1}: past the table
     with pytest.raises(IndexOutOfTable):
-        tau_derivative(witness.table, size + 1, (1, 0, 0))
+        tau_derivative(witness, size + 1, (1, 0, 0))
     assert tau_derivative(deeper, size + 1, (1, 0, 0)) != 0
 
 
@@ -913,6 +921,21 @@ def test_cli_config_file(tmp_path, capsys):
          "--checks", "pearson"]
     )
     assert code == 0
+
+
+def test_cli_unreadable_config_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a missing file, a directory and bytes that are not UTF-8 are refused
+    # as a bad --weight is: exit 2, naming the flag, before any table
+    def built(*args, **kwargs):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(MomentTable, "__init__", built)
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("eta=1/2 # \xe9t\xe9\n".encode("latin-1"))
+    for path in (tmp_path / "missing.cfg", tmp_path, bad):
+        assert cli_main(["verify", "--config", str(path), "--size", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --config:"), err
 
 
 def test_cli_missing_weight(capsys):

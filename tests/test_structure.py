@@ -17,6 +17,7 @@ from semidop import (
     run_suite,
 )
 from semidop.linalg import GramSums, diag, diagonal_of, mat_mul, mat_vec, poly_of_matrix, transpose
+from semidop.moments import cholesky
 from semidop.pipeline import get_pipeline
 from semidop.structure import (
     ROUTE_NAMES,
@@ -24,6 +25,7 @@ from semidop.structure import (
     d_vector,
     gram_pearson_residual,
     gram_pearson_window,
+    jacobi_matrix,
     orthogonality_check,
     pi_closed_form_check,
     polynomial_shift_identity,
@@ -254,13 +256,15 @@ def test_orthogonality_tail_is_within_its_certificate(spec, size, witness):
     # points K + 1 .. 2K move each exact-weight Gram sum by at most
     # 2^-(bits - 31) sum_{i,j} |c_{n,i}| |c_{m,j}| |rho_{i+j}|. The case id
     # "derived witness" names a moment witness of the flow-scaled weight,
-    # which its base pipeline builds at its own size and whose table walks
+    # a table its base pipeline builds at its own size, which walks every
+    # column; no pipeline factors it, so the test factors it with cholesky
     bits = 512
     pipe = get_pipeline(parse_weight_spec(spec), size, PrecisionContext(mantissa_bits=bits))
     if witness:
-        base = get_pipeline(pipe.weight, size, pipe.ctx)
-        pipe = base.flow_scaled(1, 1 - Fraction(1, 2**128))
-        assert pipe.k == size and pipe.weight.eta < base.weight.eta
+        table = pipe.flow_scaled(1, 1 - Fraction(1, 2**128))
+        assert table.m_max == 2 * size and table.weight.eta < pipe.weight.eta
+        chol = cholesky(table, size + 1)
+        pipe = SimpleNamespace(weight=table.weight, table=table, chol=chol, jac=jacobi_matrix(chol))
     nmax = min(8, pipe.jac.size - 1)
     table = pipe.table
     last = table.last_point
