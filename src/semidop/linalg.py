@@ -13,9 +13,12 @@ build values with libmp's constructors). Every sum they form is exact and
 rounded once (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005):
 ``product_sum``, the one kernel for a signed sum of matrix products, which
 ``mat_mul``, ``mat_vec`` and ``commutator`` call and every other sum of
-products in the package goes through (``tests/test_lint.py`` holds that too);
-``GramSums`` (the accumulator of the orthogonality sums), the eliminations
-``ldl_no_pivot`` (with its Taylor series, which can be seeded with the
+products in the package goes through (``tests/test_lint.py`` holds that too),
+formed only on a leading window where a check reads no more; ``scalar_sum``,
+the one kernel of a scalar residual row, since every scalar row of the
+checks is one exact sum rounded once, a quotient entering it as one rounded
+factor; ``GramSums`` (the accumulator of the orthogonality sums), the
+eliminations ``ldl_no_pivot`` (with its Taylor series, which can be seeded with the
 plain factors), ``unit_lower_inverse``,
 ``lu_factor`` with its solves and ``schur_complement``, and the polynomial
 recurrence ``three_term_values``. A sum is one integer at one binary exponent
@@ -101,22 +104,23 @@ def _operand(x, prec: int, rnd: str) -> tuple:
     return normalize(sign, man, exp, bc, prec, rnd)
 
 
-def relative_row(abs_diff, scale, worst: mpf | None, digits: int) -> tuple:
-    """One named row of a residual check: abs_diff / scale on raw values, as
+def relative_row(diff, scale, worst: mpf | None, digits: int) -> tuple:
+    """One named row of a residual check: |diff| / scale on raw values, as
     ``ResidualAccumulator`` reads it, rendered to ``digits`` significant
     digits, with (quotient, scale) as mpfs if the quotient ``exceeds`` the
     running maximum worst or there is none yet (worst is None), else None.
 
     The operators' bits: each operand is rounded at the precision in effect
-    as ``mpf()`` rounds it, a scale <= 0 (a nan is not) reads as 1, and the
-    quotient is one ``mpf_div``, or nan against a scale that is not finite,
-    whose abs_diff is then not read. The string is ``mp.nstr``'s ``to_str``.
+    as ``mpf()`` rounds it, diff then read by its magnitude, a scale <= 0 (a
+    nan is not) reads as 1, and the quotient is one ``mpf_div``, or nan
+    against a scale that is not finite, whose diff is then not read. The
+    string is ``mp.nstr``'s ``to_str``.
     """
     prec, rnd = mp._prec_rounding
     s = _operand(scale, prec, rnd)
     if s[0] or s == fzero:
         s = fone
-    q = mpf_div(_operand(abs_diff, prec, rnd), s, prec, rnd) if _finite(s) else fnan
+    q = mpf_div(mpf_abs(_operand(diff, prec, rnd)), s, prec, rnd) if _finite(s) else fnan
     worse = None
     if worst is None or q == fnan or mpf_gt(q, worst._mpf_):
         worse = mp.make_mpf(q), mp.make_mpf(s)
@@ -184,11 +188,13 @@ def _terms(a: Matrix) -> tuple:
     return out, ints
 
 
-def product_sum(*terms) -> Matrix:
+def product_sum(*terms, window: int | None = None) -> Matrix:
     """sum_t c_t a_t b_t over the terms (c_t, a_t, b_t), each c_t a nonzero
     int and every a_t b_t of one shape: each entry the exact sum of all its
     products, rounded once. The one product kernel: ``mat_mul``, ``mat_vec``
-    and ``commutator`` call it.
+    and ``commutator`` call it. With a ``window``, only the leading
+    window x window block is formed, each entry with the bits it has in the
+    whole product; a check that reads a product on a window asks for that.
 
     With an mpf in any factor every entry is an mpf, ``mpf(0)`` for an exact
     zero; int factors alone give exact ints. Each operand is read once, in
@@ -204,19 +210,26 @@ def product_sum(*terms) -> Matrix:
                 parsed[id(m)], m_ints = _terms(m)
                 ints = ints and m_ints
     _, a0, b0 = terms[0]
-    width = len(b0[0]) if b0 else 0
+    height, width = len(a0), len(b0[0]) if b0 else 0
+    if window is not None:
+        height, width = min(height, window), min(width, window)
     if any(rows is None for rows in parsed.values()):
         nan = _nan()
-        return [[nan] * width for _ in a0]
+        return [[nan] * width for _ in range(height)]
+    cut = {}
+    if window is not None:
+        # a right factor's entries past the window's last column add to no entry formed
+        for _, _, b in terms:
+            cut[id(b)] = [[t for t in row if t[0] < width] for row in parsed[id(b)]]
     pairs = [
         (parsed[id(a)] if c == 1 else [[(l, c * m, e) for l, m, e in row] for row in parsed[id(a)]],
-         parsed[id(b)])
+         cut.get(id(b), parsed[id(b)]))
         for c, a, b in terms
     ]
     prec, rnd = mp._prec_rounding
     make, zero = mp.make_mpf, mpf(0)
     out = []
-    for i in range(len(a0)):
+    for i in range(height):
         mans, exps = [0] * width, [0] * width
         for rows_a, rows_b in pairs:
             for l, ma, ea in rows_a[i]:
@@ -236,10 +249,10 @@ def product_sum(*terms) -> Matrix:
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, window: int | None = None) -> Matrix:
     """a b, each entry the exact sum of its products, rounded once
-    (``product_sum``)."""
-    return product_sum((1, a, b))
+    (``product_sum``); with a window, its leading window x window block."""
+    return product_sum((1, a, b), window=window)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -284,10 +297,50 @@ def mat_vec(a: Matrix, v) -> list:
     return [row[0] for row in product_sum((1, a, [[x] for x in v]))]
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
+def commutator(a: Matrix, b: Matrix, window: int | None = None) -> Matrix:
     """a b - b a, each entry one exact sum rounded once (``product_sum``), so
-    commutator(b, a) is its exact negation."""
-    return product_sum((1, a, b), (-1, b, a))
+    commutator(b, a) is its exact negation; with a window, its leading
+    window x window block."""
+    return product_sum((1, a, b), (-1, b, a), window=window)
+
+
+def scalar_sum(*terms) -> mpf:
+    """sum_t c_t x_t1 ... x_tr over the terms (c_t, x_t1, ..., x_tr): the
+    exact sum of the signed products, rounded once at the precision in
+    effect. Each c_t is an int and each factor an int or an mpf; a term of
+    the int alone (r = 0) is that int. The one kernel of a scalar residual
+    row: its lhs - rhs is one call, a quotient entering as one rounded
+    factor. A term with a zero factor adds nothing. If a factor is a nan or
+    an infinity, the sum is nan.
+    """
+    man = exp = 0
+    for term in terms:
+        t, e = 1, 0
+        for x in term:
+            if type(x) is int:
+                t *= x
+                continue
+            sign, m, xe, bc = x._mpf_ if type(x) is mpf else _raw(x)
+            if bc < 0:
+                return _nan()
+            t *= -m if sign else m
+            e += xe
+        if not t:
+            continue
+        if not man:
+            man, exp = t, e
+        elif e >= exp:
+            man += t << e - exp
+        else:
+            man, exp = (man << exp - e) + t, e
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(_round_int(man, exp, prec, rnd))
+
+
+def negated_terms(terms) -> tuple:
+    """The terms (c, x_1, ..., x_r) of ``scalar_sum`` with each c negated: the
+    terms of minus their sum."""
+    return tuple((-t[0],) + t[1:] for t in terms)
 
 
 def _max_abs(pairs):

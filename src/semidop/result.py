@@ -88,12 +88,14 @@ class ResidualAccumulator:
         self.worst_scale = mpf(1)
         self.parts: dict[str, str] = {}
 
-    def add(self, label: str, abs_diff, scale) -> None:
-        """Add abs_diff / scale, a scale <= 0 read as 1, as the row ``label``:
-        each operand rounded as ``mpf()`` rounds it, the quotient rounded once,
-        the row kept as its 64-bit decimal string. Call under workprec."""
+    def add(self, label: str, diff, scale) -> None:
+        """Add |diff| / scale, a scale <= 0 read as 1, as the row ``label``:
+        each operand rounded as ``mpf()`` rounds it, so a signed difference,
+        as ``linalg.scalar_sum`` forms a row, is read by its magnitude; the
+        quotient rounded once, the row kept as its 64-bit decimal string.
+        Call under workprec."""
         worst = self.worst if self.parts else None
-        self.parts[label], worse = relative_row(abs_diff, scale, worst, _PART_DIGITS)
+        self.parts[label], worse = relative_row(diff, scale, worst, _PART_DIGITS)
         if worse is not None:
             self.worst, self.worst_scale = worse
 

@@ -21,6 +21,12 @@ and ``pipe.sigma_j_minus`` (``poly_of_jacobi``); Psi from ``pipe.psi``
 (``psi_h_inverse``). No check writes into them, and no builder checks them;
 J = S Lambda S^-1 and J H = (J H)^T are components of ``coefficient_sum_check``.
 Each check calls its declaration (``report.CheckSpec``), defined here, at entry.
+
+Every scalar row is one exact sum rounded once (``linalg.scalar_sum``): a
+closed form's terms are signed products of the row's values, its integer
+coefficients exact and each quotient one rounded factor; a scale is a
+``max_abs``. A matrix product that a row reads only on a leading window is
+formed only on that window.
 """
 
 from __future__ import annotations
@@ -46,11 +52,13 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_sub,
-    mat_vec,
     max_abs,
     max_diff,
+    negated_terms,
     out_of_band_max,
     poly_of_matrix,
+    product_sum,
+    scalar_sum,
     shift_matrix,
     three_term_values,
     transpose,
@@ -209,10 +217,18 @@ def polynomial_vector(jac: JacobiMatrix, z, count: int) -> list:
 
 # -- dressed-Pascal subdiagonal closed forms ------------------------------------
 
+def _residual(x, expect) -> mpf:
+    """x minus the closed form whose terms (c, factors...) are expect: one
+    exact sum rounded once (``scalar_sum``)."""
+    return scalar_sum((1, x), *negated_terms(expect))
+
+
 def pi_closed_form_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """Subdiagonals of the dressed Pascal pair against their closed forms in
     polynomial coefficients and recurrence data, plus the sum/difference
-    identities relating them to the integer diagonals."""
+    identities relating them to the integer diagonals. Each row is one exact
+    sum rounded once; the binomial and falling-factorial diagonals enter as
+    exact ints."""
     subdiagonal_window(pipe.weight, pipe.k)
     chol, pi, pi_inv = pipe.chol, pipe.pi, pipe.pi_inv
     k = len(pi)
@@ -230,58 +246,59 @@ def pi_closed_form_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResu
         pi3 = diagonal_of(pi, -3)
         pim3 = diagonal_of(pi_inv, -3)
 
-        def closed2(n: int, sgn: int):
-            return mpf((n + 2) * (n + 1)) / 2 - sgn * (n + 1) * beta[n + 1] - sgn * p1[n + 1]
+        def closed2(n: int, sgn: int) -> tuple:
+            return (comb(n + 2, 2),), (-sgn * (n + 1), beta[n + 1]), (-sgn, p1[n + 1])
 
-        def closed3(n: int, sgn: int):
+        def closed3(n: int, sgn: int) -> tuple:
             # leading term is the third subdiagonal of the binomial matrix,
             # C(n+3,3); the falling-factorial profile D^[3] is twice that
             return (
-                sgn * mpf(comb(n + 3, 3))
-                + mpf((n + 2) * (n + 1)) / 2 * p1[n + 3]
-                - mpf((n + 3) * (n + 2)) / 2 * p1[n + 1]
-                + sgn * (n + 1) * p2[n + 3]
-                - sgn * (n + 3) * p2[n + 2]
-                + sgn * (n + 3) * p1[n + 2] * p1[n + 1]
-                - sgn * (n + 2) * p1[n + 3] * p1[n + 1]
+                (sgn * comb(n + 3, 3),),
+                (comb(n + 2, 2), p1[n + 3]),
+                (-comb(n + 3, 2), p1[n + 1]),
+                (sgn * (n + 1), p2[n + 3]),
+                (-sgn * (n + 3), p2[n + 2]),
+                (sgn * (n + 3), p1[n + 2], p1[n + 1]),
+                (-sgn * (n + 2), p1[n + 3], p1[n + 1]),
             )
 
-        scale1 = max(max(abs(x) for x in pi1), mpf(1))
+        scale1 = max_abs([pi1, [1]])
         for n in range(k - 1):
-            acc.add(f"first_subdiag[{n}]", abs(pi1[n] - (n + 1)), scale1)
-            acc.add(f"first_subdiag_inv[{n}]", abs(pim1[n] + (n + 1)), scale1)
-        scale2 = max(max(abs(x) for x in pi2), mpf(1))
+            acc.add(f"first_subdiag[{n}]", _residual(pi1[n], [(n + 1,)]), scale1)
+            acc.add(f"first_subdiag_inv[{n}]", _residual(pim1[n], [(-(n + 1),)]), scale1)
+        scale2 = max_abs([pi2, [1]])
         for n in range(k - 3):
-            acc.add(f"second_subdiag[{n}]", abs(pi2[n] - closed2(n, 1)), scale2)
-            acc.add(f"second_subdiag_inv[{n}]", abs(pim2[n] - closed2(n, -1)), scale2)
-        scale3 = max(max(abs(x) for x in pi3), mpf(1))
+            acc.add(f"second_subdiag[{n}]", _residual(pi2[n], closed2(n, 1)), scale2)
+            acc.add(f"second_subdiag_inv[{n}]", _residual(pim2[n], closed2(n, -1)), scale2)
+        scale3 = max_abs([pi3, [1]])
         for n in range(k - 4):
-            acc.add(f"third_subdiag[{n}]", abs(pi3[n] - closed3(n, 1)), scale3)
-            acc.add(f"third_subdiag_inv[{n}]", abs(pim3[n] - closed3(n, -1)), scale3)
+            acc.add(f"third_subdiag[{n}]", _residual(pi3[n], closed3(n, 1)), scale3)
+            acc.add(f"third_subdiag_inv[{n}]", _residual(pim3[n], closed3(n, -1)), scale3)
 
         # sum and difference identities against the integer diagonal profiles
         s1 = diagonal_of(chol.s, -1)
         s2 = diagonal_of(chol.s, -2)
-        dv = [mpf(x) for x in d_vector(1, k)]
-        d2 = [mpf(x) for x in d_vector(2, k)]
+        dv = d_vector(1, k)
+        d2 = d_vector(2, k)
         for n in range(k - 1):
-            acc.add(f"sum1[{n}]", abs(pi1[n] + pim1[n]), scale1)
-            acc.add(f"diff1[{n}]", abs(pi1[n] - pim1[n] - 2 * dv[n]), scale1)
+            acc.add(f"sum1[{n}]", scalar_sum((1, pi1[n]), (1, pim1[n])), scale1)
+            acc.add(f"diff1[{n}]", scalar_sum((1, pi1[n]), (-1, pim1[n]), (-2 * dv[n],)), scale1)
         for n in range(k - 3):
-            acc.add(f"sum2[{n}]", abs(pi2[n] + pim2[n] - 2 * d2[n]), scale2)
-            rhs = 2 * (s1[n + 1] * dv[n] - dv[n + 1] * s1[n])
-            acc.add(f"diff2[{n}]", abs(pi2[n] - pim2[n] - rhs), scale2)
+            acc.add(f"sum2[{n}]", scalar_sum((1, pi2[n]), (1, pim2[n]), (-2 * d2[n],)), scale2)
+            rhs = (2 * dv[n], s1[n + 1]), (-2 * dv[n + 1], s1[n])
+            acc.add(f"diff2[{n}]", _residual(pi2[n], ((1, pim2[n]),) + rhs), scale2)
         for n in range(k - 4):
-            rhs_sum = 2 * (s1[n + 2] * d2[n] - d2[n + 1] * s1[n])
-            acc.add(f"sum3[{n}]", abs(pi3[n] + pim3[n] - rhs_sum), scale3)
-            rhs_diff = 2 * (
-                mpf(comb(n + 3, 3))
-                + s2[n + 1] * dv[n]
-                - dv[n + 2] * s2[n]
-                + dv[n + 2] * s1[n + 1] * s1[n]
-                - s1[n + 2] * dv[n + 1] * s1[n]
+            rhs_sum = (2 * d2[n], s1[n + 2]), (-2 * d2[n + 1], s1[n])
+            acc.add(f"sum3[{n}]", _residual(pi3[n], ((-1, pim3[n]),) + rhs_sum), scale3)
+            rhs_diff = (
+                (1, pim3[n]),
+                (2 * comb(n + 3, 3),),
+                (2 * dv[n], s2[n + 1]),
+                (-2 * dv[n + 2], s2[n]),
+                (2 * dv[n + 2], s1[n + 1], s1[n]),
+                (-2 * dv[n + 1], s1[n + 2], s1[n]),
             )
-            acc.add(f"diff3[{n}]", abs(pi3[n] - pim3[n] - rhs_diff), scale3)
+            acc.add(f"diff3[{n}]", _residual(pi3[n], rhs_diff), scale3)
 
         return acc.result(
             "pascal_forms",
@@ -301,31 +318,31 @@ def s_inverse_expansion_check(pipe: WeightPipeline, tolerance: Fraction) -> Chec
         acc = ResidualAccumulator()
         s = [diagonal_of(chol.s, -d) for d in range(0, 5)]
         si = [diagonal_of(chol.s_inv, -d) for d in range(0, 5)]
-        scale = max(max_abs(chol.s), mpf(1))
+        scale = max_abs(chol.s + [[1]])
 
         for n in range(k - 2):
-            expect = -s[2][n] + s[1][n + 1] * s[1][n]
-            acc.add(f"d2[{n}]", abs(si[2][n] - expect), scale)
+            expect = (-1, s[2][n]), (1, s[1][n + 1], s[1][n])
+            acc.add(f"d2[{n}]", _residual(si[2][n], expect), scale)
         for n in range(k - 3):
             expect = (
-                -s[3][n]
-                + s[2][n + 1] * s[1][n]
-                + s[1][n + 2] * s[2][n]
-                - s[1][n + 2] * s[1][n + 1] * s[1][n]
+                (-1, s[3][n]),
+                (1, s[2][n + 1], s[1][n]),
+                (1, s[1][n + 2], s[2][n]),
+                (-1, s[1][n + 2], s[1][n + 1], s[1][n]),
             )
-            acc.add(f"d3[{n}]", abs(si[3][n] - expect), scale)
+            acc.add(f"d3[{n}]", _residual(si[3][n], expect), scale)
         for n in range(k - 4):
             expect = (
-                -s[4][n]
-                + s[3][n + 1] * s[1][n]
-                + s[2][n + 2] * s[2][n]
-                - s[2][n + 2] * s[1][n + 1] * s[1][n]
-                + s[1][n + 3] * s[3][n]
-                - s[1][n + 3] * s[2][n + 1] * s[1][n]
-                - s[1][n + 3] * s[1][n + 2] * s[2][n]
-                + s[1][n + 3] * s[1][n + 2] * s[1][n + 1] * s[1][n]
+                (-1, s[4][n]),
+                (1, s[3][n + 1], s[1][n]),
+                (1, s[2][n + 2], s[2][n]),
+                (-1, s[2][n + 2], s[1][n + 1], s[1][n]),
+                (1, s[1][n + 3], s[3][n]),
+                (-1, s[1][n + 3], s[2][n + 1], s[1][n]),
+                (-1, s[1][n + 3], s[1][n + 2], s[2][n]),
+                (1, s[1][n + 3], s[1][n + 2], s[1][n + 1], s[1][n]),
             )
-            acc.add(f"d4[{n}]", abs(si[4][n] - expect), scale)
+            acc.add(f"d4[{n}]", _residual(si[4][n], expect), scale)
 
         return acc.result(
             "s_inverse",
@@ -347,26 +364,24 @@ def coefficient_sum_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         beta = pipe.jac.beta
         gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
         p = chol.p
-        scale = max(max_abs(chol.s), mpf(1))
+        scale = max_abs(chol.s + [[1]])
 
         for n in range(1, min(k - 1, len(beta))):
-            expect = -sum(beta[: n + 1], mpf(0))
-            acc.add(f"p1[{n + 1}]", abs(p(1, n + 1) - expect), scale)
-            total = -sum(gamma[:n], mpf(0))
-            cross = mpf(0)
-            for j in range(1, n + 1):
-                for l in range(j):
-                    cross += beta[j] * beta[l]
-            acc.add(f"p2[{n + 1}]", abs(p(2, n + 1) - (total + cross)), scale)
+            # p^1_{n+1} = -(beta_0 + ... + beta_n)
+            expect = [(-1, b) for b in beta[: n + 1]]
+            acc.add(f"p1[{n + 1}]", _residual(p(1, n + 1), expect), scale)
+            # p^2_{n+1} = -(gamma_1 + ... + gamma_n) + sum_{l < j <= n} beta_j beta_l
+            expect = [(-1, g) for g in gamma[:n]]
+            expect += [(1, beta[j], beta[l]) for j in range(1, n + 1) for l in range(j)]
+            acc.add(f"p2[{n + 1}]", _residual(p(2, n + 1), expect), scale)
 
         # telescoped third-coefficient recursion; equivalent to reading the
         # z^(n-1) coefficient off the three-term recurrence
         for n in range(k - 4):
-            lhs = p(3, n + 2) - p(3, n + 3)
-            rhs = gamma[n + 1] * p(1, n + 1) + beta[n + 2] * p(2, n + 2)
-            acc.add(f"p3[{n}]", abs(lhs - rhs), scale)
+            expect = (1, p(3, n + 3)), (1, gamma[n + 1], p(1, n + 1)), (1, beta[n + 2], p(2, n + 2))
+            acc.add(f"p3[{n}]", _residual(p(3, n + 2), expect), scale)
 
-        direct = mat_mul(mat_mul(chol.s, shift_matrix(k)), chol.s_inv)
+        direct = mat_mul(mat_mul(chol.s, shift_matrix(k)), chol.s_inv, k - 1)
         j = pipe.jac.dense
         jh = mat_mul(j, diag(chol.h[: k - 1]))
         route_scale = max(max_abs(direct, k - 1), chol.h_floor())
@@ -446,9 +461,11 @@ def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         acc = ResidualAccumulator()
         values = [weight_value(w, k) for k in range(52)]
         for k in range(51):
-            lhs = to_mpf(pp.theta(Fraction(k + 1))) * values[k + 1]
-            rhs = to_mpf(pp.sigma(Fraction(k))) * values[k]
-            acc.add(f"k={k}", abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+            # the polynomials' rational values enter as factors rounded once
+            theta_k, sigma_k = to_mpf(pp.theta(Fraction(k + 1))), to_mpf(pp.sigma(Fraction(k)))
+            lhs, rhs = (1, theta_k, values[k + 1]), (1, sigma_k, values[k])
+            diff = scalar_sum(lhs, (-1, sigma_k, values[k]))
+            acc.add(f"k={k}", diff, max_abs([[scalar_sum(lhs), scalar_sum(rhs)]]))
         return acc.result("pearson", tolerance, window="lattice points k <= 50")
 
 
@@ -456,44 +473,34 @@ def gram_pearson_residual(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
     """theta(shift) G versus B sigma(shift) G B^T on the leading window
     (``gram_pearson_window``).
 
-    Both sides are assembled entrywise from the shared moment table (each
-    side consumes its polynomial's degree in extra indices), so the residual
-    reflects round-off and the Pearson property only, not truncation
-    artifacts. Row ``G[n,m]`` (m <= n) is the larger difference at (n, m) and
-    (m, n), relative to the largest entry of either side.
+    Both sides are Hankel. With t = n + m, entry (n, m) of theta(shift) G is
+    sum_p theta_p rho_{t+p}, and since sum_{i+j=s} C(n, i) C(m, j) = C(t, s)
+    (Vandermonde), that of B sigma(shift) G B^T is sum_s C(t, s) sum_q
+    sigma_q rho_{s+q}. So row ``G[n,m]`` (m <= n) is the moment relation t:
+    one exact sum, each Pearson coefficient a factor rounded once, relative
+    to the largest entry of either side; rows of one t read one value. Both
+    sides come from the shared moment table (each consumes its polynomial's
+    degree in extra indices), so the residual reflects round-off and the
+    Pearson property only, not truncation artifacts.
     """
     w, table = pipe.weight, pipe.table
     win = gram_pearson_window(w, pipe.k)
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
-        theta_c = [to_mpf(c) for c in pp.theta_coeffs]
-        sigma_c = [to_mpf(c) for c in pp.sigma_coeffs]
-        lhs = [
-            [
-                sum(theta_c[p] * table.moment(n + m + p) for p in range(len(theta_c)))
-                for m in range(win)
-            ]
-            for n in range(win)
-        ]
-        mid = [
-            [
-                sum(sigma_c[q] * table.moment(n + m + q) for q in range(len(sigma_c)))
-                for m in range(win)
-            ]
-            for n in range(win)
-        ]
-        b = pascal_matrix(win, 1)
-        rhs = mat_mul(mat_mul(b, mid), transpose(b))
-        # every entry against the largest of either side, so the worst row
-        # is the largest difference; lhs is symmetric and rhs is up to
-        # rounding, so row G[n,m] reads entries (n, m) and (m, n)
-        scale = max(max_abs(lhs + rhs), mpf(1))
+        rho = table.moment
+        theta_c, sigma_c = ([to_mpf(c) for c in cs] for cs in (pp.theta_coeffs, pp.sigma_coeffs))
+        sides, relations = [], []
+        for t in range(2 * win - 1):
+            lhs = [(1, c, rho(t + p)) for p, c in enumerate(theta_c)]
+            rhs = [(comb(t, s), c, rho(s + q)) for s in range(t + 1) for q, c in enumerate(sigma_c)]
+            sides += [scalar_sum(*lhs), scalar_sum(*rhs)]
+            relations.append(scalar_sum(*lhs, *negated_terms(rhs)))
+        scale = max_abs([sides, [1]])
         acc = ResidualAccumulator()
         for n in range(win):
             for m in range(n + 1):
-                pair = [lhs[n][m] - rhs[n][m], lhs[m][n] - rhs[m][n]]
-                acc.add(f"G[{n},{m}]", max_abs([pair]), scale)
+                acc.add(f"G[{n},{m}]", relations[n + m], scale)
         return acc.result(
             "gram_pearson",
             tolerance,
@@ -542,9 +549,10 @@ def psi_h_inverse(pipe: WeightPipeline) -> tuple[Matrix, Matrix]:
         return mat_mul(pipe.psi, h_inv), mat_mul(transpose(pipe.psi), h_inv)
 
 
-def psi_routes(pipe: WeightPipeline) -> dict:
-    """The six assembly routes for the shift-structure matrix, dense; the
-    reference route is the pipeline's own Psi."""
+def psi_routes(pipe: WeightPipeline, window: int) -> dict:
+    """The six assembly routes for the shift-structure matrix, each outer
+    product formed on the leading window only; the reference route is the
+    pipeline's own Psi."""
     kj = pipe.jac.size
     with workprec(pipe.bits):
         h = diag(pipe.chol.h[:kj])
@@ -552,12 +560,12 @@ def psi_routes(pipe: WeightPipeline) -> dict:
         pi_inv_k = [row[:kj] for row in pipe.pi_inv[:kj]]
         theta_j = pipe.theta_j
         return {
-            ROUTE_NAMES[0]: mat_mul(pi_inv_k, mat_mul(h, transpose(theta_j))),
+            ROUTE_NAMES[0]: mat_mul(pi_inv_k, mat_mul(h, transpose(theta_j)), window),
             ROUTE_NAMES[1]: pipe.psi,
-            ROUTE_NAMES[2]: mat_mul(pi_inv_k, mat_mul(theta_j, h)),
-            ROUTE_NAMES[3]: mat_mul(h, mat_mul(transpose(pipe.sigma_j), pi_t)),
-            ROUTE_NAMES[4]: mat_mul(pipe.theta_j_plus, mat_mul(pi_inv_k, h)),
-            ROUTE_NAMES[5]: mat_mul(h, mat_mul(pi_t, transpose(pipe.sigma_j_minus))),
+            ROUTE_NAMES[2]: mat_mul(pi_inv_k, mat_mul(theta_j, h), window),
+            ROUTE_NAMES[3]: mat_mul(h, mat_mul(transpose(pipe.sigma_j), pi_t), window),
+            ROUTE_NAMES[4]: mat_mul(pipe.theta_j_plus, mat_mul(pi_inv_k, h), window),
+            ROUTE_NAMES[5]: mat_mul(h, mat_mul(pi_t, transpose(pipe.sigma_j_minus)), window),
         }
 
 
@@ -568,7 +576,7 @@ def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResul
     kj = pipe.k
     window = psi_window(pipe.weight, kj)
     bits = pipe.bits
-    routes = psi_routes(pipe)
+    routes = psi_routes(pipe, window)
     with workprec(bits):
         acc = ResidualAccumulator()
         blocks = list(routes.values())
@@ -604,18 +612,16 @@ def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         low = diagonal_of(pipe.psi, -mdeg)
         high = diagonal_of(pipe.psi, ndeg + 1)
         h_floor = chol.h_floor()
-        scale_low = max(max(abs(x) for x in low[:window]), h_floor)
-        scale_high = max(max(abs(x) for x in high[:window]), h_floor)
+        scale_low = max_abs([low[:window], [h_floor]])
+        scale_high = max_abs([high[:window], [h_floor]])
         for n in range(window):
-            expect = eta * chol.h[n]
-            for j in range(n + 1, n + mdeg + 1):
-                expect *= gamma[j - 1]
-            acc.add(f"low[{n}]", abs(low[n] - expect), scale_low)
+            # eta H_n gamma_{n+1} ... gamma_{n+M}, one exact product
+            expect = (1, eta, chol.h[n], *gamma[n : n + mdeg])
+            acc.add(f"low[{n}]", _residual(low[n], [expect]), scale_low)
         for n in range(window):
-            expect = chol.h[n]
-            for j in range(n + 1, n + ndeg + 2):
-                expect *= gamma[j - 1]
-            acc.add(f"high[{n}]", abs(high[n] - expect), scale_high)
+            # H_n gamma_{n+1} ... gamma_{n+N+1}
+            expect = (1, chol.h[n], *gamma[n : n + ndeg + 1])
+            acc.add(f"high[{n}]", _residual(high[n], [expect]), scale_high)
         return acc.result(
             "psi_diagonals",
             tolerance,
@@ -627,7 +633,9 @@ def structure_shift_residual(
     pipe: WeightPipeline, z_samples: list, tolerance: Fraction
 ) -> CheckResult:
     """theta(z) P(z-1) = Psi H^{-1} P(z) and sigma(z) P(z+1) = Psi^T H^{-1} P(z)
-    at sample points, on the interior window."""
+    at sample points, on the interior window. Each row is one exact sum
+    rounded once, of theta(z) p_i(z-1) and the products of row i of the
+    pipeline's Psi H^{-1} (or Psi^T H^{-1}) with P(z)."""
     bits = pipe.bits
     kj = pipe.k
     window = psi_window(pipe.weight, kj)
@@ -635,29 +643,28 @@ def structure_shift_residual(
     pp = pearson_polynomials(pipe.weight)
     with workprec(bits):
         acc = ResidualAccumulator()
-        # H^-1 P(z) as a vector, then Psi and Psi^T applied to it: the
-        # products of psi_h_inv would round in another order
-        h_inv = [1 / x for x in pipe.chol.h[:kj]]
-        psi = pipe.psi
-        psi_t = transpose(psi)
+        a, at = pipe.psi_h_inv
         h_floor = pipe.chol.h_floor()
-        for z in z_samples:
-            zf = to_mpf(z) if isinstance(z, Fraction) else mpf(z)
-            p_at = polynomial_vector(jac, zf, kj)
-            p_dn = polynomial_vector(jac, zf - 1, kj)
-            p_up = polynomial_vector(jac, zf + 1, kj)
-            scaled = [h_inv[i] * p_at[i] for i in range(kj)]
-            theta_z = pp.theta(zf)
-            sigma_z = pp.sigma(zf)
-            down = mat_vec(psi, scaled)
-            up = mat_vec(psi_t, scaled)
-            lhs_dn = [theta_z * p_dn[i] for i in range(window)]
-            lhs_up = [sigma_z * p_up[i] for i in range(window)]
-            scale = max(max(map(abs, lhs_dn)), max(map(abs, lhs_up)), h_floor)
-            at = mp.nstr(zf, 6)
+        zs = [to_mpf(z) if isinstance(z, Fraction) else mpf(z) for z in z_samples]
+        # column j of each matrix below belongs to the sample z_j
+        p_at = transpose([polynomial_vector(jac, zf, kj) for zf in zs])
+        sides = []
+        for poly, step, m in ((pp.theta, -1, a), (pp.sigma, 1, at)):
+            p_side = transpose([polynomial_vector(jac, zf + step, window) for zf in zs])
+            values = diag([poly(zf) for zf in zs])
+            # entry (i, j): theta(z_j) p_i(z_j - 1) rounded once, for the
+            # scale, and row i at z_j, theta(z_j) p_i(z_j - 1) - (Psi H^-1
+            # P(z_j))_i, one exact sum; sigma(z_j) p_i(z_j + 1) against
+            # Psi^T H^-1 likewise
+            rows = product_sum((1, p_side, values), (-1, m, p_at))
+            sides.append((product_sum((1, p_side, values)), rows))
+        (lhs_dn, down), (lhs_up, up) = sides
+        for j, zf in enumerate(zs):
+            scale = max_abs([[row[j] for row in lhs_dn], [row[j] for row in lhs_up], [h_floor]])
+            at_z = mp.nstr(zf, 6)
             for i in range(window):
-                acc.add(f"down[z={at}][{i}]", abs(lhs_dn[i] - down[i]), scale)
-                acc.add(f"up[z={at}][{i}]", abs(lhs_up[i] - up[i]), scale)
+                acc.add(f"down[z={at_z}][{i}]", down[i][j], scale)
+                acc.add(f"up[z={at_z}][{i}]", up[i][j], scale)
         return acc.result(
             "psi_shift",
             tolerance,
@@ -678,19 +685,19 @@ def psi_jacobi_identities(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         a, at = pipe.psi_h_inv
         h_floor = pipe.chol.h_floor()
 
-        lhs = commutator(a, j)
+        lhs = commutator(a, j, window)
         diff, scale = window_diff(lhs, a, window)
         acc.add("commutator_down", diff, max(scale, h_floor))
 
-        lhs = commutator(j, at)
+        lhs = commutator(j, at, window)
         diff, scale = window_diff(lhs, at, window)
         acc.add("commutator_up", diff, max(scale, h_floor))
 
-        up_down = mat_mul(pipe.sigma_j, pipe.theta_j_plus)
-        diff, scale = window_diff(up_down, mat_mul(a, at), window)
+        up_down = mat_mul(pipe.sigma_j, pipe.theta_j_plus, window)
+        diff, scale = window_diff(up_down, mat_mul(a, at, window), window)
         acc.add("product_up_down", diff, max(scale, h_floor))
-        down_up = mat_mul(pipe.theta_j, pipe.sigma_j_minus)
-        diff, scale = window_diff(down_up, mat_mul(at, a), window)
+        down_up = mat_mul(pipe.theta_j, pipe.sigma_j_minus, window)
+        diff, scale = window_diff(down_up, mat_mul(at, a, window), window)
         acc.add("product_down_up", diff, max(scale, h_floor))
 
         return acc.result(
@@ -712,12 +719,12 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
     with workprec(bits):
         acc = ResidualAccumulator()
         h = diag(pipe.chol.h[:kj])
-        a_theta = mat_mul(h, transpose(pipe.theta_j))
-        a_sigma = mat_mul(pipe.sigma_j, h)
-        h_floor = pipe.chol.h_floor()
-
         win_theta = kj - (ndeg + 2)
         win_sigma = kj - (mdeg + 1)
+        a_theta = mat_mul(h, transpose(pipe.theta_j), win_theta)
+        a_sigma = mat_mul(pipe.sigma_j, h, win_sigma)
+        h_floor = pipe.chol.h_floor()
+
         for name, mat, win in (("theta", a_theta, win_theta), ("sigma", a_sigma, win_sigma)):
             sym = max_diff(mat, transpose(mat), win)
             acc.add(f"symmetry_{name}", sym, max(max_abs(mat, win), h_floor))
@@ -735,12 +742,12 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
 
         # dressed Pascal factorization
         sigma_factor = unit_lower_inverse([row[:kf] for row in l_sigma[:kf]])
-        pi_fact = mat_mul(l_theta, sigma_factor)
+        pi_fact = mat_mul(l_theta, sigma_factor, window)
         diff, scale = window_diff([row[:kf] for row in pipe.pi[:kf]], pi_fact, window)
         acc.add("pascal_factorization", diff, max(scale, mpf(1)))
 
         # structure-matrix factorization
-        psi_fact = mat_mul(l_sigma, mat_mul(diag(d_theta), transpose(l_theta)))
+        psi_fact = mat_mul(l_sigma, mat_mul(diag(d_theta), transpose(l_theta)), window)
         diff, scale = window_diff([row[:kf] for row in pipe.psi[:kf]], psi_fact, window)
         acc.add("psi_factorization", diff, max(scale, h_floor))
 
@@ -767,9 +774,11 @@ def polynomial_shift_identity(
         r_j = poly_of_jacobi(r_coeffs, jac)
         r_jp = poly_of_jacobi(r_coeffs, jac, 1)
         r_jm = poly_of_jacobi(r_coeffs, jac, -1)
-        diff, scale = window_diff(mat_mul(r_j, pi_k), mat_mul(pi_k, r_jp), window)
+        diff, scale = window_diff(mat_mul(r_j, pi_k, window), mat_mul(pi_k, r_jp, window), window)
         acc.add("plus", diff, max(scale, mpf(1)))
-        diff, scale = window_diff(mat_mul(r_j, pi_inv_k), mat_mul(pi_inv_k, r_jm), window)
+        diff, scale = window_diff(
+            mat_mul(r_j, pi_inv_k, window), mat_mul(pi_inv_k, r_jm, window), window
+        )
         acc.add("minus", diff, max(scale, mpf(1)))
         return acc.result(
             label,

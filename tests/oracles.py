@@ -185,19 +185,20 @@ def per_column_pass(w, last, m_max: int, bits: int, scale: int):
 
 class OperatorAccumulator:
     """``ResidualAccumulator``'s rows by the mpf operators: each operand
-    rounded by ``mpf()``, the quotient by ``/``, the part by ``decimal_str``
-    and the worst row by ``exceeds``, the first row being the worst so far."""
+    rounded by ``mpf()``, the difference read by ``abs``, the quotient by
+    ``/``, the part by ``decimal_str`` and the worst row by ``exceeds``, the
+    first row being the worst so far."""
 
     def __init__(self):
         self.worst = mpf(0)
         self.worst_scale = mpf(1)
         self.parts: dict[str, str] = {}
 
-    def add(self, label: str, abs_diff, scale) -> None:
+    def add(self, label: str, diff, scale) -> None:
         scale = mpf(scale)
         if scale <= 0:
             scale = mpf(1)
-        rel = mpf(abs_diff) / scale if isfinite(scale) else mpf("nan")
+        rel = abs(mpf(diff)) / scale if isfinite(scale) else mpf("nan")
         first = not self.parts
         self.parts[label] = decimal_str(rel, 64)
         if first or exceeds(rel, self.worst):

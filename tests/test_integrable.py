@@ -34,7 +34,7 @@ from semidop import integrable as integrable_module
 from semidop import linalg as linalg_module
 from semidop import moments as moments_module
 from semidop import structure
-from semidop.linalg import ldl_no_pivot
+from semidop.linalg import ldl_no_pivot, scalar_sum
 from semidop.moments import ldl_pivot_floor
 from semidop.pipeline import WeightPipeline, clear_cache, get_pipeline
 from semidop.report import SuiteConfig, run_suite
@@ -552,8 +552,8 @@ def test_the_toda_beta_line_is_equation_q_from_n_1(w, k):
             gamma_next, gamma_n = pipe.gamma(n + 1), pipe.gamma(n)
             assert raw(gamma_n) == raw(h[n] / h[n - 1])
             d2q = integrable_module._dlog_h(pipe.table, n, (2, 0, 0))
-            beta_line = abs(d2q - (gamma_next - gamma_n))
-            equation_q = abs(d2q - (h[n + 1] / h[n] - h[n] / h[n - 1]))
+            beta_line = scalar_sum(*d2q, (-1, gamma_next), (1, gamma_n))
+            equation_q = scalar_sum(*d2q, (-1, h[n + 1] / h[n]), (1, h[n] / h[n - 1]))
             assert raw(beta_line) == raw(equation_q)
             assert max(abs(gamma_next), abs(gamma_n), mpf(1)) >= max(abs(h[n + 1] / h[n]), abs(h[n] / h[n - 1]))
 

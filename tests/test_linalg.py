@@ -28,6 +28,7 @@ from semidop.linalg import (
     out_of_band_max,
     poly_of_matrix,
     product_sum,
+    scalar_sum,
     schur_complement,
     three_term_values,
     transpose,
@@ -166,6 +167,95 @@ def test_commutators_are_exact_and_antisymmetric_bit_for_bit(data):
         ab = commutator(a, b)
         assert bits(ab) == bits(exact_product_sum([(1, a, b), (-1, b, a)]))
         assert bits(ab) == bits([[-x for x in row] for row in commutator(b, a)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_windowed_products_are_the_leading_block_bit_for_bit(data):
+    # a product formed on a window is the full product's leading block, each
+    # entry with its bits, its int rule and its nans; a window past the
+    # product is the whole product
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    terms = [
+        (data.draw(st.sampled_from([1, -1, 3])), data.draw(matrices(n, k)),
+         data.draw(matrices(k, m)))
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    window = data.draw(st.integers(0, 5))
+    with workprec(data.draw(st.sampled_from([53, 512]))):
+        lead = lambda m: [row[:window] for row in m[:window]]
+        assert bits(product_sum(*terms, window=window)) == bits(lead(product_sum(*terms)))
+        _, a, b = terms[0]
+        if n == k == m:
+            assert bits(mat_mul(a, b, window)) == bits(lead(mat_mul(a, b)))
+            assert bits(commutator(a, b, window)) == bits(lead(commutator(a, b)))
+
+
+def exact_scalar_sum(terms):
+    """``scalar_sum``'s contract: the exact Fraction sum of c x_1 ... x_r over
+    the terms (c, x_1, ..., x_r), rounded once to nearest at the working
+    precision; nan if a factor is a nan or an infinity."""
+    if not all(isfinite(x) for t in terms for x in t):
+        return nan
+    return to_mpf(sum(prod(exact(x) for x in t) for t in terms))
+
+
+@st.composite
+def row_factors(draw):
+    """A factor of a scalar row: mostly a signed mpf of up to 512 bits within
+    a few binades of 1, so that the terms of a row overlap and their sum
+    rounds; else an exact zero, an int, an mpf thousands of binades away, or
+    now and then a nan or an infinity."""
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(st.sampled_from([nan, inf, -inf]))
+    if kind < 3:
+        return draw(st.sampled_from([0, mpf(0)]))
+    if kind < 5:
+        return draw(st.integers(-(2**600), 2**600))
+    span = 5000 if kind < 7 else 4
+    # 512 bits, top and bottom bit set, so that each product is longer than
+    # every precision drawn
+    man = draw(st.integers(2**510, 2**511 - 1)) << 1 | 1
+    sign = draw(st.sampled_from([1, -1]))
+    with workprec(512):
+        return ldexp(mpf(sign * man), draw(st.integers(-span, span)) - 512)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scalar_sums_are_the_exact_sums_rounded_once(data):
+    # terms of one to three factors (signed, zeros and ints among them, now
+    # and then a nan or an infinity) beside terms of a coefficient alone; a
+    # term repeated with -c cancels it exactly
+    def term():
+        r = data.draw(st.integers(1, 3))
+        return data.draw(st.integers(-7, 7)), *(data.draw(row_factors()) for _ in range(r))
+
+    terms = [term() for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):
+        terms.append((data.draw(st.integers(-(2**70), 2**70)),))
+    if data.draw(st.booleans()):
+        c, *factors = data.draw(st.sampled_from(terms))
+        terms.append((-c, *factors))
+    with workprec(data.draw(st.sampled_from([53, 256, 512, 600]))):
+        got, want = scalar_sum(*terms), exact_scalar_sum(terms)
+        assert type(got) is mpf
+        assert isnan(got) if isnan(want) else got._mpf_ == want._mpf_
+
+
+def test_an_exactly_cancelling_row_reads_0_and_a_nan_factor_nan():
+    with workprec(512):
+        x, y = mpf(1) / 3, mpf(2) / 7
+        assert scalar_sum((1, x, y), (-1, y, x))._mpf_ == mpf(0)._mpf_
+        assert scalar_sum((3, x), (-1, x), (-2, x), (2**600,), (-(2**600),))._mpf_ == mpf(0)._mpf_
+        assert scalar_sum()._mpf_ == mpf(0)._mpf_
+        # x y against x y rounded once reads the rounding, not 0
+        assert scalar_sum((1, x, y), (-1, x * y)) != 0
+        # a nan or an infinity is read even beside a zero coefficient or factor
+        for bad in (nan, inf, -inf):
+            assert isnan(scalar_sum((1, x), (0, bad)))
+            assert isnan(scalar_sum((1, mpf(0), bad, y)))
 
 
 @st.composite

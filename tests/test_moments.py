@@ -35,6 +35,7 @@ from semidop.weights import classify_convergence, is_nonpositive_integer, parse_
 from conftest import BITS, CHARLIER, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import (
     charlier_reduced_moments,
+    exact_term_ratio,
     hankel_determinant_reduced,
     meixner_reduced_moments,
     per_column_pass,
@@ -541,6 +542,41 @@ def test_pass_matches_the_per_column_oracle(w, m_max, bits):
         _decided(p_sums, p_errors, scale, bits, target),
     ):
         assert new is None or old is None or new == old
+
+
+@pytest.mark.parametrize("spec", ["a=1/2,3/2; eta=1/2; eta2=1/2", "a=1,2,3; b=1/2; eta=1/3; eta3=1/2"])
+@pytest.mark.parametrize("bits", [96, 160, 512])
+def test_unpaired_numerator_factors_are_bounded_by_the_deformation(spec, bits):
+    # M > N + 1: a numerator factor a_i + j has no denominator partner, and
+    # the deformation absorbs it (the unpaired branch of moments._ratio_sup).
+    # The pass against the oracle's walk, as in the per-column property; the
+    # bound it stopped on holds for the exact term ratios past its stop
+    w = parse_weight_spec(spec)
+    assert len(w.a) > len(w.b) + 1
+    m_max = 12
+    scale = bits + 64 + 14 * m_max
+    lattice = moments_module._fixed_point_pass(w, None, m_max, bits, scale)
+    stop = lattice.last
+    o_sums, o_errors, _ = per_column_pass(w, stop, m_max, bits, scale)
+    assert lattice.sums == o_sums
+    assert all(e >= o for e, o in zip(lattice.errors, o_errors))
+    p_sums, p_errors, _ = per_column_pass(w, None, m_max, bits, scale)
+    target = bits - 64
+    for new, old in zip(
+        _decided(lattice.sums, lattice.errors, scale, bits, target),
+        _decided(p_sums, p_errors, scale, bits, target),
+    ):
+        assert new is not None and new == old
+    bound = moments_module._ratio_sup(w, stop)
+    assert bound is not None and bound < 1
+    assert all(abs(exact_term_ratio(w, j)) <= bound for j in range(stop, stop + 400))
+
+
+def test_an_unpaired_numerator_factor_waits_for_the_deformation():
+    # the slope bound 1 / (2 + k) + 2 (99/100 - 1) stays positive below
+    # k = 48: no ratio bound is known there
+    w = parse_weight_spec("a=1,2; eta=1/2; eta2=99/100")
+    assert [moments_module._ratio_sup(w, k) is None for k in (0, 40, 60)] == [True, True, False]
 
 
 @pytest.mark.parametrize(("spec", "m_max", "bits"), [("a=4/3; eta=-3/4", 2, 96), ("eta=-1", 24, 512)])

@@ -1,5 +1,7 @@
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf, workprec
 
 from semidop import (
     DivergentSeries,
@@ -48,6 +50,7 @@ from semidop.report import (
 )
 from semidop.result import make_result
 from semidop.structure import jacobi_matrix
+from semidop.weights import to_mpf
 
 from conftest import BITS, CHARLIER, DEFORMED, GEN_MEIXNER, MEIXNER
 from test_integrable import positive_params
@@ -498,17 +501,17 @@ def test_golden_default_charlier_suite():
 
 
 CONTRACT_DIGESTS = [
-    ("a=2; eta=1/2", 12, "299f87055de4c454"),
-    ("b=3/2; eta=1/2", 12, "66c691be4f307cec"),
-    ("a=3/2; b=5/2; eta=1/3", 12, "3b79f2dabc426086"),
-    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "05bb30a54e7b0dfd"),
+    ("a=2; eta=1/2", 12, "a2a579acc40a1a73"),
+    ("b=3/2; eta=1/2", 12, "f4fdfcb1d21f75f4"),
+    ("a=3/2; b=5/2; eta=1/3", 12, "840985258cfab203"),
+    ("eta=1/2; eta2=9/10; eta3=9/10", 8, "03c2419f413ec1ea"),
     # two b parameters: contiguous and omega run through B(1) and B(2)
-    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "623786aa635b86ac"),
+    ("a=1/2,3/2; b=5/2,7/2; eta=1/3", 10, "f8000cf12083a1bc"),
     # the only recorded case whose determinants border a 24 x 24 leading block
-    ("a=3/2; b=5/2; eta=1/3", 24, "daba603ffd8f3faf"),
+    ("a=3/2; b=5/2; eta=1/3", 24, "4bd93ad2b5657ffe"),
     # shift constants 2/3 and 2/5, not dyadic: a lattice pair whose two
     # shifted weights differ, so its Nijhoff-Capel row compares two routes
-    ("a=2/3; b=7/5; eta=3/7", 12, "492b91b3dd6668f6"),
+    ("a=2/3; b=7/5; eta=3/7", 12, "83dece768df482ea"),
 ]
 
 
@@ -552,6 +555,42 @@ def test_every_row_family_can_fail():
                 readings[family] = readings.get(family, False) or mpf(value) != 0
     assert len(readings) > 90
     assert [family for family, moved in readings.items() if not moved] == []
+
+
+# The mpf operators (arithmetic, abs, negation, comparisons) each round, or
+# compare, one value at a time; the package forms its sums in ``linalg``'s
+# exact kernels. MPF_OPERATORS counts the outermost operator calls of one cold
+# Charlier suite at size 12, and OPERATOR_BUDGET pins that count: a change
+# that forms rows on the operators again raises it and fails here.
+MPF_OPERATORS = (
+    "__abs__", "__pos__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+    "__mod__", "__rmod__", "__lt__", "__gt__", "__le__", "__ge__", "__eq__", "__ne__",
+)
+OPERATOR_BUDGET = 1645
+
+
+def test_a_charlier_suite_stays_within_its_operator_budget(monkeypatch):
+    calls, depth = Counter(), [0]
+
+    def counted(name, op):
+        def wrapper(*args):
+            calls[name] += not depth[0]
+            depth[0] += 1
+            try:
+                return op(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    cls = type(mpf(1))
+    for name in MPF_OPERATORS:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    clear_cache()
+    assert run_suite(SuiteConfig(weight=CHARLIER)).passed
+    monkeypatch.undo()
+    clear_cache()
+    assert 0 < sum(calls.values()) <= OPERATOR_BUDGET, calls
 
 
 def test_suite_leaves_confirmation_unread():
@@ -879,6 +918,40 @@ def test_cli_verify_small(capsys, tmp_path):
     assert "overall: PASS" in text
     parsed = json.loads(out.read_text())
     assert parsed["pass"] is True and len(parsed["checks"]) == 3
+
+
+def test_cli_moments_writes_the_table_as_csv(capsys, tmp_path):
+    out = tmp_path / "moments.csv"
+    code = cli_main(["moments", "--weight", "a=3/2; b=5/2; eta=1/3", "--size", "5",
+                     "--bits", "192", "--out", str(out)])
+    assert code == 0
+    table = MomentTable(parse_weight_spec("a=3/2; b=5/2; eta=1/3"), 8, PrecisionContext(mantissa_bits=192))
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["m", "rho_m"]
+    assert rows[1:] == [[str(m), decimal_str(x, 192)] for m, x in enumerate(table.values)]
+    printed = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert printed == rows[1:]
+
+
+def test_cli_verify_seed_moves_the_sample_points(tmp_path):
+    def psi_shift_points(seed):
+        out = tmp_path / f"seed{seed}.json"
+        argv = ["verify", "--weight", "eta=7/10", "--size", "8", "--checks", "psi_shift",
+                "--out", str(out)]
+        assert cli_main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+        parsed = json.loads(out.read_text())
+        (check,) = parsed["checks"]
+        points = {re.search(r"z=([^\]]*)\]", label).group(1) for label in check["components"]}
+        return parsed["suite"]["seed"], check["provenance"]["seed"], points
+
+    echo, stamped, points = psi_shift_points(7)
+    assert echo == stamped == "7"
+    cfg = SuiteConfig(weight=CHARLIER, seed=7)
+    with workprec(512):
+        assert points == {mp.nstr(to_mpf(z), 6) for z in report_module._z_samples(cfg)}
+    default_echo, _, default_points = psi_shift_points(None)
+    assert default_echo == str(DEFAULT_SEED)
+    assert points.isdisjoint(default_points)
 
 
 @pytest.mark.parametrize("eta3", ["1", "9/10"])

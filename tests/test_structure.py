@@ -461,7 +461,7 @@ def test_psi_is_the_reference_route_bit_for_bit(gen_meixner_pipe):
     # M = N = 1, outside the golden Charlier report: the cached matrix is
     # route 1 of the six-route check and sigma(J) H Pi^T in that order
     pipe = gen_meixner_pipe
-    routes = psi_routes(pipe)
+    routes = psi_routes(pipe, psi_window(GEN_MEIXNER, pipe.k))
     assert pipe.psi == routes[ROUTE_NAMES[1]]
     kj = pipe.jac.size
     with workprec(BITS):
@@ -549,7 +549,7 @@ def test_window_monotonicity(ctx, tol):
     with workprec(BITS):
         res = []
         for pipe in (small, large):
-            routes = psi_routes(pipe)
+            routes = psi_routes(pipe, window)
             diff, scale = window_diff(routes[ROUTE_NAMES[0]], routes[ROUTE_NAMES[1]], window)
             res.append(diff / scale)
         assert res[1] <= res[0] * 4  # no growth beyond round-off wiggle
