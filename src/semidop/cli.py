@@ -6,6 +6,11 @@ Subcommands: moments, recurrence, psi (structure-matrix diagonals), verify
 2 usage/configuration error, including a --size, --bits or --max-m above its
 cap: --size and --bits follow the caps of ``report.refuse_over_caps``, and
 --max-m is capped at 2 * MAX_SIZE - 2, the depth of `moments --size 64`.
+
+Each command accepts only the flags it reads. Every command takes --weight,
+--config, --size and --bits; moments adds --max-m and --out (the table as
+CSV), psi adds --tol, and the suite commands add --tol, --out, --format,
+--checks and --seed. Any other flag is an argparse usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .linalg import diagonal_of
 from .moments import MomentTable, PrecisionContext, decimal_str, moments_to_csv
 from .pipeline import get_pipeline
 from .report import (
+    DEFAULT_SEED,
     MAX_SIZE,
     REGISTRY,
     SuiteConfig,
@@ -74,14 +80,14 @@ def _load_weight(args) -> HypergeometricWeight:
     """The weight of --config or --weight; a config file that cannot be read
     as UTF-8 text, or a spec the grammar or the weight refuses, is a usage
     error naming the flag."""
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 lines = [line.split("#", 1)[0].strip() for line in fh]
         except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"--config: {exc}") from None
         flag, spec = "--config", "; ".join(line for line in lines if line)
-    elif getattr(args, "weight", None):
+    elif args.weight:
         flag, spec = "--weight", args.weight
     else:
         raise PreconditionError("a weight is required (--weight or --config)")
@@ -96,9 +102,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="file containing a weight spec")
     parser.add_argument("--size", type=int, default=12, help="truncation size k")
     parser.add_argument("--bits", type=int, default=512, help="mantissa bits")
-    parser.add_argument("--tol", help="residual tolerance (default 2^-(bits/4))")
-    parser.add_argument("--out", help="write a report to this path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,12 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="print the moment table")
     _add_common(p)
     p.add_argument("--max-m", type=int, default=None, help="highest moment index")
+    p.add_argument("--out", help="also write the table as CSV to this path")
 
     p = sub.add_parser("recurrence", help="print recurrence data (beta, gamma, H, p1)")
     _add_common(p)
 
     p = sub.add_parser("psi", help="print the structure-matrix diagonals")
     _add_common(p)
+    p.add_argument("--tol", help="residual tolerance (default 2^-(bits/4))")
 
     for name, help_text in (
         ("verify", "run the residual suite"),
@@ -127,8 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        p.add_argument("--tol", help="residual tolerance (default 2^-(bits/4))")
+        p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
         p.add_argument("--checks", help="comma-separated subset of the registry")
-        p.add_argument("--seed", type=int, default=None, help="sample seed")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample seed")
     return parser
 
 
@@ -141,7 +149,7 @@ _SUBSETS = {
 
 def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
     checks = None
-    if getattr(args, "checks", None):
+    if args.checks:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     elif args.command in _SUBSETS:
         group = _SUBSETS[args.command]
@@ -150,16 +158,13 @@ def _suite_config(args, w: HypergeometricWeight) -> SuiteConfig:
             raise PreconditionError(
                 f"no {args.command!r} checks are applicable to this weight and size"
             )
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
     return SuiteConfig(
         weight=w,
         size=args.size,
         mantissa_bits=_context(args).mantissa_bits,
         tolerance=_tolerance(args, None),
         checks=checks,
-        **kwargs,
+        seed=args.seed,
     )
 
 
@@ -229,21 +234,22 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+HANDLERS = {
+    "moments": _cmd_moments,
+    "recurrence": _cmd_recurrence,
+    "psi": _cmd_psi,
+    "verify": _cmd_suite,
+    "lattice": _cmd_suite,
+    "toda": _cmd_suite,
+    "kp": _cmd_suite,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "moments": _cmd_moments,
-        "recurrence": _cmd_recurrence,
-        "psi": _cmd_psi,
-        "verify": _cmd_suite,
-        "lattice": _cmd_suite,
-        "toda": _cmd_suite,
-        "kp": _cmd_suite,
-    }
+    args = build_parser().parse_args(argv)
     try:
         refuse_over_caps(args.size, args.bits, "--size", "--bits")
-        return handlers[args.command](args)
+        return HANDLERS[args.command](args)
     except PreconditionError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

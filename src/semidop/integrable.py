@@ -8,6 +8,14 @@ cross-checks, Toda system and equation, factorization/operator/compatibility
 forms), the Pearson/first-flow compatibility, and the KP relation for triply
 deformed weights.
 
+A check takes the pipeline, then only what callers vary (shifts, sample
+points), then the tolerance; it derives its window from the truncation size
+k: the lattice checks keep the n of ``LATTICE_N`` their factorizations hold
+(n + 1 <= k for ``nijhoff_capel``, n + 2 <= k for ``uv_system``, n <=
+min(4, k - 2) for ``kp``), ``tau_routes`` runs n <= min(8, k - 1) and
+``toda`` n <= min(8, k - 2). A check on parameter shifts is named by them
+(``omega_A(1)``, ``nijhoff_capel_A(1)_B(1)``, ``uv_system_A(1)``).
+
 Two exact routes carry the flow identities. The determinant engine
 (``flows``) differentiates tau_n by moment-index shifts; the Taylor-mode
 factorization (``WeightPipeline.flow_jet``) differentiates S, S^-1 and H
@@ -78,6 +86,10 @@ from .weights import (
     shift_parameter,
     to_mpf,
 )
+
+# Lattice indices n of the octahedral, u-v and KP checks; each check keeps
+# those its truncation admits.
+LATTICE_N = (1, 2, 3, 4, 5, 6)
 
 
 def _shift_constant(pipe: WeightPipeline, shift: Shift) -> mpf:
@@ -245,7 +257,7 @@ def omega_connection_check(
             )
 
         return acc.result(
-            "omega",
+            f"omega_{shift.label()}",
             tolerance,
             window=f"full {size} truncation, shift {shift.label()}",
         )
@@ -257,14 +269,15 @@ def nijhoff_capel_check(
     pipe: WeightPipeline,
     r: Shift,
     s: Shift,
-    n_values: list[int],
     tolerance: Fraction,
 ) -> CheckResult:
     """Squared norms under two distinct parameter shifts satisfy the octahedral
-    lattice equation; all ingredients come from independent factorizations at
-    base, singly shifted, and doubly shifted parameters."""
+    lattice equation at the n of ``LATTICE_N`` with n + 1 <= k; all
+    ingredients come from independent factorizations at base, singly shifted,
+    and doubly shifted parameters."""
     if (r.kind, r.index) == (s.kind, s.index):
         raise InvalidShift("the two lattice directions must be distinct parameters")
+    n_values = [n for n in LATTICE_N if n + 1 <= pipe.k]
     bits = pipe.bits
     rp = pipe.shifted(r)
     sp = pipe.shifted(s)
@@ -288,7 +301,7 @@ def nijhoff_capel_check(
             )
             acc.add(f"n={n}", scalar_sum(*terms), max_abs([[scalar_sum(t) for t in terms]]))
         return acc.result(
-            "nijhoff_capel",
+            f"nijhoff_capel_{r.label()}_{s.label()}",
             tolerance,
             window=f"n in {n_values}, shifts ({r.label()}, {s.label()})",
         )
@@ -297,13 +310,14 @@ def nijhoff_capel_check(
 def uv_system_check(
     pipe: WeightPipeline,
     r: Shift,
-    n_values: list[int],
     tolerance: Fraction,
 ) -> CheckResult:
     """The coupled difference system for squared norms and recurrence diagonal
-    under one parameter shift, the boundary identity, and the flow derivative
-    of the norm ratio: the determinant engine's value against the shifted
-    data, and against the flow jets of both factorizations."""
+    under one parameter shift at the n of ``LATTICE_N`` with n + 2 <= k, the
+    boundary identity, and the flow derivative of the norm ratio: the
+    determinant engine's value against the shifted data, and against the flow
+    jets of both factorizations."""
+    n_values = [n for n in LATTICE_N if n + 2 <= pipe.k]
     bits = pipe.bits
     rp = pipe.shifted(r)
     a_hat = _shift_constant(pipe, r)
@@ -350,7 +364,7 @@ def uv_system_check(
         acc.add("boundary", scalar_sum(*lhs, *negated_terms(rhs)), scale)
 
         return acc.result(
-            "uv_system",
+            f"uv_system_{r.label()}",
             tolerance,
             window=f"n in {n_values}, shift {r.label()}",
         )
@@ -390,17 +404,14 @@ def _dlog_gamma(table, n: int, alpha, *factors) -> tuple:
 
 # -- tau-function cross-checks and the Toda stack --------------------------------
 
-def tau_route_check(
-    pipe: WeightPipeline,
-    nmax: int,
-    tolerance: Fraction,
-) -> CheckResult:
-    """Factorization data against determinant data: norms as determinant ratios,
-    subleading coefficients as logarithmic derivatives, the recurrence
-    coefficients as second derivatives, and the bilinear (Hirota) form. The
-    routes meet by construction at h_0, p^1_0, p^1_1 and beta_0 (tau_0 = 1,
+def tau_route_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
+    """Factorization data against determinant data for n <= min(8, k - 1):
+    norms as determinant ratios, subleading coefficients as logarithmic
+    derivatives, the recurrence coefficients as second derivatives, and the
+    bilinear (Hirota) form. The routes meet by construction at h_0, p^1_0, p^1_1 and beta_0 (tau_0 = 1,
     h_0 = tau_1, p^1_1 = -rho_1 / rho_0 on both), so the rows start past them;
     ``tests/test_integrable.py`` pins those."""
+    nmax = min(8, pipe.k - 1)
     bits = pipe.bits
     table = pipe.table
     with workprec(bits):
@@ -434,18 +445,15 @@ def tau_route_check(
         )
 
 
-def toda_check(
-    pipe: WeightPipeline,
-    nmax: int,
-    z_samples: list,
-    tolerance: Fraction,
-) -> CheckResult:
-    """First-flow Toda system and equation for the recurrence data, with engine
+def toda_check(pipe: WeightPipeline, z_samples: list, tolerance: Fraction) -> CheckResult:
+    """First-flow Toda system and equation for the recurrence data for
+    n <= min(8, k - 2), with engine
     derivatives on one side and factorization data on the other; the polynomial
     flow relation dp_n = -gamma_n p_{n-1} reads dp_n from the flow-1 jet. The
     beta line of the system is equation_q's by construction for n >= 1
     (gamma_n = H_n / H_{n-1}), as subleading_flow[0] is 0 = 0; both are pinned
     in ``tests/test_integrable.py``."""
+    nmax = min(8, pipe.k - 2)
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
@@ -477,11 +485,12 @@ def toda_check(
                     max_abs([[d2_log_tau, 1]]))
 
         # polynomial flow relation: dp_n(z) = sum_i dS[n][i] z^i from the
-        # flow-1 jet, against -gamma_n p_{n-1}(z); one exact sum in powers of z
+        # flow-1 jet, against -gamma_n p_{n-1}(z); one exact sum in powers of z,
+        # at n = 2 and 4 clamped to the window, each n once
         ds = pipe.flow_jet(1).ds
         for z in z_samples:
             zm = to_mpf(z)
-            for n in (min(2, nmax), min(4, nmax)):
+            for n in dict.fromkeys((min(2, nmax), min(4, nmax))):
                 if n < 1:
                     continue
                 dp = tuple((1, c, *[zm] * i) for i, c in enumerate(ds[n][: n + 1]))
@@ -543,7 +552,7 @@ def sato_wilson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
         j = pipe.jac.dense
         powers = {0: identity(kj), 1: j, 2: mat_mul(j, j)}
         table = pipe.table
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
 
         for l in flows:
             jl = powers[l]
@@ -695,7 +704,7 @@ def pearson_toda_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult
         j = pipe.jac.dense
         phi = mat_scale(strict_lower(j), mpf(-1))
         j_plus = upper_with_diagonal(j)
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
         for name, dm, mat, gauge in zip(
             ("1a", "1b", "2a", "2b"), derivatives, base, (phi, phi, j_plus, j_plus)
         ):
@@ -710,24 +719,23 @@ def active_deformation(w: HypergeometricWeight, size: int) -> None:
         raise PreconditionError("KP check needs an active deformation with |eta2|, |eta3| < 1")
 
 
-def kp_check(
-    pipe: WeightPipeline,
-    n_values: list[int],
-    tolerance: Fraction,
-) -> CheckResult:
+def kp_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """The KP relation for the subleading coefficient of a triply deformed
-    weight, with every mixed derivative taken by the exact determinant engine,
-    and the second-flow second derivative d22p read again from the order-2
-    flow-2 jet of the factorization."""
+    weight at the n of ``LATTICE_N`` with n <= min(4, k - 2), with every mixed
+    derivative taken by the exact determinant engine, and the second-flow
+    second derivative d22p read again from the order-2 flow-2 jet of the
+    factorization."""
     active_deformation(pipe.weight, pipe.k)
+    # the order-2 flow-2 jet of the size-(n+1) block reads up to rho_{2n+4}
+    # and the fifth-order tau jets up to rho_{2n+3}, so n <= k - 2 keeps
+    # both inside the table's rho_0 .. rho_{2k}
+    n_values = [n for n in LATTICE_N if n <= min(4, pipe.k - 2)]
     bits = pipe.bits
     with workprec(bits):
         acc = ResidualAccumulator()
         table = pipe.table
-        # p_n = S[n][n-1]: its second flow-2 derivative from the order-2 jet,
-        # for the n the size-(k+1) factorization holds
-        top = min(max(n_values), pipe.k)
-        d2s = pipe.flow_jet(2, order=2, size=top + 1).d2s
+        # p_n = S[n][n-1]: its second flow-2 derivative from the order-2 jet
+        d2s = pipe.flow_jet(2, order=2, size=max(n_values) + 1).d2s
         for n in n_values:
             # with L(alpha) = d^alpha log tau_n: d1 p = -L(2,0,0), d1^2 p =
             # -L(3,0,0), d1^4 p = -L(5,0,0), d1 d3 p = -L(2,0,1) and d2^2 p =
@@ -745,9 +753,8 @@ def kp_check(
             )
             scale = max_abs([[scalar_sum(t) for t in terms], [1]])
             acc.add(f"kp[n={n}]", scalar_sum(*terms), scale)
-            if 1 <= n <= top:
-                d22p_row = scalar_sum((1, d2s[n][n - 1]), (1, d22))
-                acc.add(f"d22p[n={n}]", d22p_row, max_abs([[d22, 1]]))
+            d22p_row = scalar_sum((1, d2s[n][n - 1]), (1, d22))
+            acc.add(f"d22p[n={n}]", d22p_row, max_abs([[d22, 1]]))
         return acc.result(
             "kp",
             tolerance,

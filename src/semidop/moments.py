@@ -729,9 +729,12 @@ class CholeskyFactorization:
             return mpf(0)
         return self.s[n][n - j]
 
+    @cached_property
     def h_floor(self) -> mpf:
-        """Smallest |H_n|, used as the scale floor in residual reports."""
-        return min(abs(x) for x in self.h)
+        """Smallest |H_n|, used as the scale floor in residual reports; formed
+        once, at the working precision, where abs is exact."""
+        with workprec(self.table.ctx.mantissa_bits):
+            return min(abs(x) for x in self.h)
 
 
 def cholesky(table: MomentTable, k: int) -> CholeskyFactorization:

@@ -29,9 +29,6 @@ from .result import CheckResult
 from .weights import HypergeometricWeight, classify_convergence, to_mpf
 
 DEFAULT_SEED = 20260808
-# Lattice indices n of the octahedral, u-v and KP checks (each keeps those its
-# truncation admits).
-LATTICE_N = (1, 2, 3, 4, 5, 6)
 
 
 # Caps on the truncation size and the mantissa bits of a suite and of every CLI
@@ -148,70 +145,41 @@ def _tolerance_only(check):
     return lambda pipe, cfg: check(pipe, cfg.tol())
 
 
-def _run_orthogonality(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    return structure.orthogonality_check(pipe, min(8, pipe.jac.size - 1), cfg.tol())
-
-
 def _run_psi_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
     return structure.structure_shift_residual(pipe, _z_samples(cfg), cfg.tol())
 
 
 def _run_poly_shift(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
     return [
-        structure.polynomial_shift_identity(pipe, coeffs, cfg.tol(), label=f"poly_shift_{tag}")
-        for coeffs, tag in (
-            ((Fraction(0), Fraction(1)), "linear"),
-            ((Fraction(0), Fraction(0), Fraction(1)), "quadratic"),
-        )
+        structure.polynomial_shift_identity(pipe, coeffs, cfg.tol())
+        for coeffs in ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0), Fraction(1)))
     ]
 
 
 def _run_omega(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
     zs = _z_samples(cfg, 3)
-    for sh in integrable.lattice_shifts(pipe.weight, pipe.k):
-        res = integrable.omega_connection_check(pipe, sh, zs, cfg.tol())
-        res.name = f"omega_{sh.label()}"
-        out.append(res)
-    return out
+    return [
+        integrable.omega_connection_check(pipe, sh, zs, cfg.tol())
+        for sh in integrable.lattice_shifts(pipe.weight, pipe.k)
+    ]
 
 
 def _run_nijhoff_capel(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    n_values = [n for n in LATTICE_N if n + 1 <= pipe.k]
-    for r, s in integrable.lattice_pairs(pipe.weight, pipe.k):
-        res = integrable.nijhoff_capel_check(pipe, r, s, n_values, cfg.tol())
-        res.name = f"nijhoff_capel_{r.label()}_{s.label()}"
-        out.append(res)
-    return out
+    return [
+        integrable.nijhoff_capel_check(pipe, r, s, cfg.tol())
+        for r, s in integrable.lattice_pairs(pipe.weight, pipe.k)
+    ]
 
 
 def _run_uv_system(pipe: WeightPipeline, cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    n_values = [n for n in LATTICE_N if n + 2 <= pipe.k]
-    for sh in integrable.lattice_shifts(pipe.weight, pipe.k)[:2]:
-        res = integrable.uv_system_check(pipe, sh, n_values, cfg.tol())
-        res.name = f"uv_system_{sh.label()}"
-        out.append(res)
-    return out
-
-
-def _run_tau_routes(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    nmax = min(8, pipe.k - 1)
-    return integrable.tau_route_check(pipe, nmax, cfg.tol())
+    return [
+        integrable.uv_system_check(pipe, sh, cfg.tol())
+        for sh in integrable.lattice_shifts(pipe.weight, pipe.k)[:2]
+    ]
 
 
 def _run_toda(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    nmax = min(8, pipe.k - 2)
-    return integrable.toda_check(pipe, nmax, _z_samples(cfg, 2), cfg.tol())
-
-
-def _run_kp(pipe: WeightPipeline, cfg: SuiteConfig) -> CheckResult:
-    # the order-2 flow-2 jet of the size-(n+1) block reads up to rho_{2n+4}
-    # and the fifth-order tau jets up to rho_{2n+3}, so n <= k - 2 keeps
-    # both inside the table's rho_0 .. rho_{2k}
-    n_values = [n for n in LATTICE_N if n <= min(4, pipe.k - 2)]
-    return integrable.kp_check(pipe, n_values, cfg.tol())
+    return integrable.toda_check(pipe, _z_samples(cfg, 2), cfg.tol())
 
 
 @dataclass(frozen=True)
@@ -261,7 +229,7 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "orthogonality",
             "direct weighted lattice sums against factorization norms",
-            _run_orthogonality,
+            _tolerance_only(structure.orthogonality_check),
         ),
         CheckSpec(
             "psi_routes",
@@ -326,7 +294,7 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "tau_routes",
             "factorization data against determinant derivatives, including the bilinear form",
-            _run_tau_routes,
+            _tolerance_only(integrable.tau_route_check),
         ),
         CheckSpec(
             "toda",
@@ -348,7 +316,7 @@ REGISTRY: dict[str, CheckSpec] = {
         CheckSpec(
             "kp",
             "KP relation for the subleading coefficient of a triply deformed weight",
-            _run_kp,
+            _tolerance_only(integrable.kp_check),
             requires=integrable.active_deformation,
         ),
     )
@@ -422,7 +390,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         "mantissa_bits": str(cfg.mantissa_bits),
         "tolerance": decimal_str(tolerance, 64),
         "checks": list(selected),
-        "lattice_n": [str(n) for n in LATTICE_N],
+        "lattice_n": [str(n) for n in integrable.LATTICE_N],
         "fd_step": decimal_str(fd_step, 64),
         "seed": str(cfg.seed),
     }

@@ -10,9 +10,11 @@ reference route sigma(J) H Pi^T builds it; its band, offsets -M .. N+1, is
 checked and read by diagonal, not stored.
 
 Every check has one signature, ``check(pipe, ..., tolerance)``: the
-``WeightPipeline`` first, then only what callers vary (``nmax``,
-``z_samples`` or ``r_coeffs``), then the tolerance, which only
-``polynomial_shift_identity``'s ``label`` follows. The dense ingredients
+``WeightPipeline`` first, then only what callers vary (``z_samples`` or
+``r_coeffs``), then the tolerance. A check derives its window and its name
+from the pipeline and its arguments: ``orthogonality_check`` sums degrees up
+to min(8, k - 1), and ``polynomial_shift_identity`` names itself by the
+degree of R. The dense ingredients
 are built here, once per pipeline, and read from the pipeline's
 properties: J from ``pipe.jac.dense``; sigma(J), theta(J), theta(J+I) and
 sigma(J-I) from ``pipe.sigma_j``, ``pipe.theta_j``, ``pipe.theta_j_plus``
@@ -72,7 +74,7 @@ from .weights import (
     HypergeometricWeight,
     pearson_polynomials,
     to_mpf,
-    weight_value,
+    weight_values,
 )
 
 if TYPE_CHECKING:
@@ -384,7 +386,7 @@ def coefficient_sum_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         direct = mat_mul(mat_mul(chol.s, shift_matrix(k)), chol.s_inv, k - 1)
         j = pipe.jac.dense
         jh = mat_mul(j, diag(chol.h[: k - 1]))
-        route_scale = max(max_abs(direct, k - 1), chol.h_floor())
+        route_scale = max(max_abs(direct, k - 1), chol.h_floor)
         acc.add("j_conjugation", max_diff(direct, j, k - 1), route_scale)
         acc.add("jh_symmetry", max_diff(jh, transpose(jh), k - 1), route_scale)
 
@@ -397,8 +399,9 @@ def coefficient_sum_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
 
 # -- orthogonality by direct summation ------------------------------------------
 
-def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) -> CheckResult:
-    """Direct weighted lattice sums of P_n P_m w against the factorization norms.
+def orthogonality_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
+    """Direct weighted lattice sums of P_n P_m w against the factorization
+    norms, for degrees n, m <= nmax = min(8, size - 1) of the recurrence.
 
     This is the independent witness for the whole Hankel/elimination path: the
     polynomials are evaluated pointwise by recurrence and summed against the
@@ -425,6 +428,7 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
     differs from the exact-weight sum by at most 2^-s sum_k |p_n(k) p_m(k)| e_k.
     """
     jac, h = pipe.jac, pipe.chol.h
+    nmax = min(8, jac.size - 1)
     bits = pipe.bits
     points = pipe.table.last_point + 1
     with workprec(bits):
@@ -452,17 +456,18 @@ def orthogonality_check(pipe: WeightPipeline, nmax: int, tolerance: Fraction) ->
 def pearson_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResult:
     """The difference equation theta(k+1) w(k+1) = sigma(k) w(k) at the lattice
     points k <= 50, with each w(k) from its Pochhammer closed form
-    (``weight_value``), which does not read the term ratio."""
+    (``weight_values``), which does not read the term ratio, and theta and
+    sigma from the coefficients of ``pearson_polynomials``, each value exact
+    in integers and rounded once."""
     w = pipe.weight
     pearson_weight(w, pipe.k)
     bits = pipe.bits
     pp = pearson_polynomials(w)
     with workprec(bits):
         acc = ResidualAccumulator()
-        values = [weight_value(w, k) for k in range(52)]
+        values = weight_values(w, 52)
         for k in range(51):
-            # the polynomials' rational values enter as factors rounded once
-            theta_k, sigma_k = to_mpf(pp.theta(Fraction(k + 1))), to_mpf(pp.sigma(Fraction(k)))
+            theta_k, sigma_k = pp.theta(k + 1), pp.sigma(k)
             lhs, rhs = (1, theta_k, values[k + 1]), (1, sigma_k, values[k])
             diff = scalar_sum(lhs, (-1, sigma_k, values[k]))
             acc.add(f"k={k}", diff, max_abs([[scalar_sum(lhs), scalar_sum(rhs)]]))
@@ -580,7 +585,7 @@ def psi_structure_check(pipe: WeightPipeline, tolerance: Fraction) -> CheckResul
     with workprec(bits):
         acc = ResidualAccumulator()
         blocks = list(routes.values())
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
         # a pair's scale is the larger of its routes' maxima, keeping a nan
         tops = [max_abs(b, window) for b in blocks]
         for i in range(len(blocks)):
@@ -611,7 +616,7 @@ def psi_extreme_diagonals(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         gamma = pipe.jac.gamma  # gamma[i] = gamma_{i+1}
         low = diagonal_of(pipe.psi, -mdeg)
         high = diagonal_of(pipe.psi, ndeg + 1)
-        h_floor = chol.h_floor()
+        h_floor = chol.h_floor
         scale_low = max_abs([low[:window], [h_floor]])
         scale_high = max_abs([high[:window], [h_floor]])
         for n in range(window):
@@ -644,7 +649,7 @@ def structure_shift_residual(
     with workprec(bits):
         acc = ResidualAccumulator()
         a, at = pipe.psi_h_inv
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
         zs = [to_mpf(z) if isinstance(z, Fraction) else mpf(z) for z in z_samples]
         # column j of each matrix below belongs to the sample z_j
         p_at = transpose([polynomial_vector(jac, zf, kj) for zf in zs])
@@ -683,7 +688,7 @@ def psi_jacobi_identities(pipe: WeightPipeline, tolerance: Fraction) -> CheckRes
         acc = ResidualAccumulator()
         j = pipe.jac.dense
         a, at = pipe.psi_h_inv
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
 
         lhs = commutator(a, j, window)
         diff, scale = window_diff(lhs, a, window)
@@ -723,7 +728,7 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
         win_sigma = kj - (mdeg + 1)
         a_theta = mat_mul(h, transpose(pipe.theta_j), win_theta)
         a_sigma = mat_mul(pipe.sigma_j, h, win_sigma)
-        h_floor = pipe.chol.h_floor()
+        h_floor = pipe.chol.h_floor
 
         for name, mat, win in (("theta", a_theta, win_theta), ("sigma", a_sigma, win_sigma)):
             sym = max_diff(mat, transpose(mat), win)
@@ -758,10 +763,12 @@ def structure_cholesky_check(pipe: WeightPipeline, tolerance: Fraction) -> Check
         )
 
 
-def polynomial_shift_identity(
-    pipe: WeightPipeline, r_coeffs: tuple, tolerance: Fraction, label: str = "poly_shift"
-) -> CheckResult:
-    """R(J) Pi^{+-1} = Pi^{+-1} R(J +- I) for a small polynomial R."""
+_DEGREE_NAMES = ("constant", "linear", "quadratic")
+
+
+def polynomial_shift_identity(pipe: WeightPipeline, r_coeffs: tuple, tolerance: Fraction) -> CheckResult:
+    """R(J) Pi^{+-1} = Pi^{+-1} R(J +- I) for a polynomial R of degree at
+    most 2, named by that degree (``poly_shift_linear`` for degree 1)."""
     deg = len(r_coeffs) - 1
     kj = pipe.k
     window = poly_shift_window(pipe.weight, kj, deg)
@@ -781,7 +788,7 @@ def polynomial_shift_identity(
         )
         acc.add("minus", diff, max(scale, mpf(1)))
         return acc.result(
-            label,
+            f"poly_shift_{_DEGREE_NAMES[deg]}",
             tolerance,
             window=f"leading {window} of {kj} (degree {deg})",
         )

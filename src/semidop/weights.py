@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import factorial, prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpf
@@ -263,21 +263,23 @@ class PearsonPolynomials:
     theta_coeffs: tuple[Fraction, ...]
     sigma_coeffs: tuple[Fraction, ...]
 
-    def theta(self, z):
+    def theta(self, z) -> mpf:
         return _poly_eval(self.theta_coeffs, z)
 
-    def sigma(self, z):
+    def sigma(self, z) -> mpf:
         return _poly_eval(self.sigma_coeffs, z)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], z):
-    """The polynomial at z: exact at a rational z, else in mpf arithmetic.
-    Call under workprec for an mpf z."""
-    if isinstance(z, (int, Fraction)):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
+def _poly_eval(coeffs: Sequence[Fraction], z) -> mpf:
+    """The polynomial at z, an int or an mpf. Call under workprec.
+
+    At an int, its exact value, formed in integers over the coefficients'
+    common denominator, rounded once; at an mpf, Horner in mpf arithmetic.
+    """
+    if isinstance(z, int):
+        den = lcm(*(c.denominator for c in coeffs))
+        value = sum(c.numerator * (den // c.denominator) * z**i for i, c in enumerate(coeffs))
+        return mpf(from_rational(value, den, mp.prec, round_nearest))
     acc = mpf(0)
     for c in reversed(coeffs):
         acc = acc * z + to_mpf(c)
@@ -305,16 +307,33 @@ def pearson_polynomials(w: HypergeometricWeight) -> PearsonPolynomials:
     return PearsonPolynomials(theta, sigma)
 
 
+def weight_values(w: HypergeometricWeight, count: int) -> list[mpf]:
+    """w(0) .. w(count - 1) of the closed form, each exact and rounded once.
+    Call under workprec.
+
+    The Pochhammer symbols and k! are running integer products: with
+    a = c / d, (a)_k = c (c + d) ... (c + (k - 1) d) / d^k. No Fraction is
+    formed; the unreduced quotient rounds to the bits of the reduced one.
+    """
+    a = [(x.numerator, x.denominator) for x in w.a]
+    b = [(x.numerator, x.denominator) for x in w.b]  # (b)_k != 0: no b is a nonpositive integer
+    num = den = 1
+    out = []
+    for k in range(count):
+        if k:
+            num *= w.eta.numerator * prod(c + (k - 1) * d for c, d in a) * prod(d for _, d in b)
+            den *= w.eta.denominator * k * prod(d for _, d in a) * prod(c + (k - 1) * d for c, d in b)
+        n = num * w.eta2.numerator ** (k * k) * w.eta3.numerator ** (k**3)
+        d = den * w.eta2.denominator ** (k * k) * w.eta3.denominator ** (k**3)
+        out.append(mpf(from_rational(n, d, mp.prec, round_nearest)))
+    return out
+
+
 def weight_value(w: HypergeometricWeight, k: int) -> mpf:
     """Evaluate w(k) at a lattice point, rounded once. Call under workprec."""
     if k < 0:
         raise ValueError("lattice points are nonnegative integers")
-    value = w.eta**k * w.eta2 ** (k * k) * w.eta3 ** (k * k * k) / factorial(k)
-    for ai in w.a:
-        value *= pochhammer(ai, k)
-    for bj in w.b:  # (b)_k != 0: no b is a nonpositive integer
-        value /= pochhammer(bj, k)
-    return to_mpf(value)
+    return weight_values(w, k + 1)[k]
 
 
 def term_ratio(w: HypergeometricWeight, k: int) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from semidop import (
 from semidop import flows
 from semidop.flows import log_tau_jet
 from semidop.integrable import (
+    LATTICE_N,
     contiguous_check,
     fd_feasible_flows,
     kp_check,
@@ -93,15 +94,13 @@ def test_omega_zero_constant_rejected(ctx, tol):
 
 
 def test_nijhoff_capel_gen_meixner(ctx, tol, gen_meixner_pipe):
-    res = nijhoff_capel_check(
-        gen_meixner_pipe, Shift.a(1), Shift.b(1), [1, 2, 3, 4, 5, 6], tol
-    )
+    res = nijhoff_capel_check(gen_meixner_pipe, Shift.a(1), Shift.b(1), tol)
     assert res.passed, res.components
 
 
 def test_nijhoff_capel_two_a_weight(ctx, tol):
     pipe = get_pipeline(parse_weight_spec("a=1,2; b=3; eta=1/4"), 10, ctx)
-    res = nijhoff_capel_check(pipe, Shift.a(1), Shift.a(2), [1, 2, 3, 4, 5, 6], tol)
+    res = nijhoff_capel_check(pipe, Shift.a(1), Shift.a(2), tol)
     assert res.passed, res.components
 
 
@@ -109,22 +108,23 @@ def test_nijhoff_capel_nondegenerate_mixed_directions(ctx, tol):
     # with b != a+1 the two shifted weights are genuinely different, so the
     # lattice equation is verified with nonzero ingredients on both sides
     pipe = get_pipeline(parse_weight_spec("a=3/2; b=7/2; eta=1/3"), 10, ctx)
-    res = nijhoff_capel_check(pipe, Shift.a(1), Shift.b(1), [1, 2, 3, 4], tol)
+    res = nijhoff_capel_check(pipe, Shift.a(1), Shift.b(1), tol)
     assert res.passed, res.components
     assert res.max_residual > 0
 
 
 def test_nijhoff_capel_rejects_equal_directions(ctx, tol, gen_meixner_pipe):
     with pytest.raises(InvalidShift):
-        nijhoff_capel_check(gen_meixner_pipe, Shift.a(1), Shift.a(1), [1], tol)
+        nijhoff_capel_check(gen_meixner_pipe, Shift.a(1), Shift.a(1), tol)
 
 
 def test_uv_system(ctx, tol, gen_meixner_pipe):
-    res = uv_system_check(gen_meixner_pipe, Shift.a(1), [1, 2, 3, 4], tol)
+    res = uv_system_check(gen_meixner_pipe, Shift.a(1), tol)
     assert res.passed, res.components
-    # the engine's ratio derivative agrees with the flow jets' to rounding
+    # the engine's ratio derivative agrees with the flow jets' to rounding, at
+    # every n of LATTICE_N the size-12 factorizations hold
     witness = [mpf(v) for k, v in res.components.items() if k.startswith("ratio_witness[")]
-    assert len(witness) == 4 and max(witness) < mpf(2) ** -(BITS - 64)
+    assert len(witness) == len(LATTICE_N) and max(witness) < mpf(2) ** -(BITS - 64)
 
 
 def test_uv_boundary_identity(ctx, gen_meixner_pipe):
@@ -142,7 +142,7 @@ def test_uv_boundary_identity(ctx, gen_meixner_pipe):
 def test_tau_routes(ctx, tol):
     for spec in ("eta=7/10", "b=3/2; eta=1/2"):
         pipe = get_pipeline(parse_weight_spec(spec), 10, ctx)
-        res = tau_route_check(pipe, 8, tol)
+        res = tau_route_check(pipe, tol)
         assert res.passed, (spec, res.components)
 
 
@@ -187,7 +187,7 @@ def test_toda_closed_form_charlier(ctx, charlier_pipe):
 def test_toda_all_families(ctx, tol):
     for spec in ("eta=7/10", "a=3/2; b=5/2; eta=1/3"):
         pipe = get_pipeline(parse_weight_spec(spec), 10, ctx)
-        res = toda_check(pipe, 6, [Fraction(1, 2)], tol)
+        res = toda_check(pipe, [Fraction(1, 2)], tol)
         assert res.passed, (spec, res.components)
 
 
@@ -250,16 +250,16 @@ def test_pearson_toda_rejects_deformed(ctx, tol, deformed_pipe):
         pearson_toda_check(deformed_pipe, tol)
 
 
-def test_kp_trivial_and_deformed(ctx, tol, deformed_pipe):
-    res = kp_check(deformed_pipe, [0], tol)
-    assert res.passed and res.max_residual == 0
-    res = kp_check(deformed_pipe, [1, 2], tol)
+def test_kp_deformed(ctx, tol, deformed_pipe):
+    # size 8 holds n <= 4, the check's cap
+    res = kp_check(deformed_pipe, tol)
     assert res.passed, res.components
+    assert res.window == "n in [1, 2, 3, 4]"
 
 
 def test_kp_rejects_undeformed(ctx, tol, charlier_pipe):
     with pytest.raises(PreconditionError):
-        kp_check(charlier_pipe, [1], tol)
+        kp_check(charlier_pipe, tol)
 
 
 # -- a nan residual fails wherever a check takes its maximum -------------------
@@ -624,8 +624,14 @@ def _inverse_factor_entry(monkeypatch, pipe, i, j):
 
 def _weight_value(monkeypatch, pipe, k):
     # w(k) of the Pochhammer closed form, which only the Pearson check reads
-    real = structure.weight_value
-    monkeypatch.setattr(structure, "weight_value", lambda w, n: _nudged(real(w, n)) if n == k else real(w, n))
+    real = structure.weight_values
+
+    def planted(w, count):
+        values = real(w, count)
+        values[k] = _nudged(values[k])
+        return values
+
+    monkeypatch.setattr(structure, "weight_values", planted)
 
 
 def _shifted_identity(monkeypatch, pipe):
@@ -649,24 +655,18 @@ def _shift_constant(monkeypatch, pipe, kind):
 
 def _run(check, pipe):
     tol = MUTATION_CTX.default_tolerance()
-    if check == "orthogonality":
-        return structure.orthogonality_check(pipe, 6, tol)
     if check == "psi_shift":
         return structure.structure_shift_residual(pipe, [Fraction(1, 2), Fraction(3)], tol)
     if check == "omega":
         return omega_connection_check(pipe, Shift.a(1), [Fraction(1, 2)], tol)
-    if check == "tau_routes":
-        return tau_route_check(pipe, 6, tol)
     if check == "uv_system":
-        return uv_system_check(pipe, Shift.a(1), [1, 2, 3, 4], tol)
+        return uv_system_check(pipe, Shift.a(1), tol)
     if check == "nijhoff_capel":
-        return nijhoff_capel_check(pipe, Shift.a(1), Shift.b(1), [1, 2, 3, 4], tol)
+        return nijhoff_capel_check(pipe, Shift.a(1), Shift.b(1), tol)
     if check == "toda":
-        return toda_check(pipe, 4, [Fraction(1, 2)], tol)
-    if check == "kp":
-        return kp_check(pipe, [1, 2, 3, 4], tol)
+        return toda_check(pipe, [Fraction(1, 2)], tol)
     if check == "poly_shift_linear":
-        return structure.polynomial_shift_identity(pipe, (Fraction(0), Fraction(1)), tol, check)
+        return structure.polynomial_shift_identity(pipe, (Fraction(0), Fraction(1)), tol)
     return {
         "sato_wilson": sato_wilson_check,
         "pearson_toda": pearson_toda_check,
@@ -680,6 +680,9 @@ def _run(check, pipe):
         "psi_routes": structure.psi_structure_check,
         "psi_diagonals": structure.psi_extreme_diagonals,
         "contiguous": contiguous_check,
+        "orthogonality": structure.orthogonality_check,
+        "tau_routes": tau_route_check,
+        "kp": kp_check,
     }[check](pipe, tol)
 
 

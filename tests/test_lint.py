@@ -24,12 +24,16 @@ Every ``to_mpf`` call runs under an explicit ``workprec``. Every ``mpf_add``,
 a moment table that walks every column (``walk_all=True``): a moment
 witness, which no pipeline holds. Only ``flows`` and ``integrable._log_tau``
 read a table's memos of flow derivatives (``tau_derivatives``,
-``log_tau_derivatives``).
+``log_tau_derivatives``). Every option of a CLI command is read by the
+command's handler, a ``cli`` function it calls, or ``main``.
 """
 
+import argparse
 import ast
 import sys
 from pathlib import Path
+
+from semidop import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semidop"
@@ -682,3 +686,68 @@ def test_unrounded_calls_flagged():
 
 def test_linalg_sums_are_rounded_at_a_precision():
     assert _unrounded_calls((PACKAGE / "linalg.py").read_text(), EXACT_SUMS) == []
+
+
+# -- every CLI flag is read -----------------------------------------------------
+
+# A flag a command accepts but never reads exits 0 and does nothing (as
+# ``recurrence --out r.csv`` once did). So each option of each subcommand of
+# ``cli.build_parser()`` is read as ``args.<dest>`` by the command's handler
+# (``cli.HANDLERS``), by a ``cli`` function the handler calls, directly or
+# not, or by ``main``.
+
+
+def _args_read(source: str, entries: list[str]) -> set[str]:
+    """The attributes of ``args`` read by the module-level functions
+    ``entries`` of a module and by every module-level function they call by
+    name, directly or not. A function named but not called (``main``'s table
+    of handlers) is not followed."""
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    seen, todo, read = set(), list(entries), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                todo.append(node.func.id)
+    return read
+
+
+def _unread_flags(parser: argparse.ArgumentParser, source: str, handlers: dict[str, str]) -> list[str]:
+    """``command --flag`` for each option no reader of its command reads."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        f"{command} {action.option_strings[-1]}"
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+        and action.dest not in _args_read(source, [handlers[command], "main"])
+    ]
+
+
+def test_unread_flags_flagged():
+    parser = argparse.ArgumentParser()
+    commands = parser.add_subparsers(dest="command")
+    for name in ("run", "show"):
+        sub = commands.add_parser(name)
+        sub.add_argument("--size")
+        sub.add_argument("--out")
+        sub.add_argument("--max-m")
+    source = (
+        "def _size(args):\n    return args.size\n"
+        "def _run(args):\n    if args.max_m:\n        write(args.out)\n    return _size(args)\n"
+        "def _show(args):\n    return getattr(args, 'out', None)\n"
+        "def main(argv):\n    args = parse(argv)\n    return {'run': _run, 'show': _show}[args.command](args)\n"
+    )
+    assert _unread_flags(parser, source, {"run": "_run", "show": "_show"}) == [
+        "show --size", "show --out", "show --max-m",
+    ]
+
+
+def test_every_cli_flag_is_read():
+    handlers = {command: fn.__name__ for command, fn in cli.HANDLERS.items()}
+    assert _unread_flags(cli.build_parser(), (PACKAGE / "cli.py").read_text(), handlers) == []

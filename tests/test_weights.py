@@ -17,7 +17,7 @@ from semidop import (
     shift_parameter,
     weight_value,
 )
-from semidop.weights import HypergeometricWeight, fixed_point_terms, to_mpf
+from semidop.weights import HypergeometricWeight, fixed_point_terms, to_mpf, weight_values
 
 from conftest import CHARLIER, DEFORMED, FAMILIES, GEN_MEIXNER, MEIXNER
 from oracles import weight_sequence
@@ -91,15 +91,18 @@ def test_classification_cases():
 )
 def test_weight_sequence_matches_weight_value(w, count):
     # the oracle's exact walk reproduces the Pochhammer definition bit for bit,
-    # and every fixed-point term lies within its stated error of it, the
-    # underflowed terms of DEFORMED included; that error stays a few units
+    # its running integer products (weight_values) included, and every
+    # fixed-point term lies within its stated error of it, the underflowed
+    # terms of DEFORMED included; that error stays a few units
     scale = 256
     with workprec(192):
-        walk = zip(range(count), weight_sequence(w), fixed_point_terms(w, scale))
-        for k, exact, (value, err) in walk:
-            assert to_mpf(exact) == weight_value(w, k)
+        values = weight_values(w, count)
+        walk = zip(values, weight_sequence(w), fixed_point_terms(w, scale))
+        for k, (closed, exact, (value, err)) in enumerate(walk):
+            assert to_mpf(exact) == closed
             assert abs(value - exact * 2**scale) <= err, k
             assert err.bit_length() <= 8, k
+        assert len(values) == count and weight_value(w, count - 1) == values[-1]
 
 
 def test_shifts():
